@@ -16,7 +16,7 @@ from pathlib import Path
 from . import analytic, opcount
 from .chipletsim import (ChipletConfig, run_workload, schedule_keyswitch_ring,
                          schedule_strawman, sweep_chiplets)
-from .verify import run_verify
+from .verify import FAULTS, run_verify
 
 
 def load_preset(name: str) -> dict:
@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json-out", default=None)
     v.add_argument("--dump-census", default=None,
                    help="write per-routine micro-op counts as JSON")
-    v.add_argument("--inject-fault", default=None,
-                   help="mutation-test hook, e.g. shuffle-offby1")
+    v.add_argument("--inject-fault", default=None, choices=sorted(FAULTS),
+                   help="mutation-test hook: break one kernel on purpose")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="run a macro-op program on the model")

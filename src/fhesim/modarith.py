@@ -2,8 +2,10 @@
 
 Every prime q used by the kernels satisfies q == 1 (mod 2N) so that a
 primitive 2N-th root of unity psi exists (psi^N == -1 mod q).  Word size
-is capped at 54 bits so that a product of two residues fits comfortably
-in double-word arithmetic on any backend.
+is capped at 54 bits (q < 2^54, checked by PrimeModulus.create) so that a
+product of two residues fits comfortably in double-word arithmetic on any
+backend, and so that the uint64 NTT kernel's float64 quotient estimate
+stays within its proven bound.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class NoPrimeFound(Exception):
     """Search space of the requested bit length is exhausted."""
+
+
+class WordSizeExceeded(ValueError):
+    """A modulus or prime bit length exceeds MAX_WORD_BITS."""
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +79,8 @@ class PrimeModulus:
 
     @classmethod
     def create(cls, q: int, two_n: int, psi: int) -> "PrimeModulus":
+        if q.bit_length() > MAX_WORD_BITS:
+            raise WordSizeExceeded(f"modulus {q} exceeds the {MAX_WORD_BITS}-bit word size")
         n = two_n // 2
         if pow(psi, two_n, q) != 1 or pow(psi, n, q) != q - 1:
             raise ValueError(f"psi={psi} is not a primitive {two_n}-th root mod {q}")
@@ -137,26 +145,18 @@ def _find_primitive_root(q: int, two_n: int) -> int:
 
 def find_ntt_prime(bits: int, two_n: int, skip: int = 0) -> PrimeModulus:
     """(skip+1)-th prime of the given bit length with q == 1 (mod two_n)."""
+    return find_ntt_primes(bits, two_n, 1, skip)[0]
+
+
+def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[PrimeModulus]:
+    """count primes of the given bit length with q == 1 (mod two_n), in
+    ascending order after skipping the first skip; one scan of the candidates."""
     if bits > MAX_WORD_BITS:
-        raise ValueError(f"bit length {bits} exceeds word size {MAX_WORD_BITS}")
+        raise WordSizeExceeded(f"bit length {bits} exceeds word size {MAX_WORD_BITS}")
     if two_n & (two_n - 1) != 0:
         raise ValueError("two_n must be a power of two")
     lo, hi = 1 << (bits - 1), 1 << bits
     # Smallest candidate of this bit length congruent to 1 mod two_n.
-    q = lo + 1 if lo % two_n == 0 else lo + (two_n - lo % two_n) + 1
-    remaining = skip
-    while q < hi:
-        if is_prime(q):
-            if remaining == 0:
-                return PrimeModulus.create(q, two_n, _find_primitive_root(q, two_n))
-            remaining -= 1
-        q += two_n
-    raise NoPrimeFound(f"no {bits}-bit prime == 1 mod {two_n} after skipping {skip}")
-
-
-def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[PrimeModulus]:
-    """Like find_ntt_prime but scans the candidate space once."""
-    lo, hi = 1 << (bits - 1), 1 << bits
     q = lo + 1 if lo % two_n == 0 else lo + (two_n - lo % two_n) + 1
     found: List[PrimeModulus] = []
     remaining = skip
@@ -168,7 +168,8 @@ def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[Pr
                 remaining -= 1
         q += two_n
     if len(found) < count:
-        raise NoPrimeFound(f"only {len(found)} of {count} {bits}-bit primes == 1 mod {two_n}")
+        raise NoPrimeFound(f"only {len(found)} of {count} {bits}-bit primes == 1 mod {two_n}"
+                           f" after skipping {skip}")
     return found
 
 

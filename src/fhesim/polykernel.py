@@ -1,9 +1,19 @@
 """Negacyclic polynomial kernels over a single RNS limb.
 
-Provides the reference forward/inverse NTT (natural input, bit-reversed
-output and back), a hierarchical (N1, N2) NTT that never materializes a
-transpose, the direct automorphism map and its shuffle-tree realization,
-and the triadic pointwise MAS unit.
+Provides the forward/inverse NTT (natural input, bit-reversed output and
+back), a hierarchical (N1, N2) NTT that never materializes a transpose,
+the direct automorphism map and its shuffle-tree realization, and the
+triadic pointwise MAS unit.
+
+The production transforms, ntt_reference and intt_reference, are one
+vectorized NumPy uint64 kernel: each radix-2 stage is one pass over the
+limb, and each twiddle product uses a float64 quotient estimate from a
+precomputed w/q (Shoup's trick; see _mulmod_lazy for the bound).  Its
+exactness needs every modulus below 2^MAX_WORD_BITS = 2^54, which
+PrimeModulus.create enforces, and residues inside [0, q), which the
+kernel checks.  The pure-int butterflies are kept, unchanged, as the
+oracles ntt_oracle and intt_oracle; ntt_hybrid stays pure-int too, as
+the model of the hardware dataflow.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
@@ -19,11 +29,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .modarith import PrimeModulus, TwiddleSource, bit_reverse
 
 
 class DomainError(Exception):
     """Operation applied to a polynomial in the wrong domain."""
+
+
+class ResidueOutOfRange(ValueError):
+    """A coefficient handed to the NTT/INTT kernel lies outside [0, q)."""
+
+
+class LengthMismatch(ValueError):
+    """Operands of a pointwise op, or a serialized buffer, have the wrong length."""
 
 
 class PlanMismatch(Exception):
@@ -84,7 +104,8 @@ class NttPlan:
 
 
 # ---------------------------------------------------------------------------
-# Twiddle tables (stored or generated on the fly, identical values)
+# Twiddle tables (stored or generated on the fly, identical values), keyed by
+# the whole modulus: one q can carry different roots psi.
 
 _table_cache: Dict[tuple, tuple] = {}
 
@@ -93,7 +114,7 @@ def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool
                       mode: str) -> List[int]:
     """[psi^(stride_exp * bitrev(i, log2 size)) for i < size], negated exponents
     when inverse."""
-    key = ("brv", m.q, size, stride_exp, inverse, mode)
+    key = ("brv", m, size, stride_exp, inverse, mode)
     if key not in _table_cache:
         src = TwiddleSource(m, mode)
         width = size.bit_length() - 1
@@ -107,7 +128,7 @@ def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool
 
 def _omega_table(m: PrimeModulus, size: int, stride_exp: int, mode: str) -> List[int]:
     """[psi^(stride_exp * j) for j < size]: natural powers of a cyclic root."""
-    key = ("nat", m.q, size, stride_exp, mode)
+    key = ("nat", m, size, stride_exp, mode)
     if key not in _table_cache:
         src = TwiddleSource(m, mode)
         _table_cache[key] = tuple(src.power(stride_exp * j % m.two_n) for j in range(size))
@@ -116,7 +137,7 @@ def _omega_table(m: PrimeModulus, size: int, stride_exp: int, mode: str) -> List
 
 def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> List[int]:
     """Twiddles between the two hybrid phases, indexed [c*N1 + a]."""
-    key = ("mid", m.q, plan.n1, plan.n2, stride_exp, plan.twiddle_mode)
+    key = ("mid", m, plan.n1, plan.n2, stride_exp, plan.twiddle_mode)
     if key not in _table_cache:
         src = TwiddleSource(m, plan.twiddle_mode)
         n1, n2 = plan.n1, plan.n2
@@ -203,13 +224,13 @@ def _dif_cyclic(x: List[int], base: int, size: int, omega: List[int], q: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Reference transforms
+# Oracle transforms: the pure-int butterflies, used only by verify and tests
 
 
-def ntt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
-    """Forward negacyclic NTT; output in bit-reversed order."""
+def ntt_oracle(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+    """Forward negacyclic NTT in Python integers; output in bit-reversed order."""
     if p.domain != Domain.COEFF:
-        raise DomainError("ntt_reference expects a coefficient-domain polynomial")
+        raise DomainError("ntt_oracle expects a coefficient-domain polynomial")
     m = p.modulus
     n = p.n
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False, mode=mode)
@@ -218,10 +239,10 @@ def ntt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
     return Poly(x, m, Domain.NTT)
 
 
-def intt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
-    """Exact inverse of ntt_reference, including the 1/N scaling."""
+def intt_oracle(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+    """Exact inverse of ntt_oracle, including the 1/N scaling."""
     if p.domain != Domain.NTT:
-        raise DomainError("intt_reference expects an NTT-domain polynomial")
+        raise DomainError("intt_oracle expects an NTT-domain polynomial")
     m = p.modulus
     n = p.n
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True, mode=mode)
@@ -230,6 +251,143 @@ def intt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
     n_inv = m.n_inv if n == m.n else pow(n, -1, m.q)
     q = m.q
     return Poly([c * n_inv % q for c in x], m, Domain.COEFF)
+
+
+# ---------------------------------------------------------------------------
+# Production transforms: word-exact uint64 NumPy kernel
+
+# Multiples of q that _mulmod subtracts, in turn, to fold [0, 7q) into [0, q).
+_PRODUCT_FOLDS = (4, 2, 1)
+
+
+def _shoup_ratios(ws, q: int) -> np.ndarray:
+    """w/q per twiddle as float64; Python's int division rounds correctly."""
+    return np.array([w / q for w in ws], dtype=np.float64)
+
+
+def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool,
+                    mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The _psi_table_bitrev table as uint64 twiddles and their w/q ratios.
+
+    Slot 0 is never read by a butterfly.  For the inverse it holds 1/n, and
+    slot 1, the last INTT stage's twiddle, is multiplied by 1/n, so that
+    stage applies the scaling.
+    """
+    key = ("u64", m, n, inverse, mode)
+    if key not in _table_cache:
+        q = m.q
+        table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse, mode)
+        if inverse:
+            n_inv = m.n_inv if n == m.n else pow(n, -1, q)
+            table[0] = n_inv
+            if n > 1:
+                table[1] = table[1] * n_inv % q
+        _table_cache[key] = (np.array(table, dtype=np.uint64), _shoup_ratios(table, q))
+    return _table_cache[key]
+
+
+def _mulmod_lazy(a: np.ndarray, w: np.ndarray, ratio: np.ndarray,
+                 q: np.uint64) -> np.ndarray:
+    """a*w mod q plus a multiple of q, in [0, 7q); a, w in [0, q), q < 2^54.
+
+    The quotient estimate is qhat = floor(fl(fl(a) * r)), with r = fl(w/q)
+    correctly rounded.  With Q = a*w/q:
+      |fl(a) - a| <= 1 (exact below 2^53, spacing 2 up to 2^54), fl(a) <= 2^54;
+      w/q < 1, so |r - w/q| <= 2^-54 and r <= 1;
+      fl(a)*r <= 2^54, so the product rounds by at most 1.
+    Hence |fl(fl(a)*r) - Q| <= |fl(a) - a|*r + a*|r - w/q| + 1 < 1 + 1 + 1,
+    and qhat - floor(Q) lies in [-3, 3].  Then a*w - qhat*q equals
+    (a*w mod q) + k*q with k in [-3, 3], so adding 3q gives a value in
+    [0, 7q), below 2^57: the wrapping uint64 arithmetic is exact.
+    """
+    qhat = (a * ratio).astype(np.uint64)
+    qhat *= q
+    x = a * w
+    x -= qhat
+    x += np.uint64(3) * q
+    return x
+
+
+def _mulmod(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.uint64) -> np.ndarray:
+    """a*w mod q in [0, q), by _mulmod_lazy and branch-free folds."""
+    x = _mulmod_lazy(a, w, ratio, q)
+    for k in _PRODUCT_FOLDS:
+        _fold(x, np.uint64(k) * q)
+    return x
+
+
+def _fold(x: np.ndarray, c: np.uint64) -> np.ndarray:
+    """x in [0, 2c) -> x mod c, in place: below c, x - c wraps above x."""
+    return np.minimum(x, x - c, out=x)
+
+
+def _residues(p: Poly) -> np.ndarray:
+    """The coefficients as a uint64 array, each checked to lie in [0, q)."""
+    try:
+        x = np.array(p.coeffs, dtype=np.uint64)
+    except OverflowError:
+        raise ResidueOutOfRange(f"coefficients must lie in [0, {p.modulus.q})") from None
+    if x.size and int(x.max()) >= p.modulus.q:
+        raise ResidueOutOfRange(f"coefficients must lie in [0, {p.modulus.q})")
+    return x
+
+
+def ntt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+    """Forward negacyclic NTT; output in bit-reversed order.
+
+    Bit-identical to ntt_oracle.  Stage s views the limb as (2^s, 2, t)
+    blocks and runs every Cooley-Tukey butterfly of the stage at once.
+    """
+    if p.domain != Domain.COEFF:
+        raise DomainError("ntt_reference expects a coefficient-domain polynomial")
+    m = p.modulus
+    n = p.n
+    w, ratio = _twiddle_arrays(m, n, inverse=False, mode=mode)
+    q = np.uint64(m.q)
+    x = _residues(p)
+    blocks, t = 1, n
+    while blocks < n:
+        t >>= 1
+        view = x.reshape(blocks, 2, t)
+        u = view[:, 0]
+        v = _mulmod(view[:, 1], w[blocks:2 * blocks, None], ratio[blocks:2 * blocks, None], q)
+        diff = u - v
+        diff += q
+        u += v
+        view[:, 1] = diff
+        _fold(x, q)
+        blocks <<= 1
+    return Poly(x.tolist(), m, Domain.NTT)
+
+
+def intt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+    """Exact inverse of ntt_reference, including the 1/N scaling.
+
+    Bit-identical to intt_oracle.  Gentleman-Sande stages mirror the
+    forward ones; the last stage multiplies its two halves by 1/N and w/N
+    instead of 1 and its twiddle w, which saves a separate scaling pass.
+    """
+    if p.domain != Domain.NTT:
+        raise DomainError("intt_reference expects an NTT-domain polynomial")
+    m = p.modulus
+    n = p.n
+    w, ratio = _twiddle_arrays(m, n, inverse=True, mode=mode)
+    q = np.uint64(m.q)
+    x = _residues(p)
+    blocks, t = n >> 1, 1
+    while blocks:
+        view = x.reshape(blocks, 2, t)
+        u, v = view[:, 0], view[:, 1]
+        diff = u - v
+        u += v
+        np.add(diff, q, out=v)
+        _fold(x, q)
+        view[:, 1] = _mulmod(v, w[blocks:2 * blocks, None], ratio[blocks:2 * blocks, None], q)
+        if blocks == 1:
+            view[:, 0] = _mulmod(u, w[0], ratio[0], q)
+        blocks >>= 1
+        t <<= 1
+    return Poly(x.tolist(), m, Domain.COEFF)
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
@@ -363,6 +521,8 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
         raise ModulusMismatch("operands use different moduli")
     if a.domain != b.domain:
         raise DomainMismatch("operands live in different domains")
+    if a.n != b.n or (acc is not None and acc.n != a.n):
+        raise LengthMismatch("MAS operands must have equal lengths")
     q = a.modulus.q
     av, bv = a.coeffs, b.coeffs
     if op == MasOp.ADD:
@@ -388,12 +548,20 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
 # Serialization: (N, modulus_id, domain) header + little-endian u64 residues
 
 
+_HEADER = struct.Struct("<IIB")
+
+
 def poly_to_bytes(p: Poly, modulus_id: int) -> bytes:
-    head = struct.pack("<IIB", p.n, modulus_id, p.domain.value)
+    head = _HEADER.pack(p.n, modulus_id, p.domain.value)
     return head + b"".join(struct.pack("<Q", c) for c in p.coeffs)
 
 
 def poly_from_bytes(data: bytes, modulus: PrimeModulus) -> Tuple[Poly, int]:
-    n, modulus_id, dom = struct.unpack_from("<IIB", data, 0)
-    coeffs = list(struct.unpack_from(f"<{n}Q", data, 9))
+    if len(data) < _HEADER.size:
+        raise LengthMismatch(f"{len(data)}-byte buffer is shorter than the header")
+    n, modulus_id, dom = _HEADER.unpack_from(data, 0)
+    if len(data) != _HEADER.size + 8 * n:
+        raise LengthMismatch(f"{len(data)}-byte buffer does not hold the header "
+                             f"plus {n} words")
+    coeffs = list(struct.unpack_from(f"<{n}Q", data, _HEADER.size))
     return Poly(coeffs, modulus, Domain(dom)), modulus_id

@@ -1,11 +1,12 @@
 """Oracle-differential verification suites.
 
 Each suite runs a batch of randomized cases comparing the optimized paths
-against independent oracles (schoolbook negacyclic products, the direct
-automorphism map, a bit-serial keystream, wide-integer CRT arithmetic)
-and returns a summary with the number of elementwise comparisons made.
-A deliberate-fault mode perturbs the shuffle addressing so the harness
-itself can be shown to catch regressions.
+against independent oracles (the pure-int NTT butterflies, schoolbook
+negacyclic products, the direct automorphism map, a bit-serial keystream,
+wide-integer CRT arithmetic) and returns a summary with the number of
+elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
+addressing or drop a correction fold from the uint64 NTT kernel, so the
+harness itself can be shown to catch regressions.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from . import opcount, polykernel
 from .ckks import CkksContext, count_ops, ksk_to_bytes
 from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
-from .polykernel import (Domain, MasOp, NttPlan, Poly, automorphism_oracle,
-                         automorphism_shuffle, intt_reference, mas, ntt_hybrid,
-                         ntt_reference)
+from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
+                         automorphism_oracle, automorphism_shuffle, intt_oracle,
+                         intt_reference, mas, ntt_hybrid, ntt_oracle, ntt_reference)
 from .trivium import trivium_stream
 
 
@@ -82,25 +83,34 @@ def trivium_bit_serial(seed: int, count: int) -> List[int]:
 # Fault injection (mutation-testing hook for the harness itself)
 
 
+def _shuffle_offby1(original):
+    def faulty(lanes, n2):
+        out = original(lanes, n2)
+        return out[1:] + out[:1] if n2 > 1 else out
+    return faulty
+
+
+# fault name -> (polykernel attribute, function from its original to the fault)
+FAULTS = {
+    "shuffle-offby1": ("_shuffle_tree", _shuffle_offby1),
+    "ntt-fold": ("_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+}
+
+
 @contextmanager
 def inject_fault(name: Optional[str]):
     if name is None:
         yield
         return
-    if name == "shuffle-offby1":
-        original = polykernel._shuffle_tree
-
-        def faulty(lanes, n2):
-            out = original(lanes, n2)
-            return out[1:] + out[:1] if n2 > 1 else out
-
-        polykernel._shuffle_tree = faulty
-        try:
-            yield
-        finally:
-            polykernel._shuffle_tree = original
-    else:
+    if name not in FAULTS:
         raise ValueError(f"unknown fault {name!r}")
+    attr, corrupt = FAULTS[name]
+    original = getattr(polykernel, attr)
+    setattr(polykernel, attr, corrupt(original))
+    try:
+        yield
+    finally:
+        setattr(polykernel, attr, original)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +135,15 @@ class SuiteResult:
                 "comparisons": self.comparisons, "failures": self.failures}
 
 
+def _agrees(kernel_output, want) -> bool:
+    """kernel_output() == want; a kernel that rejects its input, as it does
+    the out-of-range residues of a broken kernel, counts as a mismatch."""
+    try:
+        return kernel_output() == want
+    except ResidueOutOfRange:
+        return False
+
+
 def _rand_poly(rng: random.Random, m: PrimeModulus, n: int) -> Poly:
     return Poly([rng.randrange(m.q) for _ in range(n)], m, Domain.COEFF)
 
@@ -142,29 +161,43 @@ def suite_kernels(size: str = "toy", seed: int = 0,
     m = find_ntt_prime(_suite_prime_bits(n), 2 * n)
 
     with inject_fault(fault):
-        # hybrid NTT vs reference, all requested splits, both twiddle modes
+        # uint64 kernel vs pure-int oracle on edge and random inputs
+        edges = [[0] * n, [1] + [0] * (n - 1), [m.q - 1] * n]
+        for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
+            for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
+                p = Poly(coeffs, m, Domain.COEFF)
+                res.check(f"ntt kernel == oracle {mode}",
+                          ntt_reference(p, mode).coeffs == ntt_oracle(p, mode).coeffs,
+                          comparisons=n)
+                p = Poly(coeffs, m, Domain.NTT)
+                res.check(f"intt kernel == oracle {mode}",
+                          intt_reference(p, mode).coeffs == intt_oracle(p, mode).coeffs,
+                          comparisons=n)
+
+        # hybrid NTT vs kernel and oracle, all requested splits, both twiddle modes
         for n2 in splits:
             for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
                 plan = NttPlan(n // n2, n2, mode)
                 for _ in range(reps):
                     p = _rand_poly(rng, m, n)
+                    hybrid = ntt_hybrid(p, plan).coeffs
                     res.check(f"hybrid {plan.n1}x{plan.n2} {mode}",
-                              ntt_hybrid(p, plan).coeffs == ntt_reference(p).coeffs,
-                              comparisons=n)
+                              hybrid == ntt_reference(p).coeffs == ntt_oracle(p).coeffs,
+                              comparisons=2 * n)
 
         # roundtrip and pointwise-product oracle
         for _ in range(reps):
             p = _rand_poly(rng, m, n)
             res.check("ntt roundtrip",
-                      intt_reference(ntt_reference(p)).coeffs == p.coeffs,
+                      _agrees(lambda: intt_reference(ntt_reference(p)).coeffs, p.coeffs),
                       comparisons=n)
         for _ in range(5):
             a = _rand_poly(rng, m, n)
             b = _rand_poly(rng, m, n)
             prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
             res.check("negacyclic product",
-                      intt_reference(prod).coeffs ==
-                      schoolbook_negacyclic(a.coeffs, b.coeffs, m.q),
+                      _agrees(lambda: intt_reference(prod).coeffs,
+                              schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)),
                       comparisons=n)
 
         # automorphism shuffle vs direct map

@@ -19,7 +19,7 @@ from fhesim.ckks import CkksContext
 from fhesim.modarith import find_ntt_prime, make_basis
 from fhesim.polykernel import (MasOp, NttPlan, Poly, automorphism_oracle,
                                automorphism_shuffle, intt_reference, mas,
-                               ntt_hybrid, ntt_reference)
+                               ntt_hybrid, ntt_oracle, ntt_reference)
 from fhesim.trivium import trivium_stream
 from fhesim.verify import schoolbook_negacyclic, trivium_bit_serial
 
@@ -65,6 +65,8 @@ def test_criterion_01_kernel_equivalence():
         inputs = [Poly([rng.randrange(m.q) for _ in range(n)], m)
                   for _ in range(reps)]
         refs = [ntt_reference(p) for p in inputs]
+        for p, ref in zip(inputs, refs):
+            assert ref.coeffs == ntt_oracle(p).coeffs, f"N=2^{logn} kernel != oracle"
         n2 = 1
         while n2 <= 64:
             plan = NttPlan(n // n2, n2)
@@ -83,8 +85,8 @@ def test_criterion_01_kernel_equivalence():
                 schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
     elapsed = time.time() - t0
     report(1, elapsed < 120,
-           f"hybrid == reference on {checked} transforms across all splits, "
-           f"products == schoolbook; {elapsed:.1f}s (< 120s)")
+           f"kernel == oracle and hybrid == kernel on {checked} transforms across "
+           f"all splits, products == schoolbook; {elapsed:.1f}s (< 120s)")
 
 
 def test_criterion_02_automorphism():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from fhesim.cli import load_preset, main
 
@@ -28,6 +29,14 @@ def test_verify_fault_injection_fails(tmp_path):
                "--inject-fault", "shuffle-offby1",
                "--json-out", str(tmp_path / "f.json")])
     assert rc == 1
+
+
+def test_verify_ntt_fold_fault_fails(tmp_path):
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "ntt-fold"]) == 1
+    assert json.loads(Path(out).read_text())["failures"]
+    assert main(args) == 0
 
 
 def test_verify_dump_census(tmp_path):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, RnsBasis, TwiddleSource,
-                             find_ntt_prime, find_ntt_primes, is_prime, make_basis,
-                             mod_mul, mod_pow, twiddle)
+                             WordSizeExceeded, _find_primitive_root, find_ntt_prime,
+                             find_ntt_primes, is_prime, make_basis, mod_mul, mod_pow,
+                             twiddle)
 
 
 def test_mod_mul_small_cases():
@@ -98,3 +99,39 @@ def test_make_basis_and_json_roundtrip():
     back = RnsBasis.from_json_dict(doc)
     assert [m.q for m in back.q_list] == [m.q for m in basis.q_list]
     assert [m.psi for m in back.p_list] == [m.psi for m in basis.p_list]
+
+
+def _ntt_prime_above(lo, two_n):
+    q = lo - lo % two_n + 1
+    while q < lo or not is_prime(q):
+        q += two_n
+    return q
+
+
+def test_word_cap_in_prime_search():
+    with pytest.raises(WordSizeExceeded):
+        find_ntt_primes(60, 32, 3)
+    with pytest.raises(WordSizeExceeded):
+        find_ntt_prime(55, 32)
+    with pytest.raises(ValueError):
+        find_ntt_primes(20, 24, 1)  # two_n not a power of two
+
+
+def test_word_cap_in_make_basis():
+    with pytest.raises(WordSizeExceeded):
+        make_basis(n=16, levels=1, dnum=2, bits=60)
+
+
+def test_word_cap_in_prime_modulus():
+    q = _ntt_prime_above(1 << 54, 32)
+    with pytest.raises(WordSizeExceeded):
+        PrimeModulus.create(q, 32, _find_primitive_root(q, 32))
+
+
+def test_word_cap_in_basis_json():
+    doc = make_basis(n=16, levels=1, dnum=2, bits=20).to_json_dict()
+    q = _ntt_prime_above(1 << 59, 32)
+    doc["p"][0] = str(q)
+    doc["psi_p"][0] = str(_find_primitive_root(q, 32))
+    with pytest.raises(WordSizeExceeded):
+        RnsBasis.from_json_dict(doc)

@@ -1,12 +1,19 @@
+import functools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fhesim.modarith import TwiddleSource, find_ntt_prime
-from fhesim.polykernel import (Domain, DomainError, InvalidGalois, MasOp,
-                               ModulusMismatch, NttPlan, PlanMismatch, Poly,
-                               automorphism_oracle, automorphism_shuffle,
-                               intt_reference, mas, ntt_hybrid, ntt_reference,
+from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
+                             _find_primitive_root, find_ntt_prime, is_prime)
+from fhesim.polykernel import (Domain, DomainError, InvalidGalois, LengthMismatch,
+                               MasOp, ModulusMismatch, NttPlan, PlanMismatch, Poly,
+                               ResidueOutOfRange, _mulmod, _mulmod_lazy,
+                               _shoup_ratios, automorphism_oracle,
+                               automorphism_shuffle, intt_oracle, intt_reference,
+                               mas, ntt_hybrid, ntt_oracle, ntt_reference,
                                poly_from_bytes, poly_to_bytes)
 from fhesim.verify import schoolbook_negacyclic
 
@@ -82,6 +89,15 @@ def test_hybrid_equals_reference_across_plans():
                 assert ntt_hybrid(p, plan).coeffs == ntt_reference(p).coeffs, \
                     f"plan {plan.n1}x{plan.n2}"
             n2 *= 2
+
+
+def test_twiddle_tables_follow_the_root():
+    m1 = find_ntt_prime(14, 64)
+    m3 = PrimeModulus.create(m1.q, 64, pow(m1.psi, 3, m1.q))
+    x = [0, 1] + [0] * 30
+    for ntt in (ntt_reference, ntt_oracle):
+        assert ntt(Poly(x, m1)).coeffs[0] == m1.psi
+        assert ntt(Poly(x, m3)).coeffs[0] == m3.psi
 
 
 def test_hybrid_degenerate_plan_is_reference():
@@ -247,3 +263,129 @@ def test_poly_serialization_roundtrip():
     assert back.coeffs == p.coeffs
     assert back.domain == p.domain
     assert len(blob) == 9 + 8 * 256  # header + 8-byte residues
+
+
+# ---------------------------------------------------------------------------
+# uint64 kernel vs pure-int oracle
+
+
+@functools.lru_cache(maxsize=None)
+def largest_ntt_prime(bits, two_n):
+    """The largest prime below 2^bits with q == 1 (mod two_n)."""
+    q = (1 << bits) - two_n + 1
+    while not is_prime(q):
+        q -= two_n
+    return PrimeModulus.create(q, two_n, _find_primitive_root(q, two_n))
+
+
+def smallest_ntt_prime(min_bits, two_n):
+    for bits in range(min_bits, 55):
+        try:
+            return find_ntt_prime(bits, two_n)
+        except NoPrimeFound:
+            continue
+    raise NoPrimeFound(two_n)
+
+
+def kernel_primes(n):
+    """q=97, the smallest prime of 14+ bits, 40, 45 and the largest 54-bit ones."""
+    two_n = 2 * n
+    primes = []
+    if 96 % two_n == 0:
+        primes.append(PrimeModulus.create(97, two_n, _find_primitive_root(97, two_n)))
+    primes.append(smallest_ntt_prime(14, two_n))
+    primes += [find_ntt_prime(40, two_n), find_ntt_prime(45, two_n)]
+    primes += [largest_ntt_prime(54, two_n)]
+    return primes
+
+
+def kernel_inputs(m, n):
+    return {"zeros": [0] * n, "delta": [1] + [0] * (n - 1), "q-1": [m.q - 1] * n,
+            "random": [RNG.randrange(m.q) for _ in range(n)]}
+
+
+@pytest.mark.parametrize("logn", range(1, 13))
+def test_kernel_equals_oracle_every_size(logn):
+    n = 1 << logn
+    for m in kernel_primes(n):
+        for label, coeffs in kernel_inputs(m, n).items():
+            for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
+                case = f"N={n} q={m.q} {label} {mode}"
+                p = Poly(coeffs, m, Domain.COEFF)
+                assert ntt_reference(p, mode).coeffs == ntt_oracle(p, mode).coeffs, case
+                p = Poly(coeffs, m, Domain.NTT)
+                assert intt_reference(p, mode).coeffs == intt_oracle(p, mode).coeffs, case
+
+
+def test_kernel_equals_oracle_n65536():
+    n = 1 << 16
+    m = largest_ntt_prime(54, 2 * n)
+    p = rand_poly(m, n)
+    out = ntt_reference(p)
+    assert out.coeffs == ntt_oracle(p).coeffs
+    assert intt_reference(out).coeffs == intt_oracle(out).coeffs == p.coeffs
+
+
+def test_lazy_product_remainder_bound():
+    # _mulmod_lazy's docstring proves a*w - qhat*q + 3q in [0, 7q); operands
+    # near q-1 and around 2^53 stress the float rounding most at 54 bits.
+    for two_n in (8, 1 << 11, 1 << 17):
+        m = largest_ntt_prime(54, two_n)
+        q = m.q
+        ops = ([q - 1 - i for i in range(64)] + [(1 << 53) + d for d in range(-2, 3)]
+               + [RNG.randrange(q) for _ in range(64)])
+        a = np.array(ops, dtype=np.uint64)[:, None]
+        w = np.array(ops, dtype=np.uint64)[None, :]
+        lazy = _mulmod_lazy(a, w, _shoup_ratios(ops, q)[None, :], np.uint64(q))
+        exact = [[x * y % q for y in ops] for x in ops]
+        assert int(lazy.max()) < 7 * q
+        assert (lazy % np.uint64(q)).tolist() == exact
+        assert _mulmod(a, w, _shoup_ratios(ops, q)[None, :], np.uint64(q)).tolist() == exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(logn=st.integers(1, 6), bits=st.integers(10, 54), skip=st.integers(0, 3),
+       data=st.data())
+def test_kernel_properties_random_rings(logn, bits, skip, data):
+    n = 1 << logn
+    try:
+        m = find_ntt_prime(bits, 2 * n, skip)
+    except NoPrimeFound:
+        assume(False)
+    residues = st.lists(st.integers(0, m.q - 1), min_size=n, max_size=n)
+    a = Poly(data.draw(residues), m)
+    b = Poly(data.draw(residues), m)
+    assert intt_reference(ntt_reference(a)).coeffs == a.coeffs
+    total = ntt_reference(mas(MasOp.ADD, a, b))
+    assert total.coeffs == mas(MasOp.ADD, ntt_reference(a), ntt_reference(b)).coeffs
+    prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
+    assert intt_reference(prod).coeffs == schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
+
+
+@pytest.mark.parametrize("bad", [-1, "q", 1 << 64])
+def test_kernel_rejects_residues_outside_range(bad):
+    m = find_ntt_prime(14, 64)
+    coeffs = [1] * 32
+    coeffs[5] = m.q if bad == "q" else bad
+    with pytest.raises(ResidueOutOfRange):
+        ntt_reference(Poly(coeffs, m, Domain.COEFF))
+    with pytest.raises(ResidueOutOfRange):
+        intt_reference(Poly(coeffs, m, Domain.NTT))
+
+
+def test_mas_rejects_length_mismatch():
+    m = find_ntt_prime(14, 512)
+    a = rand_poly(m, 256)
+    short = rand_poly(m, 255)
+    with pytest.raises(LengthMismatch):
+        mas(MasOp.ADD, a, short)
+    with pytest.raises(LengthMismatch):
+        mas(MasOp.MAC, a, a, short)
+
+
+def test_poly_from_bytes_checks_length():
+    m = find_ntt_prime(14, 512)
+    blob = poly_to_bytes(rand_poly(m, 256), modulus_id=0)
+    for bad in (blob[:5], blob[:-1], blob + b"\0"):
+        with pytest.raises(LengthMismatch):
+            poly_from_bytes(bad, m)
