@@ -16,6 +16,7 @@ AUT pairs and the links are free-running resources.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -512,7 +513,8 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30,
     Runs the full-depth switch for each r and amortizes over the limbs
     switched: time scales close to 1/r while
     l+1 >= r and degrades once chiplets outnumber live limbs.  Runs are
-    independent and fan out across worker threads.
+    independent and fan out across worker threads, by default no more
+    than there are r values or CPUs.
     """
     def one(r: int) -> dict:
         rep = schedule_keyswitch_ring(replace(cfg, r=r), l)
@@ -524,7 +526,8 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30,
             "ntt_utilization": rep.ntt_utilization,
         }
 
-    with ThreadPoolExecutor(max_workers=max_workers or len(r_list)) as pool:
+    workers = max_workers or min(len(r_list), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one, r_list))
     base = rows[0]["amortized_ns_per_limb"]
     for row in rows:

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (Domain, MasOp, Poly, automorphism_oracle, intt_reference,
-                         mas, ntt_reference, poly_to_bytes)
-from .trivium import ResidueSampler
+from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _mulmod, _mulmod_lazy,
+                         automorphism_oracle, intt_reference, mas, ntt_reference,
+                         poly_to_bytes)
+from .trivium import LaneSampler
 
 NOISE_SIGMA = 3.2
 
@@ -43,6 +44,10 @@ class ScaleMismatch(Exception):
 
 class LevelExhausted(Exception):
     pass
+
+
+class LevelOutOfRange(ValueError):
+    """A level outside [0, l_max] of the basis."""
 
 
 class KeyLevelTooLow(Exception):
@@ -104,6 +109,8 @@ def _scalar_poly(value: int, m: PrimeModulus, n: int, domain: Domain) -> Poly:
 
 def _mas_submul(a: Poly, b: Poly, scalar: int) -> Poly:
     """(a - b) * scalar, one fused triadic pass."""
+    if a.n != b.n:
+        raise LengthMismatch("MAS operands must have equal lengths")
     _tick("MAS")
     q = a.modulus.q
     s = scalar % q
@@ -231,6 +238,8 @@ class CkksContext:
         """Canonical-embedding encode of up to N/2 complex slots."""
         if len(values) > self.slots:
             raise SlotOverflow(f"at most {self.slots} slots, got {len(values)}")
+        if not 0 <= level <= self.basis.l_max:
+            raise LevelOutOfRange(f"level {level} is outside [0, {self.basis.l_max}]")
         scale = scale or self.delta
         n, two_n = self.n, 2 * self.n
         u = np.zeros(two_n, dtype=complex)
@@ -297,19 +306,17 @@ class CkksContext:
 
         target_ntt holds the switched-from secret s' over all PQ_L bases.
         Per digit j and base t: ksk0 = -a*s + e + gadget_j*s' with a drawn
-        from the keystream seeded by (master_seed, j, t).
+        from the keystream seeded by (master_seed, j, t); the a limbs of a
+        digit are drawn in one batch.
         """
         bases = self.all_bases()
         digits = []
         for j in range(self.basis.dnum):
             gadget = self._gadget(j)
             e_ints = self._gaussian_ints(rng)
+            seeds = [derive_seed(master_seed, j, t) for t in range(len(bases))]
             ksk0: List[Poly] = []
-            seeds: List[int] = []
-            for t, m in enumerate(bases):
-                seed = derive_seed(master_seed, j, t)
-                seeds.append(seed)
-                a = self.expand_ksk1_limb(seed, m)
+            for t, (m, a) in enumerate(zip(bases, self._expand_ksk1(seeds, bases))):
                 e = self._reduce_ntt(e_ints, m)
                 s = sk.ntt_limbs[t]
                 sp = target_ntt[t]
@@ -323,18 +330,31 @@ class CkksContext:
             digits.append(KskDigit(ksk0=ksk0, ksk1_seeds=seeds))
         return KeySwitchKey(digits=digits, dnum=self.basis.dnum)
 
+    def _expand_ksk1(self, seeds: List[int], bases: List[PrimeModulus]) -> List[Poly]:
+        """Regenerate seed-expandable key limbs, all seeds stepped together."""
+        rows = LaneSampler(seeds, [m.q for m in bases]).draw(self.n)
+        return [Poly(row.tolist(), m, Domain.NTT) for row, m in zip(rows, bases)]
+
     def expand_ksk1_limb(self, seed: int, m: PrimeModulus) -> Poly:
         """Regenerate one seed-expandable key limb (NTT domain by convention)."""
-        return Poly(ResidueSampler(seed, m.q).poly(self.n), m, Domain.NTT)
+        return self._expand_ksk1([seed], [m])[0]
 
-    def ksk1_limb(self, key: KeySwitchKey, j: int, t: int) -> Poly:
+    def _fill_ksk1(self, key: KeySwitchKey, j: int, ts: Iterable[int]) -> None:
+        """Expand, in one batch, the ksk1 limbs ts of digit j that are not cached."""
         digit = key.digits[j]
         if digit._ksk1 is None:
             digit._ksk1 = [None] * len(digit.ksk1_seeds)
-        if digit._ksk1[t] is None:
-            m = self.all_bases()[t]
-            digit._ksk1[t] = self.expand_ksk1_limb(digit.ksk1_seeds[t], m)
-        return digit._ksk1[t]
+        missing = [t for t in ts if digit._ksk1[t] is None]
+        if missing:
+            bases = self.all_bases()
+            limbs = self._expand_ksk1([digit.ksk1_seeds[t] for t in missing],
+                                      [bases[t] for t in missing])
+            for t, limb in zip(missing, limbs):
+                digit._ksk1[t] = limb
+
+    def ksk1_limb(self, key: KeySwitchKey, j: int, t: int) -> Poly:
+        self._fill_ksk1(key, j, (t,))
+        return key.digits[j]._ksk1[t]
 
     def keygen(self, seed: int, rotations: Iterable[int] = ()) -> Tuple[SecretKey, KeySet]:
         rng = np.random.default_rng(seed)
@@ -444,14 +464,31 @@ class CkksContext:
 
     def _bconv_plan(self, sources: Tuple[PrimeModulus, ...],
                     targets: Tuple[PrimeModulus, ...]) -> tuple:
+        """The constant multipliers of a base conversion, for S sources and T
+        targets, as two (w, w/q, q) operand triples of the product kernel: hat_inv mod
+        q_s shaped (S, 1), and hat mod q_t shaped (T, S, 1) with q_t shaped
+        (T, 1, 1).  Python's int division rounds each w/q correctly."""
         key = (tuple(m.q for m in sources), tuple(m.q for m in targets))
         if key not in self._bconv_cache:
             mods = [m.q for m in sources]
+            t_mods = [m.q for m in targets]
+            # Each lazy product into target q_t is below 7*q_t (_mulmod_lazy),
+            # so the sum of one per source stays below 2^64 and a single
+            # reduction of it is exact: at most 146 sources for q_t < 2^54.
+            assert 7 * len(mods) * max(t_mods, default=0) <= 1 << 64, "BConv sum would wrap"
             d = reduce(lambda a, b: a * b, mods)
             hat = [d // q for q in mods]
             hat_inv = [pow(h, -1, q) for h, q in zip(hat, mods)]
-            hat_mod_t = [[h % tm.q for h in hat] for tm in targets]
-            self._bconv_cache[key] = (hat_inv, hat_mod_t)
+            hat_mod_t = [[h % qt for h in hat] for qt in t_mods]
+            self._bconv_cache[key] = (
+                (np.array(hat_inv, dtype=np.uint64)[:, None],
+                 np.array([h / q for h, q in zip(hat_inv, mods)])[:, None],
+                 np.array(mods, dtype=np.uint64)[:, None]),
+                (np.array(hat_mod_t, dtype=np.uint64)[:, :, None],
+                 np.array([[h / qt for h in row] for row, qt in zip(hat_mod_t, t_mods)])
+                 [:, :, None],
+                 np.array(t_mods, dtype=np.uint64)[:, None, None]),
+            )
         return self._bconv_cache[key]
 
     def bconv_routine(self, limbs: List[Poly], targets: List[PrimeModulus],
@@ -460,26 +497,23 @@ class CkksContext:
 
         Returns one limb per target, NTT-transformed when emit_ntt is set.
         The result represents the source value plus a small multiple of the
-        source-base product (the usual approximate-conversion slack).
+        source-base product (the usual approximate-conversion slack).  All
+        rows go through the uint64 product kernel at once: the source
+        residues times hat_inv mod q_s, reduced, then those (each below its
+        own q_s, which may exceed q_t) times hat mod q_t, left lazy, summed
+        over the sources and reduced once per target.
         """
-        sources = tuple(p.modulus for p in limbs)
-        hat_inv, hat_mod_t = self._bconv_plan(sources, tuple(targets))
-        small = []
-        for p, hinv in zip(limbs, hat_inv):
-            _tick("MAS")
-            q = p.modulus.q
-            small.append([c * hinv % q for c in p.coeffs])
+        to_sources, to_targets = self._bconv_plan(tuple(p.modulus for p in limbs),
+                                                  tuple(targets))
+        _tick("MAS", len(limbs))
+        x = np.array([p.coeffs for p in limbs], dtype=np.uint64)
+        small = _mulmod(x, *to_sources)
+        _tick("MAS", len(targets) * len(limbs))
+        acc = _mulmod_lazy(small[None], *to_targets).sum(axis=1, dtype=np.uint64)
+        acc %= to_targets[2][:, 0]
         out = []
-        for ti, tm in enumerate(targets):
-            q = tm.q
-            acc = [0] * self.n
-            for si in range(len(limbs)):
-                _tick("MAS")
-                h = hat_mod_t[ti][si]
-                sc = small[si]
-                for i in range(self.n):
-                    acc[i] = (acc[i] + sc[i] * h) % q
-            limb = Poly(acc, tm, Domain.COEFF)
+        for row, tm in zip(acc, targets):
+            limb = Poly(row.tolist(), tm, Domain.COEFF)
             out.append(_ntt(limb) if emit_ntt else limb)
         return out
 
@@ -491,6 +525,13 @@ class CkksContext:
             return idx_in_live
         return self.basis.l_max + 1 + (idx_in_live - (level + 1))
 
+    def _expand_switch_ksk1(self, ksk: KeySwitchKey, digits: int, level: int) -> None:
+        """Expand, one batch per digit, the missing ksk1 limbs that a switch at
+        `level` reads: those of the first `digits` digits over the live bases."""
+        reads = [self._base_index(level, t) for t in range(len(self.live_bases(level)))]
+        for j in range(digits):
+            self._fill_ksk1(ksk, j, reads)
+
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""
         if self.basis.k != 1:
@@ -499,6 +540,7 @@ class CkksContext:
         if len(ksk.digits) < level + 1:
             raise KeyLevelTooLow("key has fewer digits than ciphertext limbs")
         live = self.live_bases(level)
+        self._expand_switch_ksk1(ksk, level + 1, level)
         d2c = [_intt(p) for p in d.d2.limbs]
         acc0: List[Poly] = []
         acc1: List[Poly] = []
@@ -523,6 +565,7 @@ class CkksContext:
             raise KeyLevelTooLow("key has too few digits for this level")
         live = self.live_bases(level)
         nb = len(live)
+        self._expand_switch_ksk1(ksk, self.digit_count(level), level)
         d2c = [_intt(p) for p in d.d2.limbs]
         acc0 = [_scalar_poly(0, m, self.n, Domain.NTT) for m in live]
         acc1 = [_scalar_poly(0, m, self.n, Domain.NTT) for m in live]

@@ -288,17 +288,21 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool,
 
 def _mulmod_lazy(a: np.ndarray, w: np.ndarray, ratio: np.ndarray,
                  q: np.uint64) -> np.ndarray:
-    """a*w mod q plus a multiple of q, in [0, 7q); a, w in [0, q), q < 2^54.
+    """a*w mod q plus a multiple of q, in [0, 7q); a < 2^54, w in [0, q), q < 2^54.
 
-    The quotient estimate is qhat = floor(fl(fl(a) * r)), with r = fl(w/q)
-    correctly rounded.  With Q = a*w/q:
+    a need not be below q: base conversion multiplies residues of one
+    modulus by constants of another, smaller one.  The quotient estimate
+    is qhat = floor(fl(fl(a) * r)), with r = fl(w/q) correctly rounded.
+    With Q = a*w/q:
       |fl(a) - a| <= 1 (exact below 2^53, spacing 2 up to 2^54), fl(a) <= 2^54;
-      w/q < 1, so |r - w/q| <= 2^-54 and r <= 1;
+      w/q < 1, so |r - w/q| <= 2^-54 and r <= 1, hence a*|r - w/q| < 1;
       fl(a)*r <= 2^54, so the product rounds by at most 1.
     Hence |fl(fl(a)*r) - Q| <= |fl(a) - a|*r + a*|r - w/q| + 1 < 1 + 1 + 1,
     and qhat - floor(Q) lies in [-3, 3].  Then a*w - qhat*q equals
     (a*w mod q) + k*q with k in [-3, 3], so adding 3q gives a value in
-    [0, 7q), below 2^57: the wrapping uint64 arithmetic is exact.
+    [0, 7q), below 2^57: the wrapping uint64 arithmetic is exact.  Only
+    a < 2^54 and w < q enter the three error terms, so the bound holds for
+    every a below 2^54 whatever the modulus it is a residue of.
     """
     qhat = (a * ratio).astype(np.uint64)
     qhat *= q
@@ -309,7 +313,10 @@ def _mulmod_lazy(a: np.ndarray, w: np.ndarray, ratio: np.ndarray,
 
 
 def _mulmod(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.uint64) -> np.ndarray:
-    """a*w mod q in [0, q), by _mulmod_lazy and branch-free folds."""
+    """a*w mod q in [0, q), by _mulmod_lazy and branch-free folds.
+
+    The operands broadcast against each other, and q may be an array too.
+    """
     x = _mulmod_lazy(a, w, ratio, q)
     for k in _PRODUCT_FOLDS:
         _fold(x, np.uint64(k) * q)

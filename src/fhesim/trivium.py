@@ -1,4 +1,4 @@
-"""Trivium keystream generator, 64 bits per round.
+"""Trivium keystream generator, 64 bits per round, many seeds at once.
 
 The PRNG that regenerates the seed-expandable key-switching key half.  It
 keeps the standard 288-bit Trivium register bank but is keyed by a single
@@ -13,82 +13,174 @@ Register layout: each shift register is held as an int whose bit p stores
 state bit s_(len-p), so new bits enter at the top and every tap is a
 contiguous little-endian 64-bit window.  Bit t of an output word is the
 keystream bit produced at step t of its round (earliest bit = LSB).
+
+Lane layout: TriviumLanes steps one generator per seed together.  Each
+register of all seeds is one int, and seed i owns the 128-bit lane of bits
+[128*i, 128*(i+1)).  Every register is at most 111 bits long, so each
+64-bit tap window (the highest ends at bit 108 of C) and each feedback
+word shifted in at the top (ending at bit 110) stays inside its lane, and
+one round of big-int word operations is the same word-parallel round for
+every seed.  The invariant is that the bits of a lane above its register's
+length stay zero; two masks keep it.  Every feedback term is cut to the low
+64 bits of each lane before it is shifted in, and the 64-bit shift-out,
+which moves the next lane's low word into the top of this one, is cut the
+same way.  A one-lane generator is the single-seed Trivium; TriviumState,
+trivium_stream and ResidueSampler are one-lane uses of the lane generator.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import math
+from typing import Iterator, List, Sequence
+
+import numpy as np
 
 _M64 = (1 << 64) - 1
 
 INIT_ROUNDS = 18
 WORD_BITS = 64
+LANE_BITS = 128
+# Rounds whose packed output words are converted to uint64 at a time.
+_CHUNK_ROUNDS = 512
+
+
+def _lane_mask(lanes: int) -> int:
+    """The low 64 bits of each of `lanes` 128-bit lanes."""
+    return int.from_bytes(b"\xff" * 8 + b"\x00" * 8, "little") * sum(
+        1 << LANE_BITS * i for i in range(lanes))
+
+
+def _reversed64(seed: int) -> int:
+    """seed with its 64 bits in reverse order (bit i moves to bit 63 - i)."""
+    return int(f"{seed:064b}"[::-1], 2)
+
+
+class TriviumLanes:
+    """One 288-bit Trivium per seed, all stepped 64 clocks at a time."""
+
+    def __init__(self, seeds: Sequence[int]):
+        seeds = list(seeds)
+        if not seeds:
+            raise ValueError("at least one seed is needed")
+        for seed in seeds:
+            if not 0 <= seed < 1 << 64:
+                raise ValueError(f"seed {seed} is not a 64-bit value")
+        self.lanes = len(seeds)
+        self._mask = _lane_mask(self.lanes)
+        # A: s1..s93, B: s94..s177, C: s178..s288 (bit p of A = s_(93-p), etc.):
+        # the seed fills the key slots s1..s64 and the IV slots s94..s157.
+        self._a = self._b = self._c = 0
+        for i, seed in enumerate(seeds):
+            lane = LANE_BITS * i
+            rev = _reversed64(seed)
+            self._a |= rev << lane + 29         # seed bit k -> bit 92 - k
+            self._b |= rev << lane + 20         # seed bit k -> bit 83 - k
+            self._c |= 0b111 << lane            # s286, s287, s288
+        self._packed(INIT_ROUNDS)
+
+    def _packed(self, rounds: int) -> List[int]:
+        """Step `rounds` rounds; every round's output word of all lanes, packed."""
+        a, b, c, m = self._a, self._b, self._c, self._mask
+        out = []
+        for _ in range(rounds):
+            t1 = (a >> 27 ^ a) & m              # s66 ^ s93
+            t2 = (b >> 15 ^ b) & m              # s162 ^ s177
+            t3 = (c >> 45 ^ c) & m              # s243 ^ s288
+            out.append(t1 ^ t2 ^ t3)
+            f1 = (t1 ^ (a >> 2 & a >> 1) ^ b >> 6) & m    # + s91*s92 + s171
+            f2 = (t2 ^ (b >> 2 & b >> 1) ^ c >> 24) & m   # + s175*s176 + s264
+            f3 = (t3 ^ (c >> 2 & c >> 1) ^ a >> 24) & m   # + s286*s287 + s69
+            a = (a >> 64 & m) | f3 << 29        # 93 - 64
+            b = (b >> 64 & m) | f1 << 20        # 84 - 64
+            c = (c >> 64 & m) | f2 << 47        # 111 - 64
+        self._a, self._b, self._c = a, b, c
+        return out
+
+    def words(self, rounds: int) -> np.ndarray:
+        """The next `rounds` output words as a (rounds, lanes) uint64 array."""
+        out = np.empty((rounds, self.lanes), dtype=np.uint64)
+        width = LANE_BITS // 8 * self.lanes
+        for start in range(0, rounds, _CHUNK_ROUNDS):
+            chunk = self._packed(min(_CHUNK_ROUNDS, rounds - start))
+            raw = b"".join([z.to_bytes(width, "little") for z in chunk])
+            lanes = np.frombuffer(raw, dtype="<u8").reshape(len(chunk), self.lanes, 2)
+            out[start:start + len(chunk)] = lanes[:, :, 0]
+        return out
 
 
 class TriviumState:
-    """288-bit Trivium stepped 64 clocks at a time."""
+    """One seed's Trivium, one word per call."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed < 1 << 64:
-            raise ValueError("seed must be a 64-bit value")
-        # A: s1..s93, B: s94..s177, C: s178..s288 (bit p of A = s_(93-p), etc.)
-        self.a = 0
-        self.b = 0
-        self.c = 0b111  # s286, s287, s288
-        for i in range(64):
-            bit = seed >> i & 1
-            self.a |= bit << (92 - i)       # key slots s1..s64
-            self.b |= bit << (83 - i)       # IV slots s94..s157
-        for _ in range(INIT_ROUNDS):
-            self._round()
-
-    def _round(self) -> int:
-        a, b, c = self.a, self.b, self.c
-        t1 = (a >> 27 ^ a) & _M64           # s66 ^ s93
-        t2 = (b >> 15 ^ b) & _M64           # s162 ^ s177
-        t3 = (c >> 45 ^ c) & _M64           # s243 ^ s288
-        z = t1 ^ t2 ^ t3
-        f1 = (t1 ^ (a >> 2 & a >> 1) ^ b >> 6) & _M64   # + s91*s92 + s171
-        f2 = (t2 ^ (b >> 2 & b >> 1) ^ c >> 24) & _M64  # + s175*s176 + s264
-        f3 = (t3 ^ (c >> 2 & c >> 1) ^ a >> 24) & _M64  # + s286*s287 + s69
-        self.a = (a >> 64) | (f3 << 29)     # 93 - 64
-        self.b = (b >> 64) | (f1 << 20)     # 84 - 64
-        self.c = (c >> 64) | (f2 << 47)     # 111 - 64
-        return z
+        self._lane = TriviumLanes([seed])
 
     def next_word(self) -> int:
-        return self._round()
+        # One lane: the packed word is the word itself.
+        return self._lane._packed(1)[0]
 
     def words(self) -> Iterator[int]:
         while True:
-            yield self._round()
+            yield self.next_word()
 
 
 def trivium_stream(seed: int, count: int) -> List[int]:
     """First `count` 64-bit keystream words for the given seed."""
-    state = TriviumState(seed)
-    return [state.next_word() for _ in range(count)]
+    return TriviumLanes([seed]).words(count)[:, 0].tolist()
 
 
-class ResidueSampler:
-    """Uniform residues mod q drawn from the keystream.
+class LaneSampler:
+    """Uniform residues mod q_i from the keystream of seed i, for all lanes at once.
 
-    Each draw masks one keystream word down to bitlen(q) bits and rejects
-    values >= q, so the result is exactly uniform; for a w-bit modulus the
-    masked candidate is below 2q and at most every second word is wasted
-    (about two words per residue in the worst case).
+    Lane i masks each keystream word down to bitlen(q_i) bits and rejects
+    values >= q_i, so its residues are exactly uniform and are the ones a
+    word-by-word rejection loop over the same keystream returns; for a
+    w-bit modulus the masked candidate is below 2q and at most every second
+    word is wasted.  A draw steps all lanes by the expected number of rounds
+    the neediest lane takes, plus a margin; if a lane still falls short, all
+    lanes continue from the saved state, and the residues a lane has beyond
+    the draw wait for the next one.
     """
 
+    def __init__(self, seeds: Sequence[int], moduli: Sequence[int]):
+        if len(seeds) != len(moduli):
+            raise ValueError("one modulus per seed is needed")
+        if any(not 2 <= q < 1 << 64 for q in moduli):
+            raise ValueError("moduli must lie in [2, 2^64)")
+        self._stream = TriviumLanes(seeds)
+        self._q = np.array(moduli, dtype=np.uint64)
+        self._mask = np.array([(1 << q.bit_length()) - 1 for q in moduli], dtype=np.uint64)
+        # Expected words per accepted residue, per lane.
+        self._cost = [(1 << q.bit_length()) / q for q in moduli]
+        self._pending = [np.empty(0, dtype=np.uint64) for _ in moduli]
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next n residues of every lane, as a (lanes, n) uint64 array."""
+        while True:
+            short = [n - len(p) for p in self._pending]
+            expected = max(s * cost for s, cost in zip(short, self._cost))
+            if expected <= 0:
+                break
+            # The margin is about one standard deviation of the rounds a lane
+            # needs when half its words are rejected.
+            rounds = math.ceil(expected) + math.isqrt(math.ceil(expected)) + 1
+            words = (self._stream.words(rounds) & self._mask).T
+            keep = words < self._q[:, None]
+            self._pending = [np.concatenate((p, w[k]))
+                             for p, w, k in zip(self._pending, words, keep)]
+        out = np.stack([p[:n] for p in self._pending])
+        self._pending = [p[n:] for p in self._pending]
+        return out
+
+
+class ResidueSampler(LaneSampler):
+    """Uniform residues mod q drawn from one seed's keystream."""
+
     def __init__(self, seed: int, q: int):
-        self._state = TriviumState(seed)
+        super().__init__([seed], [q])
         self.q = q
-        self._mask = (1 << q.bit_length()) - 1
 
     def next_residue(self) -> int:
-        while True:
-            cand = self._state.next_word() & self._mask
-            if cand < self.q:
-                return cand
+        return int(self.draw(1)[0, 0])
 
     def poly(self, n: int) -> List[int]:
-        return [self.next_residue() for _ in range(n)]
+        return self.draw(n)[0].tolist()

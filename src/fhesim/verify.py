@@ -5,8 +5,9 @@ against independent oracles (the pure-int NTT butterflies, schoolbook
 negacyclic products, the direct automorphism map, a bit-serial keystream,
 wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
-addressing or drop a correction fold from the uint64 NTT kernel, so the
-harness itself can be shown to catch regressions.
+addressing, drop a correction fold from the uint64 NTT kernel, or drop one
+lane's mask from the lane-packed keystream, so the harness itself can be
+shown to catch regressions.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import opcount, polykernel
+from . import opcount, polykernel, trivium
 from .ckks import CkksContext, count_ops, ksk_to_bytes
 from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_oracle, automorphism_shuffle, intt_oracle,
                          intt_reference, mas, ntt_hybrid, ntt_oracle, ntt_reference)
-from .trivium import trivium_stream
+from .trivium import TriviumLanes, trivium_stream
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,18 @@ def _shuffle_offby1(original):
     return faulty
 
 
-# fault name -> (polykernel attribute, function from its original to the fault)
+def _drop_lane_mask(original):
+    """The lane mask without lane 1's word: one lane alone is unaffected."""
+    def faulty(lanes):
+        return original(lanes) & ~(trivium._M64 << trivium.LANE_BITS)
+    return faulty
+
+
+# fault name -> (module, attribute, function from its original to the fault)
 FAULTS = {
-    "shuffle-offby1": ("_shuffle_tree", _shuffle_offby1),
-    "ntt-fold": ("_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+    "shuffle-offby1": (polykernel, "_shuffle_tree", _shuffle_offby1),
+    "ntt-fold": (polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+    "trivium-lane": (trivium, "_lane_mask", _drop_lane_mask),
 }
 
 
@@ -104,13 +113,13 @@ def inject_fault(name: Optional[str]):
         return
     if name not in FAULTS:
         raise ValueError(f"unknown fault {name!r}")
-    attr, corrupt = FAULTS[name]
-    original = getattr(polykernel, attr)
-    setattr(polykernel, attr, corrupt(original))
+    module, attr, corrupt = FAULTS[name]
+    original = getattr(module, attr)
+    setattr(module, attr, corrupt(original))
     try:
         yield
     finally:
-        setattr(polykernel, attr, original)
+        setattr(module, attr, original)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +242,15 @@ def suite_kernels(size: str = "toy", seed: int = 0,
             sd = rng.getrandbits(64)
             res.check(f"trivium seed={sd:#x}",
                       trivium_stream(sd, words) == trivium_bit_serial(sd, words),
+                      comparisons=words)
+        # lane-packed keystream: all-ones seeds next to all-zero and random ones
+        # show any bit that crosses a lane boundary
+        ones = (1 << 64) - 1
+        seeds = [ones, 0, ones, rng.getrandbits(64), 1, ones]
+        lanes = TriviumLanes(seeds).words(words)
+        for i, sd in enumerate(seeds):
+            res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
+                      lanes[:, i].tolist() == trivium_bit_serial(sd, words),
                       comparisons=words)
     return res
 

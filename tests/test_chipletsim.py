@@ -187,6 +187,36 @@ def test_sweep_shape_and_low_depth_utilization():
     assert starved[0]["ntt_utilization"] <= 3 / 8 + 0.05
 
 
+def test_sweep_pool_capped_by_cpu_count(monkeypatch):
+    from fhesim.chipletsim import schedules
+
+    sizes = []
+
+    class RecordingPool:
+        # Records the requested size and runs the map inline: no thread starts.
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(schedules, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(schedules.os, "cpu_count", lambda: 2)
+    rows = sweep_chiplets(REF, [1, 2, 1, 2, 1, 2, 1], l=1)
+    assert len(rows) == 7 and sizes == [2]
+    sweep_chiplets(REF, [2], l=1)
+    sweep_chiplets(REF, [1, 2], l=1, max_workers=5)
+    monkeypatch.setattr(schedules.os, "cpu_count", lambda: None)
+    sweep_chiplets(REF, [1, 2, 1], l=1)
+    assert sizes == [2, 1, 5, 1]
+
+
 def test_engine_deadlock_guard():
     ops = [
         MicroOp(uid=0, kind="NTT", resource="ntt:0", duration=4, deps=[1],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from functools import reduce
@@ -7,11 +8,11 @@ import pytest
 
 from fhesim import opcount
 from fhesim.ckks import (Ciphertext, CkksContext, ExtCiphertext, LevelExhausted,
-                         LevelMismatch, MissingRotationKey, RnsPoly, ScaleMismatch,
-                         SlotOverflow, ciphertext_to_bytes, count_ops, derive_seed,
-                         ksk_to_bytes)
-from fhesim.modarith import make_basis
-from fhesim.polykernel import Domain, Poly, intt_reference, ntt_reference
+                         LevelMismatch, LevelOutOfRange, MissingRotationKey, RnsPoly,
+                         ScaleMismatch, SlotOverflow, _mas_submul, ciphertext_to_bytes,
+                         count_ops, derive_seed, ksk_to_bytes)
+from fhesim.modarith import find_ntt_prime, make_basis
+from fhesim.polykernel import Domain, LengthMismatch, Poly, intt_reference, ntt_reference
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -69,6 +70,12 @@ def test_encode_zero_vector_is_zero_polynomial(ctx):
 def test_encode_slot_overflow(ctx):
     with pytest.raises(SlotOverflow):
         ctx.encode(np.zeros(ctx.slots + 1), level=1)
+
+
+@pytest.mark.parametrize("level", [-1, BASIS.l_max + 1])
+def test_encode_rejects_level_outside_basis(ctx, level):
+    with pytest.raises(LevelOutOfRange):
+        ctx.encode([1.0], level)
 
 
 def test_encrypt_decrypt(ctx, keyed):
@@ -360,6 +367,67 @@ def test_bconv_slack_is_multiple_of_source_product(ctx3):
         diff = got - vals[i]
         assert diff % p_prod == 0
         assert 0 <= diff // p_prod < basis.k
+
+
+def test_bconv_cross_modulus_matches_wide_integers():
+    # 45-bit residues into 40-bit targets and back: operands of the second
+    # product exceed the target modulus, as the _mulmod_lazy bound allows.
+    basis = make_basis(n=256, levels=3, dnum=2, bits=40, first_bits=45, p_bits=45)
+    ctx = CkksContext(basis)
+    rngl = random.Random(11)
+    wide, narrow = [basis.q_list[0]] + list(basis.p_list), list(basis.q_list[1:])
+    for sources, targets in ((wide, narrow), (narrow, wide)):
+        limbs = [Poly([m.q - 1 - i % 3 if i < 8 else rngl.randrange(m.q)
+                       for i in range(ctx.n)], m, Domain.COEFF) for m in sources]
+        out = ctx.bconv_routine(limbs, targets, emit_ntt=False)
+        mods = [m.q for m in sources]
+        d = reduce(lambda a, b: a * b, mods)
+        hat = [d // q for q in mods]
+        for tm, got in zip(targets, out):
+            want = [sum(p.coeffs[i] * pow(h, -1, q) % q * h
+                        for p, h, q in zip(limbs, hat, mods)) % tm.q
+                    for i in range(ctx.n)]
+            assert got.coeffs == want
+
+
+def test_mas_submul_rejects_unequal_lengths():
+    m = find_ntt_prime(20, 64)
+    a = Poly([1] * 32, m, Domain.NTT)
+    b = Poly([1] * 31, m, Domain.NTT)
+    with pytest.raises(LengthMismatch):
+        _mas_submul(a, b, 3)
+    assert _mas_submul(a, a, 3).coeffs == [0] * 32
+
+
+# SHA-256 of keys and ciphertexts made by the pure-int keystream and base
+# conversion, before both were batched: the batched paths are byte-identical.
+PINNED_SHA256 = {
+    "relin": "e68cbb4a06ae5ed7271d79ae1e2c8413ec20f4fc4611be9c957d5049a3ef7d23",
+    "rotation": "1e0ba453331b12f71ca2a9778fca3606d3e723b24485d853b2a6eab97477e18a",
+    "rotated": "502e38728fcf2bf313e4920e2a8f1e8bec0a144fe3d69343de3402bc9f7ae046",
+    "relinearized": "4a9f46f144227a67411ca40f80e019fce639fe90b4121a07c8fc6557a905f9a7",
+}
+
+
+def test_keys_and_ciphertexts_match_pinned_digests():
+    basis = make_basis(n=256, levels=2, dnum=2, bits=40, first_bits=45, p_bits=45)
+    ctx = CkksContext(basis)
+    sk, keys = ctx.keygen(seed=2024, rotations=(1,))
+    digest = {}
+    for name, key in (("relin", keys.relin), ("rotation", keys.rotation[1])):
+        for j, d in enumerate(key.digits):
+            for t in range(len(d.ksk1_seeds)):
+                ctx.ksk1_limb(key, j, t)
+        digest[name] = hashlib.sha256(ksk_to_bytes(key, seeded=False)).hexdigest()
+    # a second key set whose ksk1 halves the switches expand themselves
+    _, fresh = ctx.keygen(seed=2024, rotations=(1,))
+    ct = ctx.encrypt(ctx.encode(np.linspace(0.1, 1.0, ctx.slots), basis.l_max), sk,
+                     np.random.default_rng(5))
+    rot = ctx.rotate(ct, 1, fresh)
+    rl = ctx.rescale(ctx.relinearize(ctx.mult(ct, ct), fresh))
+    for name, out in (("rotated", rot), ("relinearized", rl)):
+        digest[name] = hashlib.sha256(ciphertext_to_bytes(out, ctx.n, basis.dnum)).hexdigest()
+    assert digest == PINNED_SHA256
 
 
 def test_ciphertext_serialization_shape(ctx, keyed):

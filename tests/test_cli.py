@@ -31,6 +31,16 @@ def test_verify_fault_injection_fails(tmp_path):
     assert rc == 1
 
 
+def test_verify_trivium_lane_fault_fails(tmp_path):
+    rc = main(["verify", "--scope", "kernels", "--size", "toy",
+               "--inject-fault", "trivium-lane",
+               "--json-out", str(tmp_path / "f.json")])
+    assert rc != 0
+    failures = json.loads((tmp_path / "f.json").read_text())["failures"]
+    # one lane alone is unaffected: only the multi-lane check sees the fault
+    assert failures and all("trivium lane" in f for f in failures)
+
+
 def test_verify_ntt_fold_fault_fails(tmp_path):
     out = str(tmp_path / "f.json")
     args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]

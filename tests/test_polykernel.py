@@ -343,6 +343,26 @@ def test_lazy_product_remainder_bound():
         assert _mulmod(a, w, _shoup_ratios(ops, q)[None, :], np.uint64(q)).tolist() == exact
 
 
+def test_lazy_product_bound_for_cross_modulus_operands():
+    # Base conversion multiplies residues of one modulus by constants of
+    # another: a < 2^54 but not below q.  The bound is still [0, 7q).
+    a_ops = ([(1 << 54) - 1 - i for i in range(32)]
+             + [(1 << 53) + d for d in range(-2, 3)]
+             + [RNG.randrange(1 << 53, 1 << 54) for _ in range(200)])
+    a = np.array(a_ops, dtype=np.uint64)[:, None]
+    for bits in (20, 30, 40, 45, 53, 54):
+        for skip in (0, 3):
+            q = find_ntt_prime(bits, 64, skip).q
+            w_ops = [q - 1, q - 2, 1, 0] + [RNG.randrange(q) for _ in range(28)]
+            w = np.array(w_ops, dtype=np.uint64)[None, :]
+            ratio = _shoup_ratios(w_ops, q)[None, :]
+            lazy = _mulmod_lazy(a, w, ratio, np.uint64(q))
+            exact = [[x * y % q for y in w_ops] for x in a_ops]
+            assert int(lazy.max()) < 7 * q, f"{bits}-bit q"
+            assert (lazy % np.uint64(q)).tolist() == exact
+            assert _mulmod(a, w, ratio, np.uint64(q)).tolist() == exact
+
+
 @settings(max_examples=60, deadline=None)
 @given(logn=st.integers(1, 6), bits=st.integers(10, 54), skip=st.integers(0, 3),
        data=st.data())

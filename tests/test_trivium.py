@@ -1,6 +1,12 @@
 import random
+from functools import lru_cache
 
-from fhesim.trivium import ResidueSampler, TriviumState, trivium_stream
+import numpy as np
+import pytest
+
+from fhesim.modarith import is_prime
+from fhesim.trivium import (LaneSampler, ResidueSampler, TriviumLanes, TriviumState,
+                            trivium_stream)
 from fhesim.verify import trivium_bit_serial
 
 
@@ -50,3 +56,135 @@ def test_residue_sampler_rejection_small_modulus():
     vals = sampler.poly(2000)
     assert all(0 <= v < 97 for v in vals)
     assert len(set(vals)) > 90
+
+
+# ---------------------------------------------------------------------------
+# Lane-packed generator and batched sampler
+
+ONES = (1 << 64) - 1
+LANE_WORDS = 40
+
+
+@lru_cache(maxsize=None)
+def _bit_serial(seed: int, count: int) -> tuple:
+    return tuple(trivium_bit_serial(seed, count))
+
+
+def _lane_seeds(lanes: int) -> list:
+    # Seeds 0, 1 and 2^64-1 first, then all-ones and all-zero lanes side by
+    # side (a bit that crosses a lane boundary shows up in both), then random.
+    rng = random.Random(lanes)
+    pattern = [0, ONES, 1, ONES, 0, 0, ONES, ONES]
+    return [pattern[i] if i < len(pattern) else rng.getrandbits(64) for i in range(lanes)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 8, 33])
+def test_lane_keystream_matches_bit_serial(lanes):
+    seeds = _lane_seeds(lanes)
+    words = TriviumLanes(seeds).words(LANE_WORDS)
+    assert words.shape == (LANE_WORDS, lanes) and words.dtype == np.uint64
+    for i, seed in enumerate(seeds):
+        assert tuple(words[:, i].tolist()) == _bit_serial(seed, LANE_WORDS), f"lane {i}"
+
+
+def test_lane_words_continue_across_calls_and_chunks():
+    seeds = [ONES, 0, 12345]
+    gen = TriviumLanes(seeds)
+    first = gen.words(3)
+    rest = gen.words(LANE_WORDS - 3)
+    both = np.concatenate((first, rest))
+    for i, seed in enumerate(seeds):
+        assert tuple(both[:, i].tolist()) == _bit_serial(seed, LANE_WORDS)
+    # more rounds than one conversion chunk
+    assert trivium_stream(ONES, 1200) == trivium_bit_serial(ONES, 1200)
+
+
+@pytest.mark.parametrize("seeds", [[-1], [1 << 64], [0, 1 << 64], [5, -3, 7], []])
+def test_lane_seeds_outside_64_bits_rejected(seeds):
+    with pytest.raises(ValueError):
+        TriviumLanes(seeds)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_single_seed_entry_points_reject_out_of_range(seed):
+    with pytest.raises(ValueError):
+        TriviumState(seed)
+    with pytest.raises(ValueError):
+        trivium_stream(seed, 1)
+    with pytest.raises(ValueError):
+        ResidueSampler(seed, 97)
+
+
+def _prime_above(x: int) -> int:
+    x += 1
+    while not is_prime(x):
+        x += 1
+    return x
+
+
+def _prime_below(x: int) -> int:
+    x -= 1
+    while not is_prime(x):
+        x -= 1
+    return x
+
+
+def _scalar_rejection(seed: int, q: int, n: int) -> list:
+    """First n residues of word-by-word rejection over the bit-serial stream."""
+    mask = (1 << q.bit_length()) - 1
+    count = 4 * n + 64
+    while True:
+        out = [w & mask for w in _bit_serial(seed, count) if w & mask < q]
+        if len(out) >= n:
+            return out[:n]
+        count *= 2
+
+
+# Primes just above 2^(b-1) reject about half the words, those just below 2^b
+# almost none, and q = 97 (bitlen 7) about a quarter.
+MODULI = ([_prime_above(1 << (b - 1)) for b in (20, 40, 45, 54)]
+          + [_prime_below(1 << b) for b in (20, 40, 54, 64)] + [97])
+
+
+def test_batched_sampler_matches_scalar_rejection():
+    seeds = [0, ONES, 1] + [random.Random(4).getrandbits(64) for _ in MODULI[3:]]
+    n = 48
+    got = LaneSampler(seeds, MODULI).draw(n)
+    assert got.shape == (len(MODULI), n) and got.dtype == np.uint64
+    for i, (seed, q) in enumerate(zip(seeds, MODULI)):
+        assert got[i].tolist() == _scalar_rejection(seed, q, n), f"q={q}"
+
+
+def test_batched_sampler_extends_from_saved_state(monkeypatch):
+    batches = []
+    words = TriviumLanes.words
+
+    def counting(self, rounds):
+        batches.append(rounds)
+        return words(self, rounds)
+
+    monkeypatch.setattr(TriviumLanes, "words", counting)
+    # Seed 88 at q = 97 falls short of 64 residues after the first batch.
+    seeds, moduli, n = [88, ONES, 0], [97, 97, MODULI[0]], 64
+    got = LaneSampler(seeds, moduli).draw(n)
+    assert len(batches) >= 2, "seed 88 at q=97 must need a second batch"
+    for i, (seed, q) in enumerate(zip(seeds, moduli)):
+        assert got[i].tolist() == _scalar_rejection(seed, q, n)
+
+
+def test_sampler_draws_continue_the_stream():
+    # Residues left over from one draw open the next one.
+    sampler = LaneSampler([88, 3], [97, MODULI[4]])
+    parts = [sampler.draw(k) for k in (1, 20, 70)]
+    joined = np.concatenate(parts, axis=1)
+    assert joined[0].tolist() == _scalar_rejection(88, 97, 91)
+    assert joined[1].tolist() == _scalar_rejection(3, MODULI[4], 91)
+    one = ResidueSampler(88, 97)
+    assert [one.next_residue() for _ in range(5)] + one.poly(30) == \
+        _scalar_rejection(88, 97, 35)
+
+
+@pytest.mark.parametrize("moduli", [[1], [0], [1 << 64], [97, 97]])
+def test_sampler_rejects_bad_moduli(moduli):
+    with pytest.raises(ValueError):
+        LaneSampler([5], moduli)
