@@ -6,18 +6,18 @@ host ingress); the schedules module expands macro routines into those
 DAGs following the ring/feed-forward dataflows.
 """
 
-from .engine import (ChipletConfig, CycleReport, DeadlockDetected, Engine,
-                     MicroOp, ScheduleBuilder)
-from .schedules import (build_keyswitch_digits, build_keyswitch_ring,
-                        build_moddown_flow, build_strawman, limb_owner,
-                        run_workload, schedule_keyswitch_digits,
+from .engine import (ChipletConfig, ConfigError, CycleReport, DeadlockDetected,
+                     Engine, MicroOp, ScheduleBuilder)
+from .schedules import (ASSIGNMENTS, ProgramError, build_keyswitch_digits,
+                        build_keyswitch_ring, build_moddown_flow, build_strawman,
+                        limb_owner, run_workload, schedule_keyswitch_digits,
                         schedule_keyswitch_ring, schedule_moddown_ring,
                         schedule_strawman, sweep_chiplets)
 
 __all__ = [
-    "ChipletConfig", "CycleReport", "DeadlockDetected", "Engine", "MicroOp",
-    "ScheduleBuilder", "build_keyswitch_ring", "build_moddown_flow",
-    "build_keyswitch_digits", "build_strawman", "limb_owner", "run_workload",
-    "schedule_keyswitch_ring", "schedule_moddown_ring",
+    "ASSIGNMENTS", "ChipletConfig", "ConfigError", "CycleReport", "DeadlockDetected",
+    "Engine", "MicroOp", "ProgramError", "ScheduleBuilder", "build_keyswitch_ring",
+    "build_moddown_flow", "build_keyswitch_digits", "build_strawman", "limb_owner",
+    "run_workload", "schedule_keyswitch_ring", "schedule_moddown_ring",
     "schedule_keyswitch_digits", "schedule_strawman", "sweep_chiplets",
 ]

@@ -17,6 +17,28 @@ Two transfer semantics exist because the dataflows differ:
 
 Determinism contract: identical config and op list give identical reports;
 ties are broken by each op's priority tuple then uid.
+
+Event loop.  Resources get dense ids in the order of their first enqueued
+op.  At each event time the engine runs passes until no op can start.  A
+pass visits, in id order, only the resources that have a queued op and a
+free slot, and starts on each the highest-priority queued ops its free
+slots allow.  The stream dependents of the ops a pass started are
+released after the pass, latest-started first, so an op they make ready
+starts in the next pass at the same time.  Then the engine advances to the
+next finish time, frees the finished ops' slots and enqueues the
+dependents they release.  Report, event loop and DAG building are each
+linear in the number of ops, apart from heap and sort logarithms.
+
+Known same-time priority inversion: an op that becomes ready later at
+the same time, after zero-cycle ops retire or a pass releases it, cannot
+take a slot that a lower-priority op took earlier at that time.  At r=4,
+l=8, dnum=3, K=3 in exact mode, for example, the component-1 ModDown hop
+with priority (0, 2, 1, 2, 2, 2) takes c2c:2 at cycle 11264.  The
+component-0 hop (0, 2, 0, 1, 2, 1) streams from an INTT that waits on
+zero-cycle shadow MAS ops retiring at cycle 11264, so it arrives after
+the link is taken and starts at 12288.  Removing zero-cycle ops (such as
+folding the shadow MAS ops into their producers) therefore changes
+schedules; it waits for a behaviour change that fixes the inversion first.
 """
 
 from __future__ import annotations
@@ -35,8 +57,8 @@ class DeadlockDetected(Exception):
     """The op graph contains a dependency cycle (internal bug guard)."""
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A ChipletConfig field is outside the range the model can simulate."""
 
 
 @dataclass
@@ -52,6 +74,20 @@ class ChipletConfig:
     fill_cycles: int = 0          # extra pipeline-fill per transform
     exact: bool = False           # zero fill, matched-beat transfers
     charge_2x_comm: bool = False  # strawman rule: comm = 2x linear-op time
+
+    def __post_init__(self) -> None:
+        if self.r < 1:
+            raise ConfigError(f"r must be at least 1, got {self.r}")
+        for name in ("f_ghz", "hbm_gbps", "c2c_gbps", "ingress_gbps", "word_bits"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
+        for name in ("n1", "n2"):
+            value = getattr(self, name)
+            if value < 1 or value & (value - 1):
+                raise ConfigError(f"{name} must be a power of two, got {value!r}")
+        if self.fill_cycles < 0:
+            raise ConfigError(f"fill_cycles must be non-negative, got {self.fill_cycles}")
 
     @property
     def n(self) -> int:
@@ -100,7 +136,7 @@ class ChipletConfig:
         return cls(**{k: doc[k] for k in doc if k in cls.__dataclass_fields__})
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     uid: int
     kind: str
@@ -129,6 +165,11 @@ class ScheduleBuilder:
         self.ops: List[MicroOp] = []
         self.steps: List[dict] = []   # per-macro metadata for workload runs
         self._prev_ntt: Dict[str, int] = {}
+        # durations and sizes depend only on the config: derive them once
+        self.transform_cycles = cfg.transform_cycles()
+        self.c2c_cycles = cfg.c2c_cycles()
+        self.hbm_cycles = cfg.hbm_cycles()
+        self.poly_bytes = cfg.poly_bytes
 
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
             stream_deps: Sequence[int] = (), priority: Tuple = (), chiplet: int | None = None,
@@ -142,11 +183,9 @@ class ScheduleBuilder:
             if prev is not None and prev not in deps:
                 deps.append(prev)
             self._prev_ntt[resource] = uid
-        self.ops.append(MicroOp(
-            uid=uid, kind=kind, resource=resource, duration=duration,
-            deps=deps, stream_deps=list(stream_deps),
-            priority=tuple(priority) + (uid,), chiplet=chiplet, phase=phase,
-            limb=limb, digit=digit, nbytes=nbytes, counted=counted))
+        self.ops.append(MicroOp(uid, kind, resource, duration, deps, list(stream_deps),
+                                (*priority, uid), chiplet, phase, limb, digit, nbytes,
+                                counted))
         return uid
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
@@ -155,7 +194,7 @@ class ScheduleBuilder:
     def transform(self, kind: str, chiplet: int, deps: Sequence[int] = (),
                   priority: Tuple = (), phase: str = "", limb: int | None = None,
                   digit: int | None = None) -> int:
-        return self.add(kind, f"ntt:{chiplet}", self.cfg.transform_cycles(), deps=deps,
+        return self.add(kind, f"ntt:{chiplet}", self.transform_cycles, deps=deps,
                         priority=priority, chiplet=chiplet, phase=phase, limb=limb,
                         digit=digit)
 
@@ -171,17 +210,17 @@ class ScheduleBuilder:
              limb: int | None = None, digit: int | None = None,
              counted: bool = True) -> int:
         return self.add("SEND", f"c2c:{src}", duration if duration is not None
-                        else self.cfg.c2c_cycles(), deps=deps, stream_deps=stream_deps,
+                        else self.c2c_cycles, deps=deps, stream_deps=stream_deps,
                         priority=priority, chiplet=src, phase=phase, limb=limb,
-                        digit=digit, nbytes=self.cfg.poly_bytes, counted=counted)
+                        digit=digit, nbytes=self.poly_bytes, counted=counted)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
                  phase: str = "") -> int | None:
         if self.cfg.exact:
             return None
-        return self.add("HBM_RD", f"hbm:{chiplet}", self.cfg.hbm_cycles(), deps=deps,
+        return self.add("HBM_RD", f"hbm:{chiplet}", self.hbm_cycles, deps=deps,
                         priority=priority, chiplet=chiplet, phase=phase,
-                        nbytes=self.cfg.poly_bytes)
+                        nbytes=self.poly_bytes)
 
 
 @dataclass
@@ -236,77 +275,76 @@ class Engine:
 
     def run(self, ops: List[MicroOp], meta: dict | None = None,
             with_timeline: bool = False, steps: List[dict] | None = None) -> CycleReport:
+        heappush, heappop = heapq.heappush, heapq.heappop
         n_ops = len(ops)
         start = [-1] * n_ops
         finish = [-1] * n_ops
+        ready_at = [-1] * n_ops
         waiting_deps = [len(op.deps) + len(op.stream_deps) for op in ops]
-        dependents: Dict[int, List[Tuple[int, bool]]] = {}
+        dep_children: List[List[int]] = [[] for _ in range(n_ops)]
+        stream_children: List[List[int]] = [[] for _ in range(n_ops)]
         for op in ops:
             for d in op.deps:
-                dependents.setdefault(d, []).append((op.uid, False))
+                dep_children[d].append(op.uid)
             for d in op.stream_deps:
-                dependents.setdefault(d, []).append((op.uid, True))
+                stream_children[d].append(op.uid)
 
-        free: Dict[str, int] = {}
-        queues: Dict[str, list] = {}
-
-        def capacity(res: str) -> int:
-            return _CAPACITY[res.split(":")[0]]
-
-        ready_at: Dict[int, int] = {}
-        events: list = []   # (time, seq, "finish"|..., uid)
-        seq = 0
+        # Resources get dense ids in first-enqueue order.
+        res_id: Dict[str, int] = {}
+        queues: List[list] = []        # per resource: heap of (priority, uid)
+        free: List[int] = []           # per resource: idle slots
+        op_res = [-1] * n_ops          # resource id of each enqueued op
+        ready: set = set()             # resources with a queued op and a free slot
+        events: list = []              # heap of (finish, start seq, uid)
 
         def enqueue(uid: int, now: int) -> None:
-            res = ops[uid].resource
-            free.setdefault(res, capacity(res))
-            heapq.heappush(queues.setdefault(res, []), (ops[uid].priority, uid))
-            if uid not in ready_at:
-                ready_at[uid] = now
-
-        started_notify: List[int] = []
-
-        def start_op(uid: int, now: int) -> None:
-            nonlocal seq
             op = ops[uid]
-            start[uid] = now
-            end = now + op.duration
-            for sd in op.stream_deps:
-                end = max(end, finish[sd])
-            finish[uid] = end
-            seq += 1
-            heapq.heappush(events, (end, seq, uid))
-            started_notify.append(uid)
-
-        def release_start(uid: int, now: int) -> None:
-            # notify stream dependents that this op has started
-            for child, is_stream in dependents.get(uid, ()):
-                if is_stream:
-                    waiting_deps[child] -= 1
-                    if waiting_deps[child] == 0:
-                        enqueue(child, now)
+            rid = res_id.get(op.resource)
+            if rid is None:
+                rid = res_id[op.resource] = len(queues)
+                queues.append([])
+                free.append(_CAPACITY[op.resource.split(":")[0]])
+            op_res[uid] = rid
+            ready_at[uid] = now
+            heappush(queues[rid], (op.priority, uid))
+            if free[rid]:
+                ready.add(rid)
 
         for op in ops:
             if waiting_deps[op.uid] == 0:
                 enqueue(op.uid, 0)
 
+        seq = 0
         done = 0
         now = 0
         while True:
-            # start everything startable at the current time
-            progress = True
-            while progress:
-                progress = False
-                for res in list(queues):
-                    q = queues[res]
-                    while q and free[res] > 0:
-                        _, uid = heapq.heappop(q)
-                        free[res] -= 1
-                        start_op(uid, now)
-                        progress = True
-                while started_notify:
-                    release_start(started_notify.pop(), now)
-                    progress = True
+            # passes at the current time, until no resource can start an op
+            while ready:
+                started = []
+                for rid in sorted(ready):
+                    q = queues[rid]
+                    slots = free[rid]
+                    while q and slots:
+                        uid = heappop(q)[1]
+                        slots -= 1
+                        op = ops[uid]
+                        start[uid] = now
+                        end = now + op.duration
+                        for sd in op.stream_deps:
+                            if finish[sd] > end:
+                                end = finish[sd]
+                        finish[uid] = end
+                        seq += 1
+                        heappush(events, (end, seq, uid))
+                        started.append(uid)
+                    free[rid] = slots
+                ready.clear()
+                # notify stream dependents that their producer has started
+                for uid in reversed(started):
+                    for child in stream_children[uid]:
+                        waiting_deps[child] -= 1
+                        if waiting_deps[child] == 0:
+                            enqueue(child, now)
             if done == n_ops:
                 break
             if not events:
@@ -314,14 +352,16 @@ class Engine:
                     f"{n_ops - done} ops unscheduled with no pending events")
             now = events[0][0]
             while events and events[0][0] == now:
-                _, _, uid = heapq.heappop(events)
+                uid = heappop(events)[2]
                 done += 1
-                free[ops[uid].resource] += 1
-                for child, is_stream in dependents.get(uid, ()):
-                    if not is_stream:
-                        waiting_deps[child] -= 1
-                        if waiting_deps[child] == 0:
-                            enqueue(child, now)
+                rid = op_res[uid]
+                free[rid] += 1
+                if queues[rid]:
+                    ready.add(rid)
+                for child in dep_children[uid]:
+                    waiting_deps[child] -= 1
+                    if waiting_deps[child] == 0:
+                        enqueue(child, now)
 
         return self._report(ops, start, finish, ready_at, meta or {}, with_timeline,
                             steps)
@@ -331,19 +371,47 @@ class Engine:
     def _report(self, ops, start, finish, ready_at, meta, with_timeline,
                 steps) -> CycleReport:
         cfg = self.cfg
-        compute_ops = [op for op in ops if op.kind in COMPUTE_KINDS]
-        consumed = set()
+        units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(cfg.r)}
+        makespan = 0
+        links: Dict[str, Dict[str, int]] = {}
+        polys = 0
+        op_counts: Dict[str, int] = {}
+        phase_span: Dict[str, List[int]] = {}   # first start, last finish
         for op in ops:
-            consumed.update(op.deps)
-            consumed.update(op.stream_deps)
-        # wall time ends when the last op someone consumes (or any compute
-        # op) retires; closing ring hops may drain the links afterwards.
-        timed = [op.uid for op in ops if op.kind in COMPUTE_KINDS or op.uid in consumed]
-        makespan = max((finish[u] for u in timed), default=0)
-
-        per_chiplet = []
-        stall_by_phase: Dict[str, int] = {}
-        total_busy_ntt = 0
+            uid = op.uid
+            # wall time ends when the last op someone consumes (or any compute
+            # op) retires; closing ring hops may drain the links afterwards.
+            for d in op.deps:
+                if finish[d] > makespan:
+                    makespan = finish[d]
+            for d in op.stream_deps:
+                if finish[d] > makespan:
+                    makespan = finish[d]
+            kind = op.kind
+            if kind in COMPUTE_KINDS:
+                if finish[uid] > makespan:
+                    makespan = finish[uid]
+                op_counts[kind] = op_counts.get(kind, 0) + 1
+                if op.phase:
+                    span = phase_span.get(op.phase)
+                    if span is None:
+                        phase_span[op.phase] = [start[uid], finish[uid]]
+                    else:
+                        span[0] = min(span[0], start[uid])
+                        span[1] = max(span[1], finish[uid])
+            elif kind in LINK_KINDS:
+                entry = links.get(op.resource)
+                if entry is None:
+                    entry = links[op.resource] = {"bytes": 0, "busy_cycles": 0,
+                                                  "sends": 0}
+                entry["bytes"] += op.nbytes
+                entry["busy_cycles"] += finish[uid] - start[uid]
+                entry["sends"] += 1
+                if kind == "SEND":
+                    polys += 1
+            unit = units.get(op.resource)
+            if unit is not None:
+                unit.append(uid)
 
         def blocking_link_dep(uid: int, gap_start: int) -> bool:
             # A gap is a link stall only if some link dep finished inside it
@@ -351,13 +419,15 @@ class Engine:
             # waits for data that did not yet exist are latency, not stalls.
             for d in ops[uid].deps + ops[uid].stream_deps:
                 if ops[d].kind in LINK_KINDS and finish[d] > gap_start \
-                        and ready_at.get(d, 1 << 62) <= gap_start:
+                        and ready_at[d] <= gap_start:
                     return True
             return False
 
-        for ci in range(cfg.r):
-            unit_ops = sorted((op.uid for op in ops
-                               if op.resource == f"ntt:{ci}"), key=lambda u: start[u])
+        per_chiplet = []
+        stall_by_phase: Dict[str, int] = {}
+        total_busy_ntt = 0
+        for unit_ops in units.values():
+            unit_ops.sort(key=start.__getitem__)
             busy = sum(finish[u] - start[u] for u in unit_ops)
             stall = 0
             prev_end = 0
@@ -372,27 +442,7 @@ class Engine:
             per_chiplet.append({"busy": busy, "stall": stall, "idle": idle})
             total_busy_ntt += busy
 
-        links: Dict[str, Dict[str, int]] = {}
-        polys = 0
-        for op in ops:
-            if op.kind in LINK_KINDS:
-                entry = links.setdefault(op.resource, {"bytes": 0, "busy_cycles": 0,
-                                                       "sends": 0})
-                entry["bytes"] += op.nbytes
-                entry["busy_cycles"] += finish[op.uid] - start[op.uid]
-                entry["sends"] += 1
-                if op.kind == "SEND":
-                    polys += 1
-
-        op_counts: Dict[str, int] = {}
-        for op in compute_ops:
-            op_counts[op.kind] = op_counts.get(op.kind, 0) + 1
-
-        phase_cycles: Dict[str, int] = {}
-        for ph in {op.phase for op in compute_ops if op.phase}:
-            uids = [op.uid for op in compute_ops if op.phase == ph]
-            phase_cycles[ph] = max(finish[u] for u in uids) - min(start[u] for u in uids)
-
+        phase_cycles = {ph: last - first for ph, (first, last) in phase_span.items()}
         util = total_busy_ntt / (cfg.r * makespan) if makespan else 0.0
         timeline = None
         if with_timeline:

@@ -24,7 +24,18 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder
 
-Assignment = str  # INTERLEAVED | SEQUENTIAL | DIGITWISE
+Assignment = str  # one of ASSIGNMENTS
+ASSIGNMENTS = ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE")
+_MACRO_OPS = ("HADD", "HMULT", "KEYSWITCH", "ROTATE", "RESCALE", "MODDOWN", "HOST_LOAD")
+
+
+class ProgramError(ValueError):
+    """A program or schedule argument the model cannot run."""
+
+
+def _check_at_least(value: int, lowest: int, what: str) -> None:
+    if value < lowest:
+        raise ProgramError(f"{what} must be at least {lowest}, got {value}")
 
 
 def limb_owner(assignment: Assignment, t: int, r: int, levels: int, k: int = 1) -> int:
@@ -123,7 +134,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                         buf_ops[t].append(macs[-1])
                     else:
                         for w in range(2):
-                            mop = sb.add("MAS", f"ntt:{i}", cfg.transform_cycles(),
+                            mop = sb.add("MAS", f"ntt:{i}", sb.transform_cycles,
                                          deps=[ntt], priority=(pri0, j, m, 2, t, 1 + w),
                                          chiplet=i, phase="modup", limb=x, digit=t)
                             buf_ops[t].append(mop)
@@ -164,6 +175,7 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
                             include_moddown: bool = True,
                             with_timeline: bool = False) -> CycleReport:
+    _check_at_least(l, 0, "l")
     sb = ScheduleBuilder(cfg)
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
@@ -174,6 +186,8 @@ def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
 def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
                           fused_rescale: bool = False,
                           with_timeline: bool = False) -> CycleReport:
+    # a fused rescale drops one more base, so it needs a level to drop to
+    _check_at_least(l, 1 if fused_rescale else 0, "l")
     sb = ScheduleBuilder(cfg)
     build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components,
                        phase="moddown")
@@ -318,6 +332,10 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
 def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
                               strategy: str = "ALTERNATE",
                               with_timeline: bool = False) -> CycleReport:
+    _check_at_least(l, 0, "l")
+    if not 1 <= dnum <= l + 1:
+        raise ProgramError(f"dnum must lie in [1, l+1] = [1, {l + 1}], got {dnum}")
+    _check_at_least(k, 1, "k")
     sb = ScheduleBuilder(cfg)
     build_keyswitch_digits(sb, l, dnum, k, strategy=strategy)
     meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,
@@ -376,6 +394,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
 
 def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
                       with_timeline: bool = False) -> CycleReport:
+    _check_at_least(l, 0, "l")
     technique = technique.upper()
     if technique == "OURS":
         return schedule_keyswitch_ring(cfg, l)
@@ -397,7 +416,7 @@ def _macro_pointwise(sb: ScheduleBuilder, l: int, per_limb: int,
                      pri0: int, phase: str) -> None:
     for t in range(l + 1):
         for w in range(per_limb):
-            sb.add("MAS", f"mas:{owner(t)}", sb.cfg.transform_cycles(),
+            sb.add("MAS", f"mas:{owner(t)}", sb.transform_cycles,
                    deps=[barrier] if barrier is not None else [],
                    priority=(pri0, t, w), chiplet=owner(t), phase=phase, limb=t)
 
@@ -425,7 +444,7 @@ def _macro_rotate(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
     base = [barrier] if barrier is not None else []
     for comp in range(2):
         for t in range(l + 1):
-            sb.add("AUT", f"aut:{owner(t)}", sb.cfg.transform_cycles(), deps=base,
+            sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles, deps=base,
                    priority=(pri0, comp, t), chiplet=owner(t), phase="rotate", limb=t)
     build_keyswitch_ring(sb, l, barrier=barrier, pri0=pri0 + 1)
 
@@ -440,8 +459,14 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     "schedule" list of the same shape.
     """
     flat = list(_flatten(program))
+    if not flat:
+        raise ProgramError("the program has no macro ops")
+    if assignment not in ASSIGNMENTS:
+        raise ProgramError(f"unknown assignment {assignment!r}")
     if levels is None:
         levels = max(int(step.get("l", 0)) for step in flat)
+    for step in flat:
+        _check_step(step, levels)
     sb = ScheduleBuilder(cfg)
     barrier: Optional[int] = None
     pri = 0
@@ -471,13 +496,11 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         elif op == "HOST_LOAD":
             # initial data load over the host link; steady-state routines
             # assume operands already resident in HBM
-            nbytes = int(step.get("bytes", cfg.poly_bytes * (l + 1) * 2))
+            nbytes = int(step.get("bytes", sb.poly_bytes * (l + 1) * 2))
             cycles = math.ceil(nbytes / (cfg.ingress_gbps * 1e9 / (cfg.f_ghz * 1e9)))
             sb.add("HOST_RD", "host", cycles,
                    deps=[barrier] if barrier is not None else [],
                    priority=(pri,), phase="load", nbytes=nbytes)
-        else:
-            raise ValueError(f"unknown macro op {op!r}")
         new_ops = sb.ops[first_op:]
         active: Dict[int, set] = {}
         for mo in new_ops:
@@ -492,6 +515,20 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     meta = {"routine": "workload", "assignment": assignment, "steps": steps_meta,
             "warnings": cfg.bound_warnings(levels)}
     return Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+
+
+def _check_step(step: dict, levels: int) -> None:
+    op = step["op"].upper()
+    if op not in _MACRO_OPS:
+        raise ProgramError(f"unknown macro op {op!r}")
+    l = int(step.get("l", levels))
+    # a rescale drops the top limb, so level 0 has none left to drop
+    _check_at_least(l, 1 if op == "RESCALE" else 0, f"{op} level")
+    if op == "KEYSWITCH" and "dnum" in step:
+        if "k" not in step:
+            raise ProgramError("KEYSWITCH with dnum needs k, the special base size")
+        _check_at_least(int(step["dnum"]), 1, "dnum")
+        _check_at_least(int(step["k"]), 1, "k")
 
 
 def _flatten(program: Sequence[dict]):
@@ -516,19 +553,23 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30,
     independent and fan out across worker threads, by default no more
     than there are r values or CPUs.
     """
-    def one(r: int) -> dict:
-        rep = schedule_keyswitch_ring(replace(cfg, r=r), l)
+    def one(run_cfg: ChipletConfig) -> dict:
+        rep = schedule_keyswitch_ring(run_cfg, l)
         wall_ns = rep.total_cycles / (cfg.f_ghz * 1e9) * 1e9
         return {
-            "r": r,
+            "r": run_cfg.r,
             "total_cycles": rep.total_cycles,
             "amortized_ns_per_limb": wall_ns / (l + 1),
             "ntt_utilization": rep.ntt_utilization,
         }
 
+    if not r_list:
+        raise ProgramError("the sweep needs at least one chiplet count")
+    _check_at_least(l, 0, "l")
+    run_cfgs = [replace(cfg, r=r) for r in r_list]   # ConfigError before any DAG
     workers = max_workers or min(len(r_list), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, r_list))
+        rows = list(pool.map(one, run_cfgs))
     base = rows[0]["amortized_ns_per_limb"]
     for row in rows:
         row["ratio_to_first"] = row["amortized_ns_per_limb"] / base

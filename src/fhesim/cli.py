@@ -14,8 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import analytic, opcount
-from .chipletsim import (ChipletConfig, run_workload, schedule_keyswitch_ring,
-                         schedule_strawman, sweep_chiplets)
+from .chipletsim import (ASSIGNMENTS, ChipletConfig, run_workload,
+                         schedule_keyswitch_ring, schedule_strawman, sweep_chiplets)
 from .verify import FAULTS, run_verify
 
 
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--workload", default="keyswitch_l30",
                    help="bundled workload preset name")
     s.add_argument("--assignment", default="INTERLEAVED",
-                   choices=("INTERLEAVED", "SEQUENTIAL", "DIGITWISE"))
+                   choices=ASSIGNMENTS)
     s.add_argument("--out", default=None, help="report JSON path (stdout otherwise)")
     s.add_argument("--timeline", default=None, help="timeline CSV path")
     s.add_argument("--cross-check", action="store_true",

@@ -1,14 +1,24 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fhesim
 from fhesim import analytic, opcount
-from fhesim.chipletsim import (ChipletConfig, DeadlockDetected, Engine, MicroOp,
-                               ScheduleBuilder, run_workload,
+from fhesim.chipletsim import (ChipletConfig, ConfigError, DeadlockDetected, Engine,
+                               MicroOp, ProgramError, ScheduleBuilder, run_workload,
                                schedule_keyswitch_digits, schedule_keyswitch_ring,
                                schedule_moddown_ring, schedule_strawman,
                                sweep_chiplets)
+from fhesim.chipletsim.engine import _CAPACITY
+from fhesim.cli import load_preset
 
 EXACT = ChipletConfig(n1=1024, n2=64, r=4, exact=True)
 REF = ChipletConfig(n1=1024, n2=64, r=4, f_ghz=1.5, hbm_gbps=1200.0,
@@ -243,3 +253,301 @@ def test_exact_mode_transfer_is_matched_beat():
     assert EXACT.c2c_cycles() == EXACT.n // EXACT.n2
     assert REF.c2c_cycles() == 1024  # 64 coefficients x 54 bits per cycle
     assert replace(REF, charge_2x_comm=True).c2c_cycles() == 2 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Golden matrix: SHA-256 of the canonical (sort_keys) CycleReport JSON, and
+# of two timelines, pinned before the event loop and the report were
+# rewritten.  Any change to a modeled number shows up here.
+
+GOLDEN = {
+    "ring-l2-sh1-md1":
+        "ed3645d18d97aba761bc564222d13f237a531a207c7986b5e53cc5cd96e8819b",
+    "ring-l2-sh1-md0":
+        "d1e00ebd334a7c187e949fc3be8c51b8a97c927336403d715e7c77a94dab3ef8",
+    "ring-l2-sh0-md1":
+        "5b0a4e67d1bd22292dfbe2b070e9a067e8c600247c575855e27d1d9830dbf901",
+    "ring-l2-sh0-md0":
+        "243d0dbdd44ffdf67ec7a90f246040f617406094f36779fdc8c3ba3e5fc97ad4",
+    "ring-l14-sh1-md1":
+        "a4c4d0c57f6c6a3974e8ae1c475e70a40b982d6bb16c289ac527d0ac82b40fb0",
+    "ring-l14-sh1-md0":
+        "53e02204a6e86c5b473f1e415fe03e60bd470d9b98a108c041babca0e71b208c",
+    "ring-l14-sh0-md1":
+        "f69b813f837ee677499a62d6b94a892a7ab556eef3043c6faf45d8bb19f08e5d",
+    "ring-l14-sh0-md0":
+        "a849175bba28148dd878d34d21c56b2b14a01ee7de9b204d5a14a398df8f15b0",
+    "ring-l30-sh1-md1":
+        "3ae0b0d61e0db70f926d750e4f26a2137774757ce805730d0764f28c04464079",
+    "ring-l30-sh1-md0":
+        "3e2c17cbb47dbba91d30d3ea2bf0aab27edcd8d03c32045af10bc21103378244",
+    "ring-l30-sh0-md1":
+        "6aba11b086d5f870b3131dfb97903b157040503b19248a5dc6a90d5a097a7fa8",
+    "ring-l30-sh0-md0":
+        "e495432608b65c19f7a9606da777610861b621b3867e31b51afa34c983dd6d79",
+    "moddown-l14-fused0":
+        "03583f424d106ff497f6e89615273bfe25412caf32f539aab30767bae43b1785",
+    "moddown-l14-fused1":
+        "ea7aaf6c10987fe7b99bb517d88c61fa99620cdbd56410eee59ec4f2e1d19e47",
+    "digits-8,3,3-ALTERNATE":
+        "b75698ce9fe74c98d8091a14e4bd16e67a31165395250bb41bb646641705ae79",
+    "digits-8,3,3-DIGITWISE":
+        "9b657436c53647ff6774b2148d709ee228cd6577b6c3f456099308951686468a",
+    "digits-22,3,8-ALTERNATE":
+        "4a68c6bd8c8bb68426c398686e65986283f8c46426cd6922100100bc424e9ade",
+    "digits-22,3,8-DIGITWISE":
+        "f09f0e56db6be43eddfdd99d81679d2d15ead0498bfbec9202643cc4aac4f3c4",
+    "digits-23,6,4-ALTERNATE":
+        "73fd9e1209af190be335d034d83de040db746a5b034ba83f93c0d0633df43481",
+    "digits-23,6,4-DIGITWISE":
+        "718c165751b0d620b1b7964d826fce4775813fa5408b98b6db91b572b4767555",
+    "keyswitch_l30-INTERLEAVED":
+        "68cdf331074a7da7ce035bb768233e43ce62c49ec80f5df5c32d69a36cf4e654",
+    "keyswitch_l30-SEQUENTIAL":
+        "07187c095d0ef617ddd0a19bf9299506bb2f6f8fa2a3835f6c418bc33851b19f",
+    "keyswitch_l30-DIGITWISE":
+        "e11de54a9282b09b2c454a82490ce14ec61932e86c47fdc5a61cc4fe4f83f09f",
+    "bootstrap_example-INTERLEAVED":
+        "19ae7bc46605260a56808b8423c45cd6abe92c64bff504af43ffca1febee039a",
+    "bootstrap_example-SEQUENTIAL":
+        "6f7fe834e97c4ea2d644145e0e696f1ed7d2cc6e314ef84cd7c929be6377e997",
+    "bootstrap_example-DIGITWISE":
+        "bd46912933eb850ee0490bababda2f33810051f04cb1178c721c0680d04cc81b",
+    "strawman-l14-A":
+        "c8af831a6f8feb3428e608420474d2be377c07139e4b450e6b3aceecfa867ffd",
+    "strawman-l14-B":
+        "7ca62cb71c162c5d652529844710171e4a113b9760f87add1d5ace7ea830894f",
+    "strawman-l14-C":
+        "ddf60a1554d1855744653b4e4c274f8132a9ce75cbdcf66eaabac587dfc955df",
+    "strawman-l14-OURS":
+        "a4c4d0c57f6c6a3974e8ae1c475e70a40b982d6bb16c289ac527d0ac82b40fb0",
+    "ring-l30-r1":
+        "b506373cb80e1ea3a22b72ecd1f168ca0ebbbd3c2f1684c025764781f4a1154c",
+    "digits-22,3,8-r1":
+        "a24575bc3363ad00a6a85fe514ede5f76c7b8a9f5f5820cbc7925e630ada96d8",
+    "ring-l30-r32":
+        "95153114c21c8681af166448edef62fdfcbabceeb9f10584dbc09e4915c96a8f",
+    "digits-22,3,8-r32":
+        "d166d0db0d9014da506594b19e22cf605a3cdc73125033c56be45e8470a76ff9",
+    "ring-l30-512x128":
+        "6f883dc36292e4b65576af8da94b5118109bd8c9d8e601ad211ddb7ab40c14bf",
+    "digits-22,3,8-512x128":
+        "c59e24e0af0edecd208b0d3a11981b4f66277cb04af58c860cf11f96bd04ae2c",
+    "ring-l30-exact":
+        "e39a3dcca0418baa64b4623c219ed96dba75992e6c8a357cf57f266dca754649",
+    "digits-22,3,8-exact":
+        "62b67180f53cf456e5ba18a12a458809d3b910d8a6f742265abc13876bda16ce",
+    "ring-l30-exact-r32":
+        "5ea7fc54d9afe932fd807b17bbbc99c65dfb16cd3c2966a9b9a4db4b593536a1",
+    "digits-22,3,8-exact-r32":
+        "6c6b7993a4a0ea7ace0d5ae8c27faf3c5f96976de0a89321db15923aaa57d844",
+    "sweep":
+        "35baf852ab79b28aec793fb53bc5b5644813704e29bc7f4c91067ab9f116f9f1",
+    "timeline-ring":
+        "2440ad94810078a06eabf0038a67eafb842ca9ae73fa3a82e0bd0e035d1e1021",
+    "timeline-digits":
+        "787a2182daf5e84d1c064759e0f7fb831b2ca468d90c6727041e3c037efa34b0",
+}
+
+
+def _golden_cases():
+    p1 = ChipletConfig.from_json_dict(load_preset("chiplet_1024x64"))
+    p2 = ChipletConfig.from_json_dict(load_preset("chiplet_512x128"))
+    ex = replace(p1, exact=True)
+    cases = {}
+    for l in (2, 14, 30):
+        for sh in (True, False):
+            for md in (True, False):
+                cases[f"ring-l{l}-sh{int(sh)}-md{int(md)}"] = (
+                    schedule_keyswitch_ring, p1, l, dict(shadowed=sh, include_moddown=md))
+    for fused in (False, True):
+        cases[f"moddown-l14-fused{int(fused)}"] = (
+            schedule_moddown_ring, p1, 14, dict(fused_rescale=fused))
+    for l, d, k in ((8, 3, 3), (22, 3, 8), (23, 6, 4)):
+        for strat in ("ALTERNATE", "DIGITWISE"):
+            cases[f"digits-{l},{d},{k}-{strat}"] = (
+                schedule_keyswitch_digits, p1, l, dict(dnum=d, k=k, strategy=strat))
+    for name in ("keyswitch_l30", "bootstrap_example"):
+        doc = load_preset(name)
+        for asg in ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE"):
+            cases[f"{name}-{asg}"] = (run_workload, p1, doc["program"],
+                                      dict(assignment=asg, levels=doc["levels"]))
+    for tech in ("A", "B", "C", "OURS"):
+        cases[f"strawman-l14-{tech}"] = (schedule_strawman, p1, 14, dict(technique=tech))
+    for cname, cfg in (("r1", replace(p1, r=1)), ("r32", replace(p1, r=32)),
+                       ("512x128", p2), ("exact", ex), ("exact-r32", replace(ex, r=32))):
+        cases[f"ring-l30-{cname}"] = (schedule_keyswitch_ring, cfg, 30, {})
+        cases[f"digits-22,3,8-{cname}"] = (schedule_keyswitch_digits, cfg, 22,
+                                           dict(dnum=3, k=8))
+    return cases
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_matrix_reports():
+    got = {}
+    for name, (fn, cfg, arg, kwargs) in _golden_cases().items():
+        rep = fn(cfg, arg, **kwargs)
+        got[name] = _digest(json.dumps(rep.to_json_dict(), sort_keys=True, default=str))
+    p1 = ChipletConfig.from_json_dict(load_preset("chiplet_1024x64"))
+    got["sweep"] = _digest(json.dumps(sweep_chiplets(p1, [1, 4, 32], l=14),
+                                      sort_keys=True))
+    got["timeline-ring"] = _digest(
+        schedule_keyswitch_ring(p1, 8, with_timeline=True).timeline_csv())
+    got["timeline-digits"] = _digest(
+        schedule_keyswitch_digits(p1, 8, 3, 3, with_timeline=True).timeline_csv())
+    assert got == GOLDEN
+
+
+def test_report_json_bytes_do_not_depend_on_hash_seed():
+    code = ("import sys\n"
+            "from fhesim.chipletsim import ChipletConfig, schedule_keyswitch_ring\n"
+            "sys.stdout.write(schedule_keyswitch_ring(ChipletConfig(r=4), 14).to_json())")
+    src = str(Path(fhesim.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, timeout=120).stdout)
+    assert outs[0] == outs[1]
+    # phases are listed in the order they first appear
+    assert list(json.loads(outs[0])["phase_cycles"]) == ["modup", "moddown"]
+
+
+# ---------------------------------------------------------------------------
+# Input validation where configs, programs and schedules enter
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r", 0), ("f_ghz", 0.0), ("hbm_gbps", -1.0), ("c2c_gbps", 0.0),
+    ("ingress_gbps", float("nan")), ("word_bits", 0), ("n1", 1000), ("n2", 0),
+    ("fill_cycles", -1)])
+def test_config_rejects_invalid_field(field, value):
+    with pytest.raises(ConfigError):
+        ChipletConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        replace(REF, **{field: value})
+
+
+def test_config_error_is_value_error_and_presets_load():
+    assert issubclass(ConfigError, ValueError)
+    for name in ("chiplet_1024x64", "chiplet_512x128"):
+        cfg = ChipletConfig.from_json_dict(load_preset(name))
+        assert cfg.r == 4 and cfg.n1 * cfg.n2 == 1 << 16
+
+
+def _no_builder(cfg):
+    raise AssertionError("a DAG was built for an invalid input")
+
+
+def test_empty_program_rejected(monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError):
+        run_workload(REF, [])
+    with pytest.raises(ProgramError):
+        run_workload(REF, [{"op": "BOOTSTRAP_SCHED", "schedule": []}])
+
+
+def test_negative_level_rejected(monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError):
+        schedule_keyswitch_ring(REF, -1)
+    with pytest.raises(ProgramError):
+        schedule_strawman(REF, -1, "B")
+    with pytest.raises(ProgramError):
+        run_workload(REF, [{"op": "HMULT", "l": 3}, {"op": "HADD", "l": -1}])
+
+
+def test_rescale_at_level_zero_rejected(monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError):
+        run_workload(REF, [{"op": "HMULT", "l": 2}, {"op": "RESCALE", "l": 0}])
+    with pytest.raises(ProgramError):
+        schedule_moddown_ring(REF, 0, fused_rescale=True)
+
+
+def test_digits_dnum_above_limb_count_rejected():
+    with pytest.raises(ProgramError):
+        schedule_keyswitch_digits(REF, 4, 9, 1)
+    with pytest.raises(ProgramError):
+        schedule_keyswitch_digits(REF, 4, 0, 1)
+    assert schedule_keyswitch_digits(REF, 4, 5, 1).total_cycles > 0
+
+
+def test_keyswitch_dnum_without_k_rejected():
+    with pytest.raises(ProgramError):
+        run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "dnum": 3}])
+    rep = run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "dnum": 3, "k": 3}])
+    assert rep.op_counts["NTT"] == opcount.keyswitch_generic(8, 3, 3)["NTT"]
+
+
+def test_empty_sweep_rejected(monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError):
+        sweep_chiplets(REF, [])
+    with pytest.raises(ConfigError):
+        sweep_chiplets(REF, [4, 0])
+
+
+# ---------------------------------------------------------------------------
+# Engine properties over small random DAGs
+
+_RESOURCE = {"NTT": "ntt", "MAS": "mas", "SEND": "c2c", "HBM_RD": "hbm"}
+
+
+@st.composite
+def _random_dags(draw):
+    cfg = replace(REF, r=draw(st.integers(1, 3)))
+    sb = ScheduleBuilder(cfg)
+    for uid in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(sorted(_RESOURCE)))
+        chiplet = draw(st.integers(0, cfg.r - 1))
+        earlier = st.lists(st.integers(0, uid - 1), max_size=3, unique=True) \
+            if uid else st.just([])
+        sb.add(kind, f"{_RESOURCE[kind]}:{chiplet}", draw(st.integers(0, 5)),
+               deps=draw(earlier),
+               stream_deps=draw(earlier) if kind == "SEND" else (),
+               priority=(draw(st.integers(0, 3)),), chiplet=chiplet,
+               nbytes=sb.poly_bytes if kind in ("SEND", "HBM_RD") else 0)
+    return cfg, sb.ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag=_random_dags())
+def test_engine_invariants_on_random_dags(dag):
+    cfg, ops = dag
+    rep = Engine(cfg).run(ops, with_timeline=True)
+    start = {t["uid"]: t["start"] for t in rep.timeline}
+    end = {t["uid"]: t["end"] for t in rep.timeline}
+    for op in ops:
+        assert all(start[op.uid] >= end[d] for d in op.deps)
+        assert all(end[op.uid] >= end[d] for d in op.stream_deps)
+    by_resource = {}
+    for op in ops:
+        by_resource.setdefault(op.resource, []).append(op.uid)
+    for res, uids in by_resource.items():
+        for t in {start[u] for u in uids}:
+            running = sum(1 for u in uids if start[u] <= t < end[u])
+            assert running <= _CAPACITY[res.split(":")[0]]
+        if res.startswith("ntt:"):
+            # issue order: each op starts once its predecessor has finished
+            assert all(start[b] >= end[a] for a, b in zip(uids, uids[1:]))
+    # wall time ends when the last compute op or consumed op retires
+    consumed = {d for op in ops for d in op.deps + op.stream_deps}
+    assert rep.total_cycles == max((end[op.uid] for op in ops
+                                    if op.kind in ("NTT", "MAS") or op.uid in consumed),
+                                   default=0)
+    for c in rep.per_chiplet:
+        assert min(c.values()) >= 0
+        assert c["busy"] + c["stall"] + c["idle"] == rep.total_cycles
+    sends = sum(v["sends"] for v in rep.links.values())
+    assert sum(v["bytes"] for v in rep.links.values()) == sends * cfg.poly_bytes
+    again = Engine(cfg).run(ops, with_timeline=True)
+    assert again.to_json() == rep.to_json() and again.timeline == rep.timeline
