@@ -26,6 +26,7 @@ from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder
 
 Assignment = str  # one of ASSIGNMENTS
 ASSIGNMENTS = ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE")
+STRATEGIES = ("ALTERNATE", "DIGITWISE")    # digit key-switch orderings
 _MACRO_OPS = ("HADD", "HMULT", "KEYSWITCH", "ROTATE", "RESCALE", "MODDOWN", "HOST_LOAD")
 
 
@@ -36,6 +37,12 @@ class ProgramError(ValueError):
 def _check_at_least(value: int, lowest: int, what: str) -> None:
     if value < lowest:
         raise ProgramError(f"{what} must be at least {lowest}, got {value}")
+
+
+def _check_strategy(strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ProgramError(f"unknown key-switch strategy {strategy!r}; "
+                           f"expected one of {STRATEGIES}")
 
 
 def limb_owner(assignment: Assignment, t: int, r: int, levels: int, k: int = 1) -> int:
@@ -208,6 +215,7 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
 def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
                            strategy: str = "ALTERNATE",
                            barrier: Optional[int] = None, pri0: int = 0) -> None:
+    _check_strategy(strategy)
     if strategy == "DIGITWISE":
         build_keyswitch_digitwise(sb, l, dnum, k, barrier=barrier, pri0=pri0)
         return
@@ -336,6 +344,7 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
     if not 1 <= dnum <= l + 1:
         raise ProgramError(f"dnum must lie in [1, l+1] = [1, {l + 1}], got {dnum}")
     _check_at_least(k, 1, "k")
+    _check_strategy(strategy)
     sb = ScheduleBuilder(cfg)
     build_keyswitch_digits(sb, l, dnum, k, strategy=strategy)
     meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,

@@ -7,10 +7,22 @@ ModDown/Rescale, and a canonical-embedding encoder good enough to verify
 everything end to end.  Parameter sets produced here are test-grade:
 nothing about them claims cryptographic security.
 
+Inside every routine a ring element is one (rows, N) uint64 array, one row
+per RNS limb, and each step runs on all its limbs in one call of the rows
+kernels of polykernel: ntt_rows/intt_rows (rows may carry different
+moduli), automorphism_rows, mas_rows (products of two varying operands
+through _mulmod_vv, with its own quotient-error bound) and the base
+conversion below.  Where products are summed before a single reduction
+(key multiplication, base conversion) the no-wrap bound is asserted.
+Switching keys are stored as arrays too: each KskDigit holds ksk0, and
+once expanded ksk1, as one (bases, N) array.  Ciphertexts, plaintexts and
+secret keys stay list-backed Polys at the public API: each public routine
+converts its inputs once (_stack) and its outputs once (_unstack).
+
 Every kernel invocation is routed through small wrappers so a census of
 micro-ops (INTT/NTT/MAS/AUT) can be recorded and compared against the
 closed forms in opcount, which the simulator uses for its instruction
-streams.
+streams.  The census counts limbs: a call on R rows ticks R.
 """
 
 from __future__ import annotations
@@ -26,9 +38,13 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _mulmod, _mulmod_lazy,
-                         automorphism_oracle, intt_reference, mas, ntt_reference,
-                         poly_to_bytes)
+from .polykernel import (_VV_OFFSET, Domain, DomainError, LengthMismatch, MasOp, Poly,
+                         _aut_map, _checked_rows, _fold, _mulmod, _mulmod_lazy,
+                         _mulmod_vv_lazy, automorphism_rows, intt_rows, mas_rows,
+                         modulus_columns, ntt_rows, poly_to_bytes, row_to_bytes)
+# The one-limb kernels stay importable from this module for callers and
+# tracers that look them up here; the routines below use the rows kernels.
+from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
 from .trivium import LaneSampler
 
 NOISE_SIGMA = 3.2
@@ -48,6 +64,10 @@ class LevelExhausted(Exception):
 
 class LevelOutOfRange(ValueError):
     """A level outside [0, l_max] of the basis."""
+
+
+class EncodeOverflow(ValueError):
+    """A rounded plaintext coefficient reaches Q_l/2 in magnitude."""
 
 
 class KeyLevelTooLow(Exception):
@@ -83,38 +103,75 @@ def _tick(kind: str, n: int = 1) -> None:
         counts[kind] += n
 
 
-def _ntt(p: Poly) -> Poly:
-    _tick("NTT")
-    return ntt_reference(p)
+def _limbs_in(x: np.ndarray) -> int:
+    """Limbs in a (..., rows, N) stack, batch positions included."""
+    return x.size // x.shape[-1]
 
 
-def _intt(p: Poly) -> Poly:
-    _tick("INTT")
-    return intt_reference(p)
+def _ntt(x: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
+    _tick("NTT", _limbs_in(x))
+    return ntt_rows(x, moduli)
 
 
-def _mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
-    _tick("MAS")
-    return mas(op, a, b, acc)
+def _intt(x: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
+    _tick("INTT", _limbs_in(x))
+    return intt_rows(x, moduli)
 
 
-def _aut(p: Poly, gle: int) -> Poly:
-    _tick("AUT")
-    return automorphism_oracle(p, gle)
+def _mas(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModulus],
+         acc: np.ndarray | None = None) -> np.ndarray:
+    out = mas_rows(op, a, b, moduli, acc)
+    _tick("MAS", _limbs_in(out))
+    return out
 
 
-def _scalar_poly(value: int, m: PrimeModulus, n: int, domain: Domain) -> Poly:
-    return Poly([value % m.q] * n, m, domain)
+def _aut(x: np.ndarray, moduli: Sequence[PrimeModulus], gle: int) -> np.ndarray:
+    _tick("AUT", _limbs_in(x))
+    return automorphism_rows(x, moduli, gle)
+
+
+def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
+            moduli: Sequence[PrimeModulus]) -> np.ndarray:
+    """(a - b) * scalar_r mod q_r on every row r, one fused triadic pass per limb.
+
+    The scalar is fixed per row, so its ratio s/q is correctly rounded and
+    _mulmod's bound applies."""
+    q, _ = modulus_columns(tuple(moduli))
+    w = [s % m.q for s, m in zip(scalars, moduli)]
+    diff = a - b
+    diff += q
+    out = _mulmod(_fold(diff, q), np.array(w, dtype=np.uint64)[:, None],
+                  np.array([v / m.q for v, m in zip(w, moduli)])[:, None], q)
+    _tick("MAS", _limbs_in(out))
+    return out
 
 
 def _mas_submul(a: Poly, b: Poly, scalar: int) -> Poly:
-    """(a - b) * scalar, one fused triadic pass."""
+    """(a - b) * scalar of one limb: a one-row _submul call."""
     if a.n != b.n:
         raise LengthMismatch("MAS operands must have equal lengths")
-    _tick("MAS")
-    q = a.modulus.q
-    s = scalar % q
-    return Poly([(x - y) * s % q for x, y in zip(a.coeffs, b.coeffs)], a.modulus, a.domain)
+    out = _submul(_stack([a]), _stack([b]), [scalar], (a.modulus,))
+    return Poly(out[0].tolist(), a.modulus, a.domain)
+
+
+# ---------------------------------------------------------------------------
+# The list <-> array boundary
+
+
+def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
+    """The residues of list-backed limbs as one (rows, N) uint64 array.
+
+    Every residue is checked to lie in [0, q) of its limb, as the NTT checks
+    its input: ResidueOutOfRange otherwise."""
+    if domain is not None and any(p.domain != domain for p in limbs):
+        raise DomainError(f"expected {domain.name}-domain limbs")
+    q, _ = modulus_columns(tuple(p.modulus for p in limbs))
+    return _checked_rows([p.coeffs for p in limbs], q)
+
+
+def _unstack(x: np.ndarray, moduli: Sequence[PrimeModulus], domain: Domain) -> List[Poly]:
+    """The rows of a (rows, N) array as list-backed limbs."""
+    return [Poly(row, m, domain) for row, m in zip(x.tolist(), moduli)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +232,11 @@ class ExtCiphertext:
     scale: float
 
 
-@dataclass
+@dataclass(eq=False)
 class KskDigit:
-    ksk0: List[Poly]            # one limb per live base of PQ_L, NTT domain
+    ksk0: np.ndarray            # (bases of PQ_L, N) uint64, NTT domain
     ksk1_seeds: List[int]       # one 64-bit seed per base
-    _ksk1: List[Optional[Poly]] = field(default=None, repr=False)
+    _ksk1: Optional[np.ndarray] = field(default=None, repr=False)  # expanded, like ksk0
 
 
 @dataclass
@@ -224,6 +281,9 @@ class CkksContext:
     def live_bases(self, level: int) -> List[PrimeModulus]:
         return list(self.basis.q_list[: level + 1]) + list(self.basis.p_list)
 
+    def _q_bases(self, level: int) -> Tuple[PrimeModulus, ...]:
+        return tuple(self.basis.q_list[: level + 1])
+
     def _digit_range(self, j: int, level: int) -> range:
         k = self.basis.k
         return range(j * k, min((j + 1) * k, level + 1))
@@ -231,11 +291,28 @@ class CkksContext:
     def digit_count(self, level: int) -> int:
         return -(-(level + 1) // self.basis.k)
 
+    # -- list <-> array at the public API ------------------------------------
+
+    def _rows(self, *comps: RnsPoly) -> np.ndarray:
+        """NTT-domain components of one level as a (components, rows, N) array."""
+        x = _stack([p for c in comps for p in c.limbs], Domain.NTT)
+        return x.reshape(len(comps), -1, self.n)
+
+    def _ciphertext(self, x: np.ndarray, level: int, scale: float) -> Ciphertext:
+        moduli = self._q_bases(level)
+        return Ciphertext(RnsPoly(_unstack(x[0], moduli, Domain.NTT), level),
+                          RnsPoly(_unstack(x[1], moduli, Domain.NTT), level),
+                          level, scale)
+
     # -- encoding -----------------------------------------------------------
 
     def encode(self, values: Sequence[complex], level: int,
                scale: float | None = None) -> RnsPoly:
-        """Canonical-embedding encode of up to N/2 complex slots."""
+        """Canonical-embedding encode of up to N/2 complex slots.
+
+        Raises EncodeOverflow when a rounded coefficient reaches Q_l/2 in
+        magnitude, where it would wrap modulo Q_l.
+        """
         if len(values) > self.slots:
             raise SlotOverflow(f"at most {self.slots} slots, got {len(values)}")
         if not 0 <= level <= self.basis.l_max:
@@ -249,41 +326,46 @@ class CkksContext:
         u[two_n - idx] = np.conj(vals)
         coeffs = np.fft.fft(u).real[:n] / n * scale
         ints = [int(round(c)) for c in coeffs]
-        limbs = [
-            Poly([c % m.q for c in ints], m, Domain.COEFF)
-            for m in self.basis.q_list[: level + 1]
-        ]
-        limbs = [ntt_reference(p) for p in limbs]
-        return RnsPoly(limbs, level, scale=scale)
+        q_l = self.basis.q_product(level)
+        if 2 * max(abs(c) for c in ints) >= q_l:
+            raise EncodeOverflow(f"a coefficient reaches Q_{level}/2 = {q_l / 2:.3e}; "
+                                 f"lower the scale or the values")
+        moduli = self._q_bases(level)
+        x = np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
+        return RnsPoly(_unstack(ntt_rows(x, moduli), moduli, Domain.NTT), level, scale=scale)
 
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
         """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain)."""
-        limbs = pt.limbs
-        if limbs[0].domain == Domain.NTT:
-            limbs = [intt_reference(p) for p in limbs]
-        moduli = [p.modulus.q for p in limbs]
-        big_q = reduce(lambda a, b: a * b, moduli)
+        moduli = [p.modulus for p in pt.limbs]
+        x = _stack(pt.limbs)
+        if pt.domain == Domain.NTT:
+            x = intt_rows(x, moduli)
+        mods = [m.q for m in moduli]
+        big_q = reduce(lambda a, b: a * b, mods)
         recon = []
-        for m in moduli:
+        for m in mods:
             hat = big_q // m
             recon.append(hat * pow(hat, -1, m))
         n, two_n = self.n, 2 * self.n
         centered = np.zeros(two_n)
-        for i in range(n):
-            x = sum(limbs[t].coeffs[i] * recon[t] for t in range(len(limbs))) % big_q
-            if x > big_q // 2:
-                x -= big_q
-            centered[i] = float(x)
+        for i, column in enumerate(x.T.tolist()):
+            v = sum(c * r for c, r in zip(column, recon)) % big_q
+            if v > big_q // 2:
+                v -= big_q
+            centered[i] = float(v)
         ev = np.fft.ifft(centered) * two_n
         return ev[np.array(self._theta)] / scale
 
     # -- randomness ---------------------------------------------------------
 
-    def _gaussian_ints(self, rng: np.random.Generator) -> List[int]:
-        return [int(x) for x in np.rint(rng.normal(0.0, NOISE_SIGMA, self.n))]
+    def _gaussian_ints(self, rng: np.random.Generator) -> np.ndarray:
+        return np.rint(rng.normal(0.0, NOISE_SIGMA, self.n)).astype(np.int64)
 
-    def _reduce_ntt(self, ints: Sequence[int], m: PrimeModulus) -> Poly:
-        return ntt_reference(Poly([c % m.q for c in ints], m, Domain.COEFF))
+    def _small_ntt(self, ints: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
+        """Small signed integers reduced into every modulus, NTT-transformed."""
+        moduli = tuple(moduli)
+        q, _ = modulus_columns(moduli)
+        return ntt_rows(np.asarray(ints, dtype=np.int64) % q.astype(np.int64), moduli)
 
     # -- key generation -----------------------------------------------------
 
@@ -309,118 +391,92 @@ class CkksContext:
         from the keystream seeded by (master_seed, j, t); the a limbs of a
         digit are drawn in one batch.
         """
-        bases = self.all_bases()
+        return self._make_keyswitch_key(_stack(sk.ntt_limbs, Domain.NTT),
+                                        _stack(target_ntt, Domain.NTT), master_seed, rng)
+
+    def _make_keyswitch_key(self, s: np.ndarray, s_target: np.ndarray, master_seed: int,
+                            rng: np.random.Generator) -> KeySwitchKey:
+        bases = tuple(self.all_bases())
+        q, _ = modulus_columns(bases)
         digits = []
         for j in range(self.basis.dnum):
             gadget = self._gadget(j)
-            e_ints = self._gaussian_ints(rng)
+            e = self._small_ntt(self._gaussian_ints(rng), bases)
             seeds = [derive_seed(master_seed, j, t) for t in range(len(bases))]
-            ksk0: List[Poly] = []
-            for t, (m, a) in enumerate(zip(bases, self._expand_ksk1(seeds, bases))):
-                e = self._reduce_ntt(e_ints, m)
-                s = sk.ntt_limbs[t]
-                sp = target_ntt[t]
-                g = gadget[t]
-                q = m.q
-                coeffs = [
-                    (-(av * sv) + ev + g * pv) % q
-                    for av, sv, ev, pv in zip(a.coeffs, s.coeffs, e.coeffs, sp.coeffs)
-                ]
-                ksk0.append(Poly(coeffs, m, Domain.NTT))
+            a = self._expand_ksk1(seeds, bases)
+            g_s = _mulmod(s_target, np.array(gadget, dtype=np.uint64)[:, None],
+                          np.array([g / m.q for g, m in zip(gadget, bases)])[:, None], q)
+            ksk0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
+                            mas_rows(MasOp.MUL, a, s, bases), bases)
             digits.append(KskDigit(ksk0=ksk0, ksk1_seeds=seeds))
         return KeySwitchKey(digits=digits, dnum=self.basis.dnum)
 
-    def _expand_ksk1(self, seeds: List[int], bases: List[PrimeModulus]) -> List[Poly]:
-        """Regenerate seed-expandable key limbs, all seeds stepped together."""
-        rows = LaneSampler(seeds, [m.q for m in bases]).draw(self.n)
-        return [Poly(row.tolist(), m, Domain.NTT) for row, m in zip(rows, bases)]
+    def _expand_ksk1(self, seeds: List[int], bases: Sequence[PrimeModulus]) -> np.ndarray:
+        """Regenerate seed-expandable key limbs, all seeds stepped together,
+        as one (len(seeds), N) array."""
+        return LaneSampler(seeds, [m.q for m in bases]).draw(self.n)
 
     def expand_ksk1_limb(self, seed: int, m: PrimeModulus) -> Poly:
         """Regenerate one seed-expandable key limb (NTT domain by convention)."""
-        return self._expand_ksk1([seed], [m])[0]
+        return Poly(self._expand_ksk1([seed], [m])[0].tolist(), m, Domain.NTT)
 
-    def _fill_ksk1(self, key: KeySwitchKey, j: int, ts: Iterable[int]) -> None:
-        """Expand, in one batch, the ksk1 limbs ts of digit j that are not cached."""
-        digit = key.digits[j]
-        if digit._ksk1 is None:
-            digit._ksk1 = [None] * len(digit.ksk1_seeds)
-        missing = [t for t in ts if digit._ksk1[t] is None]
+    def _fill_ksk1(self, key: KeySwitchKey, js: Iterable[int]) -> None:
+        """Expand, in one batch, the ksk1 of every digit in js not yet expanded."""
+        missing = [key.digits[j] for j in js if key.digits[j]._ksk1 is None]
         if missing:
             bases = self.all_bases()
-            limbs = self._expand_ksk1([digit.ksk1_seeds[t] for t in missing],
-                                      [bases[t] for t in missing])
-            for t, limb in zip(missing, limbs):
-                digit._ksk1[t] = limb
+            rows = self._expand_ksk1([s for d in missing for s in d.ksk1_seeds],
+                                     bases * len(missing))
+            for d, digit_rows in zip(missing, np.split(rows, len(missing))):
+                d._ksk1 = digit_rows
 
     def ksk1_limb(self, key: KeySwitchKey, j: int, t: int) -> Poly:
-        self._fill_ksk1(key, j, (t,))
-        return key.digits[j]._ksk1[t]
+        self._fill_ksk1(key, (j,))
+        return Poly(key.digits[j]._ksk1[t].tolist(), self.all_bases()[t], Domain.NTT)
 
     def keygen(self, seed: int, rotations: Iterable[int] = ()) -> Tuple[SecretKey, KeySet]:
         rng = np.random.default_rng(seed)
-        s_ints = [int(x) for x in rng.integers(-1, 2, self.n)]
-        bases = self.all_bases()
-        sk = SecretKey(
-            coeffs=s_ints,
-            ntt_limbs=[self._reduce_ntt(s_ints, m) for m in bases],
-        )
-        s2 = [Poly([a * a % p.modulus.q for a in p.coeffs], p.modulus, Domain.NTT)
-              for p in sk.ntt_limbs]
-        relin = self.make_keyswitch_key(sk, s2, derive_seed(seed, 0xE), rng)
+        s_ints = rng.integers(-1, 2, self.n)
+        bases = tuple(self.all_bases())
+        s = self._small_ntt(s_ints, bases)
+        sk = SecretKey(coeffs=s_ints.tolist(), ntt_limbs=_unstack(s, bases, Domain.NTT))
+        relin = self._make_keyswitch_key(s, mas_rows(MasOp.MUL, s, s, bases),
+                                         derive_seed(seed, 0xE), rng)
         rot_keys = {}
         for rot in rotations:
             gle = pow(5, rot, 2 * self.n)
-            s_rot = _secret_automorphism(s_ints, gle)
-            s_rot_ntt = [self._reduce_ntt(s_rot, m) for m in bases]
-            rot_keys[rot] = self.make_keyswitch_key(
-                sk, s_rot_ntt, derive_seed(seed, 0xA, rot), rng)
+            s_rot = self._small_ntt(_secret_automorphism(s_ints, gle), bases)
+            rot_keys[rot] = self._make_keyswitch_key(
+                s, s_rot, derive_seed(seed, 0xA, rot), rng)
         return sk, KeySet(relin=relin, rotation=rot_keys)
 
     # -- encryption ---------------------------------------------------------
 
     def encrypt(self, pt: RnsPoly, sk: SecretKey, rng: np.random.Generator) -> Ciphertext:
         level = pt.level
-        e_ints = self._gaussian_ints(rng)
-        c0_limbs, c1_limbs = [], []
-        for t, m in enumerate(self.basis.q_list[: level + 1]):
-            a = Poly([int(x) for x in rng.integers(0, m.q, self.n)], m, Domain.NTT)
-            e = self._reduce_ntt(e_ints, m)
-            s = sk.ntt_limbs[t]
-            q = m.q
-            c0 = [
-                (-(av * sv) + mv + ev) % q
-                for av, sv, mv, ev in zip(a.coeffs, s.coeffs, pt.limbs[t].coeffs, e.coeffs)
-            ]
-            c0_limbs.append(Poly(c0, m, Domain.NTT))
-            c1_limbs.append(a)
-        return Ciphertext(RnsPoly(c0_limbs, level), RnsPoly(c1_limbs, level),
-                          level, pt.scale or self.delta)
+        moduli = self._q_bases(level)
+        e = self._small_ntt(self._gaussian_ints(rng), moduli)
+        a = np.array([rng.integers(0, m.q, self.n) for m in moduli], dtype=np.uint64)
+        s = _stack(sk.ntt_limbs[: level + 1], Domain.NTT)
+        c0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, _stack(pt.limbs, Domain.NTT), e, moduli),
+                      mas_rows(MasOp.MUL, a, s, moduli), moduli)
+        return self._ciphertext(np.stack([c0, a]), level, pt.scale or self.delta)
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> RnsPoly:
-        limbs = []
-        for t in range(ct.level + 1):
-            m = self.basis.q_list[t]
-            s = sk.ntt_limbs[t]
-            q = m.q
-            limbs.append(Poly(
-                [(c0 + c1 * sv) % q for c0, c1, sv in
-                 zip(ct.c0.limbs[t].coeffs, ct.c1.limbs[t].coeffs, s.coeffs)],
-                m, Domain.NTT))
-        return RnsPoly(limbs, ct.level)
+        moduli = self._q_bases(ct.level)
+        c0, c1 = self._rows(ct.c0, ct.c1)
+        s = _stack(sk.ntt_limbs[: ct.level + 1], Domain.NTT)
+        m = mas_rows(MasOp.MAC, c1, s, moduli, c0)
+        return RnsPoly(_unstack(m, moduli, Domain.NTT), ct.level)
 
     def decrypt_triple(self, d: ExtCiphertext, sk: SecretKey) -> RnsPoly:
         """Decrypt (d0, d1, d2) with (1, s, s^2) for pre-relinearization checks."""
-        limbs = []
-        for t in range(d.level + 1):
-            m = self.basis.q_list[t]
-            s = sk.ntt_limbs[t].coeffs
-            q = m.q
-            limbs.append(Poly(
-                [(a + b * sv + c * sv * sv) % q for a, b, c, sv in
-                 zip(d.d0.limbs[t].coeffs, d.d1.limbs[t].coeffs,
-                     d.d2.limbs[t].coeffs, s)],
-                m, Domain.NTT))
-        return RnsPoly(limbs, d.level)
+        moduli = self._q_bases(d.level)
+        d0, d1, d2 = self._rows(d.d0, d.d1, d.d2)
+        s = _stack(sk.ntt_limbs[: d.level + 1], Domain.NTT)
+        s2 = mas_rows(MasOp.MUL, s, s, moduli)
+        m = mas_rows(MasOp.MAC, d2, s2, moduli, mas_rows(MasOp.MAC, d1, s, moduli, d0))
+        return RnsPoly(_unstack(m, moduli, Domain.NTT), d.level)
 
     # -- linear ops ---------------------------------------------------------
 
@@ -429,21 +485,21 @@ class CkksContext:
             raise LevelMismatch(f"levels {a.level} != {b.level}")
         if not math.isclose(a.scale, b.scale, rel_tol=1e-9):
             raise ScaleMismatch(f"scales {a.scale} != {b.scale}")
-        c0 = [_mas(MasOp.ADD, x, y) for x, y in zip(a.c0.limbs, b.c0.limbs)]
-        c1 = [_mas(MasOp.ADD, x, y) for x, y in zip(a.c1.limbs, b.c1.limbs)]
-        return Ciphertext(RnsPoly(c0, a.level), RnsPoly(c1, a.level), a.level, a.scale)
+        out = _mas(MasOp.ADD, self._rows(a.c0, a.c1), self._rows(b.c0, b.c1),
+                   self._q_bases(a.level))
+        return self._ciphertext(out, a.level, a.scale)
 
     def mult(self, a: Ciphertext, b: Ciphertext) -> ExtCiphertext:
         if a.level != b.level:
             raise LevelMismatch(f"levels {a.level} != {b.level}")
-        d0 = [_mas(MasOp.MUL, x, y) for x, y in zip(a.c0.limbs, b.c0.limbs)]
-        d2 = [_mas(MasOp.MUL, x, y) for x, y in zip(a.c1.limbs, b.c1.limbs)]
-        d1 = [_mas(MasOp.MUL, x, y) for x, y in zip(a.c0.limbs, b.c1.limbs)]
-        d1 = [_mas(MasOp.MAC, x, y, acc) for x, y, acc in
-              zip(a.c1.limbs, b.c0.limbs, d1)]
         lvl = a.level
-        return ExtCiphertext(RnsPoly(d0, lvl), RnsPoly(d1, lvl), RnsPoly(d2, lvl),
-                             lvl, a.scale * b.scale)
+        moduli = self._q_bases(lvl)
+        x, y = self._rows(a.c0, a.c1), self._rows(b.c0, b.c1)
+        d02 = _mas(MasOp.MUL, x, y, moduli)          # (a0*b0, a1*b1)
+        d1 = _mas(MasOp.MAC, x[1], y[0], moduli, _mas(MasOp.MUL, x[0], y[1], moduli))
+        d0, d1, d2 = (RnsPoly(_unstack(z, moduli, Domain.NTT), lvl)
+                      for z in (d02[0], d1, d02[1]))
+        return ExtCiphertext(d0, d1, d2, lvl, a.scale * b.scale)
 
     def rotate_perm(self, ct: Ciphertext, rot: int) -> Ciphertext:
         """Apply the Galois map to both components (through coefficient domain).
@@ -452,13 +508,9 @@ class CkksContext:
         key; until then the result decrypts under the rotated secret.
         """
         gle = pow(5, rot, 2 * self.n)
-        out = []
-        for comp in (ct.c0, ct.c1):
-            limbs = []
-            for p in comp.limbs:
-                limbs.append(_ntt(_aut(_intt(p), gle)))
-            out.append(RnsPoly(limbs, ct.level))
-        return Ciphertext(out[0], out[1], ct.level, ct.scale)
+        moduli = self._q_bases(ct.level)
+        x = _ntt(_aut(_intt(self._rows(ct.c0, ct.c1), moduli), moduli, gle), moduli)
+        return self._ciphertext(x, ct.level, ct.scale)
 
     # -- base conversion ----------------------------------------------------
 
@@ -497,25 +549,28 @@ class CkksContext:
 
         Returns one limb per target, NTT-transformed when emit_ntt is set.
         The result represents the source value plus a small multiple of the
-        source-base product (the usual approximate-conversion slack).  All
-        rows go through the uint64 product kernel at once: the source
+        source-base product (the usual approximate-conversion slack).
+        """
+        out = self._bconv(_stack(limbs, Domain.COEFF), tuple(p.modulus for p in limbs),
+                          tuple(targets), emit_ntt)
+        return _unstack(out, targets, Domain.NTT if emit_ntt else Domain.COEFF)
+
+    def _bconv(self, x: np.ndarray, sources: Tuple[PrimeModulus, ...],
+               targets: Tuple[PrimeModulus, ...], emit_ntt: bool = True) -> np.ndarray:
+        """bconv_routine on a (..., sources, N) stack, returning (..., targets, N).
+
+        All rows go through the uint64 product kernel at once: the source
         residues times hat_inv mod q_s, reduced, then those (each below its
         own q_s, which may exceed q_t) times hat mod q_t, left lazy, summed
         over the sources and reduced once per target.
         """
-        to_sources, to_targets = self._bconv_plan(tuple(p.modulus for p in limbs),
-                                                  tuple(targets))
-        _tick("MAS", len(limbs))
-        x = np.array([p.coeffs for p in limbs], dtype=np.uint64)
+        to_sources, to_targets = self._bconv_plan(sources, targets)
+        _tick("MAS", _limbs_in(x))
         small = _mulmod(x, *to_sources)
-        _tick("MAS", len(targets) * len(limbs))
-        acc = _mulmod_lazy(small[None], *to_targets).sum(axis=1, dtype=np.uint64)
+        _tick("MAS", len(targets) * _limbs_in(x))
+        acc = _mulmod_lazy(small[..., None, :, :], *to_targets).sum(axis=-2, dtype=np.uint64)
         acc %= to_targets[2][:, 0]
-        out = []
-        for row, tm in zip(acc, targets):
-            limb = Poly(row.tolist(), tm, Domain.COEFF)
-            out.append(_ntt(limb) if emit_ntt else limb)
-        return out
+        return _ntt(acc, targets) if emit_ntt else acc
 
     # -- key switching ------------------------------------------------------
 
@@ -525,12 +580,34 @@ class CkksContext:
             return idx_in_live
         return self.basis.l_max + 1 + (idx_in_live - (level + 1))
 
-    def _expand_switch_ksk1(self, ksk: KeySwitchKey, digits: int, level: int) -> None:
-        """Expand, one batch per digit, the missing ksk1 limbs that a switch at
-        `level` reads: those of the first `digits` digits over the live bases."""
-        reads = [self._base_index(level, t) for t in range(len(self.live_bases(level)))]
-        for j in range(digits):
-            self._fill_ksk1(ksk, j, reads)
+    def _live_key_rows(self, rows: np.ndarray, level: int) -> np.ndarray:
+        """The rows of a (PQ_L bases, N) key array that are live at `level`."""
+        if level == self.basis.l_max:
+            return rows
+        nb = len(self.live_bases(level))
+        return rows[[self._base_index(level, t) for t in range(nb)]]
+
+    def _key_products(self, ys: Iterable[np.ndarray], digits: int, ksk: KeySwitchKey,
+                      level: int) -> np.ndarray:
+        """Sum over the first `digits` digits j of ys[j] * (ksk0_j, ksk1_j), over
+        the live bases: a (2, bases, N) stack.
+
+        The products are _mulmod_vv_lazy values, each below
+        (2*_VV_OFFSET + 1)q, added up and reduced once per component.
+        """
+        live = tuple(self.live_bases(level))
+        # The sums stay below 2^64, so the single reduction is exact: at most
+        # 53 digits for q < 2^54.
+        assert (2 * _VV_OFFSET + 1) * digits * max(m.q for m in live) <= 1 << 64, \
+            "key-product sum would wrap"
+        self._fill_ksk1(ksk, range(digits))
+        q, qinv = modulus_columns(live)
+        acc = np.zeros((2, len(live), self.n), dtype=np.uint64)
+        for y, d in zip(ys, ksk.digits[:digits]):
+            acc[0] += _mulmod_vv_lazy(y, self._live_key_rows(d.ksk0, level), q, qinv)
+            acc[1] += _mulmod_vv_lazy(y, self._live_key_rows(d._ksk1, level), q, qinv)
+        acc %= q
+        return acc
 
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""
@@ -539,86 +616,64 @@ class CkksContext:
         level = d.level
         if len(ksk.digits) < level + 1:
             raise KeyLevelTooLow("key has fewer digits than ciphertext limbs")
-        live = self.live_bases(level)
-        self._expand_switch_ksk1(ksk, level + 1, level)
-        d2c = [_intt(p) for p in d.d2.limbs]
-        acc0: List[Poly] = []
-        acc1: List[Poly] = []
-        for jt, tm in enumerate(live):
-            t_full = self._base_index(level, jt)
-            a0 = _scalar_poly(0, tm, self.n, Domain.NTT)
-            a1 = _scalar_poly(0, tm, self.n, Domain.NTT)
-            q = tm.q
-            for i in range(level + 1):
-                r = _ntt(Poly([c % q for c in d2c[i].coeffs], tm, Domain.COEFF))
-                a0 = _mas(MasOp.MAC, r, ksk.digits[i].ksk0[t_full], a0)
-                a1 = _mas(MasOp.MAC, r, self.ksk1_limb(ksk, i, t_full), a1)
-            acc0.append(a0)
-            acc1.append(a1)
-        return self._finish_keyswitch(d, acc0, acc1)
+        x = self._rows(d.d0, d.d1, d.d2)
+        live = tuple(self.live_bases(level))
+        d2c = _intt(x[2], self._q_bases(level))
+        _tick("MAS", 2 * (level + 1) * len(live))
+        # every limb reduced into every live base, all NTT-transformed in one call
+        fan_out = _ntt(d2c[:, None, :] % modulus_columns(live)[0], live)
+        acc = self._key_products(fan_out, level + 1, ksk, level)
+        return self._ciphertext(self._finish_keyswitch(x[:2], acc, level), level, d.scale)
+
+    def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, j: int, level: int) -> np.ndarray:
+        """Digit j of d2 over every live base: its own limbs as they are, the
+        others converted from its coefficient-domain limbs."""
+        live = tuple(self.live_bases(level))
+        own = list(self._digit_range(j, level))
+        other = [t for t in range(len(live)) if t not in own]
+        y = np.empty((len(live), self.n), dtype=np.uint64)
+        y[own] = d2[own]
+        y[other] = self._bconv(d2c[own], tuple(live[i] for i in own),
+                               tuple(live[t] for t in other))
+        return y
 
     def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Arbitrary-dnum key switch: digit ModUp via base conversion."""
         level = d.level
-        k = self.basis.k
-        if self.digit_count(level) > len(ksk.digits):
+        digits = self.digit_count(level)
+        if digits > len(ksk.digits):
             raise KeyLevelTooLow("key has too few digits for this level")
-        live = self.live_bases(level)
-        nb = len(live)
-        self._expand_switch_ksk1(ksk, self.digit_count(level), level)
-        d2c = [_intt(p) for p in d.d2.limbs]
-        acc0 = [_scalar_poly(0, m, self.n, Domain.NTT) for m in live]
-        acc1 = [_scalar_poly(0, m, self.n, Domain.NTT) for m in live]
-        first = True
-        for j in range(self.digit_count(level)):
-            own = list(self._digit_range(j, level))
-            other_idx = [t for t in range(nb) if t not in own]
-            converted = self.bconv_routine([d2c[i] for i in own],
-                                           [live[t] for t in other_idx])
-            y: List[Optional[Poly]] = [None] * nb
-            for i in own:
-                y[i] = d.d2.limbs[i]
-            for t, limb in zip(other_idx, converted):
-                y[t] = limb
-            for t in range(nb):
-                t_full = self._base_index(level, t)
-                prod0 = _mas(MasOp.MUL, y[t], ksk.digits[j].ksk0[t_full])
-                prod1 = _mas(MasOp.MUL, y[t], self.ksk1_limb(ksk, j, t_full))
-                if first:
-                    acc0[t], acc1[t] = prod0, prod1
-                else:
-                    acc0[t] = _mas(MasOp.ADD, acc0[t], prod0)
-                    acc1[t] = _mas(MasOp.ADD, acc1[t], prod1)
-            first = False
-        return self._finish_keyswitch(d, acc0, acc1)
+        x = self._rows(d.d0, d.d1, d.d2)
+        nb = len(self.live_bases(level))
+        d2c = _intt(x[2], self._q_bases(level))
+        # key multiplication, then accumulation over the digits
+        _tick("MAS", 2 * nb * digits + 2 * nb * (digits - 1))
+        ys = (self._modup_digit(x[2], d2c, j, level) for j in range(digits))
+        acc = self._key_products(ys, digits, ksk, level)
+        return self._ciphertext(self._finish_keyswitch(x[:2], acc, level), level, d.scale)
 
-    def _finish_keyswitch(self, d: ExtCiphertext, acc0: List[Poly],
-                          acc1: List[Poly]) -> Ciphertext:
-        level = d.level
-        out = []
-        for carrier, acc in ((d.d0, acc0), (d.d1, acc1)):
-            down = self.moddown(RnsPoly(acc, level, extended=True))
-            limbs = [_mas(MasOp.ADD, c, m) for c, m in zip(carrier.limbs, down.limbs)]
-            out.append(RnsPoly(limbs, level))
-        return Ciphertext(out[0], out[1], level, d.scale)
+    def _finish_keyswitch(self, carriers: np.ndarray, acc: np.ndarray,
+                          level: int) -> np.ndarray:
+        """ModDown both accumulated components and add them to (d0, d1)."""
+        return _mas(MasOp.ADD, carriers, self._moddown(acc, level), self._q_bases(level))
 
     # -- modulus maintenance -------------------------------------------------
 
     def moddown(self, ext: RnsPoly) -> RnsPoly:
         """Drop the special bases: (x - BConv_P->Ql([x]_P)) * P^-1."""
         level = ext.level
+        out = self._moddown(_stack(ext.limbs, Domain.NTT), level)
+        return RnsPoly(_unstack(out, self._q_bases(level), Domain.NTT), level)
+
+    def _moddown(self, x: np.ndarray, level: int) -> np.ndarray:
+        """moddown on a (..., live bases, N) stack."""
         k = self.basis.k
-        q_part = ext.limbs[: level + 1]
-        p_part = ext.limbs[level + 1:]
-        assert len(p_part) == k, "moddown needs the extended limbs"
-        p_coeff = [_intt(p) for p in p_part]
-        r = self.bconv_routine(p_coeff, list(self.basis.q_list[: level + 1]))
-        p_inv = [pow(self.basis.p_product, -1, m.q) for m in self.basis.q_list[: level + 1]]
-        limbs = [
-            _mas_submul(x, t, inv)
-            for x, t, inv in zip(q_part, r, p_inv)
-        ]
-        return RnsPoly(limbs, level)
+        assert x.shape[-2] == level + 1 + k, "moddown needs the extended limbs"
+        q_bases = self._q_bases(level)
+        p_bases = tuple(self.basis.p_list)
+        r = self._bconv(_intt(x[..., level + 1:, :], p_bases), p_bases, q_bases)
+        p_inv = [pow(self.basis.p_product, -1, m.q) for m in q_bases]
+        return _submul(x[..., : level + 1, :], r, p_inv, q_bases)
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Drop base q_level and divide the scale by it."""
@@ -626,16 +681,13 @@ class CkksContext:
             raise LevelExhausted("no bases left to drop")
         level = ct.level
         q_top = self.basis.q_list[level]
-        out = []
-        for comp in (ct.c0, ct.c1):
-            t = _intt(comp.limbs[level])
-            limbs = []
-            for i in range(level):
-                m = self.basis.q_list[i]
-                tq = _ntt(Poly([c % m.q for c in t.coeffs], m, Domain.COEFF))
-                limbs.append(_mas_submul(comp.limbs[i], tq, pow(q_top.q, -1, m.q)))
-            out.append(RnsPoly(limbs, level - 1))
-        return Ciphertext(out[0], out[1], level - 1, ct.scale / q_top.q)
+        lower = self._q_bases(level - 1)
+        q_lower, _ = modulus_columns(lower)
+        x = self._rows(ct.c0, ct.c1)
+        top = _intt(x[:, level:], (q_top,))
+        t = _ntt(top % q_lower, lower)
+        out = _submul(x[:, :level], t, [pow(q_top.q, -1, m.q) for m in lower], lower)
+        return self._ciphertext(out, level - 1, ct.scale / q_top.q)
 
     # -- convenience pipelines ----------------------------------------------
 
@@ -648,9 +700,8 @@ class CkksContext:
         if rot not in keys.rotation:
             raise MissingRotationKey(f"no key for rotation {rot}")
         perm = self.rotate_perm(ct, rot)
-        zero = RnsPoly(
-            [_scalar_poly(0, p.modulus, self.n, Domain.NTT) for p in perm.c1.limbs],
-            ct.level)
+        zero = RnsPoly([Poly([0] * self.n, p.modulus, Domain.NTT) for p in perm.c1.limbs],
+                       ct.level)
         d = ExtCiphertext(perm.c0, zero, perm.c1, ct.level, ct.scale)
         key = keys.rotation[rot]
         if self.basis.k == 1:
@@ -658,14 +709,11 @@ class CkksContext:
         return self.keyswitch_generic(d, key)
 
 
-def _secret_automorphism(coeffs: List[int], gle: int) -> List[int]:
+def _secret_automorphism(coeffs: np.ndarray, gle: int) -> np.ndarray:
     """Galois map on the raw integer secret (signs folded directly)."""
-    n = len(coeffs)
-    two_n = 2 * n
-    out = [0] * n
-    for i, c in enumerate(coeffs):
-        t = i * gle % two_n
-        out[t % n] = c if t < n else -c
+    src, neg = _aut_map(len(coeffs), gle)
+    out = np.asarray(coeffs, dtype=np.int64)[src]
+    out[neg] *= -1
     return out
 
 
@@ -685,15 +733,12 @@ def ciphertext_to_bytes(ct: Ciphertext, n: int, dnum: int) -> bytes:
 def ksk_to_bytes(key: KeySwitchKey, seeded: bool = True) -> bytes:
     """Switching-key image; the seeded form stores 8-byte seeds for ksk1."""
     out = [struct.pack("<II", len(key.digits), 1 if seeded else 0)]
-    for j, digit in enumerate(key.digits):
-        for t, p in enumerate(digit.ksk0):
-            out.append(poly_to_bytes(p, t))
+    for digit in key.digits:
+        out += [row_to_bytes(row, t, Domain.NTT) for t, row in enumerate(digit.ksk0)]
         if seeded:
-            for s in digit.ksk1_seeds:
-                out.append(struct.pack("<Q", s))
+            out += [struct.pack("<Q", s) for s in digit.ksk1_seeds]
         else:
-            if digit._ksk1 is None or any(x is None for x in digit._ksk1):
+            if digit._ksk1 is None:
                 raise ValueError("expand ksk1 limbs before unseeded serialization")
-            for t, p in enumerate(digit._ksk1):
-                out.append(poly_to_bytes(p, t))
+            out += [row_to_bytes(row, t, Domain.NTT) for t, row in enumerate(digit._ksk1)]
     return b"".join(out)

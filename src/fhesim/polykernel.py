@@ -1,19 +1,25 @@
-"""Negacyclic polynomial kernels over a single RNS limb.
+"""Negacyclic polynomial kernels over RNS limbs.
 
 Provides the forward/inverse NTT (natural input, bit-reversed output and
 back), a hierarchical (N1, N2) NTT that never materializes a transpose,
 the direct automorphism map and its shuffle-tree realization, and the
 triadic pointwise MAS unit.
 
-The production transforms, ntt_reference and intt_reference, are one
-vectorized NumPy uint64 kernel: each radix-2 stage is one pass over the
-limb, and each twiddle product uses a float64 quotient estimate from a
-precomputed w/q (Shoup's trick; see _mulmod_lazy for the bound).  Its
-exactness needs every modulus below 2^MAX_WORD_BITS = 2^54, which
-PrimeModulus.create enforces, and residues inside [0, q), which the
-kernel checks.  The pure-int butterflies are kept, unchanged, as the
-oracles ntt_oracle and intt_oracle; ntt_hybrid stays pure-int too, as
-the model of the hardware dataflow.
+The production kernels are uint64 NumPy rows kernels over (..., R, N)
+stacks of limbs, row r over its own modulus: ntt_rows and intt_rows (each
+radix-2 stage is one pass over every row, with the twiddle and w/q tables
+cached per modulus and stacked per call), automorphism_rows (one gather
+through an index map plus negation) and mas_rows.  Twiddle products use a
+float64 quotient estimate from a correctly rounded w/q (Shoup's trick; see
+_mulmod_lazy, error in [-3, 3]).  Products of two varying operands, as in
+MUL and MAC, form the ratio per element and have their own bound
+(_mulmod_vv_lazy, error in [-9, 9]).  Both need every modulus below
+2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues
+inside [0, q), which the transforms check.  ntt_reference, intt_reference
+and mas are one-row calls of the same kernels on list-backed Polys.  The
+pure-int butterflies are kept, unchanged, as the oracles ntt_oracle and
+intt_oracle, with automorphism_oracle and automorphism_shuffle; ntt_hybrid
+stays pure-int too, as the model of the hardware dataflow.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
@@ -24,10 +30,11 @@ and by the automorphism, so neither ever needs a transposed copy.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +117,15 @@ class NttPlan:
 _table_cache: Dict[tuple, tuple] = {}
 
 
+def _bitrev_permutation(size: int) -> np.ndarray:
+    """[bitrev(i, log2 size) for i < size], built by doubling: the reversal
+    of i in k+1 bits is 2*rev_k(i) for i < 2^k and 2*rev_k(i - 2^k) + 1 above."""
+    rev = np.zeros(1, dtype=np.int64)
+    while rev.size < size:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    return rev
+
+
 def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool,
                       mode: str) -> List[int]:
     """[psi^(stride_exp * bitrev(i, log2 size)) for i < size], negated exponents
@@ -117,12 +133,11 @@ def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool
     key = ("brv", m, size, stride_exp, inverse, mode)
     if key not in _table_cache:
         src = TwiddleSource(m, mode)
-        width = size.bit_length() - 1
         two_n = m.two_n
-        exps = [stride_exp * bit_reverse(i, width) % two_n for i in range(size)]
+        exps = stride_exp * _bitrev_permutation(size) % two_n
         if inverse:
-            exps = [(two_n - e) % two_n for e in exps]
-        _table_cache[key] = tuple(src.power(e) for e in exps)
+            exps = (two_n - exps) % two_n
+        _table_cache[key] = tuple(src.power(e) for e in exps.tolist())
     return list(_table_cache[key])
 
 
@@ -254,10 +269,13 @@ def intt_oracle(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Production transforms: word-exact uint64 NumPy kernel
+# Production kernels: word-exact uint64 NumPy, over stacks of limbs
 
 # Multiples of q that _mulmod subtracts, in turn, to fold [0, 7q) into [0, q).
 _PRODUCT_FOLDS = (4, 2, 1)
+# _mulmod_vv adds _VV_OFFSET*q, then folds [0, 20q) into [0, q) by these.
+_VV_OFFSET = 9
+_VV_FOLDS = (16, 8, 4, 2, 1)
 
 
 def _shoup_ratios(ws, q: int) -> np.ndarray:
@@ -282,8 +300,35 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool,
             table[0] = n_inv
             if n > 1:
                 table[1] = table[1] * n_inv % q
-        _table_cache[key] = (np.array(table, dtype=np.uint64), _shoup_ratios(table, q))
+        _table_cache[key] = _frozen(np.array(table, dtype=np.uint64),
+                                    _shoup_ratios(table, q))
     return _table_cache[key]
+
+
+def _stacked_twiddles(moduli: Tuple[PrimeModulus, ...], n: int, inverse: bool,
+                      mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """_twiddle_arrays of every modulus stacked into (R, n) twiddles and ratios.
+
+    Stacked anew on each call, so only the per-modulus tables stay in
+    memory; the copy is one pass over the tables, small beside the log2(N)
+    passes of the transform that reads them.
+    """
+    tables = [_twiddle_arrays(m, n, inverse, mode) for m in moduli]
+    return np.stack([w for w, _ in tables]), np.stack([r for _, r in tables])
+
+
+@functools.lru_cache(maxsize=256)
+def modulus_columns(moduli: Tuple[PrimeModulus, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """q as an (R, 1) uint64 column and 1/q, correctly rounded, as float64."""
+    return _frozen(np.array([m.q for m in moduli], dtype=np.uint64)[:, None],
+                   np.array([1 / m.q for m in moduli], dtype=np.float64)[:, None])
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """The arrays, read-only: cached tables are shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _mulmod_lazy(a: np.ndarray, w: np.ndarray, ratio: np.ndarray,
@@ -323,78 +368,153 @@ def _mulmod(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.uint64) -> np
     return x
 
 
+def _mulmod_vv_lazy(a: np.ndarray, b: np.ndarray, q: np.ndarray,
+                    qinv: np.ndarray) -> np.ndarray:
+    """a*b mod q plus a multiple of q, in [0, 19q), for two varying operands.
+
+    a, b in [0, q), q < 2^54, qinv = fl(1/q) correctly rounded; all four
+    broadcast.  No table holds b/q here, so the ratio is formed per element,
+    r = fl(fl(b) * qinv), and qhat = floor(s) with s = fl(fl(a) * r).  Let
+    u = 2^-53 and Q = a*b/q < q < 2^54.  Each of fl(a), fl(b) is off by at
+    most 1 (exact below 2^53, spacing 2 up to 2^54), and qinv and the two
+    products each carry one relative rounding of at most u, so
+      s = (a + ea)(b + eb)/q * (1 + E),  |ea|, |eb| <= 1,  |E| <= (1+u)^3 - 1.
+    Then |(a + ea)(b + eb) - a*b| <= a + b + 1 < 2q, so
+      |s - Q| < 2(1 + |E|) + Q*|E| < 2.01 + 2^54 * 3.01u < 8.1,
+    and floor(Q) - qhat lies in [-9, 9].  a*b - qhat*q is therefore
+    (a*b mod q) + k*q with k in [-9, 9]; adding 9q gives [0, 19q), below
+    2^59, so the wrapping uint64 arithmetic is exact.  s >= 0, so the cast
+    to uint64 is the floor.  A sum of m such products wraps only if
+    19*m*q > 2^64: callers that reduce a sum once assert the bound.
+    """
+    ratio = b.astype(np.float64) * qinv
+    qhat = (a.astype(np.float64) * ratio).astype(np.uint64)
+    qhat *= q
+    x = a * b
+    x -= qhat
+    x += np.uint64(_VV_OFFSET) * q
+    return x
+
+
+def _mulmod_vv(a: np.ndarray, b: np.ndarray, q: np.ndarray, qinv: np.ndarray,
+               acc: np.ndarray | None = None) -> np.ndarray:
+    """(acc +) a*b mod q in [0, q); _mulmod_vv_lazy then branch-free folds.
+
+    acc, when given, lies in [0, q): the lazy value plus it stays below 20q,
+    which the folds by 16q, 8q, 4q, 2q and q bring into [0, q).
+    """
+    x = _mulmod_vv_lazy(a, b, q, qinv)
+    if acc is not None:
+        x += acc
+    for k in _VV_FOLDS:
+        _fold(x, np.uint64(k) * q)
+    return x
+
+
 def _fold(x: np.ndarray, c: np.uint64) -> np.ndarray:
     """x in [0, 2c) -> x mod c, in place: below c, x - c wraps above x."""
     return np.minimum(x, x - c, out=x)
 
 
-def _residues(p: Poly) -> np.ndarray:
-    """The coefficients as a uint64 array, each checked to lie in [0, q)."""
+def _checked_rows(x, q: np.ndarray) -> np.ndarray:
+    """A uint64 copy of the (..., R, N) stack x, every row r checked against q[r]."""
     try:
-        x = np.array(p.coeffs, dtype=np.uint64)
+        x = np.array(x, dtype=np.uint64)
     except OverflowError:
-        raise ResidueOutOfRange(f"coefficients must lie in [0, {p.modulus.q})") from None
-    if x.size and int(x.max()) >= p.modulus.q:
-        raise ResidueOutOfRange(f"coefficients must lie in [0, {p.modulus.q})")
+        raise ResidueOutOfRange("coefficients must lie in [0, q) of their row") from None
+    if x.ndim < 2 or x.shape[-2] != len(q):
+        raise LengthMismatch(f"a stack of {len(q)} rows needs shape (..., {len(q)}, N), "
+                             f"got {x.shape}")
+    if x.size and (x.max(axis=-1, keepdims=True) >= q).any():
+        raise ResidueOutOfRange("coefficients must lie in [0, q) of their row")
+    return x
+
+
+def _residues(p: Poly) -> np.ndarray:
+    """The coefficients as a (1, N) uint64 stack, each checked to lie in [0, q)."""
+    return _checked_rows([p.coeffs], modulus_columns((p.modulus,))[0])
+
+
+def ntt_rows(x, moduli: Sequence[PrimeModulus],
+             mode: str = TwiddleSource.STORED) -> np.ndarray:
+    """Forward negacyclic NTT of every row of a (..., R, N) stack of residues.
+
+    Row r, in every leading batch position, is a limb over moduli[r]; rows
+    may carry different moduli.  x may be any array-like of integers; each
+    residue is checked to lie in [0, q) of its row.  Returns a new uint64
+    stack in bit-reversed order, bit-identical to ntt_oracle row by row.
+    Stage s views each row as (2^s, 2, t) blocks and runs every
+    Cooley-Tukey butterfly of the stage, in all rows, at once.
+    """
+    moduli = tuple(moduli)
+    q, _ = modulus_columns(moduli)
+    x = _checked_rows(x, q)
+    n = x.shape[-1]
+    w, ratio = _stacked_twiddles(moduli, n, False, mode)
+    lead = x.shape[:-1]
+    qb = q[:, :, None]
+    blocks, t = 1, n
+    while blocks < n:
+        t >>= 1
+        view = x.reshape(*lead, blocks, 2, t)
+        u = view[..., 0, :]
+        v = _mulmod(view[..., 1, :], w[:, blocks:2 * blocks, None],
+                    ratio[:, blocks:2 * blocks, None], qb)
+        diff = u - v
+        diff += qb
+        u += v
+        view[..., 1, :] = diff
+        _fold(x, q)
+        blocks <<= 1
+    return x
+
+
+def intt_rows(x, moduli: Sequence[PrimeModulus],
+              mode: str = TwiddleSource.STORED) -> np.ndarray:
+    """Exact inverse of ntt_rows, including the 1/N scaling.
+
+    Bit-identical to intt_oracle row by row.  Gentleman-Sande stages mirror
+    the forward ones; the last stage multiplies its two halves by 1/N and
+    w/N instead of 1 and its twiddle w, which saves a separate scaling pass.
+    """
+    moduli = tuple(moduli)
+    q, _ = modulus_columns(moduli)
+    x = _checked_rows(x, q)
+    n = x.shape[-1]
+    w, ratio = _stacked_twiddles(moduli, n, True, mode)
+    lead = x.shape[:-1]
+    qb = q[:, :, None]
+    blocks, t = n >> 1, 1
+    while blocks:
+        view = x.reshape(*lead, blocks, 2, t)
+        u, v = view[..., 0, :], view[..., 1, :]
+        diff = u - v
+        u += v
+        np.add(diff, qb, out=v)
+        _fold(x, q)
+        view[..., 1, :] = _mulmod(v, w[:, blocks:2 * blocks, None],
+                                  ratio[:, blocks:2 * blocks, None], qb)
+        if blocks == 1:
+            view[..., 0, :] = _mulmod(u, w[:, :1, None], ratio[:, :1, None], qb)
+        blocks >>= 1
+        t <<= 1
     return x
 
 
 def ntt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
-    """Forward negacyclic NTT; output in bit-reversed order.
-
-    Bit-identical to ntt_oracle.  Stage s views the limb as (2^s, 2, t)
-    blocks and runs every Cooley-Tukey butterfly of the stage at once.
-    """
+    """Forward negacyclic NTT of one limb: a one-row ntt_rows call."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_reference expects a coefficient-domain polynomial")
-    m = p.modulus
-    n = p.n
-    w, ratio = _twiddle_arrays(m, n, inverse=False, mode=mode)
-    q = np.uint64(m.q)
-    x = _residues(p)
-    blocks, t = 1, n
-    while blocks < n:
-        t >>= 1
-        view = x.reshape(blocks, 2, t)
-        u = view[:, 0]
-        v = _mulmod(view[:, 1], w[blocks:2 * blocks, None], ratio[blocks:2 * blocks, None], q)
-        diff = u - v
-        diff += q
-        u += v
-        view[:, 1] = diff
-        _fold(x, q)
-        blocks <<= 1
-    return Poly(x.tolist(), m, Domain.NTT)
+    x = ntt_rows([p.coeffs], (p.modulus,), mode)
+    return Poly(x[0].tolist(), p.modulus, Domain.NTT)
 
 
 def intt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
-    """Exact inverse of ntt_reference, including the 1/N scaling.
-
-    Bit-identical to intt_oracle.  Gentleman-Sande stages mirror the
-    forward ones; the last stage multiplies its two halves by 1/N and w/N
-    instead of 1 and its twiddle w, which saves a separate scaling pass.
-    """
+    """Inverse negacyclic NTT of one limb: a one-row intt_rows call."""
     if p.domain != Domain.NTT:
         raise DomainError("intt_reference expects an NTT-domain polynomial")
-    m = p.modulus
-    n = p.n
-    w, ratio = _twiddle_arrays(m, n, inverse=True, mode=mode)
-    q = np.uint64(m.q)
-    x = _residues(p)
-    blocks, t = n >> 1, 1
-    while blocks:
-        view = x.reshape(blocks, 2, t)
-        u, v = view[:, 0], view[:, 1]
-        diff = u - v
-        u += v
-        np.add(diff, q, out=v)
-        _fold(x, q)
-        view[:, 1] = _mulmod(v, w[blocks:2 * blocks, None], ratio[blocks:2 * blocks, None], q)
-        if blocks == 1:
-            view[:, 0] = _mulmod(u, w[0], ratio[0], q)
-        blocks >>= 1
-        t <<= 1
-    return Poly(x.tolist(), m, Domain.COEFF)
+    x = intt_rows([p.coeffs], (p.modulus,), mode)
+    return Poly(x[0].tolist(), p.modulus, Domain.COEFF)
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
@@ -453,6 +573,33 @@ def automorphism_oracle(p: Poly, gle: int) -> Poly:
         t = i * gle % two_n
         out[t % n] = c if t < n else (q - c) % q
     return Poly(out, p.modulus, p.domain)
+
+
+@functools.lru_cache(maxsize=64)
+def _aut_map(n: int, gle: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The automorphism as a gather: destination d reads source src[d],
+    negated where neg[d] (x^i -> x^(i*gle), folded by x^N = -1)."""
+    _check_gle(gle, 2 * n)
+    i = np.arange(n, dtype=np.int64)
+    t = i * gle % (2 * n)
+    src = np.empty(n, dtype=np.intp)
+    neg = np.empty(n, dtype=bool)
+    src[t % n] = i
+    neg[t % n] = t >= n
+    return _frozen(src, neg)
+
+
+def automorphism_rows(x: np.ndarray, moduli: Sequence[PrimeModulus], gle: int) -> np.ndarray:
+    """automorphism_oracle on every row of a (..., R, N) stack, as one gather.
+
+    Returns a new stack; row r over moduli[r], residues in [0, q).
+    """
+    q, _ = modulus_columns(tuple(moduli))
+    src, neg = _aut_map(x.shape[-1], gle)
+    y = x[..., src]
+    minus = q - y
+    _fold(minus, q)
+    return np.where(neg, minus, y)
 
 
 def _shuffle_tree(lanes: List[Tuple[int, int]], n2: int) -> List[int]:
@@ -522,33 +669,50 @@ class MasOp(Enum):
     MAC = "mac"
 
 
+def mas_rows(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModulus],
+             acc: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise MAS over (..., R, N) uint64 stacks of residues in [0, q).
+
+    Row r is over moduli[r]; the operands broadcast.  ADD and SUB fold one
+    sum or difference; MUL and MAC are one _mulmod_vv each.  Returns a new
+    stack.
+    """
+    q, qinv = modulus_columns(tuple(moduli))
+    if op == MasOp.ADD:
+        return _fold(a + b, q)
+    if op == MasOp.SUB:
+        x = a - b
+        x += q
+        return _fold(x, q)
+    if op == MasOp.MUL:
+        return _mulmod_vv(a, b, q, qinv)
+    if op == MasOp.MAC:
+        if acc is None:
+            raise ValueError("MAC requires an accumulator")
+        return _mulmod_vv(a, b, q, qinv, acc)
+    raise ValueError(f"unknown MAS op {op}")  # pragma: no cover
+
+
 def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
-    """Pointwise multiply/add/subtract or multiply-and-accumulate."""
+    """Pointwise multiply/add/subtract or multiply-and-accumulate of one limb:
+    a one-row mas_rows call.  Residues must lie in [0, q)."""
     if a.modulus.q != b.modulus.q:
         raise ModulusMismatch("operands use different moduli")
     if a.domain != b.domain:
         raise DomainMismatch("operands live in different domains")
     if a.n != b.n or (acc is not None and acc.n != a.n):
         raise LengthMismatch("MAS operands must have equal lengths")
-    q = a.modulus.q
-    av, bv = a.coeffs, b.coeffs
-    if op == MasOp.ADD:
-        out = [(x + y) % q for x, y in zip(av, bv)]
-    elif op == MasOp.SUB:
-        out = [(x - y) % q for x, y in zip(av, bv)]
-    elif op == MasOp.MUL:
-        out = [x * y % q for x, y in zip(av, bv)]
-    elif op == MasOp.MAC:
+    z = None
+    if op == MasOp.MAC:
         if acc is None:
             raise ValueError("MAC requires an accumulator")
-        if acc.modulus.q != q:
+        if acc.modulus.q != a.modulus.q:
             raise ModulusMismatch("accumulator uses a different modulus")
         if acc.domain != a.domain:
             raise DomainMismatch("accumulator lives in a different domain")
-        out = [(z + x * y) % q for x, y, z in zip(av, bv, acc.coeffs)]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown MAS op {op}")
-    return Poly(out, a.modulus, a.domain)
+        z = _residues(acc)
+    out = mas_rows(op, _residues(a), _residues(b), (a.modulus,), z)
+    return Poly(out[0].tolist(), a.modulus, a.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +722,13 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
 _HEADER = struct.Struct("<IIB")
 
 
+def row_to_bytes(row: np.ndarray, modulus_id: int, domain: Domain) -> bytes:
+    """One uint64 limb in the poly_to_bytes format."""
+    return _HEADER.pack(row.size, modulus_id, domain.value) + row.astype("<u8").tobytes()
+
+
 def poly_to_bytes(p: Poly, modulus_id: int) -> bytes:
-    head = _HEADER.pack(p.n, modulus_id, p.domain.value)
-    return head + b"".join(struct.pack("<Q", c) for c in p.coeffs)
+    return row_to_bytes(np.array(p.coeffs, dtype=np.uint64), modulus_id, p.domain)
 
 
 def poly_from_bytes(data: bytes, modulus: PrimeModulus) -> Tuple[Poly, int]:

@@ -5,9 +5,9 @@ against independent oracles (the pure-int NTT butterflies, schoolbook
 negacyclic products, the direct automorphism map, a bit-serial keystream,
 wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
-addressing, drop a correction fold from the uint64 NTT kernel, or drop one
-lane's mask from the lane-packed keystream, so the harness itself can be
-shown to catch regressions.
+addressing, drop a correction fold from the uint64 NTT kernel or from the
+two-operand MAS product, or drop one lane's mask from the lane-packed
+keystream, so the harness itself can be shown to catch regressions.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from . import opcount, polykernel, trivium
 from .ckks import CkksContext, count_ops, ksk_to_bytes
 from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
-                         automorphism_oracle, automorphism_shuffle, intt_oracle,
-                         intt_reference, mas, ntt_hybrid, ntt_oracle, ntt_reference)
+                         automorphism_oracle, automorphism_rows, automorphism_shuffle,
+                         intt_oracle, intt_reference, intt_rows, mas, mas_rows,
+                         ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows)
 from .trivium import TriviumLanes, trivium_stream
 
 
@@ -102,6 +103,7 @@ def _drop_lane_mask(original):
 FAULTS = {
     "shuffle-offby1": (polykernel, "_shuffle_tree", _shuffle_offby1),
     "ntt-fold": (polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+    "mas-fold": (polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": (trivium, "_lane_mask", _drop_lane_mask),
 }
 
@@ -203,11 +205,51 @@ def suite_kernels(size: str = "toy", seed: int = 0,
         for _ in range(5):
             a = _rand_poly(rng, m, n)
             b = _rand_poly(rng, m, n)
-            prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
             res.check("negacyclic product",
-                      _agrees(lambda: intt_reference(prod).coeffs,
+                      _agrees(lambda: intt_reference(
+                          mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))).coeffs,
                               schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)),
                       comparisons=n)
+
+        # rows kernels on a mixed-modulus stack vs the per-limb oracles
+        moduli = _mixed_moduli(n)
+        for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
+            for _ in range(max(1, reps // 4)):
+                rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
+                x = np.array(rows, dtype=np.uint64)
+                res.check(f"ntt rows == oracle {mode}",
+                          _agrees(lambda: ntt_rows(x, moduli, mode).tolist(),
+                                  [ntt_oracle(Poly(r, mm), mode).coeffs
+                                   for r, mm in zip(rows, moduli)]),
+                          comparisons=n * len(moduli))
+                res.check(f"intt rows == oracle {mode}",
+                          _agrees(lambda: intt_rows(x, moduli, mode).tolist(),
+                                  [intt_oracle(Poly(r, mm, Domain.NTT), mode).coeffs
+                                   for r, mm in zip(rows, moduli)]),
+                          comparisons=n * len(moduli))
+        gle = rng.randrange(1, 2 * n) | 1
+        rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
+        res.check("automorphism rows == oracle",
+                  automorphism_rows(np.array(rows, dtype=np.uint64), moduli, gle).tolist()
+                  == [automorphism_oracle(Poly(r, mm), gle).coeffs
+                      for r, mm in zip(rows, moduli)],
+                  comparisons=n * len(moduli))
+
+        # two-operand products and MAC vs Python integers, q-1 edges included
+        for mm in moduli:
+            q = mm.q
+            edges = [q - 1 - i % 4 for i in range(n)]
+            cases = [(edges, edges, edges), (edges, _rand_poly(rng, mm, n).coeffs, edges)]
+            cases += [tuple(_rand_poly(rng, mm, n).coeffs for _ in range(3))
+                      for _ in range(max(1, reps // 4))]
+            for a, b, c in cases:
+                x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
+                res.check(f"mas mul/mac == ints q={q}",
+                          mas_rows(MasOp.MUL, x, y, (mm,))[0].tolist()
+                          == [u * v % q for u, v in zip(a, b)]
+                          and mas_rows(MasOp.MAC, x, y, (mm,), z)[0].tolist()
+                          == [(w + u * v) % q for u, v, w in zip(a, b, c)],
+                          comparisons=2 * n)
 
         # automorphism shuffle vs direct map
         plan = NttPlan(n // 16, 16)
@@ -253,6 +295,13 @@ def suite_kernels(size: str = "toy", seed: int = 0,
                       lanes[:, i].tolist() == trivium_bit_serial(sd, words),
                       comparisons=words)
     return res
+
+
+def _mixed_moduli(n: int) -> tuple:
+    """One stack of moduli for ring degree n: the suite prime and 40-, 45-
+    and 54-bit primes, so one call mixes small and full-width words."""
+    return tuple([find_ntt_prime(_suite_prime_bits(n), 2 * n)]
+                 + [find_ntt_prime(bits, 2 * n) for bits in (40, 45, 54)])
 
 
 def _suite_prime_bits(n: int) -> int:

@@ -480,6 +480,19 @@ def test_digits_dnum_above_limb_count_rejected():
     assert schedule_keyswitch_digits(REF, 4, 5, 1).total_cycles > 0
 
 
+def test_unknown_keyswitch_strategy_rejected(monkeypatch):
+    # "digitwise" used to run ALTERNATE silently (20690 cycles at l=8,
+    # dnum=3, K=3, where DIGITWISE gives 18432)
+    from fhesim.chipletsim import schedules
+    assert schedule_keyswitch_digits(REF, 8, 3, 3, "DIGITWISE").total_cycles == 18432
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for strategy in ("digitwise", "SEQUENTIAL", ""):
+        with pytest.raises(ProgramError):
+            schedule_keyswitch_digits(REF, 8, 3, 3, strategy)
+        with pytest.raises(ProgramError):
+            schedules.build_keyswitch_digits(None, 8, 3, 3, strategy)
+
+
 def test_keyswitch_dnum_without_k_rejected():
     with pytest.raises(ProgramError):
         run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "dnum": 3}])

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fhesim import opcount
-from fhesim.ckks import (Ciphertext, CkksContext, ExtCiphertext, LevelExhausted,
-                         LevelMismatch, LevelOutOfRange, MissingRotationKey, RnsPoly,
-                         ScaleMismatch, SlotOverflow, _mas_submul, ciphertext_to_bytes,
-                         count_ops, derive_seed, ksk_to_bytes)
+from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
+                         LevelExhausted, LevelMismatch, LevelOutOfRange,
+                         MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
+                         _mas_submul, ciphertext_to_bytes, count_ops, derive_seed,
+                         ksk_to_bytes)
 from fhesim.modarith import find_ntt_prime, make_basis
-from fhesim.polykernel import Domain, LengthMismatch, Poly, intt_reference, ntt_reference
+from fhesim.polykernel import (Domain, LengthMismatch, Poly, ResidueOutOfRange, intt_reference,
+                               ntt_reference)
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -72,6 +74,22 @@ def test_encode_slot_overflow(ctx):
         ctx.encode(np.zeros(ctx.slots + 1), level=1)
 
 
+def test_encode_coefficient_overflow(ctx):
+    # a constant slot vector v encodes to the single coefficient v*scale,
+    # which used to wrap silently once it reached Q_l/2
+    q0 = BASIS.q_list[0].q
+    with pytest.raises(EncodeOverflow):
+        ctx.encode([1.0] * ctx.slots, level=0, scale=float(q0))
+    with pytest.raises(EncodeOverflow):
+        ctx.encode([-1.0] * ctx.slots, level=0, scale=float(q0 // 2 + 1))
+    with pytest.raises(EncodeOverflow):
+        ctx.encode([1.0] * ctx.slots, level=1, scale=float(q0 * BASIS.q_list[1].q))
+    pt = ctx.encode([1.0] * ctx.slots, level=0, scale=float(q0 // 2 - 1))
+    assert intt_reference(pt.limbs[0]).coeffs[0] == q0 // 2 - 1
+    pt = ctx.encode([1.0] * ctx.slots, level=1, scale=float(q0))
+    assert intt_reference(pt.limbs[0]).coeffs[0] == 0
+
+
 @pytest.mark.parametrize("level", [-1, BASIS.l_max + 1])
 def test_encode_rejects_level_outside_basis(ctx, level):
     with pytest.raises(LevelOutOfRange):
@@ -108,6 +126,20 @@ def test_add_level_and_scale_checks(ctx, keyed):
     c.scale *= 2
     with pytest.raises(ScaleMismatch):
         ctx.add(a, c)
+
+
+@pytest.mark.parametrize("residue", ["q", "negative"])
+def test_public_routines_reject_out_of_range_residues(ctx, keyed, residue):
+    sk, _ = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    limb = ct.c0.limbs[1]
+    limb.coeffs[3] = limb.modulus.q if residue == "q" else -1
+    with pytest.raises(ResidueOutOfRange):
+        ctx.add(ct, ct)
+    with pytest.raises(ResidueOutOfRange):
+        ctx.mult(ct, ct)
+    with pytest.raises(ResidueOutOfRange):
+        ctx.decrypt(ct, sk)
 
 
 def test_mult_cross_term_symmetry_and_zero(ctx, keyed):
@@ -238,7 +270,7 @@ def test_keygen_verification_identity(ctx, keyed):
             q = m.q
             coeffs = [
                 (k0 + av * sv - g * pv) % q
-                for k0, av, sv, pv in zip(key.digits[j].ksk0[t].coeffs, a.coeffs,
+                for k0, av, sv, pv in zip(key.digits[j].ksk0[t].tolist(), a.coeffs,
                                           sk.ntt_limbs[t].coeffs, s2[t].coeffs)
                 for g in (gadget[t],)
             ]
@@ -255,7 +287,7 @@ def test_ksk1_seed_expansion_referentially_transparent(ctx, keyed):
     key = keys.relin
     limb = ctx.ksk1_limb(key, 0, 0)
     # drop the cached limb and regenerate mid-computation
-    key.digits[0]._ksk1[0] = None
+    key.digits[0]._ksk1 = None
     again = ctx.ksk1_limb(key, 0, 0)
     assert limb.coeffs == again.coeffs
 

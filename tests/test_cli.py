@@ -49,6 +49,16 @@ def test_verify_ntt_fold_fault_fails(tmp_path):
     assert main(args) == 0
 
 
+def test_verify_mas_fold_fault_fails(tmp_path):
+    # dropping the last fold of the two-operand product leaves residues in [0, 2q)
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "mas-fold"]) == 1
+    failures = json.loads(Path(out).read_text())["failures"]
+    assert any("mas mul/mac" in f for f in failures)
+    assert main(args) == 0
+
+
 def test_verify_dump_census(tmp_path):
     census = tmp_path / "census.json"
     rc = main(["verify", "--scope", "kernels", "--size", "toy",

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
                              _find_primitive_root, find_ntt_prime, is_prime)
-from fhesim.polykernel import (Domain, DomainError, InvalidGalois, LengthMismatch,
-                               MasOp, ModulusMismatch, NttPlan, PlanMismatch, Poly,
-                               ResidueOutOfRange, _mulmod, _mulmod_lazy,
-                               _shoup_ratios, automorphism_oracle,
+from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
+                               LengthMismatch, MasOp, ModulusMismatch, NttPlan,
+                               PlanMismatch, Poly, ResidueOutOfRange, _mulmod,
+                               _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
+                               _shoup_ratios, automorphism_oracle, automorphism_rows,
                                automorphism_shuffle, intt_oracle, intt_reference,
-                               mas, ntt_hybrid, ntt_oracle, ntt_reference,
-                               poly_from_bytes, poly_to_bytes)
+                               intt_rows, mas, mas_rows, modulus_columns, ntt_hybrid,
+                               ntt_oracle, ntt_reference, ntt_rows, poly_from_bytes,
+                               poly_to_bytes)
 from fhesim.verify import schoolbook_negacyclic
 
 RNG = random.Random(7)
@@ -409,3 +411,130 @@ def test_poly_from_bytes_checks_length():
     for bad in (blob[:5], blob[:-1], blob + b"\0"):
         with pytest.raises(LengthMismatch):
             poly_from_bytes(bad, m)
+
+
+# ---------------------------------------------------------------------------
+# rows kernels and the two-operand product
+
+
+def _prime_near(x, bits):
+    """The first prime at or above x inside the bit length, else below it."""
+    q = x | 1
+    while q < 1 << bits and not is_prime(q):
+        q += 2
+    if q >= 1 << bits:
+        q = x - 1 | 1
+        while not is_prime(q):
+            q -= 2
+    return q
+
+
+@st.composite
+def primes_14_to_54(draw):
+    bits = draw(st.integers(14, 54))
+    where = draw(st.sampled_from(["low", "high", "any"]))
+    x = {"low": 1 << (bits - 1), "high": (1 << bits) - 2,
+         "any": draw(st.integers(1 << (bits - 1), (1 << bits) - 1))}[where]
+    return _prime_near(x, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=primes_14_to_54(), data=st.data())
+def test_two_operand_product_property(q, data):
+    residue = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
+    length = data.draw(st.integers(1, 16))
+    a, b, c = (data.draw(st.lists(residue, min_size=length, max_size=length))
+               for _ in range(3))
+    qa, qinv = np.array([[q]], dtype=np.uint64), np.array([[1 / q]])
+    x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
+    assert _mulmod_vv(x, y, qa, qinv)[0].tolist() == [u * v % q for u, v in zip(a, b)]
+    assert _mulmod_vv(x, y, qa, qinv, z)[0].tolist() == \
+        [(w + u * v) % q for u, v, w in zip(a, b, c)]
+
+
+def test_two_operand_quotient_error_extremes():
+    # _mulmod_vv_lazy's docstring proves floor(a*b/q) - qhat in [-9, 9].  The
+    # extremes observed on these fixed operands (q-1 edges, operands around
+    # 2^53, 2000 random residues) are pinned per width: the float estimate
+    # only strays once operands pass 2^53.
+    rng = random.Random(1)
+    observed = {}
+    for bits in (14, 40, 45, 53, 54):
+        q = largest_ntt_prime(bits, 8).q
+        ops = [q - 1 - i for i in range(64)] + [rng.randrange(q) for _ in range(2000)]
+        ops += [(1 << 53) + d for d in range(-2, 3) if (1 << 53) + d < q]
+        a = np.array(ops, dtype=np.uint64)[:, None]
+        b = np.array(ops, dtype=np.uint64)[None, :]
+        lazy = _mulmod_vv_lazy(a, b, np.uint64(q), np.float64(1 / q))
+        assert int(lazy.max()) < (2 * _VV_OFFSET + 1) * q
+        exact = np.array([[x * y % q for y in ops] for x in ops], dtype=np.uint64)
+        k = (lazy - exact) // np.uint64(q)
+        assert ((lazy - exact) % np.uint64(q) == 0).all()
+        observed[bits] = (int(k.min()) - _VV_OFFSET, int(k.max()) - _VV_OFFSET)
+        assert -9 <= observed[bits][0] <= observed[bits][1] <= 9
+    assert observed == {14: (0, 0), 40: (-1, 0), 45: (-1, 1), 53: (-2, 0), 54: (-5, 2)}
+
+
+def mixed_stack(n):
+    """kernel_primes(n) as one stack: q=97 where it exists, 14-, 40-, 45-bit
+    and the largest 54-bit primes, each row with its own modulus."""
+    return tuple(kernel_primes(n))
+
+
+def stack_inputs(moduli, n):
+    """A (2, rows, N) stack: random rows, then zeros, delta and q-1 by turns."""
+    edges = [[0] * n, [1] + [0] * (n - 1), None]
+    rand = [[RNG.randrange(m.q) for _ in range(n)] for m in moduli]
+    edge = [edges[r % 3] or [m.q - 1] * n for r, m in enumerate(moduli)]
+    return [rand, edge]
+
+
+@pytest.mark.parametrize("logn", range(1, 13))
+def test_rows_kernels_equal_oracles_on_mixed_stacks(logn):
+    n = 1 << logn
+    moduli = mixed_stack(n)
+    batch = stack_inputs(moduli, n)
+    x = np.array(batch, dtype=np.uint64)
+    for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
+        fwd = ntt_rows(x, moduli, mode)
+        inv = intt_rows(x, moduli, mode)
+        for rows, f_rows, i_rows in zip(batch, fwd.tolist(), inv.tolist()):
+            for coeffs, m, f, i in zip(rows, moduli, f_rows, i_rows):
+                assert f == ntt_oracle(Poly(coeffs, m), mode).coeffs, (n, m.q, mode)
+                assert i == intt_oracle(Poly(coeffs, m, Domain.NTT), mode).coeffs, \
+                    (n, m.q, mode)
+    for gle in {1, 2 * n - 1, RNG.randrange(1, 2 * n) | 1}:
+        out = automorphism_rows(x, moduli, gle).tolist()
+        for rows, o_rows in zip(batch, out):
+            for coeffs, m, o in zip(rows, moduli, o_rows):
+                assert o == automorphism_oracle(Poly(coeffs, m), gle).coeffs
+    y = x[::-1]
+    for op, want in ((MasOp.ADD, lambda a, b, q: (a + b) % q),
+                     (MasOp.SUB, lambda a, b, q: (a - b) % q),
+                     (MasOp.MUL, lambda a, b, q: a * b % q),
+                     (MasOp.MAC, lambda a, b, q: (b + a * b) % q)):
+        got = mas_rows(op, x, y, moduli, y if op == MasOp.MAC else None).tolist()
+        for xr, yr, gr in zip(x.tolist(), y.tolist(), got):
+            for a_row, b_row, g_row, m in zip(xr, yr, gr, moduli):
+                assert g_row == [want(a, b, m.q) for a, b in zip(a_row, b_row)], op
+
+
+def test_rows_kernels_reject_residues_outside_their_row():
+    moduli = mixed_stack(16)
+    x = np.zeros((len(moduli), 16), dtype=np.uint64)
+    x[0, 3] = moduli[0].q            # in range for every other row, not row 0
+    with pytest.raises(ResidueOutOfRange):
+        ntt_rows(x, moduli)
+    with pytest.raises(ResidueOutOfRange):
+        intt_rows(x, moduli)
+    with pytest.raises(LengthMismatch):
+        ntt_rows(x[0], moduli[:1])           # one limb needs a (1, N) stack
+    with pytest.raises(LengthMismatch):
+        intt_rows(x[1:], moduli)             # one modulus per row
+
+
+def test_modulus_columns_hold_correctly_rounded_inverses():
+    moduli = mixed_stack(16)
+    q, qinv = modulus_columns(moduli)
+    assert q[:, 0].tolist() == [m.q for m in moduli]
+    assert qinv[:, 0].tolist() == [1 / m.q for m in moduli]
