@@ -10,7 +10,7 @@ nothing about them claims cryptographic security.
 Inside every routine a ring element is one (rows, N) uint64 array, one row
 per RNS limb, and each step runs on all its limbs in one call of the rows
 kernels of polykernel: ntt_rows/intt_rows (rows may carry different
-moduli), automorphism_rows, mas_rows (products of two varying operands
+moduli), automorphism_ntt_rows, mas_rows (products of two varying operands
 through _mulmod_vv, with its own quotient-error bound) and the base
 conversion below.  Where products are summed before a single reduction
 (key multiplication, base conversion) the no-wrap bound is asserted.
@@ -18,6 +18,14 @@ Switching keys are stored as arrays too: each KskDigit holds ksk0, and
 once expanded ksk1, as one (bases, N) array.  Ciphertexts, plaintexts and
 secret keys stay list-backed Polys at the public API: each public routine
 converts its inputs once (_stack) and its outputs once (_unstack).
+
+Rotation never leaves the NTT domain: X -> X^g only permutes the
+evaluation points, so the Galois map is one gather of the bit-reversed
+evaluations (automorphism_ntt_rows), for ciphertexts as for the target
+secret of a rotation key.  rotate runs array-native from the input
+ciphertext through that gather into the key switch: both key switches are
+thin public wrappers over internals on a (d0, d1, d2) stack of
+(3, rows, N), and rotate hands them the permuted (c0, 0, c1).
 
 Every kernel invocation is routed through small wrappers so a census of
 micro-ops (INTT/NTT/MAS/AUT) can be recorded and compared against the
@@ -39,9 +47,9 @@ import numpy as np
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
 from .polykernel import (_VV_OFFSET, Domain, DomainError, LengthMismatch, MasOp, Poly,
-                         _aut_map, _checked_rows, _fold, _mulmod, _mulmod_lazy,
-                         _mulmod_vv_lazy, automorphism_rows, intt_rows, mas_rows,
-                         modulus_columns, ntt_rows, poly_to_bytes, row_to_bytes)
+                         _checked_rows, _fold, _mulmod, _mulmod_lazy, _mulmod_vv_lazy,
+                         automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns,
+                         ntt_rows, poly_to_bytes, row_to_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -125,9 +133,9 @@ def _mas(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModulus]
     return out
 
 
-def _aut(x: np.ndarray, moduli: Sequence[PrimeModulus], gle: int) -> np.ndarray:
+def _aut(x: np.ndarray, gle: int) -> np.ndarray:
     _tick("AUT", _limbs_in(x))
-    return automorphism_rows(x, moduli, gle)
+    return automorphism_ntt_rows(x, gle)
 
 
 def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
@@ -210,7 +218,7 @@ class RnsPoly:
         return self.limbs[0].domain
 
     def copy(self) -> "RnsPoly":
-        return RnsPoly([p.copy() for p in self.limbs], self.level, self.extended)
+        return RnsPoly([p.copy() for p in self.limbs], self.level, self.extended, self.scale)
 
 
 @dataclass
@@ -290,6 +298,10 @@ class CkksContext:
 
     def digit_count(self, level: int) -> int:
         return -(-(level + 1) // self.basis.k)
+
+    def _galois(self, rot: int) -> int:
+        """The Galois element 5^rot mod 2N of a rotation by rot slots."""
+        return pow(5, rot, 2 * self.n)
 
     # -- list <-> array at the public API ------------------------------------
 
@@ -444,8 +456,7 @@ class CkksContext:
                                          derive_seed(seed, 0xE), rng)
         rot_keys = {}
         for rot in rotations:
-            gle = pow(5, rot, 2 * self.n)
-            s_rot = self._small_ntt(_secret_automorphism(s_ints, gle), bases)
+            s_rot = automorphism_ntt_rows(s, self._galois(rot))
             rot_keys[rot] = self._make_keyswitch_key(
                 s, s_rot, derive_seed(seed, 0xA, rot), rng)
         return sk, KeySet(relin=relin, rotation=rot_keys)
@@ -502,14 +513,13 @@ class CkksContext:
         return ExtCiphertext(d0, d1, d2, lvl, a.scale * b.scale)
 
     def rotate_perm(self, ct: Ciphertext, rot: int) -> Ciphertext:
-        """Apply the Galois map to both components (through coefficient domain).
+        """Apply the Galois map X -> X^(5^rot) to both components, in the NTT
+        domain: one gather of their limbs, no INTT or NTT.
 
         The caller follows up with a key switch using the matching rotation
         key; until then the result decrypts under the rotated secret.
         """
-        gle = pow(5, rot, 2 * self.n)
-        moduli = self._q_bases(ct.level)
-        x = _ntt(_aut(_intt(self._rows(ct.c0, ct.c1), moduli), moduli, gle), moduli)
+        x = _aut(self._rows(ct.c0, ct.c1), self._galois(rot))
         return self._ciphertext(x, ct.level, ct.scale)
 
     # -- base conversion ----------------------------------------------------
@@ -611,19 +621,24 @@ class CkksContext:
 
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""
+        out = self._keyswitch_full_dnum(self._rows(d.d0, d.d1, d.d2), ksk, d.level)
+        return self._ciphertext(out, d.level, d.scale)
+
+    def _keyswitch_full_dnum(self, x: np.ndarray, ksk: KeySwitchKey,
+                             level: int) -> np.ndarray:
+        """keyswitch_full_dnum on a (3, rows, N) stack (d0, d1, d2), returning
+        the switched (2, rows, N) stack."""
         if self.basis.k != 1:
             raise KeyLevelTooLow("full-dnum key switch requires K == 1")
-        level = d.level
         if len(ksk.digits) < level + 1:
             raise KeyLevelTooLow("key has fewer digits than ciphertext limbs")
-        x = self._rows(d.d0, d.d1, d.d2)
         live = tuple(self.live_bases(level))
         d2c = _intt(x[2], self._q_bases(level))
         _tick("MAS", 2 * (level + 1) * len(live))
         # every limb reduced into every live base, all NTT-transformed in one call
         fan_out = _ntt(d2c[:, None, :] % modulus_columns(live)[0], live)
         acc = self._key_products(fan_out, level + 1, ksk, level)
-        return self._ciphertext(self._finish_keyswitch(x[:2], acc, level), level, d.scale)
+        return self._finish_keyswitch(x[:2], acc, level)
 
     def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, j: int, level: int) -> np.ndarray:
         """Digit j of d2 over every live base: its own limbs as they are, the
@@ -639,18 +654,23 @@ class CkksContext:
 
     def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Arbitrary-dnum key switch: digit ModUp via base conversion."""
-        level = d.level
+        out = self._keyswitch_generic(self._rows(d.d0, d.d1, d.d2), ksk, d.level)
+        return self._ciphertext(out, d.level, d.scale)
+
+    def _keyswitch_generic(self, x: np.ndarray, ksk: KeySwitchKey,
+                           level: int) -> np.ndarray:
+        """keyswitch_generic on a (3, rows, N) stack (d0, d1, d2), returning
+        the switched (2, rows, N) stack."""
         digits = self.digit_count(level)
         if digits > len(ksk.digits):
             raise KeyLevelTooLow("key has too few digits for this level")
-        x = self._rows(d.d0, d.d1, d.d2)
         nb = len(self.live_bases(level))
         d2c = _intt(x[2], self._q_bases(level))
         # key multiplication, then accumulation over the digits
         _tick("MAS", 2 * nb * digits + 2 * nb * (digits - 1))
         ys = (self._modup_digit(x[2], d2c, j, level) for j in range(digits))
         acc = self._key_products(ys, digits, ksk, level)
-        return self._ciphertext(self._finish_keyswitch(x[:2], acc, level), level, d.scale)
+        return self._finish_keyswitch(x[:2], acc, level)
 
     def _finish_keyswitch(self, carriers: np.ndarray, acc: np.ndarray,
                           level: int) -> np.ndarray:
@@ -697,24 +717,15 @@ class CkksContext:
         return self.keyswitch_generic(d, keys.relin)
 
     def rotate(self, ct: Ciphertext, rot: int, keys: KeySet) -> Ciphertext:
+        """Rotate the slots by rot: the rotate_perm gather, then a key switch
+        of the permuted (c0, 0, c1) back to the secret, on one array stack."""
         if rot not in keys.rotation:
             raise MissingRotationKey(f"no key for rotation {rot}")
-        perm = self.rotate_perm(ct, rot)
-        zero = RnsPoly([Poly([0] * self.n, p.modulus, Domain.NTT) for p in perm.c1.limbs],
-                       ct.level)
-        d = ExtCiphertext(perm.c0, zero, perm.c1, ct.level, ct.scale)
-        key = keys.rotation[rot]
-        if self.basis.k == 1:
-            return self.keyswitch_full_dnum(d, key)
-        return self.keyswitch_generic(d, key)
-
-
-def _secret_automorphism(coeffs: np.ndarray, gle: int) -> np.ndarray:
-    """Galois map on the raw integer secret (signs folded directly)."""
-    src, neg = _aut_map(len(coeffs), gle)
-    out = np.asarray(coeffs, dtype=np.int64)[src]
-    out[neg] *= -1
-    return out
+        level = ct.level
+        x = np.zeros((3, level + 1, self.n), dtype=np.uint64)
+        x[[0, 2]] = _aut(self._rows(ct.c0, ct.c1), self._galois(rot))
+        switch = self._keyswitch_full_dnum if self.basis.k == 1 else self._keyswitch_generic
+        return self._ciphertext(switch(x, keys.rotation[rot], level), level, ct.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,15 @@ class TwiddleSource:
         self._exp = 0
         self._val = 1
 
-    def _stored(self) -> List[int]:
+    def table(self) -> List[int]:
+        """The stored table, [psi^e for e < 2N], built on first use with
+        Python-int products, so the two modes share no arithmetic: the
+        on-the-fly mode's Barrett steps are checked against it."""
         if self._table is None:
-            m = self.m
-            table = [1] * m.two_n
-            for i in range(1, m.two_n):
-                table[i] = mod_mul(table[i - 1], m.psi, m)
+            q, psi = self.m.q, self.m.psi
+            table = [1] * self.m.two_n
+            for i in range(1, len(table)):
+                table[i] = table[i - 1] * psi % q
             self._table = table
         return self._table
 
@@ -207,7 +210,7 @@ class TwiddleSource:
         """psi^exp for 0 <= exp < 2N (natural-order accessor)."""
         exp %= self.m.two_n
         if self.mode == self.STORED:
-            return self._stored()[exp]
+            return self.table()[exp]
         if exp == self._exp + 1:
             self._val = mod_mul(self._val, self.m.psi, self.m)
         elif exp != self._exp:

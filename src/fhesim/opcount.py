@@ -88,9 +88,9 @@ def hmult(level: int) -> Census:
 
 
 def rotate_perm(level: int) -> Census:
-    """Functional-layer rotation: limbs pass through coefficient domain."""
+    """The Galois map of a rotation, both components: one AUT per limb, applied
+    to the NTT-domain limbs in place of INTT -> AUT -> NTT (the simulator's
+    ROTATE charges the same)."""
     c = _zero()
-    c["INTT"] = 2 * (level + 1)
     c["AUT"] = 2 * (level + 1)
-    c["NTT"] = 2 * (level + 1)
     return c

@@ -2,14 +2,17 @@
 
 Provides the forward/inverse NTT (natural input, bit-reversed output and
 back), a hierarchical (N1, N2) NTT that never materializes a transpose,
-the direct automorphism map and its shuffle-tree realization, and the
-triadic pointwise MAS unit.
+the automorphism (the direct map, its shuffle-tree realization and its
+NTT-domain gather), and the triadic pointwise MAS unit.
 
 The production kernels are uint64 NumPy rows kernels over (..., R, N)
 stacks of limbs, row r over its own modulus: ntt_rows and intt_rows (each
 radix-2 stage is one pass over every row, with the twiddle and w/q tables
-cached per modulus and stacked per call), automorphism_rows (one gather
-through an index map plus negation) and mas_rows.  Twiddle products use a
+cached per modulus and stacked per call, all drawn from one stored
+psi-power table per modulus), automorphism_ntt_rows (X -> X^g on
+NTT-domain limbs: it only permutes the evaluation points, so it is one
+gather through an index map cached per (N, g), with no sign, no modulus
+and no INTT/NTT round trip) and mas_rows.  Twiddle products use a
 float64 quotient estimate from a correctly rounded w/q (Shoup's trick; see
 _mulmod_lazy, error in [-3, 3]).  Products of two varying operands, as in
 MUL and MAC, form the ratio per element and have their own bound
@@ -18,8 +21,10 @@ MUL and MAC, form the ratio per element and have their own bound
 inside [0, q), which the transforms check.  ntt_reference, intt_reference
 and mas are one-row calls of the same kernels on list-backed Polys.  The
 pure-int butterflies are kept, unchanged, as the oracles ntt_oracle and
-intt_oracle, with automorphism_oracle and automorphism_shuffle; ntt_hybrid
-stays pure-int too, as the model of the hardware dataflow.
+intt_oracle, with automorphism_oracle (the oracle the gather is checked
+against, through the NTT) and automorphism_shuffle (the hardware AUT
+unit's dataflow on coefficient-domain limbs); ntt_hybrid stays pure-int
+too, as the model of the hardware dataflow.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
@@ -38,7 +43,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .modarith import PrimeModulus, TwiddleSource, bit_reverse
+from .modarith import PrimeModulus, TwiddleSource
 
 
 class DomainError(Exception):
@@ -126,18 +131,35 @@ def _bitrev_permutation(size: int) -> np.ndarray:
     return rev
 
 
+def _psi_powers(m: PrimeModulus) -> np.ndarray:
+    """[psi^e for e < 2N] of one modulus as uint64: the STORED twiddle source,
+    built once per modulus and shared by every table drawn from it."""
+    key = ("psi", m)
+    if key not in _table_cache:
+        _table_cache[key] = _frozen(np.array(TwiddleSource(m).table(), dtype=np.uint64))
+    return _table_cache[key][0]
+
+
+def _powers(m: PrimeModulus, exps: np.ndarray, mode: str) -> List[int]:
+    """[psi^e for e in exps], exps in [0, 2N): STORED mode indexes the stored
+    table, ON_THE_FLY generates every entry itself."""
+    if mode == TwiddleSource.STORED:
+        return _psi_powers(m)[exps].tolist()
+    src = TwiddleSource(m, mode)
+    return [src.power(e) for e in exps.tolist()]
+
+
 def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool,
                       mode: str) -> List[int]:
     """[psi^(stride_exp * bitrev(i, log2 size)) for i < size], negated exponents
     when inverse."""
     key = ("brv", m, size, stride_exp, inverse, mode)
     if key not in _table_cache:
-        src = TwiddleSource(m, mode)
         two_n = m.two_n
         exps = stride_exp * _bitrev_permutation(size) % two_n
         if inverse:
             exps = (two_n - exps) % two_n
-        _table_cache[key] = tuple(src.power(e) for e in exps.tolist())
+        _table_cache[key] = tuple(_powers(m, exps, mode))
     return list(_table_cache[key])
 
 
@@ -145,8 +167,8 @@ def _omega_table(m: PrimeModulus, size: int, stride_exp: int, mode: str) -> List
     """[psi^(stride_exp * j) for j < size]: natural powers of a cyclic root."""
     key = ("nat", m, size, stride_exp, mode)
     if key not in _table_cache:
-        src = TwiddleSource(m, mode)
-        _table_cache[key] = tuple(src.power(stride_exp * j % m.two_n) for j in range(size))
+        exps = stride_exp * np.arange(size, dtype=np.int64) % m.two_n
+        _table_cache[key] = tuple(_powers(m, exps, mode))
     return list(_table_cache[key])
 
 
@@ -154,16 +176,10 @@ def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> List[i
     """Twiddles between the two hybrid phases, indexed [c*N1 + a]."""
     key = ("mid", m, plan.n1, plan.n2, stride_exp, plan.twiddle_mode)
     if key not in _table_cache:
-        src = TwiddleSource(m, plan.twiddle_mode)
         n1, n2 = plan.n1, plan.n2
-        width2 = n2.bit_length() - 1
-        two_n = m.two_n
-        table = [1] * (n1 * n2)
-        for c in range(n2):
-            base = (2 * bit_reverse(c, width2) + 1) * stride_exp
-            for a in range(n1):
-                table[c * n1 + a] = src.power(base * a % two_n)
-        _table_cache[key] = tuple(table)
+        base = (2 * _bitrev_permutation(n2) + 1) * stride_exp
+        exps = base[:, None] * np.arange(n1, dtype=np.int64) % m.two_n
+        _table_cache[key] = tuple(_powers(m, exps.ravel(), plan.twiddle_mode))
     return list(_table_cache[key])
 
 
@@ -576,30 +592,28 @@ def automorphism_oracle(p: Poly, gle: int) -> Poly:
 
 
 @functools.lru_cache(maxsize=64)
-def _aut_map(n: int, gle: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The automorphism as a gather: destination d reads source src[d],
-    negated where neg[d] (x^i -> x^(i*gle), folded by x^N = -1)."""
-    _check_gle(gle, 2 * n)
-    i = np.arange(n, dtype=np.int64)
-    t = i * gle % (2 * n)
-    src = np.empty(n, dtype=np.intp)
-    neg = np.empty(n, dtype=bool)
-    src[t % n] = i
-    neg[t % n] = t >= n
-    return _frozen(src, neg)
+def _aut_ntt_map(n: int, gle: int) -> np.ndarray:
+    """The automorphism x -> x^gle on ntt_rows output, as a gather map.
 
-
-def automorphism_rows(x: np.ndarray, moduli: Sequence[PrimeModulus], gle: int) -> np.ndarray:
-    """automorphism_oracle on every row of a (..., R, N) stack, as one gather.
-
-    Returns a new stack; row r over moduli[r], residues in [0, q).
+    Slot i of the bit-reversed output holds the evaluation at psi^e with
+    e = 2*brv(i) + 1.  a(X^gle) there is a(psi^(e*gle)), and e*gle mod 2N
+    is odd again, the point of slot brv((e*gle mod 2N - 1) / 2): the map
+    only permutes the slots, with no sign and no modulus.
     """
-    q, _ = modulus_columns(tuple(moduli))
-    src, neg = _aut_map(x.shape[-1], gle)
-    y = x[..., src]
-    minus = q - y
-    _fold(minus, q)
-    return np.where(neg, minus, y)
+    _check_gle(gle, 2 * n)
+    brv = _bitrev_permutation(n)
+    e = (2 * brv + 1) * gle % (2 * n)
+    return _frozen(brv[(e - 1) // 2])[0]
+
+
+def automorphism_ntt_rows(x: np.ndarray, gle: int) -> np.ndarray:
+    """ntt_rows . automorphism_oracle . intt_rows on every row of a (..., R, N)
+    stack of NTT-domain limbs, as one gather through _aut_ntt_map.
+
+    Returns a new stack.  The rows may carry any moduli: the map depends on
+    N and gle only.
+    """
+    return x[..., _aut_ntt_map(x.shape[-1], gle)]
 
 
 def _shuffle_tree(lanes: List[Tuple[int, int]], n2: int) -> List[int]:

@@ -5,9 +5,10 @@ against independent oracles (the pure-int NTT butterflies, schoolbook
 negacyclic products, the direct automorphism map, a bit-serial keystream,
 wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
-addressing, drop a correction fold from the uint64 NTT kernel or from the
-two-operand MAS product, or drop one lane's mask from the lane-packed
-keystream, so the harness itself can be shown to catch regressions.
+addressing or the NTT-domain automorphism's index map, drop a correction
+fold from the uint64 NTT kernel or from the two-operand MAS product, or
+drop one lane's mask from the lane-packed keystream, so the harness itself
+can be shown to catch regressions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import opcount, polykernel, trivium
 from .ckks import CkksContext, count_ops, ksk_to_bytes
 from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
-                         automorphism_oracle, automorphism_rows, automorphism_shuffle,
+                         automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
                          intt_oracle, intt_reference, intt_rows, mas, mas_rows,
                          ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows)
 from .trivium import TriviumLanes, trivium_stream
@@ -92,6 +93,13 @@ def _shuffle_offby1(original):
     return faulty
 
 
+def _roll_index_map(original):
+    """The NTT-domain automorphism map rolled by one slot."""
+    def faulty(n, gle):
+        return np.roll(original(n, gle), 1)
+    return faulty
+
+
 def _drop_lane_mask(original):
     """The lane mask without lane 1's word: one lane alone is unaffected."""
     def faulty(lanes):
@@ -102,6 +110,7 @@ def _drop_lane_mask(original):
 # fault name -> (module, attribute, function from its original to the fault)
 FAULTS = {
     "shuffle-offby1": (polykernel, "_shuffle_tree", _shuffle_offby1),
+    "aut-ntt-index": (polykernel, "_aut_ntt_map", _roll_index_map),
     "ntt-fold": (polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
     "mas-fold": (polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": (trivium, "_lane_mask", _drop_lane_mask),
@@ -227,13 +236,19 @@ def suite_kernels(size: str = "toy", seed: int = 0,
                                   [intt_oracle(Poly(r, mm, Domain.NTT), mode).coeffs
                                    for r, mm in zip(rows, moduli)]),
                           comparisons=n * len(moduli))
-        gle = rng.randrange(1, 2 * n) | 1
-        rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
-        res.check("automorphism rows == oracle",
-                  automorphism_rows(np.array(rows, dtype=np.uint64), moduli, gle).tolist()
-                  == [automorphism_oracle(Poly(r, mm), gle).coeffs
-                      for r, mm in zip(rows, moduli)],
-                  comparisons=n * len(moduli))
+        # NTT-domain automorphism == NTT . oracle . INTT on the same stack
+        gles = {1, 2 * n - 1} | {pow(5, k, 2 * n) for k in (1, 2, 3, n // 2 - 1)}
+        gles |= {rng.randrange(1, 2 * n) | 1 for _ in range(4)}
+        for gle in sorted(gles):
+            x = np.array([_rand_poly(rng, mm, n).coeffs for mm in moduli], dtype=np.uint64)
+
+            def gather_matches():
+                coeffs = intt_rows(x, moduli).tolist()
+                want = ntt_rows([automorphism_oracle(Poly(r, mm), gle).coeffs
+                                 for r, mm in zip(coeffs, moduli)], moduli)
+                return automorphism_ntt_rows(x, gle).tolist() == want.tolist()
+            res.check(f"automorphism ntt gather gle={gle}", _agrees(gather_matches, True),
+                      comparisons=n * len(moduli))
 
         # two-operand products and MAC vs Python integers, q-1 edges included
         for mm in moduli:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fhesim import opcount
+from fhesim.chipletsim import ChipletConfig, run_workload
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
@@ -228,10 +229,40 @@ def test_rotate_perm_composition(ctx, keyed):
     v = slots_vec(ctx)
     ct = ctx.encrypt(ctx.encode(v, BASIS.l_max), sk, rng())
     once = ctx.rotate_perm(ctx.rotate_perm(ct, 1), 2)
-    combined = ctx.rotate_perm(ct, 3)
+    with count_ops() as census:
+        combined = ctx.rotate_perm(ct, 3)
+    # one gather per limb in the NTT domain, no INTT/NTT round trip
+    assert census == opcount.rotate_perm(BASIS.l_max)
+    assert census["INTT"] == census["NTT"] == 0
     for a, b in zip(once.c0.limbs + once.c1.limbs,
                     combined.c0.limbs + combined.c1.limbs):
         assert a.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_rotate_census_matches_simulator(ctx, keyed, level):
+    # K=1: the functional rotate and the simulator's ROTATE both charge one
+    # AUT per limb and a full-dnum key switch, with no INTT/NTT round trip
+    sk, keys = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+    with count_ops() as census:
+        ctx.rotate(ct, 1, keys)
+    perm, switch = opcount.rotate_perm(level), opcount.keyswitch_full(level)
+    assert census == {kind: perm[kind] + switch[kind] for kind in census}
+    for r in (1, 4):
+        rep = run_workload(ChipletConfig(exact=True, r=r), [{"op": "ROTATE", "l": level}])
+        assert {kind: rep.op_counts.get(kind, 0) for kind in census} == census, r
+
+
+def test_copied_plaintext_keeps_its_scale(ctx, keyed):
+    sk, _ = keyed
+    v = slots_vec(ctx)
+    pt = ctx.encode(v, BASIS.l_max, scale=2.0 ** 30)
+    copy = pt.copy()
+    assert copy.scale == pt.scale == 2.0 ** 30
+    ct = ctx.encrypt(copy, sk, rng())
+    assert ct.scale == 2.0 ** 30
+    assert rel_err(ctx.decode(ctx.decrypt(ct, sk), ct.scale), v) < 1e-4
 
 
 def test_missing_rotation_key(ctx, keyed):

@@ -130,3 +130,13 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].split(",")[0] == "r"
+
+
+def test_verify_aut_ntt_index_fault_fails(tmp_path):
+    # the NTT-domain automorphism's index map rolled by one slot
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "aut-ntt-index"]) == 1
+    failures = json.loads(Path(out).read_text())["failures"]
+    assert failures and all("automorphism ntt gather" in f for f in failures)
+    assert main(args) == 0

@@ -7,12 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
-                             _find_primitive_root, find_ntt_prime, is_prime)
+                             _find_primitive_root, bit_reverse, find_ntt_prime, is_prime,
+                             make_basis)
 from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
                                PlanMismatch, Poly, ResidueOutOfRange, _mulmod,
                                _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
-                               _shoup_ratios, automorphism_oracle, automorphism_rows,
+                               _psi_table_bitrev, _shoup_ratios, _table_cache,
+                               automorphism_ntt_rows, automorphism_oracle,
                                automorphism_shuffle, intt_oracle, intt_reference,
                                intt_rows, mas, mas_rows, modulus_columns, ntt_hybrid,
                                ntt_oracle, ntt_reference, ntt_rows, poly_from_bytes,
@@ -114,6 +116,29 @@ def test_hybrid_delta_all_ones():
     assert all(c == 1 for c in ntt_hybrid(p, NttPlan(16, 64)).coeffs)
 
 
+def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
+    # STORED indexes one cached psi-power table per modulus; ON_THE_FLY
+    # generates every entry itself.  Both start cold here.
+    basis = make_basis(n=64, levels=3, dnum=2, bits=40, first_bits=45, p_bits=54)
+    for m in basis.q_list + basis.p_list:
+        for key in [k for k in _table_cache if k[1] == m]:
+            del _table_cache[key]
+        src = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
+        for size in (1, 2, 64):
+            stride = m.n // size
+            for inverse in (False, True):
+                want = [src.power((-1 if inverse else 1) * stride * e)
+                        for e in range(size)]
+                perm = [bit_reverse(i, size.bit_length() - 1) for i in range(size)]
+                tables = [_psi_table_bitrev(m, size, stride, inverse, mode)
+                          for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY)]
+                assert tables[0] == tables[1] == [want[i] for i in perm], (m.q, size)
+        p = rand_poly(m, 64)
+        assert ntt_hybrid(p, NttPlan(8, 8, TwiddleSource.STORED)).coeffs == \
+            ntt_hybrid(p, NttPlan(8, 8, TwiddleSource.ON_THE_FLY)).coeffs == \
+            ntt_oracle(p).coeffs
+
+
 def test_hybrid_twiddle_modes_identical():
     m = find_ntt_prime(14, 512)
     p = rand_poly(m, 256)
@@ -185,6 +210,21 @@ def test_automorphism_composition_law():
         assert lhs.coeffs == rhs.coeffs
 
 
+@settings(max_examples=100, deadline=None)
+@given(logn=st.integers(0, 12), data=st.data())
+def test_ntt_domain_automorphism_group_law(logn, data):
+    # gather(g1) . gather(g2) == gather(g1*g2 mod 2N), and gather(g^-1)
+    # undoes gather(g): the maps form the group (Z/2N)^*
+    n = 1 << logn
+    odd = st.integers(0, n - 1).map(lambda k: 2 * k + 1)
+    g1, g2 = data.draw(odd), data.draw(odd)
+    x = np.arange(3 * n, dtype=np.uint64).reshape(3, n)
+    both = automorphism_ntt_rows(automorphism_ntt_rows(x, g2), g1)
+    assert (both == automorphism_ntt_rows(x, g1 * g2 % (2 * n))).all()
+    back = automorphism_ntt_rows(automorphism_ntt_rows(x, g1), pow(g1, -1, 2 * n))
+    assert (back == x).all()
+
+
 def test_automorphism_is_signed_permutation():
     n = 128
     m = find_ntt_prime(14, 2 * n)
@@ -214,6 +254,8 @@ def test_invalid_galois():
         automorphism_oracle(p, 2)
     with pytest.raises(InvalidGalois):
         automorphism_shuffle(p, 512, NttPlan(16, 16))
+    with pytest.raises(InvalidGalois):
+        automorphism_ntt_rows(np.zeros((1, 256), dtype=np.uint64), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +545,11 @@ def test_rows_kernels_equal_oracles_on_mixed_stacks(logn):
                 assert f == ntt_oracle(Poly(coeffs, m), mode).coeffs, (n, m.q, mode)
                 assert i == intt_oracle(Poly(coeffs, m, Domain.NTT), mode).coeffs, \
                     (n, m.q, mode)
-    for gle in {1, 2 * n - 1, RNG.randrange(1, 2 * n) | 1}:
-        out = automorphism_rows(x, moduli, gle).tolist()
-        for rows, o_rows in zip(batch, out):
-            for coeffs, m, o in zip(rows, moduli, o_rows):
-                assert o == automorphism_oracle(Poly(coeffs, m), gle).coeffs
+    fwd = ntt_rows(x, moduli)
+    for gle in {1, 2 * n - 1, pow(5, 3, 2 * n), RNG.randrange(1, 2 * n) | 1}:
+        want = ntt_rows([[automorphism_oracle(Poly(coeffs, m), gle).coeffs
+                          for coeffs, m in zip(rows, moduli)] for rows in batch], moduli)
+        assert (automorphism_ntt_rows(fwd, gle) == want).all(), (n, gle)
     y = x[::-1]
     for op, want in ((MasOp.ADD, lambda a, b, q: (a + b) % q),
                      (MasOp.SUB, lambda a, b, q: (a - b) % q),
