@@ -133,7 +133,13 @@ class ChipletConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ChipletConfig":
-        return cls(**{k: doc[k] for k in doc if k in cls.__dataclass_fields__})
+        """The config a JSON document describes; a free-text "comment" is the
+        one key besides the fields, so a misspelt field is an error."""
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__) - {"comment"})
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; "
+                              f"expected {sorted(cls.__dataclass_fields__)}")
+        return cls(**{k: doc[k] for k in doc if k != "comment"})
 
 
 @dataclass(slots=True)
@@ -150,7 +156,6 @@ class MicroOp:
     limb: Optional[int] = None
     digit: Optional[int] = None
     nbytes: int = 0
-    counted: bool = True          # False for closing ring hops (no consumer)
 
 
 class ScheduleBuilder:
@@ -163,7 +168,6 @@ class ScheduleBuilder:
     def __init__(self, cfg: ChipletConfig):
         self.cfg = cfg
         self.ops: List[MicroOp] = []
-        self.steps: List[dict] = []   # per-macro metadata for workload runs
         self._prev_ntt: Dict[str, int] = {}
         # durations and sizes depend only on the config: derive them once
         self.transform_cycles = cfg.transform_cycles()
@@ -174,7 +178,7 @@ class ScheduleBuilder:
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
             stream_deps: Sequence[int] = (), priority: Tuple = (), chiplet: int | None = None,
             phase: str = "", limb: int | None = None, digit: int | None = None,
-            nbytes: int = 0, counted: bool = True) -> int:
+            nbytes: int = 0) -> int:
         uid = len(self.ops)
         deps = list(deps)
         if resource.startswith("ntt:"):
@@ -184,8 +188,7 @@ class ScheduleBuilder:
                 deps.append(prev)
             self._prev_ntt[resource] = uid
         self.ops.append(MicroOp(uid, kind, resource, duration, deps, list(stream_deps),
-                                (*priority, uid), chiplet, phase, limb, digit, nbytes,
-                                counted))
+                                (*priority, uid), chiplet, phase, limb, digit, nbytes))
         return uid
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
@@ -205,14 +208,12 @@ class ScheduleBuilder:
                          chiplet=chiplet, phase=phase, limb=limb, digit=digit)
                 for _ in range(count)]
 
-    def send(self, src: int, duration: int | None = None, deps: Sequence[int] = (),
-             stream_deps: Sequence[int] = (), priority: Tuple = (), phase: str = "",
-             limb: int | None = None, digit: int | None = None,
-             counted: bool = True) -> int:
-        return self.add("SEND", f"c2c:{src}", duration if duration is not None
-                        else self.c2c_cycles, deps=deps, stream_deps=stream_deps,
-                        priority=priority, chiplet=src, phase=phase, limb=limb,
-                        digit=digit, nbytes=self.poly_bytes, counted=counted)
+    def send(self, src: int, deps: Sequence[int] = (), stream_deps: Sequence[int] = (),
+             priority: Tuple = (), phase: str = "", limb: int | None = None,
+             digit: int | None = None) -> int:
+        return self.add("SEND", f"c2c:{src}", self.c2c_cycles, deps=deps,
+                        stream_deps=stream_deps, priority=priority, chiplet=src,
+                        phase=phase, limb=limb, digit=digit, nbytes=self.poly_bytes)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
                  phase: str = "") -> int | None:
@@ -274,7 +275,7 @@ class Engine:
         self.cfg = cfg
 
     def run(self, ops: List[MicroOp], meta: dict | None = None,
-            with_timeline: bool = False, steps: List[dict] | None = None) -> CycleReport:
+            with_timeline: bool = False) -> CycleReport:
         heappush, heappop = heapq.heappush, heapq.heappop
         n_ops = len(ops)
         start = [-1] * n_ops
@@ -363,13 +364,11 @@ class Engine:
                     if waiting_deps[child] == 0:
                         enqueue(child, now)
 
-        return self._report(ops, start, finish, ready_at, meta or {}, with_timeline,
-                            steps)
+        return self._report(ops, start, finish, ready_at, meta or {}, with_timeline)
 
     # ------------------------------------------------------------------
 
-    def _report(self, ops, start, finish, ready_at, meta, with_timeline,
-                steps) -> CycleReport:
+    def _report(self, ops, start, finish, ready_at, meta, with_timeline) -> CycleReport:
         cfg = self.cfg
         units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(cfg.r)}
         makespan = 0

@@ -77,7 +77,7 @@ def _ring_broadcast(sb: ScheduleBuilder, producer: int, owner: int, pri: Tuple,
         src = (owner - h + 1) % r
         hop = sb.send(src, stream_deps=[prev],
                       priority=((_DRAIN,) + pri + (h,)) if closing else pri + (h,),
-                      phase=phase, limb=limb, counted=not closing)
+                      phase=phase, limb=limb)
         if not closing:
             arrival[(owner - h) % r] = hop
         prev = hop
@@ -124,7 +124,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                     hop_of[(x, m + 1)] = sb.send(
                         i, deps=gate,
                         priority=(_DRAIN, j, m) if closing else (pri0, j, m, 0),
-                        phase="modup", limb=x, counted=not closing)
+                        phase="modup", limb=x)
                 for t in own_targets[i]:
                     read = sb.hbm_read(i, deps=(
                         [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else base_deps),
@@ -552,15 +552,14 @@ def _flatten(program: Sequence[dict]):
 # Chiplet sweep
 
 
-def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30,
-                   max_workers: int | None = None) -> List[dict]:
+def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> List[dict]:
     """Amortized per-limb KeySwitch time versus chiplet count.
 
     Runs the full-depth switch for each r and amortizes over the limbs
     switched: time scales close to 1/r while
     l+1 >= r and degrades once chiplets outnumber live limbs.  Runs are
-    independent and fan out across worker threads, by default no more
-    than there are r values or CPUs.
+    independent and fan out across worker threads, no more than there are
+    r values or CPUs.
     """
     def one(run_cfg: ChipletConfig) -> dict:
         rep = schedule_keyswitch_ring(run_cfg, l)
@@ -576,7 +575,7 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30,
         raise ProgramError("the sweep needs at least one chiplet count")
     _check_at_least(l, 0, "l")
     run_cfgs = [replace(cfg, r=r) for r in r_list]   # ConfigError before any DAG
-    workers = max_workers or min(len(r_list), os.cpu_count() or 1)
+    workers = min(len(r_list), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one, run_cfgs))
     base = rows[0]["amortized_ns_per_limb"]

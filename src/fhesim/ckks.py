@@ -46,7 +46,7 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (_VV_OFFSET, Domain, DomainError, LengthMismatch, MasOp, Poly,
+from .polykernel import (_VV_OFFSET, Domain, DomainError, MasOp, Poly,
                          _checked_rows, _fold, _mulmod, _mulmod_lazy, _mulmod_vv_lazy,
                          automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns,
                          ntt_rows, poly_to_bytes, row_to_bytes)
@@ -152,14 +152,6 @@ def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
                   np.array([v / m.q for v, m in zip(w, moduli)])[:, None], q)
     _tick("MAS", _limbs_in(out))
     return out
-
-
-def _mas_submul(a: Poly, b: Poly, scalar: int) -> Poly:
-    """(a - b) * scalar of one limb: a one-row _submul call."""
-    if a.n != b.n:
-        raise LengthMismatch("MAS operands must have equal lengths")
-    out = _submul(_stack([a]), _stack([b]), [scalar], (a.modulus,))
-    return Poly(out[0].tolist(), a.modulus, a.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +545,19 @@ class CkksContext:
             )
         return self._bconv_cache[key]
 
-    def bconv_routine(self, limbs: List[Poly], targets: List[PrimeModulus],
-                      emit_ntt: bool = True) -> List[Poly]:
+    def bconv_routine(self, limbs: List[Poly], targets: List[PrimeModulus]) -> List[Poly]:
         """Fast base conversion of coefficient-domain limbs into target bases.
 
-        Returns one limb per target, NTT-transformed when emit_ntt is set.
-        The result represents the source value plus a small multiple of the
-        source-base product (the usual approximate-conversion slack).
+        Returns one NTT-domain limb per target.  The result represents the
+        source value plus a small multiple of the source-base product (the
+        usual approximate-conversion slack).
         """
         out = self._bconv(_stack(limbs, Domain.COEFF), tuple(p.modulus for p in limbs),
-                          tuple(targets), emit_ntt)
-        return _unstack(out, targets, Domain.NTT if emit_ntt else Domain.COEFF)
+                          tuple(targets))
+        return _unstack(out, targets, Domain.NTT)
 
     def _bconv(self, x: np.ndarray, sources: Tuple[PrimeModulus, ...],
-               targets: Tuple[PrimeModulus, ...], emit_ntt: bool = True) -> np.ndarray:
+               targets: Tuple[PrimeModulus, ...]) -> np.ndarray:
         """bconv_routine on a (..., sources, N) stack, returning (..., targets, N).
 
         All rows go through the uint64 product kernel at once: the source
@@ -580,7 +571,7 @@ class CkksContext:
         _tick("MAS", len(targets) * _limbs_in(x))
         acc = _mulmod_lazy(small[..., None, :, :], *to_targets).sum(axis=-2, dtype=np.uint64)
         acc %= to_targets[2][:, 0]
-        return _ntt(acc, targets) if emit_ntt else acc
+        return _ntt(acc, targets)
 
     # -- key switching ------------------------------------------------------
 

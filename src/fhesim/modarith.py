@@ -177,8 +177,12 @@ class TwiddleSource:
     """Powers of psi, either from a stored table or generated on the fly.
 
     Both modes return identical values for every exponent; the stored mode
-    reads a precomputed table while the on-the-fly mode keeps one running
-    product and reaches other exponents by square-and-multiply.
+    reads a precomputed table while the on-the-fly mode, the model of the
+    hardware's twiddle factor generator (TFG), keeps one running product,
+    steps it by one Barrett product to the next exponent and reaches other
+    exponents by square-and-multiply.  The transforms all read the stored
+    table; which source the hardware uses only changes its cost
+    (analytic.twiddle_tradeoff).
     """
 
     STORED = "stored"
@@ -217,24 +221,6 @@ class TwiddleSource:
             self._val = mod_pow(self.m.psi, exp, self.m)
         self._exp = exp
         return self._val
-
-    def bitrev_power(self, index: int) -> int:
-        """psi^bitrev(index) over the full 2N index range."""
-        width = self.m.two_n.bit_length() - 1
-        if not 0 <= index < self.m.two_n:
-            raise ValueError(f"index {index} out of range [0, {self.m.two_n})")
-        return self.power(bit_reverse(index, width))
-
-
-def twiddle(m: PrimeModulus, index: int, mode: str = TwiddleSource.STORED,
-            order: str = "natural") -> int:
-    """One twiddle factor; see TwiddleSource for the stored/on-the-fly contract."""
-    src = TwiddleSource(m, mode)
-    if order == "natural":
-        return src.power(index)
-    if order == "bitrev":
-        return src.bitrev_power(index)
-    raise ValueError(f"unknown twiddle order {order!r}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,7 @@ NTT-domain gather), and the triadic pointwise MAS unit.
 The production kernels are uint64 NumPy rows kernels over (..., R, N)
 stacks of limbs, row r over its own modulus: ntt_rows and intt_rows (each
 radix-2 stage is one pass over every row, with the twiddle and w/q tables
-cached per modulus and stacked per call, all drawn from one stored
-psi-power table per modulus), automorphism_ntt_rows (X -> X^g on
+cached per modulus and stacked per call), automorphism_ntt_rows (X -> X^g on
 NTT-domain limbs: it only permutes the evaluation points, so it is one
 gather through an index map cached per (N, g), with no sign, no modulus
 and no INTT/NTT round trip) and mas_rows.  Twiddle products use a
@@ -25,6 +24,14 @@ intt_oracle, with automorphism_oracle (the oracle the gather is checked
 against, through the NTT) and automorphism_shuffle (the hardware AUT
 unit's dataflow on coefficient-domain limbs); ntt_hybrid stays pure-int
 too, as the model of the hardware dataflow.
+
+Every transform, production, oracle and hybrid alike, reads its twiddles
+from the one stored psi-power table of its modulus.  Where the hardware
+takes them from (a stored table or the on-the-fly twiddle factor
+generator, TFG) is a cost trade-off, modelled in analytic.twiddle_tradeoff;
+the values are the same.  The TFG model is the on-the-fly mode of
+modarith.TwiddleSource, which verify and the tests check against the
+stored table for every exponent.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
@@ -99,7 +106,6 @@ class NttPlan:
 
     n1: int
     n2: int
-    twiddle_mode: str = TwiddleSource.STORED
 
     def __post_init__(self):
         for side in (self.n1, self.n2):
@@ -116,8 +122,8 @@ class NttPlan:
 
 
 # ---------------------------------------------------------------------------
-# Twiddle tables (stored or generated on the fly, identical values), keyed by
-# the whole modulus: one q can carry different roots psi.
+# Twiddle tables, every one drawn from the stored psi-power table of its
+# modulus and keyed by the whole modulus: one q can carry different roots psi.
 
 _table_cache: Dict[tuple, tuple] = {}
 
@@ -132,7 +138,7 @@ def _bitrev_permutation(size: int) -> np.ndarray:
 
 
 def _psi_powers(m: PrimeModulus) -> np.ndarray:
-    """[psi^e for e < 2N] of one modulus as uint64: the STORED twiddle source,
+    """[psi^e for e < 2N] of one modulus as uint64: the stored twiddle table,
     built once per modulus and shared by every table drawn from it."""
     key = ("psi", m)
     if key not in _table_cache:
@@ -140,46 +146,37 @@ def _psi_powers(m: PrimeModulus) -> np.ndarray:
     return _table_cache[key][0]
 
 
-def _powers(m: PrimeModulus, exps: np.ndarray, mode: str) -> List[int]:
-    """[psi^e for e in exps], exps in [0, 2N): STORED mode indexes the stored
-    table, ON_THE_FLY generates every entry itself."""
-    if mode == TwiddleSource.STORED:
-        return _psi_powers(m)[exps].tolist()
-    src = TwiddleSource(m, mode)
-    return [src.power(e) for e in exps.tolist()]
-
-
-def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int, inverse: bool,
-                      mode: str) -> List[int]:
+def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int,
+                      inverse: bool) -> List[int]:
     """[psi^(stride_exp * bitrev(i, log2 size)) for i < size], negated exponents
     when inverse."""
-    key = ("brv", m, size, stride_exp, inverse, mode)
+    key = ("brv", m, size, stride_exp, inverse)
     if key not in _table_cache:
         two_n = m.two_n
         exps = stride_exp * _bitrev_permutation(size) % two_n
         if inverse:
             exps = (two_n - exps) % two_n
-        _table_cache[key] = tuple(_powers(m, exps, mode))
+        _table_cache[key] = tuple(_psi_powers(m)[exps].tolist())
     return list(_table_cache[key])
 
 
-def _omega_table(m: PrimeModulus, size: int, stride_exp: int, mode: str) -> List[int]:
+def _omega_table(m: PrimeModulus, size: int, stride_exp: int) -> List[int]:
     """[psi^(stride_exp * j) for j < size]: natural powers of a cyclic root."""
-    key = ("nat", m, size, stride_exp, mode)
+    key = ("nat", m, size, stride_exp)
     if key not in _table_cache:
         exps = stride_exp * np.arange(size, dtype=np.int64) % m.two_n
-        _table_cache[key] = tuple(_powers(m, exps, mode))
+        _table_cache[key] = tuple(_psi_powers(m)[exps].tolist())
     return list(_table_cache[key])
 
 
 def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> List[int]:
     """Twiddles between the two hybrid phases, indexed [c*N1 + a]."""
-    key = ("mid", m, plan.n1, plan.n2, stride_exp, plan.twiddle_mode)
+    key = ("mid", m, plan.n1, plan.n2, stride_exp)
     if key not in _table_cache:
         n1, n2 = plan.n1, plan.n2
         base = (2 * _bitrev_permutation(n2) + 1) * stride_exp
         exps = base[:, None] * np.arange(n1, dtype=np.int64) % m.two_n
-        _table_cache[key] = tuple(_powers(m, exps.ravel(), plan.twiddle_mode))
+        _table_cache[key] = tuple(_psi_powers(m)[exps.ravel()].tolist())
     return list(_table_cache[key])
 
 
@@ -258,25 +255,25 @@ def _dif_cyclic(x: List[int], base: int, size: int, omega: List[int], q: int) ->
 # Oracle transforms: the pure-int butterflies, used only by verify and tests
 
 
-def ntt_oracle(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+def ntt_oracle(p: Poly) -> Poly:
     """Forward negacyclic NTT in Python integers; output in bit-reversed order."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_oracle expects a coefficient-domain polynomial")
     m = p.modulus
     n = p.n
-    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False, mode=mode)
+    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False)
     x = list(p.coeffs)
     _ct_negacyclic(x, 0, 1, n, table, m.q)
     return Poly(x, m, Domain.NTT)
 
 
-def intt_oracle(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+def intt_oracle(p: Poly) -> Poly:
     """Exact inverse of ntt_oracle, including the 1/N scaling."""
     if p.domain != Domain.NTT:
         raise DomainError("intt_oracle expects an NTT-domain polynomial")
     m = p.modulus
     n = p.n
-    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True, mode=mode)
+    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True)
     x = list(p.coeffs)
     _gs_inverse(x, n, table, m.q)
     n_inv = m.n_inv if n == m.n else pow(n, -1, m.q)
@@ -299,18 +296,17 @@ def _shoup_ratios(ws, q: int) -> np.ndarray:
     return np.array([w / q for w in ws], dtype=np.float64)
 
 
-def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool,
-                    mode: str) -> Tuple[np.ndarray, np.ndarray]:
+def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool) -> Tuple[np.ndarray, np.ndarray]:
     """The _psi_table_bitrev table as uint64 twiddles and their w/q ratios.
 
     Slot 0 is never read by a butterfly.  For the inverse it holds 1/n, and
     slot 1, the last INTT stage's twiddle, is multiplied by 1/n, so that
     stage applies the scaling.
     """
-    key = ("u64", m, n, inverse, mode)
+    key = ("u64", m, n, inverse)
     if key not in _table_cache:
         q = m.q
-        table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse, mode)
+        table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse)
         if inverse:
             n_inv = m.n_inv if n == m.n else pow(n, -1, q)
             table[0] = n_inv
@@ -321,15 +317,15 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool,
     return _table_cache[key]
 
 
-def _stacked_twiddles(moduli: Tuple[PrimeModulus, ...], n: int, inverse: bool,
-                      mode: str) -> Tuple[np.ndarray, np.ndarray]:
+def _stacked_twiddles(moduli: Tuple[PrimeModulus, ...], n: int,
+                      inverse: bool) -> Tuple[np.ndarray, np.ndarray]:
     """_twiddle_arrays of every modulus stacked into (R, n) twiddles and ratios.
 
     Stacked anew on each call, so only the per-modulus tables stay in
     memory; the copy is one pass over the tables, small beside the log2(N)
     passes of the transform that reads them.
     """
-    tables = [_twiddle_arrays(m, n, inverse, mode) for m in moduli]
+    tables = [_twiddle_arrays(m, n, inverse) for m in moduli]
     return np.stack([w for w, _ in tables]), np.stack([r for _, r in tables])
 
 
@@ -451,8 +447,7 @@ def _residues(p: Poly) -> np.ndarray:
     return _checked_rows([p.coeffs], modulus_columns((p.modulus,))[0])
 
 
-def ntt_rows(x, moduli: Sequence[PrimeModulus],
-             mode: str = TwiddleSource.STORED) -> np.ndarray:
+def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """Forward negacyclic NTT of every row of a (..., R, N) stack of residues.
 
     Row r, in every leading batch position, is a limb over moduli[r]; rows
@@ -466,7 +461,7 @@ def ntt_rows(x, moduli: Sequence[PrimeModulus],
     q, _ = modulus_columns(moduli)
     x = _checked_rows(x, q)
     n = x.shape[-1]
-    w, ratio = _stacked_twiddles(moduli, n, False, mode)
+    w, ratio = _stacked_twiddles(moduli, n, False)
     lead = x.shape[:-1]
     qb = q[:, :, None]
     blocks, t = 1, n
@@ -485,8 +480,7 @@ def ntt_rows(x, moduli: Sequence[PrimeModulus],
     return x
 
 
-def intt_rows(x, moduli: Sequence[PrimeModulus],
-              mode: str = TwiddleSource.STORED) -> np.ndarray:
+def intt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """Exact inverse of ntt_rows, including the 1/N scaling.
 
     Bit-identical to intt_oracle row by row.  Gentleman-Sande stages mirror
@@ -497,7 +491,7 @@ def intt_rows(x, moduli: Sequence[PrimeModulus],
     q, _ = modulus_columns(moduli)
     x = _checked_rows(x, q)
     n = x.shape[-1]
-    w, ratio = _stacked_twiddles(moduli, n, True, mode)
+    w, ratio = _stacked_twiddles(moduli, n, True)
     lead = x.shape[:-1]
     qb = q[:, :, None]
     blocks, t = n >> 1, 1
@@ -517,19 +511,19 @@ def intt_rows(x, moduli: Sequence[PrimeModulus],
     return x
 
 
-def ntt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+def ntt_reference(p: Poly) -> Poly:
     """Forward negacyclic NTT of one limb: a one-row ntt_rows call."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_reference expects a coefficient-domain polynomial")
-    x = ntt_rows([p.coeffs], (p.modulus,), mode)
+    x = ntt_rows([p.coeffs], (p.modulus,))
     return Poly(x[0].tolist(), p.modulus, Domain.NTT)
 
 
-def intt_reference(p: Poly, mode: str = TwiddleSource.STORED) -> Poly:
+def intt_reference(p: Poly) -> Poly:
     """Inverse negacyclic NTT of one limb: a one-row intt_rows call."""
     if p.domain != Domain.NTT:
         raise DomainError("intt_reference expects an NTT-domain polynomial")
-    x = intt_rows([p.coeffs], (p.modulus,), mode)
+    x = intt_rows([p.coeffs], (p.modulus,))
     return Poly(x[0].tolist(), p.modulus, Domain.COEFF)
 
 
@@ -549,11 +543,10 @@ def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
     q = m.q
     n1, n2 = plan.n1, plan.n2
     s = _ring_stride(m, p.n)
-    mode = plan.twiddle_mode
     x = list(p.coeffs)
 
     if n2 > 1:
-        row_table = _psi_table_bitrev(m, n2, s * n1, inverse=False, mode=mode)
+        row_table = _psi_table_bitrev(m, n2, s * n1, inverse=False)
         for a in range(n1):
             _ct_negacyclic(x, a, n1, n2, row_table, q)
 
@@ -562,7 +555,7 @@ def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
         x[i] = x[i] * mid[i] % q
 
     if n1 > 1:
-        omega = _omega_table(m, n1, 2 * s * n2, mode=mode)
+        omega = _omega_table(m, n1, 2 * s * n2)
         for c in range(n2):
             _dif_cyclic(x, c * n1, n1, omega, q)
 

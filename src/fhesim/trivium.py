@@ -24,14 +24,14 @@ every seed.  The invariant is that the bits of a lane above its register's
 length stay zero; two masks keep it.  Every feedback term is cut to the low
 64 bits of each lane before it is shifted in, and the 64-bit shift-out,
 which moves the next lane's low word into the top of this one, is cut the
-same way.  A one-lane generator is the single-seed Trivium; TriviumState,
-trivium_stream and ResidueSampler are one-lane uses of the lane generator.
+same way.  A one-lane generator is the single-seed Trivium, as in
+trivium_stream.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -108,21 +108,6 @@ class TriviumLanes:
         return out
 
 
-class TriviumState:
-    """One seed's Trivium, one word per call."""
-
-    def __init__(self, seed: int):
-        self._lane = TriviumLanes([seed])
-
-    def next_word(self) -> int:
-        # One lane: the packed word is the word itself.
-        return self._lane._packed(1)[0]
-
-    def words(self) -> Iterator[int]:
-        while True:
-            yield self.next_word()
-
-
 def trivium_stream(seed: int, count: int) -> List[int]:
     """First `count` 64-bit keystream words for the given seed."""
     return TriviumLanes([seed]).words(count)[:, 0].tolist()
@@ -170,17 +155,3 @@ class LaneSampler:
         out = np.stack([p[:n] for p in self._pending])
         self._pending = [p[n:] for p in self._pending]
         return out
-
-
-class ResidueSampler(LaneSampler):
-    """Uniform residues mod q drawn from one seed's keystream."""
-
-    def __init__(self, seed: int, q: int):
-        super().__init__([seed], [q])
-        self.q = q
-
-    def next_residue(self) -> int:
-        return int(self.draw(1)[0, 0])
-
-    def poly(self, n: int) -> List[int]:
-        return self.draw(n)[0].tolist()

@@ -9,6 +9,11 @@ addressing or the NTT-domain automorphism's index map, drop a correction
 fold from the uint64 NTT kernel or from the two-operand MAS product, or
 drop one lane's mask from the lane-packed keystream, so the harness itself
 can be shown to catch regressions.
+
+Every transform reads the stored twiddle table of its modulus.
+TwiddleSource.ON_THE_FLY, the model of the hardware's on-the-fly twiddle
+factor generator (TFG), is checked against that table for every exponent
+of every modulus of the mixed-modulus stack.
 """
 
 from __future__ import annotations
@@ -183,27 +188,23 @@ def suite_kernels(size: str = "toy", seed: int = 0,
     with inject_fault(fault):
         # uint64 kernel vs pure-int oracle on edge and random inputs
         edges = [[0] * n, [1] + [0] * (n - 1), [m.q - 1] * n]
-        for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
-            for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
-                p = Poly(coeffs, m, Domain.COEFF)
-                res.check(f"ntt kernel == oracle {mode}",
-                          ntt_reference(p, mode).coeffs == ntt_oracle(p, mode).coeffs,
-                          comparisons=n)
-                p = Poly(coeffs, m, Domain.NTT)
-                res.check(f"intt kernel == oracle {mode}",
-                          intt_reference(p, mode).coeffs == intt_oracle(p, mode).coeffs,
-                          comparisons=n)
+        for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
+            p = Poly(coeffs, m, Domain.COEFF)
+            res.check("ntt kernel == oracle",
+                      ntt_reference(p).coeffs == ntt_oracle(p).coeffs, comparisons=n)
+            p = Poly(coeffs, m, Domain.NTT)
+            res.check("intt kernel == oracle",
+                      intt_reference(p).coeffs == intt_oracle(p).coeffs, comparisons=n)
 
-        # hybrid NTT vs kernel and oracle, all requested splits, both twiddle modes
+        # hybrid NTT vs kernel and oracle, all requested splits
         for n2 in splits:
-            for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
-                plan = NttPlan(n // n2, n2, mode)
-                for _ in range(reps):
-                    p = _rand_poly(rng, m, n)
-                    hybrid = ntt_hybrid(p, plan).coeffs
-                    res.check(f"hybrid {plan.n1}x{plan.n2} {mode}",
-                              hybrid == ntt_reference(p).coeffs == ntt_oracle(p).coeffs,
-                              comparisons=2 * n)
+            plan = NttPlan(n // n2, n2)
+            for _ in range(reps):
+                p = _rand_poly(rng, m, n)
+                hybrid = ntt_hybrid(p, plan).coeffs
+                res.check(f"hybrid {plan.n1}x{plan.n2}",
+                          hybrid == ntt_reference(p).coeffs == ntt_oracle(p).coeffs,
+                          comparisons=2 * n)
 
         # roundtrip and pointwise-product oracle
         for _ in range(reps):
@@ -222,20 +223,19 @@ def suite_kernels(size: str = "toy", seed: int = 0,
 
         # rows kernels on a mixed-modulus stack vs the per-limb oracles
         moduli = _mixed_moduli(n)
-        for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
-            for _ in range(max(1, reps // 4)):
-                rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
-                x = np.array(rows, dtype=np.uint64)
-                res.check(f"ntt rows == oracle {mode}",
-                          _agrees(lambda: ntt_rows(x, moduli, mode).tolist(),
-                                  [ntt_oracle(Poly(r, mm), mode).coeffs
-                                   for r, mm in zip(rows, moduli)]),
-                          comparisons=n * len(moduli))
-                res.check(f"intt rows == oracle {mode}",
-                          _agrees(lambda: intt_rows(x, moduli, mode).tolist(),
-                                  [intt_oracle(Poly(r, mm, Domain.NTT), mode).coeffs
-                                   for r, mm in zip(rows, moduli)]),
-                          comparisons=n * len(moduli))
+        for _ in range(max(1, reps // 4)):
+            rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
+            x = np.array(rows, dtype=np.uint64)
+            res.check("ntt rows == oracle",
+                      _agrees(lambda: ntt_rows(x, moduli).tolist(),
+                              [ntt_oracle(Poly(r, mm)).coeffs
+                               for r, mm in zip(rows, moduli)]),
+                      comparisons=n * len(moduli))
+            res.check("intt rows == oracle",
+                      _agrees(lambda: intt_rows(x, moduli).tolist(),
+                              [intt_oracle(Poly(r, mm, Domain.NTT)).coeffs
+                               for r, mm in zip(rows, moduli)]),
+                      comparisons=n * len(moduli))
         # NTT-domain automorphism == NTT . oracle . INTT on the same stack
         gles = {1, 2 * n - 1} | {pow(5, k, 2 * n) for k in (1, 2, 3, n // 2 - 1)}
         gles |= {rng.randrange(1, 2 * n) | 1 for _ in range(4)}
@@ -286,12 +286,13 @@ def suite_kernels(size: str = "toy", seed: int = 0,
             res.check("automorphism composition", lhs.coeffs == rhs.coeffs,
                       comparisons=n)
 
-        # twiddle streams
-        stored = TwiddleSource(m, TwiddleSource.STORED)
-        otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
-        res.check("twiddle stored == on-the-fly",
-                  all(stored.power(e) == otf.power(e) for e in range(2 * n)),
-                  comparisons=2 * n)
+        # the on-the-fly twiddle generator (TFG model) against the stored
+        # table every transform reads, for every exponent of every modulus
+        for mm in moduli:
+            otf = TwiddleSource(mm, TwiddleSource.ON_THE_FLY)
+            res.check(f"twiddle stored == on-the-fly q={mm.q}",
+                      [otf.power(e) for e in range(2 * n)] == TwiddleSource(mm).table(),
+                      comparisons=2 * n)
 
         # keystream vs bit-serial oracle
         words = 200 if size == "toy" else 1000

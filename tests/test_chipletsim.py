@@ -221,10 +221,9 @@ def test_sweep_pool_capped_by_cpu_count(monkeypatch):
     rows = sweep_chiplets(REF, [1, 2, 1, 2, 1, 2, 1], l=1)
     assert len(rows) == 7 and sizes == [2]
     sweep_chiplets(REF, [2], l=1)
-    sweep_chiplets(REF, [1, 2], l=1, max_workers=5)
     monkeypatch.setattr(schedules.os, "cpu_count", lambda: None)
     sweep_chiplets(REF, [1, 2, 1], l=1)
-    assert sizes == [2, 1, 5, 1]
+    assert sizes == [2, 1, 1]
 
 
 def test_engine_deadlock_guard():
@@ -437,6 +436,18 @@ def test_config_error_is_value_error_and_presets_load():
     for name in ("chiplet_1024x64", "chiplet_512x128"):
         cfg = ChipletConfig.from_json_dict(load_preset(name))
         assert cfg.r == 4 and cfg.n1 * cfg.n2 == 1 << 16
+
+
+def test_config_rejects_unknown_key():
+    # A misspelt field used to be dropped, simulating at the default value.
+    doc = {**load_preset("chiplet_1024x64"), "c2c_gpbs": 1.0}
+    with pytest.raises(ConfigError, match="c2c_gpbs"):
+        ChipletConfig.from_json_dict(doc)
+    with pytest.raises(ConfigError, match="c2c_gpbs"):
+        ChipletConfig.from_json_dict({"c2c_gpbs": 1.0})
+    assert ChipletConfig.from_json_dict({"comment": "free text", "r": 2}) == \
+        ChipletConfig(r=2)
+    assert ChipletConfig.from_json_dict(REF.to_json_dict()) == REF
 
 
 def _no_builder(cfg):

@@ -11,11 +11,10 @@ from fhesim.chipletsim import ChipletConfig, run_workload
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
-                         _mas_submul, ciphertext_to_bytes, count_ops, derive_seed,
+                         _submul, ciphertext_to_bytes, count_ops, derive_seed,
                          ksk_to_bytes)
 from fhesim.modarith import find_ntt_prime, make_basis
-from fhesim.polykernel import (Domain, LengthMismatch, Poly, ResidueOutOfRange, intt_reference,
-                               ntt_reference)
+from fhesim.polykernel import Domain, Poly, ResidueOutOfRange, intt_reference, ntt_reference
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -403,10 +402,10 @@ def test_bconv_zero_and_exact_small(ctx):
     src = [BASIS.p_list[0]]
     targets = list(BASIS.q_list[:2])
     zero = [Poly([0] * ctx.n, src[0], Domain.COEFF)]
-    out = ctx.bconv_routine(zero, targets, emit_ntt=False)
+    out = [intt_reference(p) for p in ctx.bconv_routine(zero, targets)]
     assert all(c == 0 for p in out for c in p.coeffs)
     small = [Poly([i % 1000 for i in range(ctx.n)], src[0], Domain.COEFF)]
-    out = ctx.bconv_routine(small, targets, emit_ntt=False)
+    out = [intt_reference(p) for p in ctx.bconv_routine(small, targets)]
     for p in out:
         assert p.coeffs == [i % 1000 % p.modulus.q for i in range(ctx.n)]
 
@@ -421,7 +420,7 @@ def test_bconv_slack_is_multiple_of_source_product(ctx3):
     targets = list(basis.q_list)
     vals = [rngl.randrange(p_prod) for _ in range(ctx3.n)]
     limbs = [Poly([v % m.q for v in vals], m, Domain.COEFF) for m in src]
-    out = ctx3.bconv_routine(limbs, targets, emit_ntt=False)
+    out = [intt_reference(p) for p in ctx3.bconv_routine(limbs, targets)]
     mods = [m.q for m in targets]
     big_q = reduce(lambda a, b: a * b, mods)
     recon = [(big_q // m) * pow(big_q // m, -1, m) for m in mods]
@@ -442,7 +441,7 @@ def test_bconv_cross_modulus_matches_wide_integers():
     for sources, targets in ((wide, narrow), (narrow, wide)):
         limbs = [Poly([m.q - 1 - i % 3 if i < 8 else rngl.randrange(m.q)
                        for i in range(ctx.n)], m, Domain.COEFF) for m in sources]
-        out = ctx.bconv_routine(limbs, targets, emit_ntt=False)
+        out = [intt_reference(p) for p in ctx.bconv_routine(limbs, targets)]
         mods = [m.q for m in sources]
         d = reduce(lambda a, b: a * b, mods)
         hat = [d // q for q in mods]
@@ -453,13 +452,16 @@ def test_bconv_cross_modulus_matches_wide_integers():
             assert got.coeffs == want
 
 
-def test_mas_submul_rejects_unequal_lengths():
+def test_submul_one_row_matches_integers():
     m = find_ntt_prime(20, 64)
-    a = Poly([1] * 32, m, Domain.NTT)
-    b = Poly([1] * 31, m, Domain.NTT)
-    with pytest.raises(LengthMismatch):
-        _mas_submul(a, b, 3)
-    assert _mas_submul(a, a, 3).coeffs == [0] * 32
+    rngl = random.Random(2)
+    a = [rngl.randrange(m.q) for _ in range(32)]
+    b = [m.q - 1 - i for i in range(16)] + [rngl.randrange(m.q) for _ in range(16)]
+    x, y = (np.array([v], dtype=np.uint64) for v in (a, b))
+    assert _submul(x, x, [3], (m,)).tolist() == [[0] * 32]
+    for scalar in (3, m.q - 1, -5, 1 << 70):   # reduced mod q first
+        assert _submul(x, y, [scalar], (m,)).tolist() == \
+            [[(u - v) * scalar % m.q for u, v in zip(a, b)]], scalar
 
 
 # SHA-256 of keys and ciphertexts made by the pure-int keystream and base

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, RnsBasis, TwiddleSource,
-                             WordSizeExceeded, _find_primitive_root, find_ntt_prime,
-                             find_ntt_primes, is_prime, make_basis, mod_mul, mod_pow,
-                             twiddle)
+                             WordSizeExceeded, _find_primitive_root, bit_reverse,
+                             find_ntt_prime, find_ntt_primes, is_prime, make_basis, mod_mul,
+                             mod_pow)
 
 
 def test_mod_mul_small_cases():
@@ -61,14 +61,15 @@ def test_bad_psi_rejected():
 def test_twiddle_endpoints_and_sweep():
     m = find_ntt_prime(14, 2048)
     n = m.n
-    assert twiddle(m, 0) == 1
-    assert twiddle(m, n) == m.q - 1  # psi^N == -1
+    assert TwiddleSource(m).power(0) == 1
+    assert TwiddleSource(m).power(n) == m.q - 1  # psi^N == -1
     stored = TwiddleSource(m, TwiddleSource.STORED)
     otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
     assert all(stored.power(e) == otf.power(e) for e in range(2 * n))
-    # bit-reversed accessor agrees between modes as well
-    assert all(TwiddleSource(m, "stored").bitrev_power(i)
-               == TwiddleSource(m, "on_the_fly").bitrev_power(i)
+    # bit-reversed exponents agree between modes as well
+    width = (2 * n).bit_length() - 1
+    assert all(TwiddleSource(m, "stored").power(bit_reverse(i, width))
+               == TwiddleSource(m, "on_the_fly").power(bit_reverse(i, width))
                for i in range(0, 2 * n, 7))
 
 

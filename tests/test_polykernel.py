@@ -117,34 +117,30 @@ def test_hybrid_delta_all_ones():
 
 
 def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
-    # STORED indexes one cached psi-power table per modulus; ON_THE_FLY
-    # generates every entry itself.  Both start cold here.
+    # The on-the-fly generator equals the stored table at every exponent, in
+    # order (its Barrett step) and out of order (square-and-multiply), and
+    # every transform's table is the stored psi powers it should index.  The
+    # tables start cold here.
     basis = make_basis(n=64, levels=3, dnum=2, bits=40, first_bits=45, p_bits=54)
     for m in basis.q_list + basis.p_list:
         for key in [k for k in _table_cache if k[1] == m]:
             del _table_cache[key]
-        src = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
+        stored = TwiddleSource(m).table()
+        otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
+        assert [otf.power(e) for e in range(m.two_n)] == stored, m.q
+        assert [otf.power(e) for e in range(m.two_n - 1, -1, -3)] == \
+            stored[::-1][::3], m.q
+        assert stored == [pow(m.psi, e, m.q) for e in range(m.two_n)], m.q
         for size in (1, 2, 64):
             stride = m.n // size
             for inverse in (False, True):
-                want = [src.power((-1 if inverse else 1) * stride * e)
+                want = [stored[(-1 if inverse else 1) * stride * e % m.two_n]
                         for e in range(size)]
                 perm = [bit_reverse(i, size.bit_length() - 1) for i in range(size)]
-                tables = [_psi_table_bitrev(m, size, stride, inverse, mode)
-                          for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY)]
-                assert tables[0] == tables[1] == [want[i] for i in perm], (m.q, size)
+                assert _psi_table_bitrev(m, size, stride, inverse) == \
+                    [want[i] for i in perm], (m.q, size)
         p = rand_poly(m, 64)
-        assert ntt_hybrid(p, NttPlan(8, 8, TwiddleSource.STORED)).coeffs == \
-            ntt_hybrid(p, NttPlan(8, 8, TwiddleSource.ON_THE_FLY)).coeffs == \
-            ntt_oracle(p).coeffs
-
-
-def test_hybrid_twiddle_modes_identical():
-    m = find_ntt_prime(14, 512)
-    p = rand_poly(m, 256)
-    a = ntt_hybrid(p, NttPlan(16, 16, TwiddleSource.STORED))
-    b = ntt_hybrid(p, NttPlan(16, 16, TwiddleSource.ON_THE_FLY))
-    assert a.coeffs == b.coeffs
+        assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
 
 
 def test_plan_mismatch():
@@ -353,12 +349,11 @@ def test_kernel_equals_oracle_every_size(logn):
     n = 1 << logn
     for m in kernel_primes(n):
         for label, coeffs in kernel_inputs(m, n).items():
-            for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
-                case = f"N={n} q={m.q} {label} {mode}"
-                p = Poly(coeffs, m, Domain.COEFF)
-                assert ntt_reference(p, mode).coeffs == ntt_oracle(p, mode).coeffs, case
-                p = Poly(coeffs, m, Domain.NTT)
-                assert intt_reference(p, mode).coeffs == intt_oracle(p, mode).coeffs, case
+            case = f"N={n} q={m.q} {label}"
+            p = Poly(coeffs, m, Domain.COEFF)
+            assert ntt_reference(p).coeffs == ntt_oracle(p).coeffs, case
+            p = Poly(coeffs, m, Domain.NTT)
+            assert intt_reference(p).coeffs == intt_oracle(p).coeffs, case
 
 
 def test_kernel_equals_oracle_n65536():
@@ -537,15 +532,12 @@ def test_rows_kernels_equal_oracles_on_mixed_stacks(logn):
     moduli = mixed_stack(n)
     batch = stack_inputs(moduli, n)
     x = np.array(batch, dtype=np.uint64)
-    for mode in (TwiddleSource.STORED, TwiddleSource.ON_THE_FLY):
-        fwd = ntt_rows(x, moduli, mode)
-        inv = intt_rows(x, moduli, mode)
-        for rows, f_rows, i_rows in zip(batch, fwd.tolist(), inv.tolist()):
-            for coeffs, m, f, i in zip(rows, moduli, f_rows, i_rows):
-                assert f == ntt_oracle(Poly(coeffs, m), mode).coeffs, (n, m.q, mode)
-                assert i == intt_oracle(Poly(coeffs, m, Domain.NTT), mode).coeffs, \
-                    (n, m.q, mode)
     fwd = ntt_rows(x, moduli)
+    inv = intt_rows(x, moduli)
+    for rows, f_rows, i_rows in zip(batch, fwd.tolist(), inv.tolist()):
+        for coeffs, m, f, i in zip(rows, moduli, f_rows, i_rows):
+            assert f == ntt_oracle(Poly(coeffs, m)).coeffs, (n, m.q)
+            assert i == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs, (n, m.q)
     for gle in {1, 2 * n - 1, pow(5, 3, 2 * n), RNG.randrange(1, 2 * n) | 1}:
         want = ntt_rows([[automorphism_oracle(Poly(coeffs, m), gle).coeffs
                           for coeffs, m in zip(rows, moduli)] for rows in batch], moduli)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fhesim.modarith import is_prime
-from fhesim.trivium import (LaneSampler, ResidueSampler, TriviumLanes, TriviumState,
-                            trivium_stream)
+from fhesim.trivium import LaneSampler, TriviumLanes, trivium_stream
 from fhesim.verify import trivium_bit_serial
 
 
@@ -33,27 +32,28 @@ def test_first_words_nonzero_and_distinct():
 
 
 def test_state_emits_one_word_per_round():
-    st = TriviumState(7)
-    a = st.next_word()
-    b = st.next_word()
+    st = TriviumLanes([7])
+    a = st.words(1)[0, 0]
+    b = st.words(1)[0, 0]
     assert [a, b] == trivium_stream(7, 2)
 
 
 def test_residue_sampler_uniform_range():
     q = (1 << 45) - 55  # arbitrary 45-bit odd modulus for range checks
-    sampler = ResidueSampler(11, q)
-    vals = sampler.poly(4000)
+    sampler = LaneSampler([11], [q])
+    vals = sampler.draw(4000)[0].tolist()
     assert all(0 <= v < q for v in vals)
     mean = sum(vals) / len(vals)
     assert abs(mean / q - 0.5) < 0.05
     # deterministic given the seed
-    assert ResidueSampler(11, q).poly(100) == ResidueSampler(11, q).poly(100)
+    assert LaneSampler([11], [q]).draw(100).tolist() == \
+        LaneSampler([11], [q]).draw(100).tolist()
 
 
 def test_residue_sampler_rejection_small_modulus():
     # bitlen mask keeps acceptance >= 1/2, values still exact-uniform range
-    sampler = ResidueSampler(3, 97)
-    vals = sampler.poly(2000)
+    sampler = LaneSampler([3], [97])
+    vals = sampler.draw(2000)[0].tolist()
     assert all(0 <= v < 97 for v in vals)
     assert len(set(vals)) > 90
 
@@ -108,11 +108,11 @@ def test_lane_seeds_outside_64_bits_rejected(seeds):
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_single_seed_entry_points_reject_out_of_range(seed):
     with pytest.raises(ValueError):
-        TriviumState(seed)
+        TriviumLanes([seed])
     with pytest.raises(ValueError):
         trivium_stream(seed, 1)
     with pytest.raises(ValueError):
-        ResidueSampler(seed, 97)
+        LaneSampler([seed], [97])
 
 
 def _prime_above(x: int) -> int:
@@ -179,8 +179,8 @@ def test_sampler_draws_continue_the_stream():
     joined = np.concatenate(parts, axis=1)
     assert joined[0].tolist() == _scalar_rejection(88, 97, 91)
     assert joined[1].tolist() == _scalar_rejection(3, MODULI[4], 91)
-    one = ResidueSampler(88, 97)
-    assert [one.next_residue() for _ in range(5)] + one.poly(30) == \
+    one = LaneSampler([88], [97])
+    assert [int(one.draw(1)[0, 0]) for _ in range(5)] + one.draw(30)[0].tolist() == \
         _scalar_rejection(88, 97, 35)
 
 
