@@ -15,6 +15,10 @@ class UnsupportedConfig(Exception):
     pass
 
 
+class InvalidArgument(ValueError):
+    """A formula argument outside the range its closed form covers."""
+
+
 def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
     """ModUp+KeyMul cycles on one chiplet for dnum = L+1.
 
@@ -56,28 +60,30 @@ def comm_polynomials(technique: str, l: int, dnum: int | None = None,
         return Fraction((l + 1) * (l + 4))
     if technique == "OURS":
         if r is None:
-            raise ValueError("OURS needs the chiplet count r")
+            raise InvalidArgument("OURS needs the chiplet count r")
         return Fraction(0) if r == 1 else Fraction(r * (l + 3))
+    if technique not in _DIGIT_TECHNIQUES:
+        raise InvalidArgument(f"unknown technique {technique!r}")
+    if dnum is None or k is None or dnum < 1:
+        raise InvalidArgument(f"{technique} needs dnum >= 1 and K, got dnum={dnum}, K={k}")
     if technique == "DIGITWISE":
         # ModDown handled inside each chiplet by duplicating the key-mult
         # results: a one-time exchange of the ciphertext limbs plus the base
         # conversion inputs
-        if dnum is None or k is None:
-            raise ValueError("DIGITWISE needs dnum and K")
         return Fraction(2 * (dnum - 1) * (l + 1), dnum) + 2 * k
     if technique == "DIGITWISE_EXCH":
         # exchange of the extended limbs after ModUp instead
-        if dnum is None or k is None:
-            raise ValueError("DIGITWISE_EXCH needs dnum and K")
         return Fraction(2 * (dnum - 1) * (l + k + 1), dnum) + 2 * k
     if technique == "LIMBWISE":
         return Fraction(2 * (dnum - 1) * (l + k + 1))
     if technique == "LIMBWISE_EARLY":
         # distributing right after the NTT, before key multiplication
         return Fraction((dnum - 1) * (l + k + 1))
-    if technique == "COEFFWISE":
-        return Fraction((dnum + 2) * (l + k + 1))
-    raise ValueError(f"unknown technique {technique!r}")
+    return Fraction((dnum + 2) * (l + k + 1))           # COEFFWISE
+
+
+_DIGIT_TECHNIQUES = ("DIGITWISE", "DIGITWISE_EXCH", "LIMBWISE", "LIMBWISE_EARLY",
+                     "COEFFWISE")
 
 
 def chiplet_bound(levels: int, k_ratio: float, u: float = 4.0) -> int:
@@ -86,6 +92,8 @@ def chiplet_bound(levels: int, k_ratio: float, u: float = 4.0) -> int:
     u defaults to 4 (the utilization headroom chosen for the design);
     the count never exceeds L+2 regardless of how fast the links get.
     """
+    if not u > 0:
+        raise InvalidArgument(f"the headroom u must be positive, got {u}")
     if k_ratio <= 0:
         return levels + 2
     return min(int((levels + 2) / (u * k_ratio)), levels + 2)
@@ -98,6 +106,8 @@ def key_storage(levels: int, dnum: int, n: int, w: int, k: int | None = None,
     Seeded storage drops the expandable half to one 8-byte seed per limb,
     halving the footprint up to the seed overhead.
     """
+    if dnum < 1:
+        raise InvalidArgument(f"dnum must be at least 1, got {dnum}")
     if k is None:
         k = -(-(levels + 1) // dnum)
     limbs = dnum * (levels + k + 1)

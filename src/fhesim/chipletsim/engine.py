@@ -46,10 +46,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-COMPUTE_KINDS = ("NTT", "INTT", "MAS", "AUT")
+from ..opcount import KINDS as COMPUTE_KINDS
+
 LINK_KINDS = ("SEND", "HBM_RD", "HBM_WR", "HOST_RD")
 
 
@@ -73,7 +74,6 @@ class ChipletConfig:
     word_bits: int = 54
     fill_cycles: int = 0          # extra pipeline-fill per transform
     exact: bool = False           # zero fill, matched-beat transfers
-    charge_2x_comm: bool = False  # strawman rule: comm = 2x linear-op time
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -103,15 +103,14 @@ class ChipletConfig:
     def transform_cycles(self) -> int:
         return self.n1 + (0 if self.exact else self.fill_cycles)
 
-    def _beat_cycles(self) -> int:
-        # matched on-chip throughput: N2 coefficients of w bits per cycle
+    def beat_cycles(self) -> int:
+        """One polynomial at matched on-chip throughput: N2 coefficients of
+        w bits per cycle, the time of one linear op."""
         return -(-self.n // self.n2)
 
     def c2c_cycles(self) -> int:
         if self.exact:
-            return self._beat_cycles()
-        if self.charge_2x_comm:
-            return 2 * self._beat_cycles()
+            return self.beat_cycles()
         return math.ceil(self.poly_bytes / self._bytes_per_cycle(self.c2c_gbps))
 
     def hbm_cycles(self) -> int:
@@ -127,9 +126,7 @@ class ChipletConfig:
         return []
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n1", "n2", "f_ghz", "r", "hbm_gbps", "c2c_gbps", "ingress_gbps",
-            "word_bits", "fill_cycles", "exact", "charge_2x_comm")}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ChipletConfig":
@@ -240,21 +237,9 @@ class CycleReport:
     timeline: Optional[List[dict]] = None
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "schema": 1,
-            "total_cycles": self.total_cycles,
-            "wall_time_ms": self.wall_time_ms,
-            "per_chiplet": self.per_chiplet,
-            "stall_by_phase": self.stall_by_phase,
-            "links": self.links,
-            "polynomials_transferred": self.polynomials_transferred,
-            "ntt_utilization": self.ntt_utilization,
-            "op_counts": self.op_counts,
-            "phase_cycles": self.phase_cycles,
-            "meta": self.meta,
-            "warnings": self.warnings,
-        }
-        return doc
+        """Every field but the timeline, which timeline_csv writes."""
+        return {"schema": 1, **{f.name: getattr(self, f.name) for f in fields(self)
+                                if f.name != "timeline"}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, default=str)

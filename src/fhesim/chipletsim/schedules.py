@@ -16,12 +16,11 @@ AUT pairs and the links are free-running resources.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..opcount import KINDS, digit_ranges
 from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder
 
 Assignment = str  # one of ASSIGNMENTS
@@ -89,14 +88,16 @@ def _ring_broadcast(sb: ScheduleBuilder, producer: int, owner: int, pri: Tuple,
 
 
 def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
-                         include_moddown: bool = True, barrier: Optional[int] = None,
+                         include_moddown: bool = True, after: Sequence[int] = (),
                          pri0: int = 0) -> None:
+    """dnum = L+1 key switch on the non-blocking ring.  In this and every
+    builder, ops that would otherwise start at once wait for the ops in
+    `after` (in a program, the previous step)."""
     cfg = sb.cfg
     r = cfg.r
     n_targets = l + 2                       # q_0..q_l plus the special base
     own_targets = {i: [t for t in range(n_targets) if t % r == i] for i in range(r)}
     rounds = -(-(l + 1) // r)
-    base_deps = [barrier] if barrier is not None else []
 
     buf_ops: Dict[int, List[int]] = {t: [] for t in range(n_targets)}
     mac_ntts: Dict[int, List[int]] = {i: [] for i in range(r)}
@@ -107,7 +108,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
             x = j * r + i
             if x <= l:
                 intt_of[x] = sb.transform(
-                    "INTT", i, deps=base_deps, priority=(pri0, j, 0), phase="modup",
+                    "INTT", i, deps=after, priority=(pri0, j, 0), phase="modup",
                     limb=x)
         hop_of: Dict[Tuple[int, int], int] = {}
         for m in range(r):
@@ -117,7 +118,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                     continue
                 data = intt_of[x] if m == 0 else hop_of[(x, m)]
                 gate = [data] + ([sb.last_ntt(i)] if sb.last_ntt(i) is not None
-                                 else base_deps)
+                                 else list(after))
                 # relay the limb to the ring predecessor while processing it
                 if r > 1:
                     closing = m + 1 == r
@@ -127,7 +128,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                         phase="modup", limb=x)
                 for t in own_targets[i]:
                     read = sb.hbm_read(i, deps=(
-                        [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else base_deps),
+                        [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else after),
                         priority=(pri0, j, m, 1, t), phase="modup")
                     deps = [data] + ([read] if read is not None else [])
                     ntt = sb.transform("NTT", i, deps=deps,
@@ -147,11 +148,11 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                             buf_ops[t].append(mop)
 
     if include_moddown:
-        build_moddown_flow(sb, l, buf_deps=buf_ops, pri0=pri0 + 1, barrier=barrier)
+        build_moddown_flow(sb, l, buf_deps=buf_ops, pri0=pri0 + 1, after=after)
 
 
 def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int, List[int]]],
-                       pri0: int, barrier: Optional[int] = None,
+                       pri0: int, after: Sequence[int] = (),
                        components: int = 2, phase: str = "moddown") -> None:
     """Feed-forward ModDown of `components` over one special base (K = 1).
 
@@ -163,16 +164,15 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
     cfg = sb.cfg
     r = cfg.r
     owner = (l + 1) % r
-    base_deps = [barrier] if barrier is not None else []
     for comp in range(components):
-        deps = (buf_deps[l + 1] if buf_deps else base_deps) or base_deps
+        deps = (buf_deps[l + 1] if buf_deps else after) or after
         intt = sb.transform("INTT", owner, deps=deps, priority=(pri0, comp, 0),
                             phase=phase, limb=l + 1)
         sb.shadow_mas(owner, deps=[intt], priority=(pri0, comp, 0, 1), phase=phase)
         arrival = _ring_broadcast(sb, intt, owner, (pri0, comp, 1), phase, limb=l + 1)
         for t in range(l + 1):
             i = t % r
-            deps = [arrival[i]] + (buf_deps[t][-1:] if buf_deps else base_deps)
+            deps = [arrival[i], *(buf_deps[t][-1:] if buf_deps else after)]
             ntt = sb.transform("NTT", i, deps=deps, priority=(pri0, comp, 2, t),
                                phase=phase, limb=t)
             sb.shadow_mas(i, deps=[ntt], priority=(pri0, comp, 2, t, 1), phase=phase,
@@ -214,22 +214,21 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
 
 def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
                            strategy: str = "ALTERNATE",
-                           barrier: Optional[int] = None, pri0: int = 0) -> None:
+                           after: Sequence[int] = (), pri0: int = 0) -> None:
     _check_strategy(strategy)
     if strategy == "DIGITWISE":
-        build_keyswitch_digitwise(sb, l, dnum, k, barrier=barrier, pri0=pri0)
+        build_keyswitch_digitwise(sb, l, dnum, k, after=after, pri0=pri0)
         return
     cfg = sb.cfg
     r = cfg.r
     nb = l + 1 + k                       # live bases of PQ_l
-    base_deps = [barrier] if barrier is not None else []
-    digits = [list(range(i, min(i + k, l + 1))) for i in range(0, l + 1, k)]
+    digits = digit_ranges(l, k)
 
     # ModUp: all INTTs up front, hat-premultiplied, streamed ring broadcast
     arrival: Dict[Tuple[int, int], int] = {}
     for x in range(l + 1):
         owner = x % r
-        intt = sb.transform("INTT", owner, deps=base_deps, priority=(pri0, 0, x),
+        intt = sb.transform("INTT", owner, deps=after, priority=(pri0, 0, x),
                             phase="modup", limb=x)
         sb.shadow_mas(owner, deps=[intt], priority=(pri0, 0, x, 1), phase="modup",
                       limb=x)
@@ -240,12 +239,11 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
     mac_gate: Dict[int, List[int]] = {t: [] for t in range(nb)}
     mac_ntts: Dict[int, List[int]] = {i: [] for i in range(r)}
     for j, digit in enumerate(digits):
-        own = set(digit)
         for t in range(nb):
             i = t % r
-            if t in own:
+            if t in digit:
                 # key mult on the resident NTT-domain limbs, in the INTT shadow
-                km = sb.shadow_mas(i, deps=base_deps, priority=(pri0, 1, j, t, 2),
+                km = sb.shadow_mas(i, deps=after, priority=(pri0, 1, j, t, 2),
                                    phase="modup", count=2, digit=j)
                 mac_gate[t].extend(km)
                 continue
@@ -253,7 +251,7 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
             sb.shadow_mas(i, deps=deps, priority=(pri0, 1, j, t, 0), phase="modup",
                           count=len(digit), digit=j)      # base-conversion MACs
             read = sb.hbm_read(i, deps=(
-                [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else base_deps),
+                [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else after),
                 priority=(pri0, 1, j, t, 1), phase="modup")
             ntt = sb.transform("NTT", i, deps=deps + ([read] if read is not None else []),
                                priority=(pri0, 1, j, t, 2), phase="modup", digit=j,
@@ -293,7 +291,7 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
 
 
 def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
-                              barrier: Optional[int] = None, pri0: int = 0) -> None:
+                              after: Sequence[int] = (), pri0: int = 0) -> None:
     """Digit-per-chiplet distribution (comparison flow).
 
     Each chiplet runs one digit's ModUp locally; key-mult results are
@@ -303,35 +301,34 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
     cfg = sb.cfg
     r = cfg.r
     nb = l + 1 + k
-    base_deps = [barrier] if barrier is not None else []
-    digits = [list(range(i, min(i + k, l + 1))) for i in range(0, l + 1, k)]
+    digits = digit_ranges(l, k)
     for j, digit in enumerate(digits):
         c = j % r
         last = None
         for x in digit:
-            last = sb.transform("INTT", c, deps=base_deps, priority=(pri0, 0, j, x),
+            last = sb.transform("INTT", c, deps=after, priority=(pri0, 0, j, x),
                                 phase="modup", limb=x, digit=j)
         for t in range(nb - len(digit)):
-            ntt = sb.transform("NTT", c, deps=[last] if last else base_deps,
+            ntt = sb.transform("NTT", c, deps=[last] if last else after,
                                priority=(pri0, 1, j, t), phase="modup", digit=j)
             sb.shadow_mas(c, deps=[ntt], priority=(pri0, 1, j, t, 1), phase="modup",
                           count=2 + len(digit), digit=j)
         # one-time exchange: 2(dnum-1)(l+1)/dnum polynomials per chiplet
         for s in range(math.ceil(2 * (dnum - 1) * (l + 1) / dnum)):
-            sb.send(c, deps=[last] if last else base_deps, priority=(pri0, 2, j, s),
+            sb.send(c, deps=[last] if last else after, priority=(pri0, 2, j, s),
                     phase="modup", digit=j)
     # ModDown: duplicated K INTTs and base conversion, 2K polys exchanged
     for j in range(min(len(digits), r)):
         c = j % r
         last = None
         for h in range(k):
-            last = sb.transform("INTT", c, deps=base_deps, priority=(pri0, 3, j, h),
+            last = sb.transform("INTT", c, deps=after, priority=(pri0, 3, j, h),
                                 phase="moddown")
         for s in range(2 * k):
-            sb.send(c, deps=[last] if last else base_deps, priority=(pri0, 4, j, s),
+            sb.send(c, deps=[last] if last else after, priority=(pri0, 4, j, s),
                     phase="moddown")
         for t in range(math.ceil((l + 1) / max(len(digits), 1))):
-            ntt = sb.transform("NTT", c, deps=[last] if last else base_deps,
+            ntt = sb.transform("NTT", c, deps=[last] if last else after,
                                priority=(pri0, 5, j, t), phase="moddown")
             sb.shadow_mas(c, deps=[ntt], priority=(pri0, 5, j, t, 1),
                           phase="moddown", count=k + 2)
@@ -365,11 +362,18 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
 def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
     """Closed-form replays of the baseline distributions.
 
-    Per-chiplet op and transfer counts follow the comparison table;
-    communication is charged at twice the linear-op beat via the config's
-    charge_2x_comm flag.
+    Per-chiplet op and transfer counts follow the comparison table.  The
+    baselines charge communication at twice the linear-op time: a SEND
+    lasts two beats, or one matched beat in exact mode, whatever the link
+    bandwidth.
     """
     cfg = sb.cfg
+    comm = cfg.beat_cycles() * (1 if cfg.exact else 2)
+
+    def send(src: int, **kwargs) -> int:
+        return sb.add("SEND", f"c2c:{src}", comm, chiplet=src, nbytes=sb.poly_bytes,
+                      **kwargs)
+
     if technique == "A":
         # four function-partitioned chiplets; chiplet 0 owns NTT/INTT,
         # chiplet 1 the MAS units
@@ -378,11 +382,11 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
         for w in range((l + 1) * (l + 4)):
             ntt = sb.transform("NTT", 0, priority=(1, w), phase="modup")
             if w < (l + 1) * (l + 2):
-                snd = sb.send(0, deps=[ntt], priority=(1, w, 1), phase="modup")
+                snd = send(0, deps=[ntt], priority=(1, w, 1), phase="modup")
                 sb.shadow_mas(1, deps=[snd], priority=(1, w, 2), phase="modup",
                               count=2)
         for w in range(2 * (l + 2)):   # ModDown component moves
-            sb.send(1, priority=(2, w), phase="moddown")
+            send(1, priority=(2, w), phase="moddown")
     elif technique in ("B", "C"):
         intt_per = 2 if technique == "B" else l + 3
         for i in range(cfg.r):
@@ -394,9 +398,9 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
         # broadcasts: l+1 limbs to l+2 chiplets, plus 2(l+1) for ModDown
         for x in range(l + 1):
             for c in range(l + 2):
-                sb.send(x % cfg.r, priority=(2, x, c), phase="modup", limb=x)
+                send(x % cfg.r, priority=(2, x, c), phase="modup", limb=x)
         for c in range(2 * (l + 1)):
-            sb.send(c % cfg.r, priority=(3, c), phase="moddown")
+            send(c % cfg.r, priority=(3, c), phase="moddown")
     else:
         raise ValueError(f"unknown strawman technique {technique!r}")
 
@@ -407,9 +411,7 @@ def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
     technique = technique.upper()
     if technique == "OURS":
         return schedule_keyswitch_ring(cfg, l)
-    run_cfg = replace(cfg, charge_2x_comm=True)
-    if technique in ("B", "C"):
-        run_cfg = replace(run_cfg, r=l + 2)
+    run_cfg = replace(cfg, r=l + 2) if technique in ("B", "C") else cfg
     sb = ScheduleBuilder(run_cfg)
     build_strawman(sb, l, technique)
     meta = {"routine": f"strawman_{technique}", "l": l}
@@ -421,23 +423,19 @@ def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
 
 
 def _macro_pointwise(sb: ScheduleBuilder, l: int, per_limb: int,
-                     owner: Callable[[int], int], barrier: Optional[int],
+                     owner: Callable[[int], int], after: Sequence[int],
                      pri0: int, phase: str) -> None:
     for t in range(l + 1):
         for w in range(per_limb):
-            sb.add("MAS", f"mas:{owner(t)}", sb.transform_cycles,
-                   deps=[barrier] if barrier is not None else [],
+            sb.add("MAS", f"mas:{owner(t)}", sb.transform_cycles, deps=after,
                    priority=(pri0, t, w), chiplet=owner(t), phase=phase, limb=t)
 
 
 def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
-                   barrier: Optional[int], pri0: int) -> None:
-    cfg = sb.cfg
-    r = cfg.r
+                   after: Sequence[int], pri0: int) -> None:
     src = owner(l)
-    base = [barrier] if barrier is not None else []
     for comp in range(2):
-        intt = sb.transform("INTT", src, deps=base, priority=(pri0, comp, 0),
+        intt = sb.transform("INTT", src, deps=after, priority=(pri0, comp, 0),
                             phase="rescale", limb=l)
         arrival = _ring_broadcast(sb, intt, src, (pri0, comp, 1), "rescale", limb=l)
         for t in range(l):
@@ -449,13 +447,12 @@ def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
 
 
 def _macro_rotate(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
-                  barrier: Optional[int], pri0: int) -> None:
-    base = [barrier] if barrier is not None else []
+                  after: Sequence[int], pri0: int) -> None:
     for comp in range(2):
         for t in range(l + 1):
-            sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles, deps=base,
+            sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles, deps=after,
                    priority=(pri0, comp, t), chiplet=owner(t), phase="rotate", limb=t)
-    build_keyswitch_ring(sb, l, barrier=barrier, pri0=pri0 + 1)
+    build_keyswitch_ring(sb, l, after=after, pri0=pri0 + 1)
 
 
 def run_workload(cfg: ChipletConfig, program: Sequence[dict],
@@ -466,6 +463,10 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     Program entries: {"op": HADD|HMULT|KEYSWITCH|ROTATE|RESCALE|MODDOWN,
     "l": level, maybe "dnum"/"k"}.  BOOTSTRAP_SCHED entries carry a nested
     "schedule" list of the same shape.
+
+    The assignment places only the pointwise (HADD, HMULT), rescale and AUT
+    ops; key switches, including a ROTATE's, and ModDown always place limb t
+    on chiplet t mod r, so SEQUENTIAL and DIGITWISE leave them unchanged.
     """
     flat = list(_flatten(program))
     if not flat:
@@ -477,7 +478,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     for step in flat:
         _check_step(step, levels)
     sb = ScheduleBuilder(cfg)
-    barrier: Optional[int] = None
+    after: Tuple[int, ...] = ()
     pri = 0
     steps_meta = []
     for step in flat:
@@ -487,39 +488,37 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         owner = (lambda t, _k=k: limb_owner(assignment, t, cfg.r, levels, k=_k))
         first_op = len(sb.ops)
         if op == "HADD":
-            _macro_pointwise(sb, l, 2, owner, barrier, pri, "hadd")
+            _macro_pointwise(sb, l, 2, owner, after, pri, "hadd")
         elif op == "HMULT":
-            _macro_pointwise(sb, l, 4, owner, barrier, pri, "hmult")
+            _macro_pointwise(sb, l, 4, owner, after, pri, "hmult")
         elif op == "KEYSWITCH":
             if "dnum" in step and int(step["dnum"]) < l + 1:
-                build_keyswitch_digits(sb, l, int(step["dnum"]), k, barrier=barrier,
+                build_keyswitch_digits(sb, l, int(step["dnum"]), k, after=after,
                                        pri0=pri)
             else:
-                build_keyswitch_ring(sb, l, barrier=barrier, pri0=pri)
+                build_keyswitch_ring(sb, l, after=after, pri0=pri)
         elif op == "ROTATE":
-            _macro_rotate(sb, l, owner, barrier, pri)
+            _macro_rotate(sb, l, owner, after, pri)
         elif op == "RESCALE":
-            _macro_rescale(sb, l, owner, barrier, pri)
+            _macro_rescale(sb, l, owner, after, pri)
         elif op == "MODDOWN":
-            build_moddown_flow(sb, l, buf_deps=None, pri0=pri, barrier=barrier)
+            build_moddown_flow(sb, l, buf_deps=None, pri0=pri, after=after)
         elif op == "HOST_LOAD":
             # initial data load over the host link; steady-state routines
             # assume operands already resident in HBM
             nbytes = int(step.get("bytes", sb.poly_bytes * (l + 1) * 2))
             cycles = math.ceil(nbytes / (cfg.ingress_gbps * 1e9 / (cfg.f_ghz * 1e9)))
-            sb.add("HOST_RD", "host", cycles,
-                   deps=[barrier] if barrier is not None else [],
-                   priority=(pri,), phase="load", nbytes=nbytes)
+            sb.add("HOST_RD", "host", cycles, deps=after, priority=(pri,),
+                   phase="load", nbytes=nbytes)
         new_ops = sb.ops[first_op:]
         active: Dict[int, set] = {}
         for mo in new_ops:
-            if mo.chiplet is not None and mo.kind in ("NTT", "INTT", "MAS", "AUT") \
-                    and mo.limb is not None:
+            if mo.chiplet is not None and mo.kind in KINDS and mo.limb is not None:
                 active.setdefault(mo.chiplet, set()).add(mo.limb)
         steps_meta.append({"op": op, "l": l,
                            "active_limbs": {c: len(s) for c, s in active.items()}})
-        barrier = sb.add("BARRIER", "barrier", 0, deps=[o.uid for o in new_ops],
-                         priority=(pri, 1 << 20))
+        after = (sb.add("BARRIER", "barrier", 0, deps=[o.uid for o in new_ops],
+                        priority=(pri, 1 << 20)),)
         pri += 4
     meta = {"routine": "workload", "assignment": assignment, "steps": steps_meta,
             "warnings": cfg.bound_warnings(levels)}
@@ -557,27 +556,22 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> Li
 
     Runs the full-depth switch for each r and amortizes over the limbs
     switched: time scales close to 1/r while
-    l+1 >= r and degrades once chiplets outnumber live limbs.  Runs are
-    independent and fan out across worker threads, no more than there are
-    r values or CPUs.
+    l+1 >= r and degrades once chiplets outnumber live limbs.
     """
-    def one(run_cfg: ChipletConfig) -> dict:
-        rep = schedule_keyswitch_ring(run_cfg, l)
-        wall_ns = rep.total_cycles / (cfg.f_ghz * 1e9) * 1e9
-        return {
-            "r": run_cfg.r,
-            "total_cycles": rep.total_cycles,
-            "amortized_ns_per_limb": wall_ns / (l + 1),
-            "ntt_utilization": rep.ntt_utilization,
-        }
-
     if not r_list:
         raise ProgramError("the sweep needs at least one chiplet count")
     _check_at_least(l, 0, "l")
     run_cfgs = [replace(cfg, r=r) for r in r_list]   # ConfigError before any DAG
-    workers = min(len(r_list), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one, run_cfgs))
+    rows = []
+    for run_cfg in run_cfgs:
+        rep = schedule_keyswitch_ring(run_cfg, l)
+        wall_ns = rep.total_cycles / (cfg.f_ghz * 1e9) * 1e9
+        rows.append({
+            "r": run_cfg.r,
+            "total_cycles": rep.total_cycles,
+            "amortized_ns_per_limb": wall_ns / (l + 1),
+            "ntt_utilization": rep.ntt_utilization,
+        })
     base = rows[0]["amortized_ns_per_limb"]
     for row in rows:
         row["ratio_to_first"] = row["amortized_ns_per_limb"] / base

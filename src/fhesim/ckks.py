@@ -35,6 +35,7 @@ streams.  The census counts limbs: a call on R rows ticks R.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from contextlib import contextmanager
@@ -47,9 +48,9 @@ import numpy as np
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
 from .polykernel import (_VV_OFFSET, Domain, DomainError, MasOp, Poly,
-                         _checked_rows, _fold, _mulmod, _mulmod_lazy, _mulmod_vv_lazy,
-                         automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns,
-                         ntt_rows, poly_to_bytes, row_to_bytes)
+                         _checked_rows, _fold, _frozen, _mulmod, _mulmod_lazy,
+                         _mulmod_vv_lazy, automorphism_ntt_rows, intt_rows, mas_rows,
+                         modulus_columns, ntt_rows, poly_to_bytes, row_to_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -98,7 +99,7 @@ _census_stack: List[Dict[str, int]] = []
 
 @contextmanager
 def count_ops():
-    counts = {"INTT": 0, "NTT": 0, "MAS": 0, "AUT": 0}
+    counts = opcount.empty_census()
     _census_stack.append(counts)
     try:
         yield counts
@@ -175,6 +176,54 @@ def _unstack(x: np.ndarray, moduli: Sequence[PrimeModulus], domain: Domain) -> L
 
 
 # ---------------------------------------------------------------------------
+# Constants derived from the moduli alone, cached per process (like
+# polykernel.modulus_columns) as read-only arrays: every context over the
+# same moduli shares them
+
+
+@functools.lru_cache(maxsize=256)
+def _gadget(basis: RnsBasis, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """P * Qhat_j * [Qhat_j^-1]_{D_j} over all PQ_L bases, for digit j of the
+    top level, as the (w, w/q) operand columns of the product kernel."""
+    q_mods = [m.q for m in basis.q_list]
+    digit = opcount.digit_ranges(basis.l_max, basis.k)[j]
+    d_j = reduce(lambda a, b: a * b, (q_mods[i] for i in digit))
+    q_hat = reduce(lambda a, b: a * b, q_mods) // d_j
+    g = basis.p_product * q_hat * pow(q_hat, -1, d_j)
+    bases = basis.q_list + basis.p_list
+    return _frozen(np.array([g % m.q for m in bases], dtype=np.uint64)[:, None],
+                   np.array([g % m.q / m.q for m in bases])[:, None])
+
+
+@functools.lru_cache(maxsize=256)
+def _bconv_plan(sources: Tuple[PrimeModulus, ...],
+                targets: Tuple[PrimeModulus, ...]) -> tuple:
+    """The constant multipliers of a base conversion, for S sources and T
+    targets, as two (w, w/q, q) operand triples of the product kernel: hat_inv mod
+    q_s shaped (S, 1), and hat mod q_t shaped (T, S, 1) with q_t shaped
+    (T, 1, 1).  Python's int division rounds each w/q correctly."""
+    mods = [m.q for m in sources]
+    t_mods = [m.q for m in targets]
+    # Each lazy product into target q_t is below 7*q_t (_mulmod_lazy),
+    # so the sum of one per source stays below 2^64 and a single
+    # reduction of it is exact: at most 146 sources for q_t < 2^54.
+    assert 7 * len(mods) * max(t_mods, default=0) <= 1 << 64, "BConv sum would wrap"
+    d = reduce(lambda a, b: a * b, mods)
+    hat = [d // q for q in mods]
+    hat_inv = [pow(h, -1, q) for h, q in zip(hat, mods)]
+    hat_mod_t = [[h % qt for h in hat] for qt in t_mods]
+    return (
+        _frozen(np.array(hat_inv, dtype=np.uint64)[:, None],
+                np.array([h / q for h, q in zip(hat_inv, mods)])[:, None],
+                np.array(mods, dtype=np.uint64)[:, None]),
+        _frozen(np.array(hat_mod_t, dtype=np.uint64)[:, :, None],
+                np.array([[h / qt for h in row] for row, qt in zip(hat_mod_t, t_mods)])
+                [:, :, None],
+                np.array(t_mods, dtype=np.uint64)[:, None, None]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Seed derivation (splitmix64) for the per-limb keystream seeds
 
 
@@ -198,11 +247,11 @@ def derive_seed(master: int, *path: int) -> int:
 
 @dataclass
 class RnsPoly:
-    """One ring element as residue limbs, optionally extended by the p bases."""
+    """One ring element as residue limbs: the q bases of its level, or those
+    plus the p bases where a routine (moddown) takes the extended form."""
 
     limbs: List[Poly]
     level: int
-    extended: bool = False
     scale: float = 0.0          # set on encoded plaintexts
 
     @property
@@ -210,7 +259,7 @@ class RnsPoly:
         return self.limbs[0].domain
 
     def copy(self) -> "RnsPoly":
-        return RnsPoly([p.copy() for p in self.limbs], self.level, self.extended, self.scale)
+        return RnsPoly([p.copy() for p in self.limbs], self.level, self.scale)
 
 
 @dataclass
@@ -270,8 +319,6 @@ class CkksContext:
         self.n = basis.n
         self.slots = basis.n // 2
         self._theta = [pow(5, j, 2 * self.n) for j in range(self.slots)]
-        self._bconv_cache: Dict[tuple, tuple] = {}
-        self._gadget_cache: Dict[tuple, List[int]] = {}
 
     # -- base bookkeeping ---------------------------------------------------
 
@@ -283,13 +330,6 @@ class CkksContext:
 
     def _q_bases(self, level: int) -> Tuple[PrimeModulus, ...]:
         return tuple(self.basis.q_list[: level + 1])
-
-    def _digit_range(self, j: int, level: int) -> range:
-        k = self.basis.k
-        return range(j * k, min((j + 1) * k, level + 1))
-
-    def digit_count(self, level: int) -> int:
-        return -(-(level + 1) // self.basis.k)
 
     def _galois(self, rot: int) -> int:
         """The Galois element 5^rot mod 2N of a rotation by rot slots."""
@@ -373,19 +413,6 @@ class CkksContext:
 
     # -- key generation -----------------------------------------------------
 
-    def _gadget(self, j: int) -> List[int]:
-        """P * Qhat_j * [Qhat_j^-1]_{D_j} as residues over all PQ_L bases."""
-        key = ("gadget", j)
-        if key not in self._gadget_cache:
-            q_mods = [m.q for m in self.basis.q_list]
-            digit = list(self._digit_range(j, self.basis.l_max))
-            d_j = reduce(lambda a, b: a * b, (q_mods[i] for i in digit))
-            q_full = reduce(lambda a, b: a * b, q_mods)
-            q_hat = q_full // d_j
-            g = self.basis.p_product * q_hat * pow(q_hat, -1, d_j)
-            self._gadget_cache[key] = [g % m.q for m in self.all_bases()]
-        return self._gadget_cache[key]
-
     def make_keyswitch_key(self, sk: SecretKey, target_ntt: List[Poly],
                            master_seed: int, rng: np.random.Generator) -> KeySwitchKey:
         """Key switching from `target` to sk: digits of (ksk0, seed-expandable ksk1).
@@ -403,13 +430,11 @@ class CkksContext:
         bases = tuple(self.all_bases())
         q, _ = modulus_columns(bases)
         digits = []
-        for j in range(self.basis.dnum):
-            gadget = self._gadget(j)
+        for j in range(len(opcount.digit_ranges(self.basis.l_max, self.basis.k))):
             e = self._small_ntt(self._gaussian_ints(rng), bases)
             seeds = [derive_seed(master_seed, j, t) for t in range(len(bases))]
             a = self._expand_ksk1(seeds, bases)
-            g_s = _mulmod(s_target, np.array(gadget, dtype=np.uint64)[:, None],
-                          np.array([g / m.q for g, m in zip(gadget, bases)])[:, None], q)
+            g_s = _mulmod(s_target, *_gadget(self.basis, j), q)
             ksk0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
                             mas_rows(MasOp.MUL, a, s, bases), bases)
             digits.append(KskDigit(ksk0=ksk0, ksk1_seeds=seeds))
@@ -516,35 +541,6 @@ class CkksContext:
 
     # -- base conversion ----------------------------------------------------
 
-    def _bconv_plan(self, sources: Tuple[PrimeModulus, ...],
-                    targets: Tuple[PrimeModulus, ...]) -> tuple:
-        """The constant multipliers of a base conversion, for S sources and T
-        targets, as two (w, w/q, q) operand triples of the product kernel: hat_inv mod
-        q_s shaped (S, 1), and hat mod q_t shaped (T, S, 1) with q_t shaped
-        (T, 1, 1).  Python's int division rounds each w/q correctly."""
-        key = (tuple(m.q for m in sources), tuple(m.q for m in targets))
-        if key not in self._bconv_cache:
-            mods = [m.q for m in sources]
-            t_mods = [m.q for m in targets]
-            # Each lazy product into target q_t is below 7*q_t (_mulmod_lazy),
-            # so the sum of one per source stays below 2^64 and a single
-            # reduction of it is exact: at most 146 sources for q_t < 2^54.
-            assert 7 * len(mods) * max(t_mods, default=0) <= 1 << 64, "BConv sum would wrap"
-            d = reduce(lambda a, b: a * b, mods)
-            hat = [d // q for q in mods]
-            hat_inv = [pow(h, -1, q) for h, q in zip(hat, mods)]
-            hat_mod_t = [[h % qt for h in hat] for qt in t_mods]
-            self._bconv_cache[key] = (
-                (np.array(hat_inv, dtype=np.uint64)[:, None],
-                 np.array([h / q for h, q in zip(hat_inv, mods)])[:, None],
-                 np.array(mods, dtype=np.uint64)[:, None]),
-                (np.array(hat_mod_t, dtype=np.uint64)[:, :, None],
-                 np.array([[h / qt for h in row] for row, qt in zip(hat_mod_t, t_mods)])
-                 [:, :, None],
-                 np.array(t_mods, dtype=np.uint64)[:, None, None]),
-            )
-        return self._bconv_cache[key]
-
     def bconv_routine(self, limbs: List[Poly], targets: List[PrimeModulus]) -> List[Poly]:
         """Fast base conversion of coefficient-domain limbs into target bases.
 
@@ -565,7 +561,7 @@ class CkksContext:
         own q_s, which may exceed q_t) times hat mod q_t, left lazy, summed
         over the sources and reduced once per target.
         """
-        to_sources, to_targets = self._bconv_plan(sources, targets)
+        to_sources, to_targets = _bconv_plan(sources, targets)
         _tick("MAS", _limbs_in(x))
         small = _mulmod(x, *to_sources)
         _tick("MAS", len(targets) * _limbs_in(x))
@@ -631,11 +627,12 @@ class CkksContext:
         acc = self._key_products(fan_out, level + 1, ksk, level)
         return self._finish_keyswitch(x[:2], acc, level)
 
-    def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, j: int, level: int) -> np.ndarray:
-        """Digit j of d2 over every live base: its own limbs as they are, the
+    def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
+                     level: int) -> np.ndarray:
+        """One digit of d2 over every live base: its own limbs as they are, the
         others converted from its coefficient-domain limbs."""
         live = tuple(self.live_bases(level))
-        own = list(self._digit_range(j, level))
+        own = list(digit)
         other = [t for t in range(len(live)) if t not in own]
         y = np.empty((len(live), self.n), dtype=np.uint64)
         y[own] = d2[own]
@@ -652,15 +649,15 @@ class CkksContext:
                            level: int) -> np.ndarray:
         """keyswitch_generic on a (3, rows, N) stack (d0, d1, d2), returning
         the switched (2, rows, N) stack."""
-        digits = self.digit_count(level)
-        if digits > len(ksk.digits):
+        digits = opcount.digit_ranges(level, self.basis.k)
+        if len(digits) > len(ksk.digits):
             raise KeyLevelTooLow("key has too few digits for this level")
         nb = len(self.live_bases(level))
         d2c = _intt(x[2], self._q_bases(level))
         # key multiplication, then accumulation over the digits
-        _tick("MAS", 2 * nb * digits + 2 * nb * (digits - 1))
-        ys = (self._modup_digit(x[2], d2c, j, level) for j in range(digits))
-        acc = self._key_products(ys, digits, ksk, level)
+        _tick("MAS", 2 * nb * len(digits) + 2 * nb * (len(digits) - 1))
+        ys = (self._modup_digit(x[2], d2c, digit, level) for digit in digits)
+        acc = self._key_products(ys, len(digits), ksk, level)
         return self._finish_keyswitch(x[:2], acc, level)
 
     def _finish_keyswitch(self, carriers: np.ndarray, acc: np.ndarray,

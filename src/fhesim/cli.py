@@ -10,13 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from . import analytic, opcount
-from .chipletsim import (ASSIGNMENTS, ChipletConfig, run_workload,
-                         schedule_keyswitch_ring, schedule_strawman, sweep_chiplets)
+from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError,
+                         run_workload, schedule_keyswitch_ring, sweep_chiplets)
 from .verify import FAULTS, run_verify
+
+# Inputs the model or a formula refuses: one line on stderr, exit status 2.
+_INPUT_ERRORS = (ConfigError, ProgramError, analytic.InvalidArgument)
 
 
 def load_preset(name: str) -> dict:
@@ -39,6 +43,12 @@ def _write_json(path: str | None, doc: dict) -> None:
         Path(path).write_text(text + "\n")
     else:
         print(text)
+
+
+def _write_csv(path: str, rows: list, keys: list) -> None:
+    lines = [",".join(keys)]
+    lines += [",".join(str(row.get(k, "")) for k in keys) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -85,9 +95,8 @@ def cmd_simulate(args) -> int:
                     problems.append(
                         f"keyswitch l={l}: transfers {single.polynomials_transferred}"
                         f" != analytic {want}")
-                exact = schedule_keyswitch_ring(
-                    ChipletConfig(**{**cfg.to_json_dict(), "exact": True, "r": 1}),
-                    l, include_moddown=False)
+                exact = schedule_keyswitch_ring(replace(cfg, exact=True, r=1), l,
+                                                include_moddown=False)
                 if exact.total_cycles != analytic.keyswitch_cycles(l, cfg.n1):
                     problems.append(f"keyswitch l={l}: exact cycles diverge")
         if problems:
@@ -122,6 +131,8 @@ def cmd_analyze(args) -> int:
                      "count": str(analytic.comm_polynomials(
                          args.tech, args.l, dnum=args.dnum, k=args.k, r=args.r))})
     elif name == "bound":
+        if not args.c2c > 0:
+            raise analytic.InvalidArgument(f"--c2c must be positive, got {args.c2c}")
         rows.append({"formula": "chiplet_bound", "L": args.L,
                      "k_ratio": args.hbm / args.c2c,
                      "max_r": analytic.chiplet_bound(args.L, args.hbm / args.c2c,
@@ -138,7 +149,12 @@ def cmd_analyze(args) -> int:
         rows.append({"formula": "twiddle_tradeoff", "n1": args.n1, "n2": args.n2,
                      **analytic.twiddle_tradeoff(args.n1, args.n2, tfg=not args.no_tfg)})
     elif name == "census":
-        if args.dnum and args.dnum < args.l + 1:
+        if args.dnum is not None and args.dnum < args.l + 1:
+            if args.dnum < 1 or args.k is None or args.k < 1:
+                raise analytic.InvalidArgument(
+                    f"a census with --dnum below l+1 needs --dnum and --k (the "
+                    f"special base size) of at least 1, got --dnum {args.dnum}, "
+                    f"--k {args.k}")
             c = opcount.keyswitch_generic(args.l, args.dnum, args.k)
             c["ntt_equivalents_per_chiplet"] = str(
                 analytic.digits_census(args.l, args.dnum, args.k, args.r))
@@ -149,11 +165,7 @@ def cmd_analyze(args) -> int:
         print(f"unknown formula {name!r}", file=sys.stderr)
         return 2
     if args.csv:
-        keys = sorted({k for row in rows for k in row})
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(str(row.get(k, "")) for k in keys))
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write_csv(args.csv, rows, sorted({k for row in rows for k in row}))
     _write_json(None, rows[0] if len(rows) == 1 else {"rows": rows})
     return 0
 
@@ -163,11 +175,7 @@ def cmd_sweep(args) -> int:
     r_list = [int(x) for x in args.r_list.split(",")]
     rows = sweep_chiplets(cfg, r_list, l=args.l)
     if args.csv:
-        keys = list(rows[0].keys())
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(str(row[k]) for k in keys))
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write_csv(args.csv, rows, list(rows[0]))
     _write_json(args.out, {"rows": rows})
     return 0
 
@@ -237,7 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"fhesim {args.cmd}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -286,14 +286,12 @@ class RnsBasis:
 
 
 def make_basis(n: int, levels: int, dnum: int, bits: int, first_bits: int | None = None,
-               p_bits: int | None = None, insecure_ok: bool = True) -> RnsBasis:
+               p_bits: int | None = None) -> RnsBasis:
     """Generate an RNS basis: L+1 ciphertext primes plus K special primes.
 
     Parameter sets produced here are for functional verification; nothing
     about the sizes chosen claims cryptographic security.
     """
-    if not insecure_ok:
-        raise ValueError("this generator only produces test-grade parameter sets")
     k = -(-(levels + 1) // dnum)
     first = first_bits or bits
     p_bits = p_bits or bits

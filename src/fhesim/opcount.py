@@ -3,6 +3,11 @@
 Both sides count the same way, so the functional library's measured counts
 and the simulator's expanded instruction streams can be cross-checked for
 any (level, dnum, K).  Counts are per whole routine, all limbs included.
+
+This module is also the one home of the vocabulary both halves share: the
+census kinds (KINDS), which the CKKS census and the simulator's compute
+ops use, and the key-switching digit partition (digit_ranges), which
+keygen, both CKKS key switches and both simulator digit flows use.
 """
 
 from __future__ import annotations
@@ -11,24 +16,28 @@ from typing import Dict, List
 
 Census = Dict[str, int]
 
+# The micro-op kinds a census counts: the compute ops of both halves.
+KINDS = ("INTT", "NTT", "MAS", "AUT")
 
-def _zero() -> Census:
-    return {"INTT": 0, "NTT": 0, "MAS": 0, "AUT": 0}
+
+def empty_census() -> Census:
+    return dict.fromkeys(KINDS, 0)
+
+
+def digit_ranges(level: int, k: int) -> List[range]:
+    """The limbs of each key-switching digit at the given level: runs of k
+    consecutive limbs of q_0..q_level, the last one possibly shorter."""
+    return [range(i, min(i + k, level + 1)) for i in range(0, level + 1, k)]
 
 
 def digit_sizes(level: int, k: int) -> List[int]:
     """Live limbs per key-switching digit at the given level."""
-    sizes = []
-    i = 0
-    while i <= level:
-        sizes.append(min(k, level + 1 - i))
-        i += k
-    return sizes
+    return [len(d) for d in digit_ranges(level, k)]
 
 
 def moddown(level: int, k: int, final_add: bool = True) -> Census:
     """One ciphertext component dropped from PQ_l to Q_l."""
-    c = _zero()
+    c = empty_census()
     c["INTT"] = k
     c["NTT"] = level + 1
     # premultiply by hat inverses, base-conversion MACs, fused (d - t)*P^-1,
@@ -40,7 +49,7 @@ def moddown(level: int, k: int, final_add: bool = True) -> Census:
 def keyswitch_full(level: int) -> Census:
     """dnum = L+1 (K = 1) key switch including both ModDowns."""
     l1 = level + 1
-    c = _zero()
+    c = empty_census()
     c["INTT"] = l1 + 2
     c["NTT"] = l1 * (l1 + 1) + 2 * l1
     c["MAS"] = 2 * l1 * (l1 + 1) + 2 * moddown(level, 1)["MAS"]
@@ -51,7 +60,7 @@ def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
     """Arbitrary-dnum key switch (digit ModUp via base conversion)."""
     sizes = digit_sizes(level, k)
     nb = level + 1 + k  # live bases of PQ_l
-    c = _zero()
+    c = empty_census()
     c["INTT"] = (level + 1) + 2 * k
     c["NTT"] = sum(nb - s for s in sizes) + 2 * (level + 1)
     mas = 0
@@ -68,7 +77,7 @@ def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
 
 def rescale(level: int) -> Census:
     """Both ciphertext components, dropping base q_level."""
-    c = _zero()
+    c = empty_census()
     c["INTT"] = 2
     c["NTT"] = 2 * level
     c["MAS"] = 2 * level
@@ -76,13 +85,13 @@ def rescale(level: int) -> Census:
 
 
 def hadd(level: int) -> Census:
-    c = _zero()
+    c = empty_census()
     c["MAS"] = 2 * (level + 1)
     return c
 
 
 def hmult(level: int) -> Census:
-    c = _zero()
+    c = empty_census()
     c["MAS"] = 4 * (level + 1)
     return c
 
@@ -91,6 +100,6 @@ def rotate_perm(level: int) -> Census:
     """The Galois map of a rotation, both components: one AUT per limb, applied
     to the NTT-domain limbs in place of INTT -> AUT -> NTT (the simulator's
     ROTATE charges the same)."""
-    c = _zero()
+    c = empty_census()
     c["AUT"] = 2 * (level + 1)
     return c

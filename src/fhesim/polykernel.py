@@ -46,7 +46,7 @@ import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class NttPlan:
 # ---------------------------------------------------------------------------
 # Twiddle tables, every one drawn from the stored psi-power table of its
 # modulus and keyed by the whole modulus: one q can carry different roots psi.
-
-_table_cache: Dict[tuple, tuple] = {}
+# Each is built once per process by a cached function and held as one
+# read-only uint64 array; the pure-int oracles take lists with .tolist().
 
 
 def _bitrev_permutation(size: int) -> np.ndarray:
@@ -137,47 +137,38 @@ def _bitrev_permutation(size: int) -> np.ndarray:
     return rev
 
 
+@functools.cache
 def _psi_powers(m: PrimeModulus) -> np.ndarray:
-    """[psi^e for e < 2N] of one modulus as uint64: the stored twiddle table,
-    built once per modulus and shared by every table drawn from it."""
-    key = ("psi", m)
-    if key not in _table_cache:
-        _table_cache[key] = _frozen(np.array(TwiddleSource(m).table(), dtype=np.uint64))
-    return _table_cache[key][0]
+    """[psi^e for e < 2N] of one modulus: the stored twiddle table, shared
+    by every table drawn from it."""
+    return _frozen(np.array(TwiddleSource(m).table(), dtype=np.uint64))[0]
 
 
+@functools.cache
 def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int,
-                      inverse: bool) -> List[int]:
+                      inverse: bool) -> np.ndarray:
     """[psi^(stride_exp * bitrev(i, log2 size)) for i < size], negated exponents
     when inverse."""
-    key = ("brv", m, size, stride_exp, inverse)
-    if key not in _table_cache:
-        two_n = m.two_n
-        exps = stride_exp * _bitrev_permutation(size) % two_n
-        if inverse:
-            exps = (two_n - exps) % two_n
-        _table_cache[key] = tuple(_psi_powers(m)[exps].tolist())
-    return list(_table_cache[key])
+    two_n = m.two_n
+    exps = stride_exp * _bitrev_permutation(size) % two_n
+    if inverse:
+        exps = (two_n - exps) % two_n
+    return _frozen(_psi_powers(m)[exps])[0]
 
 
-def _omega_table(m: PrimeModulus, size: int, stride_exp: int) -> List[int]:
+@functools.cache
+def _omega_table(m: PrimeModulus, size: int, stride_exp: int) -> np.ndarray:
     """[psi^(stride_exp * j) for j < size]: natural powers of a cyclic root."""
-    key = ("nat", m, size, stride_exp)
-    if key not in _table_cache:
-        exps = stride_exp * np.arange(size, dtype=np.int64) % m.two_n
-        _table_cache[key] = tuple(_psi_powers(m)[exps].tolist())
-    return list(_table_cache[key])
+    exps = stride_exp * np.arange(size, dtype=np.int64) % m.two_n
+    return _frozen(_psi_powers(m)[exps])[0]
 
 
-def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> List[int]:
+@functools.cache
+def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> np.ndarray:
     """Twiddles between the two hybrid phases, indexed [c*N1 + a]."""
-    key = ("mid", m, plan.n1, plan.n2, stride_exp)
-    if key not in _table_cache:
-        n1, n2 = plan.n1, plan.n2
-        base = (2 * _bitrev_permutation(n2) + 1) * stride_exp
-        exps = base[:, None] * np.arange(n1, dtype=np.int64) % m.two_n
-        _table_cache[key] = tuple(_psi_powers(m)[exps.ravel()].tolist())
-    return list(_table_cache[key])
+    base = (2 * _bitrev_permutation(plan.n2) + 1) * stride_exp
+    exps = base[:, None] * np.arange(plan.n1, dtype=np.int64) % m.two_n
+    return _frozen(_psi_powers(m)[exps.ravel()])[0]
 
 
 def _ring_stride(m: PrimeModulus, n: int) -> int:
@@ -261,7 +252,7 @@ def ntt_oracle(p: Poly) -> Poly:
         raise DomainError("ntt_oracle expects a coefficient-domain polynomial")
     m = p.modulus
     n = p.n
-    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False)
+    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False).tolist()
     x = list(p.coeffs)
     _ct_negacyclic(x, 0, 1, n, table, m.q)
     return Poly(x, m, Domain.NTT)
@@ -273,7 +264,7 @@ def intt_oracle(p: Poly) -> Poly:
         raise DomainError("intt_oracle expects an NTT-domain polynomial")
     m = p.modulus
     n = p.n
-    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True)
+    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True).tolist()
     x = list(p.coeffs)
     _gs_inverse(x, n, table, m.q)
     n_inv = m.n_inv if n == m.n else pow(n, -1, m.q)
@@ -296,25 +287,24 @@ def _shoup_ratios(ws, q: int) -> np.ndarray:
     return np.array([w / q for w in ws], dtype=np.float64)
 
 
+@functools.cache
 def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool) -> Tuple[np.ndarray, np.ndarray]:
     """The _psi_table_bitrev table as uint64 twiddles and their w/q ratios.
 
     Slot 0 is never read by a butterfly.  For the inverse it holds 1/n, and
     slot 1, the last INTT stage's twiddle, is multiplied by 1/n, so that
-    stage applies the scaling.
+    stage applies the scaling.  The forward table is _psi_table_bitrev's
+    own array, not a copy.
     """
-    key = ("u64", m, n, inverse)
-    if key not in _table_cache:
-        q = m.q
-        table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse)
-        if inverse:
-            n_inv = m.n_inv if n == m.n else pow(n, -1, q)
-            table[0] = n_inv
-            if n > 1:
-                table[1] = table[1] * n_inv % q
-        _table_cache[key] = _frozen(np.array(table, dtype=np.uint64),
-                                    _shoup_ratios(table, q))
-    return _table_cache[key]
+    q = m.q
+    table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse)
+    if inverse:
+        n_inv = m.n_inv if n == m.n else pow(n, -1, q)
+        table = table.copy()
+        table[0] = n_inv
+        if n > 1:
+            table[1] = int(table[1]) * n_inv % q
+    return _frozen(table, _shoup_ratios(table.tolist(), q))
 
 
 def _stacked_twiddles(moduli: Tuple[PrimeModulus, ...], n: int,
@@ -546,16 +536,16 @@ def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
     x = list(p.coeffs)
 
     if n2 > 1:
-        row_table = _psi_table_bitrev(m, n2, s * n1, inverse=False)
+        row_table = _psi_table_bitrev(m, n2, s * n1, inverse=False).tolist()
         for a in range(n1):
             _ct_negacyclic(x, a, n1, n2, row_table, q)
 
-    mid = _interphase_table(m, plan, s)
+    mid = _interphase_table(m, plan, s).tolist()
     for i in range(n1 * n2):
         x[i] = x[i] * mid[i] % q
 
     if n1 > 1:
-        omega = _omega_table(m, n1, 2 * s * n2)
+        omega = _omega_table(m, n1, 2 * s * n2).tolist()
         for c in range(n2):
             _dif_cyclic(x, c * n1, n1, omega, q)
 

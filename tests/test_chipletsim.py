@@ -197,35 +197,6 @@ def test_sweep_shape_and_low_depth_utilization():
     assert starved[0]["ntt_utilization"] <= 3 / 8 + 0.05
 
 
-def test_sweep_pool_capped_by_cpu_count(monkeypatch):
-    from fhesim.chipletsim import schedules
-
-    sizes = []
-
-    class RecordingPool:
-        # Records the requested size and runs the map inline: no thread starts.
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(schedules, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(schedules.os, "cpu_count", lambda: 2)
-    rows = sweep_chiplets(REF, [1, 2, 1, 2, 1, 2, 1], l=1)
-    assert len(rows) == 7 and sizes == [2]
-    sweep_chiplets(REF, [2], l=1)
-    monkeypatch.setattr(schedules.os, "cpu_count", lambda: None)
-    sweep_chiplets(REF, [1, 2, 1], l=1)
-    assert sizes == [2, 1, 1]
-
-
 def test_engine_deadlock_guard():
     ops = [
         MicroOp(uid=0, kind="NTT", resource="ntt:0", duration=4, deps=[1],
@@ -251,7 +222,18 @@ def test_report_json_and_timeline():
 def test_exact_mode_transfer_is_matched_beat():
     assert EXACT.c2c_cycles() == EXACT.n // EXACT.n2
     assert REF.c2c_cycles() == 1024  # 64 coefficients x 54 bits per cycle
-    assert replace(REF, charge_2x_comm=True).c2c_cycles() == 2 * 1024
+
+
+def test_strawman_send_lasts_twice_the_beat():
+    # The baselines charge communication at twice the linear-op time: the
+    # strawman schedule owns that rule, whatever the link bandwidth; exact
+    # mode keeps the matched beat.
+    for tech in ("A", "B", "C"):
+        for cfg, beats in ((REF, 2), (replace(REF, c2c_gbps=81.0), 2), (EXACT, 1)):
+            rep = schedule_strawman(cfg, 6, tech, with_timeline=True)
+            sends = {t["end"] - t["start"] for t in rep.timeline if t["kind"] == "SEND"}
+            assert sends == {beats * cfg.beat_cycles()}, (tech, cfg)
+    assert replace(REF, c2c_gbps=81.0).c2c_cycles() > 2 * REF.beat_cycles()
 
 
 # ---------------------------------------------------------------------------

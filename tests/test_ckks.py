@@ -11,8 +11,8 @@ from fhesim.chipletsim import ChipletConfig, run_workload
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
-                         _submul, ciphertext_to_bytes, count_ops, derive_seed,
-                         ksk_to_bytes)
+                         _bconv_plan, _gadget, _submul, ciphertext_to_bytes, count_ops,
+                         derive_seed, ksk_to_bytes)
 from fhesim.modarith import find_ntt_prime, make_basis
 from fhesim.polykernel import Domain, Poly, ResidueOutOfRange, intt_reference, ntt_reference
 
@@ -214,6 +214,32 @@ def test_generic_dnum_pipeline_and_census(ctx3, keyed3):
     assert census["MAS"] == want["MAS"] + opcount.hmult(BASIS3.l_max)["MAS"]
 
 
+def test_keygen_follows_the_digit_partition_when_dnum_does_not_divide():
+    # L+1 = 5 limbs at dnum = 4 gives K = 2 and digits of 2, 2 and 1 limbs:
+    # keygen used to ask for a fourth, empty digit and failed in reduce()
+    basis = make_basis(n=1024, levels=4, dnum=4, bits=40, first_bits=45, p_bits=45)
+    ctx4 = CkksContext(basis)
+    sk, keys = ctx4.keygen(seed=11)
+    assert [len(d) for d in opcount.digit_ranges(4, basis.k)] == [2, 2, 1]
+    assert len(keys.relin.digits) == 3
+    a, b = slots_vec(ctx4), slots_vec(ctx4, "b")
+    ca = ctx4.encrypt(ctx4.encode(a, 4), sk, rng())
+    cb = ctx4.encrypt(ctx4.encode(b, 4), sk, rng())
+    out_ct = ctx4.rescale(ctx4.relinearize(ctx4.mult(ca, cb), keys))
+    assert rel_err(ctx4.decode(ctx4.decrypt(out_ct, sk), out_ct.scale), a * b) < 1e-4
+
+
+def test_cached_constants_are_shared_read_only_arrays(ctx):
+    bases = tuple(ctx.all_bases())
+    for j in range(len(opcount.digit_ranges(BASIS.l_max, BASIS.k))):
+        assert _gadget(BASIS, j) is _gadget(BASIS, j)
+        assert all(not t.flags.writeable for t in _gadget(BASIS, j))
+    plan = _bconv_plan(bases[:2], bases[2:])
+    assert _bconv_plan(bases[:2], bases[2:]) is plan
+    assert all(isinstance(t, np.ndarray) and not t.flags.writeable
+               for triple in plan for t in triple)
+
+
 def test_rotation_pipeline_shifts_slots(ctx, keyed):
     sk, keys = keyed
     v = np.arange(1, ctx.slots + 1, dtype=float)
@@ -293,7 +319,7 @@ def test_keygen_verification_identity(ctx, keyed):
     s2 = [Poly([a * a % p.modulus.q for a in p.coeffs], p.modulus, Domain.NTT)
           for p in sk.ntt_limbs]
     for j in (0, len(key.digits) - 1):
-        gadget = ctx._gadget(j)
+        gadget = _gadget(BASIS, j)[0][:, 0].tolist()
         err_polys = []
         for t, m in enumerate(ctx.all_bases()):
             a = ctx.ksk1_limb(key, j, t)
@@ -371,7 +397,7 @@ def test_moddown_exact_on_divisible_input(ctx):
     vals = [v * p_prod for v in range(ctx.n)]
     limbs = [ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF))
              for m in live]
-    down = ctx.moddown(RnsPoly(limbs, level, extended=True))
+    down = ctx.moddown(RnsPoly(limbs, level))
     out = intt_reference(down.limbs[0])
     q0 = BASIS.q_list[0].q
     assert out.coeffs == [v % q0 for v in range(ctx.n)]
@@ -385,7 +411,7 @@ def test_moddown_crt_oracle(ctx):
     vals = [int(x) for x in rs.integers(0, 1 << 62, ctx.n)]
     limbs = [ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF))
              for m in live]
-    down = ctx.moddown(RnsPoly(limbs, level, extended=True))
+    down = ctx.moddown(RnsPoly(limbs, level))
     out = [intt_reference(p).coeffs for p in down.limbs]
     mods = [m.q for m in BASIS.q_list[: level + 1]]
     big_q = reduce(lambda a, b: a * b, mods)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from fhesim.cli import load_preset, main
 
 
@@ -140,3 +142,27 @@ def test_verify_aut_ntt_index_fault_fails(tmp_path):
     failures = json.loads(Path(out).read_text())["failures"]
     assert failures and all("automorphism ntt gather" in f for f in failures)
     assert main(args) == 0
+
+
+def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
+    # ConfigError and ProgramError used to escape as a traceback (exit 1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"c2c_gpbs": 1.0}))
+    for argv, named in ((["simulate", "--config", str(bad)], "c2c_gpbs"),
+                        (["sweep", "--r-list", "0"], "r must be at least 1"),
+                        (["sweep", "--l", "-1"], "l must be at least 0")):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1 and named in out.err, argv
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["census", "--dnum", "3"], "--k"),              # was a bare TypeError
+    (["comm", "--tech", "limbwise"], "dnum"),        # was a bare TypeError
+    (["storage", "--dnum", "0"], "dnum"),            # was a ZeroDivisionError
+    (["bound", "--c2c", "0"], "--c2c"),              # was a ZeroDivisionError
+])
+def test_analyze_rejects_bad_arguments(argv, named, capsys):
+    assert main(["analyze", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and named in out.err

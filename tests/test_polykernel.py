@@ -13,8 +13,9 @@ from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
                                PlanMismatch, Poly, ResidueOutOfRange, _mulmod,
                                _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
-                               _psi_table_bitrev, _shoup_ratios, _table_cache,
-                               automorphism_ntt_rows, automorphism_oracle,
+                               _aut_ntt_map, _interphase_table, _omega_table,
+                               _psi_powers, _psi_table_bitrev, _shoup_ratios,
+                               _twiddle_arrays, automorphism_ntt_rows, automorphism_oracle,
                                automorphism_shuffle, intt_oracle, intt_reference,
                                intt_rows, mas, mas_rows, modulus_columns, ntt_hybrid,
                                ntt_oracle, ntt_reference, ntt_rows, poly_from_bytes,
@@ -116,6 +117,11 @@ def test_hybrid_delta_all_ones():
     assert all(c == 1 for c in ntt_hybrid(p, NttPlan(16, 64)).coeffs)
 
 
+# every cached twiddle-table builder
+TWIDDLE_TABLES = (_psi_powers, _psi_table_bitrev, _omega_table, _interphase_table,
+                  _twiddle_arrays)
+
+
 def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
     # The on-the-fly generator equals the stored table at every exponent, in
     # order (its Barrett step) and out of order (square-and-multiply), and
@@ -123,8 +129,8 @@ def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
     # tables start cold here.
     basis = make_basis(n=64, levels=3, dnum=2, bits=40, first_bits=45, p_bits=54)
     for m in basis.q_list + basis.p_list:
-        for key in [k for k in _table_cache if k[1] == m]:
-            del _table_cache[key]
+        for table in TWIDDLE_TABLES:
+            table.cache_clear()
         stored = TwiddleSource(m).table()
         otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
         assert [otf.power(e) for e in range(m.two_n)] == stored, m.q
@@ -137,10 +143,36 @@ def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
                 want = [stored[(-1 if inverse else 1) * stride * e % m.two_n]
                         for e in range(size)]
                 perm = [bit_reverse(i, size.bit_length() - 1) for i in range(size)]
-                assert _psi_table_bitrev(m, size, stride, inverse) == \
+                assert _psi_table_bitrev(m, size, stride, inverse).tolist() == \
                     [want[i] for i in perm], (m.q, size)
         p = rand_poly(m, 64)
         assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
+
+
+def test_cached_tables_are_read_only_arrays():
+    # Every cached table is built once, held as a uint64 (or float64 ratio)
+    # ndarray, and shared read-only by every caller: no Python-int copies.
+    m = find_ntt_prime(40, 128)
+    p = rand_poly(m, 64)
+    assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
+    assert intt_oracle(ntt_reference(p)).coeffs == p.coeffs
+    calls = [(_psi_powers, (m,)), (_psi_table_bitrev, (m, 64, 1, False)),
+             (_psi_table_bitrev, (m, 64, 1, True)), (_omega_table, (m, 8, 16)),
+             (_interphase_table, (m, NttPlan(8, 8), 1)),
+             (_twiddle_arrays, (m, 64, False)), (_twiddle_arrays, (m, 64, True)),
+             (modulus_columns, ((m,),)), (_aut_ntt_map, (64, 5))]
+    assert {fn for fn, _ in calls} >= set(TWIDDLE_TABLES)
+    for fn, args in calls:
+        got = fn(*args)
+        assert fn(*args) is got, fn.__name__
+        for table in got if isinstance(got, tuple) else (got,):
+            assert isinstance(table, np.ndarray), fn.__name__
+            assert table.dtype in (np.uint64, np.int64, np.float64), fn.__name__
+            assert not table.flags.writeable, fn.__name__
+            with pytest.raises(ValueError):
+                table[0] = 0
+    # the forward production table is the oracle table itself, not a copy
+    assert _twiddle_arrays(m, 64, False)[0] is _psi_table_bitrev(m, 64, 1, False)
 
 
 def test_plan_mismatch():
