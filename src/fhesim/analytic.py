@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .opcount import digit_ranges, digit_size
+
 
 class UnsupportedConfig(Exception):
     pass
@@ -99,18 +101,17 @@ def chiplet_bound(levels: int, k_ratio: float, u: float = 4.0) -> int:
     return min(int((levels + 2) / (u * k_ratio)), levels + 2)
 
 
-def key_storage(levels: int, dnum: int, n: int, w: int, k: int | None = None,
-                seeded: bool = False) -> int:
-    """Bytes for one switching key: 2*dnum*(L+K+1) limb polynomials.
+def key_storage(levels: int, dnum: int, n: int, w: int, seeded: bool = False) -> int:
+    """Bytes for one switching key: 2*(L+K+1) limb polynomials per digit,
+    with K = ceil((L+1)/dnum) and the digits of opcount.digit_ranges(L, K).
 
     Seeded storage drops the expandable half to one 8-byte seed per limb,
     halving the footprint up to the seed overhead.
     """
-    if dnum < 1:
-        raise InvalidArgument(f"dnum must be at least 1, got {dnum}")
-    if k is None:
-        k = -(-(levels + 1) // dnum)
-    limbs = dnum * (levels + k + 1)
+    if dnum is None or dnum < 1:
+        raise InvalidArgument(f"key storage needs dnum >= 1, got dnum={dnum}")
+    k = digit_size(levels, dnum)
+    limbs = len(digit_ranges(levels, k)) * (levels + k + 1)
     poly_bytes = -(-n * w // 8)
     if seeded:
         return limbs * poly_bytes + limbs * 8

@@ -152,8 +152,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
 
 
 def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int, List[int]]],
-                       pri0: int, after: Sequence[int] = (),
-                       components: int = 2, phase: str = "moddown") -> None:
+                       pri0: int, after: Sequence[int] = (), components: int = 2) -> None:
     """Feed-forward ModDown of `components` over one special base (K = 1).
 
     One INTT on the owner of the dropped base, a streamed ring broadcast,
@@ -167,16 +166,17 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
     for comp in range(components):
         deps = (buf_deps[l + 1] if buf_deps else after) or after
         intt = sb.transform("INTT", owner, deps=deps, priority=(pri0, comp, 0),
-                            phase=phase, limb=l + 1)
-        sb.shadow_mas(owner, deps=[intt], priority=(pri0, comp, 0, 1), phase=phase)
-        arrival = _ring_broadcast(sb, intt, owner, (pri0, comp, 1), phase, limb=l + 1)
+                            phase="moddown", limb=l + 1)
+        sb.shadow_mas(owner, deps=[intt], priority=(pri0, comp, 0, 1), phase="moddown")
+        arrival = _ring_broadcast(sb, intt, owner, (pri0, comp, 1), "moddown",
+                                  limb=l + 1)
         for t in range(l + 1):
             i = t % r
             deps = [arrival[i], *(buf_deps[t][-1:] if buf_deps else after)]
             ntt = sb.transform("NTT", i, deps=deps, priority=(pri0, comp, 2, t),
-                               phase=phase, limb=t)
-            sb.shadow_mas(i, deps=[ntt], priority=(pri0, comp, 2, t, 1), phase=phase,
-                          count=3 if buf_deps else 2)
+                               phase="moddown", limb=t)
+            sb.shadow_mas(i, deps=[ntt], priority=(pri0, comp, 2, t, 1),
+                          phase="moddown", count=3 if buf_deps else 2)
 
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
@@ -196,13 +196,11 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
     # a fused rescale drops one more base, so it needs a level to drop to
     _check_at_least(l, 1 if fused_rescale else 0, "l")
     sb = ScheduleBuilder(cfg)
-    build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components,
-                       phase="moddown")
+    build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components)
     if fused_rescale:
-        # rescale shares the wait: its INTT broadcast rides during the
-        # ModDown NTT phase, dropping one base further down
-        build_moddown_flow(sb, l - 1, buf_deps=None, pri0=1, components=components,
-                           phase="rescale")
+        # the RESCALE macro shares the wait: its INTT broadcast rides during
+        # the ModDown NTT phase, dropping q_l as well
+        _macro_rescale(sb, l, lambda t: t % cfg.r, (), pri0=1)
     meta = {"routine": "moddown_ring", "l": l, "components": components,
             "warnings": cfg.bound_warnings(l)}
     return Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
@@ -304,32 +302,28 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
     digits = digit_ranges(l, k)
     for j, digit in enumerate(digits):
         c = j % r
-        last = None
         for x in digit:
             last = sb.transform("INTT", c, deps=after, priority=(pri0, 0, j, x),
                                 phase="modup", limb=x, digit=j)
         for t in range(nb - len(digit)):
-            ntt = sb.transform("NTT", c, deps=[last] if last else after,
-                               priority=(pri0, 1, j, t), phase="modup", digit=j)
+            ntt = sb.transform("NTT", c, deps=[last], priority=(pri0, 1, j, t),
+                               phase="modup", digit=j)
             sb.shadow_mas(c, deps=[ntt], priority=(pri0, 1, j, t, 1), phase="modup",
                           count=2 + len(digit), digit=j)
         # one-time exchange: 2(dnum-1)(l+1)/dnum polynomials per chiplet
         for s in range(math.ceil(2 * (dnum - 1) * (l + 1) / dnum)):
-            sb.send(c, deps=[last] if last else after, priority=(pri0, 2, j, s),
-                    phase="modup", digit=j)
+            sb.send(c, deps=[last], priority=(pri0, 2, j, s), phase="modup", digit=j)
     # ModDown: duplicated K INTTs and base conversion, 2K polys exchanged
     for j in range(min(len(digits), r)):
         c = j % r
-        last = None
         for h in range(k):
             last = sb.transform("INTT", c, deps=after, priority=(pri0, 3, j, h),
                                 phase="moddown")
         for s in range(2 * k):
-            sb.send(c, deps=[last] if last else after, priority=(pri0, 4, j, s),
-                    phase="moddown")
+            sb.send(c, deps=[last], priority=(pri0, 4, j, s), phase="moddown")
         for t in range(math.ceil((l + 1) / max(len(digits), 1))):
-            ntt = sb.transform("NTT", c, deps=[last] if last else after,
-                               priority=(pri0, 5, j, t), phase="moddown")
+            ntt = sb.transform("NTT", c, deps=[last], priority=(pri0, 5, j, t),
+                               phase="moddown")
             sb.shadow_mas(c, deps=[ntt], priority=(pri0, 5, j, t, 1),
                           phase="moddown", count=k + 2)
 
@@ -446,29 +440,23 @@ def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
                           phase="rescale")
 
 
-def _macro_rotate(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
-                  after: Sequence[int], pri0: int) -> None:
-    for comp in range(2):
-        for t in range(l + 1):
-            sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles, deps=after,
-                   priority=(pri0, comp, t), chiplet=owner(t), phase="rotate", limb=t)
-    build_keyswitch_ring(sb, l, after=after, pri0=pri0 + 1)
-
-
 def run_workload(cfg: ChipletConfig, program: Sequence[dict],
                  assignment: Assignment = "INTERLEAVED", levels: int | None = None,
                  with_timeline: bool = False) -> CycleReport:
     """Execute a macro-op list; each macro starts after the previous one.
 
     Program entries: {"op": HADD|HMULT|KEYSWITCH|ROTATE|RESCALE|MODDOWN,
-    "l": level, maybe "dnum"/"k"}.  BOOTSTRAP_SCHED entries carry a nested
-    "schedule" list of the same shape.
+    "l": level, maybe "k"}.  BOOTSTRAP_SCHED entries carry a nested
+    "schedule" list of the same shape.  k, the special base size K (default
+    1), picks the key switch as CkksContext does: KEYSWITCH and ROTATE (AUT
+    ops, then the same switch) run the ring at K = 1 and the digit flow over
+    digit_ranges(l, K) otherwise, at every level.  MODDOWN models K = 1 only.
 
     The assignment places only the pointwise (HADD, HMULT), rescale and AUT
     ops; key switches, including a ROTATE's, and ModDown always place limb t
     on chiplet t mod r, so SEQUENTIAL and DIGITWISE leave them unchanged.
     """
-    flat = list(_flatten(program))
+    flat = list(flatten(program))
     if not flat:
         raise ProgramError("the program has no macro ops")
     if assignment not in ASSIGNMENTS:
@@ -491,14 +479,19 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             _macro_pointwise(sb, l, 2, owner, after, pri, "hadd")
         elif op == "HMULT":
             _macro_pointwise(sb, l, 4, owner, after, pri, "hmult")
-        elif op == "KEYSWITCH":
-            if "dnum" in step and int(step["dnum"]) < l + 1:
-                build_keyswitch_digits(sb, l, int(step["dnum"]), k, after=after,
-                                       pri0=pri)
+        elif op in ("KEYSWITCH", "ROTATE"):
+            if op == "ROTATE":
+                for comp in range(2):
+                    for t in range(l + 1):
+                        sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles,
+                               deps=after, priority=(pri, comp, t), chiplet=owner(t),
+                               phase="rotate", limb=t)
+            ks_pri = pri + (op == "ROTATE")
+            if k == 1:
+                build_keyswitch_ring(sb, l, after=after, pri0=ks_pri)
             else:
-                build_keyswitch_ring(sb, l, after=after, pri0=pri)
-        elif op == "ROTATE":
-            _macro_rotate(sb, l, owner, after, pri)
+                build_keyswitch_digits(sb, l, len(digit_ranges(l, k)), k, after=after,
+                                       pri0=ks_pri)
         elif op == "RESCALE":
             _macro_rescale(sb, l, owner, after, pri)
         elif op == "MODDOWN":
@@ -532,17 +525,20 @@ def _check_step(step: dict, levels: int) -> None:
     l = int(step.get("l", levels))
     # a rescale drops the top limb, so level 0 has none left to drop
     _check_at_least(l, 1 if op == "RESCALE" else 0, f"{op} level")
-    if op == "KEYSWITCH" and "dnum" in step:
-        if "k" not in step:
-            raise ProgramError("KEYSWITCH with dnum needs k, the special base size")
-        _check_at_least(int(step["dnum"]), 1, "dnum")
-        _check_at_least(int(step["k"]), 1, "k")
+    if "dnum" in step:
+        raise ProgramError(f"{op} gives dnum; a step gives k, the special base "
+                           "size, and its digit count follows from k")
+    k = int(step.get("k", 1))
+    _check_at_least(k, 1, "k")
+    if op == "MODDOWN" and k != 1:
+        raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
 
 
-def _flatten(program: Sequence[dict]):
+def flatten(program: Sequence[dict]):
+    """The macro ops of a program, nested BOOTSTRAP_SCHED schedules inlined."""
     for step in program:
         if step["op"].upper() == "BOOTSTRAP_SCHED":
-            yield from _flatten(step["schedule"])
+            yield from flatten(step["schedule"])
         else:
             yield step
 

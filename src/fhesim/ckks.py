@@ -438,7 +438,7 @@ class CkksContext:
             ksk0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
                             mas_rows(MasOp.MUL, a, s, bases), bases)
             digits.append(KskDigit(ksk0=ksk0, ksk1_seeds=seeds))
-        return KeySwitchKey(digits=digits, dnum=self.basis.dnum)
+        return KeySwitchKey(digits=digits, dnum=len(digits))
 
     def _expand_ksk1(self, seeds: List[int], bases: Sequence[PrimeModulus]) -> np.ndarray:
         """Regenerate seed-expandable key limbs, all seeds stepped together,

@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import analytic, opcount
-from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError,
+from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError, flatten,
                          run_workload, schedule_keyswitch_ring, sweep_chiplets)
 from .verify import FAULTS, run_verify
 
@@ -86,19 +86,21 @@ def cmd_simulate(args) -> int:
     rc = 0
     if args.cross_check:
         problems = []
-        for step in program:
-            if step["op"].upper() == "KEYSWITCH" and "dnum" not in step:
-                l = int(step["l"])
-                single = schedule_keyswitch_ring(cfg, l)
-                want = analytic.comm_polynomials("OURS", l, r=cfg.r)
-                if single.polynomials_transferred != want:
-                    problems.append(
-                        f"keyswitch l={l}: transfers {single.polynomials_transferred}"
-                        f" != analytic {want}")
-                exact = schedule_keyswitch_ring(replace(cfg, exact=True, r=1), l,
-                                                include_moddown=False)
-                if exact.total_cycles != analytic.keyswitch_cycles(l, cfg.n1):
-                    problems.append(f"keyswitch l={l}: exact cycles diverge")
+        # every ring key switch of the program, a ROTATE's and nested ones too
+        ring_levels = sorted({int(step["l"]) for step in flatten(program)
+                              if step["op"].upper() in ("KEYSWITCH", "ROTATE")
+                              and int(step.get("k", 1)) == 1})
+        for l in ring_levels:
+            single = schedule_keyswitch_ring(cfg, l)
+            want = analytic.comm_polynomials("OURS", l, r=cfg.r)
+            if single.polynomials_transferred != want:
+                problems.append(
+                    f"keyswitch l={l}: transfers {single.polynomials_transferred}"
+                    f" != analytic {want}")
+            exact = schedule_keyswitch_ring(replace(cfg, exact=True, r=1), l,
+                                            include_moddown=False)
+            if exact.total_cycles != analytic.keyswitch_cycles(l, cfg.n1):
+                problems.append(f"keyswitch l={l}: exact cycles diverge")
         if problems:
             for p in problems:
                 print(f"cross-check: {p}", file=sys.stderr)

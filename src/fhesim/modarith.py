@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import List
 
+from .opcount import digit_size
+
 MAX_WORD_BITS = 54
 
 # Deterministic Miller-Rabin witnesses, valid for all candidates < 3.3e24
@@ -174,34 +176,25 @@ def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[Pr
 
 
 class TwiddleSource:
-    """Powers of psi, either from a stored table or generated on the fly.
+    """Powers of psi from the model of the hardware's twiddle factor
+    generator (TFG), and the stored table it is checked against.
 
-    Both modes return identical values for every exponent; the stored mode
-    reads a precomputed table while the on-the-fly mode, the model of the
-    hardware's twiddle factor generator (TFG), keeps one running product,
-    steps it by one Barrett product to the next exponent and reaches other
-    exponents by square-and-multiply.  The transforms all read the stored
-    table; which source the hardware uses only changes its cost
-    (analytic.twiddle_tradeoff).
+    power() keeps one running product, steps it by one Barrett product to
+    the next exponent and reaches other exponents by square-and-multiply.
+    table() is built with Python-int products, so the two share no
+    arithmetic.  The transforms all read the stored table; which source the
+    hardware uses only changes its cost (analytic.twiddle_tradeoff).
     """
 
-    STORED = "stored"
-    ON_THE_FLY = "on_the_fly"
-
-    def __init__(self, m: PrimeModulus, mode: str = STORED):
-        if mode not in (self.STORED, self.ON_THE_FLY):
-            raise ValueError(f"unknown twiddle mode {mode!r}")
+    def __init__(self, m: PrimeModulus):
         self.m = m
-        self.mode = mode
         self._table: List[int] | None = None
         # Running (exponent, value) pair for incremental generation.
         self._exp = 0
         self._val = 1
 
     def table(self) -> List[int]:
-        """The stored table, [psi^e for e < 2N], built on first use with
-        Python-int products, so the two modes share no arithmetic: the
-        on-the-fly mode's Barrett steps are checked against it."""
+        """The stored table, [psi^e for e < 2N], built on first use."""
         if self._table is None:
             q, psi = self.m.q, self.m.psi
             table = [1] * self.m.two_n
@@ -211,10 +204,8 @@ class TwiddleSource:
         return self._table
 
     def power(self, exp: int) -> int:
-        """psi^exp for 0 <= exp < 2N (natural-order accessor)."""
+        """psi^exp for 0 <= exp < 2N, as the generator produces it."""
         exp %= self.m.two_n
-        if self.mode == self.STORED:
-            return self.table()[exp]
         if exp == self._exp + 1:
             self._val = mod_mul(self._val, self.m.psi, self.m)
         elif exp != self._exp:
@@ -292,7 +283,7 @@ def make_basis(n: int, levels: int, dnum: int, bits: int, first_bits: int | None
     Parameter sets produced here are for functional verification; nothing
     about the sizes chosen claims cryptographic security.
     """
-    k = -(-(levels + 1) // dnum)
+    k = digit_size(levels, dnum)
     first = first_bits or bits
     p_bits = p_bits or bits
     if first == bits:

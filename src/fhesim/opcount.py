@@ -6,8 +6,10 @@ any (level, dnum, K).  Counts are per whole routine, all limbs included.
 
 This module is also the one home of the vocabulary both halves share: the
 census kinds (KINDS), which the CKKS census and the simulator's compute
-ops use, and the key-switching digit partition (digit_ranges), which
-keygen, both CKKS key switches and both simulator digit flows use.
+ops use, the digit size K = ceil((L+1)/dnum) (digit_size), which the basis
+and the key-storage formula use, and the key-switching digit partition
+(digit_ranges), which keygen, both CKKS key switches and both simulator
+digit flows use.
 """
 
 from __future__ import annotations
@@ -24,25 +26,25 @@ def empty_census() -> Census:
     return dict.fromkeys(KINDS, 0)
 
 
+def digit_size(levels: int, dnum: int) -> int:
+    """K = ceil((L+1)/dnum): the limbs of a full key-switching digit, which is
+    also the number of special bases."""
+    return -(-(levels + 1) // dnum)
+
+
 def digit_ranges(level: int, k: int) -> List[range]:
     """The limbs of each key-switching digit at the given level: runs of k
     consecutive limbs of q_0..q_level, the last one possibly shorter."""
     return [range(i, min(i + k, level + 1)) for i in range(0, level + 1, k)]
 
 
-def digit_sizes(level: int, k: int) -> List[int]:
-    """Live limbs per key-switching digit at the given level."""
-    return [len(d) for d in digit_ranges(level, k)]
-
-
-def moddown(level: int, k: int, final_add: bool = True) -> Census:
-    """One ciphertext component dropped from PQ_l to Q_l."""
+def moddown(level: int, k: int) -> Census:
+    """One component dropped from PQ_l to Q_l."""
     c = empty_census()
     c["INTT"] = k
     c["NTT"] = level + 1
-    # premultiply by hat inverses, base-conversion MACs, fused (d - t)*P^-1,
-    # and (optionally) the addition back into the carrier component
-    c["MAS"] = k + (level + 1) * k + (level + 1) + (level + 1 if final_add else 0)
+    # premultiply by hat inverses, base-conversion MACs, fused (d - t)*P^-1
+    c["MAS"] = k + (level + 1) * k + (level + 1)
     return c
 
 
@@ -52,13 +54,15 @@ def keyswitch_full(level: int) -> Census:
     c = empty_census()
     c["INTT"] = l1 + 2
     c["NTT"] = l1 * (l1 + 1) + 2 * l1
-    c["MAS"] = 2 * l1 * (l1 + 1) + 2 * moddown(level, 1)["MAS"]
+    # each ModDown's result is added back into its carrier component
+    c["MAS"] = 2 * l1 * (l1 + 1) + 2 * (moddown(level, 1)["MAS"] + l1)
     return c
 
 
 def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
-    """Arbitrary-dnum key switch (digit ModUp via base conversion)."""
-    sizes = digit_sizes(level, k)
+    """Arbitrary-dnum key switch (digit ModUp via base conversion).  The digits
+    are digit_ranges(level, k); dnum is not read."""
+    sizes = [len(d) for d in digit_ranges(level, k)]
     nb = level + 1 + k  # live bases of PQ_l
     c = empty_census()
     c["INTT"] = (level + 1) + 2 * k
@@ -69,8 +73,7 @@ def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
         mas += s * (nb - s)      # base-conversion accumulation
     mas += 2 * len(sizes) * nb   # key multiplication, two components
     mas += 2 * (len(sizes) - 1) * nb  # digit accumulation
-    md = moddown(level, k)
-    mas += 2 * md["MAS"]
+    mas += 2 * (moddown(level, k)["MAS"] + level + 1)  # ModDowns, carrier adds
     c["MAS"] = mas
     return c
 

@@ -29,9 +29,9 @@ Every transform, production, oracle and hybrid alike, reads its twiddles
 from the one stored psi-power table of its modulus.  Where the hardware
 takes them from (a stored table or the on-the-fly twiddle factor
 generator, TFG) is a cost trade-off, modelled in analytic.twiddle_tradeoff;
-the values are the same.  The TFG model is the on-the-fly mode of
-modarith.TwiddleSource, which verify and the tests check against the
-stored table for every exponent.
+the values are the same.  The TFG model is modarith.TwiddleSource.power,
+which verify and the tests check against the stored table for every
+exponent.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j

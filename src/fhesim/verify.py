@@ -11,9 +11,9 @@ drop one lane's mask from the lane-packed keystream, so the harness itself
 can be shown to catch regressions.
 
 Every transform reads the stored twiddle table of its modulus.
-TwiddleSource.ON_THE_FLY, the model of the hardware's on-the-fly twiddle
-factor generator (TFG), is checked against that table for every exponent
-of every modulus of the mixed-modulus stack.
+TwiddleSource.power, the model of the hardware's on-the-fly twiddle factor
+generator (TFG), is checked against that table for every exponent of every
+modulus of the mixed-modulus stack.
 """
 
 from __future__ import annotations
@@ -289,9 +289,9 @@ def suite_kernels(size: str = "toy", seed: int = 0,
         # the on-the-fly twiddle generator (TFG model) against the stored
         # table every transform reads, for every exponent of every modulus
         for mm in moduli:
-            otf = TwiddleSource(mm, TwiddleSource.ON_THE_FLY)
+            otf = TwiddleSource(mm)
             res.check(f"twiddle stored == on-the-fly q={mm.q}",
-                      [otf.power(e) for e in range(2 * n)] == TwiddleSource(mm).table(),
+                      [otf.power(e) for e in range(2 * n)] == otf.table(),
                       comparisons=2 * n)
 
         # keystream vs bit-serial oracle

@@ -56,15 +56,19 @@ def test_chiplet_bound():
 
 def test_key_storage():
     # dnum=3, L=22, K=8: tens of MB, within 2x of the quoted 91 MB
-    b = analytic.key_storage(22, 3, 1 << 16, 54, k=8)
+    b = analytic.key_storage(22, 3, 1 << 16, 54)
     assert 91e6 / 2 <= b <= 91e6 * 2
-    seeded = analytic.key_storage(22, 3, 1 << 16, 54, k=8, seeded=True)
+    seeded = analytic.key_storage(22, 3, 1 << 16, 54, seeded=True)
     ratio = seeded / b
     assert 0.5 <= ratio < 0.51
     # linear in N
-    assert analytic.key_storage(22, 3, 1 << 17, 54, k=8) == 2 * b
+    assert analytic.key_storage(22, 3, 1 << 17, 54) == 2 * b
     # the per-(digit, base) pair reading of the ~1 MB on-chip figure
     assert abs(analytic.key_storage_per_digit_limb(1 << 16, 54) - 884736) < 1
+    # L+1 = 5 limbs at dnum = 4: K = 2, so 3 digits of 4+2+1 bases, 21 limb
+    # pairs (the key keygen makes), not 4 digits' 28
+    assert analytic.key_storage(4, 4, 1 << 16, 54) == \
+        21 * analytic.key_storage_per_digit_limb(1 << 16, 54)
 
 
 def test_twiddle_tradeoff_table():

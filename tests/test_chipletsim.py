@@ -67,7 +67,7 @@ def test_digits_runtime_formula_exact_mode():
 
 def test_moddown_census_and_hop_overhead():
     rep = schedule_moddown_ring(EXACT, 30, components=2)
-    want = opcount.moddown(30, 1, final_add=False)
+    want = opcount.moddown(30, 1)
     for kind in ("INTT", "NTT", "MAS"):
         assert rep.op_counts.get(kind, 0) == 2 * want[kind]
     # component one pays the feed-forward latency; component two hides it:
@@ -269,7 +269,7 @@ GOLDEN = {
     "moddown-l14-fused0":
         "03583f424d106ff497f6e89615273bfe25412caf32f539aab30767bae43b1785",
     "moddown-l14-fused1":
-        "ea7aaf6c10987fe7b99bb517d88c61fa99620cdbd56410eee59ec4f2e1d19e47",
+        "26db247ce3282a6d3241d9d3fb73bb6cfcfac16ac51e2d759403a92b5ff03732",
     "digits-8,3,3-ALTERNATE":
         "b75698ce9fe74c98d8091a14e4bd16e67a31165395250bb41bb646641705ae79",
     "digits-8,3,3-DIGITWISE":
@@ -486,11 +486,32 @@ def test_unknown_keyswitch_strategy_rejected(monkeypatch):
             schedules.build_keyswitch_digits(None, 8, 3, 3, strategy)
 
 
-def test_keyswitch_dnum_without_k_rejected():
-    with pytest.raises(ProgramError):
-        run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "dnum": 3}])
-    rep = run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "dnum": 3, "k": 3}])
+def test_keyswitch_dnum_without_k_rejected(monkeypatch):
+    # a step gives k, and its digit count follows from k: a step that still
+    # gives dnum (with or without k), a k below 1, or a MODDOWN with k != 1
+    # (the feed-forward ModDown models one special base) is refused
+    from fhesim.chipletsim import schedules
+    rep = run_workload(REF, [{"op": "KEYSWITCH", "l": 8, "k": 3}])
     assert rep.op_counts["NTT"] == opcount.keyswitch_generic(8, 3, 3)["NTT"]
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for step in ({"op": "KEYSWITCH", "l": 8, "dnum": 3},
+                 {"op": "KEYSWITCH", "l": 8, "dnum": 3, "k": 3},
+                 {"op": "ROTATE", "l": 8, "k": 0},
+                 {"op": "MODDOWN", "l": 8, "k": 3}):
+        with pytest.raises(ProgramError):
+            run_workload(REF, [{"op": "HADD", "l": 8}, step])
+
+
+def test_digitwise_sends_wait_for_their_intt():
+    # at K=1 digit 0's INTT is uid 0, which used to read as "no INTT yet",
+    # so its sends started at cycle 0
+    rep = schedule_keyswitch_digits(ChipletConfig(r=4), 3, 4, 1, "DIGITWISE",
+                                    with_timeline=True)
+    assert rep.total_cycles == 7168
+    ops = [t for t in rep.timeline if t["digit"] == 0 and t["phase"] == "modup"]
+    intt_end = max(t["end"] for t in ops if t["kind"] == "INTT")
+    sends = [t["start"] for t in ops if t["kind"] == "SEND"]
+    assert sends and min(sends) >= intt_end == 1024
 
 
 def test_empty_sweep_rejected(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fhesim import opcount
-from fhesim.chipletsim import ChipletConfig, run_workload
+from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
@@ -221,7 +221,7 @@ def test_keygen_follows_the_digit_partition_when_dnum_does_not_divide():
     ctx4 = CkksContext(basis)
     sk, keys = ctx4.keygen(seed=11)
     assert [len(d) for d in opcount.digit_ranges(4, basis.k)] == [2, 2, 1]
-    assert len(keys.relin.digits) == 3
+    assert keys.relin.dnum == len(keys.relin.digits) == 3
     a, b = slots_vec(ctx4), slots_vec(ctx4, "b")
     ca = ctx4.encrypt(ctx4.encode(a, 4), sk, rng())
     cb = ctx4.encrypt(ctx4.encode(b, 4), sk, rng())
@@ -277,6 +277,69 @@ def test_rotate_census_matches_simulator(ctx, keyed, level):
     for r in (1, 4):
         rep = run_workload(ChipletConfig(exact=True, r=r), [{"op": "ROTATE", "l": level}])
         assert {kind: rep.op_counts.get(kind, 0) for kind in census} == census, r
+
+
+def _random_ext(ctx, level, seed):
+    """A random NTT-domain polynomial over the live PQ_level bases."""
+    rs = np.random.default_rng(seed)
+    return RnsPoly([Poly([int(v) for v in rs.integers(0, m.q, ctx.n)], m, Domain.NTT)
+                    for m in ctx.live_bases(level)], level)
+
+
+def _functional_census(op, ctx, sk, keys, level):
+    """count_ops() around the functional routine of one simulator step."""
+    a = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+    b = ctx.encrypt(ctx.encode(slots_vec(ctx, "b"), level), sk, rng())
+    d = ctx.mult(a, b) if op == "KEYSWITCH" else None
+    ext = (_random_ext(ctx, level, 1), _random_ext(ctx, level, 2))
+    with count_ops() as census:
+        if op == "HADD":
+            ctx.add(a, b)
+        elif op == "HMULT":
+            ctx.mult(a, b)
+        elif op == "RESCALE":
+            ctx.rescale(a)
+        elif op == "KEYSWITCH":
+            ctx.relinearize(d, keys)
+        elif op == "ROTATE":
+            ctx.rotate(a, 1, keys)
+        elif op == "MODDOWN":
+            ctx.moddown(ext[0])
+        else:   # FUSED_RESCALE: ModDown both components, then rescale them
+            down = [ctx.moddown(x) for x in ext]
+            ctx.rescale(Ciphertext(down[0], down[1], level, ctx.delta))
+    return census
+
+
+@pytest.mark.parametrize("op, k", [
+    *((op, k) for op in ("HADD", "HMULT", "RESCALE", "KEYSWITCH", "ROTATE")
+      for k in (1, 3)),
+    ("MODDOWN", 1), ("FUSED_RESCALE", 1),    # the ModDown flow models K = 1
+])
+def test_census_matches_simulator(op, k, request):
+    # Both halves pick the key switch by K alone, so the functional census of
+    # every macro op equals the op_counts of its simulator step, at every
+    # level of an L=4 chain and for any chiplet count.  The simulator's
+    # MODDOWN drops both components, where ctx.moddown drops one.
+    basis = BASIS if k == 1 else BASIS3
+    assert basis.k == k
+    ctx = request.getfixturevalue("ctx" if k == 1 else "ctx3")
+    sk, keys = request.getfixturevalue("keyed" if k == 1 else "keyed3")
+    lowest = 1 if op in ("RESCALE", "FUSED_RESCALE") else 0
+    for level in range(lowest, basis.l_max + 1):
+        census = _functional_census(op, ctx, sk, keys, level)
+        want = {kind: (2 if op == "MODDOWN" else 1) * n for kind, n in census.items()}
+        if op == "FUSED_RESCALE":
+            assert census == {kind: 2 * opcount.moddown(level, 1)[kind]
+                              + opcount.rescale(level)[kind] for kind in census}
+        for r in (1, 4):
+            cfg = ChipletConfig(exact=True, r=r)
+            if op == "FUSED_RESCALE":
+                rep = schedule_moddown_ring(cfg, level, fused_rescale=True)
+            else:
+                rep = run_workload(cfg, [{"op": op, "l": level, "k": k}])
+            got = {kind: rep.op_counts.get(kind, 0) for kind in opcount.KINDS}
+            assert got == want, (op, k, level, r)
 
 
 def test_copied_plaintext_keeps_its_scale(ctx, keyed):

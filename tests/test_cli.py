@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from fhesim import analytic
 from fhesim.cli import load_preset, main
 
 
@@ -161,8 +162,21 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     (["comm", "--tech", "limbwise"], "dnum"),        # was a bare TypeError
     (["storage", "--dnum", "0"], "dnum"),            # was a ZeroDivisionError
     (["bound", "--c2c", "0"], "--c2c"),              # was a ZeroDivisionError
+    (["storage"], "dnum"),                           # was a bare TypeError
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and named in out.err
+
+
+def test_cross_check_covers_nested_key_switches(tmp_path, monkeypatch):
+    # bootstrap_example's key switches, a ROTATE's included, all sit inside a
+    # BOOTSTRAP_SCHED; the cross-check used to read top-level steps only
+    args = ["simulate", "--workload", "bootstrap_example", "--cross-check",
+            "--out", str(tmp_path / "rep.json")]
+    assert main(args) == 0
+    comm = analytic.comm_polynomials
+    monkeypatch.setattr(analytic, "comm_polynomials",
+                        lambda tech, l, **kw: comm(tech, l, **kw) + (l == 29))
+    assert main(args) == 1

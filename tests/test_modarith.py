@@ -63,19 +63,19 @@ def test_twiddle_endpoints_and_sweep():
     n = m.n
     assert TwiddleSource(m).power(0) == 1
     assert TwiddleSource(m).power(n) == m.q - 1  # psi^N == -1
-    stored = TwiddleSource(m, TwiddleSource.STORED)
-    otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
-    assert all(stored.power(e) == otf.power(e) for e in range(2 * n))
-    # bit-reversed exponents agree between modes as well
+    stored = TwiddleSource(m).table()
+    otf = TwiddleSource(m)
+    assert all(stored[e] == otf.power(e) for e in range(2 * n))
+    # bit-reversed exponents agree with the stored table as well
     width = (2 * n).bit_length() - 1
-    assert all(TwiddleSource(m, "stored").power(bit_reverse(i, width))
-               == TwiddleSource(m, "on_the_fly").power(bit_reverse(i, width))
+    assert all(stored[bit_reverse(i, width)]
+               == TwiddleSource(m).power(bit_reverse(i, width))
                for i in range(0, 2 * n, 7))
 
 
 def test_twiddle_random_access_on_the_fly():
     m = find_ntt_prime(14, 2048)
-    otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
+    otf = TwiddleSource(m)
     rng = random.Random(1)
     for _ in range(200):
         e = rng.randrange(2 * m.n)

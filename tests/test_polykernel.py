@@ -131,8 +131,8 @@ def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
     for m in basis.q_list + basis.p_list:
         for table in TWIDDLE_TABLES:
             table.cache_clear()
-        stored = TwiddleSource(m).table()
-        otf = TwiddleSource(m, TwiddleSource.ON_THE_FLY)
+        otf = TwiddleSource(m)
+        stored = otf.table()
         assert [otf.power(e) for e in range(m.two_n)] == stored, m.q
         assert [otf.power(e) for e in range(m.two_n - 1, -1, -3)] == \
             stored[::-1][::3], m.q
