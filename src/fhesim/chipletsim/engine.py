@@ -29,16 +29,12 @@ next finish time, frees the finished ops' slots and enqueues the
 dependents they release.  Report, event loop and DAG building are each
 linear in the number of ops, apart from heap and sort logarithms.
 
-Known same-time priority inversion: an op that becomes ready later at
-the same time, after zero-cycle ops retire or a pass releases it, cannot
-take a slot that a lower-priority op took earlier at that time.  At r=4,
-l=8, dnum=3, K=3 in exact mode, for example, the component-1 ModDown hop
-with priority (0, 2, 1, 2, 2, 2) takes c2c:2 at cycle 11264.  The
-component-0 hop (0, 2, 0, 1, 2, 1) streams from an INTT that waits on
-zero-cycle shadow MAS ops retiring at cycle 11264, so it arrives after
-the link is taken and starts at 12288.  Removing zero-cycle ops (such as
-folding the shadow MAS ops into their producers) therefore changes
-schedules; it waits for a behaviour change that fixes the inversion first.
+Same-time priority inversion: an op that becomes ready later at the same
+time, after a pass releases it or a BARRIER retires, cannot take a slot
+that a lower-priority op took earlier at that time.  BARRIER is the only
+zero-duration op the builders emit: a shadowed MAS burst is a count on the
+op it hides behind (`MicroOp.mas`), retires with that op and so never
+holds back a same-time choice.
 """
 
 from __future__ import annotations
@@ -153,6 +149,7 @@ class MicroOp:
     limb: Optional[int] = None
     digit: Optional[int] = None
     nbytes: int = 0
+    mas: int = 0    # zero-time MAS ops in this op's shadow, finishing with it
 
 
 class ScheduleBuilder:
@@ -175,7 +172,7 @@ class ScheduleBuilder:
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
             stream_deps: Sequence[int] = (), priority: Tuple = (), chiplet: int | None = None,
             phase: str = "", limb: int | None = None, digit: int | None = None,
-            nbytes: int = 0) -> int:
+            nbytes: int = 0, mas: int = 0) -> int:
         uid = len(self.ops)
         deps = list(deps)
         if resource.startswith("ntt:"):
@@ -185,7 +182,7 @@ class ScheduleBuilder:
                 deps.append(prev)
             self._prev_ntt[resource] = uid
         self.ops.append(MicroOp(uid, kind, resource, duration, deps, list(stream_deps),
-                                (*priority, uid), chiplet, phase, limb, digit, nbytes))
+                                (*priority, uid), chiplet, phase, limb, digit, nbytes, mas))
         return uid
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
@@ -193,17 +190,10 @@ class ScheduleBuilder:
 
     def transform(self, kind: str, chiplet: int, deps: Sequence[int] = (),
                   priority: Tuple = (), phase: str = "", limb: int | None = None,
-                  digit: int | None = None) -> int:
+                  digit: int | None = None, mas: int = 0) -> int:
         return self.add(kind, f"ntt:{chiplet}", self.transform_cycles, deps=deps,
                         priority=priority, chiplet=chiplet, phase=phase, limb=limb,
-                        digit=digit)
-
-    def shadow_mas(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
-                   phase: str = "", count: int = 1, limb: int | None = None,
-                   digit: int | None = None) -> List[int]:
-        return [self.add("MAS", f"mas:{chiplet}", 0, deps=deps, priority=priority,
-                         chiplet=chiplet, phase=phase, limb=limb, digit=digit)
-                for _ in range(count)]
+                        digit=digit, mas=mas)
 
     def send(self, src: int, deps: Sequence[int] = (), stream_deps: Sequence[int] = (),
              priority: Tuple = (), phase: str = "", limb: int | None = None,
@@ -372,18 +362,25 @@ class Engine:
                 if finish[d] > makespan:
                     makespan = finish[d]
             kind = op.kind
-            if kind in COMPUTE_KINDS:
-                if finish[uid] > makespan:
-                    makespan = finish[uid]
-                op_counts[kind] = op_counts.get(kind, 0) + 1
+            compute = kind in COMPUTE_KINDS
+            if compute or op.mas:
+                # a shadowed MAS burst retires with its carrier, even a SEND
+                end = finish[uid]
+                first = start[uid] if compute else end
+                if end > makespan:
+                    makespan = end
+                if compute:
+                    op_counts[kind] = op_counts.get(kind, 0) + 1
+                if op.mas:
+                    op_counts["MAS"] = op_counts.get("MAS", 0) + op.mas
                 if op.phase:
                     span = phase_span.get(op.phase)
                     if span is None:
-                        phase_span[op.phase] = [start[uid], finish[uid]]
+                        phase_span[op.phase] = [first, end]
                     else:
-                        span[0] = min(span[0], start[uid])
-                        span[1] = max(span[1], finish[uid])
-            elif kind in LINK_KINDS:
+                        span[0] = min(span[0], first)
+                        span[1] = max(span[1], end)
+            if kind in LINK_KINDS:
                 entry = links.get(op.resource)
                 if entry is None:
                     entry = links[op.resource] = {"bytes": 0, "busy_cycles": 0,

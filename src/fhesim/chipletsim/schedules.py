@@ -133,13 +133,10 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                     deps = [data] + ([read] if read is not None else [])
                     ntt = sb.transform("NTT", i, deps=deps,
                                        priority=(pri0, j, m, 2, t), phase="modup",
-                                       limb=x, digit=t)
+                                       limb=x, digit=t, mas=2 if shadowed else 0)
                     mac_ntts[i].append(ntt)
                     if shadowed:
-                        macs = sb.shadow_mas(i, deps=[ntt],
-                                             priority=(pri0, j, m, 2, t, 1),
-                                             phase="modup", count=2, limb=x, digit=t)
-                        buf_ops[t].append(macs[-1])
+                        buf_ops[t].append(ntt)
                     else:
                         for w in range(2):
                             mop = sb.add("MAS", f"ntt:{i}", sb.transform_cycles,
@@ -166,17 +163,14 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
     for comp in range(components):
         deps = (buf_deps[l + 1] if buf_deps else after) or after
         intt = sb.transform("INTT", owner, deps=deps, priority=(pri0, comp, 0),
-                            phase="moddown", limb=l + 1)
-        sb.shadow_mas(owner, deps=[intt], priority=(pri0, comp, 0, 1), phase="moddown")
+                            phase="moddown", limb=l + 1, mas=1)
         arrival = _ring_broadcast(sb, intt, owner, (pri0, comp, 1), "moddown",
                                   limb=l + 1)
         for t in range(l + 1):
             i = t % r
             deps = [arrival[i], *(buf_deps[t][-1:] if buf_deps else after)]
-            ntt = sb.transform("NTT", i, deps=deps, priority=(pri0, comp, 2, t),
-                               phase="moddown", limb=t)
-            sb.shadow_mas(i, deps=[ntt], priority=(pri0, comp, 2, t, 1),
-                          phase="moddown", count=3 if buf_deps else 2)
+            sb.transform("NTT", i, deps=deps, priority=(pri0, comp, 2, t),
+                         phase="moddown", limb=t, mas=3 if buf_deps else 2)
 
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
@@ -210,60 +204,48 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
 # dnum < L+1 KeySwitch (digit pipeline with base conversion)
 
 
-def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
+def build_keyswitch_digits(sb: ScheduleBuilder, l: int, k: int,
                            strategy: str = "ALTERNATE",
                            after: Sequence[int] = (), pri0: int = 0) -> None:
+    """Key switch over the digits digit_ranges(l, k)."""
     _check_strategy(strategy)
     if strategy == "DIGITWISE":
-        build_keyswitch_digitwise(sb, l, dnum, k, after=after, pri0=pri0)
+        build_keyswitch_digitwise(sb, l, k, after=after, pri0=pri0)
         return
     cfg = sb.cfg
     r = cfg.r
     nb = l + 1 + k                       # live bases of PQ_l
     digits = digit_ranges(l, k)
 
-    # ModUp: all INTTs up front, hat-premultiplied, streamed ring broadcast
+    # ModUp: all INTTs up front, hat-premultiplied, streamed ring broadcast.
+    # Limb x is resident in digit x // k, so its key multiplication (and,
+    # past digit 0, its digit accumulation) also runs in the INTT's shadow.
     arrival: Dict[Tuple[int, int], int] = {}
     for x in range(l + 1):
         owner = x % r
         intt = sb.transform("INTT", owner, deps=after, priority=(pri0, 0, x),
-                            phase="modup", limb=x)
-        sb.shadow_mas(owner, deps=[intt], priority=(pri0, 0, x, 1), phase="modup",
-                      limb=x)
+                            phase="modup", limb=x, mas=3 if x < k else 5)
         for i, hop in _ring_broadcast(sb, intt, owner, (pri0, 0, x, 2), "modup",
                                       limb=x).items():
             arrival[(x, i)] = hop
 
-    mac_gate: Dict[int, List[int]] = {t: [] for t in range(nb)}
+    mac_gate: Dict[int, int] = {}        # latest NTT of each converted base
     mac_ntts: Dict[int, List[int]] = {i: [] for i in range(r)}
     for j, digit in enumerate(digits):
         for t in range(nb):
-            i = t % r
             if t in digit:
-                # key mult on the resident NTT-domain limbs, in the INTT shadow
-                km = sb.shadow_mas(i, deps=after, priority=(pri0, 1, j, t, 2),
-                                   phase="modup", count=2, digit=j)
-                mac_gate[t].extend(km)
                 continue
+            i = t % r
             deps = [arrival[(x, i)] for x in digit]
-            sb.shadow_mas(i, deps=deps, priority=(pri0, 1, j, t, 0), phase="modup",
-                          count=len(digit), digit=j)      # base-conversion MACs
             read = sb.hbm_read(i, deps=(
                 [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else after),
                 priority=(pri0, 1, j, t, 1), phase="modup")
+            # base-conversion MACs, key multiplication, digit accumulation
             ntt = sb.transform("NTT", i, deps=deps + ([read] if read is not None else []),
                                priority=(pri0, 1, j, t, 2), phase="modup", digit=j,
-                               limb=t)
+                               limb=t, mas=len(digit) + 2 + (2 if j else 0))
             mac_ntts[i].append(ntt)
-            km = sb.shadow_mas(i, deps=[ntt], priority=(pri0, 1, j, t, 3),
-                               phase="modup", count=2, digit=j)
-            mac_gate[t].extend(km)
-        if j > 0:
-            for t in range(nb):
-                acc = sb.shadow_mas(t % r, deps=list(mac_gate[t][-2:]),
-                                    priority=(pri0, 1, j, t, 4), phase="modup",
-                                    count=2, digit=j)
-                mac_gate[t].extend(acc)
+            mac_gate[t] = ntt
 
     # ModDown: all 2K INTTs first, streamed broadcasts, then per-component NTTs
     md_arrival: Dict[Tuple[int, int, int], int] = {}
@@ -271,10 +253,9 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
         for h in range(k):
             t = l + 1 + h
             owner = t % r
-            intt = sb.transform("INTT", owner, deps=list(mac_gate[t][-2:]),
-                                priority=(pri0, 2, comp, h), phase="moddown", limb=t)
-            sb.shadow_mas(owner, deps=[intt], priority=(pri0, 2, comp, h, 1),
-                          phase="moddown")
+            intt = sb.transform("INTT", owner, deps=[mac_gate[t]],
+                                priority=(pri0, 2, comp, h), phase="moddown", limb=t,
+                                mas=1)
             for i, hop in _ring_broadcast(sb, intt, owner, (pri0, 2, comp, h, 2),
                                           "moddown", limb=t).items():
                 md_arrival[(comp, h, i)] = hop
@@ -282,13 +263,11 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, dnum: int, k: int,
         for t in range(l + 1):
             i = t % r
             deps = [md_arrival[(comp, h, i)] for h in range(k)]
-            ntt = sb.transform("NTT", i, deps=deps, priority=(pri0, 3, comp, t),
-                               phase="moddown", limb=t)
-            sb.shadow_mas(i, deps=[ntt], priority=(pri0, 3, comp, t, 1),
-                          phase="moddown", count=k + 2)
+            sb.transform("NTT", i, deps=deps, priority=(pri0, 3, comp, t),
+                         phase="moddown", limb=t, mas=k + 2)
 
 
-def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
+def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, k: int,
                               after: Sequence[int] = (), pri0: int = 0) -> None:
     """Digit-per-chiplet distribution (comparison flow).
 
@@ -300,44 +279,43 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, dnum: int, k: int,
     r = cfg.r
     nb = l + 1 + k
     digits = digit_ranges(l, k)
+    dnum = len(digits)
     for j, digit in enumerate(digits):
         c = j % r
         for x in digit:
             last = sb.transform("INTT", c, deps=after, priority=(pri0, 0, j, x),
                                 phase="modup", limb=x, digit=j)
         for t in range(nb - len(digit)):
-            ntt = sb.transform("NTT", c, deps=[last], priority=(pri0, 1, j, t),
-                               phase="modup", digit=j)
-            sb.shadow_mas(c, deps=[ntt], priority=(pri0, 1, j, t, 1), phase="modup",
-                          count=2 + len(digit), digit=j)
+            sb.transform("NTT", c, deps=[last], priority=(pri0, 1, j, t),
+                         phase="modup", digit=j, mas=2 + len(digit))
         # one-time exchange: 2(dnum-1)(l+1)/dnum polynomials per chiplet
         for s in range(math.ceil(2 * (dnum - 1) * (l + 1) / dnum)):
             sb.send(c, deps=[last], priority=(pri0, 2, j, s), phase="modup", digit=j)
     # ModDown: duplicated K INTTs and base conversion, 2K polys exchanged
-    for j in range(min(len(digits), r)):
+    for j in range(min(dnum, r)):
         c = j % r
         for h in range(k):
             last = sb.transform("INTT", c, deps=after, priority=(pri0, 3, j, h),
                                 phase="moddown")
         for s in range(2 * k):
             sb.send(c, deps=[last], priority=(pri0, 4, j, s), phase="moddown")
-        for t in range(math.ceil((l + 1) / max(len(digits), 1))):
-            ntt = sb.transform("NTT", c, deps=[last], priority=(pri0, 5, j, t),
-                               phase="moddown")
-            sb.shadow_mas(c, deps=[ntt], priority=(pri0, 5, j, t, 1),
-                          phase="moddown", count=k + 2)
+        for t in range(math.ceil((l + 1) / dnum)):
+            sb.transform("NTT", c, deps=[last], priority=(pri0, 5, j, t),
+                         phase="moddown", mas=k + 2)
 
 
 def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
                               strategy: str = "ALTERNATE",
                               with_timeline: bool = False) -> CycleReport:
     _check_at_least(l, 0, "l")
-    if not 1 <= dnum <= l + 1:
-        raise ProgramError(f"dnum must lie in [1, l+1] = [1, {l + 1}], got {dnum}")
     _check_at_least(k, 1, "k")
+    digit_count = len(digit_ranges(l, k))
+    if dnum != digit_count:
+        raise ProgramError(f"dnum must be the digit count of l={l}, k={k}, which is "
+                           f"{digit_count}, got {dnum}")
     _check_strategy(strategy)
     sb = ScheduleBuilder(cfg)
-    build_keyswitch_digits(sb, l, dnum, k, strategy=strategy)
+    build_keyswitch_digits(sb, l, k, strategy=strategy)
     meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,
             "strategy": strategy, "warnings": cfg.bound_warnings(l)}
     report = Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
@@ -376,9 +354,8 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
         for w in range((l + 1) * (l + 4)):
             ntt = sb.transform("NTT", 0, priority=(1, w), phase="modup")
             if w < (l + 1) * (l + 2):
-                snd = send(0, deps=[ntt], priority=(1, w, 1), phase="modup")
-                sb.shadow_mas(1, deps=[snd], priority=(1, w, 2), phase="modup",
-                              count=2)
+                # the MAS chiplet's two MACs run in the shadow of the move
+                send(0, deps=[ntt], priority=(1, w, 1), phase="modup", mas=2)
         for w in range(2 * (l + 2)):   # ModDown component moves
             send(1, priority=(2, w), phase="moddown")
     elif technique in ("B", "C"):
@@ -387,8 +364,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
             for w in range(intt_per):
                 sb.transform("INTT", i, priority=(0, i, w), phase="modup")
             for w in range(l + 4):
-                ntt = sb.transform("NTT", i, priority=(1, i, w), phase="modup")
-                sb.shadow_mas(i, deps=[ntt], priority=(1, i, w, 1), phase="modup")
+                sb.transform("NTT", i, priority=(1, i, w), phase="modup", mas=1)
         # broadcasts: l+1 limbs to l+2 chiplets, plus 2(l+1) for ModDown
         for x in range(l + 1):
             for c in range(l + 2):
@@ -434,10 +410,8 @@ def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
         arrival = _ring_broadcast(sb, intt, src, (pri0, comp, 1), "rescale", limb=l)
         for t in range(l):
             i = owner(t)
-            ntt = sb.transform("NTT", i, deps=[arrival.get(i, intt)],
-                               priority=(pri0, comp, 2, t), phase="rescale", limb=t)
-            sb.shadow_mas(i, deps=[ntt], priority=(pri0, comp, 2, t, 1),
-                          phase="rescale")
+            sb.transform("NTT", i, deps=[arrival.get(i, intt)],
+                         priority=(pri0, comp, 2, t), phase="rescale", limb=t, mas=1)
 
 
 def run_workload(cfg: ChipletConfig, program: Sequence[dict],
@@ -490,8 +464,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             if k == 1:
                 build_keyswitch_ring(sb, l, after=after, pri0=ks_pri)
             else:
-                build_keyswitch_digits(sb, l, len(digit_ranges(l, k)), k, after=after,
-                                       pri0=ks_pri)
+                build_keyswitch_digits(sb, l, k, after=after, pri0=ks_pri)
         elif op == "RESCALE":
             _macro_rescale(sb, l, owner, after, pri)
         elif op == "MODDOWN":
@@ -532,6 +505,8 @@ def _check_step(step: dict, levels: int) -> None:
     _check_at_least(k, 1, "k")
     if op == "MODDOWN" and k != 1:
         raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
+    if "bytes" in step:
+        _check_at_least(int(step["bytes"]), 1, f"{op} bytes")
 
 
 def flatten(program: Sequence[dict]):

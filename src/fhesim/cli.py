@@ -151,17 +151,23 @@ def cmd_analyze(args) -> int:
         rows.append({"formula": "twiddle_tradeoff", "n1": args.n1, "n2": args.n2,
                      **analytic.twiddle_tradeoff(args.n1, args.n2, tfg=not args.no_tfg)})
     elif name == "census":
-        if args.dnum is not None and args.dnum < args.l + 1:
-            if args.dnum < 1 or args.k is None or args.k < 1:
-                raise analytic.InvalidArgument(
-                    f"a census with --dnum below l+1 needs --dnum and --k (the "
-                    f"special base size) of at least 1, got --dnum {args.dnum}, "
-                    f"--k {args.k}")
-            c = opcount.keyswitch_generic(args.l, args.dnum, args.k)
-            c["ntt_equivalents_per_chiplet"] = str(
-                analytic.digits_census(args.l, args.dnum, args.k, args.r))
-        else:
+        # K alone picks the switch, as in CkksContext; the digit count follows
+        k = 1 if args.k is None else args.k
+        if args.l < 0 or k < 1:
+            raise analytic.InvalidArgument(
+                f"a census needs --l of at least 0 and --k (the special base "
+                f"size) of at least 1, got --l {args.l}, --k {args.k}")
+        dnum = len(opcount.digit_ranges(args.l, k))
+        if args.dnum is not None and args.dnum != dnum:
+            raise analytic.InvalidArgument(
+                f"--dnum {args.dnum} disagrees with --k {k}: their digit count "
+                f"at l={args.l} is {dnum}")
+        if k == 1:
             c = opcount.keyswitch_full(args.l)
+        else:
+            c = opcount.keyswitch_generic(args.l, dnum, k)
+            c["ntt_equivalents_per_chiplet"] = str(
+                analytic.digits_census(args.l, dnum, k, args.r))
         rows.append({"formula": "census", "l": args.l, **c})
     else:
         print(f"unknown formula {name!r}", file=sys.stderr)

@@ -271,7 +271,7 @@ GOLDEN = {
     "moddown-l14-fused1":
         "26db247ce3282a6d3241d9d3fb73bb6cfcfac16ac51e2d759403a92b5ff03732",
     "digits-8,3,3-ALTERNATE":
-        "b75698ce9fe74c98d8091a14e4bd16e67a31165395250bb41bb646641705ae79",
+        "613c7a49471dd7c0617066e5b0d077ae2ec046b1e1d218900ae7376a90cb70fa",
     "digits-8,3,3-DIGITWISE":
         "9b657436c53647ff6774b2148d709ee228cd6577b6c3f456099308951686468a",
     "digits-22,3,8-ALTERNATE":
@@ -325,9 +325,9 @@ GOLDEN = {
     "sweep":
         "35baf852ab79b28aec793fb53bc5b5644813704e29bc7f4c91067ab9f116f9f1",
     "timeline-ring":
-        "2440ad94810078a06eabf0038a67eafb842ca9ae73fa3a82e0bd0e035d1e1021",
+        "d383522dc0a3b68d76e2730e4ad28543066b55212354e747a2599a1dc03176bd",
     "timeline-digits":
-        "787a2182daf5e84d1c064759e0f7fb831b2ca468d90c6727041e3c037efa34b0",
+        "95ad1240fe45e8ec787868637429bf124d38c14630723e933381556a97c29f0b",
 }
 
 
@@ -398,6 +398,43 @@ def test_report_json_bytes_do_not_depend_on_hash_seed():
     assert list(json.loads(outs[0])["phase_cycles"]) == ["modup", "moddown"]
 
 
+def test_report_key_order_is_first_appearance():
+    # the golden digests sort keys, so they cannot see the order to_json() keeps
+    assert list(schedule_keyswitch_ring(REF, 8).op_counts) == ["INTT", "NTT", "MAS"]
+    digits = schedule_keyswitch_digits(REF, 8, 3, 3)
+    assert list(digits.op_counts) == ["INTT", "MAS", "NTT"]
+    assert list(digits.phase_cycles) == ["modup", "moddown"]
+
+
+def test_barrier_is_the_only_zero_duration_op(monkeypatch):
+    # a shadowed MAS burst is a count on the op it hides behind, so no
+    # zero-cycle bookkeeping op can hold back a same-time choice
+    dags = []
+    run = Engine.run
+
+    def record(self, ops, **kwargs):
+        dags.append(ops)
+        return run(self, ops, **kwargs)
+
+    monkeypatch.setattr(Engine, "run", record)
+    for cfg in (REF, EXACT):
+        for sh in (True, False):
+            for md in (True, False):
+                schedule_keyswitch_ring(cfg, 8, shadowed=sh, include_moddown=md)
+        for fused in (False, True):
+            schedule_moddown_ring(cfg, 8, fused_rescale=fused)
+        for strategy in ("ALTERNATE", "DIGITWISE"):
+            schedule_keyswitch_digits(cfg, 8, 3, 3, strategy)
+        for tech in ("A", "B", "C"):
+            schedule_strawman(cfg, 6, tech)
+        for name in ("keyswitch_l30", "bootstrap_example"):
+            doc = load_preset(name)
+            run_workload(cfg, doc["program"], levels=doc["levels"])
+    assert len(dags) == 2 * 13
+    for ops in dags:
+        assert {op.kind for op in ops if op.duration == 0} <= {"BARRIER"}
+
+
 # ---------------------------------------------------------------------------
 # Input validation where configs, programs and schedules enter
 
@@ -465,6 +502,16 @@ def test_rescale_at_level_zero_rejected(monkeypatch):
         schedule_moddown_ring(REF, 0, fused_rescale=True)
 
 
+def test_host_load_of_no_bytes_rejected(monkeypatch):
+    # a HOST_LOAD of 0 or fewer bytes used to run as a zero- or
+    # negative-duration transfer
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for nbytes in (0, -100):
+        with pytest.raises(ProgramError):
+            run_workload(REF, [{"op": "HOST_LOAD", "l": 2, "bytes": nbytes}])
+
+
 def test_digits_dnum_above_limb_count_rejected():
     with pytest.raises(ProgramError):
         schedule_keyswitch_digits(REF, 4, 9, 1)
@@ -483,7 +530,7 @@ def test_unknown_keyswitch_strategy_rejected(monkeypatch):
         with pytest.raises(ProgramError):
             schedule_keyswitch_digits(REF, 8, 3, 3, strategy)
         with pytest.raises(ProgramError):
-            schedules.build_keyswitch_digits(None, 8, 3, 3, strategy)
+            schedules.build_keyswitch_digits(None, 8, 3, strategy)
 
 
 def test_keyswitch_dnum_without_k_rejected(monkeypatch):
@@ -514,6 +561,17 @@ def test_digitwise_sends_wait_for_their_intt():
     assert sends and min(sends) >= intt_end == 1024
 
 
+def test_digits_dnum_must_be_the_digit_count(monkeypatch):
+    # l=8, k=3 gives 3 digits; DIGITWISE used to report 18, 45 and 66
+    # polynomials transferred for dnum 1, 2 and 9, all at 18432 cycles
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for dnum in (1, 2, 9):
+        for strategy in ("ALTERNATE", "DIGITWISE"):
+            with pytest.raises(ProgramError, match="digit count"):
+                schedule_keyswitch_digits(REF, 8, dnum, 3, strategy)
+
+
 def test_empty_sweep_rejected(monkeypatch):
     from fhesim.chipletsim import schedules
     monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
@@ -542,7 +600,8 @@ def _random_dags(draw):
                deps=draw(earlier),
                stream_deps=draw(earlier) if kind == "SEND" else (),
                priority=(draw(st.integers(0, 3)),), chiplet=chiplet,
-               nbytes=sb.poly_bytes if kind in ("SEND", "HBM_RD") else 0)
+               nbytes=sb.poly_bytes if kind in ("SEND", "HBM_RD") else 0,
+               mas=draw(st.integers(0, 2)))
     return cfg, sb.ops
 
 
@@ -566,11 +625,13 @@ def test_engine_invariants_on_random_dags(dag):
         if res.startswith("ntt:"):
             # issue order: each op starts once its predecessor has finished
             assert all(start[b] >= end[a] for a, b in zip(uids, uids[1:]))
-    # wall time ends when the last compute op or consumed op retires
+    # wall time ends when the last compute op, shadow-MAS carrier or consumed
+    # op retires
     consumed = {d for op in ops for d in op.deps + op.stream_deps}
     assert rep.total_cycles == max((end[op.uid] for op in ops
-                                    if op.kind in ("NTT", "MAS") or op.uid in consumed),
-                                   default=0)
+                                    if op.kind in ("NTT", "MAS") or op.mas
+                                    or op.uid in consumed), default=0)
+    assert rep.op_counts.get("MAS", 0) == sum((op.kind == "MAS") + op.mas for op in ops)
     for c in rep.per_chiplet:
         assert min(c.values()) >= 0
         assert c["busy"] + c["stall"] + c["idle"] == rep.total_cycles

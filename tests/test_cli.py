@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from fhesim import analytic
+from fhesim import analytic, opcount
 from fhesim.cli import load_preset, main
 
 
@@ -159,6 +159,7 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["census", "--dnum", "3"], "--k"),              # was a bare TypeError
+    (["census", "--l", "1", "--k", "3", "--dnum", "2"], "--dnum"),  # 1 digit at l=1
     (["comm", "--tech", "limbwise"], "dnum"),        # was a bare TypeError
     (["storage", "--dnum", "0"], "dnum"),            # was a ZeroDivisionError
     (["bound", "--c2c", "0"], "--c2c"),              # was a ZeroDivisionError
@@ -168,6 +169,19 @@ def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and named in out.err
+
+
+def test_analyze_census_picks_the_switch_by_k(capsys):
+    # a K=3 census at l=1 used to print the ring's INTT 4 / NTT 10 / MAS 26
+    for extra in ([], ["--dnum", "1"]):
+        assert main(["analyze", "census", "--l", "1", "--k", "3", *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["INTT"], doc["NTT"], doc["MAS"]) == (8, 7, 44)
+        assert doc["ntt_equivalents_per_chiplet"] == str(analytic.digits_census(1, 1, 3, 4))
+    for extra in ([], ["--k", "1"], ["--dnum", "9"]):
+        assert main(["analyze", "census", "--l", "8", *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"formula": "census", "l": 8, **opcount.keyswitch_full(8)}
 
 
 def test_cross_check_covers_nested_key_switches(tmp_path, monkeypatch):
