@@ -159,11 +159,11 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["census", "--dnum", "3"], "--k"),              # was a bare TypeError
-    (["census", "--l", "1", "--k", "3", "--dnum", "2"], "--dnum"),  # 1 digit at l=1
     (["comm", "--tech", "limbwise"], "dnum"),        # was a bare TypeError
     (["storage", "--dnum", "0"], "dnum"),            # was a ZeroDivisionError
     (["bound", "--c2c", "0"], "--c2c"),              # was a ZeroDivisionError
     (["storage"], "dnum"),                           # was a bare TypeError
+    (["census", "--l", "1", "--k", "3", "--dnum", "2"], "--dnum"),  # 1 digit at l=1
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2
