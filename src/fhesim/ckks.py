@@ -15,9 +15,13 @@ through _mulmod_vv, with its own quotient-error bound) and the base
 conversion below.  Where products are summed before a single reduction
 (key multiplication, base conversion) the no-wrap bound is asserted.
 Switching keys are stored as arrays too: each KskDigit holds ksk0, and
-once expanded ksk1, as one (bases, N) array.  Ciphertexts, plaintexts and
-secret keys stay list-backed Polys at the public API: each public routine
-converts its inputs once (_stack) and its outputs once (_unstack).
+once expanded ksk1, as one (bases, N) array.  At the public API the limbs
+of ciphertexts, plaintexts and secret keys are Polys, and a limb a routine
+builds holds a read-only uint64 row of the routine's result stack
+(_unstack): its Python-int list is built only when someone reads p.coeffs.
+A routine stacks its inputs' rows, or the lists of limbs that were read,
+into one fresh array, each residue checked to lie in [0, q) (_stack), so
+no kernel writes to a limb and an edited list is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
@@ -47,10 +51,10 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (_VV_OFFSET, Domain, DomainError, MasOp, Poly,
-                         _checked_rows, _fold, _frozen, _mulmod, _mulmod_lazy,
-                         _mulmod_vv_lazy, automorphism_ntt_rows, intt_rows, mas_rows,
-                         modulus_columns, ntt_rows, poly_to_bytes, row_to_bytes)
+from .polykernel import (_VV_OFFSET, Domain, LengthMismatch, MasOp, Poly, _fold, _frozen,
+                         _mulmod, _mulmod_lazy, _mulmod_vv_lazy, _stack, _unstack,
+                         automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns,
+                         ntt_rows, poly_to_bytes, row_to_bytes, rows_from_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -153,26 +157,6 @@ def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
                   np.array([v / m.q for v, m in zip(w, moduli)])[:, None], q)
     _tick("MAS", _limbs_in(out))
     return out
-
-
-# ---------------------------------------------------------------------------
-# The list <-> array boundary
-
-
-def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
-    """The residues of list-backed limbs as one (rows, N) uint64 array.
-
-    Every residue is checked to lie in [0, q) of its limb, as the NTT checks
-    its input: ResidueOutOfRange otherwise."""
-    if domain is not None and any(p.domain != domain for p in limbs):
-        raise DomainError(f"expected {domain.name}-domain limbs")
-    q, _ = modulus_columns(tuple(p.modulus for p in limbs))
-    return _checked_rows([p.coeffs for p in limbs], q)
-
-
-def _unstack(x: np.ndarray, moduli: Sequence[PrimeModulus], domain: Domain) -> List[Poly]:
-    """The rows of a (rows, N) array as list-backed limbs."""
-    return [Poly(row, m, domain) for row, m in zip(x.tolist(), moduli)]
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +319,7 @@ class CkksContext:
         """The Galois element 5^rot mod 2N of a rotation by rot slots."""
         return pow(5, rot, 2 * self.n)
 
-    # -- list <-> array at the public API ------------------------------------
+    # -- limbs in and out at the public API ----------------------------------
 
     def _rows(self, *comps: RnsPoly) -> np.ndarray:
         """NTT-domain components of one level as a (components, rows, N) array."""
@@ -447,21 +431,21 @@ class CkksContext:
 
     def expand_ksk1_limb(self, seed: int, m: PrimeModulus) -> Poly:
         """Regenerate one seed-expandable key limb (NTT domain by convention)."""
-        return Poly(self._expand_ksk1([seed], [m])[0].tolist(), m, Domain.NTT)
+        return _unstack(self._expand_ksk1([seed], [m]), (m,), Domain.NTT)[0]
 
     def _fill_ksk1(self, key: KeySwitchKey, js: Iterable[int]) -> None:
         """Expand, in one batch, the ksk1 of every digit in js not yet expanded."""
         missing = [key.digits[j] for j in js if key.digits[j]._ksk1 is None]
         if missing:
             bases = self.all_bases()
-            rows = self._expand_ksk1([s for d in missing for s in d.ksk1_seeds],
-                                     bases * len(missing))
+            rows, = _frozen(self._expand_ksk1([s for d in missing for s in d.ksk1_seeds],
+                                              bases * len(missing)))
             for d, digit_rows in zip(missing, np.split(rows, len(missing))):
                 d._ksk1 = digit_rows
 
     def ksk1_limb(self, key: KeySwitchKey, j: int, t: int) -> Poly:
         self._fill_ksk1(key, (j,))
-        return Poly(key.digits[j]._ksk1[t].tolist(), self.all_bases()[t], Domain.NTT)
+        return Poly(key.digits[j]._ksk1[t], self.all_bases()[t], Domain.NTT)
 
     def keygen(self, seed: int, rotations: Iterable[int] = ()) -> Tuple[SecretKey, KeySet]:
         rng = np.random.default_rng(seed)
@@ -720,24 +704,86 @@ class CkksContext:
 # Serialization
 
 
+_CT_HEAD = struct.Struct("<IiId")
+_KSK_HEAD = struct.Struct("<II")
+
+
 def ciphertext_to_bytes(ct: Ciphertext, n: int, dnum: int) -> bytes:
-    head = struct.pack("<IiId", n, ct.level, dnum, ct.scale)
-    body = b""
-    for comp in (ct.c0, ct.c1):
-        for t, p in enumerate(comp.limbs):
-            body += poly_to_bytes(p, t)
-    return head + body
+    head = _CT_HEAD.pack(n, ct.level, dnum, ct.scale)
+    return b"".join([head] + [poly_to_bytes(p, t) for comp in (ct.c0, ct.c1)
+                              for t, p in enumerate(comp.limbs)])
+
+
+def ciphertext_from_bytes(data: bytes, basis: RnsBasis) -> Ciphertext:
+    """Inverse of ciphertext_to_bytes for a ciphertext over basis, with
+    row-backed limbs.
+
+    LengthMismatch when the buffer is cut short or too long, or its headers
+    disagree with the basis; ResidueOutOfRange for a residue outside [0, q).
+    """
+    if len(data) < _CT_HEAD.size:
+        raise LengthMismatch(f"{len(data)}-byte buffer is shorter than the header")
+    n, level, dnum, scale = _CT_HEAD.unpack_from(data)
+    if n != basis.n or dnum != basis.dnum or not 0 <= level <= basis.l_max:
+        raise LengthMismatch(f"header (N={n}, level {level}, dnum {dnum}) does not fit "
+                             f"the basis (N={basis.n}, L={basis.l_max}, dnum {basis.dnum})")
+    moduli = basis.q_list[: level + 1]
+    c0, offset = rows_from_bytes(data, _CT_HEAD.size, moduli, n, Domain.NTT)
+    c1, offset = rows_from_bytes(data, offset, moduli, n, Domain.NTT)
+    _expect_end(data, offset)
+    return Ciphertext(RnsPoly(_unstack(c0, moduli, Domain.NTT), level),
+                      RnsPoly(_unstack(c1, moduli, Domain.NTT), level), level, scale)
 
 
 def ksk_to_bytes(key: KeySwitchKey, seeded: bool = True) -> bytes:
     """Switching-key image; the seeded form stores 8-byte seeds for ksk1."""
-    out = [struct.pack("<II", len(key.digits), 1 if seeded else 0)]
+    out = [_KSK_HEAD.pack(len(key.digits), 1 if seeded else 0)]
     for digit in key.digits:
         out += [row_to_bytes(row, t, Domain.NTT) for t, row in enumerate(digit.ksk0)]
         if seeded:
+            if not digit.ksk1_seeds:
+                raise ValueError("the key was read in its unseeded form and holds no seeds")
             out += [struct.pack("<Q", s) for s in digit.ksk1_seeds]
         else:
             if digit._ksk1 is None:
                 raise ValueError("expand ksk1 limbs before unseeded serialization")
             out += [row_to_bytes(row, t, Domain.NTT) for t, row in enumerate(digit._ksk1)]
     return b"".join(out)
+
+
+def ksk_from_bytes(data: bytes, basis: RnsBasis) -> KeySwitchKey:
+    """Inverse of ksk_to_bytes, seeded or not, for a key over basis.
+
+    A seeded image gives digits whose ksk1 is regenerated on first use; an
+    unseeded one gives ksk1 expanded and no seeds.  Errors as for
+    ciphertext_from_bytes.
+    """
+    if len(data) < _KSK_HEAD.size:
+        raise LengthMismatch(f"{len(data)}-byte buffer is shorter than the header")
+    count, seeded = _KSK_HEAD.unpack_from(data)
+    want = len(opcount.digit_ranges(basis.l_max, basis.k))
+    if count != want or seeded not in (0, 1):
+        raise LengthMismatch(f"header ({count} digits, seeded flag {seeded}) does not "
+                             f"fit the basis ({want} digits)")
+    bases = basis.q_list + basis.p_list
+    seed_block = struct.Struct(f"<{len(bases)}Q")
+    offset = _KSK_HEAD.size
+    digits = []
+    for _ in range(count):
+        ksk0, offset = rows_from_bytes(data, offset, bases, basis.n, Domain.NTT)
+        if seeded:
+            if len(data) < offset + seed_block.size:
+                raise LengthMismatch(f"{len(data)}-byte buffer ends inside the seeds "
+                                     f"at byte {offset}")
+            digits.append(KskDigit(ksk0, list(seed_block.unpack_from(data, offset))))
+            offset += seed_block.size
+        else:
+            ksk1, offset = rows_from_bytes(data, offset, bases, basis.n, Domain.NTT)
+            digits.append(KskDigit(ksk0, [], _frozen(ksk1)[0]))
+    _expect_end(data, offset)
+    return KeySwitchKey(digits=digits, dnum=count)
+
+
+def _expect_end(data: bytes, offset: int) -> None:
+    if offset != len(data):
+        raise LengthMismatch(f"{len(data) - offset} bytes follow the last limb")

@@ -18,7 +18,10 @@ MUL and MAC, form the ratio per element and have their own bound
 (_mulmod_vv_lazy, error in [-9, 9]).  Both need every modulus below
 2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues
 inside [0, q), which the transforms check.  ntt_reference, intt_reference
-and mas are one-row calls of the same kernels on list-backed Polys.  The
+and mas are one-row calls of the same kernels on Polys.  A Poly holds its
+residues as a list of Python ints or as a read-only uint64 row, which
+becomes that list when p.coeffs is first read (_Coeffs); kernels read the
+row while it is there (_words), and outputs are rows (_unstack).  The
 pure-int butterflies are kept, unchanged, as the oracles ntt_oracle and
 intt_oracle, with automorphism_oracle (the oracle the gather is checked
 against, through the NTT) and automorphism_shuffle (the hardware AUT
@@ -62,7 +65,8 @@ class ResidueOutOfRange(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Operands of a pointwise op, or a serialized buffer, have the wrong length."""
+    """Operands of a pointwise op have the wrong length, or a serialized buffer
+    does not hold the layout its reader expects."""
 
 
 class PlanMismatch(Exception):
@@ -86,18 +90,61 @@ class Domain(Enum):
     NTT = 1
 
 
+class _Coeffs:
+    """Poly.coeffs: a list of Python ints, or a read-only uint64 row that
+    becomes that list when it is first read.
+
+    The read drops the row, so an edit of the list is what every later
+    reader sees, kernels included (_words).  Any other array is read into a
+    list at once: only a frozen row may be shared.
+    """
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            # No class-level value: the dataclass field keeps no default.
+            raise AttributeError("coeffs")
+        value = vars(p)["coeffs"]
+        if isinstance(value, np.ndarray):
+            value = vars(p)["coeffs"] = value.tolist()
+        return value
+
+    def __set__(self, p, value):
+        if isinstance(value, np.ndarray) and (value.flags.writeable
+                                              or value.dtype != np.uint64):
+            value = value.tolist()
+        vars(p)["coeffs"] = value
+
+
 @dataclass
 class Poly:
-    coeffs: List[int]
+    coeffs: List[int] = _Coeffs()
     modulus: PrimeModulus
     domain: Domain = Domain.COEFF
 
     @property
     def n(self) -> int:
-        return len(self.coeffs)
+        return len(_words(self))
 
     def copy(self) -> "Poly":
-        return Poly(list(self.coeffs), self.modulus, self.domain)
+        """An independent limb; a frozen row is shared, not read into a list."""
+        words = _words(self)
+        return Poly(words if isinstance(words, np.ndarray) else list(words),
+                    self.modulus, self.domain)
+
+
+def _words(p: Poly):
+    """p's residues as stored: its frozen uint64 row until p.coeffs is first
+    read, the list after that."""
+    return vars(p)["coeffs"]
+
+
+def _unstack(x: np.ndarray, moduli: Sequence[PrimeModulus], domain: Domain) -> List[Poly]:
+    """The rows of a (rows, N) result stack as row-backed limbs.
+
+    Each limb holds a view of its row.  The stack is frozen, and so is the
+    array it views, if any, so that no later write reaches a limb."""
+    _frozen(*(a for a in (x, x.base) if isinstance(a, np.ndarray)))
+    return [Poly(row, m, domain) for row, m in zip(x, moduli)]
 
 
 @dataclass(frozen=True)
@@ -432,9 +479,16 @@ def _checked_rows(x, q: np.ndarray) -> np.ndarray:
     return x
 
 
-def _residues(p: Poly) -> np.ndarray:
-    """The coefficients as a (1, N) uint64 stack, each checked to lie in [0, q)."""
-    return _checked_rows([p.coeffs], modulus_columns((p.modulus,))[0])
+def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
+    """The residues of limbs, rows or read lists alike, as one fresh
+    (rows, N) uint64 array.
+
+    Every residue is checked to lie in [0, q) of its limb, as the NTT checks
+    its input: ResidueOutOfRange otherwise."""
+    if domain is not None and any(p.domain != domain for p in limbs):
+        raise DomainError(f"expected {domain.name}-domain limbs")
+    q, _ = modulus_columns(tuple(p.modulus for p in limbs))
+    return _checked_rows([_words(p) for p in limbs], q)
 
 
 def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
@@ -505,16 +559,14 @@ def ntt_reference(p: Poly) -> Poly:
     """Forward negacyclic NTT of one limb: a one-row ntt_rows call."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_reference expects a coefficient-domain polynomial")
-    x = ntt_rows([p.coeffs], (p.modulus,))
-    return Poly(x[0].tolist(), p.modulus, Domain.NTT)
+    return _unstack(ntt_rows([_words(p)], (p.modulus,)), (p.modulus,), Domain.NTT)[0]
 
 
 def intt_reference(p: Poly) -> Poly:
     """Inverse negacyclic NTT of one limb: a one-row intt_rows call."""
     if p.domain != Domain.NTT:
         raise DomainError("intt_reference expects an NTT-domain polynomial")
-    x = intt_rows([p.coeffs], (p.modulus,))
-    return Poly(x[0].tolist(), p.modulus, Domain.COEFF)
+    return _unstack(intt_rows([_words(p)], (p.modulus,)), (p.modulus,), Domain.COEFF)[0]
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
@@ -707,9 +759,9 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
             raise ModulusMismatch("accumulator uses a different modulus")
         if acc.domain != a.domain:
             raise DomainMismatch("accumulator lives in a different domain")
-        z = _residues(acc)
-    out = mas_rows(op, _residues(a), _residues(b), (a.modulus,), z)
-    return Poly(out[0].tolist(), a.modulus, a.domain)
+        z = _stack([acc])
+    out = mas_rows(op, _stack([a]), _stack([b]), (a.modulus,), z)
+    return _unstack(out, (a.modulus,), a.domain)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,21 +771,53 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
 _HEADER = struct.Struct("<IIB")
 
 
-def row_to_bytes(row: np.ndarray, modulus_id: int, domain: Domain) -> bytes:
-    """One uint64 limb in the poly_to_bytes format."""
-    return _HEADER.pack(row.size, modulus_id, domain.value) + row.astype("<u8").tobytes()
+def row_to_bytes(row, modulus_id: int, domain: Domain) -> bytes:
+    """One limb, a uint64 row or a list of residues, in the poly_to_bytes format."""
+    row = np.asarray(row, dtype="<u8")
+    return _HEADER.pack(row.size, modulus_id, domain.value) + row.tobytes()
 
 
 def poly_to_bytes(p: Poly, modulus_id: int) -> bytes:
-    return row_to_bytes(np.array(p.coeffs, dtype=np.uint64), modulus_id, p.domain)
+    return row_to_bytes(_words(p), modulus_id, p.domain)
 
 
 def poly_from_bytes(data: bytes, modulus: PrimeModulus) -> Tuple[Poly, int]:
-    if len(data) < _HEADER.size:
-        raise LengthMismatch(f"{len(data)}-byte buffer is shorter than the header")
-    n, modulus_id, dom = _HEADER.unpack_from(data, 0)
-    if len(data) != _HEADER.size + 8 * n:
+    """One limb of the poly_to_bytes format, row-backed, and its modulus id."""
+    row, modulus_id, domain, end = _limb_from_bytes(data, 0)
+    if end != len(data):
         raise LengthMismatch(f"{len(data)}-byte buffer does not hold the header "
-                             f"plus {n} words")
-    coeffs = list(struct.unpack_from(f"<{n}Q", data, _HEADER.size))
-    return Poly(coeffs, modulus, Domain(dom)), modulus_id
+                             f"plus {row.size} words")
+    return Poly(row, modulus, domain), modulus_id
+
+
+def rows_from_bytes(data: bytes, offset: int, moduli: Sequence[PrimeModulus], n: int,
+                    domain: Domain) -> Tuple[np.ndarray, int]:
+    """len(moduli) consecutive limbs of the row_to_bytes format from data[offset:]
+    as one (rows, n) uint64 stack, and the offset after the last.
+
+    Limb t must carry n words, modulus id t and the domain; each residue is
+    checked to lie in [0, q) of moduli[t] (ResidueOutOfRange otherwise).
+    """
+    rows = []
+    for t in range(len(moduli)):
+        row, modulus_id, dom, offset = _limb_from_bytes(data, offset)
+        if (row.size, modulus_id, dom) != (n, t, domain):
+            raise LengthMismatch(f"limb {t} has header ({row.size}, {modulus_id}, "
+                                 f"{dom.name}), expected ({n}, {t}, {domain.name})")
+        rows.append(row)
+    return _checked_rows(rows, modulus_columns(tuple(moduli))[0]), offset
+
+
+def _limb_from_bytes(data: bytes, offset: int) -> Tuple[np.ndarray, int, Domain, int]:
+    """The limb at data[offset:]: its residues as a read-only view of data, its
+    modulus id and domain, and the offset after it."""
+    if len(data) < offset + _HEADER.size:
+        raise LengthMismatch(f"{len(data)}-byte buffer ends inside the limb header "
+                             f"at byte {offset}")
+    n, modulus_id, dom = _HEADER.unpack_from(data, offset)
+    start = offset + _HEADER.size
+    if len(data) < start + 8 * n:
+        raise LengthMismatch(f"{len(data)}-byte buffer ends inside the {n} words "
+                             f"at byte {start}")
+    row = np.frombuffer(data, dtype="<u8", count=n, offset=start)
+    return row, modulus_id, Domain(dom), start + 8 * n

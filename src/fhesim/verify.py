@@ -6,9 +6,10 @@ negacyclic products, the direct automorphism map, a bit-serial keystream,
 wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
-fold from the uint64 NTT kernel or from the two-operand MAS product, or
-drop one lane's mask from the lane-packed keystream, so the harness itself
-can be shown to catch regressions.
+fold from the uint64 NTT kernel or from the two-operand MAS product, drop
+one lane's mask from the lane-packed keystream, or keep serving a limb's
+row to the kernels after its list was read and edited, so the harness
+itself can be shown to catch regressions.
 
 Every transform reads the stored twiddle table of its modulus.
 TwiddleSource.power, the model of the hardware's on-the-fly twiddle factor
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import opcount, polykernel, trivium
-from .ckks import CkksContext, count_ops, ksk_to_bytes
+from .ckks import CkksContext, RnsPoly, count_ops, ksk_to_bytes
 from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
@@ -112,30 +114,45 @@ def _drop_lane_mask(original):
     return faulty
 
 
-# fault name -> (module, attribute, function from its original to the fault)
+def _serve_stale_row(original):
+    """Poly.coeffs that builds its list but keeps the row the kernels read, so
+    an edit of the list never reaches them."""
+    def faulty(descriptor, p, owner=None):
+        row = None if p is None else vars(p)["coeffs"]
+        if not isinstance(row, np.ndarray):
+            return original(descriptor, p, owner)
+        return vars(p).setdefault("stale", row.tolist())
+    return faulty
+
+
+# fault name -> (the suite whose checks it breaks, module or class, attribute,
+# function from its original to the fault)
 FAULTS = {
-    "shuffle-offby1": (polykernel, "_shuffle_tree", _shuffle_offby1),
-    "aut-ntt-index": (polykernel, "_aut_ntt_map", _roll_index_map),
-    "ntt-fold": (polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
-    "mas-fold": (polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
-    "trivium-lane": (trivium, "_lane_mask", _drop_lane_mask),
+    "shuffle-offby1": ("kernels", polykernel, "_shuffle_tree", _shuffle_offby1),
+    "aut-ntt-index": ("kernels", polykernel, "_aut_ntt_map", _roll_index_map),
+    "ntt-fold": ("kernels", polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+    "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
+    "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
+    "stale-row": ("ckks", polykernel._Coeffs, "__get__", _serve_stale_row),
 }
 
 
 @contextmanager
-def inject_fault(name: Optional[str]):
-    if name is None:
+def inject_fault(name: Optional[str], suite: str):
+    """Fault `name` in place for the length of the block, when it is one that
+    breaks the checks of `suite`."""
+    if name is not None and name not in FAULTS:
+        raise ValueError(f"unknown fault {name!r}")
+    if name is None or FAULTS[name][0] != suite:
         yield
         return
-    if name not in FAULTS:
-        raise ValueError(f"unknown fault {name!r}")
-    module, attr, corrupt = FAULTS[name]
-    original = getattr(module, attr)
-    setattr(module, attr, corrupt(original))
+    _, owner, attr, corrupt = FAULTS[name]
+    original = getattr(owner, attr)
+    setattr(owner, attr, corrupt(original))
     try:
         yield
     finally:
-        setattr(module, attr, original)
+        setattr(owner, attr, original)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +190,7 @@ def _rand_poly(rng: random.Random, m: PrimeModulus, n: int) -> Poly:
     return Poly([rng.randrange(m.q) for _ in range(n)], m, Domain.COEFF)
 
 
-def suite_kernels(size: str = "toy", seed: int = 0,
-                  fault: Optional[str] = None) -> SuiteResult:
+def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     res = SuiteResult("kernels")
     rng = random.Random(seed)
     if size == "toy":
@@ -185,131 +201,130 @@ def suite_kernels(size: str = "toy", seed: int = 0,
         splits = (1, 4, 16, 64)
     m = find_ntt_prime(_suite_prime_bits(n), 2 * n)
 
-    with inject_fault(fault):
-        # uint64 kernel vs pure-int oracle on edge and random inputs
-        edges = [[0] * n, [1] + [0] * (n - 1), [m.q - 1] * n]
-        for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
-            p = Poly(coeffs, m, Domain.COEFF)
-            res.check("ntt kernel == oracle",
-                      ntt_reference(p).coeffs == ntt_oracle(p).coeffs, comparisons=n)
-            p = Poly(coeffs, m, Domain.NTT)
-            res.check("intt kernel == oracle",
-                      intt_reference(p).coeffs == intt_oracle(p).coeffs, comparisons=n)
+    # uint64 kernel vs pure-int oracle on edge and random inputs
+    edges = [[0] * n, [1] + [0] * (n - 1), [m.q - 1] * n]
+    for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
+        p = Poly(coeffs, m, Domain.COEFF)
+        res.check("ntt kernel == oracle",
+                  ntt_reference(p).coeffs == ntt_oracle(p).coeffs, comparisons=n)
+        p = Poly(coeffs, m, Domain.NTT)
+        res.check("intt kernel == oracle",
+                  intt_reference(p).coeffs == intt_oracle(p).coeffs, comparisons=n)
 
-        # hybrid NTT vs kernel and oracle, all requested splits
-        for n2 in splits:
-            plan = NttPlan(n // n2, n2)
-            for _ in range(reps):
-                p = _rand_poly(rng, m, n)
-                hybrid = ntt_hybrid(p, plan).coeffs
-                res.check(f"hybrid {plan.n1}x{plan.n2}",
-                          hybrid == ntt_reference(p).coeffs == ntt_oracle(p).coeffs,
-                          comparisons=2 * n)
-
-        # roundtrip and pointwise-product oracle
+    # hybrid NTT vs kernel and oracle, all requested splits
+    for n2 in splits:
+        plan = NttPlan(n // n2, n2)
         for _ in range(reps):
             p = _rand_poly(rng, m, n)
-            res.check("ntt roundtrip",
-                      _agrees(lambda: intt_reference(ntt_reference(p)).coeffs, p.coeffs),
-                      comparisons=n)
-        for _ in range(5):
-            a = _rand_poly(rng, m, n)
-            b = _rand_poly(rng, m, n)
-            res.check("negacyclic product",
-                      _agrees(lambda: intt_reference(
-                          mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))).coeffs,
-                              schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)),
-                      comparisons=n)
-
-        # rows kernels on a mixed-modulus stack vs the per-limb oracles
-        moduli = _mixed_moduli(n)
-        for _ in range(max(1, reps // 4)):
-            rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
-            x = np.array(rows, dtype=np.uint64)
-            res.check("ntt rows == oracle",
-                      _agrees(lambda: ntt_rows(x, moduli).tolist(),
-                              [ntt_oracle(Poly(r, mm)).coeffs
-                               for r, mm in zip(rows, moduli)]),
-                      comparisons=n * len(moduli))
-            res.check("intt rows == oracle",
-                      _agrees(lambda: intt_rows(x, moduli).tolist(),
-                              [intt_oracle(Poly(r, mm, Domain.NTT)).coeffs
-                               for r, mm in zip(rows, moduli)]),
-                      comparisons=n * len(moduli))
-        # NTT-domain automorphism == NTT . oracle . INTT on the same stack
-        gles = {1, 2 * n - 1} | {pow(5, k, 2 * n) for k in (1, 2, 3, n // 2 - 1)}
-        gles |= {rng.randrange(1, 2 * n) | 1 for _ in range(4)}
-        for gle in sorted(gles):
-            x = np.array([_rand_poly(rng, mm, n).coeffs for mm in moduli], dtype=np.uint64)
-
-            def gather_matches():
-                coeffs = intt_rows(x, moduli).tolist()
-                want = ntt_rows([automorphism_oracle(Poly(r, mm), gle).coeffs
-                                 for r, mm in zip(coeffs, moduli)], moduli)
-                return automorphism_ntt_rows(x, gle).tolist() == want.tolist()
-            res.check(f"automorphism ntt gather gle={gle}", _agrees(gather_matches, True),
-                      comparisons=n * len(moduli))
-
-        # two-operand products and MAC vs Python integers, q-1 edges included
-        for mm in moduli:
-            q = mm.q
-            edges = [q - 1 - i % 4 for i in range(n)]
-            cases = [(edges, edges, edges), (edges, _rand_poly(rng, mm, n).coeffs, edges)]
-            cases += [tuple(_rand_poly(rng, mm, n).coeffs for _ in range(3))
-                      for _ in range(max(1, reps // 4))]
-            for a, b, c in cases:
-                x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
-                res.check(f"mas mul/mac == ints q={q}",
-                          mas_rows(MasOp.MUL, x, y, (mm,))[0].tolist()
-                          == [u * v % q for u, v in zip(a, b)]
-                          and mas_rows(MasOp.MAC, x, y, (mm,), z)[0].tolist()
-                          == [(w + u * v) % q for u, v, w in zip(a, b, c)],
-                          comparisons=2 * n)
-
-        # automorphism shuffle vs direct map
-        plan = NttPlan(n // 16, 16)
-        gles = (range(1, 2 * n, 2) if gle_all
-                else [rng.randrange(1, 2 * n) | 1 for _ in range(64)])
-        for gle in gles:
-            p = _rand_poly(rng, m, n)
-            res.check(f"automorphism gle={gle}",
-                      automorphism_shuffle(p, gle, plan).coeffs ==
-                      automorphism_oracle(p, gle).coeffs,
-                      comparisons=n)
-        # composition law
-        for _ in range(10):
-            g1 = rng.randrange(1, 2 * n) | 1
-            g2 = rng.randrange(1, 2 * n) | 1
-            p = _rand_poly(rng, m, n)
-            lhs = automorphism_oracle(automorphism_oracle(p, g2), g1)
-            rhs = automorphism_oracle(p, g1 * g2 % (2 * n))
-            res.check("automorphism composition", lhs.coeffs == rhs.coeffs,
-                      comparisons=n)
-
-        # the on-the-fly twiddle generator (TFG model) against the stored
-        # table every transform reads, for every exponent of every modulus
-        for mm in moduli:
-            otf = TwiddleSource(mm)
-            res.check(f"twiddle stored == on-the-fly q={mm.q}",
-                      [otf.power(e) for e in range(2 * n)] == otf.table(),
+            hybrid = ntt_hybrid(p, plan).coeffs
+            res.check(f"hybrid {plan.n1}x{plan.n2}",
+                      hybrid == ntt_reference(p).coeffs == ntt_oracle(p).coeffs,
                       comparisons=2 * n)
 
-        # keystream vs bit-serial oracle
-        words = 200 if size == "toy" else 1000
-        for s in range(3):
-            sd = rng.getrandbits(64)
-            res.check(f"trivium seed={sd:#x}",
-                      trivium_stream(sd, words) == trivium_bit_serial(sd, words),
-                      comparisons=words)
-        # lane-packed keystream: all-ones seeds next to all-zero and random ones
-        # show any bit that crosses a lane boundary
-        ones = (1 << 64) - 1
-        seeds = [ones, 0, ones, rng.getrandbits(64), 1, ones]
-        lanes = TriviumLanes(seeds).words(words)
-        for i, sd in enumerate(seeds):
-            res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
-                      lanes[:, i].tolist() == trivium_bit_serial(sd, words),
-                      comparisons=words)
+    # roundtrip and pointwise-product oracle
+    for _ in range(reps):
+        p = _rand_poly(rng, m, n)
+        res.check("ntt roundtrip",
+                  _agrees(lambda: intt_reference(ntt_reference(p)).coeffs, p.coeffs),
+                  comparisons=n)
+    for _ in range(5):
+        a = _rand_poly(rng, m, n)
+        b = _rand_poly(rng, m, n)
+        res.check("negacyclic product",
+                  _agrees(lambda: intt_reference(
+                      mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))).coeffs,
+                          schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)),
+                  comparisons=n)
+
+    # rows kernels on a mixed-modulus stack vs the per-limb oracles
+    moduli = _mixed_moduli(n)
+    for _ in range(max(1, reps // 4)):
+        rows = [_rand_poly(rng, mm, n).coeffs for mm in moduli]
+        x = np.array(rows, dtype=np.uint64)
+        res.check("ntt rows == oracle",
+                  _agrees(lambda: ntt_rows(x, moduli).tolist(),
+                          [ntt_oracle(Poly(r, mm)).coeffs
+                           for r, mm in zip(rows, moduli)]),
+                  comparisons=n * len(moduli))
+        res.check("intt rows == oracle",
+                  _agrees(lambda: intt_rows(x, moduli).tolist(),
+                          [intt_oracle(Poly(r, mm, Domain.NTT)).coeffs
+                           for r, mm in zip(rows, moduli)]),
+                  comparisons=n * len(moduli))
+    # NTT-domain automorphism == NTT . oracle . INTT on the same stack
+    gles = {1, 2 * n - 1} | {pow(5, k, 2 * n) for k in (1, 2, 3, n // 2 - 1)}
+    gles |= {rng.randrange(1, 2 * n) | 1 for _ in range(4)}
+    for gle in sorted(gles):
+        x = np.array([_rand_poly(rng, mm, n).coeffs for mm in moduli], dtype=np.uint64)
+
+        def gather_matches():
+            coeffs = intt_rows(x, moduli).tolist()
+            want = ntt_rows([automorphism_oracle(Poly(r, mm), gle).coeffs
+                             for r, mm in zip(coeffs, moduli)], moduli)
+            return automorphism_ntt_rows(x, gle).tolist() == want.tolist()
+        res.check(f"automorphism ntt gather gle={gle}", _agrees(gather_matches, True),
+                  comparisons=n * len(moduli))
+
+    # two-operand products and MAC vs Python integers, q-1 edges included
+    for mm in moduli:
+        q = mm.q
+        edges = [q - 1 - i % 4 for i in range(n)]
+        cases = [(edges, edges, edges), (edges, _rand_poly(rng, mm, n).coeffs, edges)]
+        cases += [tuple(_rand_poly(rng, mm, n).coeffs for _ in range(3))
+                  for _ in range(max(1, reps // 4))]
+        for a, b, c in cases:
+            x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
+            res.check(f"mas mul/mac == ints q={q}",
+                      mas_rows(MasOp.MUL, x, y, (mm,))[0].tolist()
+                      == [u * v % q for u, v in zip(a, b)]
+                      and mas_rows(MasOp.MAC, x, y, (mm,), z)[0].tolist()
+                      == [(w + u * v) % q for u, v, w in zip(a, b, c)],
+                      comparisons=2 * n)
+
+    # automorphism shuffle vs direct map
+    plan = NttPlan(n // 16, 16)
+    gles = (range(1, 2 * n, 2) if gle_all
+            else [rng.randrange(1, 2 * n) | 1 for _ in range(64)])
+    for gle in gles:
+        p = _rand_poly(rng, m, n)
+        res.check(f"automorphism gle={gle}",
+                  automorphism_shuffle(p, gle, plan).coeffs ==
+                  automorphism_oracle(p, gle).coeffs,
+                  comparisons=n)
+    # composition law
+    for _ in range(10):
+        g1 = rng.randrange(1, 2 * n) | 1
+        g2 = rng.randrange(1, 2 * n) | 1
+        p = _rand_poly(rng, m, n)
+        lhs = automorphism_oracle(automorphism_oracle(p, g2), g1)
+        rhs = automorphism_oracle(p, g1 * g2 % (2 * n))
+        res.check("automorphism composition", lhs.coeffs == rhs.coeffs,
+                  comparisons=n)
+
+    # the on-the-fly twiddle generator (TFG model) against the stored
+    # table every transform reads, for every exponent of every modulus
+    for mm in moduli:
+        otf = TwiddleSource(mm)
+        res.check(f"twiddle stored == on-the-fly q={mm.q}",
+                  [otf.power(e) for e in range(2 * n)] == otf.table(),
+                  comparisons=2 * n)
+
+    # keystream vs bit-serial oracle
+    words = 200 if size == "toy" else 1000
+    for s in range(3):
+        sd = rng.getrandbits(64)
+        res.check(f"trivium seed={sd:#x}",
+                  trivium_stream(sd, words) == trivium_bit_serial(sd, words),
+                  comparisons=words)
+    # lane-packed keystream: all-ones seeds next to all-zero and random ones
+    # show any bit that crosses a lane boundary
+    ones = (1 << 64) - 1
+    seeds = [ones, 0, ones, rng.getrandbits(64), 1, ones]
+    lanes = TriviumLanes(seeds).words(words)
+    for i, sd in enumerate(seeds):
+        res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
+                  lanes[:, i].tolist() == trivium_bit_serial(sd, words),
+                  comparisons=words)
     return res
 
 
@@ -323,6 +338,47 @@ def _mixed_moduli(n: int) -> tuple:
 def _suite_prime_bits(n: int) -> int:
     """Smallest workable prime size for ring degree n in the suites."""
     return max(14, (2 * n).bit_length() + 2)
+
+
+def listed_copy(x):
+    """A copy of a limb, a list of limbs or a dataclass of RnsPolys whose limbs
+    hold Python-int lists: each limb is copied, then read."""
+    if isinstance(x, Poly):
+        p = x.copy()
+        p.coeffs
+        return p
+    if isinstance(x, list):
+        return [listed_copy(p) for p in x]
+    return replace(x, **{f.name: listed_copy(v) for f in fields(x)
+                         if isinstance(v := getattr(x, f.name), (list, RnsPoly))})
+
+
+def _limbs(x) -> List[Poly]:
+    """Every limb of a limb, a list or a dataclass of RnsPolys, in order."""
+    if isinstance(x, Poly):
+        return [x]
+    if isinstance(x, list):
+        return [p for v in x for p in _limbs(v)]
+    return [p for f in fields(x) if isinstance(v := getattr(x, f.name), (list, RnsPoly))
+            for p in _limbs(v)]
+
+
+def routine_outputs(ctx: CkksContext, sk, keys, a, b, listed: bool = False) -> list:
+    """Outputs of add, mult, relinearize, rescale, rotate by 1, moddown,
+    bconv_routine and decrypt on inputs made from ciphertexts a and b, of one
+    level of at least 1, with a rotation key for 1 in keys.
+
+    The inputs are routine outputs, so their limbs hold rows; with listed,
+    each routine gets a listed_copy of them instead.
+    """
+    given = listed_copy if listed else (lambda x: x)
+    p_bases = list(ctx.basis.p_list)
+    coeff = [intt_reference(p) for p in a.c1.limbs]
+    ext = RnsPoly(a.c0.limbs + ctx.bconv_routine(coeff, p_bases), a.level)
+    return [ctx.add(given(a), given(b)), ctx.mult(given(a), given(b)),
+            ctx.relinearize(given(ctx.mult(a, b)), keys), ctx.rescale(given(a)),
+            ctx.rotate(given(a), 1, keys), ctx.moddown(given(ext)),
+            ctx.bconv_routine(given(coeff), p_bases), ctx.decrypt(given(a), sk)]
 
 
 def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
@@ -377,6 +433,20 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
     rel = float(np.max(np.abs(dec - want_slots) / np.maximum(np.abs(want_slots), 1e-9)))
     res.check("rotation pipeline", rel < 1e-4, comparisons=ctx.slots)
 
+    # row-backed limbs against read lists, and an edit of a read list
+    rows = routine_outputs(ctx, sk, keys, cta, ctb)
+    lists = routine_outputs(ctx, sk, keys, cta, ctb, listed=True)
+    res.check("row-backed and list-backed inputs agree", rows == lists,
+              comparisons=ctx.n * len(_limbs(rows)))
+    edited = listed_copy(cta)
+    limb = edited.c0.limbs[0]
+    q = limb.modulus.q
+    limb.coeffs[0] = (limb.coeffs[0] + q // 2) % q
+    want = ctx.decrypt(cta, sk).limbs[0].coeffs
+    want[0] = (want[0] + q // 2) % q
+    res.check("an edited limb reaches the next routine",
+              ctx.decrypt(edited, sk).limbs[0].coeffs == want, comparisons=ctx.n)
+
     # seeded key half: re-expansion determinism and storage accounting
     digit = keys.relin.digits[0]
     limb0 = ctx.expand_ksk1_limb(digit.ksk1_seeds[0], ctx.all_bases()[0])
@@ -413,10 +483,10 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
 def run_verify(scope: str = "all", size: str = "toy", seed: int = 0,
                fault: Optional[str] = None) -> Dict:
     suites: List[SuiteResult] = []
-    if scope in ("kernels", "all"):
-        suites.append(suite_kernels(size, seed, fault=fault))
-    if scope in ("ckks", "all"):
-        suites.append(suite_ckks(size, seed))
+    for name, suite in (("kernels", suite_kernels), ("ckks", suite_ckks)):
+        if scope in (name, "all"):
+            with inject_fault(fault, name):
+                suites.append(suite(size, seed))
     return {
         "scope": scope,
         "size": size,

@@ -1,20 +1,27 @@
 import hashlib
 import math
 import random
+import struct
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fhesim import opcount
 from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
-                         LevelExhausted, LevelMismatch, LevelOutOfRange,
+                         KeySwitchKey, LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
-                         _bconv_plan, _gadget, _submul, ciphertext_to_bytes, count_ops,
-                         derive_seed, ksk_to_bytes)
+                         _bconv_plan, _gadget, _submul, ciphertext_from_bytes,
+                         ciphertext_to_bytes, count_ops, derive_seed, ksk_from_bytes,
+                         ksk_to_bytes)
 from fhesim.modarith import find_ntt_prime, make_basis
-from fhesim.polykernel import Domain, Poly, ResidueOutOfRange, intt_reference, ntt_reference
+from fhesim.polykernel import (Domain, LengthMismatch, Poly, ResidueOutOfRange, _unstack,
+                               _words, intt_reference, intt_rows, ntt_reference)
+from fhesim.verify import _limbs, listed_copy, routine_outputs
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -563,25 +570,119 @@ PINNED_SHA256 = {
 }
 
 
-def test_keys_and_ciphertexts_match_pinned_digests():
+def _pinned_objects():
+    """The context, and by name the keys (ksk1 expanded) and the ciphertexts
+    behind PINNED_SHA256."""
     basis = make_basis(n=256, levels=2, dnum=2, bits=40, first_bits=45, p_bits=45)
     ctx = CkksContext(basis)
     sk, keys = ctx.keygen(seed=2024, rotations=(1,))
-    digest = {}
-    for name, key in (("relin", keys.relin), ("rotation", keys.rotation[1])):
+    objects = {"relin": keys.relin, "rotation": keys.rotation[1]}
+    for key in objects.values():
         for j, d in enumerate(key.digits):
             for t in range(len(d.ksk1_seeds)):
                 ctx.ksk1_limb(key, j, t)
-        digest[name] = hashlib.sha256(ksk_to_bytes(key, seeded=False)).hexdigest()
     # a second key set whose ksk1 halves the switches expand themselves
     _, fresh = ctx.keygen(seed=2024, rotations=(1,))
     ct = ctx.encrypt(ctx.encode(np.linspace(0.1, 1.0, ctx.slots), basis.l_max), sk,
                      np.random.default_rng(5))
-    rot = ctx.rotate(ct, 1, fresh)
-    rl = ctx.rescale(ctx.relinearize(ctx.mult(ct, ct), fresh))
-    for name, out in (("rotated", rot), ("relinearized", rl)):
-        digest[name] = hashlib.sha256(ciphertext_to_bytes(out, ctx.n, basis.dnum)).hexdigest()
+    objects["rotated"] = ctx.rotate(ct, 1, fresh)
+    objects["relinearized"] = ctx.rescale(ctx.relinearize(ctx.mult(ct, ct), fresh))
+    return ctx, objects
+
+
+def _holds_row(p: Poly) -> bool:
+    return isinstance(_words(p), np.ndarray)
+
+
+def _expand_ksk1(ctx, key):
+    for j in range(len(key.digits)):
+        ctx.ksk1_limb(key, j, 0)
+
+
+def _to_bytes(ctx, obj) -> bytes:
+    if isinstance(obj, KeySwitchKey):
+        return ksk_to_bytes(obj, seeded=False)
+    return ciphertext_to_bytes(obj, ctx.n, ctx.basis.dnum)
+
+
+def test_keys_and_ciphertexts_match_pinned_digests():
+    ctx, objects = _pinned_objects()
+    digest = {name: hashlib.sha256(_to_bytes(ctx, obj)).hexdigest()
+              for name, obj in objects.items()}
     assert digest == PINNED_SHA256
+
+
+def test_pinned_objects_round_trip_through_bytes():
+    ctx, objects = _pinned_objects()
+    for name, obj in objects.items():
+        blob = _to_bytes(ctx, obj)
+        read = ksk_from_bytes if isinstance(obj, KeySwitchKey) else ciphertext_from_bytes
+        assert _to_bytes(ctx, read(blob, ctx.basis)) == blob, name
+    # the seeded image of a key regenerates the same ksk1 halves
+    for name in ("relin", "rotation"):
+        key = ksk_from_bytes(ksk_to_bytes(objects[name], seeded=True), ctx.basis)
+        assert all(d._ksk1 is None for d in key.digits)
+        _expand_ksk1(ctx, key)
+        assert hashlib.sha256(_to_bytes(ctx, key)).hexdigest() == PINNED_SHA256[name]
+
+
+def test_ciphertext_from_bytes_gives_checked_row_backed_limbs(ctx, keyed):
+    sk, _ = keyed
+    for level in (0, BASIS.l_max):
+        ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+        blob = ciphertext_to_bytes(ct, ctx.n, BASIS.dnum)
+        back = ciphertext_from_bytes(blob, BASIS)
+        assert all(_holds_row(p) for p in _limbs(back))
+        assert (back.level, back.scale) == (level, ct.scale)
+        assert back == ct
+
+
+def test_from_bytes_rejects_bad_buffers(ctx, keyed):
+    sk, keys = keyed
+    level, n = 2, ctx.n
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+    blob = ciphertext_to_bytes(ct, n, BASIS.dnum)
+    heads = [(2 * n, level, BASIS.dnum), (n, BASIS.l_max + 1, BASIS.dnum),
+             (n, -1, BASIS.dnum), (n, level, BASIS.dnum + 1)]
+    bad = [blob[:10], blob[:-1], blob + b"\0"]
+    bad += [struct.pack("<IiId", *h, ct.scale) + blob[20:] for h in heads]
+    # limb 1 of c0 claims modulus id 0
+    limb1 = 20 + 9 + 8 * n
+    bad.append(blob[:limb1 + 4] + struct.pack("<I", 0) + blob[limb1 + 8:])
+    for data in bad:
+        with pytest.raises(LengthMismatch):
+            ciphertext_from_bytes(data, BASIS)
+    # residue 3 of limb 1 of c0 set to q, then to 2^64 - 1
+    at = limb1 + 9 + 8 * 3
+    for word in (BASIS.q_list[1].q, (1 << 64) - 1):
+        with pytest.raises(ResidueOutOfRange):
+            ciphertext_from_bytes(blob[:at] + struct.pack("<Q", word) + blob[at + 8:], BASIS)
+
+    key = keys.relin
+    _expand_ksk1(ctx, key)
+    for seeded in (True, False):
+        kblob = ksk_to_bytes(key, seeded=seeded)
+        for data in (kblob[:7], kblob[:-1], kblob + b"\0",
+                     struct.pack("<II", len(key.digits) + 1, int(seeded)) + kblob[8:],
+                     struct.pack("<II", len(key.digits), 2) + kblob[8:]):
+            with pytest.raises(LengthMismatch):
+                ksk_from_bytes(data, BASIS)
+        at = 8 + 9 + 8 * 5            # residue 5 of ksk0 limb 0 of digit 0
+        with pytest.raises(ResidueOutOfRange):
+            ksk_from_bytes(kblob[:at] + struct.pack("<Q", BASIS.q_list[0].q)
+                           + kblob[at + 8:], BASIS)
+
+
+def test_unseeded_key_image_switches_like_its_source(ctx, keyed):
+    sk, keys = keyed
+    _expand_ksk1(ctx, keys.relin)
+    read = ksk_from_bytes(ksk_to_bytes(keys.relin, seeded=False), BASIS)
+    assert all(d.ksk1_seeds == [] for d in read.digits)
+    with pytest.raises(ValueError):
+        ksk_to_bytes(read, seeded=True)
+    a = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    d = ctx.mult(a, a)
+    assert ctx.keyswitch_full_dnum(d, read) == ctx.keyswitch_full_dnum(d, keys.relin)
 
 
 def test_ciphertext_serialization_shape(ctx, keyed):
@@ -602,3 +703,101 @@ def test_census_context_nesting(ctx, keyed):
     want = opcount.rescale(BASIS.l_max)
     assert inner["INTT"] == want["INTT"] and inner["NTT"] == want["NTT"]
     assert outer["NTT"] == 2 * want["NTT"]
+
+
+# ---------------------------------------------------------------------------
+# Limbs hold uint64 rows between routines; a read builds the Python-int list
+
+
+def test_routine_outputs_keep_their_rows(ctx, keyed):
+    # encode -> encrypt -> mult -> relinearize -> rescale -> rotate -> decrypt:
+    # no routine reads a limb's list, so every output limb still holds its row
+    sk, keys = keyed
+    a, b = slots_vec(ctx), slots_vec(ctx, "b")
+    pts = [ctx.encode(v, BASIS.l_max) for v in (a, b)]
+    cts = [ctx.encrypt(pt, sk, rng()) for pt in pts]
+    d = ctx.mult(*cts)
+    rl = ctx.relinearize(d, keys)
+    rs = ctx.rescale(rl)
+    rot = ctx.rotate(rs, 1, keys)
+    m = ctx.decrypt(rot, sk)
+    assert rel_err(ctx.decode(m, rot.scale), np.roll(a * b, -1)) < 1e-4
+    limbs = _limbs(pts + cts + [d, rl, rs, rot, m])
+    # plaintexts, ciphertexts, (d0, d1, d2), relin, rescale, rotate, message
+    assert len(limbs) == 2 * 5 + 2 * 10 + 15 + 10 + 8 + 8 + 4
+    assert all(_holds_row(p) and not _words(p).flags.writeable for p in limbs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), level=st.integers(1, BASIS.l_max),
+       generic=st.booleans())
+def test_row_and_list_inputs_give_identical_outputs(ctx, keyed, ctx3, keyed3, seed, level,
+                                                    generic):
+    c, (sk, keys) = (ctx3, keyed3) if generic else (ctx, keyed)
+    rs = np.random.default_rng(seed)
+    a, b = (c.encrypt(c.encode(rs.uniform(-1, 1, c.slots), level), sk, rs) for _ in "ab")
+    assert all(_holds_row(p) for p in _limbs([a, b]))
+    assert not any(_holds_row(p) for p in _limbs(listed_copy([a, b])))
+    assert routine_outputs(c, sk, keys, a, b) == routine_outputs(c, sk, keys, a, b,
+                                                                 listed=True)
+
+
+def test_read_coeffs_are_ints_and_an_edit_reaches_the_next_routine(ctx, keyed):
+    sk, _ = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    limb = ct.c0.limbs[0]
+    q = limb.modulus.q
+    before = ctx.decrypt(ct, sk).limbs[0].coeffs
+    twin = limb.copy()
+    coeffs = limb.coeffs
+    assert type(coeffs) is list and all(type(v) is int for v in coeffs)
+    assert limb.coeffs is coeffs and not _holds_row(limb) and _holds_row(twin)
+    coeffs[7] = (coeffs[7] + q // 2) % q
+    after = ctx.decrypt(ct, sk).limbs[0].coeffs
+    assert after[7] == (before[7] + q // 2) % q
+    assert after[:7] + after[8:] == before[:7] + before[8:]
+    # a copy is independent of its source, row-backed or not
+    assert twin.coeffs[7] == (coeffs[7] - q // 2) % q
+    again = limb.copy()
+    again.coeffs[0] = (coeffs[0] + 1) % q
+    assert limb.coeffs[0] != again.coeffs[0] and limb.coeffs is coeffs
+
+
+def test_row_and_list_limbs_with_equal_residues_compare_equal(ctx, keyed):
+    sk, _ = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    row = ct.c1.limbs[2]
+    lst = Poly([int(v) for v in _words(row)], row.modulus, row.domain)
+    assert _holds_row(row) and not _holds_row(lst)
+    assert row == lst and lst == row
+    lst.coeffs[0] = (lst.coeffs[0] + 1) % row.modulus.q
+    assert row != lst
+
+
+BCONV_BASIS = make_basis(n=256, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bconv_slack_property(data):
+    # over generated residues and disjoint source/target sets, fast conversion
+    # returns y + k*P for the source product P and some 0 <= k < #sources
+    ctx = CkksContext(BCONV_BASIS)
+    bases = list(BCONV_BASIS.q_list + BCONV_BASIS.p_list)
+    order = data.draw(st.permutations(range(len(bases))))
+    s = data.draw(st.integers(1, len(bases) - 1))
+    t = data.draw(st.integers(1, len(bases) - s))
+    sources, targets = [bases[i] for i in order[:s]], [bases[i] for i in order[s:s + t]]
+    q = np.array([m.q for m in sources], dtype=np.uint64)[:, None]
+    x = data.draw(arrays(np.uint64, (s, ctx.n))) % q
+    if data.draw(st.booleans()):
+        x = q - 1 - x
+    out = ctx.bconv_routine(_unstack(x, sources, Domain.COEFF), targets)
+    got = intt_rows([_words(p) for p in out], targets)
+    mods = [m.q for m in sources]
+    p_prod = reduce(lambda u, v: u * v, mods)
+    recon = [(p_prod // m) * pow(p_prod // m, -1, m) for m in mods]
+    for i, (column, outs) in enumerate(zip(x.T.tolist(), got.T.tolist())):
+        y = sum(c * r for c, r in zip(column, recon)) % p_prod
+        assert any(all((y + k * p_prod) % m.q == o for m, o in zip(targets, outs))
+                   for k in range(s)), i

@@ -135,6 +135,16 @@ def test_sweep_csv(tmp_path):
     assert lines[0].split(",")[0] == "r"
 
 
+def test_verify_stale_row_fault_fails(tmp_path):
+    # kernels that keep reading a limb's row after its list was read and edited
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "ckks", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "stale-row"]) == 1
+    failures = json.loads(Path(out).read_text())["failures"]
+    assert failures == ["ckks: an edited limb reaches the next routine"]
+    assert main(args) == 0
+
+
 def test_verify_aut_ntt_index_fault_fails(tmp_path):
     # the NTT-domain automorphism's index map rolled by one slot
     out = str(tmp_path / "f.json")

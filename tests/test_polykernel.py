@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -15,11 +16,11 @@ from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
                                _aut_ntt_map, _interphase_table, _omega_table,
                                _psi_powers, _psi_table_bitrev, _shoup_ratios,
-                               _twiddle_arrays, automorphism_ntt_rows, automorphism_oracle,
-                               automorphism_shuffle, intt_oracle, intt_reference,
-                               intt_rows, mas, mas_rows, modulus_columns, ntt_hybrid,
-                               ntt_oracle, ntt_reference, ntt_rows, poly_from_bytes,
-                               poly_to_bytes)
+                               _twiddle_arrays, _words, automorphism_ntt_rows,
+                               automorphism_oracle, automorphism_shuffle, intt_oracle,
+                               intt_reference, intt_rows, mas, mas_rows, modulus_columns,
+                               ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows,
+                               poly_from_bytes, poly_to_bytes)
 from fhesim.verify import schoolbook_negacyclic
 
 RNG = random.Random(7)
@@ -324,6 +325,27 @@ def test_mas_mismatches():
     from fhesim.polykernel import DomainMismatch
     with pytest.raises(DomainMismatch):
         mas(MasOp.ADD, a, c)
+
+
+def test_row_backed_poly_keeps_the_dataclass_shape():
+    m = find_ntt_prime(14, 512)
+    f = ntt_reference(rand_poly(m, 256))
+    row = _words(f)
+    assert isinstance(row, np.ndarray) and not row.flags.writeable
+    assert dataclasses.fields(Poly)[0].default is dataclasses.MISSING
+    with pytest.raises(TypeError):
+        Poly(modulus=m)
+    # length, copies, a one-row kernel and serialization build no list
+    twin = f.copy()
+    assert f.n == 256 and _words(twin) is row
+    mas(MasOp.ADD, f, twin)
+    back, _ = poly_from_bytes(poly_to_bytes(f, 0), m)
+    assert all(isinstance(_words(p), np.ndarray) for p in (f, twin, back))
+    listed = Poly(row.tolist(), m, Domain.NTT)
+    assert repr(twin) == repr(listed) and back == listed
+    assert dataclasses.replace(f, domain=Domain.COEFF) == Poly(row.tolist(), m)
+    # a writeable array could change under the limb: it is read at once
+    assert isinstance(_words(Poly(np.array(row), m)), list)
 
 
 def test_poly_serialization_roundtrip():
