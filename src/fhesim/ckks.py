@@ -15,10 +15,12 @@ through _mulmod_vv, with its own quotient-error bound) and the base
 conversion below.  Where products are summed before a single reduction
 (key multiplication, base conversion) the no-wrap bound is asserted.
 Switching keys are stored as arrays too: each KskDigit holds ksk0, and
-once expanded ksk1, as one (bases, N) array.  At the public API the limbs
-of ciphertexts, plaintexts and secret keys are Polys, and a limb a routine
-builds holds a read-only uint64 row of the routine's result stack
-(_unstack): its Python-int list is built only when someone reads p.coeffs.
+once expanded ksk1, as one (bases, N) array; the keys of one keygen share
+one (keys, digits, bases, N) ksk0 array, the single keystream draw of all
+their a limbs.  At the public API the limbs of ciphertexts, plaintexts and
+secret keys are Polys, and a limb a routine builds holds a read-only uint64
+row of the routine's result stack (_unstack): its Python-int list is built
+only when someone reads p.coeffs.
 A routine stacks its inputs' rows, or the lists of limbs that were read,
 into one fresh array, each residue checked to lie in [0, q) (_stack), so
 no kernel writes to a limb and an edited list is checked like any input.
@@ -40,6 +42,7 @@ streams.  The census counts limbs: a call on R rows ticks R.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -207,6 +210,25 @@ def _bconv_plan(sources: Tuple[PrimeModulus, ...],
     )
 
 
+# Below this magnitude a coefficient rounded to an integer fits int64.
+_INT64_SAFE = 2.0 ** 62
+
+
+def _rounded_residues(coeffs: np.ndarray, moduli: Tuple[PrimeModulus, ...]) -> np.ndarray:
+    """Each coefficient rounded half to even, as round() does, reduced into
+    every modulus: a (rows, N) uint64 array.
+
+    When every coefficient is below 2^62 in magnitude np.rint rounds in
+    float64, the results fit int64 and a floor-mod by the q column reduces
+    them; otherwise the coefficients go through Python ints.
+    """
+    if np.max(np.abs(coeffs)) < _INT64_SAFE:
+        q, _ = modulus_columns(moduli)
+        return (np.rint(coeffs).astype(np.int64) % q.astype(np.int64)).astype(np.uint64)
+    ints = [int(round(c)) for c in coeffs.tolist()]
+    return np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # Seed derivation (splitmix64) for the per-limb keystream seeds
 
@@ -353,13 +375,13 @@ class CkksContext:
         u[idx] = vals
         u[two_n - idx] = np.conj(vals)
         coeffs = np.fft.fft(u).real[:n] / n * scale
-        ints = [int(round(c)) for c in coeffs]
         q_l = self.basis.q_product(level)
-        if 2 * max(abs(c) for c in ints) >= q_l:
+        # Rounded half to even, as by round(); int() of that float is exact.
+        if 2 * int(np.max(np.abs(np.rint(coeffs)))) >= q_l:
             raise EncodeOverflow(f"a coefficient reaches Q_{level}/2 = {q_l / 2:.3e}; "
                                  f"lower the scale or the values")
         moduli = self._q_bases(level)
-        x = np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
+        x = _rounded_residues(coeffs, moduli)
         return RnsPoly(_unstack(ntt_rows(x, moduli), moduli, Domain.NTT), level, scale=scale)
 
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
@@ -403,26 +425,44 @@ class CkksContext:
 
         target_ntt holds the switched-from secret s' over all PQ_L bases.
         Per digit j and base t: ksk0 = -a*s + e + gadget_j*s' with a drawn
-        from the keystream seeded by (master_seed, j, t); the a limbs of a
-        digit are drawn in one batch.
+        from the keystream seeded by (master_seed, j, t).  This is a one-key
+        call of the builder keygen runs on all its keys at once, so it gives
+        the key keygen builds from the same rng state.
         """
-        return self._make_keyswitch_key(_stack(sk.ntt_limbs, Domain.NTT),
-                                        _stack(target_ntt, Domain.NTT), master_seed, rng)
+        key, = self._make_keyswitch_keys(_stack(sk.ntt_limbs, Domain.NTT), [master_seed],
+                                         [_stack(target_ntt, Domain.NTT)], rng)
+        return key
 
-    def _make_keyswitch_key(self, s: np.ndarray, s_target: np.ndarray, master_seed: int,
-                            rng: np.random.Generator) -> KeySwitchKey:
+    def _make_keyswitch_keys(self, s: np.ndarray, master_seeds: Sequence[int],
+                             targets: Iterable[np.ndarray],
+                             rng: np.random.Generator) -> List[KeySwitchKey]:
+        """One switching key to s per master seed, from the matching target s'.
+
+        The a limbs of every key, digit and base come from one LaneSampler
+        draw, whose (keys, digits, bases, N) array becomes the keys' ksk0
+        storage: each digit then turns its a into e + g_j*s' - a*s in place,
+        its error drawn from rng key by key, digit by digit.  targets is read
+        one key at a time.
+        """
         bases = tuple(self.all_bases())
         q, _ = modulus_columns(bases)
-        digits = []
-        for j in range(len(opcount.digit_ranges(self.basis.l_max, self.basis.k))):
-            e = self._small_ntt(self._gaussian_ints(rng), bases)
-            seeds = [derive_seed(master_seed, j, t) for t in range(len(bases))]
-            a = self._expand_ksk1(seeds, bases)
-            g_s = _mulmod(s_target, *_gadget(self.basis, j), q)
-            ksk0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
-                            mas_rows(MasOp.MUL, a, s, bases), bases)
-            digits.append(KskDigit(ksk0=ksk0, ksk1_seeds=seeds))
-        return KeySwitchKey(digits=digits, dnum=len(digits))
+        n_digits = len(opcount.digit_ranges(self.basis.l_max, self.basis.k))
+        seeds = [[[derive_seed(master, j, t) for t in range(len(bases))]
+                  for j in range(n_digits)] for master in master_seeds]
+        flat = [seed for key in seeds for digit in key for seed in digit]
+        ksk0 = self._expand_ksk1(flat, bases * (len(seeds) * n_digits)).reshape(
+            len(seeds), n_digits, len(bases), self.n)
+        keys = []
+        for s_target, key_rows, key_seeds in zip(targets, ksk0, seeds):
+            for j, a in enumerate(key_rows):
+                e = self._small_ntt(self._gaussian_ints(rng), bases)
+                g_s = _mulmod(s_target, *_gadget(self.basis, j), q)
+                a[:] = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
+                                mas_rows(MasOp.MUL, a, s, bases), bases)
+            keys.append(KeySwitchKey(
+                digits=[KskDigit(ksk0=rows, ksk1_seeds=d) for rows, d in zip(key_rows, key_seeds)],
+                dnum=n_digits))
+        return keys
 
     def _expand_ksk1(self, seeds: List[int], bases: Sequence[PrimeModulus]) -> np.ndarray:
         """Regenerate seed-expandable key limbs, all seeds stepped together,
@@ -448,19 +488,20 @@ class CkksContext:
         return Poly(key.digits[j]._ksk1[t], self.all_bases()[t], Domain.NTT)
 
     def keygen(self, seed: int, rotations: Iterable[int] = ()) -> Tuple[SecretKey, KeySet]:
+        """Secret key, relin key and one key per rotation (the last one wins
+        for a repeated rotation), all switching keys built in one batch."""
         rng = np.random.default_rng(seed)
         s_ints = rng.integers(-1, 2, self.n)
         bases = tuple(self.all_bases())
         s = self._small_ntt(s_ints, bases)
         sk = SecretKey(coeffs=s_ints.tolist(), ntt_limbs=_unstack(s, bases, Domain.NTT))
-        relin = self._make_keyswitch_key(s, mas_rows(MasOp.MUL, s, s, bases),
-                                         derive_seed(seed, 0xE), rng)
-        rot_keys = {}
-        for rot in rotations:
-            s_rot = automorphism_ntt_rows(s, self._galois(rot))
-            rot_keys[rot] = self._make_keyswitch_key(
-                s, s_rot, derive_seed(seed, 0xA, rot), rng)
-        return sk, KeySet(relin=relin, rotation=rot_keys)
+        rotations = list(rotations)
+        masters = [derive_seed(seed, 0xE)] + [derive_seed(seed, 0xA, rot) for rot in rotations]
+        targets = itertools.chain([mas_rows(MasOp.MUL, s, s, bases)],
+                                  (automorphism_ntt_rows(s, self._galois(rot))
+                                   for rot in rotations))
+        relin, *rot_keys = self._make_keyswitch_keys(s, masters, targets, rng)
+        return sk, KeySet(relin=relin, rotation=dict(zip(rotations, rot_keys)))
 
     # -- encryption ---------------------------------------------------------
 

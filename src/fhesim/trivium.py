@@ -21,11 +21,21 @@ register of all seeds is one int, and seed i owns the 128-bit lane of bits
 word shifted in at the top (ending at bit 110) stays inside its lane, and
 one round of big-int word operations is the same word-parallel round for
 every seed.  The invariant is that the bits of a lane above its register's
-length stay zero; two masks keep it.  Every feedback term is cut to the low
-64 bits of each lane before it is shifted in, and the 64-bit shift-out,
-which moves the next lane's low word into the top of this one, is cut the
-same way.  A one-lane generator is the single-seed Trivium, as in
-trivium_stream.
+length stay zero in the registers; two masks keep it.  Every feedback term
+is cut to the low 64 bits of each lane before it is shifted in, and the
+64-bit shift-out, which moves the next lane's low word into the top of this
+one, is cut the same way.  The output terms t1..t3 are not cut: their low
+64 bits per lane are exact, the bits above carry the next lane's low bits,
+and words keeps only each lane's low word.  A one-lane generator is the
+single-seed Trivium, as in trivium_stream.
+
+Streaming: LaneSampler.draw steps all its lanes in chunks of at most
+_CHUNK_WORDS words (rounds times lanes), scatters each chunk's accepted
+residues straight into its output and keeps what a lane draws beyond the
+request for the next draw, so its working memory does not grow with the
+lane count; TriviumLanes.words converts its packed rounds to uint64 in
+chunks of the same bound.  Keygen draws the a limbs of all its switching
+keys, every digit and base of each, in one such draw.
 """
 
 from __future__ import annotations
@@ -40,8 +50,8 @@ _M64 = (1 << 64) - 1
 INIT_ROUNDS = 18
 WORD_BITS = 64
 LANE_BITS = 128
-# Rounds whose packed output words are converted to uint64 at a time.
-_CHUNK_ROUNDS = 512
+# Words (rounds times lanes) stepped, converted and scattered at a time.
+_CHUNK_WORDS = 1 << 15
 
 
 def _lane_mask(lanes: int) -> int:
@@ -66,6 +76,8 @@ class TriviumLanes:
             if not 0 <= seed < 1 << 64:
                 raise ValueError(f"seed {seed} is not a 64-bit value")
         self.lanes = len(seeds)
+        # Rounds of all lanes that make at most _CHUNK_WORDS words (at least one).
+        self.chunk_rounds = max(1, _CHUNK_WORDS // self.lanes)
         self._mask = _lane_mask(self.lanes)
         # A: s1..s93, B: s94..s177, C: s178..s288 (bit p of A = s_(93-p), etc.):
         # the seed fills the key slots s1..s64 and the IV slots s94..s157.
@@ -78,15 +90,17 @@ class TriviumLanes:
             self._c |= 0b111 << lane            # s286, s287, s288
         self._packed(INIT_ROUNDS)
 
-    def _packed(self, rounds: int) -> List[int]:
-        """Step `rounds` rounds; every round's output word of all lanes, packed."""
+    def _packed(self, rounds: int) -> bytearray:
+        """Step `rounds` rounds; every round's output words of all lanes, as
+        little-endian bytes, 128 bits per lane with the word in the low half."""
         a, b, c, m = self._a, self._b, self._c, self._mask
-        out = []
+        width = LANE_BITS // 8 * self.lanes
+        out = bytearray()
         for _ in range(rounds):
-            t1 = (a >> 27 ^ a) & m              # s66 ^ s93
-            t2 = (b >> 15 ^ b) & m              # s162 ^ s177
-            t3 = (c >> 45 ^ c) & m              # s243 ^ s288
-            out.append(t1 ^ t2 ^ t3)
+            t1 = a >> 27 ^ a                    # s66 ^ s93
+            t2 = b >> 15 ^ b                    # s162 ^ s177
+            t3 = c >> 45 ^ c                    # s243 ^ s288
+            out += (t1 ^ t2 ^ t3).to_bytes(width, "little")
             f1 = (t1 ^ (a >> 2 & a >> 1) ^ b >> 6) & m    # + s91*s92 + s171
             f2 = (t2 ^ (b >> 2 & b >> 1) ^ c >> 24) & m   # + s175*s176 + s264
             f3 = (t3 ^ (c >> 2 & c >> 1) ^ a >> 24) & m   # + s286*s287 + s69
@@ -99,12 +113,10 @@ class TriviumLanes:
     def words(self, rounds: int) -> np.ndarray:
         """The next `rounds` output words as a (rounds, lanes) uint64 array."""
         out = np.empty((rounds, self.lanes), dtype=np.uint64)
-        width = LANE_BITS // 8 * self.lanes
-        for start in range(0, rounds, _CHUNK_ROUNDS):
-            chunk = self._packed(min(_CHUNK_ROUNDS, rounds - start))
-            raw = b"".join([z.to_bytes(width, "little") for z in chunk])
-            lanes = np.frombuffer(raw, dtype="<u8").reshape(len(chunk), self.lanes, 2)
-            out[start:start + len(chunk)] = lanes[:, :, 0]
+        for start in range(0, rounds, self.chunk_rounds):
+            step = min(self.chunk_rounds, rounds - start)
+            raw = np.frombuffer(self._packed(step), dtype="<u8")
+            out[start:start + step] = raw.reshape(step, self.lanes, 2)[:, :, 0]
         return out
 
 
@@ -120,10 +132,10 @@ class LaneSampler:
     values >= q_i, so its residues are exactly uniform and are the ones a
     word-by-word rejection loop over the same keystream returns; for a
     w-bit modulus the masked candidate is below 2q and at most every second
-    word is wasted.  A draw steps all lanes by the expected number of rounds
-    the neediest lane takes, plus a margin; if a lane still falls short, all
-    lanes continue from the saved state, and the residues a lane has beyond
-    the draw wait for the next one.
+    word is wasted.  A draw steps all lanes a chunk at a time: each chunk is
+    the expected number of rounds the neediest lane still takes, plus a
+    margin, capped at the stream's chunk_rounds.  The residues a lane has
+    beyond the draw wait for the next one.
     """
 
     def __init__(self, seeds: Sequence[int], moduli: Sequence[int]):
@@ -132,26 +144,53 @@ class LaneSampler:
         if any(not 2 <= q < 1 << 64 for q in moduli):
             raise ValueError("moduli must lie in [2, 2^64)")
         self._stream = TriviumLanes(seeds)
-        self._q = np.array(moduli, dtype=np.uint64)
+        self._q = np.array(moduli, dtype=np.uint64)[:, None]
         self._mask = np.array([(1 << q.bit_length()) - 1 for q in moduli], dtype=np.uint64)
         # Expected words per accepted residue, per lane.
-        self._cost = [(1 << q.bit_length()) / q for q in moduli]
+        self._cost = np.array([(1 << q.bit_length()) / q for q in moduli])
         self._pending = [np.empty(0, dtype=np.uint64) for _ in moduli]
 
     def draw(self, n: int) -> np.ndarray:
         """The next n residues of every lane, as a (lanes, n) uint64 array."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} residues")
+        lanes = len(self._pending)
+        out = np.empty((lanes, n), dtype=np.uint64)
+        # have[i]: residues lane i has produced for this draw, past n included.
+        have = np.array([len(p) for p in self._pending])
+        for row, p in zip(out, self._pending):
+            row[:len(p)] = p[:n]
+        rests = [p[n:] for p in self._pending]
+        row_starts = np.arange(lanes)[:, None] * n
+        over_lanes, over_words = [], []
         while True:
-            short = [n - len(p) for p in self._pending]
-            expected = max(s * cost for s, cost in zip(short, self._cost))
+            expected = float(np.max(np.maximum(n - have, 0) * self._cost))
             if expected <= 0:
                 break
             # The margin is about one standard deviation of the rounds a lane
             # needs when half its words are rejected.
             rounds = math.ceil(expected) + math.isqrt(math.ceil(expected)) + 1
-            words = (self._stream.words(rounds) & self._mask).T
-            keep = words < self._q[:, None]
-            self._pending = [np.concatenate((p, w[k]))
-                             for p, w, k in zip(self._pending, words, keep)]
-        out = np.stack([p[:n] for p in self._pending])
-        self._pending = [p[n:] for p in self._pending]
+            words = self._stream.words(min(rounds, self._stream.chunk_rounds))
+            words &= self._mask
+            words = words.T
+            keep = words < self._q
+            # Each accepted word's place in its lane's residues of this draw.
+            pos = np.cumsum(keep, axis=1)
+            pos += have[:, None] - 1
+            have = pos[:, -1] + 1
+            over = keep & (pos >= n)
+            if over.any():
+                over_lanes.append(np.nonzero(over)[0])
+                over_words.append(words[over])
+                keep &= ~over
+            pos += row_starts
+            out.reshape(-1)[pos[keep]] = words[keep]
+        if over_lanes:
+            # Stable by lane, so each lane's words stay in keystream order.
+            lane = np.concatenate(over_lanes)
+            order = np.argsort(lane, kind="stable")
+            ends = np.cumsum(np.bincount(lane, minlength=lanes))[:-1]
+            rests = [np.concatenate(pair) for pair in
+                     zip(rests, np.split(np.concatenate(over_words)[order], ends))]
+        self._pending = rests
         return out

@@ -10,21 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fhesim import opcount
+from fhesim import ckks, opcount
 from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          KeySwitchKey, LevelExhausted, LevelMismatch, LevelOutOfRange,
                          MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
-                         _bconv_plan, _gadget, _submul, ciphertext_from_bytes,
-                         ciphertext_to_bytes, count_ops, derive_seed, ksk_from_bytes,
-                         ksk_to_bytes)
+                         _bconv_plan, _gadget, _rounded_residues, _submul,
+                         ciphertext_from_bytes, ciphertext_to_bytes, count_ops, derive_seed,
+                         ksk_from_bytes, ksk_to_bytes)
 from fhesim.modarith import find_ntt_prime, make_basis
 from fhesim.polykernel import (Domain, LengthMismatch, Poly, ResidueOutOfRange, _unstack,
-                               _words, intt_reference, intt_rows, ntt_reference)
+                               _words, automorphism_ntt_rows, intt_reference, intt_rows,
+                               ntt_reference)
 from fhesim.verify import _limbs, listed_copy, routine_outputs
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
+# dnum does not divide L+1 = 5: K = 2 and digits of 2, 2 and 1 limbs
+DNUM4 = make_basis(n=1024, levels=4, dnum=4, bits=40, first_bits=45, p_bits=45)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,33 @@ def test_encode_coefficient_overflow(ctx):
     assert intt_reference(pt.limbs[0]).coeffs[0] == q0 // 2 - 1
     pt = ctx.encode([1.0] * ctx.slots, level=1, scale=float(q0))
     assert intt_reference(pt.limbs[0]).coeffs[0] == 0
+
+
+def _python_residues(coeffs, moduli) -> np.ndarray:
+    ints = [int(round(c)) for c in coeffs]
+    return np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
+
+
+def test_encode_numpy_reduction_matches_python_ints(ctx, monkeypatch):
+    gen = np.random.default_rng(17)
+    vecs = [gen.uniform(-1, 1, ctx.slots) + 1j * gen.uniform(-1, 1, ctx.slots)
+            for _ in range(3)] + [-np.linspace(1.0, 2.0, ctx.slots)]
+    fast = [ctx.encode(v, level) for v in vecs for level in (0, BASIS.l_max)]
+    monkeypatch.setattr(ckks, "_INT64_SAFE", 0.0)      # every encode on Python ints
+    assert fast == [ctx.encode(v, level) for v in vecs for level in (0, BASIS.l_max)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.0, -0.5, 0.5, 1.5, -1.5, 2.5, -2.5, -1.0, -7.4e11, 3.3e11],   # half to even, negative
+    [2.0 ** 62 - 512, -(2.0 ** 62 - 512), -3.5, -(2.0 ** 40) - 0.5],  # just below 2^62
+    [2.0 ** 62, -(2.0 ** 62), 2.0 ** 62 + 1024, 5.5],                 # from 2^62 up
+    [2.0 ** 63, -(2.0 ** 63 + 2048), 1.5],
+    [3.0 * 2 ** 70, -1.0, 2.0 ** 61],
+], ids=["small", "below-2^62", "from-2^62", "from-2^63", "from-2^70"])
+def test_rounded_residues_match_python_ints(coeffs):
+    moduli = tuple(BASIS.q_list)
+    x = np.array(coeffs)
+    assert _rounded_residues(x, moduli).tolist() == _python_residues(coeffs, moduli).tolist()
 
 
 @pytest.mark.parametrize("level", [-1, BASIS.l_max + 1])
@@ -234,6 +264,32 @@ def test_keygen_follows_the_digit_partition_when_dnum_does_not_divide():
     cb = ctx4.encrypt(ctx4.encode(b, 4), sk, rng())
     out_ct = ctx4.rescale(ctx4.relinearize(ctx4.mult(ca, cb), keys))
     assert rel_err(ctx4.decode(ctx4.decrypt(out_ct, sk), out_ct.scale), a * b) < 1e-4
+
+
+@pytest.mark.parametrize("basis", [BASIS, BASIS3, DNUM4], ids=["dnum5", "dnum2", "dnum4"])
+def test_keygen_batch_equals_keys_built_one_at_a_time(basis):
+    # keygen draws every key's a limbs in one batch; make_keyswitch_key builds
+    # one key, so the same rng sequence must give the same keys one by one
+    ctx_b = CkksContext(basis)
+    seed, rotations = 77, (3, 1, 3)
+    sk, keys = ctx_b.keygen(seed, rotations)
+    gen = np.random.default_rng(seed)
+    assert gen.integers(-1, 2, ctx_b.n).tolist() == sk.coeffs
+    bases = tuple(ctx_b.all_bases())
+    s = np.array([p.coeffs for p in sk.ntt_limbs], dtype=np.uint64)
+    square = [Poly([v * v % m.q for v in row], m, Domain.NTT)
+              for row, m in zip(s.tolist(), bases)]
+    want = {"relin": ctx_b.make_keyswitch_key(sk, square, derive_seed(seed, 0xE), gen)}
+    for rot in rotations:
+        rotated = _unstack(automorphism_ntt_rows(s, pow(5, rot, 2 * ctx_b.n)), bases, Domain.NTT)
+        want[rot] = ctx_b.make_keyswitch_key(sk, rotated, derive_seed(seed, 0xA, rot), gen)
+    got = {"relin": keys.relin, **keys.rotation}
+    assert got.keys() == want.keys()
+    for name, key in got.items():
+        assert key.dnum == want[name].dnum == len(opcount.digit_ranges(4, basis.k))
+        for d, w in zip(key.digits, want[name].digits, strict=True):
+            assert d.ksk1_seeds == w.ksk1_seeds
+            assert np.array_equal(d.ksk0, w.ksk0), name
 
 
 def test_cached_constants_are_shared_read_only_arrays(ctx):

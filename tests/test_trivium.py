@@ -1,9 +1,13 @@
 import random
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fhesim import trivium
 from fhesim.modarith import is_prime
 from fhesim.trivium import LaneSampler, TriviumLanes, trivium_stream
 from fhesim.verify import trivium_bit_serial
@@ -95,8 +99,12 @@ def test_lane_words_continue_across_calls_and_chunks():
     both = np.concatenate((first, rest))
     for i, seed in enumerate(seeds):
         assert tuple(both[:, i].tolist()) == _bit_serial(seed, LANE_WORDS)
-    # more rounds than one conversion chunk
+    # more rounds than one conversion chunk: 40 lanes take 819 rounds at a time
     assert trivium_stream(ONES, 1200) == trivium_bit_serial(ONES, 1200)
+    many = TriviumLanes([ONES] * 40)
+    assert many.chunk_rounds < 1200
+    words = many.words(1200)
+    assert words[:, 0].tolist() == words[:, 39].tolist() == trivium_bit_serial(ONES, 1200)
 
 
 @pytest.mark.parametrize("seeds", [[-1], [1 << 64], [0, 1 << 64], [5, -3, 7], []])
@@ -188,3 +196,52 @@ def test_sampler_draws_continue_the_stream():
 def test_sampler_rejects_bad_moduli(moduli):
     with pytest.raises(ValueError):
         LaneSampler([5], moduli)
+
+
+def test_sampler_rejects_a_negative_count():
+    sampler = LaneSampler([88, 3], [97, MODULI[4]])
+    sampler.draw(5)
+    with pytest.raises(ValueError, match="cannot draw -1"):
+        sampler.draw(-1)
+    # the refused draw took nothing from the stream
+    assert sampler.draw(10)[0].tolist() == _scalar_rejection(88, 97, 15)[5:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), chunk_words=st.integers(1, 200))
+def test_many_lane_draws_equal_single_seed_draws(data, chunk_words):
+    # A chunk bound far below the real one makes small draws span many chunks.
+    lanes = data.draw(st.integers(1, 12), label="lanes")
+    seeds = data.draw(st.lists(st.integers(0, ONES), min_size=lanes, max_size=lanes),
+                      label="seeds")
+    moduli = data.draw(st.lists(st.sampled_from(MODULI), min_size=lanes, max_size=lanes),
+                       label="moduli")
+    with mock.patch.object(trivium, "_CHUNK_WORDS", chunk_words):
+        chunk = TriviumLanes(seeds).chunk_rounds
+        # one round yields at most one residue per lane: n residues need n rounds
+        n = data.draw(st.integers(3 * chunk, 3 * chunk + 60), label="n")
+        m = data.draw(st.integers(0, 40), label="m")
+        many = LaneSampler(seeds, moduli)
+        got = np.concatenate((many.draw(n), many.draw(m)), axis=1)
+        for i, (seed, q) in enumerate(zip(seeds, moduli)):
+            one = LaneSampler([seed], [q])
+            want = np.concatenate((one.draw(n), one.draw(m)), axis=1)
+            assert got[i].tolist() == want[0].tolist(), f"lane {i}, q={q}"
+
+
+def test_wide_draw_steps_at_most_one_chunk_at_a_time(monkeypatch):
+    asked = []
+    words = TriviumLanes.words
+
+    def counting(self, rounds):
+        asked.append(rounds * self.lanes)
+        return words(self, rounds)
+
+    monkeypatch.setattr(TriviumLanes, "words", counting)
+    rng = random.Random(1000)
+    seeds = [rng.getrandbits(64) for _ in range(1000)]
+    moduli = [MODULI[i % len(MODULI)] for i in range(1000)]
+    got = LaneSampler(seeds, moduli).draw(100)
+    assert len(asked) >= 3 and max(asked) <= trivium._CHUNK_WORDS
+    for i in (0, 7, 8, 999):
+        assert got[i].tolist() == LaneSampler([seeds[i]], [moduli[i]]).draw(100)[0].tolist()
