@@ -18,6 +18,14 @@ Two transfer semantics exist because the dataflows differ:
 Determinism contract: identical config and op list give identical reports;
 ties are broken by each op's priority tuple then uid.
 
+DAG storage.  A ScheduleBuilder is the DAG it builds: one list per op
+field, indexed by uid.  Every entry is a string, an int, None or a tuple
+of ints, which the cyclic garbage collector stops tracking once it has
+seen it, so a built DAG holds the same few tracked objects at any size.
+The engine and the report keep their state in per-DAG lists too (children
+in compressed rows, queue heaps of the ops' priority tuples, an event heap
+of ints) and make no object per op.
+
 Event loop.  Resources get dense ids in the order of their first enqueued
 op.  At each event time the engine runs passes until no op can start.  A
 pass visits, in id order, only the resources that have a queued op and a
@@ -26,14 +34,15 @@ slots allow.  The stream dependents of the ops a pass started are
 released after the pass, latest-started first, so an op they make ready
 starts in the next pass at the same time.  Then the engine advances to the
 next finish time, frees the finished ops' slots and enqueues the
-dependents they release.  Report, event loop and DAG building are each
-linear in the number of ops, apart from heap and sort logarithms.
+dependents they release.  DAG building, event loop and report are each
+linear in the number of ops and deps, apart from heap and sort
+logarithms; with no object per op, the collector's share stays flat too.
 
 Same-time priority inversion: an op that becomes ready later at the same
 time, after a pass releases it or a BARRIER retires, cannot take a slot
 that a lower-priority op took earlier at that time.  BARRIER is the only
 zero-duration op the builders emit: a shadowed MAS burst is a count on the
-op it hides behind (`MicroOp.mas`), retires with that op and so never
+op it hides behind (its `mas` entry), retires with that op and so never
 holds back a same-time choice.
 """
 
@@ -43,7 +52,9 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, compress, count
+from operator import add
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS as COMPUTE_KINDS
 
@@ -56,6 +67,9 @@ class DeadlockDetected(Exception):
 
 class ConfigError(ValueError):
     """A ChipletConfig field is outside the range the model can simulate."""
+
+
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -72,6 +86,14 @@ class ChipletConfig:
     exact: bool = False           # zero fill, matched-beat transfers
 
     def __post_init__(self) -> None:
+        # JSON gives "false" or 2.5 as readily as false or 2: check each
+        # field against its annotation first, so such a value is refused
+        # rather than read as truthy, as 1 or as a float cycle count
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) \
+                    or isinstance(value, bool) != (f.type == "bool"):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.r < 1:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         for name in ("f_ghz", "hbm_gbps", "c2c_gbps", "ingress_gbps", "word_bits"):
@@ -135,80 +157,125 @@ class ChipletConfig:
         return cls(**{k: doc[k] for k in doc if k != "comment"})
 
 
-@dataclass(slots=True)
-class MicroOp:
+class MicroOp(NamedTuple):
+    """One op of a DAG, as iterating a ScheduleBuilder yields it: a
+    read-only row of the builder's columns."""
     uid: int
     kind: str
     resource: str
     duration: int
-    deps: List[int] = field(default_factory=list)
-    stream_deps: List[int] = field(default_factory=list)
-    priority: Tuple = ()
-    chiplet: Optional[int] = None
-    phase: str = ""
-    limb: Optional[int] = None
-    digit: Optional[int] = None
-    nbytes: int = 0
-    mas: int = 0    # zero-time MAS ops in this op's shadow, finishing with it
+    deps: Tuple[int, ...]
+    stream_deps: Tuple[int, ...]
+    priority: Tuple[int, ...]   # as given, then the uid
+    chiplet: Optional[int]
+    phase: str
+    limb: Optional[int]
+    digit: Optional[int]
+    nbytes: int
+    mas: int    # zero-time MAS ops in this op's shadow, finishing with it
 
 
 class ScheduleBuilder:
-    """Accumulates micro-ops; resources are named strings.
+    """Accumulates micro-ops into the DAG that Engine.run takes.
 
-    Resource names: "ntt:<i>", "mas:<i>", "aut:<i>", "c2c:<i>" (egress of
-    chiplet i), "hbm:<i>", "host".
+    The DAG is stored by column: op uid's kind is kinds[uid], and likewise
+    for resources, durations, deps, stream_deps, priorities, chiplets,
+    phases, limbs, digits, nbytes and mas.  Resource names: "ntt:<i>",
+    "mas:<i>", "aut:<i>", "c2c:<i>" (egress of chiplet i), "hbm:<i>", "host".
     """
 
     def __init__(self, cfg: ChipletConfig):
         self.cfg = cfg
-        self.ops: List[MicroOp] = []
+        self.kinds: List[str] = []
+        self.resources: List[str] = []
+        self.durations: List[int] = []
+        self.deps: List[Tuple[int, ...]] = []
+        self.stream_deps: List[Tuple[int, ...]] = []
+        self.priorities: List[Tuple[int, ...]] = []
+        self.chiplets: List[Optional[int]] = []
+        self.phases: List[str] = []
+        self.limbs: List[Optional[int]] = []
+        self.digits: List[Optional[int]] = []
+        self.nbytes: List[int] = []
+        self.mas: List[int] = []
         self._prev_ntt: Dict[str, int] = {}
+        self._ntt = [f"ntt:{i}" for i in range(cfg.r)]
+        self._c2c = [f"c2c:{i}" for i in range(cfg.r)]
+        self._hbm = [f"hbm:{i}" for i in range(cfg.r)]
         # durations and sizes depend only on the config: derive them once
         self.transform_cycles = cfg.transform_cycles()
         self.c2c_cycles = cfg.c2c_cycles()
         self.hbm_cycles = cfg.hbm_cycles()
         self.poly_bytes = cfg.poly_bytes
 
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[MicroOp]:
+        return map(MicroOp, count(), self.kinds, self.resources, self.durations,
+                   self.deps, self.stream_deps, self.priorities, self.chiplets,
+                   self.phases, self.limbs, self.digits, self.nbytes, self.mas)
+
+    def _append(self, kind: str, resource: str, duration: int, deps: Tuple[int, ...],
+                stream_deps: Tuple[int, ...], priority: Tuple, chiplet: int | None,
+                phase: str, limb: int | None, digit: int | None, nbytes: int,
+                mas: int) -> int:
+        uid = len(self.kinds)
+        self.kinds.append(kind)
+        self.resources.append(resource)
+        self.durations.append(duration)
+        self.deps.append(deps)
+        self.stream_deps.append(stream_deps)
+        self.priorities.append((*priority, uid))
+        self.chiplets.append(chiplet)
+        self.phases.append(phase)
+        self.limbs.append(limb)
+        self.digits.append(digit)
+        self.nbytes.append(nbytes)
+        self.mas.append(mas)
+        return uid
+
+    def _chain(self, resource: str, deps: Tuple[int, ...]) -> Tuple[int, ...]:
+        """deps and the previous op on NTT/INTT pipeline `resource`, which
+        executes its static microcode in order."""
+        prev = self._prev_ntt.get(resource)
+        self._prev_ntt[resource] = len(self.kinds)
+        return deps if prev is None or prev in deps else deps + (prev,)
+
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
             stream_deps: Sequence[int] = (), priority: Tuple = (), chiplet: int | None = None,
             phase: str = "", limb: int | None = None, digit: int | None = None,
             nbytes: int = 0, mas: int = 0) -> int:
-        uid = len(self.ops)
-        deps = list(deps)
+        deps = tuple(deps)
         if resource.startswith("ntt:"):
-            # the NTT/INTT pipeline executes its static microcode in order
-            prev = self._prev_ntt.get(resource)
-            if prev is not None and prev not in deps:
-                deps.append(prev)
-            self._prev_ntt[resource] = uid
-        self.ops.append(MicroOp(uid, kind, resource, duration, deps, list(stream_deps),
-                                (*priority, uid), chiplet, phase, limb, digit, nbytes, mas))
-        return uid
+            deps = self._chain(resource, deps)
+        return self._append(kind, resource, duration, deps, tuple(stream_deps),
+                            priority, chiplet, phase, limb, digit, nbytes, mas)
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
-        return self._prev_ntt.get(f"ntt:{chiplet}")
+        return self._prev_ntt.get(self._ntt[chiplet])
 
     def transform(self, kind: str, chiplet: int, deps: Sequence[int] = (),
                   priority: Tuple = (), phase: str = "", limb: int | None = None,
                   digit: int | None = None, mas: int = 0) -> int:
-        return self.add(kind, f"ntt:{chiplet}", self.transform_cycles, deps=deps,
-                        priority=priority, chiplet=chiplet, phase=phase, limb=limb,
-                        digit=digit, mas=mas)
+        resource = self._ntt[chiplet]
+        return self._append(kind, resource, self.transform_cycles,
+                            self._chain(resource, tuple(deps)), (), priority, chiplet,
+                            phase, limb, digit, 0, mas)
 
     def send(self, src: int, deps: Sequence[int] = (), stream_deps: Sequence[int] = (),
              priority: Tuple = (), phase: str = "", limb: int | None = None,
              digit: int | None = None) -> int:
-        return self.add("SEND", f"c2c:{src}", self.c2c_cycles, deps=deps,
-                        stream_deps=stream_deps, priority=priority, chiplet=src,
-                        phase=phase, limb=limb, digit=digit, nbytes=self.poly_bytes)
+        return self._append("SEND", self._c2c[src], self.c2c_cycles, tuple(deps),
+                            tuple(stream_deps), priority, src, phase, limb, digit,
+                            self.poly_bytes, 0)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
                  phase: str = "") -> int | None:
         if self.cfg.exact:
             return None
-        return self.add("HBM_RD", f"hbm:{chiplet}", self.hbm_cycles, deps=deps,
-                        priority=priority, chiplet=chiplet, phase=phase,
-                        nbytes=self.poly_bytes)
+        return self._append("HBM_RD", self._hbm[chiplet], self.hbm_cycles, tuple(deps),
+                            (), priority, chiplet, phase, None, None, self.poly_bytes, 0)
 
 
 @dataclass
@@ -245,79 +312,94 @@ class CycleReport:
 _CAPACITY = {"ntt": 1, "mas": 2, "aut": 2, "c2c": 1, "hbm": 1, "host": 1, "barrier": 1 << 30}
 
 
+def _children(parents: Sequence[Tuple[int, ...]]) -> Tuple[List[int], List[int]]:
+    """Each op's children in compressed rows: those of op u are
+    children[first[u]:first[u + 1]], in uid order."""
+    n_ops = len(parents)
+    first = [0] * (n_ops + 1)
+    for d in chain.from_iterable(parents):
+        first[d + 1] += 1
+    first = list(accumulate(first))
+    fill = first[:]
+    children = [0] * first[-1]
+    for uid in compress(range(n_ops), parents):    # the ops with parents
+        for d in parents[uid]:
+            children[fill[d]] = uid
+            fill[d] += 1
+    return first, children
+
+
 class Engine:
     def __init__(self, cfg: ChipletConfig):
         self.cfg = cfg
 
-    def run(self, ops: List[MicroOp], meta: dict | None = None,
+    def run(self, dag: ScheduleBuilder, meta: dict | None = None,
             with_timeline: bool = False) -> CycleReport:
         heappush, heappop = heapq.heappush, heapq.heappop
-        n_ops = len(ops)
+        resources, durations = dag.resources, dag.durations
+        priorities, stream_deps = dag.priorities, dag.stream_deps
+        n_ops = len(dag)
         start = [-1] * n_ops
         finish = [-1] * n_ops
         ready_at = [-1] * n_ops
-        waiting_deps = [len(op.deps) + len(op.stream_deps) for op in ops]
-        dep_children: List[List[int]] = [[] for _ in range(n_ops)]
-        stream_children: List[List[int]] = [[] for _ in range(n_ops)]
-        for op in ops:
-            for d in op.deps:
-                dep_children[d].append(op.uid)
-            for d in op.stream_deps:
-                stream_children[d].append(op.uid)
+        waiting_deps = list(map(add, map(len, dag.deps), map(len, stream_deps)))
+        dep_first, dep_children = _children(dag.deps)
+        stream_first, stream_children = _children(stream_deps)
 
         # Resources get dense ids in first-enqueue order.
         res_id: Dict[str, int] = {}
-        queues: List[list] = []        # per resource: heap of (priority, uid)
+        queues: List[list] = []        # per resource: heap of priorities (uid last)
         free: List[int] = []           # per resource: idle slots
         op_res = [-1] * n_ops          # resource id of each enqueued op
         ready: set = set()             # resources with a queued op and a free slot
-        events: list = []              # heap of (finish, start seq, uid)
+        # An event is finish * stride + seq, where started[seq] is the seq-th
+        # op to start: finish time first, then start order.
+        stride = n_ops + 1
+        events: List[int] = []
+        started: List[int] = []
 
         def enqueue(uid: int, now: int) -> None:
-            op = ops[uid]
-            rid = res_id.get(op.resource)
+            resource = resources[uid]
+            rid = res_id.get(resource)
             if rid is None:
-                rid = res_id[op.resource] = len(queues)
+                rid = res_id[resource] = len(queues)
                 queues.append([])
-                free.append(_CAPACITY[op.resource.split(":")[0]])
+                free.append(_CAPACITY[resource.split(":")[0]])
             op_res[uid] = rid
             ready_at[uid] = now
-            heappush(queues[rid], (op.priority, uid))
+            heappush(queues[rid], priorities[uid])
             if free[rid]:
                 ready.add(rid)
 
-        for op in ops:
-            if waiting_deps[op.uid] == 0:
-                enqueue(op.uid, 0)
+        for uid in range(n_ops):
+            if waiting_deps[uid] == 0:
+                enqueue(uid, 0)
 
-        seq = 0
         done = 0
         now = 0
         while True:
             # passes at the current time, until no resource can start an op
             while ready:
-                started = []
+                first_started = len(started)
                 for rid in sorted(ready):
                     q = queues[rid]
                     slots = free[rid]
                     while q and slots:
-                        uid = heappop(q)[1]
+                        uid = heappop(q)[-1]
                         slots -= 1
-                        op = ops[uid]
                         start[uid] = now
-                        end = now + op.duration
-                        for sd in op.stream_deps:
+                        end = now + durations[uid]
+                        for sd in stream_deps[uid]:
                             if finish[sd] > end:
                                 end = finish[sd]
                         finish[uid] = end
-                        seq += 1
-                        heappush(events, (end, seq, uid))
+                        heappush(events, end * stride + len(started))
                         started.append(uid)
                     free[rid] = slots
                 ready.clear()
                 # notify stream dependents that their producer has started
-                for uid in reversed(started):
-                    for child in stream_children[uid]:
+                for uid in reversed(started[first_started:]):
+                    for child in stream_children[stream_first[uid]:stream_first[uid + 1]]:
                         waiting_deps[child] -= 1
                         if waiting_deps[child] == 0:
                             enqueue(child, now)
@@ -326,71 +408,70 @@ class Engine:
             if not events:
                 raise DeadlockDetected(
                     f"{n_ops - done} ops unscheduled with no pending events")
-            now = events[0][0]
-            while events and events[0][0] == now:
-                uid = heappop(events)[2]
+            now = events[0] // stride
+            later = (now + 1) * stride
+            while events and events[0] < later:
+                uid = started[heappop(events) % stride]
                 done += 1
                 rid = op_res[uid]
                 free[rid] += 1
                 if queues[rid]:
                     ready.add(rid)
-                for child in dep_children[uid]:
+                for child in dep_children[dep_first[uid]:dep_first[uid + 1]]:
                     waiting_deps[child] -= 1
                     if waiting_deps[child] == 0:
                         enqueue(child, now)
 
-        return self._report(ops, start, finish, ready_at, meta or {}, with_timeline)
+        return self._report(dag, start, finish, ready_at, dep_first, stream_first,
+                            meta or {}, with_timeline)
 
     # ------------------------------------------------------------------
 
-    def _report(self, ops, start, finish, ready_at, meta, with_timeline) -> CycleReport:
+    def _report(self, dag, start, finish, ready_at, dep_first, stream_first, meta,
+                with_timeline) -> CycleReport:
         cfg = self.cfg
+        kinds, resources, phases = dag.kinds, dag.resources, dag.phases
         units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(cfg.r)}
         makespan = 0
         links: Dict[str, Dict[str, int]] = {}
         polys = 0
         op_counts: Dict[str, int] = {}
         phase_span: Dict[str, List[int]] = {}   # first start, last finish
-        for op in ops:
-            uid = op.uid
+        for uid, kind, resource, phase, mas, nbytes in zip(count(), kinds, resources,
+                                                           phases, dag.mas, dag.nbytes):
+            end = finish[uid]
             # wall time ends when the last op someone consumes (or any compute
             # op) retires; closing ring hops may drain the links afterwards.
-            for d in op.deps:
-                if finish[d] > makespan:
-                    makespan = finish[d]
-            for d in op.stream_deps:
-                if finish[d] > makespan:
-                    makespan = finish[d]
-            kind = op.kind
+            if end > makespan and (dep_first[uid] < dep_first[uid + 1]
+                                   or stream_first[uid] < stream_first[uid + 1]):
+                makespan = end
             compute = kind in COMPUTE_KINDS
-            if compute or op.mas:
+            if compute or mas:
                 # a shadowed MAS burst retires with its carrier, even a SEND
-                end = finish[uid]
                 first = start[uid] if compute else end
                 if end > makespan:
                     makespan = end
                 if compute:
                     op_counts[kind] = op_counts.get(kind, 0) + 1
-                if op.mas:
-                    op_counts["MAS"] = op_counts.get("MAS", 0) + op.mas
-                if op.phase:
-                    span = phase_span.get(op.phase)
+                if mas:
+                    op_counts["MAS"] = op_counts.get("MAS", 0) + mas
+                if phase:
+                    span = phase_span.get(phase)
                     if span is None:
-                        phase_span[op.phase] = [first, end]
+                        phase_span[phase] = [first, end]
                     else:
                         span[0] = min(span[0], first)
                         span[1] = max(span[1], end)
             if kind in LINK_KINDS:
-                entry = links.get(op.resource)
+                entry = links.get(resource)
                 if entry is None:
-                    entry = links[op.resource] = {"bytes": 0, "busy_cycles": 0,
-                                                  "sends": 0}
-                entry["bytes"] += op.nbytes
-                entry["busy_cycles"] += finish[uid] - start[uid]
+                    entry = links[resource] = {"bytes": 0, "busy_cycles": 0, "sends": 0}
+                entry["bytes"] += nbytes
+                entry["busy_cycles"] += end - start[uid]
                 entry["sends"] += 1
                 if kind == "SEND":
                     polys += 1
-            unit = units.get(op.resource)
+            unit = units.get(resource)
             if unit is not None:
                 unit.append(uid)
 
@@ -398,8 +479,8 @@ class Engine:
             # A gap is a link stall only if some link dep finished inside it
             # while having been ready to transfer before the unit went idle;
             # waits for data that did not yet exist are latency, not stalls.
-            for d in ops[uid].deps + ops[uid].stream_deps:
-                if ops[d].kind in LINK_KINDS and finish[d] > gap_start \
+            for d in dag.deps[uid] + dag.stream_deps[uid]:
+                if kinds[d] in LINK_KINDS and finish[d] > gap_start \
                         and ready_at[d] <= gap_start:
                     return True
             return False
@@ -416,7 +497,7 @@ class Engine:
                 gap = start[u] - prev_end
                 if gap > 0 and blocking_link_dep(u, prev_end):
                     stall += gap
-                    ph = ops[u].phase or "other"
+                    ph = phases[u] or "other"
                     stall_by_phase[ph] = stall_by_phase.get(ph, 0) + gap
                 prev_end = max(prev_end, finish[u])
             idle = makespan - busy - stall
@@ -427,13 +508,15 @@ class Engine:
         util = total_busy_ntt / (cfg.r * makespan) if makespan else 0.0
         timeline = None
         if with_timeline:
+            # a stable sort of uids by start orders ties by uid
             timeline = [{
-                "uid": op.uid, "chiplet": op.chiplet if op.chiplet is not None else "",
-                "resource": op.resource, "kind": op.kind, "phase": op.phase,
-                "limb": op.limb if op.limb is not None else "",
-                "digit": op.digit if op.digit is not None else "",
-                "start": start[op.uid], "end": finish[op.uid],
-            } for op in sorted(ops, key=lambda o: (start[o.uid], o.uid))]
+                "uid": uid,
+                "chiplet": dag.chiplets[uid] if dag.chiplets[uid] is not None else "",
+                "resource": resources[uid], "kind": kinds[uid], "phase": phases[uid],
+                "limb": dag.limbs[uid] if dag.limbs[uid] is not None else "",
+                "digit": dag.digits[uid] if dag.digits[uid] is not None else "",
+                "start": start[uid], "end": finish[uid],
+            } for uid in sorted(range(len(dag)), key=start.__getitem__)]
 
         return CycleReport(
             total_cycles=makespan,

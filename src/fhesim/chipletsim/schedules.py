@@ -117,8 +117,8 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                 if x > l:
                     continue
                 data = intt_of[x] if m == 0 else hop_of[(x, m)]
-                gate = [data] + ([sb.last_ntt(i)] if sb.last_ntt(i) is not None
-                                 else list(after))
+                last = sb.last_ntt(i)
+                gate = (data, last) if last is not None else (data, *after)
                 # relay the limb to the ring predecessor while processing it
                 if r > 1:
                     closing = m + 1 == r
@@ -128,9 +128,9 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                         phase="modup", limb=x)
                 for t in own_targets[i]:
                     read = sb.hbm_read(i, deps=(
-                        [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else after),
+                        (mac_ntts[i][-2],) if len(mac_ntts[i]) >= 2 else after),
                         priority=(pri0, j, m, 1, t), phase="modup")
-                    deps = [data] + ([read] if read is not None else [])
+                    deps = (data,) if read is None else (data, read)
                     ntt = sb.transform("NTT", i, deps=deps,
                                        priority=(pri0, j, m, 2, t), phase="modup",
                                        limb=x, digit=t, mas=2 if shadowed else 0)
@@ -181,7 +181,7 @@ def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
             "warnings": cfg.bound_warnings(l)}
-    return Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
 
 
 def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
@@ -197,7 +197,7 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
         _macro_rescale(sb, l, lambda t: t % cfg.r, (), pri0=1)
     meta = {"routine": "moddown_ring", "l": l, "components": components,
             "warnings": cfg.bound_warnings(l)}
-    return Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
     build_keyswitch_digits(sb, l, k, strategy=strategy)
     meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,
             "strategy": strategy, "warnings": cfg.bound_warnings(l)}
-    report = Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+    report = Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
     transforms = report.op_counts.get("INTT", 0) + report.op_counts.get("NTT", 0)
     stall = sum(c["stall"] for c in report.per_chiplet)
     report.meta["ntt_equiv_avg"] = Fraction(transforms, cfg.r) + Fraction(
@@ -385,7 +385,7 @@ def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
     sb = ScheduleBuilder(run_cfg)
     build_strawman(sb, l, technique)
     meta = {"routine": f"strawman_{technique}", "l": l}
-    return Engine(run_cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+    return Engine(run_cfg).run(sb, meta=meta, with_timeline=with_timeline)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         l = int(step.get("l", levels))
         k = int(step.get("k", 1))
         owner = (lambda t, _k=k: limb_owner(assignment, t, cfg.r, levels, k=_k))
-        first_op = len(sb.ops)
+        first_op = len(sb)
         if op == "HADD":
             _macro_pointwise(sb, l, 2, owner, after, pri, "hadd")
         elif op == "HMULT":
@@ -476,19 +476,19 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             cycles = math.ceil(nbytes / (cfg.ingress_gbps * 1e9 / (cfg.f_ghz * 1e9)))
             sb.add("HOST_RD", "host", cycles, deps=after, priority=(pri,),
                    phase="load", nbytes=nbytes)
-        new_ops = sb.ops[first_op:]
         active: Dict[int, set] = {}
-        for mo in new_ops:
-            if mo.chiplet is not None and mo.kind in KINDS and mo.limb is not None:
-                active.setdefault(mo.chiplet, set()).add(mo.limb)
+        for kind, chiplet, limb in zip(sb.kinds[first_op:], sb.chiplets[first_op:],
+                                       sb.limbs[first_op:]):
+            if chiplet is not None and kind in KINDS and limb is not None:
+                active.setdefault(chiplet, set()).add(limb)
         steps_meta.append({"op": op, "l": l,
                            "active_limbs": {c: len(s) for c, s in active.items()}})
-        after = (sb.add("BARRIER", "barrier", 0, deps=[o.uid for o in new_ops],
+        after = (sb.add("BARRIER", "barrier", 0, deps=range(first_op, len(sb)),
                         priority=(pri, 1 << 20)),)
         pri += 4
     meta = {"routine": "workload", "assignment": assignment, "steps": steps_meta,
             "warnings": cfg.bound_warnings(levels)}
-    return Engine(cfg).run(sb.ops, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
 
 
 def _check_step(step: dict, levels: int) -> None:

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 import fhesim
 from fhesim import analytic, opcount
 from fhesim.chipletsim import (ChipletConfig, ConfigError, DeadlockDetected, Engine,
-                               MicroOp, ProgramError, ScheduleBuilder, run_workload,
-                               schedule_keyswitch_digits, schedule_keyswitch_ring,
-                               schedule_moddown_ring, schedule_strawman,
-                               sweep_chiplets)
+                               ProgramError, ScheduleBuilder, build_keyswitch_ring,
+                               run_workload, schedule_keyswitch_digits,
+                               schedule_keyswitch_ring, schedule_moddown_ring,
+                               schedule_strawman, sweep_chiplets)
 from fhesim.chipletsim.engine import _CAPACITY
 from fhesim.cli import load_preset
 
@@ -198,14 +200,11 @@ def test_sweep_shape_and_low_depth_utilization():
 
 
 def test_engine_deadlock_guard():
-    ops = [
-        MicroOp(uid=0, kind="NTT", resource="ntt:0", duration=4, deps=[1],
-                priority=(0, 0)),
-        MicroOp(uid=1, kind="NTT", resource="ntt:0", duration=4, deps=[0],
-                priority=(0, 1)),
-    ]
+    sb = ScheduleBuilder(EXACT)
+    sb.add("NTT", "ntt:0", 4, deps=[1], priority=(0,))
+    sb.add("NTT", "ntt:0", 4, deps=[0], priority=(0,))
     with pytest.raises(DeadlockDetected):
-        Engine(EXACT).run(ops)
+        Engine(EXACT).run(sb)
 
 
 def test_report_json_and_timeline():
@@ -412,9 +411,9 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
     dags = []
     run = Engine.run
 
-    def record(self, ops, **kwargs):
-        dags.append(ops)
-        return run(self, ops, **kwargs)
+    def record(self, dag, **kwargs):
+        dags.append(dag)
+        return run(self, dag, **kwargs)
 
     monkeypatch.setattr(Engine, "run", record)
     for cfg in (REF, EXACT):
@@ -431,8 +430,9 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
             doc = load_preset(name)
             run_workload(cfg, doc["program"], levels=doc["levels"])
     assert len(dags) == 2 * 13
-    for ops in dags:
-        assert {op.kind for op in ops if op.duration == 0} <= {"BARRIER"}
+    for dag in dags:
+        assert {kind for kind, duration in zip(dag.kinds, dag.durations)
+                if duration == 0} <= {"BARRIER"}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,11 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("r", 0), ("f_ghz", 0.0), ("hbm_gbps", -1.0), ("c2c_gbps", 0.0),
     ("ingress_gbps", float("nan")), ("word_bits", 0), ("n1", 1000), ("n2", 0),
-    ("fill_cycles", -1)])
+    ("fill_cycles", -1),
+    # wrong types: "false" used to switch exactness on, 2.5 and 1024.0 to
+    # fail inside a builder, 0.5 to give float cycles, True to read as 1
+    ("exact", "false"), ("r", 2.5), ("n1", 1024.0), ("fill_cycles", 0.5), ("r", True),
+    ("c2c_gbps", "630")])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ConfigError):
         ChipletConfig(**{field: value})
@@ -467,6 +471,13 @@ def test_config_rejects_unknown_key():
     assert ChipletConfig.from_json_dict({"comment": "free text", "r": 2}) == \
         ChipletConfig(r=2)
     assert ChipletConfig.from_json_dict(REF.to_json_dict()) == REF
+
+
+def test_config_json_field_types_are_checked():
+    doc = load_preset("chiplet_1024x64")
+    with pytest.raises(ConfigError, match="exact"):
+        ChipletConfig.from_json_dict({**doc, "exact": "false"})
+    assert ChipletConfig.from_json_dict({**doc, "exact": False}).exact is False
 
 
 def _no_builder(cfg):
@@ -581,6 +592,35 @@ def test_empty_sweep_rejected(monkeypatch):
         sweep_chiplets(REF, [4, 0])
 
 
+def _tracked_objects(root) -> int:
+    """The objects reachable from root that the cyclic GC tracks, classes
+    and modules aside."""
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            tracked += 1
+            stack.extend(gc.get_referents(obj))
+    return tracked
+
+
+def test_built_dag_holds_a_constant_number_of_tracked_objects():
+    # a MicroOp per op with two lists made the collector's work grow with
+    # the DAG: 1,686 tracked objects at l=8 and 9,408 at l=30
+    cfg = replace(ChipletConfig.from_json_dict(load_preset("chiplet_1024x64")), r=32)
+    dags = []
+    for l in (8, 30):
+        sb = ScheduleBuilder(cfg)
+        build_keyswitch_ring(sb, l)
+        dags.append(sb)
+    gc.collect()
+    assert _tracked_objects(dags[0]) == _tracked_objects(dags[1])
+    assert len(dags[0]) < len(dags[1])
+
+
 # ---------------------------------------------------------------------------
 # Engine properties over small random DAGs
 
@@ -602,14 +642,15 @@ def _random_dags(draw):
                priority=(draw(st.integers(0, 3)),), chiplet=chiplet,
                nbytes=sb.poly_bytes if kind in ("SEND", "HBM_RD") else 0,
                mas=draw(st.integers(0, 2)))
-    return cfg, sb.ops
+    return cfg, sb
 
 
 @settings(max_examples=150, deadline=None)
 @given(dag=_random_dags())
 def test_engine_invariants_on_random_dags(dag):
-    cfg, ops = dag
-    rep = Engine(cfg).run(ops, with_timeline=True)
+    cfg, sb = dag
+    ops = list(sb)
+    rep = Engine(cfg).run(sb, with_timeline=True)
     start = {t["uid"]: t["start"] for t in rep.timeline}
     end = {t["uid"]: t["end"] for t in rep.timeline}
     for op in ops:
@@ -637,5 +678,5 @@ def test_engine_invariants_on_random_dags(dag):
         assert c["busy"] + c["stall"] + c["idle"] == rep.total_cycles
     sends = sum(v["sends"] for v in rep.links.values())
     assert sum(v["bytes"] for v in rep.links.values()) == sends * cfg.poly_bytes
-    again = Engine(cfg).run(ops, with_timeline=True)
+    again = Engine(cfg).run(sb, with_timeline=True)
     assert again.to_json() == rep.to_json() and again.timeline == rep.timeline

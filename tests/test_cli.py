@@ -159,7 +159,11 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     # ConfigError and ProgramError used to escape as a traceback (exit 1)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"c2c_gpbs": 1.0}))
+    # a string "false" used to turn exactness mode on
+    not_bool = tmp_path / "not_bool.json"
+    not_bool.write_text(json.dumps({**load_preset("chiplet_1024x64"), "exact": "false"}))
     for argv, named in ((["simulate", "--config", str(bad)], "c2c_gpbs"),
+                        (["sweep", "--config", str(not_bool)], "exact"),
                         (["sweep", "--r-list", "0"], "r must be at least 1"),
                         (["sweep", "--l", "-1"], "l must be at least 0")):
         assert main(argv) == 2
