@@ -21,6 +21,13 @@ class InvalidArgument(ValueError):
     """A formula argument outside the range its closed form covers."""
 
 
+def _at_least(low: int, **values) -> None:
+    """InvalidArgument naming the first of the values below low (or NaN)."""
+    for name, value in values.items():
+        if not value >= low:
+            raise InvalidArgument(f"{name} must be at least {low}, got {value}")
+
+
 def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
     """ModUp+KeyMul cycles on one chiplet for dnum = L+1.
 
@@ -28,6 +35,8 @@ def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
     (L+1) INTTs and (L+1)(L+2) NTTs; unshadowed adds 2(L+1)(L+2) serial
     MAS passes.
     """
+    _at_least(0, L=levels)
+    _at_least(1, n1=n1)
     l1 = levels + 1
     if shadowed:
         return l1 * (levels + 3) * n1
@@ -37,6 +46,8 @@ def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
 def keyswitch_throughput(levels: int, n1: int, f_hz: float,
                          shadowed: bool = True) -> float:
     """Key switches per second at clock f for the monolithic (r=1) flow."""
+    if not f_hz > 0:
+        raise InvalidArgument(f"the clock must be positive, got {f_hz} Hz")
     return f_hz / keyswitch_cycles(levels, n1, shadowed)
 
 
@@ -46,6 +57,7 @@ def shadowing_improvement(levels: int) -> float:
     Approaches 2/3 for large L (the headline ~66.7%); at L=30 the exact
     value is 64/97 = 65.98%, i.e. 66.0% to one decimal.
     """
+    _at_least(0, L=levels)
     return 1.0 - (levels + 3) / (1 + 3 * (levels + 2))
 
 
@@ -55,6 +67,7 @@ def comm_polynomials(technique: str, l: int, dnum: int | None = None,
 
     A/B/C/OURS are whole-package counts for the four distribution
     techniques; the digit-wise and limb-wise forms are per chiplet."""
+    _at_least(0, l=l)
     technique = technique.upper()
     if technique == "A":
         return Fraction((l + 2) * (l + 3))
@@ -63,11 +76,13 @@ def comm_polynomials(technique: str, l: int, dnum: int | None = None,
     if technique == "OURS":
         if r is None:
             raise InvalidArgument("OURS needs the chiplet count r")
+        _at_least(1, r=r)
         return Fraction(0) if r == 1 else Fraction(r * (l + 3))
     if technique not in _DIGIT_TECHNIQUES:
         raise InvalidArgument(f"unknown technique {technique!r}")
-    if dnum is None or k is None or dnum < 1:
-        raise InvalidArgument(f"{technique} needs dnum >= 1 and K, got dnum={dnum}, K={k}")
+    if dnum is None or k is None or dnum < 1 or k < 1:
+        raise InvalidArgument(f"{technique} needs dnum >= 1 and K >= 1, "
+                              f"got dnum={dnum}, K={k}")
     if technique == "DIGITWISE":
         # ModDown handled inside each chiplet by duplicating the key-mult
         # results: a one-time exchange of the ciphertext limbs plus the base
@@ -96,7 +111,8 @@ def chiplet_bound(levels: int, k_ratio: float, u: float = 4.0) -> int:
     """
     if not u > 0:
         raise InvalidArgument(f"the headroom u must be positive, got {u}")
-    if k_ratio <= 0:
+    _at_least(0, L=levels, k_ratio=k_ratio)
+    if k_ratio == 0:
         return levels + 2
     return min(int((levels + 2) / (u * k_ratio)), levels + 2)
 
@@ -110,9 +126,10 @@ def key_storage(levels: int, dnum: int, n: int, w: int, seeded: bool = False) ->
     """
     if dnum is None or dnum < 1:
         raise InvalidArgument(f"key storage needs dnum >= 1, got dnum={dnum}")
+    _at_least(0, L=levels)
+    poly_bytes = _poly_bytes(n, w)
     k = digit_size(levels, dnum)
     limbs = len(digit_ranges(levels, k)) * (levels + k + 1)
-    poly_bytes = -(-n * w // 8)
     if seeded:
         return limbs * poly_bytes + limbs * 8
     return 2 * limbs * poly_bytes
@@ -124,7 +141,13 @@ def key_storage_per_digit_limb(n: int, w: int) -> int:
     This is the per-entry reading of the ~1 MB on-chip figure: a single
     ksk0/ksk1 limb pair at N=2^16, w=54 is about 0.88 MB.
     """
-    return 2 * (-(-n * w // 8))
+    return 2 * _poly_bytes(n, w)
+
+
+def _poly_bytes(n: int, w: int) -> int:
+    """Bytes of one limb polynomial: n words of w bits, packed."""
+    _at_least(1, n=n, w=w)
+    return -(-n * w // 8)
 
 
 # (N1, N2) -> (total multipliers, TFG multipliers, TFG memory words,
@@ -157,4 +180,6 @@ def twiddle_tradeoff(n1: int, n2: int, tfg: bool) -> dict:
 def digits_census(l: int, dnum: int, k: int, r: int) -> Fraction:
     """Per-chiplet NTT-equivalent runtime of the dnum<L+1 key switch:
     (2(l+1+K) + (dnum+1)(l+1) + (r-3)K)/r."""
+    _at_least(0, l=l)
+    _at_least(1, dnum=dnum, K=k, r=r)
     return Fraction(2 * (l + 1 + k) + (dnum + 1) * (l + 1) + (r - 3) * k, r)

@@ -392,17 +392,13 @@ class CkksContext:
             x = intt_rows(x, moduli)
         mods = [m.q for m in moduli]
         big_q = reduce(lambda a, b: a * b, mods)
-        recon = []
-        for m in mods:
-            hat = big_q // m
-            recon.append(hat * pow(hat, -1, m))
+        # exact CRT: one object-array product, then centred into (-Q/2, Q/2]
+        recon = np.array([big_q // m * pow(big_q // m, -1, m) for m in mods], dtype=object)
+        v = recon @ x.astype(object) % big_q
+        v[v > big_q // 2] -= big_q
         n, two_n = self.n, 2 * self.n
         centered = np.zeros(two_n)
-        for i, column in enumerate(x.T.tolist()):
-            v = sum(c * r for c, r in zip(column, recon)) % big_q
-            if v > big_q // 2:
-                v -= big_q
-            centered[i] = float(v)
+        centered[:n] = v.astype(float)
         ev = np.fft.ifft(centered) * two_n
         return ev[np.array(self._theta)] / scale
 

@@ -1,7 +1,7 @@
 """Negacyclic polynomial kernels over RNS limbs.
 
 Provides the forward/inverse NTT (natural input, bit-reversed output and
-back), a hierarchical (N1, N2) NTT that never materializes a transpose,
+back), the hierarchical (N1, N2) NTT that never materializes a transpose,
 the automorphism (the direct map, its shuffle-tree realization and its
 NTT-domain gather), and the triadic pointwise MAS unit.
 
@@ -18,15 +18,15 @@ MUL and MAC, form the ratio per element and have their own bound
 (_mulmod_vv_lazy, error in [-9, 9]).  Both need every modulus below
 2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues
 inside [0, q), which the transforms check.  ntt_reference, intt_reference
-and mas are one-row calls of the same kernels on Polys.  A Poly holds its
-residues as a list of Python ints or as a read-only uint64 row, which
-becomes that list when p.coeffs is first read (_Coeffs); kernels read the
-row while it is there (_words), and outputs are rows (_unstack).  The
-pure-int butterflies are kept, unchanged, as the oracles ntt_oracle and
-intt_oracle, with automorphism_oracle (the oracle the gather is checked
-against, through the NTT) and automorphism_shuffle (the hardware AUT
-unit's dataflow on coefficient-domain limbs); ntt_hybrid stays pure-int
-too, as the model of the hardware dataflow.
+and mas are one-row calls of the same kernels on Polys, and ntt_hybrid is
+two batched ntt_rows calls with one twiddle pass between them.  A Poly
+holds its residues as a list of Python ints or as a read-only uint64 row,
+which becomes that list when p.coeffs is first read (_Coeffs); kernels
+read the row while it is there (_words), and outputs are rows (_unstack).
+The pure-int code is only the oracles ntt_oracle, intt_oracle and
+automorphism_oracle (the oracle the gather is checked against, through the
+NTT), plus automorphism_shuffle (the hardware AUT unit's dataflow on
+coefficient-domain limbs).
 
 Every transform, production, oracle and hybrid alike, reads its twiddles
 from the one stored psi-power table of its modulus.  Where the hardware
@@ -39,7 +39,7 @@ exponent.
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
 holds the contiguous chunk [j*N1, (j+1)*N1).  Reading one address across
-all N2 memories yields the stride-N1 row used by the second NTT phase
+all N2 memories yields the stride-N1 row used by the first NTT phase
 and by the automorphism, so neither ever needs a transposed copy.
 """
 
@@ -204,18 +204,18 @@ def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int,
 
 
 @functools.cache
-def _omega_table(m: PrimeModulus, size: int, stride_exp: int) -> np.ndarray:
-    """[psi^(stride_exp * j) for j < size]: natural powers of a cyclic root."""
-    exps = stride_exp * np.arange(size, dtype=np.int64) % m.two_n
-    return _frozen(_psi_powers(m)[exps])[0]
+def _hybrid_twiddles(m: PrimeModulus, plan: NttPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """The one twiddle pass between the hybrid phases, indexed [c, a], with
+    its w/q ratios: psi^(s*a*(2*bitrev(c) + 1 - N2)), s = _ring_stride(m, N).
 
-
-@functools.cache
-def _interphase_table(m: PrimeModulus, plan: NttPlan, stride_exp: int) -> np.ndarray:
-    """Twiddles between the two hybrid phases, indexed [c*N1 + a]."""
-    base = (2 * _bitrev_permutation(plan.n2) + 1) * stride_exp
-    exps = base[:, None] * np.arange(plan.n1, dtype=np.int64) % m.two_n
-    return _frozen(_psi_powers(m)[exps.ravel()])[0]
+    That is the interphase twiddle psi^(s*a*(2*bitrev(c) + 1)) times the
+    pre-twist psi'^(-a), psi' = psi^(s*N2), which turns phase two's cyclic
+    size-N1 DFT into the negacyclic transform of ntt_rows.
+    """
+    brv = _bitrev_permutation(plan.n2)
+    exps = (2 * brv[:, None] + 1 - plan.n2) * np.arange(plan.n1) * _ring_stride(m, plan.n)
+    table = _psi_powers(m)[exps % m.two_n]
+    return _frozen(table, _shoup_ratios(table.ravel().tolist(), m.q).reshape(table.shape))
 
 
 def _ring_stride(m: PrimeModulus, n: int) -> int:
@@ -228,12 +228,10 @@ def _ring_stride(m: PrimeModulus, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Core butterflies (in-place on raw lists; strided so the hybrid phases can
-# read the memory layout directly)
+# Core butterflies (in-place on raw lists)
 
 
-def _ct_negacyclic(x: List[int], base: int, stride: int, size: int,
-                   table: List[int], q: int) -> None:
+def _ct_negacyclic(x: List[int], size: int, table: List[int], q: int) -> None:
     """Cooley-Tukey pass, natural order in, bit-reversed out.
 
     table[h + i] holds the butterfly constant of block i at half-size h,
@@ -245,12 +243,12 @@ def _ct_negacyclic(x: List[int], base: int, stride: int, size: int,
         t >>= 1
         for i in range(m):
             s = table[m + i]
-            j1 = base + 2 * i * t * stride
-            for j in range(j1, j1 + t * stride, stride):
+            j1 = 2 * i * t
+            for j in range(j1, j1 + t):
                 u = x[j]
-                v = x[j + t * stride] * s % q
+                v = x[j + t] * s % q
                 x[j] = (u + v) % q
-                x[j + t * stride] = (u - v) % q
+                x[j + t] = (u - v) % q
         m <<= 1
 
 
@@ -271,22 +269,6 @@ def _gs_inverse(x: List[int], size: int, table: List[int], q: int) -> None:
             j1 += 2 * t
         t <<= 1
         m = h
-    return
-
-
-def _dif_cyclic(x: List[int], base: int, size: int, omega: List[int], q: int) -> None:
-    """Decimation-in-frequency pass for the plain DFT, natural in, bit-reversed
-    out.  omega holds natural powers of a primitive size-th root."""
-    h = size >> 1
-    while h >= 1:
-        step = size // (2 * h)
-        for start in range(base, base + size, 2 * h):
-            for j in range(h):
-                u = x[start + j]
-                v = x[start + j + h]
-                x[start + j] = (u + v) % q
-                x[start + j + h] = (u - v) * omega[j * step] % q
-        h >>= 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +283,7 @@ def ntt_oracle(p: Poly) -> Poly:
     n = p.n
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False).tolist()
     x = list(p.coeffs)
-    _ct_negacyclic(x, 0, 1, n, table, m.q)
+    _ct_negacyclic(x, n, table, m.q)
     return Poly(x, m, Domain.NTT)
 
 
@@ -570,38 +552,26 @@ def intt_reference(p: Poly) -> Poly:
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
-    """Hierarchical NTT, bit-identical to ntt_reference.
+    """Hierarchical NTT, bit-identical to ntt_reference, built from ntt_rows.
 
-    Phase one runs N1 size-N2 negacyclic transforms on the stride-N1 rows
-    (one address across all memories), phase two runs N2 size-N1 cyclic
-    transforms on the contiguous per-memory chunks.  Writing each small
-    transform in bit-reversed order makes the composed output land exactly
-    in the reference ordering, which is what removes the transpose.
+    The limb is an (N2, N1) array: row j is memory j's contiguous chunk,
+    column a is the stride-N1 row at address a.  Phase one runs the N1
+    size-N2 negacyclic transforms of the columns, one twiddle pass
+    (_hybrid_twiddles) follows, and phase two runs the N2 size-N1 transforms
+    of the rows.  Writing each small transform in bit-reversed order makes
+    the composed output land exactly in the reference ordering, which is
+    what removes the transpose.
     """
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_hybrid expects a coefficient-domain polynomial")
     plan.validate(p.n)
     m = p.modulus
-    q = m.q
-    n1, n2 = plan.n1, plan.n2
-    s = _ring_stride(m, p.n)
-    x = list(p.coeffs)
-
-    if n2 > 1:
-        row_table = _psi_table_bitrev(m, n2, s * n1, inverse=False).tolist()
-        for a in range(n1):
-            _ct_negacyclic(x, a, n1, n2, row_table, q)
-
-    mid = _interphase_table(m, plan, s).tolist()
-    for i in range(n1 * n2):
-        x[i] = x[i] * mid[i] % q
-
-    if n1 > 1:
-        omega = _omega_table(m, n1, 2 * s * n2).tolist()
-        for c in range(n2):
-            _dif_cyclic(x, c * n1, n1, omega, q)
-
-    return Poly(x, m, Domain.NTT)
+    x = _stack([p]).reshape(plan.n2, plan.n1)
+    x = ntt_rows(x.T[:, None, :], (m,))[:, 0, :].T
+    w, ratio = _hybrid_twiddles(m, plan)
+    x = _mulmod(x, w, ratio, np.uint64(m.q))
+    x = ntt_rows(x[:, None, :], (m,))
+    return _unstack(x.reshape(1, p.n), (m,), Domain.NTT)[0]
 
 
 # ---------------------------------------------------------------------------

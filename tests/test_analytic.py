@@ -88,3 +88,19 @@ def test_twiddle_tradeoff_table():
 def test_digits_census_formula():
     # (2*31 + 4*23 + 8)/4 = 40.5 at l=22, K=8, dnum=3, r=4
     assert analytic.digits_census(22, 3, 8, 4) == Fraction(81, 2)
+
+
+# The checks that test_cli.py's test_analyze_rejects_bad_arguments does not
+# reach; three of them the analyze command never reaches, as an earlier
+# check refuses the argument first.
+@pytest.mark.parametrize("call", [
+    lambda: analytic.shadowing_improvement(-1),
+    lambda: analytic.comm_polynomials("LIMBWISE", 22, dnum=3, k=0),
+    lambda: analytic.chiplet_bound(-1, 1.0),
+    lambda: analytic.key_storage(-1, 3, 1 << 16, 54),
+    lambda: analytic.key_storage_per_digit_limb(0, 54),
+    lambda: analytic.digits_census(-1, 3, 8, 4),
+])
+def test_formulas_refuse_arguments_outside_their_range(call):
+    with pytest.raises(analytic.InvalidArgument):
+        call()

@@ -21,7 +21,7 @@ from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
 from fhesim.modarith import find_ntt_prime, make_basis
 from fhesim.polykernel import (Domain, LengthMismatch, Poly, ResidueOutOfRange, _unstack,
                                _words, automorphism_ntt_rows, intt_reference, intt_rows,
-                               ntt_reference)
+                               ntt_reference, ntt_rows)
 from fhesim.verify import _limbs, listed_copy, routine_outputs
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
@@ -72,6 +72,35 @@ def test_encode_decode_roundtrip(ctx):
     back = ctx.decode(pt, ctx.delta)
     # relative to the scale, the roundtrip error stays below 2^-20
     assert float(np.max(np.abs(back - v))) < 2 ** -20
+
+
+def test_decode_is_the_centred_exact_crt(ctx):
+    # decode reads each coefficient as the exact CRT of its residues, centred
+    # into (-Q/2, Q/2]; the reference here is a Python CRT per coefficient.
+    # Random residues put about half the coefficients above Q/2.
+    r = np.random.default_rng(11)
+    v = r.normal(size=ctx.slots) + 1j * r.normal(size=ctx.slots)
+    for level in (0, BASIS.l_max):
+        pt = ctx.encode(v, level)
+        moduli = [p.modulus for p in pt.limbs]
+        qs = [m.q for m in moduli]
+        big_q = math.prod(qs)
+        encoded = intt_rows([_words(p) for p in pt.limbs], moduli)
+        uniform = np.array([r.integers(0, q, ctx.n, dtype=np.uint64) for q in qs])
+        # the centring edges: Q//2 and 0 stay, Q//2 + 1 and Q - 1 wrap
+        for i, c in enumerate((big_q // 2, big_q // 2 + 1, big_q - 1, 0)):
+            uniform[:, i] = [c % q for q in qs]
+        for rows in (encoded, uniform):
+            centred = []
+            for column in rows.T.tolist():
+                c = sum(x * (big_q // q) * pow(big_q // q, -1, q)
+                        for x, q in zip(column, qs)) % big_q
+                centred.append(float(c - big_q if c > big_q // 2 else c))
+            ev = np.fft.ifft(np.array(centred + [0.0] * ctx.n)) * (2 * ctx.n)
+            want = ev[np.array(ctx._theta)] / ctx.delta
+            for domain, limbs in ((Domain.COEFF, rows), (Domain.NTT, ntt_rows(rows, moduli))):
+                pt = RnsPoly(_unstack(limbs.copy(), moduli, domain), level, ctx.delta)
+                assert np.array_equal(ctx.decode(pt, ctx.delta), want), (level, domain)
 
 
 def test_encode_zero_vector_is_zero_polynomial(ctx):

@@ -178,6 +178,18 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     (["bound", "--c2c", "0"], "--c2c"),              # was a ZeroDivisionError
     (["storage"], "dnum"),                           # was a bare TypeError
     (["census", "--l", "1", "--k", "3", "--dnum", "2"], "--dnum"),  # 1 digit at l=1
+    (["throughput", "--n1", "0"], "n1 must be at least 1"),  # a ZeroDivisionError
+    (["throughput", "--L", "-3"], "L must be at least 0"),   # 0 cycles: the same
+    (["throughput", "--f", "0"], "clock"),                   # printed 0 switches/s
+    (["bound", "--hbm", "-1"], "k_ratio must be at least 0"),  # printed max_r 32
+    (["bound", "--hbm", "nan"], "k_ratio must be at least 0"),  # a ValueError
+    (["storage", "--dnum", "3", "--n", "0", "--w", "-3"],
+     "n must be at least 1"),                                # printed 0 bytes
+    (["comm", "--tech", "OURS", "--l", "-5", "--r", "4"],
+     "l must be at least 0"),                                # printed -8
+    (["comm", "--tech", "OURS", "--r", "0"], "r must be at least 1"),  # printed 0
+    (["census", "--l", "5", "--k", "2", "--r", "0"],
+     "r must be at least 1"),                                # a ZeroDivisionError
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2

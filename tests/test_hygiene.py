@@ -31,6 +31,26 @@ def _unused_imports(text: str) -> list:
             if name not in used]
 
 
+def _orphaned_helpers(texts) -> list:
+    """Private functions and methods (_name, not __dunder__) that the sources
+    define but never reference, sorted.  A reference is a name, an attribute
+    or a string constant (as getattr and setattr take), anywhere in any of
+    the sources."""
+    defined = set()
+    used = set()
+    for node in (n for text in texts for n in ast.walk(ast.parse(text))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return sorted(defined - used)
+
+
 def test_no_unused_imports():
     unused = {str(path.relative_to(SRC)): names for path in sorted(SRC.rglob("*.py"))
               if (names := _unused_imports(path.read_text()))}
@@ -42,3 +62,18 @@ def test_scan_finds_unused_imports():
             "import sys  # noqa: F401\nfrom json import (dumps,\n    loads)\n"
             "import numpy as np\n__all__ = ['loads']\nx = np.zeros(1)\n")
     assert _unused_imports(text) == ["os", "dumps"]
+
+
+def test_no_orphaned_private_helpers():
+    # Tests do not count: a helper only they call is dead code of the package.
+    assert _orphaned_helpers(path.read_text() for path in sorted(SRC.rglob("*.py"))) == []
+
+
+def test_scan_finds_orphaned_helpers():
+    texts = ("def _called():\n    pass\n\n\ndef _orphan():\n    pass\n\n\n"
+             "def __dunder__():\n    pass\n\n\ndef public():\n    _called()\n",
+             "class C:\n    def _method(self):\n        pass\n\n"
+             "    def _by_attr(self):\n        pass\n\n"
+             "    def _by_name(self):\n        pass\n\n"
+             "    def run(self):\n        return self._by_attr, getattr(self, '_by_name')\n")
+    assert _orphaned_helpers(texts) == ["_method", "_orphan"]

@@ -14,8 +14,8 @@ from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
                                PlanMismatch, Poly, ResidueOutOfRange, _mulmod,
                                _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
-                               _aut_ntt_map, _interphase_table, _omega_table,
-                               _psi_powers, _psi_table_bitrev, _shoup_ratios,
+                               _aut_ntt_map, _hybrid_twiddles, _psi_powers,
+                               _psi_table_bitrev, _shoup_ratios,
                                _twiddle_arrays, _words, automorphism_ntt_rows,
                                automorphism_oracle, automorphism_shuffle, intt_oracle,
                                intt_reference, intt_rows, mas, mas_rows, modulus_columns,
@@ -85,15 +85,17 @@ def test_pointwise_product_exhaustive_tiny():
 
 
 def test_hybrid_equals_reference_across_plans():
-    for n, bits in ((256, 14), (1024, 14)):
+    # 54 bits is the edge of _mulmod's bound, which the hybrid's twiddle pass
+    # reaches; N=4096 is a larger ring than the verify suites use.
+    for n, bits, reps in ((256, 14, 10), (1024, 14, 10), (1024, 54, 3), (4096, 18, 2)):
         m = find_ntt_prime(bits, 2 * n)
         n2 = 1
         while n2 <= 64:
             plan = NttPlan(n // n2, n2)
-            for _ in range(10):
+            for _ in range(reps):
                 p = rand_poly(m, n)
-                assert ntt_hybrid(p, plan).coeffs == ntt_reference(p).coeffs, \
-                    f"plan {plan.n1}x{plan.n2}"
+                assert ntt_hybrid(p, plan).coeffs == ntt_reference(p).coeffs \
+                    == ntt_oracle(p).coeffs, f"plan {plan.n1}x{plan.n2}"
             n2 *= 2
 
 
@@ -119,8 +121,7 @@ def test_hybrid_delta_all_ones():
 
 
 # every cached twiddle-table builder
-TWIDDLE_TABLES = (_psi_powers, _psi_table_bitrev, _omega_table, _interphase_table,
-                  _twiddle_arrays)
+TWIDDLE_TABLES = (_psi_powers, _psi_table_bitrev, _hybrid_twiddles, _twiddle_arrays)
 
 
 def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
@@ -158,8 +159,8 @@ def test_cached_tables_are_read_only_arrays():
     assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
     assert intt_oracle(ntt_reference(p)).coeffs == p.coeffs
     calls = [(_psi_powers, (m,)), (_psi_table_bitrev, (m, 64, 1, False)),
-             (_psi_table_bitrev, (m, 64, 1, True)), (_omega_table, (m, 8, 16)),
-             (_interphase_table, (m, NttPlan(8, 8), 1)),
+             (_psi_table_bitrev, (m, 64, 1, True)),
+             (_hybrid_twiddles, (m, NttPlan(8, 8))),
              (_twiddle_arrays, (m, 64, False)), (_twiddle_arrays, (m, 64, True)),
              (modulus_columns, ((m,),)), (_aut_ntt_map, (64, 5))]
     assert {fn for fn, _ in calls} >= set(TWIDDLE_TABLES)
@@ -484,6 +485,8 @@ def test_kernel_rejects_residues_outside_range(bad):
         ntt_reference(Poly(coeffs, m, Domain.COEFF))
     with pytest.raises(ResidueOutOfRange):
         intt_reference(Poly(coeffs, m, Domain.NTT))
+    with pytest.raises(ResidueOutOfRange):
+        ntt_hybrid(Poly(coeffs, m, Domain.COEFF), NttPlan(4, 8))
 
 
 def test_mas_rejects_length_mismatch():
