@@ -5,36 +5,26 @@ back), the hierarchical (N1, N2) NTT that never materializes a transpose,
 the automorphism (the direct map, its shuffle-tree realization and its
 NTT-domain gather), and the triadic pointwise MAS unit.
 
-The production kernels are uint64 NumPy rows kernels over (..., R, N)
-stacks of limbs, row r over its own modulus: ntt_rows and intt_rows (each
-radix-2 stage is one pass over every row, with the twiddle and w/q tables
-cached per modulus and stacked per call), automorphism_ntt_rows (X -> X^g on
-NTT-domain limbs: it only permutes the evaluation points, so it is one
-gather through an index map cached per (N, g), with no sign, no modulus
-and no INTT/NTT round trip) and mas_rows.  Twiddle products use a
-float64 quotient estimate from a correctly rounded w/q (Shoup's trick; see
-_mulmod_lazy, error in [-3, 3]).  Products of two varying operands, as in
-MUL and MAC, form the ratio per element and have their own bound
-(_mulmod_vv_lazy, error in [-9, 9]).  Both need every modulus below
-2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues
-inside [0, q), which the transforms check.  ntt_reference, intt_reference
-and mas are one-row calls of the same kernels on Polys, and ntt_hybrid is
-two batched ntt_rows calls with one twiddle pass between them.  A Poly
-holds its residues as a list of Python ints or as a read-only uint64 row,
-which becomes that list when p.coeffs is first read (_Coeffs); kernels
-read the row while it is there (_words), and outputs are rows (_unstack).
-The pure-int code is only the oracles ntt_oracle, intt_oracle and
-automorphism_oracle (the oracle the gather is checked against, through the
-NTT), plus automorphism_shuffle (the hardware AUT unit's dataflow on
-coefficient-domain limbs).
-
-Every transform, production, oracle and hybrid alike, reads its twiddles
-from the one stored psi-power table of its modulus.  Where the hardware
-takes them from (a stored table or the on-the-fly twiddle factor
-generator, TFG) is a cost trade-off, modelled in analytic.twiddle_tradeoff;
-the values are the same.  The TFG model is modarith.TwiddleSource.power,
-which verify and the tests check against the stored table for every
-exponent.
+The production kernels are NumPy rows kernels over (..., R, N) stacks of
+limbs, row r over its own modulus.  ntt_rows and intt_rows run each radix-2
+stage as one pass over every row on signed int64 values, with plain
+butterflies: they reduce only where the bound recurrence of _lazy_schedule,
+fixed by the call's largest modulus and N, needs it, and end with one
+canonical fold.  automorphism_ntt_rows is one gather through an index map
+cached per (N, g), and mas_rows the MAS unit.  Twiddle products estimate
+the quotient in float64 from a correctly rounded w/q (Shoup's trick:
+_mulmod_signed, _mulmod_lazy), products of two varying operands from a
+ratio formed per element (_mulmod_vv_lazy).  The bounds need moduli below
+2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues in
+[0, q), which the transforms check.  ntt_reference, intt_reference and mas
+are one-row calls on Polys, ntt_hybrid two batched ntt_rows calls with one
+twiddle pass between them.  A Poly holds a list of Python ints or a
+read-only uint64 row, which becomes that list when p.coeffs is first read
+(_Coeffs); kernels read the row while it is there (_words), and outputs are
+rows (_unstack).  The pure-int code is only the oracles ntt_oracle,
+intt_oracle and automorphism_oracle, plus automorphism_shuffle (the
+hardware AUT unit's dataflow on coefficient-domain limbs).  Every transform
+reads its twiddles from the one stored psi-power table of its modulus.
 
 Layout convention shared with the AUT unit: coefficient i of a ring
 element lives at address (i mod N1) of memory (i div N1), i.e. memory j
@@ -336,18 +326,6 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool) -> Tuple[np.ndarray,
     return _frozen(table, _shoup_ratios(table.tolist(), q))
 
 
-def _stacked_twiddles(moduli: Tuple[PrimeModulus, ...], n: int,
-                      inverse: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """_twiddle_arrays of every modulus stacked into (R, n) twiddles and ratios.
-
-    Stacked anew on each call, so only the per-modulus tables stay in
-    memory; the copy is one pass over the tables, small beside the log2(N)
-    passes of the transform that reads them.
-    """
-    tables = [_twiddle_arrays(m, n, inverse) for m in moduli]
-    return np.stack([w for w, _ in tables]), np.stack([r for _, r in tables])
-
-
 @functools.lru_cache(maxsize=256)
 def modulus_columns(moduli: Tuple[PrimeModulus, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """q as an (R, 1) uint64 column and 1/q, correctly rounded, as float64."""
@@ -473,6 +451,107 @@ def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
     return _checked_rows([_words(p) for p in limbs], q)
 
 
+# _lazy_rows shifts (-2q, 2q) by 2q, then folds [0, 4q) into [0, q) by these.
+_CANONICAL_FOLDS = (2, 1)
+
+
+def _mulmod_signed(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """a*w - trunc(fl(fl(a)*r))*q, r = fl(w/q): a*w mod q plus a signed
+    multiple of q; int64 a, w, q with |a| <= 2^62, 0 <= w < q < 2^54.
+
+    With u = 2^-53 and Q = a*w/q: fl(a) is within u|a| of a, fl(fl(a)*r)
+    within u|a| of fl(a)*r (r <= 1), and r within u/2 of w/q < 1, so the
+    quotient is off by less than 1 + 2.5*|a|*2^-53 and the result lies below
+    q*(1 + 2.5u|a|) in magnitude: exact in wrapping int64 arithmetic where
+    that is below 2^63.  out may be a.
+    """
+    qhat = (a * ratio).astype(np.int64)
+    qhat *= q
+    out = np.multiply(a, w, out=out)
+    out -= qhat
+    return out
+
+
+def _reduce_signed(x: np.ndarray, q: np.ndarray, qinv: np.ndarray) -> None:
+    """x -= trunc(fl(fl(x)*qinv))*q in place, qinv = fl(1/q): _mulmod_signed
+    at w = 1, but with all three roundings relative, |x| < q + 3.01*|x|*2^-53."""
+    qhat = (x * qinv).astype(np.int64)
+    qhat *= q
+    x -= qhat
+
+
+@functools.lru_cache(maxsize=256)
+def _lazy_schedule(q: int, n: int, inverse: bool) -> Tuple[bool, ...]:
+    """Whether _lazy_rows reduces the stack before each stage, over moduli
+    up to q: only where a value could pass 2^62 otherwise.
+
+    A stage maps a bound b on |x| to b + V(b) (Cooley-Tukey: u +- v*w) or to
+    max(2b, V(2b)) (Gentleman-Sande: u + v and (u - v)*w; the last stage
+    multiplies both), V(a) = q + (5*a*q >> 54) + 1 above _mulmod_signed's
+    bound; a reduction first makes b R(b) = q + (b >> 51) + 1, above
+    _reduce_signed's.  Up to 2^62 the int64 arithmetic and the casts are
+    exact, and from there a reduced stage stays below 2^58.  The bounds grow
+    with q, so every row keeps to them at its own q and ends at a B with
+    (B >> 51) + 1 <= q (for q > 2^11 as B <= 2^62, below as q > 2N keeps B
+    under q^2), which the closing reduction needs.
+    """
+    stages = n.bit_length() - 1
+    plan, b = [], q
+    for i in range(stages):
+        for reduce in (False, True):
+            a = q + (b >> 51) + 1 if reduce else b
+            s = 2 * a if inverse else a
+            v = q + (5 * s * q >> 54) + 1
+            out = (v if i == stages - 1 else max(s, v)) if inverse else a + v
+            if max(s, out) <= 1 << 62:
+                break
+        plan.append(reduce)
+        b = out
+    return tuple(plan)
+
+
+def _lazy_rows(x, moduli: Sequence[PrimeModulus], inverse: bool) -> np.ndarray:
+    """ntt_rows or intt_rows; the closing reduction leaves |x| < 2q for the
+    shift by 2q and _CANONICAL_FOLDS (_lazy_schedule)."""
+    moduli = tuple(moduli)
+    q, qinv = modulus_columns(moduli)
+    x = _checked_rows(x, q)
+    if not moduli:
+        return x
+    n = x.shape[-1]
+    tables = [_twiddle_arrays(m, n, inverse) for m in moduli]
+    w, ratio = (np.stack([t[i] for t in tables]) for i in (0, 1))
+    w, y, qs = w.view(np.int64), x.view(np.int64), q.view(np.int64)
+    lead, qb = x.shape[:-1], qs[:, :, None]
+    blocks = n >> 1 if inverse else 1
+    for reduce in _lazy_schedule(max(m.q for m in moduli), n, inverse):
+        if reduce:
+            _reduce_signed(y, qs, qinv)
+        view = y.reshape(*lead, blocks, 2, n // (2 * blocks))
+        u, v = view[..., 0, :], view[..., 1, :]
+        k = slice(blocks, 2 * blocks)
+        if not inverse:
+            p = _mulmod_signed(v, w[:, k, None], ratio[:, k, None], qb)
+            np.subtract(u, p, out=v)
+            u += p
+            blocks <<= 1
+            continue
+        d = u - v
+        u += v
+        if blocks == 1:  # scale both halves: slots 0 and 1 hold 1/N and w/N
+            v[...] = d
+            d = v = view[..., 0, :, :]
+            k = slice(0, 2)
+        _mulmod_signed(d, w[:, k, None], ratio[:, k, None], qb, out=v)
+        blocks >>= 1
+    _reduce_signed(y, qs, qinv)
+    y += _CANONICAL_FOLDS[0] * qs
+    for c in _CANONICAL_FOLDS:
+        _fold(x, np.uint64(c) * q)
+    return x
+
+
 def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """Forward negacyclic NTT of every row of a (..., R, N) stack of residues.
 
@@ -480,61 +559,24 @@ def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     may carry different moduli.  x may be any array-like of integers; each
     residue is checked to lie in [0, q) of its row.  Returns a new uint64
     stack in bit-reversed order, bit-identical to ntt_oracle row by row.
-    Stage s views each row as (2^s, 2, t) blocks and runs every
-    Cooley-Tukey butterfly of the stage, in all rows, at once.
+    Stage s runs every Cooley-Tukey butterfly of all rows at once over a
+    (2^s, 2, t) view of each row, on signed int64 values: u + v*w and
+    u - v*w, no fold.  The stack is reduced only before the stages that
+    _lazy_schedule names (none at 40 to 45 bits and N = 2^10, one every two
+    to four stages at 54 bits); one canonical fold ends (_lazy_rows).
     """
-    moduli = tuple(moduli)
-    q, _ = modulus_columns(moduli)
-    x = _checked_rows(x, q)
-    n = x.shape[-1]
-    w, ratio = _stacked_twiddles(moduli, n, False)
-    lead = x.shape[:-1]
-    qb = q[:, :, None]
-    blocks, t = 1, n
-    while blocks < n:
-        t >>= 1
-        view = x.reshape(*lead, blocks, 2, t)
-        u = view[..., 0, :]
-        v = _mulmod(view[..., 1, :], w[:, blocks:2 * blocks, None],
-                    ratio[:, blocks:2 * blocks, None], qb)
-        diff = u - v
-        diff += qb
-        u += v
-        view[..., 1, :] = diff
-        _fold(x, q)
-        blocks <<= 1
-    return x
+    return _lazy_rows(x, moduli, False)
 
 
 def intt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
-    """Exact inverse of ntt_rows, including the 1/N scaling.
+    """Exact inverse of ntt_rows, bit-identical to intt_oracle row by row.
 
-    Bit-identical to intt_oracle row by row.  Gentleman-Sande stages mirror
-    the forward ones; the last stage multiplies its two halves by 1/N and
-    w/N instead of 1 and its twiddle w, which saves a separate scaling pass.
+    Gentleman-Sande stages mirror the forward ones (_lazy_rows): u + v and
+    (u - v)*w, no fold.  The sums double at every stage, so at 54 bits the
+    stack is reduced every two or three stages.  The last stage multiplies
+    its halves by 1/N and w/N, not 1 and w, so no pass scales.
     """
-    moduli = tuple(moduli)
-    q, _ = modulus_columns(moduli)
-    x = _checked_rows(x, q)
-    n = x.shape[-1]
-    w, ratio = _stacked_twiddles(moduli, n, True)
-    lead = x.shape[:-1]
-    qb = q[:, :, None]
-    blocks, t = n >> 1, 1
-    while blocks:
-        view = x.reshape(*lead, blocks, 2, t)
-        u, v = view[..., 0, :], view[..., 1, :]
-        diff = u - v
-        u += v
-        np.add(diff, qb, out=v)
-        _fold(x, q)
-        view[..., 1, :] = _mulmod(v, w[:, blocks:2 * blocks, None],
-                                  ratio[:, blocks:2 * blocks, None], qb)
-        if blocks == 1:
-            view[..., 0, :] = _mulmod(u, w[:, :1, None], ratio[:, :1, None], qb)
-        blocks >>= 1
-        t <<= 1
-    return x
+    return _lazy_rows(x, moduli, True)
 
 
 def ntt_reference(p: Poly) -> Poly:

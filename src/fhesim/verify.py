@@ -130,7 +130,7 @@ def _serve_stale_row(original):
 FAULTS = {
     "shuffle-offby1": ("kernels", polykernel, "_shuffle_tree", _shuffle_offby1),
     "aut-ntt-index": ("kernels", polykernel, "_aut_ntt_map", _roll_index_map),
-    "ntt-fold": ("kernels", polykernel, "_PRODUCT_FOLDS", lambda folds: folds[:-1]),
+    "ntt-fold": ("kernels", polykernel, "_CANONICAL_FOLDS", lambda folds: folds[:-1]),
     "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
     "stale-row": ("ckks", polykernel._Coeffs, "__get__", _serve_stale_row),

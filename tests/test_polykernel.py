@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
                              make_basis)
 from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
-                               PlanMismatch, Poly, ResidueOutOfRange, _mulmod,
-                               _mulmod_lazy, _mulmod_vv, _mulmod_vv_lazy,
-                               _aut_ntt_map, _hybrid_twiddles, _psi_powers,
+                               PlanMismatch, Poly, ResidueOutOfRange, _lazy_schedule,
+                               _mulmod, _mulmod_lazy, _mulmod_signed, _mulmod_vv,
+                               _mulmod_vv_lazy, _aut_ntt_map, _hybrid_twiddles,
+                               _psi_powers, _reduce_signed,
                                _psi_table_bitrev, _shoup_ratios,
                                _twiddle_arrays, _words, automorphism_ntt_rows,
                                automorphism_oracle, automorphism_shuffle, intt_oracle,
@@ -396,6 +398,7 @@ def kernel_primes(n):
 
 def kernel_inputs(m, n):
     return {"zeros": [0] * n, "delta": [1] + [0] * (n - 1), "q-1": [m.q - 1] * n,
+            "alternating 0/q-1": [0, m.q - 1] * (n // 2),
             "random": [RNG.randrange(m.q) for _ in range(n)]}
 
 
@@ -455,6 +458,77 @@ def test_lazy_product_bound_for_cross_modulus_operands():
             assert int(lazy.max()) < 7 * q, f"{bits}-bit q"
             assert (lazy % np.uint64(q)).tolist() == exact
             assert _mulmod(a, w, ratio, np.uint64(q)).tolist() == exact
+
+
+def lazy_walk(schedule, q, inverse):
+    """The bound on |x| that the closing reduction of a lazy transform over q
+    leaves, walked through the schedule with the proven (real) bounds of
+    _mulmod_signed and _reduce_signed.  Every value must stay at or below
+    2^62, where the float quotients cast exactly, so every sum and product
+    is also below 2^63, where the int64 arithmetic is exact."""
+    u = Fraction(1, 1 << 53)
+    b = Fraction(q)
+    for i, reduce in enumerate(schedule):
+        if reduce:
+            b = q + Fraction(301, 100) * u * b
+        a = 2 * b if inverse else b                  # the quotient's operand
+        assert a <= 1 << 62, (q, i)
+        p = q * (1 + Fraction(5, 2) * u * a)
+        b = (p if i == len(schedule) - 1 else max(a, p)) if inverse else b + p
+        assert b <= 1 << 62, (q, i)
+    return q + Fraction(301, 100) * u * b
+
+
+def test_lazy_schedule_keeps_every_bound():
+    # Every modulus size and ring size the word allows, in both directions:
+    # the schedule is drawn from q = 2^bits - 1, which bounds every modulus
+    # of that size.  A row over a smaller modulus of the same call takes the
+    # same schedule, so the closing reduction's |x| < 2q is checked for the
+    # smallest modulus of the ring and one just past 2^11 too.
+    for bits in range(10, 55):
+        q = (1 << bits) - 1
+        for logn in range(1, 18):
+            n = 1 << logn
+            for inverse in (False, True):
+                schedule = _lazy_schedule(q, n, inverse)
+                assert len(schedule) == logn
+                for row_q in {q, 2 * n + 1, max(2 * n + 1, (1 << 11) + 1)}:
+                    if row_q <= q:
+                        assert lazy_walk(schedule, row_q, inverse) <= 2 * row_q, \
+                            (bits, logn, inverse, row_q)
+    # At the benchmark's moduli and ring, no stage reduces; at 54 bits some do.
+    for bits in (40, 45):
+        assert not any(_lazy_schedule(find_ntt_prime(bits, 2048).q, 1024, False))
+        assert not any(_lazy_schedule(find_ntt_prime(bits, 2048).q, 1024, True))
+    assert any(_lazy_schedule(largest_ntt_prime(54, 2048).q, 1024, False))
+
+
+def test_signed_product_and_reduction_at_extreme_operands():
+    # _mulmod_signed's docstring bounds |a*w - qhat*q| by q*(1 + 2.5*|a|*2^-53),
+    # _reduce_signed's |x - qhat*q| by q + 3.01*|x|*2^-53.  Operands, of both
+    # signs: runs of q-1, 2^53 +- 2, alternating 0/q-1, random ones, and the
+    # largest whose product bound stays below 2^63 (at most 2^62).
+    rng = random.Random(5)
+    for bits in (14, 40, 45, 53, 54):
+        q = largest_ntt_prime(bits, 8).q
+        top = min(1 << 62, ((1 << 63) // q - 1) * (1 << 54) // 5)
+        ops = ([q - 1 - i for i in range(16)] + [(1 << 53) + d for d in range(-2, 3)]
+               + [0, q - 1] * 8 + [top - i for i in range(8)]
+               + [rng.randrange(top) for _ in range(64)])
+        ops += [-a for a in ops]
+        ws = [q - 1, q - 2, 1, 0] + [rng.randrange(q) for _ in range(28)]
+        got = _mulmod_signed(np.array(ops, dtype=np.int64)[:, None],
+                             np.array(ws, dtype=np.int64)[None, :],
+                             _shoup_ratios(ws, q)[None, :], np.int64(q))
+        for a, row in zip(ops, got.tolist()):
+            for w, v in zip(ws, row):
+                assert (v - a * w) % q == 0, (bits, a, w)
+                assert abs(v) << 54 < q * ((1 << 54) + 5 * abs(a)), (bits, a, w)
+        x = np.array(ops, dtype=np.int64)
+        _reduce_signed(x, np.int64(q), np.float64(1 / q))
+        for a, r in zip(ops, x.tolist()):
+            assert (r - a) % q == 0, (bits, a)
+            assert 100 * abs(r) << 53 < (100 * q << 53) + 301 * abs(a), (bits, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -622,6 +696,13 @@ def test_rows_kernels_reject_residues_outside_their_row():
         ntt_rows(x[0], moduli[:1])           # one limb needs a (1, N) stack
     with pytest.raises(LengthMismatch):
         intt_rows(x[1:], moduli)             # one modulus per row
+
+
+def test_rows_kernels_pass_an_empty_stack_through():
+    for x in (np.zeros((0, 8), np.uint64), np.zeros((3, 0, 8), np.uint64)):
+        for kernel in (ntt_rows, intt_rows):
+            out = kernel(x, ())
+            assert out.shape == x.shape and out.dtype == np.uint64
 
 
 def test_modulus_columns_hold_correctly_rounded_inverses():
