@@ -1,36 +1,23 @@
-"""Negacyclic polynomial kernels over RNS limbs.
-
-Provides the forward/inverse NTT (natural input, bit-reversed output and
-back), the hierarchical (N1, N2) NTT that never materializes a transpose,
-the automorphism (the direct map, its shuffle-tree realization and its
+"""Negacyclic polynomial kernels over RNS limbs: the forward/inverse NTT
+(natural input, bit-reversed output and back), the hierarchical (N1, N2)
+NTT, the automorphism (the direct map, its shuffle-tree realization and its
 NTT-domain gather), and the triadic pointwise MAS unit.
 
 The production kernels are NumPy rows kernels over (..., R, N) stacks of
-limbs, row r over its own modulus.  ntt_rows and intt_rows run each radix-2
-stage as one pass over every row on signed int64 values, with plain
-butterflies: they reduce only where the bound recurrence of _lazy_schedule,
-fixed by the call's largest modulus and N, needs it, and end with one
-canonical fold.  automorphism_ntt_rows is one gather through an index map
-cached per (N, g), and mas_rows the MAS unit.  Twiddle products estimate
-the quotient in float64 from a correctly rounded w/q (Shoup's trick:
-_mulmod_signed, _mulmod_lazy), products of two varying operands from a
-ratio formed per element (_mulmod_vv_lazy).  The bounds need moduli below
-2^MAX_WORD_BITS = 2^54, which PrimeModulus.create enforces, and residues in
-[0, q), which the transforms check.  ntt_reference, intt_reference and mas
-are one-row calls on Polys, ntt_hybrid two batched ntt_rows calls with one
-twiddle pass between them.  A Poly holds a list of Python ints or a
-read-only uint64 row, which becomes that list when p.coeffs is first read
-(_Coeffs); kernels read the row while it is there (_words), and outputs are
-rows (_unstack).  The pure-int code is only the oracles ntt_oracle,
-intt_oracle and automorphism_oracle, plus automorphism_shuffle (the
-hardware AUT unit's dataflow on coefficient-domain limbs).  Every transform
-reads its twiddles from the one stored psi-power table of its modulus.
+limbs, row r over its own modulus, on integer residues in [0, q) (checked)
+and moduli below 2^54.  ntt_rows and intt_rows walk the radix-2 stages on
+signed int64 values, split at chunks of about sqrt(N) so that no NumPy
+inner loop is short, and reduce only where _lazy_schedule needs it.
+Products estimate their quotient in float64 (Shoup's trick).  ntt_reference,
+intt_reference and mas are one-row calls on Polys, ntt_hybrid the same walk
+split at N1.  The pure-int code is only the oracles ntt_oracle, intt_oracle
+and automorphism_oracle, plus automorphism_shuffle (the AUT unit's dataflow).
 
-Layout convention shared with the AUT unit: coefficient i of a ring
-element lives at address (i mod N1) of memory (i div N1), i.e. memory j
-holds the contiguous chunk [j*N1, (j+1)*N1).  Reading one address across
-all N2 memories yields the stride-N1 row used by the first NTT phase
-and by the automorphism, so neither ever needs a transposed copy.
+Layout convention shared with the AUT unit: memory j holds the contiguous
+chunk [j*N1, (j+1)*N1) of a ring element, so reading one address across all
+N2 memories yields the stride-N1 row used by the first NTT phase and by the
+automorphism.  The hardware never transposes; the NumPy walk makes one
+transposed copy for the second phase's short butterflies.
 """
 
 from __future__ import annotations
@@ -159,10 +146,9 @@ class NttPlan:
 
 
 # ---------------------------------------------------------------------------
-# Twiddle tables, every one drawn from the stored psi-power table of its
-# modulus and keyed by the whole modulus: one q can carry different roots psi.
-# Each is built once per process by a cached function and held as one
-# read-only uint64 array; the pure-int oracles take lists with .tolist().
+# Twiddle tables, drawn from the stored psi-power table of their modulus and
+# keyed by the whole modulus (one q can carry different roots psi), built once
+# by a cached function and held read-only; the oracles take .tolist() copies.
 
 
 def _bitrev_permutation(size: int) -> np.ndarray:
@@ -191,21 +177,6 @@ def _psi_table_bitrev(m: PrimeModulus, size: int, stride_exp: int,
     if inverse:
         exps = (two_n - exps) % two_n
     return _frozen(_psi_powers(m)[exps])[0]
-
-
-@functools.cache
-def _hybrid_twiddles(m: PrimeModulus, plan: NttPlan) -> Tuple[np.ndarray, np.ndarray]:
-    """The one twiddle pass between the hybrid phases, indexed [c, a], with
-    its w/q ratios: psi^(s*a*(2*bitrev(c) + 1 - N2)), s = _ring_stride(m, N).
-
-    That is the interphase twiddle psi^(s*a*(2*bitrev(c) + 1)) times the
-    pre-twist psi'^(-a), psi' = psi^(s*N2), which turns phase two's cyclic
-    size-N1 DFT into the negacyclic transform of ntt_rows.
-    """
-    brv = _bitrev_permutation(plan.n2)
-    exps = (2 * brv[:, None] + 1 - plan.n2) * np.arange(plan.n1) * _ring_stride(m, plan.n)
-    table = _psi_powers(m)[exps % m.two_n]
-    return _frozen(table, _shoup_ratios(table.ravel().tolist(), m.q).reshape(table.shape))
 
 
 def _ring_stride(m: PrimeModulus, n: int) -> int:
@@ -425,10 +396,14 @@ def _fold(x: np.ndarray, c: np.uint64) -> np.ndarray:
     return np.minimum(x, x - c, out=x)
 
 
-def _checked_rows(x, q: np.ndarray) -> np.ndarray:
-    """A uint64 copy of the (..., R, N) stack x, every row r checked against q[r]."""
+def _checked_rows(x, q: np.ndarray, copy: bool = True) -> np.ndarray:
+    """The (..., R, N) stack x as uint64, every row r checked against q[r]: a
+    fresh copy, or x itself if it is a uint64 array and copy is False."""
+    refused = _refused_dtype(x)
+    if refused is not None:
+        raise ResidueOutOfRange(f"residues must be integers in [0, q), got dtype {refused}")
     try:
-        x = np.array(x, dtype=np.uint64)
+        x = np.array(x, dtype=np.uint64, copy=copy or None)
     except OverflowError:
         raise ResidueOutOfRange("coefficients must lie in [0, q) of their row") from None
     if x.ndim < 2 or x.shape[-2] != len(q):
@@ -439,12 +414,18 @@ def _checked_rows(x, q: np.ndarray) -> np.ndarray:
     return x
 
 
-def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
-    """The residues of limbs, rows or read lists alike, as one fresh
-    (rows, N) uint64 array.
+def _refused_dtype(x):
+    """The dtype of the first row or array of x that NumPy holds in no integer
+    kind, or None; ints past 2^64 are objects, left to the range check."""
+    if isinstance(x, (list, tuple)) and x and isinstance(x[0], (list, tuple, np.ndarray)):
+        return next((d for d in map(_refused_dtype, x) if d is not None), None)
+    dtype = np.asarray(x).dtype
+    return None if dtype.kind in "iuO" else dtype
 
-    Every residue is checked to lie in [0, q) of its limb, as the NTT checks
-    its input: ResidueOutOfRange otherwise."""
+
+def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
+    """The residues of limbs, rows or read lists alike, as one fresh (rows, N)
+    uint64 array, each checked to lie in [0, q) of its limb (_checked_rows)."""
     if domain is not None and any(p.domain != domain for p in limbs):
         raise DomainError(f"expected {domain.name}-domain limbs")
     q, _ = modulus_columns(tuple(p.modulus for p in limbs))
@@ -466,7 +447,8 @@ def _mulmod_signed(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.ndarra
     q*(1 + 2.5u|a|) in magnitude: exact in wrapping int64 arithmetic where
     that is below 2^63.  out may be a.
     """
-    qhat = (a * ratio).astype(np.int64)
+    qhat = np.empty(np.broadcast(a, ratio).shape, np.int64)
+    np.multiply(a, ratio, out=qhat, casting="unsafe")
     qhat *= q
     out = np.multiply(a, w, out=out)
     out -= qhat
@@ -476,7 +458,7 @@ def _mulmod_signed(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.ndarra
 def _reduce_signed(x: np.ndarray, q: np.ndarray, qinv: np.ndarray) -> None:
     """x -= trunc(fl(fl(x)*qinv))*q in place, qinv = fl(1/q): _mulmod_signed
     at w = 1, but with all three roundings relative, |x| < q + 3.01*|x|*2^-53."""
-    qhat = (x * qinv).astype(np.int64)
+    qhat = np.multiply(x, qinv, out=np.empty(x.shape, np.int64), casting="unsafe")
     qhat *= q
     x -= qhat
 
@@ -511,59 +493,87 @@ def _lazy_schedule(q: int, n: int, inverse: bool) -> Tuple[bool, ...]:
     return tuple(plan)
 
 
-def _lazy_rows(x, moduli: Sequence[PrimeModulus], inverse: bool) -> np.ndarray:
-    """ntt_rows or intt_rows; the closing reduction leaves |x| < 2q for the
-    shift by 2q and _CANONICAL_FOLDS (_lazy_schedule)."""
+@functools.lru_cache(maxsize=64)
+def _stage_twiddles(moduli: Tuple[PrimeModulus, ...], n: int, inverse: bool, chunk: int) -> tuple:
+    """(blocks, twiddles, w/q ratios) of each _lazy_rows stage in walk order,
+    from the moduli's _twiddle_arrays stacked once: slots [blocks, 2*blocks)
+    as (R, blocks, 1, 1) on rows while blocks < c = n // chunk, then as
+    (R, blocks // c, 1, c), stored transposed, on z: block a*(blocks // c) + l
+    of a row is sub-block l of chunk a; the inverse's last stage reads slots 0, 1.
+    """
+    w, ratio = (np.stack(t) for t in zip(*(_twiddle_arrays(m, n, inverse) for m in moduli)))
+    r, c, out = len(moduli), n // chunk, []
+    for s in range(n.bit_length() - 1):
+        blocks = n >> s + 1 if inverse else 1 << s
+        k, shape = slice(blocks, 2 * blocks), (r, blocks, 1, 1)
+        if blocks >= c:
+            shape = (r, blocks // c, 1, c)
+            for a in (w, ratio):
+                a[:, k] = a[:, k].reshape(r, c, -1).transpose(0, 2, 1).reshape(r, -1)
+        if inverse and blocks == 1:  # 1/N and w/N scale both halves
+            k, shape = slice(0, 2), (r, 2, 1, 1)
+        out.append((blocks, w.view(np.int64)[:, k].reshape(shape), ratio[:, k].reshape(shape)))
+    _frozen(w, ratio, *(a for _, *pair in out for a in pair))
+    return tuple(out)
+
+
+def _lazy_rows(x, moduli: Sequence[PrimeModulus], inverse: bool, chunk: int = 0) -> np.ndarray:
+    """ntt_rows or intt_rows split at chunks of `chunk` (n >> floor(log2(n)/2)
+    by default): stages that mix the c = n // chunk chunks run on the rows,
+    viewed (..., R, c, chunk), the others on z, a transposed copy (..., R,
+    chunk, c).  The inverse makes z from its checked input, the forward
+    writes z back with the shift by 2q, for which the closing reduction
+    leaves |x| < 2q (_lazy_schedule), before _CANONICAL_FOLDS."""
     moduli = tuple(moduli)
     q, qinv = modulus_columns(moduli)
-    x = _checked_rows(x, q)
+    x = _checked_rows(x, q, copy=not inverse)
     if not moduli:
         return x
-    n = x.shape[-1]
-    tables = [_twiddle_arrays(m, n, inverse) for m in moduli]
-    w, ratio = (np.stack([t[i] for t in tables]) for i in (0, 1))
-    w, y, qs = w.view(np.int64), x.view(np.int64), q.view(np.int64)
-    lead, qb = x.shape[:-1], qs[:, :, None]
-    blocks = n >> 1 if inverse else 1
-    for reduce in _lazy_schedule(max(m.q for m in moduli), n, inverse):
+    n, lead = x.shape[-1], x.shape[:-1]
+    chunk = chunk or n >> (n.bit_length() - 1) // 2
+    c, qs, qinv = n // chunk, q.view(np.int64)[:, :, None], qinv[:, :, None]
+    z = np.empty((*lead, chunk, c), dtype=np.int64)
+    if inverse:  # z from the input, and a new array for the output
+        z[...] = x.view(np.int64).reshape(*lead, c, chunk).swapaxes(-1, -2)
+        x = np.empty_like(x)
+    rows = x.view(np.int64).reshape(*lead, c, chunk)
+    live = z if inverse else rows
+    for reduce, (blocks, w, ratio) in zip(_lazy_schedule(max(m.q for m in moduli), n, inverse),
+                                          _stage_twiddles(moduli, n, inverse, chunk)):
+        if (blocks >= c) != (live is z):  # the split: the other view takes over
+            (rows if live is z else z)[...] = live.swapaxes(-1, -2)
+            live = rows if live is z else z
         if reduce:
-            _reduce_signed(y, qs, qinv)
-        view = y.reshape(*lead, blocks, 2, n // (2 * blocks))
-        u, v = view[..., 0, :], view[..., 1, :]
-        k = slice(blocks, 2 * blocks)
+            _reduce_signed(live, qs, qinv)
+        view = live.reshape(*lead, blocks // c or blocks, 2, -1, live.shape[-1])
+        u, v = view[..., 0, :, :], view[..., 1, :, :]
         if not inverse:
-            p = _mulmod_signed(v, w[:, k, None], ratio[:, k, None], qb)
+            p = _mulmod_signed(v, w, ratio, qs[..., None])
             np.subtract(u, p, out=v)
             u += p
-            blocks <<= 1
             continue
         d = u - v
         u += v
         if blocks == 1:  # scale both halves: slots 0 and 1 hold 1/N and w/N
             v[...] = d
-            d = v = view[..., 0, :, :]
-            k = slice(0, 2)
-        _mulmod_signed(d, w[:, k, None], ratio[:, k, None], qb, out=v)
-        blocks >>= 1
-    _reduce_signed(y, qs, qinv)
-    y += _CANONICAL_FOLDS[0] * qs
-    for c in _CANONICAL_FOLDS:
-        _fold(x, np.uint64(c) * q)
+            d = v = view[..., 0, :, :, :]
+        _mulmod_signed(d, w, ratio, qs[..., None], out=v)
+    _reduce_signed(live, qs, qinv)
+    np.add(live.swapaxes(-1, -2) if live is z else live, _CANONICAL_FOLDS[0] * qs, out=rows)
+    for k in _CANONICAL_FOLDS:
+        _fold(x, np.uint64(k) * q)
     return x
 
 
 def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """Forward negacyclic NTT of every row of a (..., R, N) stack of residues.
 
-    Row r, in every leading batch position, is a limb over moduli[r]; rows
-    may carry different moduli.  x may be any array-like of integers; each
-    residue is checked to lie in [0, q) of its row.  Returns a new uint64
-    stack in bit-reversed order, bit-identical to ntt_oracle row by row.
-    Stage s runs every Cooley-Tukey butterfly of all rows at once over a
-    (2^s, 2, t) view of each row, on signed int64 values: u + v*w and
-    u - v*w, no fold.  The stack is reduced only before the stages that
-    _lazy_schedule names (none at 40 to 45 bits and N = 2^10, one every two
-    to four stages at 54 bits); one canonical fold ends (_lazy_rows).
+    Row r, in every leading batch position, is a limb over moduli[r], and x
+    any array-like of integers in [0, q) of their row (checked).  Returns a
+    new uint64 stack in bit-reversed order, bit-identical to ntt_oracle.  The
+    Cooley-Tukey stages that mix the c = 2^floor(log2(N) / 2) chunks of a row
+    run on the rows, the rest on one transposed copy, on signed int64 values;
+    only those _lazy_schedule names reduce first (none at 45 bits, N = 2^10).
     """
     return _lazy_rows(x, moduli, False)
 
@@ -571,10 +581,9 @@ def ntt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
 def intt_rows(x, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """Exact inverse of ntt_rows, bit-identical to intt_oracle row by row.
 
-    Gentleman-Sande stages mirror the forward ones (_lazy_rows): u + v and
-    (u - v)*w, no fold.  The sums double at every stage, so at 54 bits the
-    stack is reduced every two or three stages.  The last stage multiplies
-    its halves by 1/N and w/N, not 1 and w, so no pass scales.
+    Gentleman-Sande stages, u + v and (u - v)*w, mirror the forward ones:
+    inside the chunks on a transposed copy of the input, then across them on
+    the rows.  The last stage multiplies by 1/N and w/N, so no pass scales.
     """
     return _lazy_rows(x, moduli, True)
 
@@ -594,26 +603,17 @@ def intt_reference(p: Poly) -> Poly:
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
-    """Hierarchical NTT, bit-identical to ntt_reference, built from ntt_rows.
-
-    The limb is an (N2, N1) array: row j is memory j's contiguous chunk,
-    column a is the stride-N1 row at address a.  Phase one runs the N1
-    size-N2 negacyclic transforms of the columns, one twiddle pass
-    (_hybrid_twiddles) follows, and phase two runs the N2 size-N1 transforms
-    of the rows.  Writing each small transform in bit-reversed order makes
-    the composed output land exactly in the reference ordering, which is
-    what removes the transpose.
-    """
+    """Hierarchical NTT: ntt_reference's walk split at chunks of N1, the
+    hardware's memories.  Its log2(N2) stages that mix chunks are phase one,
+    the N1 size-N2 transforms of the stride-N1 columns; the rest are phase
+    two, the N2 size-N1 transforms of the chunks, whose stage tables hold the
+    interphase twiddles.  Each small transform writes bit-reversed order, so
+    the output lands in the reference ordering."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_hybrid expects a coefficient-domain polynomial")
     plan.validate(p.n)
-    m = p.modulus
-    x = _stack([p]).reshape(plan.n2, plan.n1)
-    x = ntt_rows(x.T[:, None, :], (m,))[:, 0, :].T
-    w, ratio = _hybrid_twiddles(m, plan)
-    x = _mulmod(x, w, ratio, np.uint64(m.q))
-    x = ntt_rows(x[:, None, :], (m,))
-    return _unstack(x.reshape(1, p.n), (m,), Domain.NTT)[0]
+    x = _lazy_rows([_words(p)], (p.modulus,), False, plan.n1)
+    return _unstack(x, (p.modulus,), Domain.NTT)[0]
 
 
 # ---------------------------------------------------------------------------

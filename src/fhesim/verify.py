@@ -125,12 +125,22 @@ def _serve_stale_row(original):
     return faulty
 
 
+def _untransposed_columns(original):
+    """The twiddles of the NTT stages that run on the transposed chunks, served
+    in row order: (R, c, lb) slots read as (R, lb, c) without the transpose."""
+    def faulty(*args):
+        return tuple((blocks, *(a.swapaxes(1, 3).reshape(a.shape) for a in pair))
+                     for blocks, *pair in original(*args))
+    return faulty
+
+
 # fault name -> (the suite whose checks it breaks, module or class, attribute,
 # function from its original to the fault)
 FAULTS = {
     "shuffle-offby1": ("kernels", polykernel, "_shuffle_tree", _shuffle_offby1),
     "aut-ntt-index": ("kernels", polykernel, "_aut_ntt_map", _roll_index_map),
     "ntt-fold": ("kernels", polykernel, "_CANONICAL_FOLDS", lambda folds: folds[:-1]),
+    "ntt-split": ("kernels", polykernel, "_stage_twiddles", _untransposed_columns),
     "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
     "stale-row": ("ckks", polykernel._Coeffs, "__get__", _serve_stale_row),

@@ -52,6 +52,17 @@ def test_verify_ntt_fold_fault_fails(tmp_path):
     assert main(args) == 0
 
 
+def test_verify_ntt_split_fault_fails(tmp_path):
+    # the stages on the transposed chunks read their twiddles untransposed
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "ntt-split"]) == 1
+    failures = json.loads(Path(out).read_text())["failures"]
+    assert any("ntt kernel == oracle" in f for f in failures)
+    assert any("intt kernel == oracle" in f for f in failures)
+    assert main(args) == 0
+
+
 def test_verify_mas_fold_fault_fails(tmp_path):
     # dropping the last fold of the two-operand product leaves residues in [0, 2q)
     out = str(tmp_path / "f.json")

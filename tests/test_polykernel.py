@@ -15,7 +15,7 @@ from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
                                PlanMismatch, Poly, ResidueOutOfRange, _lazy_schedule,
                                _mulmod, _mulmod_lazy, _mulmod_signed, _mulmod_vv,
-                               _mulmod_vv_lazy, _aut_ntt_map, _hybrid_twiddles,
+                               _mulmod_vv_lazy, _aut_ntt_map, _stage_twiddles,
                                _psi_powers, _reduce_signed,
                                _psi_table_bitrev, _shoup_ratios,
                                _twiddle_arrays, _words, automorphism_ntt_rows,
@@ -123,7 +123,7 @@ def test_hybrid_delta_all_ones():
 
 
 # every cached twiddle-table builder
-TWIDDLE_TABLES = (_psi_powers, _psi_table_bitrev, _hybrid_twiddles, _twiddle_arrays)
+TWIDDLE_TABLES = (_psi_powers, _psi_table_bitrev, _twiddle_arrays, _stage_twiddles)
 
 
 def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
@@ -162,13 +162,15 @@ def test_cached_tables_are_read_only_arrays():
     assert intt_oracle(ntt_reference(p)).coeffs == p.coeffs
     calls = [(_psi_powers, (m,)), (_psi_table_bitrev, (m, 64, 1, False)),
              (_psi_table_bitrev, (m, 64, 1, True)),
-             (_hybrid_twiddles, (m, NttPlan(8, 8))),
              (_twiddle_arrays, (m, 64, False)), (_twiddle_arrays, (m, 64, True)),
+             (_stage_twiddles, ((m,), 64, False, 8)), (_stage_twiddles, ((m,), 64, True, 8)),
              (modulus_columns, ((m,),)), (_aut_ntt_map, (64, 5))]
     assert {fn for fn, _ in calls} >= set(TWIDDLE_TABLES)
     for fn, args in calls:
         got = fn(*args)
         assert fn(*args) is got, fn.__name__
+        if fn is _stage_twiddles:  # (blocks, twiddles, ratios) per stage
+            got = tuple(a for _, *pair in got for a in pair)
         for table in got if isinstance(got, tuple) else (got,):
             assert isinstance(table, np.ndarray), fn.__name__
             assert table.dtype in (np.uint64, np.int64, np.float64), fn.__name__
@@ -710,3 +712,70 @@ def test_modulus_columns_hold_correctly_rounded_inverses():
     q, qinv = modulus_columns(moduli)
     assert q[:, 0].tolist() == [m.q for m in moduli]
     assert qinv[:, 0].tolist() == [1 / m.q for m in moduli]
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.5] * 16], np.full((1, 16), 2.7), np.full((1, 16), 2, dtype=np.float32),
+    [[True] * 16], np.ones((1, 16), dtype=bool), np.ones((1, 16), dtype=np.complex128),
+    [np.zeros(16, dtype=np.uint64), [0.5] * 16]],
+    ids=["float-list", "float64-array", "float32-array", "bool-list", "bool-array",
+         "complex-array", "row-beside-float-list"])
+def test_rows_kernels_refuse_non_integer_input(bad):
+    # a cast to uint64 would read 1.5 as 1, 2.7 as 2 and True as 1
+    m = find_ntt_prime(40, 32)
+    moduli = (m,) * len(bad)
+    dtype = str(np.asarray(bad[-1]).dtype)
+    for kernel in (ntt_rows, intt_rows):
+        with pytest.raises(ResidueOutOfRange, match=f"dtype {dtype}"):
+            kernel(bad, moduli)
+    with pytest.raises(ResidueOutOfRange, match=f"dtype {dtype}"):
+        mas(MasOp.ADD, Poly(list(np.asarray(bad[-1])), m), Poly([0] * 16, m))
+
+
+def test_rows_kernels_take_integers_in_every_form():
+    m = find_ntt_prime(40, 32)
+    ints = [RNG.randrange(m.q) for _ in range(16)]
+    want = ntt_rows(np.array([ints], dtype=np.uint64), (m,))
+    for x in ([ints], (tuple(ints),), np.array([ints], dtype=np.int64),
+              [np.array(ints, dtype=np.uint64)], np.array([ints], dtype=object)):
+        assert (ntt_rows(x, (m,)) == want).all()
+    # NumPy alone makes a row beside a list float64; each is integers
+    assert (ntt_rows([np.array(ints, dtype=np.uint64), ints], (m, m)) == want[[0, 0]]).all()
+    # Python ints from 2^63 up are integers too, range-checked
+    for big in (1 << 63, (1 << 64) - 1, 1 << 64, 1 << 70):
+        for x in ([[big] * 16], [[big] + ints[1:]], [ints[1:] + [big]]):
+            with pytest.raises(ResidueOutOfRange):
+                ntt_rows(x, (m,))
+
+
+def test_rows_kernels_stack_their_twiddles_once_per_moduli_tuple():
+    moduli = mixed_stack(64)
+    x = np.array(stack_inputs(moduli, 64), dtype=np.uint64)
+    want = ntt_rows(x, moduli), intt_rows(x, moduli)
+    lookups = _twiddle_arrays.cache_info()
+    assert (ntt_rows(x, moduli) == want[0]).all() and (intt_rows(x, moduli) == want[1]).all()
+    assert _twiddle_arrays.cache_info() == lookups
+
+
+@settings(max_examples=60, deadline=None)
+@given(logn=st.integers(1, 12), lead=st.lists(st.integers(1, 2), max_size=2),
+       bits=st.lists(st.integers(10, 54), min_size=1, max_size=4),
+       skip=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
+    # N = 2 and 4 split degenerately, odd log2 N unevenly; every leading
+    # batch dimension crosses the transpose, and small and 54-bit rows share
+    # the reductions of the transposed stages.
+    n = 1 << logn
+    try:
+        moduli = [find_ntt_prime(max(b, logn + 8), 2 * n, skip) for b in bits]
+    except NoPrimeFound:
+        assume(False)
+    q = np.array([m.q for m in moduli], dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 1 << 63, size=(*lead, len(moduli), n), dtype=np.uint64) % q
+    fwd, inv = ntt_rows(x, moduli), intt_rows(x, moduli)
+    for at in np.ndindex(*lead, len(moduli)):
+        m, coeffs = moduli[at[-1]], x[at].tolist()
+        assert fwd[at].tolist() == ntt_oracle(Poly(coeffs, m)).coeffs, (n, m.q, at)
+        assert inv[at].tolist() == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs, (n, m.q, at)
+    assert (intt_rows(fwd, moduli) == x).all() and (ntt_rows(inv, moduli) == x).all()
