@@ -17,10 +17,13 @@ conversion below.  Where products are summed before a single reduction
 Switching keys are stored as arrays too: each KskDigit holds ksk0, and
 once expanded ksk1, as one (bases, N) array; the keys of one keygen share
 one (keys, digits, bases, N) ksk0 array, the single keystream draw of all
-their a limbs.  At the public API the limbs of ciphertexts, plaintexts and
-secret keys are Polys, and a limb a routine builds holds a read-only uint64
-row of the routine's result stack (_unstack): its Python-int list is built
-only when someone reads p.coeffs.
+their a limbs.  keygen returns the relin key expanded, its ksk1 a kept copy
+of its part of that draw, since every relinearization reads all of it; the
+rotation keys leave seeded, as a server that holds many of them would keep
+them, and expand on first use.  At the public API the limbs of
+ciphertexts, plaintexts and secret keys are Polys, and a limb a routine
+builds holds a read-only uint64 row of the routine's result stack
+(_unstack): its Python-int list is built only when someone reads p.coeffs.
 A routine stacks its inputs' rows, or the lists of limbs that were read,
 into one fresh array, each residue checked to lie in [0, q) (_stack), so
 no kernel writes to a limb and an edited list is checked like any input.
@@ -408,10 +411,12 @@ class CkksContext:
         return np.rint(rng.normal(0.0, NOISE_SIGMA, self.n)).astype(np.int64)
 
     def _small_ntt(self, ints: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
-        """Small signed integers reduced into every modulus, NTT-transformed."""
+        """Small signed integers, (..., N), reduced into every modulus and
+        NTT-transformed in one call: a (..., moduli, N) stack."""
         moduli = tuple(moduli)
         q, _ = modulus_columns(moduli)
-        return ntt_rows(np.asarray(ints, dtype=np.int64) % q.astype(np.int64), moduli)
+        return ntt_rows(np.asarray(ints, dtype=np.int64)[..., None, :] % q.astype(np.int64),
+                        moduli)
 
     # -- key generation -----------------------------------------------------
 
@@ -430,15 +435,21 @@ class CkksContext:
         return key
 
     def _make_keyswitch_keys(self, s: np.ndarray, master_seeds: Sequence[int],
-                             targets: Iterable[np.ndarray],
-                             rng: np.random.Generator) -> List[KeySwitchKey]:
+                             targets: Iterable[np.ndarray], rng: np.random.Generator,
+                             expanded: int = 0) -> List[KeySwitchKey]:
         """One switching key to s per master seed, from the matching target s'.
 
         The a limbs of every key, digit and base come from one LaneSampler
         draw, whose (keys, digits, bases, N) array becomes the keys' ksk0
-        storage: each digit then turns its a into e + g_j*s' - a*s in place,
-        its error drawn from rng key by key, digit by digit.  targets is read
-        one key at a time.
+        storage: each digit then turns its a into e + g_j*s' - a*s in place.
+        The errors are drawn from rng key by key, digit by digit, and each
+        key's are NTT-transformed in one call.  targets is read one key at a
+        time.
+
+        The first `expanded` keys leave expanded: before ksk0 is formed, they
+        keep a frozen copy of the a rows drawn for them as their ksk1, which
+        is what their first switch would draw again.  The others leave
+        seeded, ksk1 None until first use (_fill_ksk1).
         """
         bases = tuple(self.all_bases())
         q, _ = modulus_columns(bases)
@@ -448,15 +459,17 @@ class CkksContext:
         flat = [seed for key in seeds for digit in key for seed in digit]
         ksk0 = self._expand_ksk1(flat, bases * (len(seeds) * n_digits)).reshape(
             len(seeds), n_digits, len(bases), self.n)
+        kept, = _frozen(ksk0[:expanded].copy())
         keys = []
-        for s_target, key_rows, key_seeds in zip(targets, ksk0, seeds):
+        for i, (s_target, key_rows, key_seeds) in enumerate(zip(targets, ksk0, seeds)):
+            e = self._small_ntt([self._gaussian_ints(rng) for _ in key_rows], bases)
             for j, a in enumerate(key_rows):
-                e = self._small_ntt(self._gaussian_ints(rng), bases)
                 g_s = _mulmod(s_target, *_gadget(self.basis, j), q)
-                a[:] = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e, g_s, bases),
+                a[:] = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e[j], g_s, bases),
                                 mas_rows(MasOp.MUL, a, s, bases), bases)
+            ksk1 = kept[i] if i < expanded else [None] * n_digits
             keys.append(KeySwitchKey(
-                digits=[KskDigit(ksk0=rows, ksk1_seeds=d) for rows, d in zip(key_rows, key_seeds)],
+                digits=[KskDigit(rows, d, k1) for rows, d, k1 in zip(key_rows, key_seeds, ksk1)],
                 dnum=n_digits))
         return keys
 
@@ -485,7 +498,13 @@ class CkksContext:
 
     def keygen(self, seed: int, rotations: Iterable[int] = ()) -> Tuple[SecretKey, KeySet]:
         """Secret key, relin key and one key per rotation (the last one wins
-        for a repeated rotation), all switching keys built in one batch."""
+        for a repeated rotation), all switching keys built in one batch.
+
+        The relin key leaves expanded: its ksk1 is the keystream keygen drew
+        for it, kept, since every relinearization reads all of it.  Rotation
+        keys leave seeded, ksk1 expanded on first use: bootstrapping needs
+        dozens of them, each holding as much again in ksk1 (0.52 GB at
+        N = 2^16, L = 30), and a server may hold them seeded throughout."""
         rng = np.random.default_rng(seed)
         s_ints = rng.integers(-1, 2, self.n)
         bases = tuple(self.all_bases())
@@ -496,7 +515,7 @@ class CkksContext:
         targets = itertools.chain([mas_rows(MasOp.MUL, s, s, bases)],
                                   (automorphism_ntt_rows(s, self._galois(rot))
                                    for rot in rotations))
-        relin, *rot_keys = self._make_keyswitch_keys(s, masters, targets, rng)
+        relin, *rot_keys = self._make_keyswitch_keys(s, masters, targets, rng, expanded=1)
         return sk, KeySet(relin=relin, rotation=dict(zip(rotations, rot_keys)))
 
     # -- encryption ---------------------------------------------------------

@@ -182,8 +182,10 @@ class TwiddleSource:
     power() keeps one running product, steps it by one Barrett product to
     the next exponent and reaches other exponents by square-and-multiply.
     table() is built with Python-int products, so the two share no
-    arithmetic.  The transforms all read the stored table; which source the
-    hardware uses only changes its cost (analytic.twiddle_tradeoff).
+    arithmetic.  The transforms all read the stored table, built in NumPy
+    (polykernel._psi_powers), which table() is the pure-int oracle of;
+    which source the hardware uses only changes its cost
+    (analytic.twiddle_tradeoff).
     """
 
     def __init__(self, m: PrimeModulus):

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import functools
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .modarith import PrimeModulus, TwiddleSource
+from .modarith import PrimeModulus
 
 
 class DomainError(Exception):
@@ -163,8 +165,15 @@ def _bitrev_permutation(size: int) -> np.ndarray:
 @functools.cache
 def _psi_powers(m: PrimeModulus) -> np.ndarray:
     """[psi^e for e < 2N] of one modulus: the stored twiddle table, shared
-    by every table drawn from it."""
-    return _frozen(np.array(TwiddleSource(m).table(), dtype=np.uint64))[0]
+    by every table drawn from it.  Built by doubling: the powers below 2h
+    are those below h and those times psi^h, one _mulmod by a constant,
+    exact for every q < 2^54 (TwiddleSource.table is the pure-int oracle)."""
+    table, h, q = np.ones(m.two_n, dtype=np.uint64), 1, np.uint64(m.q)
+    while h < m.two_n:
+        w = pow(m.psi, h, m.q)
+        table[h:2 * h] = _mulmod(table[:h], np.uint64(w), np.float64(w / m.q), q)
+        h *= 2
+    return _frozen(table)[0]
 
 
 @functools.cache
@@ -273,8 +282,26 @@ _VV_FOLDS = (16, 8, 4, 2, 1)
 
 
 def _shoup_ratios(ws, q: int) -> np.ndarray:
-    """w/q per twiddle as float64; Python's int division rounds correctly."""
-    return np.array([w / q for w in ws], dtype=np.float64)
+    """fl(w/q) per twiddle w in [0, q), q < 2^54: bit-identical to Python's
+    correctly rounded w / q, though w and q need not fit a float64.
+
+    Scaled by 2^s into [q/2, q) (0 stays 0), w/q has the significand M =
+    floor(w*2^53 / q), plus one where the remainder passes q/2: q is odd, so
+    there is no tie.  fl(w) < 2^54 keeps the bit length of w, which gives s.
+    The estimate m = fl(fl(w)/fl(q))*2^53 carries three roundings of at
+    most 2^-53 relative, so |m - w*2^53/q| < 3.01 and w*2^53 - m*q lies in
+    (-3.01q, 3.01q), exact in wrapping uint64 arithmetic read as int64: one
+    floor division by q corrects m to M.
+    """
+    w = np.asarray(ws, dtype=np.uint64)
+    s = (q.bit_length() - np.frexp(w.astype(np.float64))[1]).astype(np.uint64)
+    s -= (w << s) >= q
+    w = w << s
+    m = (w.astype(np.float64) / q * 2.0 ** 53).astype(np.int64)
+    rem = ((w << np.uint64(53)) - m.view(np.uint64) * np.uint64(q)).view(np.int64)
+    k = rem // q
+    m += k + (2 * (rem - k * q) > q)
+    return np.ldexp(m.astype(np.float64), -53 - s.view(np.int64))
 
 
 @functools.cache
@@ -294,7 +321,7 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool) -> Tuple[np.ndarray,
         table[0] = n_inv
         if n > 1:
             table[1] = int(table[1]) * n_inv % q
-    return _frozen(table, _shoup_ratios(table.tolist(), q))
+    return _frozen(table, _shoup_ratios(table, q))
 
 
 @functools.lru_cache(maxsize=256)
@@ -493,7 +520,43 @@ def _lazy_schedule(q: int, n: int, inverse: bool) -> Tuple[bool, ...]:
     return tuple(plan)
 
 
-@functools.lru_cache(maxsize=64)
+# Bytes of stacked twiddles _stage_twiddles keeps, 16 per row and coefficient:
+# 64 stacks of 30 rows at N = 2^10, or all 7 (41 MiB) of a key switch at
+# N = 2^16, L = 7, but not the GBs a paper-size run could touch.
+_STAGE_CACHE_BYTES = 1 << 28
+
+
+def _lru_by_bytes(size_of):
+    """A cache like functools.lru_cache, bounded by _STAGE_CACHE_BYTES in all:
+    size_of(*args) is what one result holds.  The least recently used results
+    go first; one larger than the bound is returned, not kept, and evicts
+    nothing.  It is keyed by hash(args), computed once per call (a
+    PrimeModulus hashes in Python), and a hit must hold equal arguments."""
+    def decorate(fn):
+        cache, lock = OrderedDict(), threading.Lock()
+
+        @functools.wraps(fn)
+        def cached(*args):
+            key = hash(args)
+            with lock:
+                hit = cache.get(key)
+                if hit is not None and hit[0] == args:
+                    cache.move_to_end(key)
+                    return hit[1]
+            out, size = fn(*args), size_of(*args)
+            with lock:
+                if size <= _STAGE_CACHE_BYTES:
+                    cache[key] = args, out, size
+                    cache.move_to_end(key)
+                while sum(entry[2] for entry in cache.values()) > _STAGE_CACHE_BYTES:
+                    cache.popitem(last=False)
+            return out
+        cached.cache_clear = cache.clear
+        return cached
+    return decorate
+
+
+@_lru_by_bytes(lambda moduli, n, *_: 16 * len(moduli) * n)
 def _stage_twiddles(moduli: Tuple[PrimeModulus, ...], n: int, inverse: bool, chunk: int) -> tuple:
     """(blocks, twiddles, w/q ratios) of each _lazy_rows stage in walk order,
     from the moduli's _twiddle_arrays stacked once: slots [blocks, 2*blocks)

@@ -6,15 +6,18 @@ negacyclic products, the direct automorphism map, a bit-serial keystream,
 wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
-fold from the uint64 NTT kernel or from the two-operand MAS product, drop
-one lane's mask from the lane-packed keystream, or keep serving a limb's
-row to the kernels after its list was read and edited, so the harness
-itself can be shown to catch regressions.
+fold from the uint64 NTT kernel or from the two-operand MAS product, skew
+one doubling step of the psi-power table, drop one lane's mask from the
+lane-packed keystream, or keep serving a limb's row to the kernels after
+its list was read and edited, so the harness itself can be shown to catch
+regressions.
 
-Every transform reads the stored twiddle table of its modulus.
-TwiddleSource.power, the model of the hardware's on-the-fly twiddle factor
-generator (TFG), is checked against that table for every exponent of every
-modulus of the mixed-modulus stack.
+Every transform reads the stored twiddle table of its modulus, built in
+NumPy.  TwiddleSource.power, the model of the hardware's on-the-fly twiddle
+factor generator (TFG), is checked against that table, against the pure-int
+TwiddleSource.table, and against each transform's bit-reversed twiddles and
+their w/q ratios (Python's correctly rounded division) for every exponent of
+every modulus of the mixed-modulus stack.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from . import opcount, polykernel, trivium
 from .ckks import CkksContext, RnsPoly, count_ops, ksk_to_bytes
-from .modarith import PrimeModulus, TwiddleSource, find_ntt_prime, make_basis
+from .modarith import (PrimeModulus, TwiddleSource, bit_reverse, find_ntt_prime,
+                       make_basis)
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
                          intt_oracle, intt_reference, intt_rows, mas, mas_rows,
@@ -134,6 +138,16 @@ def _untransposed_columns(original):
     return faulty
 
 
+def _skewed_doubling(original):
+    """_psi_powers whose last doubling step multiplies by psi^(N+1), not psi^N:
+    the upper half of the table is one power too high."""
+    def faulty(m):
+        table = original(m).copy()
+        table[m.n:] = [v * m.psi % m.q for v in table[m.n:].tolist()]
+        return table
+    return faulty
+
+
 # fault name -> (the suite whose checks it breaks, module or class, attribute,
 # function from its original to the fault)
 FAULTS = {
@@ -141,6 +155,7 @@ FAULTS = {
     "aut-ntt-index": ("kernels", polykernel, "_aut_ntt_map", _roll_index_map),
     "ntt-fold": ("kernels", polykernel, "_CANONICAL_FOLDS", lambda folds: folds[:-1]),
     "ntt-split": ("kernels", polykernel, "_stage_twiddles", _untransposed_columns),
+    "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
     "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
     "stale-row": ("ckks", polykernel._Coeffs, "__get__", _serve_stale_row),
@@ -158,11 +173,21 @@ def inject_fault(name: Optional[str], suite: str):
         return
     _, owner, attr, corrupt = FAULTS[name]
     original = getattr(owner, attr)
+    _drop_cached_tables()
     setattr(owner, attr, corrupt(original))
     try:
         yield
     finally:
         setattr(owner, attr, original)
+        _drop_cached_tables()
+
+
+def _drop_cached_tables() -> None:
+    """Empty the kernels' twiddle-table caches: a fault then reaches tables
+    built before it, and no table built under a fault outlives it."""
+    for table in (polykernel._psi_powers, polykernel._psi_table_bitrev,
+                  polykernel._twiddle_arrays, polykernel._stage_twiddles):
+        table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +336,25 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
         res.check("automorphism composition", lhs.coeffs == rhs.coeffs,
                   comparisons=n)
 
-    # the on-the-fly twiddle generator (TFG model) against the stored
-    # table every transform reads, for every exponent of every modulus
+    # the on-the-fly twiddle generator (TFG model) against the pure-int table
+    # and the NumPy-built tables every transform reads, for every exponent of
+    # every modulus: the psi powers, and the bit-reversed twiddles with their
+    # w/q ratios in both directions, the inverse's 1/N slots included
+    width = n.bit_length() - 1
     for mm in moduli:
         otf = TwiddleSource(mm)
+        powers = [otf.power(e) for e in range(2 * n)]
         res.check(f"twiddle stored == on-the-fly q={mm.q}",
-                  [otf.power(e) for e in range(2 * n)] == otf.table(),
-                  comparisons=2 * n)
+                  powers == otf.table() == polykernel._psi_powers(mm).tolist(),
+                  comparisons=4 * n)
+        for sign in (1, -1):
+            want = [powers[sign * bit_reverse(i, width) % (2 * n)] for i in range(n)]
+            if sign < 0:
+                want[0], want[1] = mm.n_inv, want[1] * mm.n_inv % mm.q
+            w, ratio = polykernel._twiddle_arrays(mm, n, sign < 0)
+            res.check(f"twiddle table {'inverse' if sign < 0 else 'forward'} q={mm.q}",
+                      w.tolist() == want and ratio.tolist() == [v / mm.q for v in want],
+                      comparisons=2 * n)
 
     # keystream vs bit-serial oracle
     words = 200 if size == "toy" else 1000
@@ -404,6 +441,13 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
 
     ctx = CkksContext(basis)
     sk, keys = ctx.keygen(seed=seed + 1, rotations=(1,))
+    # keygen keeps the keystream it drew for the relin key as its ksk1
+    bases = ctx.all_bases()
+    for j, dg in enumerate(keys.relin.digits):
+        res.check(f"relin digit {j} keeps its keystream",
+                  dg._ksk1 is not None and not dg._ksk1.flags.writeable
+                  and np.array_equal(dg._ksk1, ctx._expand_ksk1(dg.ksk1_seeds, bases)),
+                  comparisons=len(bases) * ctx.n)
     a = np.linspace(0.1, 1.0, ctx.slots)
     b = np.linspace(1.0, 2.0, ctx.slots)
     cta = ctx.encrypt(ctx.encode(a, levels), sk, rng)

@@ -886,3 +886,21 @@ def test_bconv_slack_property(data):
         y = sum(c * r for c, r in zip(column, recon)) % p_prod
         assert any(all((y + k * p_prod) % m.q == o for m, o in zip(targets, outs))
                    for k in range(s)), i
+
+
+def test_keygen_leaves_the_relin_key_expanded_and_rotation_keys_seeded():
+    # The relin key keeps the keystream keygen drew for it, frozen, equal to
+    # its re-expansion from the seeds; rotation keys expand on first use.
+    ctx_k = CkksContext(BASIS3)
+    _, keys = ctx_k.keygen(seed=31, rotations=(1, 5))
+    bases = ctx_k.all_bases()
+    for d in keys.relin.digits:
+        assert not d._ksk1.flags.writeable
+        assert np.array_equal(d._ksk1, ctx_k._expand_ksk1(d.ksk1_seeds, bases))
+    assert all(d._ksk1 is None for key in keys.rotation.values() for d in key.digits)
+    # the unseeded image needs no expansion first, and holds the same bytes
+    image = ksk_to_bytes(keys.relin, seeded=False)
+    for d in keys.relin.digits:
+        d._ksk1 = None
+    _expand_ksk1(ctx_k, keys.relin)
+    assert ksk_to_bytes(keys.relin, seeded=False) == image

@@ -63,6 +63,18 @@ def test_verify_ntt_split_fault_fails(tmp_path):
     assert main(args) == 0
 
 
+def test_verify_twiddle_table_fault_fails(tmp_path):
+    # one doubling step of the NumPy psi-power table is a power too high
+    out = str(tmp_path / "f.json")
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
+    assert main(args + ["--inject-fault", "twiddle-table"]) == 1
+    failures = json.loads(Path(out).read_text())["failures"]
+    assert any("twiddle stored == on-the-fly" in f for f in failures)
+    assert any("twiddle table inverse" in f for f in failures)
+    # no table built under the fault outlives it
+    assert main(args) == 0
+
+
 def test_verify_mas_fold_fault_fails(tmp_path):
     # dropping the last fold of the two-operand product leaves residues in [0, 2q)
     out = str(tmp_path / "f.json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fhesim import polykernel
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
                              _find_primitive_root, bit_reverse, find_ntt_prime, is_prime,
                              make_basis)
@@ -779,3 +780,71 @@ def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
         assert fwd[at].tolist() == ntt_oracle(Poly(coeffs, m)).coeffs, (n, m.q, at)
         assert inv[at].tolist() == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs, (n, m.q, at)
     assert (intt_rows(fwd, moduli) == x).all() and (ntt_rows(inv, moduli) == x).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(logn=st.integers(1, 16), bits=st.integers(10, 54), skip=st.integers(0, 2))
+def test_numpy_twiddle_tables_equal_the_pure_int_construction(logn, bits, skip):
+    # The psi powers by _mulmod doubling and the w/q ratios by the corrected
+    # float quotient are bit-identical to Python-int products and Python's
+    # correctly rounded division, for every table the transforms read.
+    two_n = 2 << logn
+    try:
+        m = find_ntt_prime(max(bits, two_n.bit_length() + 1), two_n, skip)
+    except NoPrimeFound:
+        assume(False)
+    for table in TWIDDLE_TABLES:
+        table.cache_clear()
+    stored = TwiddleSource(m).table()
+    assert _psi_powers(m).tolist() == stored
+    assert _shoup_ratios(stored, m.q).tolist() == [w / m.q for w in stored]
+    for inverse in (False, True):
+        w, ratio = _twiddle_arrays(m, m.n, inverse)
+        assert ratio.tolist() == [v / m.q for v in w.tolist()], (m.q, inverse)
+
+
+@pytest.mark.parametrize("bits", [53, 54])
+def test_numpy_twiddle_tables_are_exact_at_full_word_width(bits):
+    # At 54 bits neither w nor q fits a float64; at 53 bits both just do.
+    # The largest and smallest such primes at N = 2^16, every table entry,
+    # plus edge operands: 0, 1, q-1, 2^53 +- d, powers of two and 2^k - 1.
+    two_n = 1 << 17
+    for m in (largest_ntt_prime(bits, two_n), find_ntt_prime(bits, two_n)):
+        for table in TWIDDLE_TABLES:
+            table.cache_clear()
+        stored = TwiddleSource(m).table()
+        assert _psi_powers(m).tolist() == stored, m.q
+        q = m.q
+        edges = [0, 1, 2, q - 1, q - 2, q // 2, q // 2 + 1]
+        edges += [v for d in range(-3, 4) if 0 <= (v := (1 << 53) + d) < q]
+        edges += [v for k in range(bits) for v in (1 << k, (1 << k) - 1) if v < q]
+        ws = stored + edges + [RNG.randrange(q) for _ in range(1 << 14)]
+        assert _shoup_ratios(ws, q).tolist() == [w / q for w in ws], q
+        assert _shoup_ratios(np.array(ws, dtype=np.uint64), q).tolist() == \
+            [w / q for w in ws], q
+
+
+def test_stage_twiddle_cache_is_bounded_by_bytes(monkeypatch):
+    # 16 bytes per row and coefficient per stack; the least recently used
+    # stacks go first, and a stack larger than the bound is not kept.
+    moduli = mixed_stack(64)
+    keys = [(moduli[:r], 64, False, 8) for r in (1, 2, 3)]
+    _stage_twiddles.cache_clear()
+    monkeypatch.setattr(polykernel, "_STAGE_CACHE_BYTES", 16 * 64 * 4)
+    one, two = _stage_twiddles(*keys[0]), _stage_twiddles(*keys[1])
+    assert _stage_twiddles(*keys[0]) is one
+    three = _stage_twiddles(*keys[2])           # 1 + 2 + 3 rows: evicts two
+    assert _stage_twiddles(*keys[0]) is one
+    assert _stage_twiddles(*keys[2]) is three
+    again = _stage_twiddles(*keys[1])            # rebuilt: evicts one, then three
+    assert again is not two
+    assert [a.tolist() for _, *pair in again for a in pair] == \
+        [a.tolist() for _, *pair in two for a in pair]
+    assert _stage_twiddles(*keys[0]) is not one
+    big = (moduli * 2, 64, False, 8)
+    assert _stage_twiddles(*big) is not _stage_twiddles(*big)
+    assert _stage_twiddles(*keys[1]) is again   # and evicts nothing
+    # the default bound keeps 64 stacks of 30 rows at N = 2^10
+    monkeypatch.undo()
+    assert polykernel._STAGE_CACHE_BYTES >= 64 * 16 * 30 * 1024
+    _stage_twiddles.cache_clear()
