@@ -21,12 +21,12 @@ their a limbs.  keygen returns the relin key expanded, its ksk1 a kept copy
 of its part of that draw, since every relinearization reads all of it; the
 rotation keys leave seeded, as a server that holds many of them would keep
 them, and expand on first use.  At the public API the limbs of
-ciphertexts, plaintexts and secret keys are Polys, and a limb a routine
-builds holds a read-only uint64 row of the routine's result stack
-(_unstack): its Python-int list is built only when someone reads p.coeffs.
-A routine stacks its inputs' rows, or the lists of limbs that were read,
-into one fresh array, each residue checked to lie in [0, q) (_stack), so
-no kernel writes to a limb and an edited list is checked like any input.
+ciphertexts, plaintexts and secret keys are Polys, each one uint64 row; a
+limb a routine builds holds a read-only view of its result (_unstack).  A
+routine checks that each input component holds one limb per base of its
+level and stacks their rows into one fresh array, each residue checked to
+lie in [0, q) (_rows, _stack), so no kernel writes to a limb and an edited
+copy of a limb is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
@@ -346,9 +346,15 @@ class CkksContext:
 
     # -- limbs in and out at the public API ----------------------------------
 
-    def _rows(self, *comps: RnsPoly) -> np.ndarray:
-        """NTT-domain components of one level as a (components, rows, N) array."""
-        x = _stack([p for c in comps for p in c.limbs], Domain.NTT)
+    def _rows(self, level: int, extended: bool = False, **comps: RnsPoly) -> np.ndarray:
+        """NTT-domain components of one level as a (components, rows, N) array;
+        each holds one limb per q base of the level, then per p base if extended."""
+        bases = self._q_bases(level) + (tuple(self.basis.p_list) if extended else ())
+        for name, c in comps.items():
+            if tuple(p.modulus for p in c.limbs) != bases:
+                raise LengthMismatch(f"{name} holds {len(c.limbs)} limbs, not the "
+                                     f"{len(bases)} bases of level {level} in order")
+        x = _stack([p for c in comps.values() for p in c.limbs], Domain.NTT)
         return x.reshape(len(comps), -1, self.n)
 
     def _ciphertext(self, x: np.ndarray, level: int, scale: float) -> Ciphertext:
@@ -390,7 +396,7 @@ class CkksContext:
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
         """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain)."""
         moduli = [p.modulus for p in pt.limbs]
-        x = _stack(pt.limbs)
+        x = _stack(pt.limbs, pt.domain)
         if pt.domain == Domain.NTT:
             x = intt_rows(x, moduli)
         mods = [m.q for m in moduli]
@@ -526,13 +532,13 @@ class CkksContext:
         e = self._small_ntt(self._gaussian_ints(rng), moduli)
         a = np.array([rng.integers(0, m.q, self.n) for m in moduli], dtype=np.uint64)
         s = _stack(sk.ntt_limbs[: level + 1], Domain.NTT)
-        c0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, _stack(pt.limbs, Domain.NTT), e, moduli),
+        c0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, self._rows(level, pt=pt)[0], e, moduli),
                       mas_rows(MasOp.MUL, a, s, moduli), moduli)
         return self._ciphertext(np.stack([c0, a]), level, pt.scale or self.delta)
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> RnsPoly:
         moduli = self._q_bases(ct.level)
-        c0, c1 = self._rows(ct.c0, ct.c1)
+        c0, c1 = self._rows(ct.level, c0=ct.c0, c1=ct.c1)
         s = _stack(sk.ntt_limbs[: ct.level + 1], Domain.NTT)
         m = mas_rows(MasOp.MAC, c1, s, moduli, c0)
         return RnsPoly(_unstack(m, moduli, Domain.NTT), ct.level)
@@ -540,7 +546,7 @@ class CkksContext:
     def decrypt_triple(self, d: ExtCiphertext, sk: SecretKey) -> RnsPoly:
         """Decrypt (d0, d1, d2) with (1, s, s^2) for pre-relinearization checks."""
         moduli = self._q_bases(d.level)
-        d0, d1, d2 = self._rows(d.d0, d.d1, d.d2)
+        d0, d1, d2 = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
         s = _stack(sk.ntt_limbs[: d.level + 1], Domain.NTT)
         s2 = mas_rows(MasOp.MUL, s, s, moduli)
         m = mas_rows(MasOp.MAC, d2, s2, moduli, mas_rows(MasOp.MAC, d1, s, moduli, d0))
@@ -553,8 +559,8 @@ class CkksContext:
             raise LevelMismatch(f"levels {a.level} != {b.level}")
         if not math.isclose(a.scale, b.scale, rel_tol=1e-9):
             raise ScaleMismatch(f"scales {a.scale} != {b.scale}")
-        out = _mas(MasOp.ADD, self._rows(a.c0, a.c1), self._rows(b.c0, b.c1),
-                   self._q_bases(a.level))
+        out = _mas(MasOp.ADD, self._rows(a.level, c0=a.c0, c1=a.c1),
+                   self._rows(b.level, c0=b.c0, c1=b.c1), self._q_bases(a.level))
         return self._ciphertext(out, a.level, a.scale)
 
     def mult(self, a: Ciphertext, b: Ciphertext) -> ExtCiphertext:
@@ -562,7 +568,7 @@ class CkksContext:
             raise LevelMismatch(f"levels {a.level} != {b.level}")
         lvl = a.level
         moduli = self._q_bases(lvl)
-        x, y = self._rows(a.c0, a.c1), self._rows(b.c0, b.c1)
+        x, y = self._rows(lvl, c0=a.c0, c1=a.c1), self._rows(lvl, c0=b.c0, c1=b.c1)
         d02 = _mas(MasOp.MUL, x, y, moduli)          # (a0*b0, a1*b1)
         d1 = _mas(MasOp.MAC, x[1], y[0], moduli, _mas(MasOp.MUL, x[0], y[1], moduli))
         d0, d1, d2 = (RnsPoly(_unstack(z, moduli, Domain.NTT), lvl)
@@ -576,7 +582,7 @@ class CkksContext:
         The caller follows up with a key switch using the matching rotation
         key; until then the result decrypts under the rotated secret.
         """
-        x = _aut(self._rows(ct.c0, ct.c1), self._galois(rot))
+        x = _aut(self._rows(ct.level, c0=ct.c0, c1=ct.c1), self._galois(rot))
         return self._ciphertext(x, ct.level, ct.scale)
 
     # -- base conversion ----------------------------------------------------
@@ -648,8 +654,8 @@ class CkksContext:
 
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""
-        out = self._keyswitch_full_dnum(self._rows(d.d0, d.d1, d.d2), ksk, d.level)
-        return self._ciphertext(out, d.level, d.scale)
+        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
+        return self._ciphertext(self._keyswitch_full_dnum(x, ksk, d.level), d.level, d.scale)
 
     def _keyswitch_full_dnum(self, x: np.ndarray, ksk: KeySwitchKey,
                              level: int) -> np.ndarray:
@@ -682,8 +688,8 @@ class CkksContext:
 
     def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Arbitrary-dnum key switch: digit ModUp via base conversion."""
-        out = self._keyswitch_generic(self._rows(d.d0, d.d1, d.d2), ksk, d.level)
-        return self._ciphertext(out, d.level, d.scale)
+        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
+        return self._ciphertext(self._keyswitch_generic(x, ksk, d.level), d.level, d.scale)
 
     def _keyswitch_generic(self, x: np.ndarray, ksk: KeySwitchKey,
                            level: int) -> np.ndarray:
@@ -710,13 +716,11 @@ class CkksContext:
     def moddown(self, ext: RnsPoly) -> RnsPoly:
         """Drop the special bases: (x - BConv_P->Ql([x]_P)) * P^-1."""
         level = ext.level
-        out = self._moddown(_stack(ext.limbs, Domain.NTT), level)
+        out = self._moddown(self._rows(level, extended=True, ext=ext)[0], level)
         return RnsPoly(_unstack(out, self._q_bases(level), Domain.NTT), level)
 
     def _moddown(self, x: np.ndarray, level: int) -> np.ndarray:
         """moddown on a (..., live bases, N) stack."""
-        k = self.basis.k
-        assert x.shape[-2] == level + 1 + k, "moddown needs the extended limbs"
         q_bases = self._q_bases(level)
         p_bases = tuple(self.basis.p_list)
         r = self._bconv(_intt(x[..., level + 1:, :], p_bases), p_bases, q_bases)
@@ -731,7 +735,7 @@ class CkksContext:
         q_top = self.basis.q_list[level]
         lower = self._q_bases(level - 1)
         q_lower, _ = modulus_columns(lower)
-        x = self._rows(ct.c0, ct.c1)
+        x = self._rows(level, c0=ct.c0, c1=ct.c1)
         top = _intt(x[:, level:], (q_top,))
         t = _ntt(top % q_lower, lower)
         out = _submul(x[:, :level], t, [pow(q_top.q, -1, m.q) for m in lower], lower)
@@ -751,7 +755,7 @@ class CkksContext:
             raise MissingRotationKey(f"no key for rotation {rot}")
         level = ct.level
         x = np.zeros((3, level + 1, self.n), dtype=np.uint64)
-        x[[0, 2]] = _aut(self._rows(ct.c0, ct.c1), self._galois(rot))
+        x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), self._galois(rot))
         switch = self._keyswitch_full_dnum if self.basis.k == 1 else self._keyswitch_generic
         return self._ciphertext(switch(x, keys.rotation[rot], level), level, ct.scale)
 
@@ -771,8 +775,7 @@ def ciphertext_to_bytes(ct: Ciphertext, n: int, dnum: int) -> bytes:
 
 
 def ciphertext_from_bytes(data: bytes, basis: RnsBasis) -> Ciphertext:
-    """Inverse of ciphertext_to_bytes for a ciphertext over basis, with
-    row-backed limbs.
+    """Inverse of ciphertext_to_bytes for a ciphertext over basis.
 
     LengthMismatch when the buffer is cut short or too long, or its headers
     disagree with the basis; ResidueOutOfRange for a residue outside [0, q).

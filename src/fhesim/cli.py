@@ -201,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dump-census", default=None,
                    help="write per-routine micro-op counts as JSON")
     v.add_argument("--inject-fault", default=None, choices=sorted(FAULTS),
-                   help="mutation-test hook: break one kernel, or limb storage, "
-                        "on purpose")
+                   help="mutation-test hook: break one kernel on purpose")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="run a macro-op program on the model")

@@ -11,7 +11,13 @@ inner loop is short, and reduce only where _lazy_schedule needs it.
 Products estimate their quotient in float64 (Shoup's trick).  ntt_reference,
 intt_reference and mas are one-row calls on Polys, ntt_hybrid the same walk
 split at N1.  The pure-int code is only the oracles ntt_oracle, intt_oracle
-and automorphism_oracle, plus automorphism_shuffle (the AUT unit's dataflow).
+and automorphism_oracle, plus automorphism_shuffle (the AUT unit's dataflow),
+which read p.coeffs.tolist() and so compute in Python ints.
+
+A Poly holds its limb in one form, a 1-D uint64 row: a kernel result keeps a
+read-only view of its frozen result stack, and anything else is copied into
+a writable row of the limb's own, so the kernels check [0, q) where they
+read a limb (_stack), not where it is built.
 
 Layout convention shared with the AUT unit: memory j holds the contiguous
 chunk [j*N1, (j+1)*N1) of a ring element, so reading one address across all
@@ -69,59 +75,51 @@ class Domain(Enum):
     NTT = 1
 
 
-class _Coeffs:
-    """Poly.coeffs: a list of Python ints, or a read-only uint64 row that
-    becomes that list when it is first read.
-
-    The read drops the row, so an edit of the list is what every later
-    reader sees, kernels included (_words).  Any other array is read into a
-    list at once: only a frozen row may be shared.
-    """
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            # No class-level value: the dataclass field keeps no default.
-            raise AttributeError("coeffs")
-        value = vars(p)["coeffs"]
-        if isinstance(value, np.ndarray):
-            value = vars(p)["coeffs"] = value.tolist()
-        return value
-
-    def __set__(self, p, value):
-        if isinstance(value, np.ndarray) and (value.flags.writeable
-                                              or value.dtype != np.uint64):
-            value = value.tolist()
-        vars(p)["coeffs"] = value
-
-
-@dataclass
+@dataclass(eq=False)
 class Poly:
-    coeffs: List[int] = _Coeffs()
+    """One RNS limb: its residues as one 1-D uint64 row (_row), modulus, domain."""
+
+    coeffs: np.ndarray
     modulus: PrimeModulus
     domain: Domain = Domain.COEFF
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, _row(value) if name == "coeffs" else value)
+
+    def __eq__(self, other):
+        return (isinstance(other, Poly) and self.modulus == other.modulus
+                and self.domain == other.domain and np.array_equal(self.coeffs, other.coeffs))
+
     @property
     def n(self) -> int:
-        return len(_words(self))
+        return len(self.coeffs)
 
     def copy(self) -> "Poly":
-        """An independent limb; a frozen row is shared, not read into a list."""
-        words = _words(self)
-        return Poly(words if isinstance(words, np.ndarray) else list(words),
-                    self.modulus, self.domain)
+        """An independent limb whose row is a private writable copy."""
+        twin = Poly(self.coeffs, self.modulus, self.domain)
+        if twin.coeffs is self.coeffs:  # a shared read-only row
+            vars(twin)["coeffs"] = self.coeffs.copy()
+        return twin
 
 
-def _words(p: Poly):
-    """p's residues as stored: its frozen uint64 row until p.coeffs is first
-    read, the list after that."""
-    return vars(p)["coeffs"]
+def _row(x) -> np.ndarray:
+    """x as a limb's row: a read-only 1-D uint64 array as it is, anything
+    else a fresh writable copy.  Non-integers and values outside [0, 2^64)
+    raise ResidueOutOfRange, as at kernel entry (_checked_rows)."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.uint64 and not x.flags.writeable):
+        if isinstance(x, np.ndarray) and x.dtype.kind == "i" and (x < 0).any():
+            raise ResidueOutOfRange("coefficients must lie in [0, q) of their row")
+        x = _checked_rows(x)
+    if x.ndim != 1:
+        raise LengthMismatch(f"a limb holds one row of residues, got shape {x.shape}")
+    return x
 
 
 def _unstack(x: np.ndarray, moduli: Sequence[PrimeModulus], domain: Domain) -> List[Poly]:
-    """The rows of a (rows, N) result stack as row-backed limbs.
+    """The rows of a (rows, N) result stack as limbs.
 
-    Each limb holds a view of its row.  The stack is frozen, and so is the
-    array it views, if any, so that no later write reaches a limb."""
+    Each limb holds a read-only view of its row.  The stack is frozen, and
+    so is the array it views, if any, so that no later write reaches a limb."""
     _frozen(*(a for a in (x, x.base) if isinstance(a, np.ndarray)))
     return [Poly(row, m, domain) for row, m in zip(x, moduli)]
 
@@ -252,7 +250,7 @@ def ntt_oracle(p: Poly) -> Poly:
     m = p.modulus
     n = p.n
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=False).tolist()
-    x = list(p.coeffs)
+    x = p.coeffs.tolist()
     _ct_negacyclic(x, n, table, m.q)
     return Poly(x, m, Domain.NTT)
 
@@ -264,7 +262,7 @@ def intt_oracle(p: Poly) -> Poly:
     m = p.modulus
     n = p.n
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True).tolist()
-    x = list(p.coeffs)
+    x = p.coeffs.tolist()
     _gs_inverse(x, n, table, m.q)
     n_inv = m.n_inv if n == m.n else pow(n, -1, m.q)
     q = m.q
@@ -423,9 +421,10 @@ def _fold(x: np.ndarray, c: np.uint64) -> np.ndarray:
     return np.minimum(x, x - c, out=x)
 
 
-def _checked_rows(x, q: np.ndarray, copy: bool = True) -> np.ndarray:
-    """The (..., R, N) stack x as uint64, every row r checked against q[r]: a
-    fresh copy, or x itself if it is a uint64 array and copy is False."""
+def _checked_rows(x, q: np.ndarray | None = None, copy: bool = True) -> np.ndarray:
+    """x as uint64, a fresh copy or x itself if it is a uint64 array and copy
+    is False; non-integer dtypes and Python ints outside [0, 2^64) are
+    refused.  Given q, x is an (..., R, N) stack, row r checked against q[r]."""
     refused = _refused_dtype(x)
     if refused is not None:
         raise ResidueOutOfRange(f"residues must be integers in [0, q), got dtype {refused}")
@@ -433,6 +432,8 @@ def _checked_rows(x, q: np.ndarray, copy: bool = True) -> np.ndarray:
         x = np.array(x, dtype=np.uint64, copy=copy or None)
     except OverflowError:
         raise ResidueOutOfRange("coefficients must lie in [0, q) of their row") from None
+    if q is None:
+        return x
     if x.ndim < 2 or x.shape[-2] != len(q):
         raise LengthMismatch(f"a stack of {len(q)} rows needs shape (..., {len(q)}, N), "
                              f"got {x.shape}")
@@ -443,20 +444,24 @@ def _checked_rows(x, q: np.ndarray, copy: bool = True) -> np.ndarray:
 
 def _refused_dtype(x):
     """The dtype of the first row or array of x that NumPy holds in no integer
-    kind, or None; ints past 2^64 are objects, left to the range check."""
+    kind, or None; ints past 2^64 are objects, left to the range check, and
+    NumPy's float64 for small ints beside ones from 2^63 counts as ints."""
     if isinstance(x, (list, tuple)) and x and isinstance(x[0], (list, tuple, np.ndarray)):
         return next((d for d in map(_refused_dtype, x) if d is not None), None)
     dtype = np.asarray(x).dtype
+    if dtype.kind == "f" and isinstance(x, (list, tuple)) and all(type(v) is int for v in x):
+        return None
     return None if dtype.kind in "iuO" else dtype
 
 
 def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
-    """The residues of limbs, rows or read lists alike, as one fresh (rows, N)
-    uint64 array, each checked to lie in [0, q) of its limb (_checked_rows)."""
+    """The rows of limbs as one fresh (rows, N) uint64 array, each checked to
+    lie in [0, q) of its limb (_checked_rows): a limb's row may be a writable
+    copy, edited since it was built."""
     if domain is not None and any(p.domain != domain for p in limbs):
         raise DomainError(f"expected {domain.name}-domain limbs")
     q, _ = modulus_columns(tuple(p.modulus for p in limbs))
-    return _checked_rows([_words(p) for p in limbs], q)
+    return _checked_rows([p.coeffs for p in limbs], q)
 
 
 # _lazy_rows shifts (-2q, 2q) by 2q, then folds [0, 4q) into [0, q) by these.
@@ -655,14 +660,14 @@ def ntt_reference(p: Poly) -> Poly:
     """Forward negacyclic NTT of one limb: a one-row ntt_rows call."""
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_reference expects a coefficient-domain polynomial")
-    return _unstack(ntt_rows([_words(p)], (p.modulus,)), (p.modulus,), Domain.NTT)[0]
+    return _unstack(ntt_rows([p.coeffs], (p.modulus,)), (p.modulus,), Domain.NTT)[0]
 
 
 def intt_reference(p: Poly) -> Poly:
     """Inverse negacyclic NTT of one limb: a one-row intt_rows call."""
     if p.domain != Domain.NTT:
         raise DomainError("intt_reference expects an NTT-domain polynomial")
-    return _unstack(intt_rows([_words(p)], (p.modulus,)), (p.modulus,), Domain.COEFF)[0]
+    return _unstack(intt_rows([p.coeffs], (p.modulus,)), (p.modulus,), Domain.COEFF)[0]
 
 
 def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
@@ -675,7 +680,7 @@ def ntt_hybrid(p: Poly, plan: NttPlan) -> Poly:
     if p.domain != Domain.COEFF:
         raise DomainError("ntt_hybrid expects a coefficient-domain polynomial")
     plan.validate(p.n)
-    x = _lazy_rows([_words(p)], (p.modulus,), False, plan.n1)
+    x = _lazy_rows([p.coeffs], (p.modulus,), False, plan.n1)
     return _unstack(x, (p.modulus,), Domain.NTT)[0]
 
 
@@ -695,7 +700,7 @@ def automorphism_oracle(p: Poly, gle: int) -> Poly:
     _check_gle(gle, two_n)
     q = p.modulus.q
     out = [0] * n
-    for i, c in enumerate(p.coeffs):
+    for i, c in enumerate(p.coeffs.tolist()):
         t = i * gle % two_n
         out[t % n] = c if t < n else (q - c) % q
     return Poly(out, p.modulus, p.domain)
@@ -762,7 +767,7 @@ def automorphism_shuffle(p: Poly, gle: int, plan: NttPlan) -> Poly:
     plan.validate(n)
     n1, n2 = plan.n1, plan.n2
     q = p.modulus.q
-    coeffs = p.coeffs
+    coeffs = p.coeffs.tolist()
     out = [0] * n
     for l0 in range(n1):
         index = l0 * gle
@@ -853,11 +858,11 @@ def row_to_bytes(row, modulus_id: int, domain: Domain) -> bytes:
 
 
 def poly_to_bytes(p: Poly, modulus_id: int) -> bytes:
-    return row_to_bytes(_words(p), modulus_id, p.domain)
+    return row_to_bytes(p.coeffs, modulus_id, p.domain)
 
 
 def poly_from_bytes(data: bytes, modulus: PrimeModulus) -> Tuple[Poly, int]:
-    """One limb of the poly_to_bytes format, row-backed, and its modulus id."""
+    """One limb of the poly_to_bytes format and its modulus id."""
     row, modulus_id, domain, end = _limb_from_bytes(data, 0)
     if end != len(data):
         raise LengthMismatch(f"{len(data)}-byte buffer does not hold the header "

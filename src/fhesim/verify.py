@@ -7,10 +7,10 @@ wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
 fold from the uint64 NTT kernel or from the two-operand MAS product, skew
-one doubling step of the psi-power table, drop one lane's mask from the
-lane-packed keystream, or keep serving a limb's row to the kernels after
-its list was read and edited, so the harness itself can be shown to catch
-regressions.
+one doubling step of the psi-power table, or drop one lane's mask from the
+lane-packed keystream, so the harness itself can be shown to catch
+regressions.  The ckks suite checks that an edited copy of a limb reaches
+the next routine.
 
 Every transform reads the stored twiddle table of its modulus, built in
 NumPy.  TwiddleSource.power, the model of the hardware's on-the-fly twiddle
@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import opcount, polykernel, trivium
-from .ckks import CkksContext, RnsPoly, count_ops, ksk_to_bytes
+from .ckks import CkksContext, count_ops, ksk_to_bytes
 from .modarith import (PrimeModulus, TwiddleSource, bit_reverse, find_ntt_prime,
                        make_basis)
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
@@ -44,8 +44,9 @@ from .trivium import TriviumLanes, trivium_stream
 # Independent oracles
 
 
-def schoolbook_negacyclic(a: List[int], b: List[int], q: int) -> List[int]:
-    """O(N^2) product mod x^N + 1; the ground truth for NTT multiplication."""
+def schoolbook_negacyclic(a: Poly, b: Poly) -> List[int]:
+    """O(N^2) product mod x^N + 1 in Python ints: the ground truth for NTT products."""
+    a, b, q = a.coeffs.tolist(), b.coeffs.tolist(), a.modulus.q
     n = len(a)
     out = [0] * n
     for i, x in enumerate(a):
@@ -118,17 +119,6 @@ def _drop_lane_mask(original):
     return faulty
 
 
-def _serve_stale_row(original):
-    """Poly.coeffs that builds its list but keeps the row the kernels read, so
-    an edit of the list never reaches them."""
-    def faulty(descriptor, p, owner=None):
-        row = None if p is None else vars(p)["coeffs"]
-        if not isinstance(row, np.ndarray):
-            return original(descriptor, p, owner)
-        return vars(p).setdefault("stale", row.tolist())
-    return faulty
-
-
 def _untransposed_columns(original):
     """The twiddles of the NTT stages that run on the transposed chunks, served
     in row order: (R, c, lb) slots read as (R, lb, c) without the transpose."""
@@ -158,7 +148,6 @@ FAULTS = {
     "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
     "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
-    "stale-row": ("ckks", polykernel._Coeffs, "__get__", _serve_stale_row),
 }
 
 
@@ -241,10 +230,10 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     for coeffs in edges + [_rand_poly(rng, m, n).coeffs for _ in range(reps)]:
         p = Poly(coeffs, m, Domain.COEFF)
         res.check("ntt kernel == oracle",
-                  ntt_reference(p).coeffs == ntt_oracle(p).coeffs, comparisons=n)
+                  ntt_reference(p) == ntt_oracle(p), comparisons=n)
         p = Poly(coeffs, m, Domain.NTT)
         res.check("intt kernel == oracle",
-                  intt_reference(p).coeffs == intt_oracle(p).coeffs, comparisons=n)
+                  intt_reference(p) == intt_oracle(p), comparisons=n)
 
     # hybrid NTT vs kernel and oracle, all requested splits
     for n2 in splits:
@@ -252,23 +241,23 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
         for _ in range(reps):
             p = _rand_poly(rng, m, n)
             res.check(f"hybrid {plan.n1}x{plan.n2}",
-                      _agrees(lambda: ntt_hybrid(p, plan).coeffs
-                              == ntt_reference(p).coeffs == ntt_oracle(p).coeffs, True),
+                      _agrees(lambda: ntt_hybrid(p, plan)
+                              == ntt_reference(p) == ntt_oracle(p), True),
                       comparisons=2 * n)
 
     # roundtrip and pointwise-product oracle
     for _ in range(reps):
         p = _rand_poly(rng, m, n)
         res.check("ntt roundtrip",
-                  _agrees(lambda: intt_reference(ntt_reference(p)).coeffs, p.coeffs),
+                  _agrees(lambda: intt_reference(ntt_reference(p)), p),
                   comparisons=n)
     for _ in range(5):
         a = _rand_poly(rng, m, n)
         b = _rand_poly(rng, m, n)
         res.check("negacyclic product",
                   _agrees(lambda: intt_reference(
-                      mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))).coeffs,
-                          schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)),
+                      mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))).coeffs.tolist(),
+                          schoolbook_negacyclic(a, b)),
                   comparisons=n)
 
     # rows kernels on a mixed-modulus stack vs the per-limb oracles
@@ -278,12 +267,12 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
         x = np.array(rows, dtype=np.uint64)
         res.check("ntt rows == oracle",
                   _agrees(lambda: ntt_rows(x, moduli).tolist(),
-                          [ntt_oracle(Poly(r, mm)).coeffs
+                          [ntt_oracle(Poly(r, mm)).coeffs.tolist()
                            for r, mm in zip(rows, moduli)]),
                   comparisons=n * len(moduli))
         res.check("intt rows == oracle",
                   _agrees(lambda: intt_rows(x, moduli).tolist(),
-                          [intt_oracle(Poly(r, mm, Domain.NTT)).coeffs
+                          [intt_oracle(Poly(r, mm, Domain.NTT)).coeffs.tolist()
                            for r, mm in zip(rows, moduli)]),
                   comparisons=n * len(moduli))
     # NTT-domain automorphism == NTT . oracle . INTT on the same stack
@@ -304,8 +293,8 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     for mm in moduli:
         q = mm.q
         edges = [q - 1 - i % 4 for i in range(n)]
-        cases = [(edges, edges, edges), (edges, _rand_poly(rng, mm, n).coeffs, edges)]
-        cases += [tuple(_rand_poly(rng, mm, n).coeffs for _ in range(3))
+        cases = [(edges, edges, edges), (edges, _rand_poly(rng, mm, n).coeffs.tolist(), edges)]
+        cases += [tuple(_rand_poly(rng, mm, n).coeffs.tolist() for _ in range(3))
                   for _ in range(max(1, reps // 4))]
         for a, b, c in cases:
             x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
@@ -323,8 +312,7 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     for gle in gles:
         p = _rand_poly(rng, m, n)
         res.check(f"automorphism gle={gle}",
-                  automorphism_shuffle(p, gle, plan).coeffs ==
-                  automorphism_oracle(p, gle).coeffs,
+                  automorphism_shuffle(p, gle, plan) == automorphism_oracle(p, gle),
                   comparisons=n)
     # composition law
     for _ in range(10):
@@ -333,7 +321,7 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
         p = _rand_poly(rng, m, n)
         lhs = automorphism_oracle(automorphism_oracle(p, g2), g1)
         rhs = automorphism_oracle(p, g1 * g2 % (2 * n))
-        res.check("automorphism composition", lhs.coeffs == rhs.coeffs,
+        res.check("automorphism composition", lhs == rhs,
                   comparisons=n)
 
     # the on-the-fly twiddle generator (TFG model) against the pure-int table
@@ -387,47 +375,6 @@ def _suite_prime_bits(n: int) -> int:
     return max(14, (2 * n).bit_length() + 2)
 
 
-def listed_copy(x):
-    """A copy of a limb, a list of limbs or a dataclass of RnsPolys whose limbs
-    hold Python-int lists: each limb is copied, then read."""
-    if isinstance(x, Poly):
-        p = x.copy()
-        p.coeffs
-        return p
-    if isinstance(x, list):
-        return [listed_copy(p) for p in x]
-    return replace(x, **{f.name: listed_copy(v) for f in fields(x)
-                         if isinstance(v := getattr(x, f.name), (list, RnsPoly))})
-
-
-def _limbs(x) -> List[Poly]:
-    """Every limb of a limb, a list or a dataclass of RnsPolys, in order."""
-    if isinstance(x, Poly):
-        return [x]
-    if isinstance(x, list):
-        return [p for v in x for p in _limbs(v)]
-    return [p for f in fields(x) if isinstance(v := getattr(x, f.name), (list, RnsPoly))
-            for p in _limbs(v)]
-
-
-def routine_outputs(ctx: CkksContext, sk, keys, a, b, listed: bool = False) -> list:
-    """Outputs of add, mult, relinearize, rescale, rotate by 1, moddown,
-    bconv_routine and decrypt on inputs made from ciphertexts a and b, of one
-    level of at least 1, with a rotation key for 1 in keys.
-
-    The inputs are routine outputs, so their limbs hold rows; with listed,
-    each routine gets a listed_copy of them instead.
-    """
-    given = listed_copy if listed else (lambda x: x)
-    p_bases = list(ctx.basis.p_list)
-    coeff = [intt_reference(p) for p in a.c1.limbs]
-    ext = RnsPoly(a.c0.limbs + ctx.bconv_routine(coeff, p_bases), a.level)
-    return [ctx.add(given(a), given(b)), ctx.mult(given(a), given(b)),
-            ctx.relinearize(given(ctx.mult(a, b)), keys), ctx.rescale(given(a)),
-            ctx.rotate(given(a), 1, keys), ctx.moddown(given(ext)),
-            ctx.bconv_routine(given(coeff), p_bases), ctx.decrypt(given(a), sk)]
-
-
 def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
     res = SuiteResult("ckks")
     if size == "toy":
@@ -475,7 +422,7 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
     res.check("mult/keyswitch/rescale", rel < 1e-4, comparisons=ctx.slots)
 
     ks_gen = ctx.keyswitch_generic(d, keys.relin)
-    same = all(f.coeffs == g.coeffs
+    same = all(f == g
                for fc, gc in ((ks_full.c0, ks_gen.c0), (ks_full.c1, ks_gen.c1))
                for f, g in zip(fc.limbs, gc.limbs))
     res.check("generic dnum degeneration bit-exact", same,
@@ -487,25 +434,21 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
     rel = float(np.max(np.abs(dec - want_slots) / np.maximum(np.abs(want_slots), 1e-9)))
     res.check("rotation pipeline", rel < 1e-4, comparisons=ctx.slots)
 
-    # row-backed limbs against read lists, and an edit of a read list
-    rows = routine_outputs(ctx, sk, keys, cta, ctb)
-    lists = routine_outputs(ctx, sk, keys, cta, ctb, listed=True)
-    res.check("row-backed and list-backed inputs agree", rows == lists,
-              comparisons=ctx.n * len(_limbs(rows)))
-    edited = listed_copy(cta)
-    limb = edited.c0.limbs[0]
+    # a routine reads a limb's row as it is now: an edit of a copy reaches it
+    limb = cta.c0.limbs[0].copy()
     q = limb.modulus.q
     limb.coeffs[0] = (limb.coeffs[0] + q // 2) % q
-    want = ctx.decrypt(cta, sk).limbs[0].coeffs
-    want[0] = (want[0] + q // 2) % q
+    edited = replace(cta, c0=replace(cta.c0, limbs=[limb] + cta.c0.limbs[1:]))
+    want = ctx.decrypt(cta, sk).limbs[0].copy()
+    want.coeffs[0] = (want.coeffs[0] + q // 2) % q
     res.check("an edited limb reaches the next routine",
-              ctx.decrypt(edited, sk).limbs[0].coeffs == want, comparisons=ctx.n)
+              ctx.decrypt(edited, sk).limbs[0] == want, comparisons=ctx.n)
 
     # seeded key half: re-expansion determinism and storage accounting
     digit = keys.relin.digits[0]
     limb0 = ctx.expand_ksk1_limb(digit.ksk1_seeds[0], ctx.all_bases()[0])
     limb1 = ctx.expand_ksk1_limb(digit.ksk1_seeds[0], ctx.all_bases()[0])
-    res.check("ksk1 re-expansion deterministic", limb0.coeffs == limb1.coeffs,
+    res.check("ksk1 re-expansion deterministic", limb0 == limb1,
               comparisons=ctx.n)
     for j, dg in enumerate(keys.relin.digits):
         for t in range(len(dg.ksk0)):

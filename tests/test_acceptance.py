@@ -66,13 +66,12 @@ def test_criterion_01_kernel_equivalence():
                   for _ in range(reps)]
         refs = [ntt_reference(p) for p in inputs]
         for p, ref in zip(inputs, refs):
-            assert ref.coeffs == ntt_oracle(p).coeffs, f"N=2^{logn} kernel != oracle"
+            assert ref == ntt_oracle(p), f"N=2^{logn} kernel != oracle"
         n2 = 1
         while n2 <= 64:
             plan = NttPlan(n // n2, n2)
             for p, ref in zip(inputs, refs):
-                assert ntt_hybrid(p, plan).coeffs == ref.coeffs, \
-                    f"N=2^{logn} plan {plan.n1}x{plan.n2}"
+                assert ntt_hybrid(p, plan) == ref, f"N=2^{logn} plan {plan.n1}x{plan.n2}"
                 checked += 1
             n2 *= 2
         # NTT-domain pointwise product equals the schoolbook negacyclic product
@@ -81,8 +80,7 @@ def test_criterion_01_kernel_equivalence():
             a = Poly([rng.randrange(m.q) for _ in range(n)], m)
             b = Poly([rng.randrange(m.q) for _ in range(n)], m)
             prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
-            assert intt_reference(prod).coeffs == \
-                schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
+            assert intt_reference(prod).coeffs.tolist() == schoolbook_negacyclic(a, b)
     elapsed = time.time() - t0
     report(1, elapsed < 120,
            f"kernel == oracle and hybrid == kernel on {checked} transforms across "
@@ -97,22 +95,20 @@ def test_criterion_02_automorphism():
     plan = NttPlan(16, 16)
     for gle in range(1, 2 * n, 2):     # all 256 odd elements
         p = Poly([rng.randrange(m.q) for _ in range(n)], m)
-        assert automorphism_shuffle(p, gle, plan).coeffs == \
-            automorphism_oracle(p, gle).coeffs
+        assert automorphism_shuffle(p, gle, plan) == automorphism_oracle(p, gle)
     n = 4096
     m = find_ntt_prime(18, 2 * n)
     plan = NttPlan(64, 64)
     for _ in range(50):
         gle = rng.randrange(1, 2 * n) | 1
         p = Poly([rng.randrange(m.q) for _ in range(n)], m)
-        assert automorphism_shuffle(p, gle, plan).coeffs == \
-            automorphism_oracle(p, gle).coeffs
+        assert automorphism_shuffle(p, gle, plan) == automorphism_oracle(p, gle)
     for _ in range(10):
         g1 = rng.randrange(1, 2 * n) | 1
         g2 = rng.randrange(1, 2 * n) | 1
         p = Poly([rng.randrange(m.q) for _ in range(n)], m)
         lhs = automorphism_oracle(automorphism_oracle(p, g2), g1)
-        assert lhs.coeffs == automorphism_oracle(p, g1 * g2 % (2 * n)).coeffs
+        assert lhs == automorphism_oracle(p, g1 * g2 % (2 * n))
     elapsed = time.time() - t0
     report(2, elapsed < 60,
            f"shuffle == oracle (exhaustive N=2^8, 50 random N=2^12), "
@@ -166,7 +162,7 @@ def test_criterion_05_generic_dnum_degeneration(toy_full):
     full = ctx.keyswitch_full_dnum(d, keys.relin)
     gen = ctx.keyswitch_generic(d, keys.relin)
     identical = all(
-        f.coeffs == g.coeffs
+        f == g
         for fc, gc in ((full.c0, gen.c0), (full.c1, gen.c1))
         for f, g in zip(fc.limbs, gc.limbs))
     report(5, identical,

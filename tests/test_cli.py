@@ -1,10 +1,10 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from fhesim import analytic, opcount
 from fhesim.cli import load_preset, main
+from fhesim.verify import FAULTS
 
 
 def test_verify_kernels_toy(tmp_path):
@@ -27,62 +27,67 @@ def test_verify_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def _fault_failures(tmp_path, fault):
+    """Run the toy kernels suite under `fault`, check it fails, then check a
+    clean run after it passes; return the faulted run's failure labels."""
+    out = tmp_path / "f.json"
+    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", str(out)]
+    assert main(args + ["--inject-fault", fault]) == 1
+    failures = json.loads(out.read_text())["failures"]
+    # no fault, and no table built under one, outlives its run
+    assert main(args) == 0
+    return failures
+
+
 def test_verify_fault_injection_fails(tmp_path):
-    rc = main(["verify", "--scope", "kernels", "--size", "toy",
-               "--inject-fault", "shuffle-offby1",
-               "--json-out", str(tmp_path / "f.json")])
-    assert rc == 1
+    failures = _fault_failures(tmp_path, "shuffle-offby1")
+    assert failures and all("automorphism gle=" in f for f in failures)
 
 
 def test_verify_trivium_lane_fault_fails(tmp_path):
-    rc = main(["verify", "--scope", "kernels", "--size", "toy",
-               "--inject-fault", "trivium-lane",
-               "--json-out", str(tmp_path / "f.json")])
-    assert rc != 0
-    failures = json.loads((tmp_path / "f.json").read_text())["failures"]
+    failures = _fault_failures(tmp_path, "trivium-lane")
     # one lane alone is unaffected: only the multi-lane check sees the fault
     assert failures and all("trivium lane" in f for f in failures)
 
 
 def test_verify_ntt_fold_fault_fails(tmp_path):
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "ntt-fold"]) == 1
-    assert json.loads(Path(out).read_text())["failures"]
-    assert main(args) == 0
+    failures = _fault_failures(tmp_path, "ntt-fold")
+    for label in ("ntt kernel == oracle", "intt kernel == oracle", "ntt roundtrip"):
+        assert any(label in f for f in failures), label
 
 
 def test_verify_ntt_split_fault_fails(tmp_path):
     # the stages on the transposed chunks read their twiddles untransposed
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "ntt-split"]) == 1
-    failures = json.loads(Path(out).read_text())["failures"]
+    failures = _fault_failures(tmp_path, "ntt-split")
     assert any("ntt kernel == oracle" in f for f in failures)
     assert any("intt kernel == oracle" in f for f in failures)
-    assert main(args) == 0
 
 
 def test_verify_twiddle_table_fault_fails(tmp_path):
     # one doubling step of the NumPy psi-power table is a power too high
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "twiddle-table"]) == 1
-    failures = json.loads(Path(out).read_text())["failures"]
+    failures = _fault_failures(tmp_path, "twiddle-table")
     assert any("twiddle stored == on-the-fly" in f for f in failures)
     assert any("twiddle table inverse" in f for f in failures)
-    # no table built under the fault outlives it
-    assert main(args) == 0
 
 
 def test_verify_mas_fold_fault_fails(tmp_path):
     # dropping the last fold of the two-operand product leaves residues in [0, 2q)
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "mas-fold"]) == 1
-    failures = json.loads(Path(out).read_text())["failures"]
+    failures = _fault_failures(tmp_path, "mas-fold")
     assert any("mas mul/mac" in f for f in failures)
-    assert main(args) == 0
+
+
+def test_verify_aut_ntt_index_fault_fails(tmp_path):
+    # the NTT-domain automorphism's index map rolled by one slot
+    failures = _fault_failures(tmp_path, "aut-ntt-index")
+    assert failures and all("automorphism ntt gather" in f for f in failures)
+
+
+def test_every_fault_breaks_the_kernels_suite():
+    # each fault above is one of these; a new fault needs a test of its own
+    assert sorted(FAULTS) == sorted(["shuffle-offby1", "trivium-lane", "ntt-fold",
+                                     "ntt-split", "twiddle-table", "mas-fold",
+                                     "aut-ntt-index"])
+    assert {suite for suite, *_ in FAULTS.values()} == {"kernels"}
 
 
 def test_verify_dump_census(tmp_path):
@@ -156,26 +161,6 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].split(",")[0] == "r"
-
-
-def test_verify_stale_row_fault_fails(tmp_path):
-    # kernels that keep reading a limb's row after its list was read and edited
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "ckks", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "stale-row"]) == 1
-    failures = json.loads(Path(out).read_text())["failures"]
-    assert failures == ["ckks: an edited limb reaches the next routine"]
-    assert main(args) == 0
-
-
-def test_verify_aut_ntt_index_fault_fails(tmp_path):
-    # the NTT-domain automorphism's index map rolled by one slot
-    out = str(tmp_path / "f.json")
-    args = ["verify", "--scope", "kernels", "--size", "toy", "--json-out", out]
-    assert main(args + ["--inject-fault", "aut-ntt-index"]) == 1
-    failures = json.loads(Path(out).read_text())["failures"]
-    assert failures and all("automorphism ntt gather" in f for f in failures)
-    assert main(args) == 0
 
 
 def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
                                _mulmod_vv_lazy, _aut_ntt_map, _stage_twiddles,
                                _psi_powers, _reduce_signed,
                                _psi_table_bitrev, _shoup_ratios,
-                               _twiddle_arrays, _words, automorphism_ntt_rows,
+                               _twiddle_arrays, automorphism_ntt_rows,
                                automorphism_oracle, automorphism_shuffle, intt_oracle,
                                intt_reference, intt_rows, mas, mas_rows, modulus_columns,
                                ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows,
@@ -38,22 +38,22 @@ def test_ntt_delta_is_all_ones():
     p = Poly([1] + [0] * 31, m)
     out = ntt_reference(p)
     assert out.domain == Domain.NTT
-    assert all(c == 1 for c in out.coeffs)
+    assert out.coeffs.tolist() == [1] * 32
 
 
 def test_intt_of_ones_is_delta_and_zero_is_zero():
     m = find_ntt_prime(14, 64)
     ones = Poly([1] * 32, m, Domain.NTT)
-    assert intt_reference(ones).coeffs == [1] + [0] * 31
+    assert intt_reference(ones).coeffs.tolist() == [1] + [0] * 31
     zero = Poly([0] * 32, m, Domain.NTT)
-    assert intt_reference(zero).coeffs == [0] * 32
+    assert intt_reference(zero).coeffs.tolist() == [0] * 32
 
 
 def test_roundtrip_exact():
     m = find_ntt_prime(14, 2048)
     for _ in range(100):
         p = rand_poly(m, 1024)
-        assert intt_reference(ntt_reference(p)).coeffs == p.coeffs
+        assert intt_reference(ntt_reference(p)) == p
 
 
 def test_domain_errors():
@@ -71,8 +71,7 @@ def test_pointwise_product_equals_schoolbook():
         a = rand_poly(m, 16)
         b = rand_poly(m, 16)
         prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
-        assert intt_reference(prod).coeffs == \
-            schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
+        assert intt_reference(prod).coeffs.tolist() == schoolbook_negacyclic(a, b)
 
 
 def test_pointwise_product_exhaustive_tiny():
@@ -83,8 +82,7 @@ def test_pointwise_product_exhaustive_tiny():
             a = Poly([a0, 1, 0, 2], m)
             b = Poly([b0, 0, 1, 1], m)
             prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
-            assert intt_reference(prod).coeffs == \
-                schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
+            assert intt_reference(prod).coeffs.tolist() == schoolbook_negacyclic(a, b)
 
 
 def test_hybrid_equals_reference_across_plans():
@@ -97,8 +95,8 @@ def test_hybrid_equals_reference_across_plans():
             plan = NttPlan(n // n2, n2)
             for _ in range(reps):
                 p = rand_poly(m, n)
-                assert ntt_hybrid(p, plan).coeffs == ntt_reference(p).coeffs \
-                    == ntt_oracle(p).coeffs, f"plan {plan.n1}x{plan.n2}"
+                assert ntt_hybrid(p, plan) == ntt_reference(p) == ntt_oracle(p), \
+                    f"plan {plan.n1}x{plan.n2}"
             n2 *= 2
 
 
@@ -114,13 +112,13 @@ def test_twiddle_tables_follow_the_root():
 def test_hybrid_degenerate_plan_is_reference():
     m = find_ntt_prime(14, 512)
     p = rand_poly(m, 256)
-    assert ntt_hybrid(p, NttPlan(256, 1)).coeffs == ntt_reference(p).coeffs
+    assert ntt_hybrid(p, NttPlan(256, 1)) == ntt_reference(p)
 
 
 def test_hybrid_delta_all_ones():
     m = find_ntt_prime(14, 2048)
     p = Poly([1] + [0] * 1023, m)
-    assert all(c == 1 for c in ntt_hybrid(p, NttPlan(16, 64)).coeffs)
+    assert ntt_hybrid(p, NttPlan(16, 64)).coeffs.tolist() == [1] * 1024
 
 
 # every cached twiddle-table builder
@@ -151,7 +149,7 @@ def test_twiddle_modes_agree_for_every_modulus_of_a_basis():
                 assert _psi_table_bitrev(m, size, stride, inverse).tolist() == \
                     [want[i] for i in perm], (m.q, size)
         p = rand_poly(m, 64)
-        assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
+        assert ntt_hybrid(p, NttPlan(8, 8)) == ntt_oracle(p)
 
 
 def test_cached_tables_are_read_only_arrays():
@@ -159,8 +157,8 @@ def test_cached_tables_are_read_only_arrays():
     # ndarray, and shared read-only by every caller: no Python-int copies.
     m = find_ntt_prime(40, 128)
     p = rand_poly(m, 64)
-    assert ntt_hybrid(p, NttPlan(8, 8)).coeffs == ntt_oracle(p).coeffs
-    assert intt_oracle(ntt_reference(p)).coeffs == p.coeffs
+    assert ntt_hybrid(p, NttPlan(8, 8)) == ntt_oracle(p)
+    assert intt_oracle(ntt_reference(p)) == p
     calls = [(_psi_powers, (m,)), (_psi_table_bitrev, (m, 64, 1, False)),
              (_psi_table_bitrev, (m, 64, 1, True)),
              (_twiddle_arrays, (m, 64, False)), (_twiddle_arrays, (m, 64, True)),
@@ -198,18 +196,18 @@ def test_plan_mismatch():
 def test_automorphism_identity():
     m = find_ntt_prime(14, 512)
     p = rand_poly(m, 256)
-    assert automorphism_oracle(p, 1).coeffs == p.coeffs
-    assert automorphism_shuffle(p, 1, NttPlan(16, 16)).coeffs == p.coeffs
+    assert automorphism_oracle(p, 1) == p
+    assert automorphism_shuffle(p, 1, NttPlan(16, 16)) == p
 
 
 def test_automorphism_hand_cases_n8():
     m = find_ntt_prime(7, 16)  # N=8
     x1 = Poly([0, 1, 0, 0, 0, 0, 0, 0], m)
     out = automorphism_oracle(x1, 3)
-    assert out.coeffs == [0, 0, 0, 1, 0, 0, 0, 0]          # x -> x^3
+    assert out.coeffs.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]          # x -> x^3
     x3 = Poly([0, 0, 0, 1, 0, 0, 0, 0], m)
     out = automorphism_oracle(x3, 3)
-    assert out.coeffs == [0, m.q - 1, 0, 0, 0, 0, 0, 0]    # x^3 -> -x^1
+    assert out.coeffs.tolist() == [0, m.q - 1, 0, 0, 0, 0, 0, 0]    # x^3 -> -x^1
 
 
 def test_shuffle_matches_oracle_exhaustive_small():
@@ -218,8 +216,7 @@ def test_shuffle_matches_oracle_exhaustive_small():
     for plan in (NttPlan(8, 8), NttPlan(4, 16), NttPlan(64, 1)):
         for gle in range(1, 2 * n, 2):
             p = rand_poly(m, n)
-            assert automorphism_shuffle(p, gle, plan).coeffs == \
-                automorphism_oracle(p, gle).coeffs
+            assert automorphism_shuffle(p, gle, plan) == automorphism_oracle(p, gle)
 
 
 def test_shuffle_matches_oracle_power_of_five():
@@ -229,8 +226,7 @@ def test_shuffle_matches_oracle_power_of_five():
     for rot in (1, 7, n // 4):
         gle = pow(5, rot, 2 * n)
         p = rand_poly(m, n)
-        assert automorphism_shuffle(p, gle, plan).coeffs == \
-            automorphism_oracle(p, gle).coeffs
+        assert automorphism_shuffle(p, gle, plan) == automorphism_oracle(p, gle)
 
 
 def test_automorphism_composition_law():
@@ -242,7 +238,7 @@ def test_automorphism_composition_law():
         p = rand_poly(m, n)
         lhs = automorphism_oracle(automorphism_oracle(p, g2), g1)
         rhs = automorphism_oracle(p, g1 * g2 % (2 * n))
-        assert lhs.coeffs == rhs.coeffs
+        assert lhs == rhs
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,8 +262,8 @@ def test_automorphism_is_signed_permutation():
     p = rand_poly(m, n)
     for gle in (3, 5, 2 * n - 1):
         out = automorphism_oracle(p, gle)
-        mags = sorted(min(c, m.q - c) for c in p.coeffs)
-        assert sorted(min(c, m.q - c) for c in out.coeffs) == mags
+        mags = sorted(min(c, m.q - c) for c in p.coeffs.tolist())
+        assert sorted(min(c, m.q - c) for c in out.coeffs.tolist()) == mags
 
 
 def test_destination_address_property():
@@ -302,9 +298,9 @@ def test_mas_identities():
     a = rand_poly(m, 256)
     zero = Poly([0] * 256, m)
     ones = Poly([1] * 256, m)
-    assert mas(MasOp.ADD, a, zero).coeffs == a.coeffs
-    assert mas(MasOp.MUL, a, ones).coeffs == a.coeffs
-    assert mas(MasOp.SUB, a, a).coeffs == [0] * 256
+    assert mas(MasOp.ADD, a, zero) == a
+    assert mas(MasOp.MUL, a, ones) == a
+    assert mas(MasOp.SUB, a, a).coeffs.tolist() == [0] * 256
 
 
 def test_mac_chain_equals_mul_add_fold():
@@ -315,8 +311,9 @@ def test_mac_chain_equals_mul_add_fold():
         a = rand_poly(m, 256)
         b = rand_poly(m, 256)
         acc = mas(MasOp.MAC, a, b, acc)
-        expect = [(e + x * y) % m.q for e, x, y in zip(expect, a.coeffs, b.coeffs)]
-    assert acc.coeffs == expect
+        expect = [(e + x * y) % m.q
+                  for e, x, y in zip(expect, a.coeffs.tolist(), b.coeffs.tolist())]
+    assert acc.coeffs.tolist() == expect
 
 
 def test_mas_mismatches():
@@ -336,22 +333,71 @@ def test_mas_mismatches():
 def test_row_backed_poly_keeps_the_dataclass_shape():
     m = find_ntt_prime(14, 512)
     f = ntt_reference(rand_poly(m, 256))
-    row = _words(f)
-    assert isinstance(row, np.ndarray) and not row.flags.writeable
+    row = f.coeffs
+    assert row.dtype == np.uint64 and not row.flags.writeable
     assert dataclasses.fields(Poly)[0].default is dataclasses.MISSING
     with pytest.raises(TypeError):
         Poly(modulus=m)
-    # length, copies, a one-row kernel and serialization build no list
+    # a copy holds a private writable row; kernels and serialization take rows
     twin = f.copy()
-    assert f.n == 256 and _words(twin) is row
+    assert f.n == 256 and twin.coeffs.flags.writeable
+    assert not np.shares_memory(twin.coeffs, row)
     mas(MasOp.ADD, f, twin)
     back, _ = poly_from_bytes(poly_to_bytes(f, 0), m)
-    assert all(isinstance(_words(p), np.ndarray) for p in (f, twin, back))
     listed = Poly(row.tolist(), m, Domain.NTT)
     assert repr(twin) == repr(listed) and back == listed
     assert dataclasses.replace(f, domain=Domain.COEFF) == Poly(row.tolist(), m)
-    # a writeable array could change under the limb: it is read at once
-    assert isinstance(_words(Poly(np.array(row), m)), list)
+    # a writeable array could change under the limb: it is copied at once,
+    # and so is an array assigned later
+    mine = np.array(row)
+    assert not np.shares_memory(Poly(mine, m).coeffs, mine)
+    twin.coeffs = mine
+    assert not np.shares_memory(twin.coeffs, mine)
+    with pytest.raises(LengthMismatch):
+        Poly([row.tolist()], m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(logn=st.integers(0, 6), bits=st.integers(10, 54), skip=st.integers(0, 3),
+       domain=st.sampled_from(Domain), data=st.data())
+def test_poly_holds_one_uint64_row(logn, bits, skip, domain, data):
+    n = 1 << logn
+    try:
+        m = find_ntt_prime(bits, 2 * n, skip)
+    except NoPrimeFound:
+        assume(False)
+    residues = data.draw(st.lists(st.integers(0, m.q - 1), min_size=n, max_size=n))
+    frozen = np.array(residues, dtype=np.uint64)
+    frozen.setflags(write=False)
+    row, listed = Poly(frozen, m, domain), Poly(residues, m, domain)
+    # a read-only uint64 row is kept, a list becomes a writable row of its own
+    assert row.coeffs is frozen and listed.coeffs.dtype == np.uint64
+    assert listed.coeffs.flags.writeable and listed.coeffs.tolist() == residues
+    assert listed == row and row == listed
+    blob = poly_to_bytes(listed, 7)
+    assert blob == poly_to_bytes(row, 7) and poly_from_bytes(blob, m) == (row, 7)
+    # a copy is independent of its source, and its source of it
+    twin, other = row.copy(), listed.copy()
+    at = data.draw(st.integers(0, n - 1))
+    twin.coeffs[at] = other.coeffs[at] = (residues[at] + 1) % m.q
+    listed.coeffs[at] = (residues[at] + 2) % m.q
+    assert row.coeffs.tolist() == residues and twin != row
+    assert twin == other and other.coeffs[at] != listed.coeffs[at]
+    # an output limb, and a limb read from bytes, refuse writes
+    out = mas(MasOp.ADD, row, row)
+    for limb in (out, poly_from_bytes(blob, m)[0]):
+        with pytest.raises(ValueError):
+            limb.coeffs[at] = 0
+    # a word from 2^63 up beside small ones is kept (NumPy alone makes them float64);
+    # floats, bools, negatives and values from 2^64 up are refused at once
+    word = residues[:at] + [(1 << 64) - 1 - at] + residues[at + 1:]
+    assert Poly(word, m, domain).coeffs.tolist() == word
+    bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 64)))
+    for refused in ([float(v) for v in residues], np.array(residues, dtype=np.float64),
+                    [bool(v & 1) for v in residues], np.array(residues) - (1 << 60),
+                    residues[:at] + [bad] + residues[at + 1:]):
+        with pytest.raises(ResidueOutOfRange):
+            Poly(refused, m, domain)
 
 
 def test_poly_serialization_roundtrip():
@@ -360,7 +406,7 @@ def test_poly_serialization_roundtrip():
     blob = poly_to_bytes(p, modulus_id=3)
     back, mid = poly_from_bytes(blob, m)
     assert mid == 3
-    assert back.coeffs == p.coeffs
+    assert back == p
     assert back.domain == p.domain
     assert len(blob) == 9 + 8 * 256  # header + 8-byte residues
 
@@ -412,9 +458,9 @@ def test_kernel_equals_oracle_every_size(logn):
         for label, coeffs in kernel_inputs(m, n).items():
             case = f"N={n} q={m.q} {label}"
             p = Poly(coeffs, m, Domain.COEFF)
-            assert ntt_reference(p).coeffs == ntt_oracle(p).coeffs, case
+            assert ntt_reference(p) == ntt_oracle(p), case
             p = Poly(coeffs, m, Domain.NTT)
-            assert intt_reference(p).coeffs == intt_oracle(p).coeffs, case
+            assert intt_reference(p) == intt_oracle(p), case
 
 
 def test_kernel_equals_oracle_n65536():
@@ -422,8 +468,8 @@ def test_kernel_equals_oracle_n65536():
     m = largest_ntt_prime(54, 2 * n)
     p = rand_poly(m, n)
     out = ntt_reference(p)
-    assert out.coeffs == ntt_oracle(p).coeffs
-    assert intt_reference(out).coeffs == intt_oracle(out).coeffs == p.coeffs
+    assert out == ntt_oracle(p)
+    assert intt_reference(out) == intt_oracle(out) == p
 
 
 def test_lazy_product_remainder_bound():
@@ -546,11 +592,11 @@ def test_kernel_properties_random_rings(logn, bits, skip, data):
     residues = st.lists(st.integers(0, m.q - 1), min_size=n, max_size=n)
     a = Poly(data.draw(residues), m)
     b = Poly(data.draw(residues), m)
-    assert intt_reference(ntt_reference(a)).coeffs == a.coeffs
+    assert intt_reference(ntt_reference(a)) == a
     total = ntt_reference(mas(MasOp.ADD, a, b))
-    assert total.coeffs == mas(MasOp.ADD, ntt_reference(a), ntt_reference(b)).coeffs
+    assert total == mas(MasOp.ADD, ntt_reference(a), ntt_reference(b))
     prod = mas(MasOp.MUL, ntt_reference(a), ntt_reference(b))
-    assert intt_reference(prod).coeffs == schoolbook_negacyclic(a.coeffs, b.coeffs, m.q)
+    assert intt_reference(prod).coeffs.tolist() == schoolbook_negacyclic(a, b)
 
 
 @pytest.mark.parametrize("bad", [-1, "q", 1 << 64])
@@ -670,8 +716,8 @@ def test_rows_kernels_equal_oracles_on_mixed_stacks(logn):
     inv = intt_rows(x, moduli)
     for rows, f_rows, i_rows in zip(batch, fwd.tolist(), inv.tolist()):
         for coeffs, m, f, i in zip(rows, moduli, f_rows, i_rows):
-            assert f == ntt_oracle(Poly(coeffs, m)).coeffs, (n, m.q)
-            assert i == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs, (n, m.q)
+            assert f == ntt_oracle(Poly(coeffs, m)).coeffs.tolist(), (n, m.q)
+            assert i == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs.tolist(), (n, m.q)
     for gle in {1, 2 * n - 1, pow(5, 3, 2 * n), RNG.randrange(1, 2 * n) | 1}:
         want = ntt_rows([[automorphism_oracle(Poly(coeffs, m), gle).coeffs
                           for coeffs, m in zip(rows, moduli)] for rows in batch], moduli)
@@ -777,8 +823,9 @@ def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
     fwd, inv = ntt_rows(x, moduli), intt_rows(x, moduli)
     for at in np.ndindex(*lead, len(moduli)):
         m, coeffs = moduli[at[-1]], x[at].tolist()
-        assert fwd[at].tolist() == ntt_oracle(Poly(coeffs, m)).coeffs, (n, m.q, at)
-        assert inv[at].tolist() == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs, (n, m.q, at)
+        assert fwd[at].tolist() == ntt_oracle(Poly(coeffs, m)).coeffs.tolist(), (n, m.q, at)
+        assert inv[at].tolist() == intt_oracle(Poly(coeffs, m, Domain.NTT)).coeffs.tolist(), \
+            (n, m.q, at)
     assert (intt_rows(fwd, moduli) == x).all() and (ntt_rows(inv, moduli) == x).all()
 
 
