@@ -445,9 +445,13 @@ def _checked_rows(x, q: np.ndarray | None = None, copy: bool = True) -> np.ndarr
 def _refused_dtype(x):
     """The dtype of the first row or array of x that NumPy holds in no integer
     kind, or None; ints past 2^64 are objects, left to the range check, and
-    NumPy's float64 for small ints beside ones from 2^63 counts as ints."""
+    NumPy's float64 for small ints beside ones from 2^63 counts as ints.  A
+    list row with any bool in it is a bool row: NumPy holds bools beside ints
+    as ints."""
     if isinstance(x, (list, tuple)) and x and isinstance(x[0], (list, tuple, np.ndarray)):
         return next((d for d in map(_refused_dtype, x) if d is not None), None)
+    if isinstance(x, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in x):
+        return np.dtype(bool)
     dtype = np.asarray(x).dtype
     if dtype.kind == "f" and isinstance(x, (list, tuple)) and all(type(v) is int for v in x):
         return None

@@ -15,27 +15,31 @@ contiguous little-endian 64-bit window.  Bit t of an output word is the
 keystream bit produced at step t of its round (earliest bit = LSB).
 
 Lane layout: TriviumLanes steps one generator per seed together.  Each
-register of all seeds is one int, and seed i owns the 128-bit lane of bits
-[128*i, 128*(i+1)).  Every register is at most 111 bits long, so each
+register of all seeds is one int, and seed i owns the 112-bit lane of bits
+[112*i, 112*(i+1)).  Every register is at most 111 bits long, so each
 64-bit tap window (the highest ends at bit 108 of C) and each feedback
 word shifted in at the top (ending at bit 110) stays inside its lane, and
 one round of big-int word operations is the same word-parallel round for
 every seed.  The invariant is that the bits of a lane above its register's
 length stay zero in the registers; two masks keep it.  Every feedback term
-is cut to the low 64 bits of each lane before it is shifted in, and the
-64-bit shift-out, which moves the next lane's low word into the top of this
-one, is cut the same way.  The output terms t1..t3 are not cut: their low
-64 bits per lane are exact, the bits above carry the next lane's low bits,
-and words keeps only each lane's low word.  A one-lane generator is the
-single-seed Trivium, as in trivium_stream.
+is cut to the low 64 bits of each lane before it is shifted in.  The 64-bit
+shift-out moves the next lane's low 64 bits into bits 48..111 of this one,
+so it is cut to the low 48 bits of each lane.  The output terms t1..t3 are
+not cut: their low 64 bits per lane are exact, the bits above carry other
+bits, and words reads only each lane's low word, through a strided view of
+the packed bytes (14 per lane).  A one-lane generator is the single-seed
+Trivium, as in trivium_stream.
 
-Streaming: LaneSampler.draw steps all its lanes in chunks of at most
-_CHUNK_WORDS words (rounds times lanes), scatters each chunk's accepted
-residues straight into its output and keeps what a lane draws beyond the
-request for the next draw, so its working memory does not grow with the
-lane count; TriviumLanes.words converts its packed rounds to uint64 in
-chunks of the same bound.  Keygen draws the a limbs of all its switching
-keys, every digit and base of each, in one such draw.
+Streaming: LaneSampler steps its lanes in groups of at most _GROUP_LANES,
+one TriviumLanes each, and each group in chunks of at most _CHUNK_WORDS
+words (rounds times lanes), so every chunk has at least
+_CHUNK_WORDS/_GROUP_LANES rounds and its working memory does not grow with
+the lane count.  Per chunk it masks and compares the words once, compresses
+the accepted ones lane by lane, and then per lane copies one slice into its
+output and keeps the slice beyond the request for the next draw.
+TriviumLanes.words converts its packed rounds to uint64 in chunks of the
+same bound.  Keygen draws the a limbs of all its switching keys, every
+digit and base of each, in one such draw.
 """
 
 from __future__ import annotations
@@ -45,19 +49,19 @@ from typing import List, Sequence
 
 import numpy as np
 
-_M64 = (1 << 64) - 1
-
 INIT_ROUNDS = 18
 WORD_BITS = 64
-LANE_BITS = 128
-# Words (rounds times lanes) stepped, converted and scattered at a time.
+LANE_BITS = 112
+# Words (rounds times lanes) stepped, converted and accepted at a time.
 _CHUNK_WORDS = 1 << 15
+# Lanes a sampler steps together, in one TriviumLanes.
+_GROUP_LANES = 256
 
 
-def _lane_mask(lanes: int) -> int:
-    """The low 64 bits of each of `lanes` 128-bit lanes."""
-    return int.from_bytes(b"\xff" * 8 + b"\x00" * 8, "little") * sum(
-        1 << LANE_BITS * i for i in range(lanes))
+def _lane_mask(lanes: int, bits: int) -> int:
+    """The low `bits` bits of each of `lanes` lanes, bits a multiple of 8."""
+    lane = b"\xff" * (bits // 8) + b"\x00" * ((LANE_BITS - bits) // 8)
+    return int.from_bytes(lane * lanes, "little")
 
 
 def _reversed64(seed: int) -> int:
@@ -65,11 +69,26 @@ def _reversed64(seed: int) -> int:
     return int(f"{seed:064b}"[::-1], 2)
 
 
+def _integer(x, what: str) -> int:
+    """x as a Python int, when it is a Python or NumPy integer and no bool."""
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {type(x).__name__} {x!r}")
+    return int(x)
+
+
+def _count(n, what: str) -> int:
+    """n as a Python int, when it is a non-negative integer."""
+    n = _integer(n, f"the number of {what}")
+    if n < 0:
+        raise ValueError(f"cannot draw {n} {what}")
+    return n
+
+
 class TriviumLanes:
     """One 288-bit Trivium per seed, all stepped 64 clocks at a time."""
 
     def __init__(self, seeds: Sequence[int]):
-        seeds = list(seeds)
+        seeds = [_integer(seed, "a seed") for seed in seeds]
         if not seeds:
             raise ValueError("at least one seed is needed")
         for seed in seeds:
@@ -78,7 +97,8 @@ class TriviumLanes:
         self.lanes = len(seeds)
         # Rounds of all lanes that make at most _CHUNK_WORDS words (at least one).
         self.chunk_rounds = max(1, _CHUNK_WORDS // self.lanes)
-        self._mask = _lane_mask(self.lanes)
+        self._low64 = _lane_mask(self.lanes, 64)
+        self._low48 = _lane_mask(self.lanes, 48)
         # A: s1..s93, B: s94..s177, C: s178..s288 (bit p of A = s_(93-p), etc.):
         # the seed fills the key slots s1..s64 and the IV slots s94..s157.
         self._a = self._b = self._c = 0
@@ -92,8 +112,8 @@ class TriviumLanes:
 
     def _packed(self, rounds: int) -> bytearray:
         """Step `rounds` rounds; every round's output words of all lanes, as
-        little-endian bytes, 128 bits per lane with the word in the low half."""
-        a, b, c, m = self._a, self._b, self._c, self._mask
+        little-endian bytes, 112 bits per lane with the word in the low 64."""
+        a, b, c, m, m48 = self._a, self._b, self._c, self._low64, self._low48
         width = LANE_BITS // 8 * self.lanes
         out = bytearray()
         for _ in range(rounds):
@@ -104,25 +124,36 @@ class TriviumLanes:
             f1 = (t1 ^ (a >> 2 & a >> 1) ^ b >> 6) & m    # + s91*s92 + s171
             f2 = (t2 ^ (b >> 2 & b >> 1) ^ c >> 24) & m   # + s175*s176 + s264
             f3 = (t3 ^ (c >> 2 & c >> 1) ^ a >> 24) & m   # + s286*s287 + s69
-            a = (a >> 64 & m) | f3 << 29        # 93 - 64
-            b = (b >> 64 & m) | f1 << 20        # 84 - 64
-            c = (c >> 64 & m) | f2 << 47        # 111 - 64
+            a = (a >> 64 & m48) | f3 << 29      # 93 - 64
+            b = (b >> 64 & m48) | f1 << 20      # 84 - 64
+            c = (c >> 64 & m48) | f2 << 47      # 111 - 64
         self._a, self._b, self._c = a, b, c
         return out
 
     def words(self, rounds: int) -> np.ndarray:
         """The next `rounds` output words as a (rounds, lanes) uint64 array."""
+        rounds = _count(rounds, "rounds")
+        lane_bytes = LANE_BITS // 8
         out = np.empty((rounds, self.lanes), dtype=np.uint64)
         for start in range(0, rounds, self.chunk_rounds):
             step = min(self.chunk_rounds, rounds - start)
-            raw = np.frombuffer(self._packed(step), dtype="<u8")
-            out[start:start + step] = raw.reshape(step, self.lanes, 2)[:, :, 0]
+            out[start:start + step] = np.ndarray(
+                (step, self.lanes), dtype="<u8", buffer=self._packed(step),
+                strides=(lane_bytes * self.lanes, lane_bytes))
         return out
 
 
 def trivium_stream(seed: int, count: int) -> List[int]:
     """First `count` 64-bit keystream words for the given seed."""
+    count = _count(count, "words")
     return TriviumLanes([seed]).words(count)[:, 0].tolist()
+
+
+def _carried(pieces: List[np.ndarray]) -> np.ndarray:
+    """The residues a lane keeps for its next draw: its slices beyond the
+    request, in keystream order, joined into one array of their own (so no
+    chunk outlives the draw)."""
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint64)
 
 
 class LaneSampler:
@@ -132,65 +163,69 @@ class LaneSampler:
     values >= q_i, so its residues are exactly uniform and are the ones a
     word-by-word rejection loop over the same keystream returns; for a
     w-bit modulus the masked candidate is below 2q and at most every second
-    word is wasted.  A draw steps all lanes a chunk at a time: each chunk is
-    the expected number of rounds the neediest lane still takes, plus a
-    margin, capped at the stream's chunk_rounds.  The residues a lane has
-    beyond the draw wait for the next one.
+    word is wasted.  A draw steps each group of lanes a chunk at a time:
+    each chunk is the expected number of rounds the group's neediest lane
+    still takes, plus a margin, capped at the stream's chunk_rounds.  The
+    residues a lane has beyond the draw wait for the next one.
     """
 
     def __init__(self, seeds: Sequence[int], moduli: Sequence[int]):
+        seeds = list(seeds)
+        moduli = [_integer(q, "a modulus") for q in moduli]
+        if not seeds:
+            raise ValueError("at least one seed is needed")
         if len(seeds) != len(moduli):
             raise ValueError("one modulus per seed is needed")
         if any(not 2 <= q < 1 << 64 for q in moduli):
             raise ValueError("moduli must lie in [2, 2^64)")
-        self._stream = TriviumLanes(seeds)
-        self._q = np.array(moduli, dtype=np.uint64)[:, None]
-        self._mask = np.array([(1 << q.bit_length()) - 1 for q in moduli], dtype=np.uint64)
+        q = np.array(moduli, dtype=np.uint64)[:, None]
+        mask = np.array([(1 << m.bit_length()) - 1 for m in moduli], dtype=np.uint64)[:, None]
         # Expected words per accepted residue, per lane.
-        self._cost = np.array([(1 << q.bit_length()) / q for q in moduli])
+        cost = [(1 << m.bit_length()) / m for m in moduli]
+        # The fewest groups of at most _GROUP_LANES lanes, of near-equal size
+        # (a small group costs more per word); per group its stream, first
+        # lane, q and mask columns and costs.
+        groups = -(-len(seeds) // _GROUP_LANES)
+        size = -(-len(seeds) // groups)
+        self._groups = [(TriviumLanes(seeds[lo:lo + size]), lo, q[lo:lo + size],
+                         mask[lo:lo + size], cost[lo:lo + size])
+                        for lo in range(0, len(seeds), size)]
         self._pending = [np.empty(0, dtype=np.uint64) for _ in moduli]
 
     def draw(self, n: int) -> np.ndarray:
         """The next n residues of every lane, as a (lanes, n) uint64 array."""
-        if n < 0:
-            raise ValueError(f"cannot draw {n} residues")
-        lanes = len(self._pending)
-        out = np.empty((lanes, n), dtype=np.uint64)
-        # have[i]: residues lane i has produced for this draw, past n included.
-        have = np.array([len(p) for p in self._pending])
-        for row, p in zip(out, self._pending):
-            row[:len(p)] = p[:n]
-        rests = [p[n:] for p in self._pending]
-        row_starts = np.arange(lanes)[:, None] * n
-        over_lanes, over_words = [], []
-        while True:
-            expected = float(np.max(np.maximum(n - have, 0) * self._cost))
-            if expected <= 0:
-                break
-            # The margin is about one standard deviation of the rounds a lane
-            # needs when half its words are rejected.
-            rounds = math.ceil(expected) + math.isqrt(math.ceil(expected)) + 1
-            words = self._stream.words(min(rounds, self._stream.chunk_rounds))
-            words &= self._mask
-            words = words.T
-            keep = words < self._q
-            # Each accepted word's place in its lane's residues of this draw.
-            pos = np.cumsum(keep, axis=1)
-            pos += have[:, None] - 1
-            have = pos[:, -1] + 1
-            over = keep & (pos >= n)
-            if over.any():
-                over_lanes.append(np.nonzero(over)[0])
-                over_words.append(words[over])
-                keep &= ~over
-            pos += row_starts
-            out.reshape(-1)[pos[keep]] = words[keep]
-        if over_lanes:
-            # Stable by lane, so each lane's words stay in keystream order.
-            lane = np.concatenate(over_lanes)
-            order = np.argsort(lane, kind="stable")
-            ends = np.cumsum(np.bincount(lane, minlength=lanes))[:-1]
-            rests = [np.concatenate(pair) for pair in
-                     zip(rests, np.split(np.concatenate(over_words)[order], ends))]
-        self._pending = rests
+        n = _count(n, "residues")
+        out = np.empty((len(self._pending), n), dtype=np.uint64)
+        for stream, lo, q, mask, cost in self._groups:
+            rows = list(out[lo:lo + stream.lanes])
+            # need[j]: residues lane lo+j still lacks; kept[j]: its slices past n.
+            need, kept = [], []
+            for row, p in zip(rows, self._pending[lo:lo + stream.lanes]):
+                row[:len(p)] = p[:n]
+                need.append(max(n - len(p), 0))
+                kept.append([p[n:]] if len(p) > n else [])
+            while True:
+                expected = max(k * c for k, c in zip(need, cost))
+                if expected <= 0:
+                    break
+                # The margin is about one standard deviation of the rounds a
+                # lane needs when half its words are rejected.
+                rounds = math.ceil(expected) + math.isqrt(math.ceil(expected)) + 1
+                words = np.bitwise_and(stream.words(min(rounds, stream.chunk_rounds)).T,
+                                       mask, order="C")
+                keep = words < q
+                # lane by lane, each in keystream order
+                accepted = np.compress(keep.reshape(-1), words.reshape(-1))
+                start = 0
+                for j, end in enumerate(np.cumsum(np.count_nonzero(keep, axis=1)).tolist()):
+                    k = need[j]
+                    if k:
+                        stop = end if end - start < k else start + k
+                        rows[j][n - k:n - k + stop - start] = accepted[start:stop]
+                        need[j] = k - stop + start
+                        start = stop
+                    if start < end:
+                        kept[j].append(accepted[start:end])
+                    start = end
+            self._pending[lo:lo + stream.lanes] = map(_carried, kept)
         return out

@@ -7,10 +7,10 @@ wide-integer CRT arithmetic) and returns a summary with the number of
 elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
 fold from the uint64 NTT kernel or from the two-operand MAS product, skew
-one doubling step of the psi-power table, or drop one lane's mask from the
-lane-packed keystream, so the harness itself can be shown to catch
-regressions.  The ckks suite checks that an edited copy of a limb reaches
-the next routine.
+one doubling step of the psi-power table, drop one lane's masks from the
+lane-packed keystream, or drop the residues a sampler lane draws beyond its
+request, so the harness itself can be shown to catch regressions.  The
+ckks suite checks that an edited copy of a limb reaches the next routine.
 
 Every transform reads the stored twiddle table of its modulus, built in
 NumPy.  TwiddleSource.power, the model of the hardware's on-the-fly twiddle
@@ -37,7 +37,7 @@ from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
                          intt_oracle, intt_reference, intt_rows, mas, mas_rows,
                          ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows)
-from .trivium import TriviumLanes, trivium_stream
+from .trivium import LaneSampler, TriviumLanes, trivium_stream
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,13 @@ def trivium_bit_serial(seed: int, count: int) -> List[int]:
     return words
 
 
+def rejection_sampled(stream: List[int], q: int) -> List[int]:
+    """Residues mod q from a keystream, word by word: each word cut to
+    bitlen(q) bits and kept when it is below q."""
+    mask = (1 << q.bit_length()) - 1
+    return [w & mask for w in stream if w & mask < q]
+
+
 # ---------------------------------------------------------------------------
 # Fault injection (mutation-testing hook for the harness itself)
 
@@ -113,9 +120,17 @@ def _roll_index_map(original):
 
 
 def _drop_lane_mask(original):
-    """The lane mask without lane 1's word: one lane alone is unaffected."""
-    def faulty(lanes):
-        return original(lanes) & ~(trivium._M64 << trivium.LANE_BITS)
+    """The lane masks without lane 1's bits: one lane alone is unaffected."""
+    def faulty(lanes, bits):
+        return original(lanes, bits) & ~((1 << bits) - 1 << trivium.LANE_BITS)
+    return faulty
+
+
+def _drop_carry(original):
+    """A sampler lane's residues beyond its request dropped, not kept for its
+    next draw."""
+    def faulty(pieces):
+        return original([])
     return faulty
 
 
@@ -148,6 +163,7 @@ FAULTS = {
     "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
     "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
+    "sampler-carry": ("kernels", trivium, "_carried", _drop_carry),
 }
 
 
@@ -355,11 +371,28 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     # show any bit that crosses a lane boundary
     ones = (1 << 64) - 1
     seeds = [ones, 0, ones, rng.getrandbits(64), 1, ones]
+    streams = {sd: trivium_bit_serial(sd, words) for sd in seeds}
     lanes = TriviumLanes(seeds).words(words)
     for i, sd in enumerate(seeds):
         res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
-                  lanes[:, i].tolist() == trivium_bit_serial(sd, words),
-                  comparisons=words)
+                  lanes[:, i].tolist() == streams[sd], comparisons=words)
+    # sampler bookkeeping vs word-by-word rejection over the bit-serial stream:
+    # moduli just above a power of two reject about half the words, those just
+    # below almost none; the second draw opens with what the first one drew
+    # beyond its request; one lane more than a group makes two groups
+    counts = (24, 16)   # at least every second word is kept: 5 words a residue spare
+    seeds = list(streams)
+    moduli = [(1 << 44) + 1, (1 << 45) - 1, 97, (1 << 63) + 1, (1 << 64) - 1]
+    lanes = trivium._GROUP_LANES + 1
+    pairs = [(seeds[i % len(seeds)], moduli[i % len(moduli)]) for i in range(lanes)]
+    sampler = LaneSampler(*zip(*pairs))
+    draws = [sampler.draw(k) for k in counts]
+    for i, (sd, q) in enumerate(pairs):
+        want = rejection_sampled(streams[sd], q)
+        for d, (k, got) in enumerate(zip(counts, draws), 1):
+            res.check(f"trivium lane {i} of {lanes} residues q={q:#x} draw {d}",
+                      got[i].tolist() == want[:k], comparisons=k)
+            want = want[k:]
     return res
 
 

@@ -779,6 +779,20 @@ def test_rows_kernels_refuse_non_integer_input(bad):
         mas(MasOp.ADD, Poly(list(np.asarray(bad[-1])), m), Poly([0] * 16, m))
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_a_bool_among_ints_is_refused(flag):
+    # NumPy holds [3, True, 0, ...] as int64, which would read True as 1
+    m = find_ntt_prime(40, 32)
+    row = [3, flag] + [0, 1] * 7
+    with pytest.raises(ResidueOutOfRange, match="got dtype bool"):
+        Poly(row, m)
+    for kernel in (ntt_rows, intt_rows):
+        with pytest.raises(ResidueOutOfRange, match="got dtype bool"):
+            kernel([row], (m,))
+        with pytest.raises(ResidueOutOfRange, match="got dtype bool"):
+            kernel([np.zeros(16, dtype=np.uint64), tuple(row)], (m, m))
+
+
 def test_rows_kernels_take_integers_in_every_form():
     m = find_ntt_prime(40, 32)
     ints = [RNG.randrange(m.q) for _ in range(16)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fhesim import trivium
 from fhesim.modarith import is_prime
 from fhesim.trivium import LaneSampler, TriviumLanes, trivium_stream
-from fhesim.verify import trivium_bit_serial
+from fhesim.verify import rejection_sampled, trivium_bit_serial
 
 
 def test_deterministic():
@@ -137,15 +137,12 @@ def _prime_below(x: int) -> int:
     return x
 
 
-def _scalar_rejection(seed: int, q: int, n: int) -> list:
+def _scalar_rejection(seed: int, q: int, n: int, stream=_bit_serial) -> list:
     """First n residues of word-by-word rejection over the bit-serial stream."""
-    mask = (1 << q.bit_length()) - 1
     count = 4 * n + 64
-    while True:
-        out = [w & mask for w in _bit_serial(seed, count) if w & mask < q]
-        if len(out) >= n:
-            return out[:n]
+    while len(out := rejection_sampled(stream(seed, count), q)) < n:
         count *= 2
+    return out[:n]
 
 
 # Primes just above 2^(b-1) reject about half the words, those just below 2^b
@@ -245,3 +242,83 @@ def test_wide_draw_steps_at_most_one_chunk_at_a_time(monkeypatch):
     assert len(asked) >= 3 and max(asked) <= trivium._CHUNK_WORDS
     for i in (0, 7, 8, 999):
         assert got[i].tolist() == LaneSampler([seeds[i]], [moduli[i]]).draw(100)[0].tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TriviumLanes([1]).words(-3), lambda: trivium_stream(5, -1),
+    lambda: LaneSampler([5], [97]).draw(-1), lambda: TriviumLanes([1]).words(2.0),
+    lambda: trivium_stream(5, True), lambda: LaneSampler([5], [97]).draw(1.5)],
+    ids=["words-negative", "stream-negative", "draw-negative", "words-float",
+         "stream-bool", "draw-float"])
+def test_counts_must_be_non_negative_integers(call):
+    with pytest.raises(ValueError, match="cannot draw|must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TriviumLanes([True]), lambda: TriviumLanes([1.0]),
+    lambda: TriviumLanes([np.True_]), lambda: trivium_stream(2.0, 3),
+    lambda: LaneSampler([1.0], [97]), lambda: LaneSampler([False], [97]),
+    lambda: LaneSampler([1], [97.0]), lambda: LaneSampler([1], [True]),
+    lambda: LaneSampler([1], [np.float64(97)])],
+    ids=["lanes-bool", "lanes-float", "lanes-np-bool", "stream-float", "sampler-float-seed",
+         "sampler-bool-seed", "sampler-float-modulus", "sampler-bool-modulus",
+         "sampler-np-float-modulus"])
+def test_bool_and_float_seeds_and_moduli_are_refused(call):
+    # True would be seed 1 and 97.0 a modulus; neither is an integer here
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_seeds_and_moduli_are_taken():
+    assert TriviumLanes([np.uint64(ONES)]).words(5)[:, 0].tolist() == trivium_stream(ONES, 5)
+    assert trivium_stream(np.int64(7), 5) == trivium_stream(7, 5)
+    got = LaneSampler([np.uint64(88), np.int32(3)], [np.uint64(97), np.int64(MODULI[4])])
+    assert got.draw(30).tolist() == LaneSampler([88, 3], [97, MODULI[4]]).draw(30).tolist()
+
+
+def test_an_empty_sampler_is_refused():
+    with pytest.raises(ValueError, match="at least one seed"):
+        LaneSampler([], [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), group=st.integers(1, 5), chunk_words=st.integers(1, 64))
+def test_grouped_draws_equal_scalar_draws(data, group, chunk_words):
+    # Small groups and chunks make a few lanes span several groups and a short
+    # draw several chunks; a draw of 0 and the carry between draws are included.
+    lanes = data.draw(st.integers(1, 14), label="lanes")
+    seeds = data.draw(st.lists(st.sampled_from([0, ONES, 1, 88, 12345]), min_size=lanes,
+                               max_size=lanes), label="seeds")
+    moduli = data.draw(st.lists(st.sampled_from(MODULI), min_size=lanes, max_size=lanes),
+                       label="moduli")
+    counts = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4), label="counts")
+    counts.insert(data.draw(st.integers(0, len(counts)), label="zero at"), 0)
+    with mock.patch.object(trivium, "_GROUP_LANES", group), \
+            mock.patch.object(trivium, "_CHUNK_WORDS", chunk_words):
+        sampler = LaneSampler(seeds, moduli)
+        assert len(sampler._groups) == -(-lanes // group)
+        got = np.concatenate([sampler.draw(k) for k in counts], axis=1)
+    assert got.shape == (lanes, sum(counts))
+    for i, (seed, q) in enumerate(zip(seeds, moduli)):
+        want = _scalar_rejection(seed, q, sum(counts), stream=trivium_stream)
+        assert got[i].tolist() == want, f"lane {i}"
+
+
+# s1..s93, s94..s177 and s178..s288: each register's length in bits
+REGISTER_BITS = {"_a": 93, "_b": 84, "_c": 111}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.one_of(st.sampled_from([0, ONES]), st.integers(0, ONES)),
+                      min_size=1, max_size=9),
+       rounds=st.integers(0, 40))
+def test_lane_bits_above_each_register_stay_zero(seeds, rounds):
+    gen = TriviumLanes(seeds)
+    gen.words(rounds)
+    for name, length in REGISTER_BITS.items():
+        reg = getattr(gen, name)
+        assert reg >> trivium.LANE_BITS * len(seeds) == 0, name
+        for i in range(len(seeds)):
+            above = reg >> trivium.LANE_BITS * i + length
+            assert above & (1 << trivium.LANE_BITS - length) - 1 == 0, (name, i)
