@@ -10,10 +10,11 @@ nothing about them claims cryptographic security.
 Inside every routine a ring element is one (rows, N) uint64 array, one row
 per RNS limb, and each step runs on all its limbs in one call of the rows
 kernels of polykernel: ntt_rows/intt_rows (rows may carry different
-moduli), automorphism_ntt_rows, mas_rows (products of two varying operands
-through _mulmod_vv, with its own quotient-error bound) and the base
-conversion below.  Where products are summed before a single reduction
-(key multiplication, base conversion) the no-wrap bound is asserted.
+moduli), automorphism_ntt_rows, mas_rows and the base conversion below.
+Every modular product is polykernel's one signed product, and every result
+leaves through its one canonical end; where products are summed in int64
+before that reduction (key multiplication, base conversion), _lazy_terms
+bounds the terms, and a longer sum raises LazySumOverflow.
 Switching keys are stored as arrays too: each KskDigit holds ksk0, and
 once expanded ksk1, as one (bases, N) array; the keys of one keygen share
 one (keys, digits, bases, N) ksk0 array, the single keystream draw of all
@@ -57,10 +58,10 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (_VV_OFFSET, Domain, LengthMismatch, MasOp, Poly, _fold, _frozen,
-                         _mulmod, _mulmod_lazy, _mulmod_vv_lazy, _stack, _unstack,
-                         automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns,
-                         ntt_rows, poly_to_bytes, row_to_bytes, rows_from_bytes)
+from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _canonical, _element_ratios,
+                         _frozen, _mulmod_signed, _stack, _unstack, automorphism_ntt_rows,
+                         intt_rows, mas_rows, modulus_columns, ntt_rows, poly_to_bytes,
+                         row_to_bytes, rows_from_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -99,6 +100,10 @@ class MissingRotationKey(Exception):
 
 class SlotOverflow(Exception):
     pass
+
+
+class LazySumOverflow(ValueError):
+    """A lazy sum holds more products than the canonical end reduces exactly."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +158,28 @@ def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
             moduli: Sequence[PrimeModulus]) -> np.ndarray:
     """(a - b) * scalar_r mod q_r on every row r, one fused triadic pass per limb.
 
-    The scalar is fixed per row, so its ratio s/q is correctly rounded and
-    _mulmod's bound applies."""
-    q, _ = modulus_columns(tuple(moduli))
+    The scalar is fixed per row, so its ratio s/q is correctly rounded; the
+    difference, in (-q, q), goes into the signed product as it is."""
+    q, qinv = modulus_columns(tuple(moduli))
+    q = q.view(np.int64)
     w = [s % m.q for s, m in zip(scalars, moduli)]
-    diff = a - b
-    diff += q
-    out = _mulmod(_fold(diff, q), np.array(w, dtype=np.uint64)[:, None],
-                  np.array([v / m.q for v, m in zip(w, moduli)])[:, None], q)
+    diff = a.view(np.int64) - b.view(np.int64)
+    out = _canonical(_mulmod_signed(diff, np.array(w)[:, None],
+                                    np.array([v / m.q for v, m in zip(w, moduli)])[:, None],
+                                    q, out=diff), q, qinv)
     _tick("MAS", _limbs_in(out))
     return out
+
+
+def _lazy_terms(moduli: Sequence[PrimeModulus], a_max: int = 0) -> int:
+    """The most products of an operand below a_max (q by default) and one
+    below q whose int64 sum the canonical end reduces exactly, over every q
+    of moduli.  A product is below P = q + (6*a_max*q >> 53) + 1, above
+    polykernel._mulmod_signed's q + 5.01u*a_max*q, and m of them need
+    m*P <= min(2^63, q << 51), as polykernel._canonical takes.  With no
+    moduli there is no sum to bound."""
+    return min((min(1 << 63, m.q << 51) // (m.q + (6 * (a_max or m.q) * m.q >> 53) + 1)
+                for m in moduli), default=1 << 63)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +191,14 @@ def _submul(a: np.ndarray, b: np.ndarray, scalars: Sequence[int],
 @functools.lru_cache(maxsize=256)
 def _gadget(basis: RnsBasis, j: int) -> Tuple[np.ndarray, np.ndarray]:
     """P * Qhat_j * [Qhat_j^-1]_{D_j} over all PQ_L bases, for digit j of the
-    top level, as the (w, w/q) operand columns of the product kernel."""
+    top level, as the int64 (w, w/q) operand columns of the signed product."""
     q_mods = [m.q for m in basis.q_list]
     digit = opcount.digit_ranges(basis.l_max, basis.k)[j]
     d_j = reduce(lambda a, b: a * b, (q_mods[i] for i in digit))
     q_hat = reduce(lambda a, b: a * b, q_mods) // d_j
     g = basis.p_product * q_hat * pow(q_hat, -1, d_j)
     bases = basis.q_list + basis.p_list
-    return _frozen(np.array([g % m.q for m in bases], dtype=np.uint64)[:, None],
+    return _frozen(np.array([g % m.q for m in bases], dtype=np.int64)[:, None],
                    np.array([g % m.q / m.q for m in bases])[:, None])
 
 
@@ -189,27 +206,25 @@ def _gadget(basis: RnsBasis, j: int) -> Tuple[np.ndarray, np.ndarray]:
 def _bconv_plan(sources: Tuple[PrimeModulus, ...],
                 targets: Tuple[PrimeModulus, ...]) -> tuple:
     """The constant multipliers of a base conversion, for S sources and T
-    targets, as two (w, w/q, q) operand triples of the product kernel: hat_inv mod
-    q_s shaped (S, 1), and hat mod q_t shaped (T, S, 1) with q_t shaped
-    (T, 1, 1).  Python's int division rounds each w/q correctly."""
+    targets, as two int64 (w, w/q) operand pairs of the signed product:
+    hat_inv mod q_s shaped (S, 1), and hat mod q_t shaped (T, S, 1).  Python's
+    int division rounds each w/q correctly.  The S products into each target
+    are summed before one reduction, so S may not pass _lazy_terms."""
     mods = [m.q for m in sources]
     t_mods = [m.q for m in targets]
-    # Each lazy product into target q_t is below 7*q_t (_mulmod_lazy),
-    # so the sum of one per source stays below 2^64 and a single
-    # reduction of it is exact: at most 146 sources for q_t < 2^54.
-    assert 7 * len(mods) * max(t_mods, default=0) <= 1 << 64, "BConv sum would wrap"
+    if len(mods) > _lazy_terms(targets, max(mods, default=0)):
+        raise LazySumOverflow(f"a base conversion from {len(mods)} sources can wrap "
+                              f"its int64 sum")
     d = reduce(lambda a, b: a * b, mods)
     hat = [d // q for q in mods]
     hat_inv = [pow(h, -1, q) for h, q in zip(hat, mods)]
     hat_mod_t = [[h % qt for h in hat] for qt in t_mods]
     return (
-        _frozen(np.array(hat_inv, dtype=np.uint64)[:, None],
-                np.array([h / q for h, q in zip(hat_inv, mods)])[:, None],
-                np.array(mods, dtype=np.uint64)[:, None]),
-        _frozen(np.array(hat_mod_t, dtype=np.uint64)[:, :, None],
+        _frozen(np.array(hat_inv, dtype=np.int64)[:, None],
+                np.array([h / q for h, q in zip(hat_inv, mods)])[:, None]),
+        _frozen(np.array(hat_mod_t, dtype=np.int64)[:, :, None],
                 np.array([[h / qt for h in row] for row, qt in zip(hat_mod_t, t_mods)])
-                [:, :, None],
-                np.array(t_mods, dtype=np.uint64)[:, None, None]),
+                [:, :, None]),
     )
 
 
@@ -458,7 +473,8 @@ class CkksContext:
         seeded, ksk1 None until first use (_fill_ksk1).
         """
         bases = tuple(self.all_bases())
-        q, _ = modulus_columns(bases)
+        q, qinv = modulus_columns(bases)
+        q = q.view(np.int64)
         n_digits = len(opcount.digit_ranges(self.basis.l_max, self.basis.k))
         seeds = [[[derive_seed(master, j, t) for t in range(len(bases))]
                   for j in range(n_digits)] for master in master_seeds]
@@ -470,7 +486,8 @@ class CkksContext:
         for i, (s_target, key_rows, key_seeds) in enumerate(zip(targets, ksk0, seeds)):
             e = self._small_ntt([self._gaussian_ints(rng) for _ in key_rows], bases)
             for j, a in enumerate(key_rows):
-                g_s = _mulmod(s_target, *_gadget(self.basis, j), q)
+                g_s = _canonical(_mulmod_signed(s_target.view(np.int64),
+                                                *_gadget(self.basis, j), q), q, qinv)
                 a[:] = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, e[j], g_s, bases),
                                 mas_rows(MasOp.MUL, a, s, bases), bases)
             ksk1 = kept[i] if i < expanded else [None] * n_digits
@@ -602,18 +619,20 @@ class CkksContext:
                targets: Tuple[PrimeModulus, ...]) -> np.ndarray:
         """bconv_routine on a (..., sources, N) stack, returning (..., targets, N).
 
-        All rows go through the uint64 product kernel at once: the source
-        residues times hat_inv mod q_s, reduced, then those (each below its
-        own q_s, which may exceed q_t) times hat mod q_t, left lazy, summed
-        over the sources and reduced once per target.
+        All rows go through the signed product at once: the source residues
+        times hat_inv mod q_s, brought into [0, q_s) by the canonical end, then
+        those (each below its own q_s, which may exceed q_t) times hat mod q_t,
+        summed over the sources in int64 and reduced once per target.
         """
         to_sources, to_targets = _bconv_plan(sources, targets)
+        (q_s, qinv_s), (q_t, qinv_t) = modulus_columns(sources), modulus_columns(targets)
+        q_s, q_t = q_s.view(np.int64), q_t.view(np.int64)
         _tick("MAS", _limbs_in(x))
-        small = _mulmod(x, *to_sources)
+        small = _canonical(_mulmod_signed(x.view(np.int64), *to_sources, q_s), q_s, qinv_s)
         _tick("MAS", len(targets) * _limbs_in(x))
-        acc = _mulmod_lazy(small[..., None, :, :], *to_targets).sum(axis=-2, dtype=np.uint64)
-        acc %= to_targets[2][:, 0]
-        return _ntt(acc, targets)
+        acc = _mulmod_signed(small.view(np.int64)[..., None, :, :], *to_targets,
+                             q_t[:, :, None]).sum(axis=-2)
+        return _ntt(_canonical(acc, q_t, qinv_t), targets)
 
     # -- key switching ------------------------------------------------------
 
@@ -635,22 +654,23 @@ class CkksContext:
         """Sum over the first `digits` digits j of ys[j] * (ksk0_j, ksk1_j), over
         the live bases: a (2, bases, N) stack.
 
-        The products are _mulmod_vv_lazy values, each below
-        (2*_VV_OFFSET + 1)q, added up and reduced once per component.
+        Each product is the signed one, the ratio formed per element from
+        y_j, summed in int64 and reduced once per component; more digits
+        than _lazy_terms allows raise LazySumOverflow.
         """
         live = tuple(self.live_bases(level))
-        # The sums stay below 2^64, so the single reduction is exact: at most
-        # 53 digits for q < 2^54.
-        assert (2 * _VV_OFFSET + 1) * digits * max(m.q for m in live) <= 1 << 64, \
-            "key-product sum would wrap"
+        if digits > _lazy_terms(live):
+            raise LazySumOverflow(f"a key product over {digits} digits can wrap its int64 sum")
         self._fill_ksk1(ksk, range(digits))
         q, qinv = modulus_columns(live)
-        acc = np.zeros((2, len(live), self.n), dtype=np.uint64)
+        q = q.view(np.int64)
+        acc = np.zeros((2, len(live), self.n), dtype=np.int64)
         for y, d in zip(ys, ksk.digits[:digits]):
-            acc[0] += _mulmod_vv_lazy(y, self._live_key_rows(d.ksk0, level), q, qinv)
-            acc[1] += _mulmod_vv_lazy(y, self._live_key_rows(d._ksk1, level), q, qinv)
-        acc %= q
-        return acc
+            y = y.view(np.int64)
+            ratio = _element_ratios(y, qinv)
+            for half, key in zip(acc, (d.ksk0, d._ksk1)):
+                half += _mulmod_signed(self._live_key_rows(key, level).view(np.int64), y, ratio, q)
+        return _canonical(acc, q, qinv)
 
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""

@@ -8,7 +8,9 @@ limbs, row r over its own modulus, on integer residues in [0, q) (checked)
 and moduli below 2^54.  ntt_rows and intt_rows walk the radix-2 stages on
 signed int64 values, split at chunks of about sqrt(N) so that no NumPy
 inner loop is short, and reduce only where _lazy_schedule needs it.
-Products estimate their quotient in float64 (Shoup's trick).  ntt_reference,
+Every kernel multiplies by the one modular product _mulmod_signed (a float64
+quotient estimate, Shoup's trick), sums products lazily in int64 and leaves
+through the one canonical end, _canonical.  ntt_reference,
 intt_reference and mas are one-row calls on Polys, ntt_hybrid the same walk
 split at N1.  The pure-int code is only the oracles ntt_oracle, intt_oracle
 and automorphism_oracle, plus automorphism_shuffle (the AUT unit's dataflow),
@@ -164,12 +166,15 @@ def _bitrev_permutation(size: int) -> np.ndarray:
 def _psi_powers(m: PrimeModulus) -> np.ndarray:
     """[psi^e for e < 2N] of one modulus: the stored twiddle table, shared
     by every table drawn from it.  Built by doubling: the powers below 2h
-    are those below h and those times psi^h, one _mulmod by a constant,
-    exact for every q < 2^54 (TwiddleSource.table is the pure-int oracle)."""
-    table, h, q = np.ones(m.two_n, dtype=np.uint64), 1, np.uint64(m.q)
+    are those below h and those times psi^h, one _mulmod_signed by a
+    constant and _canonical, exact for every q < 2^54 (TwiddleSource.table
+    is the pure-int oracle)."""
+    table, h = np.ones(m.two_n, dtype=np.uint64), 1
+    q, qinv = np.int64(m.q), np.float64(1 / m.q)
     while h < m.two_n:
         w = pow(m.psi, h, m.q)
-        table[h:2 * h] = _mulmod(table[:h], np.uint64(w), np.float64(w / m.q), q)
+        x = _mulmod_signed(table[:h].view(np.int64), np.int64(w), np.float64(w / m.q), q)
+        table[h:2 * h] = _canonical(x, q, qinv)
         h *= 2
     return _frozen(table)[0]
 
@@ -270,13 +275,7 @@ def intt_oracle(p: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Production kernels: word-exact uint64 NumPy, over stacks of limbs
-
-# Multiples of q that _mulmod subtracts, in turn, to fold [0, 7q) into [0, q).
-_PRODUCT_FOLDS = (4, 2, 1)
-# _mulmod_vv adds _VV_OFFSET*q, then folds [0, 20q) into [0, q) by these.
-_VV_OFFSET = 9
-_VV_FOLDS = (16, 8, 4, 2, 1)
+# Production kernels: word-exact NumPy, over stacks of limbs
 
 
 def _shoup_ratios(ws, q: int) -> np.ndarray:
@@ -336,86 +335,6 @@ def _frozen(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
-def _mulmod_lazy(a: np.ndarray, w: np.ndarray, ratio: np.ndarray,
-                 q: np.uint64) -> np.ndarray:
-    """a*w mod q plus a multiple of q, in [0, 7q); a < 2^54, w in [0, q), q < 2^54.
-
-    a need not be below q: base conversion multiplies residues of one
-    modulus by constants of another, smaller one.  The quotient estimate
-    is qhat = floor(fl(fl(a) * r)), with r = fl(w/q) correctly rounded.
-    With Q = a*w/q:
-      |fl(a) - a| <= 1 (exact below 2^53, spacing 2 up to 2^54), fl(a) <= 2^54;
-      w/q < 1, so |r - w/q| <= 2^-54 and r <= 1, hence a*|r - w/q| < 1;
-      fl(a)*r <= 2^54, so the product rounds by at most 1.
-    Hence |fl(fl(a)*r) - Q| <= |fl(a) - a|*r + a*|r - w/q| + 1 < 1 + 1 + 1,
-    and qhat - floor(Q) lies in [-3, 3].  Then a*w - qhat*q equals
-    (a*w mod q) + k*q with k in [-3, 3], so adding 3q gives a value in
-    [0, 7q), below 2^57: the wrapping uint64 arithmetic is exact.  Only
-    a < 2^54 and w < q enter the three error terms, so the bound holds for
-    every a below 2^54 whatever the modulus it is a residue of.
-    """
-    qhat = (a * ratio).astype(np.uint64)
-    qhat *= q
-    x = a * w
-    x -= qhat
-    x += np.uint64(3) * q
-    return x
-
-
-def _mulmod(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.uint64) -> np.ndarray:
-    """a*w mod q in [0, q), by _mulmod_lazy and branch-free folds.
-
-    The operands broadcast against each other, and q may be an array too.
-    """
-    x = _mulmod_lazy(a, w, ratio, q)
-    for k in _PRODUCT_FOLDS:
-        _fold(x, np.uint64(k) * q)
-    return x
-
-
-def _mulmod_vv_lazy(a: np.ndarray, b: np.ndarray, q: np.ndarray,
-                    qinv: np.ndarray) -> np.ndarray:
-    """a*b mod q plus a multiple of q, in [0, 19q), for two varying operands.
-
-    a, b in [0, q), q < 2^54, qinv = fl(1/q) correctly rounded; all four
-    broadcast.  No table holds b/q here, so the ratio is formed per element,
-    r = fl(fl(b) * qinv), and qhat = floor(s) with s = fl(fl(a) * r).  Let
-    u = 2^-53 and Q = a*b/q < q < 2^54.  Each of fl(a), fl(b) is off by at
-    most 1 (exact below 2^53, spacing 2 up to 2^54), and qinv and the two
-    products each carry one relative rounding of at most u, so
-      s = (a + ea)(b + eb)/q * (1 + E),  |ea|, |eb| <= 1,  |E| <= (1+u)^3 - 1.
-    Then |(a + ea)(b + eb) - a*b| <= a + b + 1 < 2q, so
-      |s - Q| < 2(1 + |E|) + Q*|E| < 2.01 + 2^54 * 3.01u < 8.1,
-    and floor(Q) - qhat lies in [-9, 9].  a*b - qhat*q is therefore
-    (a*b mod q) + k*q with k in [-9, 9]; adding 9q gives [0, 19q), below
-    2^59, so the wrapping uint64 arithmetic is exact.  s >= 0, so the cast
-    to uint64 is the floor.  A sum of m such products wraps only if
-    19*m*q > 2^64: callers that reduce a sum once assert the bound.
-    """
-    ratio = b.astype(np.float64) * qinv
-    qhat = (a.astype(np.float64) * ratio).astype(np.uint64)
-    qhat *= q
-    x = a * b
-    x -= qhat
-    x += np.uint64(_VV_OFFSET) * q
-    return x
-
-
-def _mulmod_vv(a: np.ndarray, b: np.ndarray, q: np.ndarray, qinv: np.ndarray,
-               acc: np.ndarray | None = None) -> np.ndarray:
-    """(acc +) a*b mod q in [0, q); _mulmod_vv_lazy then branch-free folds.
-
-    acc, when given, lies in [0, q): the lazy value plus it stays below 20q,
-    which the folds by 16q, 8q, 4q, 2q and q bring into [0, q).
-    """
-    x = _mulmod_vv_lazy(a, b, q, qinv)
-    if acc is not None:
-        x += acc
-    for k in _VV_FOLDS:
-        _fold(x, np.uint64(k) * q)
-    return x
-
-
 def _fold(x: np.ndarray, c: np.uint64) -> np.ndarray:
     """x in [0, 2c) -> x mod c, in place: below c, x - c wraps above x."""
     return np.minimum(x, x - c, out=x)
@@ -468,20 +387,25 @@ def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
     return _checked_rows([p.coeffs for p in limbs], q)
 
 
-# _lazy_rows shifts (-2q, 2q) by 2q, then folds [0, 4q) into [0, q) by these.
+# _canonical shifts (-2q, 2q) by 2q, then folds [0, 4q) into [0, q) by these.
 _CANONICAL_FOLDS = (2, 1)
 
 
 def _mulmod_signed(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """a*w - trunc(fl(fl(a)*r))*q, r = fl(w/q): a*w mod q plus a signed
-    multiple of q; int64 a, w, q with |a| <= 2^62, 0 <= w < q < 2^54.
+    """a*w - trunc(fl(fl(a)*r))*q, a*w mod q plus a signed multiple of q: the
+    one modular product.  int64 a, w, q with q < 2^54, all broadcast, and r =
+    w/q as float64, correctly rounded in a table for a constant w in [0, q)
+    or formed per element (_element_ratios); out may be a.
 
-    With u = 2^-53 and Q = a*w/q: fl(a) is within u|a| of a, fl(fl(a)*r)
-    within u|a| of fl(a)*r (r <= 1), and r within u/2 of w/q < 1, so the
-    quotient is off by less than 1 + 2.5*|a|*2^-53 and the result lies below
-    q*(1 + 2.5u|a|) in magnitude: exact in wrapping int64 arithmetic where
-    that is below 2^63.  out may be a.
+    With u = 2^-53 and Q = a*w/q, the result is q*(Q - trunc(s)) for the
+    quotient s.  From a table, fl(a) is within u|a| of a, fl(fl(a)*r) within
+    u|a| of fl(a)*r (r <= 1) and r within u/2 of w/q < 1, so the result is
+    below q*(1 + 2.5u|a|), the bound _lazy_schedule walks.  Per element, r
+    and s carry five relative roundings of at most u (fl(w), qinv = fl(1/q),
+    fl(a), two products; three from a table), so s = Q*(1 + e), |e| < 5.01u
+    (3.01u), and the result is below q + 5.01u|a*w|: exact in wrapping int64
+    arithmetic where that is below 2^63.
     """
     qhat = np.empty(np.broadcast(a, ratio).shape, np.int64)
     np.multiply(a, ratio, out=qhat, casting="unsafe")
@@ -491,12 +415,31 @@ def _mulmod_signed(a: np.ndarray, w: np.ndarray, ratio: np.ndarray, q: np.ndarra
     return out
 
 
+def _element_ratios(w: np.ndarray, qinv: np.ndarray) -> np.ndarray:
+    """fl(fl(w)*qinv): _mulmod_signed's ratio for int64 w that no table holds."""
+    return np.multiply(w, qinv)
+
+
 def _reduce_signed(x: np.ndarray, q: np.ndarray, qinv: np.ndarray) -> None:
     """x -= trunc(fl(fl(x)*qinv))*q in place, qinv = fl(1/q): _mulmod_signed
     at w = 1, but with all three roundings relative, |x| < q + 3.01*|x|*2^-53."""
     qhat = np.multiply(x, qinv, out=np.empty(x.shape, np.int64), casting="unsafe")
     qhat *= q
     x -= qhat
+
+
+def _canonical(x: np.ndarray, q: np.ndarray, qinv: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """x mod q in [0, q) as uint64, the one exit of every kernel, for int64 x
+    below some B <= min(2^63, q << 51): _reduce_signed leaves |x| < q +
+    3.01u*B < 2q, the shift by 2q writes (0, 4q) to out (x by default, or an
+    integer array of x's shape), and _CANONICAL_FOLDS fold that into [0, q)."""
+    _reduce_signed(x, q, qinv)
+    out = (x if out is None else out).view(np.uint64)
+    np.add(x, _CANONICAL_FOLDS[0] * q, out=out.view(np.int64))
+    for k in _CANONICAL_FOLDS:
+        _fold(out, np.uint64(k) * q.view(np.uint64))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -512,7 +455,7 @@ def _lazy_schedule(q: int, n: int, inverse: bool) -> Tuple[bool, ...]:
     exact, and from there a reduced stage stays below 2^58.  The bounds grow
     with q, so every row keeps to them at its own q and ends at a B with
     (B >> 51) + 1 <= q (for q > 2^11 as B <= 2^62, below as q > 2N keeps B
-    under q^2), which the closing reduction needs.
+    under q^2), which _canonical needs.
     """
     stages = n.bit_length() - 1
     plan, b = [], q
@@ -593,9 +536,8 @@ def _lazy_rows(x, moduli: Sequence[PrimeModulus], inverse: bool, chunk: int = 0)
     """ntt_rows or intt_rows split at chunks of `chunk` (n >> floor(log2(n)/2)
     by default): stages that mix the c = n // chunk chunks run on the rows,
     viewed (..., R, c, chunk), the others on z, a transposed copy (..., R,
-    chunk, c).  The inverse makes z from its checked input, the forward
-    writes z back with the shift by 2q, for which the closing reduction
-    leaves |x| < 2q (_lazy_schedule), before _CANONICAL_FOLDS."""
+    chunk, c).  The inverse makes z from its checked input; the forward's
+    _canonical writes z back to the rows."""
     moduli = tuple(moduli)
     q, qinv = modulus_columns(moduli)
     x = _checked_rows(x, q, copy=not inverse)
@@ -630,10 +572,7 @@ def _lazy_rows(x, moduli: Sequence[PrimeModulus], inverse: bool, chunk: int = 0)
             v[...] = d
             d = v = view[..., 0, :, :, :]
         _mulmod_signed(d, w, ratio, qs[..., None], out=v)
-    _reduce_signed(live, qs, qinv)
-    np.add(live.swapaxes(-1, -2) if live is z else live, _CANONICAL_FOLDS[0] * qs, out=rows)
-    for k in _CANONICAL_FOLDS:
-        _fold(x, np.uint64(k) * q)
+    _canonical(live, qs, qinv, rows.swapaxes(-1, -2) if live is z else None)
     return x
 
 
@@ -807,8 +746,10 @@ def mas_rows(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModu
     """Pointwise MAS over (..., R, N) uint64 stacks of residues in [0, q).
 
     Row r is over moduli[r]; the operands broadcast.  ADD and SUB fold one
-    sum or difference; MUL and MAC are one _mulmod_vv each.  Returns a new
-    stack.
+    sum or difference.  MUL is one _mulmod_signed, its ratio formed per
+    element from b (_element_ratios), and MAC adds acc to that product:
+    either lies below q + 5.01u*q^2 + q < 12.1q in magnitude, which _canonical
+    brings into [0, q).  Returns a new stack.
     """
     q, qinv = modulus_columns(tuple(moduli))
     if op == MasOp.ADD:
@@ -817,13 +758,15 @@ def mas_rows(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModu
         x = a - b
         x += q
         return _fold(x, q)
-    if op == MasOp.MUL:
-        return _mulmod_vv(a, b, q, qinv)
+    if op not in (MasOp.MUL, MasOp.MAC):
+        raise ValueError(f"unknown MAS op {op}")  # pragma: no cover
+    if op == MasOp.MAC and acc is None:
+        raise ValueError("MAC requires an accumulator")
+    qs, b = q.view(np.int64), b.view(np.int64)
+    x = _mulmod_signed(a.view(np.int64), b, _element_ratios(b, qinv), qs)
     if op == MasOp.MAC:
-        if acc is None:
-            raise ValueError("MAC requires an accumulator")
-        return _mulmod_vv(a, b, q, qinv, acc)
-    raise ValueError(f"unknown MAS op {op}")  # pragma: no cover
+        x += acc.view(np.int64)
+    return _canonical(x, qs, qinv)
 
 
 def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
@@ -836,9 +779,7 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
     if a.n != b.n or (acc is not None and acc.n != a.n):
         raise LengthMismatch("MAS operands must have equal lengths")
     z = None
-    if op == MasOp.MAC:
-        if acc is None:
-            raise ValueError("MAC requires an accumulator")
+    if op == MasOp.MAC and acc is not None:
         if acc.modulus.q != a.modulus.q:
             raise ModulusMismatch("accumulator uses a different modulus")
         if acc.domain != a.domain:

@@ -143,6 +143,14 @@ def _untransposed_columns(original):
     return faulty
 
 
+def _single_precision_ratios(original):
+    """Per-element ratios rounded to float32: the quotient of a 54-bit product
+    is then off by up to 2^29, and a*b - qhat*q wraps int64."""
+    def faulty(w, qinv):
+        return original(w, qinv).astype(np.float32)
+    return faulty
+
+
 def _skewed_doubling(original):
     """_psi_powers whose last doubling step multiplies by psi^(N+1), not psi^N:
     the upper half of the table is one power too high."""
@@ -161,7 +169,7 @@ FAULTS = {
     "ntt-fold": ("kernels", polykernel, "_CANONICAL_FOLDS", lambda folds: folds[:-1]),
     "ntt-split": ("kernels", polykernel, "_stage_twiddles", _untransposed_columns),
     "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
-    "mas-fold": ("kernels", polykernel, "_VV_FOLDS", lambda folds: folds[:-1]),
+    "mas-ratio": ("kernels", polykernel, "_element_ratios", _single_precision_ratios),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
     "sampler-carry": ("kernels", trivium, "_carried", _drop_carry),
 }

@@ -13,12 +13,13 @@ from hypothesis.extra.numpy import arrays
 from fhesim import ckks, opcount
 from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
-                         KeySwitchKey, LevelExhausted, LevelMismatch, LevelOutOfRange,
-                         MissingRotationKey, RnsPoly, ScaleMismatch, SlotOverflow,
-                         _bconv_plan, _gadget, _rounded_residues, _submul,
+                         KeySwitchKey, LazySumOverflow, LevelExhausted, LevelMismatch,
+                         LevelOutOfRange, MissingRotationKey, RnsPoly, ScaleMismatch,
+                         SlotOverflow, _bconv_plan, _gadget, _lazy_terms,
+                         _rounded_residues, _submul,
                          ciphertext_from_bytes, ciphertext_to_bytes, count_ops, derive_seed,
                          ksk_from_bytes, ksk_to_bytes)
-from fhesim.modarith import find_ntt_prime, make_basis
+from fhesim.modarith import find_ntt_prime, find_ntt_primes, make_basis
 from fhesim.polykernel import (Domain, DomainError, LengthMismatch, Poly, ResidueOutOfRange,
                                _unstack, automorphism_ntt_rows, intt_reference, intt_rows,
                                ntt_reference, ntt_rows)
@@ -617,9 +618,24 @@ def test_bconv_slack_is_multiple_of_source_product(ctx3):
         assert 0 <= diff // p_prod < basis.k
 
 
+def test_lazy_sums_refuse_one_term_past_the_limit(ctx):
+    # BConv sums one product per source before its one reduction, KeyMul one
+    # per digit: at _lazy_terms they go ahead, one term more raises.
+    *sources, target = find_ntt_primes(54, 8, 150)
+    limit = _lazy_terms((target,), sources[-1].q)
+    assert limit == _lazy_terms((target,), sources[0].q) < len(sources)
+    _bconv_plan(tuple(sources[:limit]), (target,))
+    with pytest.raises(LazySumOverflow):
+        _bconv_plan(tuple(sources[:limit + 1]), (target,))
+    level = BASIS.l_max
+    digits = _lazy_terms(tuple(ctx.live_bases(level))) + 1
+    with pytest.raises(LazySumOverflow):
+        ctx._key_products(iter(()), digits, None, level)
+
+
 def test_bconv_cross_modulus_matches_wide_integers():
     # 45-bit residues into 40-bit targets and back: operands of the second
-    # product exceed the target modulus, as the _mulmod_lazy bound allows.
+    # product exceed the target modulus, as the signed product's bound allows.
     basis = make_basis(n=256, levels=3, dnum=2, bits=40, first_bits=45, p_bits=45)
     ctx = CkksContext(basis)
     rngl = random.Random(11)

@@ -76,10 +76,11 @@ def test_verify_twiddle_table_fault_fails(tmp_path):
     assert any("twiddle table inverse" in f for f in failures)
 
 
-def test_verify_mas_fold_fault_fails(tmp_path):
-    # dropping the last fold of the two-operand product leaves residues in [0, 2q)
-    failures = _fault_failures(tmp_path, "mas-fold")
-    assert any("mas mul/mac" in f for f in failures)
+def test_verify_mas_ratio_fault_fails(tmp_path):
+    # per-element ratios in float32 wrap the 54-bit products; nothing else
+    # forms its ratio per element
+    failures = _fault_failures(tmp_path, "mas-ratio")
+    assert failures and all("mas mul/mac" in f for f in failures)
 
 
 def test_verify_aut_ntt_index_fault_fails(tmp_path):
@@ -91,7 +92,7 @@ def test_verify_aut_ntt_index_fault_fails(tmp_path):
 def test_every_fault_breaks_the_kernels_suite():
     # each fault above is one of these; a new fault needs a test of its own
     assert sorted(FAULTS) == sorted(["shuffle-offby1", "trivium-lane", "sampler-carry",
-                                     "ntt-fold", "ntt-split", "twiddle-table", "mas-fold",
+                                     "ntt-fold", "ntt-split", "twiddle-table", "mas-ratio",
                                      "aut-ntt-index"])
     assert {suite for suite, *_ in FAULTS.values()} == {"kernels"}
 

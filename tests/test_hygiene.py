@@ -51,6 +51,26 @@ def _orphaned_helpers(texts) -> list:
     return sorted(defined - used)
 
 
+# The pure-int oracles may assert the property they model; anywhere else a
+# check must raise, since python -O strips an assert.
+PURE_INT_ORACLES = {"ntt_oracle", "intt_oracle", "automorphism_oracle", "automorphism_shuffle"}
+
+
+def _bare_asserts(text: str, allowed=frozenset()) -> list:
+    """Lines of the assert statements in a module that no function named in
+    allowed encloses, at any depth, in source order."""
+    lines = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert) and not inside:
+                lines.append(child.lineno)
+            visit(child, inside or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and child.name in allowed)
+    visit(ast.parse(text), False)
+    return sorted(lines)
+
+
 def test_no_unused_imports():
     unused = {str(path.relative_to(SRC)): names for path in sorted(SRC.rglob("*.py"))
               if (names := _unused_imports(path.read_text()))}
@@ -77,3 +97,19 @@ def test_scan_finds_orphaned_helpers():
              "    def _by_name(self):\n        pass\n\n"
              "    def run(self):\n        return self._by_attr, getattr(self, '_by_name')\n")
     assert _orphaned_helpers(texts) == ["_method", "_orphan"]
+
+
+def test_no_bare_asserts_outside_the_oracles():
+    found = {str(path.relative_to(SRC)): lines for path in sorted(SRC.rglob("*.py"))
+             if (lines := _bare_asserts(path.read_text(), PURE_INT_ORACLES))}
+    assert found == {}
+
+
+def test_scan_finds_bare_asserts():
+    text = ("assert True\n"
+            "def oracle():\n    assert 1\n    def inner():\n        assert 2\n"
+            "def guard():\n    assert 3\n"
+            "class C:\n    def oracle(self):\n        assert 4\n"
+            "    def method(self):\n        assert 5\n")
+    assert _bare_asserts(text) == [1, 3, 5, 7, 10, 12]
+    assert _bare_asserts(text, {"oracle"}) == [1, 7, 12]

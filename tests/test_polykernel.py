@@ -12,11 +12,12 @@ from fhesim import polykernel
 from fhesim.modarith import (NoPrimeFound, PrimeModulus, TwiddleSource,
                              _find_primitive_root, bit_reverse, find_ntt_prime, is_prime,
                              make_basis)
-from fhesim.polykernel import (_VV_OFFSET, Domain, DomainError, InvalidGalois,
+from fhesim.ckks import _lazy_terms
+from fhesim.polykernel import (Domain, DomainError, InvalidGalois,
                                LengthMismatch, MasOp, ModulusMismatch, NttPlan,
                                PlanMismatch, Poly, ResidueOutOfRange, _lazy_schedule,
-                               _mulmod, _mulmod_lazy, _mulmod_signed, _mulmod_vv,
-                               _mulmod_vv_lazy, _aut_ntt_map, _stage_twiddles,
+                               _canonical, _element_ratios, _mulmod_signed,
+                               _aut_ntt_map, _stage_twiddles,
                                _psi_powers, _reduce_signed,
                                _psi_table_bitrev, _shoup_ratios,
                                _twiddle_arrays, automorphism_ntt_rows,
@@ -86,7 +87,7 @@ def test_pointwise_product_exhaustive_tiny():
 
 
 def test_hybrid_equals_reference_across_plans():
-    # 54 bits is the edge of _mulmod's bound, which the hybrid's twiddle pass
+    # 54 bits is the edge of _mulmod_signed's bound, which the hybrid's twiddle pass
     # reaches; N=4096 is a larger ring than the verify suites use.
     for n, bits, reps in ((256, 14, 10), (1024, 14, 10), (1024, 54, 3), (4096, 18, 2)):
         m = find_ntt_prime(bits, 2 * n)
@@ -472,43 +473,6 @@ def test_kernel_equals_oracle_n65536():
     assert intt_reference(out) == intt_oracle(out) == p
 
 
-def test_lazy_product_remainder_bound():
-    # _mulmod_lazy's docstring proves a*w - qhat*q + 3q in [0, 7q); operands
-    # near q-1 and around 2^53 stress the float rounding most at 54 bits.
-    for two_n in (8, 1 << 11, 1 << 17):
-        m = largest_ntt_prime(54, two_n)
-        q = m.q
-        ops = ([q - 1 - i for i in range(64)] + [(1 << 53) + d for d in range(-2, 3)]
-               + [RNG.randrange(q) for _ in range(64)])
-        a = np.array(ops, dtype=np.uint64)[:, None]
-        w = np.array(ops, dtype=np.uint64)[None, :]
-        lazy = _mulmod_lazy(a, w, _shoup_ratios(ops, q)[None, :], np.uint64(q))
-        exact = [[x * y % q for y in ops] for x in ops]
-        assert int(lazy.max()) < 7 * q
-        assert (lazy % np.uint64(q)).tolist() == exact
-        assert _mulmod(a, w, _shoup_ratios(ops, q)[None, :], np.uint64(q)).tolist() == exact
-
-
-def test_lazy_product_bound_for_cross_modulus_operands():
-    # Base conversion multiplies residues of one modulus by constants of
-    # another: a < 2^54 but not below q.  The bound is still [0, 7q).
-    a_ops = ([(1 << 54) - 1 - i for i in range(32)]
-             + [(1 << 53) + d for d in range(-2, 3)]
-             + [RNG.randrange(1 << 53, 1 << 54) for _ in range(200)])
-    a = np.array(a_ops, dtype=np.uint64)[:, None]
-    for bits in (20, 30, 40, 45, 53, 54):
-        for skip in (0, 3):
-            q = find_ntt_prime(bits, 64, skip).q
-            w_ops = [q - 1, q - 2, 1, 0] + [RNG.randrange(q) for _ in range(28)]
-            w = np.array(w_ops, dtype=np.uint64)[None, :]
-            ratio = _shoup_ratios(w_ops, q)[None, :]
-            lazy = _mulmod_lazy(a, w, ratio, np.uint64(q))
-            exact = [[x * y % q for y in w_ops] for x in a_ops]
-            assert int(lazy.max()) < 7 * q, f"{bits}-bit q"
-            assert (lazy % np.uint64(q)).tolist() == exact
-            assert _mulmod(a, w, ratio, np.uint64(q)).tolist() == exact
-
-
 def lazy_walk(schedule, q, inverse):
     """The bound on |x| that the closing reduction of a lazy transform over q
     leaves, walked through the schedule with the proven (real) bounds of
@@ -647,49 +611,127 @@ def _prime_near(x, bits):
 
 
 @st.composite
-def primes_14_to_54(draw):
-    bits = draw(st.integers(14, 54))
+def primes_10_to_54(draw):
+    bits = draw(st.integers(10, 54))
     where = draw(st.sampled_from(["low", "high", "any"]))
     x = {"low": 1 << (bits - 1), "high": (1 << bits) - 2,
          "any": draw(st.integers(1 << (bits - 1), (1 << bits) - 1))}[where]
     return _prime_near(x, bits)
 
 
-@settings(max_examples=200, deadline=None)
-@given(q=primes_14_to_54(), data=st.data())
-def test_two_operand_product_property(q, data):
-    residue = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]))
-    length = data.draw(st.integers(1, 16))
-    a, b, c = (data.draw(st.lists(residue, min_size=length, max_size=length))
-               for _ in range(3))
-    qa, qinv = np.array([[q]], dtype=np.uint64), np.array([[1 / q]])
-    x, y, z = (np.array([v], dtype=np.uint64) for v in (a, b, c))
-    assert _mulmod_vv(x, y, qa, qinv)[0].tolist() == [u * v % q for u, v in zip(a, b)]
-    assert _mulmod_vv(x, y, qa, qinv, z)[0].tolist() == \
-        [(w + u * v) % q for u, v, w in zip(a, b, c)]
+U = Fraction(1, 1 << 53)
 
 
-def test_two_operand_quotient_error_extremes():
-    # _mulmod_vv_lazy's docstring proves floor(a*b/q) - qhat in [-9, 9].  The
-    # extremes observed on these fixed operands (q-1 edges, operands around
-    # 2^53, 2000 random residues) are pinned per width: the float estimate
-    # only strays once operands pass 2^53.
-    rng = random.Random(1)
-    observed = {}
-    for bits in (14, 40, 45, 53, 54):
-        q = largest_ntt_prime(bits, 8).q
-        ops = [q - 1 - i for i in range(64)] + [rng.randrange(q) for _ in range(2000)]
-        ops += [(1 << 53) + d for d in range(-2, 3) if (1 << 53) + d < q]
-        a = np.array(ops, dtype=np.uint64)[:, None]
-        b = np.array(ops, dtype=np.uint64)[None, :]
-        lazy = _mulmod_vv_lazy(a, b, np.uint64(q), np.float64(1 / q))
-        assert int(lazy.max()) < (2 * _VV_OFFSET + 1) * q
-        exact = np.array([[x * y % q for y in ops] for x in ops], dtype=np.uint64)
-        k = (lazy - exact) // np.uint64(q)
-        assert ((lazy - exact) % np.uint64(q) == 0).all()
-        observed[bits] = (int(k.min()) - _VV_OFFSET, int(k.max()) - _VV_OFFSET)
-        assert -9 <= observed[bits][0] <= observed[bits][1] <= 9
-    assert observed == {14: (0, 0), 40: (-1, 0), 45: (-1, 1), 53: (-2, 0), 54: (-5, 2)}
+def near_2_53(below):
+    return [v for d in range(-2, 3) if 0 <= (v := (1 << 53) + d) < below]
+
+
+def operands(data, lo, hi, edges):
+    """1 to 16 integers in [lo, hi), the edges forced in among them."""
+    value = st.one_of(st.integers(lo, hi - 1), st.sampled_from(edges))
+    return data.draw(st.lists(value, min_size=1, max_size=16))
+
+
+def residues(data, q):
+    return operands(data, 0, q, [0, 1, q - 2, q - 1] + near_2_53(q))
+
+
+def signed(values):
+    return np.array(values, dtype=np.int64)
+
+
+def check_product(q, a, w, per_element=False):
+    """_mulmod_signed over the outer product of a and w, with w's ratios from
+    a table or formed per element: congruent to a*w, below q + 3.01u|a*w|
+    and q*(1 + 2.5u|a|) or below q + 5.01u|a*w|, and a*w mod q after
+    _canonical."""
+    if per_element:
+        ratio, err = _element_ratios(signed(w), np.float64(1 / q)), Fraction(501, 100)
+    else:
+        ratio, err = _shoup_ratios(w, q), Fraction(301, 100)
+    got = _mulmod_signed(signed(a)[:, None], signed(w)[None, :], ratio[None, :], np.int64(q))
+    for u, row in zip(a, got.tolist()):
+        for v, g in zip(w, row):
+            assert (g - u * v) % q == 0 and abs(g) < q + err * U * abs(u * v), (q, u, v)
+            assert per_element or abs(g) << 54 < q * ((1 << 54) + 5 * abs(u)), (q, u, v)
+    assert _canonical(got, np.int64(q), np.float64(1 / q)).tolist() == \
+        [[u * v % q for v in w] for u in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=primes_10_to_54(), data=st.data())
+def test_one_product_on_residues(q, data):
+    # Both ratio forms on residues, q-1 and operands next to 2^53 forced: a
+    # table's w/q (twiddles, gadget and BConv constants) and one formed per
+    # element (MAS, KeyMul), then MUL and MAC through mas_rows.
+    a, w, c = residues(data, q), residues(data, q), residues(data, q)
+    check_product(q, a, w)
+    check_product(q, a, w, per_element=True)
+    m = PrimeModulus.create(q, 2, q - 1)
+    size = min(len(a), len(w), len(c))
+    x, y, z = (np.array([v[:size]], dtype=np.uint64) for v in (a, w, c))
+    assert mas_rows(MasOp.MUL, x, y, (m,))[0].tolist() == \
+        [u * v % q for u, v in zip(a, w)][:size]
+    assert mas_rows(MasOp.MAC, x, y, (m,), z)[0].tolist() == \
+        [(t + u * v) % q for u, v, t in zip(a, w, c)][:size]
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=primes_10_to_54(), data=st.data())
+def test_one_product_on_cross_modulus_operands(q, data):
+    # BConv multiplies residues of its sources, up to 2^54 whatever q is, by
+    # table constants of a target q.
+    top = 1 << 54
+    a = operands(data, 0, top, [top - 1, top - 2, q - 1, q, q + 1] + near_2_53(top))
+    w = residues(data, q)
+    check_product(q, a, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=primes_10_to_54(), data=st.data())
+def test_one_product_on_signed_differences(q, data):
+    # _submul's a - b, in (-q, q), goes into the product without a pre-fold.
+    edges = [0, 1, -1, q - 1, 1 - q] + [s * v for v in near_2_53(q) for s in (1, -1)]
+    a = operands(data, 1 - q, q, edges)
+    w = residues(data, q)
+    check_product(q, a, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=primes_10_to_54(), cross=st.booleans(), data=st.data())
+def test_lazy_sum_at_the_derived_limit(q, cross, data):
+    # A sum of as many products as _lazy_terms allows: KeyMul's residue
+    # products with per-element ratios, or BConv's operands up to 2^54 with
+    # table ratios.  Its m terms repeat one to 16 products, so m may be huge;
+    # _canonical still returns the sum mod q.
+    a_max = (1 << 54) - 1 if cross else q
+    m = _lazy_terms((PrimeModulus.create(q, 2, q - 1),), a_max)
+    a = operands(data, 0, a_max, [a_max - 1] + near_2_53(a_max))
+    w = residues(data, q)[:len(a)]
+    a = a[:len(w)]
+    ratio = _shoup_ratios(w, q) if cross else _element_ratios(signed(w), np.float64(1 / q))
+    terms = _mulmod_signed(signed(a), signed(w), ratio, np.int64(q)).tolist()
+    counts = [m // len(terms) + (i < m % len(terms)) for i in range(len(terms))]
+    total = sum(k * t for k, t in zip(counts, terms))
+    assert abs(total) < 1 << 63
+    got = _canonical(np.array([total], dtype=np.int64), np.int64(q), np.float64(1 / q))
+    assert got.tolist() == [sum(k * u * v for k, u, v in zip(counts, a, w)) % q]
+
+
+def test_lazy_sum_limit_and_one_past_it():
+    # _lazy_terms is the largest m whose integer bound m*P fits what
+    # _canonical takes, and at that m the proven bound, 5.01u, fits too.
+    for bits in (10, 14, 30, 45, 53, 54):
+        mod = largest_ntt_prime(bits, 8)
+        q = mod.q
+        for a_max in (q, (1 << 54) - 1):
+            m = _lazy_terms((mod,), a_max)
+            room = min(1 << 63, q << 51)
+            p = q + (6 * a_max * q >> 53) + 1
+            assert m * p <= room < (m + 1) * p, (bits, a_max)
+            assert m * (q + Fraction(501, 100) * U * a_max * q) < room, (bits, a_max)
+    # the full-dnum key switch of a paper-size basis sums 31 digits
+    assert _lazy_terms((largest_ntt_prime(54, 8),)) >= 31
 
 
 def mixed_stack(n):
@@ -846,7 +888,7 @@ def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
 @settings(max_examples=40, deadline=None)
 @given(logn=st.integers(1, 16), bits=st.integers(10, 54), skip=st.integers(0, 2))
 def test_numpy_twiddle_tables_equal_the_pure_int_construction(logn, bits, skip):
-    # The psi powers by _mulmod doubling and the w/q ratios by the corrected
+    # The psi powers by _mulmod_signed doubling and the w/q ratios by the corrected
     # float quotient are bit-identical to Python-int products and Python's
     # correctly rounded division, for every table the transforms read.
     two_n = 2 << logn
