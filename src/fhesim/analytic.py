@@ -13,10 +13,6 @@ from typing import Dict, Tuple
 from .opcount import digit_ranges, digit_size
 
 
-class UnsupportedConfig(Exception):
-    pass
-
-
 class InvalidArgument(ValueError):
     """A formula argument outside the range its closed form covers."""
 
@@ -166,7 +162,8 @@ def twiddle_tradeoff(n1: int, n2: int, tfg: bool) -> dict:
     """Multiplier and twiddle-memory cost of a configuration, with or
     without on-the-fly twiddle factor generation."""
     if (n1, n2) not in _TWIDDLE_TABLE:
-        raise UnsupportedConfig(f"no table entry for {n1}x{n2}")
+        raise InvalidArgument(f"no twiddle table entry for n1={n1}, n2={n2}; the table "
+                              f"covers {', '.join(f'{a}x{b}' for a, b in _TWIDDLE_TABLE)}")
     total, tfg_mul, tfg_mem, stored_mem, inc, red = _TWIDDLE_TABLE[(n1, n2)]
     return {
         "total_multipliers": total,

@@ -16,6 +16,7 @@ AUT pairs and the links are free-running resources.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -437,6 +438,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         raise ProgramError(f"unknown assignment {assignment!r}")
     if levels is None:
         levels = max(int(step.get("l", 0)) for step in flat)
+    _check_int(levels, "levels")
     for step in flat:
         _check_step(step, levels)
     sb = ScheduleBuilder(cfg)
@@ -491,6 +493,12 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
 
 
+def _check_int(value, what: str) -> None:
+    """ProgramError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProgramError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_step(step: dict, levels: int) -> None:
     op = step["op"].upper()
     if op not in _MACRO_OPS:
@@ -510,11 +518,25 @@ def _check_step(step: dict, levels: int) -> None:
 
 
 def flatten(program: Sequence[dict]):
-    """The macro ops of a program, nested BOOTSTRAP_SCHED schedules inlined."""
+    """The macro ops of a program, nested BOOTSTRAP_SCHED schedules inlined.
+
+    ProgramError for a program or schedule that is not a list, a step that
+    is not an object with an "op" name, a BOOTSTRAP_SCHED without a
+    "schedule", or an "l", "k" or "bytes" that is not an integer."""
+    if not isinstance(program, (list, tuple)):
+        raise ProgramError(f"a program or schedule must be a list of steps, "
+                           f"got {type(program).__name__}")
     for step in program:
+        if not isinstance(step, dict) or not isinstance(step.get("op"), str):
+            raise ProgramError(f'a step must be an object with an "op" name, got {step!r}')
         if step["op"].upper() == "BOOTSTRAP_SCHED":
+            if "schedule" not in step:
+                raise ProgramError('a BOOTSTRAP_SCHED step must give its "schedule"')
             yield from flatten(step["schedule"])
         else:
+            for key in ("l", "k", "bytes"):
+                if key in step:
+                    _check_int(step[key], f"{step['op']} {key}")
             yield step
 
 

@@ -33,9 +33,11 @@ Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
 evaluations (automorphism_ntt_rows), for ciphertexts as for the target
 secret of a rotation key.  rotate runs array-native from the input
-ciphertext through that gather into the key switch: both key switches are
-thin public wrappers over internals on a (d0, d1, d2) stack of
-(3, rows, N), and rotate hands them the permuted (c0, 0, c1).
+ciphertext through that gather into the key switch.  Both key switches are
+one body, _keyswitch, on a (d0, d1, d2) stack of (3, rows, N) (rotate hands
+it the permuted (c0, 0, c1)); they differ only in the ModUp it streams into
+the key products one digit at a time: at K = 1 the digit's one limb reduced
+into every live base and NTT-transformed, otherwise base conversion.
 
 Every kernel invocation is routed through small wrappers so a census of
 micro-ops (INTT/NTT/MAS/AUT) can be recorded and compared against the
@@ -52,7 +54,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,6 +142,12 @@ def _ntt(x: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
 def _intt(x: np.ndarray, moduli: Sequence[PrimeModulus]) -> np.ndarray:
     _tick("INTT", _limbs_in(x))
     return intt_rows(x, moduli)
+
+
+def _reduce_ntt(rows: np.ndarray, moduli: Tuple[PrimeModulus, ...]) -> np.ndarray:
+    """Coefficient-domain (..., 1, N) rows reduced into every modulus and
+    NTT-transformed in one call: a (..., moduli, N) stack."""
+    return _ntt(rows % modulus_columns(moduli)[0], moduli)
 
 
 def _mas(op: MasOp, a: np.ndarray, b: np.ndarray, moduli: Sequence[PrimeModulus],
@@ -636,18 +644,12 @@ class CkksContext:
 
     # -- key switching ------------------------------------------------------
 
-    def _base_index(self, level: int, idx_in_live: int) -> int:
-        """Map an index over live PQ_l bases to the full PQ_L base list."""
-        if idx_in_live <= level:
-            return idx_in_live
-        return self.basis.l_max + 1 + (idx_in_live - (level + 1))
-
     def _live_key_rows(self, rows: np.ndarray, level: int) -> np.ndarray:
-        """The rows of a (PQ_L bases, N) key array that are live at `level`."""
+        """The rows of a (PQ_L bases, N) key array that are live at `level`:
+        q_0..q_level, then every p base."""
         if level == self.basis.l_max:
             return rows
-        nb = len(self.live_bases(level))
-        return rows[[self._base_index(level, t) for t in range(nb)]]
+        return np.concatenate([rows[: level + 1], rows[self.basis.l_max + 1:]])
 
     def _key_products(self, ys: Iterable[np.ndarray], digits: int, ksk: KeySwitchKey,
                       level: int) -> np.ndarray:
@@ -656,7 +658,8 @@ class CkksContext:
 
         Each product is the signed one, the ratio formed per element from
         y_j, summed in int64 and reduced once per component; more digits
-        than _lazy_terms allows raise LazySumOverflow.
+        than _lazy_terms allows raise LazySumOverflow.  A digit ticks one MAS
+        (a MAC) per live base and component.
         """
         live = tuple(self.live_bases(level))
         if digits > _lazy_terms(live):
@@ -666,6 +669,7 @@ class CkksContext:
         q = q.view(np.int64)
         acc = np.zeros((2, len(live), self.n), dtype=np.int64)
         for y, d in zip(ys, ksk.digits[:digits]):
+            _tick("MAS", 2 * len(live))
             y = y.view(np.int64)
             ratio = _element_ratios(y, qinv)
             for half, key in zip(acc, (d.ksk0, d._ksk1)):
@@ -673,63 +677,56 @@ class CkksContext:
         return _canonical(acc, q, qinv)
 
     def keyswitch_full_dnum(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
-        """Alg-style dnum = L+1 key switch: per-base NTT fan-out plus MACs."""
-        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
-        return self._ciphertext(self._keyswitch_full_dnum(x, ksk, d.level), d.level, d.scale)
-
-    def _keyswitch_full_dnum(self, x: np.ndarray, ksk: KeySwitchKey,
-                             level: int) -> np.ndarray:
-        """keyswitch_full_dnum on a (3, rows, N) stack (d0, d1, d2), returning
-        the switched (2, rows, N) stack."""
+        """Alg-style dnum = L+1 key switch: per-limb NTT fan-out plus MACs."""
         if self.basis.k != 1:
             raise KeyLevelTooLow("full-dnum key switch requires K == 1")
-        if len(ksk.digits) < level + 1:
-            raise KeyLevelTooLow("key has fewer digits than ciphertext limbs")
-        live = tuple(self.live_bases(level))
-        d2c = _intt(x[2], self._q_bases(level))
-        _tick("MAS", 2 * (level + 1) * len(live))
-        # every limb reduced into every live base, all NTT-transformed in one call
-        fan_out = _ntt(d2c[:, None, :] % modulus_columns(live)[0], live)
-        acc = self._key_products(fan_out, level + 1, ksk, level)
-        return self._finish_keyswitch(x[:2], acc, level)
+        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
+        return self._ciphertext(self._keyswitch(x, ksk, d.level, self._modup_limb),
+                                d.level, d.scale)
+
+    def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
+        """Arbitrary-dnum key switch: digit ModUp via base conversion."""
+        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
+        return self._ciphertext(self._keyswitch(x, ksk, d.level, self._modup_digit),
+                                d.level, d.scale)
+
+    def _keyswitch(self, x: np.ndarray, ksk: KeySwitchKey, level: int,
+                   modup: Callable[..., np.ndarray]) -> np.ndarray:
+        """Key switch of a (3, rows, N) stack (d0, d1, d2) to the switched
+        (2, rows, N) stack: d2 leaves the NTT domain once, each digit's
+        modup(d2, d2c, digit, level) feeds the key products as it is made, and
+        ModDown of both sums is added to (d0, d1)."""
+        digits = opcount.digit_ranges(level, self.basis.k)
+        if len(digits) > len(ksk.digits):
+            raise KeyLevelTooLow("key has too few digits for this level")
+        q_bases = self._q_bases(level)
+        d2c = _intt(x[2], q_bases)
+        ys = (modup(x[2], d2c, digit, level) for digit in digits)
+        acc = self._key_products(ys, len(digits), ksk, level)
+        return _mas(MasOp.ADD, x[:2], self._moddown(acc, level), q_bases)
+
+    def _modup_limb(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
+                    level: int) -> np.ndarray:
+        """The ModUp of a one-limb digit (K = 1): its coefficient-domain limb
+        reduced into every live base and NTT-transformed."""
+        return _reduce_ntt(d2c[digit], tuple(self.live_bases(level)))
 
     def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
                      level: int) -> np.ndarray:
         """One digit of d2 over every live base: its own limbs as they are, the
-        others converted from its coefficient-domain limbs."""
+        others converted from its coefficient-domain limbs.  The digit-wise
+        census adds each later digit's key products into the running sum as
+        MAS ops of their own (opcount.keyswitch_generic), ticked here."""
         live = tuple(self.live_bases(level))
         own = list(digit)
         other = [t for t in range(len(live)) if t not in own]
+        if digit.start:
+            _tick("MAS", 2 * len(live))
         y = np.empty((len(live), self.n), dtype=np.uint64)
         y[own] = d2[own]
         y[other] = self._bconv(d2c[own], tuple(live[i] for i in own),
                                tuple(live[t] for t in other))
         return y
-
-    def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
-        """Arbitrary-dnum key switch: digit ModUp via base conversion."""
-        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
-        return self._ciphertext(self._keyswitch_generic(x, ksk, d.level), d.level, d.scale)
-
-    def _keyswitch_generic(self, x: np.ndarray, ksk: KeySwitchKey,
-                           level: int) -> np.ndarray:
-        """keyswitch_generic on a (3, rows, N) stack (d0, d1, d2), returning
-        the switched (2, rows, N) stack."""
-        digits = opcount.digit_ranges(level, self.basis.k)
-        if len(digits) > len(ksk.digits):
-            raise KeyLevelTooLow("key has too few digits for this level")
-        nb = len(self.live_bases(level))
-        d2c = _intt(x[2], self._q_bases(level))
-        # key multiplication, then accumulation over the digits
-        _tick("MAS", 2 * nb * len(digits) + 2 * nb * (len(digits) - 1))
-        ys = (self._modup_digit(x[2], d2c, digit, level) for digit in digits)
-        acc = self._key_products(ys, len(digits), ksk, level)
-        return self._finish_keyswitch(x[:2], acc, level)
-
-    def _finish_keyswitch(self, carriers: np.ndarray, acc: np.ndarray,
-                          level: int) -> np.ndarray:
-        """ModDown both accumulated components and add them to (d0, d1)."""
-        return _mas(MasOp.ADD, carriers, self._moddown(acc, level), self._q_bases(level))
 
     # -- modulus maintenance -------------------------------------------------
 
@@ -754,10 +751,8 @@ class CkksContext:
         level = ct.level
         q_top = self.basis.q_list[level]
         lower = self._q_bases(level - 1)
-        q_lower, _ = modulus_columns(lower)
         x = self._rows(level, c0=ct.c0, c1=ct.c1)
-        top = _intt(x[:, level:], (q_top,))
-        t = _ntt(top % q_lower, lower)
+        t = _reduce_ntt(_intt(x[:, level:], (q_top,)), lower)
         out = _submul(x[:, :level], t, [pow(q_top.q, -1, m.q) for m in lower], lower)
         return self._ciphertext(out, level - 1, ct.scale / q_top.q)
 
@@ -776,8 +771,9 @@ class CkksContext:
         level = ct.level
         x = np.zeros((3, level + 1, self.n), dtype=np.uint64)
         x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), self._galois(rot))
-        switch = self._keyswitch_full_dnum if self.basis.k == 1 else self._keyswitch_generic
-        return self._ciphertext(switch(x, keys.rotation[rot], level), level, ct.scale)
+        modup = self._modup_limb if self.basis.k == 1 else self._modup_digit
+        return self._ciphertext(self._keyswitch(x, keys.rotation[rot], level, modup),
+                                level, ct.scale)
 
 
 # ---------------------------------------------------------------------------

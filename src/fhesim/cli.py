@@ -76,9 +76,14 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if args.program:
-        doc = json.loads(Path(args.program).read_text())
+        try:
+            doc = json.loads(Path(args.program).read_text())
+        except json.JSONDecodeError as exc:
+            raise ProgramError(f"{args.program} is not JSON: {exc}") from None
     else:
         doc = load_preset(args.workload)
+    if not isinstance(doc, dict) or "program" not in doc:
+        raise ProgramError('a program document must be an object with a "program" list')
     program = doc["program"]
     levels = doc.get("levels")
     report = run_workload(cfg, program, assignment=args.assignment, levels=levels,
@@ -87,9 +92,10 @@ def cmd_simulate(args) -> int:
     if args.cross_check:
         problems = []
         # every ring key switch of the program, a ROTATE's and nested ones too
-        ring_levels = sorted({int(step["l"]) for step in flatten(program)
-                              if step["op"].upper() in ("KEYSWITCH", "ROTATE")
-                              and int(step.get("k", 1)) == 1})
+        ring_levels = sorted({meta["l"] for step, meta in zip(flatten(program),
+                                                              report.meta["steps"])
+                              if meta["op"] in ("KEYSWITCH", "ROTATE")
+                              and step.get("k", 1) == 1})
         for l in ring_levels:
             single = schedule_keyswitch_ring(cfg, l)
             want = analytic.comm_polynomials("OURS", l, r=cfg.r)
@@ -180,17 +186,31 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    r_list = [int(x) for x in args.r_list.split(",")]
-    rows = sweep_chiplets(cfg, r_list, l=args.l)
+    rows = sweep_chiplets(cfg, args.r_list, l=args.l)
     if args.csv:
         _write_csv(args.csv, rows, list(rows[0]))
     _write_json(args.out, {"rows": rows})
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed argument with one error line and exit status 2,
+    as main refuses input the model or a formula rejects."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_list(text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="fhesim",
-                                 description="CKKS kernels and chiplet simulator")
+    ap = _Parser(prog="fhesim", description="CKKS kernels and chiplet simulator")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     v = sub.add_parser("verify", help="run the oracle-differential suites")
@@ -243,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="chiplet-count sweep")
     w.add_argument("--config", default=None)
     w.add_argument("--preset", default="chiplet_1024x64")
-    w.add_argument("--r-list", default="4,8,12")
+    w.add_argument("--r-list", type=_int_list, default="4,8,12",
+                   help="comma-separated chiplet counts")
     w.add_argument("--l", type=int, default=30)
     w.add_argument("--out", default=None)
     w.add_argument("--csv", default=None)

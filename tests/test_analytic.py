@@ -81,7 +81,7 @@ def test_twiddle_tradeoff_table():
     assert t["memory_words"] == 4228064
     assert analytic.twiddle_tradeoff(1024, 64, tfg=True)["memory_reduction_pct"] == 93
     assert analytic.twiddle_tradeoff(512, 128, tfg=True)["multiplier_increase_pct"] == 16
-    with pytest.raises(analytic.UnsupportedConfig):
+    with pytest.raises(analytic.InvalidArgument):
         analytic.twiddle_tradeoff(4096, 16, tfg=True)
 
 

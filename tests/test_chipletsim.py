@@ -523,6 +523,37 @@ def test_host_load_of_no_bytes_rejected(monkeypatch):
             run_workload(REF, [{"op": "HOST_LOAD", "l": 2, "bytes": nbytes}])
 
 
+@pytest.mark.parametrize("program", [
+    {"op": "HADD", "l": 3},                                  # a step, not a list
+    "HADD",
+    [["HADD", 3]],                                           # a step that is no object
+    [{"l": 3}],                                              # a step with no op
+    [{"op": 3, "l": 3}],
+    [{"op": "BOOTSTRAP_SCHED"}],                             # no schedule
+    [{"op": "BOOTSTRAP_SCHED", "schedule": {"op": "HADD"}}],  # a schedule not a list
+    [{"op": "HADD", "l": 3.5}],                              # used to run as level 3
+    [{"op": "HADD", "l": "x"}],                              # a bare ValueError
+    [{"op": "HADD", "l": True}],
+    [{"op": "KEYSWITCH", "l": 3, "k": 1.0}],
+    [{"op": "KEYSWITCH", "l": 3, "k": True}],                # used to run as k = 1
+    [{"op": "HOST_LOAD", "l": 2, "bytes": "4096"}],
+    [{"op": "BOOTSTRAP_SCHED", "schedule": [{"op": "HADD", "l": 2.0}]}],
+])
+def test_malformed_program_rejected(program, monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError):
+        run_workload(REF, program)
+
+
+def test_non_integer_levels_rejected(monkeypatch):
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for levels in (3.0, "3", True):
+        with pytest.raises(ProgramError):
+            run_workload(REF, [{"op": "HADD", "l": 2}], levels=levels)
+
+
 def test_digits_dnum_above_limb_count_rejected():
     with pytest.raises(ProgramError):
         schedule_keyswitch_digits(REF, 4, 9, 1)

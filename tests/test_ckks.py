@@ -256,16 +256,43 @@ def test_keyswitch_census_matches_closed_form(ctx, keyed):
     assert census["MAS"] == want["MAS"]
 
 
-def test_generic_degenerates_bit_exactly(ctx, keyed):
+@pytest.mark.parametrize("level", range(BASIS.l_max + 1))
+def test_generic_degenerates_bit_exactly(ctx, keyed, level):
+    # below the top level both switches read the live rows gathered from the key
     sk, keys = keyed
-    a = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
-    b = ctx.encrypt(ctx.encode(slots_vec(ctx, "b"), BASIS.l_max), sk, rng())
+    a = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+    b = ctx.encrypt(ctx.encode(slots_vec(ctx, "b"), level), sk, rng())
     d = ctx.mult(a, b)
     full = ctx.keyswitch_full_dnum(d, keys.relin)
     gen = ctx.keyswitch_generic(d, keys.relin)
     for fc, gc in ((full.c0, gen.c0), (full.c1, gen.c1)):
         for f, g in zip(fc.limbs, gc.limbs):
             assert f == g
+
+
+def test_k1_switches_stream_the_modup_one_digit_at_a_time(ctx, keyed, monkeypatch):
+    # The K=1 ModUp transforms one limb's l+2 rows over the live bases per
+    # NTT call; it used to transform all (l+1)(l+2) rows of the fan-out in
+    # one call.  ModDown's one call into Q_l holds both components' l+1 rows.
+    sk, keys = keyed
+    calls = []
+    ntt = ckks.ntt_rows
+
+    def spy(x, moduli):
+        calls.append((x.size // x.shape[-1], len(moduli)))
+        return ntt(x, moduli)
+
+    monkeypatch.setattr(ckks, "ntt_rows", spy)
+    for level in range(BASIS.l_max + 1):
+        ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+        d = ctx.mult(ct, ct)
+        for switch in (lambda: ctx.keyswitch_full_dnum(d, keys.relin),
+                       lambda: ctx.relinearize(d, keys), lambda: ctx.rotate(ct, 1, keys)):
+            calls.clear()
+            switch()
+            modup = [rows for rows, bases in calls if bases == level + 2]
+            assert modup == [level + 2] * (level + 1), level
+            assert calls[len(modup):] == [(2 * (level + 1), level + 1)], level
 
 
 def test_generic_dnum_pipeline_and_census(ctx3, keyed3):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhesim import analytic, opcount
 from fhesim.cli import load_preset, main
@@ -186,6 +190,63 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
         assert out.out == "" and out.err.count("\n") == 1 and named in out.err, argv
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"levels": 3}', "program"),                               # was a bare KeyError
+    ('[{"op": "HADD", "l": 3}]', "program"),                    # was a bare TypeError
+    ('{"program": {"op": "HADD", "l": 3}}', "list"),
+    ('{"program": [{"op": "HADD", "l": 3.5}]}', "integer"),     # ran as level 3, exit 0
+    ('{"program": [{"op": "HADD", "l": "x"}]}', "integer"),     # was a bare ValueError
+    ('{"program": [{"op": "BOOTSTRAP_SCHED"}]}', "schedule"),   # was a bare KeyError
+    ('{"program": [{"op": "HADD", "l": 3}]', "not JSON"),       # was a JSONDecodeError
+], ids=["no-program", "a-list", "program-not-list", "float-l", "string-l",
+        "no-schedule", "not-json"])
+def test_malformed_program_file_is_one_line_and_status_2(text, named, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    assert main(["simulate", "--program", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and named in out.err
+
+
+def test_cross_check_reads_the_default_level_of_a_step(tmp_path):
+    # a KEYSWITCH without "l" runs at the program's levels; the cross-check
+    # used to read step["l"] and raise a bare KeyError
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"program": [{"op": "KEYSWITCH"}], "levels": 8}))
+    assert main(["simulate", "--program", str(path), "--cross-check",
+                 "--out", str(tmp_path / "rep.json")]) == 0
+
+
+@pytest.mark.parametrize("r_list", ["4,x", ""])
+def test_sweep_r_list_that_is_not_integers_is_one_line_and_status_2(r_list, capsys):
+    # int() of each item used to raise a bare ValueError
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--r-list", r_list])
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--r-list" in out.err
+
+
+_ANALYZE_INT_FLAGS = ("--L", "--l", "--n1", "--n2", "--n", "--w", "--dnum", "--k", "--r")
+
+
+@settings(max_examples=60, deadline=None)
+@given(formula=st.sampled_from(["throughput", "comm", "bound", "storage", "twiddle",
+                                "census"]),
+       values=st.lists(st.integers(-2, 70), min_size=len(_ANALYZE_INT_FLAGS),
+                       max_size=len(_ANALYZE_INT_FLAGS)))
+def test_analyze_returns_0_or_2_for_any_small_integer_flags(formula, values):
+    # every formula either prints its result or refuses with one line
+    argv = ["analyze", formula]
+    for flag, value in zip(_ANALYZE_INT_FLAGS, values):
+        argv += [flag, str(value)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    assert rc in (0, 2)
+    assert rc == 0 or err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, named", [
     (["census", "--dnum", "3"], "--k"),              # was a bare TypeError
     (["comm", "--tech", "limbwise"], "dnum"),        # was a bare TypeError
@@ -205,6 +266,7 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     (["comm", "--tech", "OURS", "--r", "0"], "r must be at least 1"),  # printed 0
     (["census", "--l", "5", "--k", "2", "--r", "0"],
      "r must be at least 1"),                                # a ZeroDivisionError
+    (["twiddle", "--n1", "0"], "n1=0"),                      # a traceback, exit 1
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2
