@@ -10,14 +10,15 @@ from .engine import (ChipletConfig, ConfigError, CycleReport, DeadlockDetected,
                      Engine, MicroOp, ScheduleBuilder)
 from .schedules import (ASSIGNMENTS, ProgramError, build_keyswitch_digits,
                         build_keyswitch_ring, build_moddown_flow, build_strawman,
-                        flatten, limb_owner, run_workload, schedule_keyswitch_digits,
-                        schedule_keyswitch_ring, schedule_moddown_ring,
-                        schedule_strawman, sweep_chiplets)
+                        flatten, limb_owner, parse_program, run_workload,
+                        schedule_keyswitch_digits, schedule_keyswitch_ring,
+                        schedule_moddown_ring, schedule_strawman, sweep_chiplets)
 
 __all__ = [
     "ASSIGNMENTS", "ChipletConfig", "ConfigError", "CycleReport", "DeadlockDetected",
     "Engine", "MicroOp", "ProgramError", "ScheduleBuilder", "build_keyswitch_ring",
     "build_moddown_flow", "build_keyswitch_digits", "build_strawman", "flatten",
-    "limb_owner", "run_workload", "schedule_keyswitch_ring", "schedule_moddown_ring",
-    "schedule_keyswitch_digits", "schedule_strawman", "sweep_chiplets",
+    "limb_owner", "parse_program", "run_workload", "schedule_keyswitch_ring",
+    "schedule_moddown_ring", "schedule_keyswitch_digits", "schedule_strawman",
+    "sweep_chiplets",
 ]

@@ -271,11 +271,12 @@ class ScheduleBuilder:
                             self.poly_bytes, 0)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
-                 phase: str = "") -> int | None:
+                 phase: str = "") -> Tuple[int, ...]:
+        """A consumer's deps on one HBM read; none in exact mode."""
         if self.cfg.exact:
-            return None
-        return self._append("HBM_RD", self._hbm[chiplet], self.hbm_cycles, tuple(deps),
-                            (), priority, chiplet, phase, None, None, self.poly_bytes, 0)
+            return ()
+        return (self._append("HBM_RD", self._hbm[chiplet], self.hbm_cycles, tuple(deps),
+                             (), priority, chiplet, phase, None, None, self.poly_bytes, 0),)
 
 
 @dataclass
@@ -291,19 +292,31 @@ class CycleReport:
     phase_cycles: Dict[str, int]
     meta: dict = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
-    timeline: Optional[List[dict]] = None
+    # references to the run's start and finish lists, then to the DAG
+    # columns of _TIMELINE_KEYS, which the timeline reads on demand
+    _run: tuple = field(default=((), ()), repr=False)
+    _TIMELINE_KEYS = ("chiplet", "resource", "kind", "phase", "limb", "digit")
 
     def to_json_dict(self) -> dict:
-        """Every field but the timeline, which timeline_csv writes."""
+        """Every field but the run state, whose view timeline_csv writes."""
         return {"schema": 1, **{f.name: getattr(self, f.name) for f in fields(self)
-                                if f.name != "timeline"}}
+                                if f.name != "_run"}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, default=str)
 
+    @property
+    def timeline(self) -> List[dict]:
+        """One row per op of the run, by start time, ties by uid (a stable sort)."""
+        start, finish, *columns = self._run
+        return [{"uid": uid, **{key: "" if col[uid] is None else col[uid]
+                                for key, col in zip(self._TIMELINE_KEYS, columns)},
+                 "start": start[uid], "end": finish[uid]}
+                for uid in sorted(range(len(start)), key=start.__getitem__)]
+
     def timeline_csv(self) -> str:
         rows = ["op,chiplet,resource,kind,phase,limb,digit,start,end"]
-        for t in self.timeline or []:
+        for t in self.timeline:
             rows.append("{uid},{chiplet},{resource},{kind},{phase},{limb},{digit},"
                         "{start},{end}".format(**t))
         return "\n".join(rows) + "\n"
@@ -333,8 +346,7 @@ class Engine:
     def __init__(self, cfg: ChipletConfig):
         self.cfg = cfg
 
-    def run(self, dag: ScheduleBuilder, meta: dict | None = None,
-            with_timeline: bool = False) -> CycleReport:
+    def run(self, dag: ScheduleBuilder, meta: dict | None = None) -> CycleReport:
         heappush, heappop = heapq.heappush, heapq.heappop
         resources, durations = dag.resources, dag.durations
         priorities, stream_deps = dag.priorities, dag.stream_deps
@@ -423,12 +435,12 @@ class Engine:
                         enqueue(child, now)
 
         return self._report(dag, start, finish, ready_at, dep_first, stream_first,
-                            meta or {}, with_timeline)
+                            meta or {})
 
     # ------------------------------------------------------------------
 
-    def _report(self, dag, start, finish, ready_at, dep_first, stream_first, meta,
-                with_timeline) -> CycleReport:
+    def _report(self, dag, start, finish, ready_at, dep_first, stream_first,
+                meta) -> CycleReport:
         cfg = self.cfg
         kinds, resources, phases = dag.kinds, dag.resources, dag.phases
         units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(cfg.r)}
@@ -506,18 +518,6 @@ class Engine:
 
         phase_cycles = {ph: last - first for ph, (first, last) in phase_span.items()}
         util = total_busy_ntt / (cfg.r * makespan) if makespan else 0.0
-        timeline = None
-        if with_timeline:
-            # a stable sort of uids by start orders ties by uid
-            timeline = [{
-                "uid": uid,
-                "chiplet": dag.chiplets[uid] if dag.chiplets[uid] is not None else "",
-                "resource": resources[uid], "kind": kinds[uid], "phase": phases[uid],
-                "limb": dag.limbs[uid] if dag.limbs[uid] is not None else "",
-                "digit": dag.digits[uid] if dag.digits[uid] is not None else "",
-                "start": start[uid], "end": finish[uid],
-            } for uid in sorted(range(len(dag)), key=start.__getitem__)]
-
         return CycleReport(
             total_cycles=makespan,
             wall_time_ms=makespan / (cfg.f_ghz * 1e9) * 1e3,
@@ -530,5 +530,6 @@ class Engine:
             phase_cycles=phase_cycles,
             meta=meta,
             warnings=list(meta.get("warnings", ())),
-            timeline=timeline,
+            _run=(start, finish, dag.chiplets, resources, kinds, phases, dag.limbs,
+                  dag.digits),
         )

@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS, digit_ranges
 from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder
@@ -131,8 +131,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                     read = sb.hbm_read(i, deps=(
                         (mac_ntts[i][-2],) if len(mac_ntts[i]) >= 2 else after),
                         priority=(pri0, j, m, 1, t), phase="modup")
-                    deps = (data,) if read is None else (data, read)
-                    ntt = sb.transform("NTT", i, deps=deps,
+                    ntt = sb.transform("NTT", i, deps=(data,) + read,
                                        priority=(pri0, j, m, 2, t), phase="modup",
                                        limb=x, digit=t, mas=2 if shadowed else 0)
                     mac_ntts[i].append(ntt)
@@ -175,19 +174,17 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
 
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
-                            include_moddown: bool = True,
-                            with_timeline: bool = False) -> CycleReport:
+                            include_moddown: bool = True) -> CycleReport:
     _check_at_least(l, 0, "l")
     sb = ScheduleBuilder(cfg)
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
             "warnings": cfg.bound_warnings(l)}
-    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta)
 
 
 def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
-                          fused_rescale: bool = False,
-                          with_timeline: bool = False) -> CycleReport:
+                          fused_rescale: bool = False) -> CycleReport:
     # a fused rescale drops one more base, so it needs a level to drop to
     _check_at_least(l, 1 if fused_rescale else 0, "l")
     sb = ScheduleBuilder(cfg)
@@ -198,7 +195,7 @@ def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
         _macro_rescale(sb, l, lambda t: t % cfg.r, (), pri0=1)
     meta = {"routine": "moddown_ring", "l": l, "components": components,
             "warnings": cfg.bound_warnings(l)}
-    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +239,7 @@ def build_keyswitch_digits(sb: ScheduleBuilder, l: int, k: int,
                 [mac_ntts[i][-2]] if len(mac_ntts[i]) >= 2 else after),
                 priority=(pri0, 1, j, t, 1), phase="modup")
             # base-conversion MACs, key multiplication, digit accumulation
-            ntt = sb.transform("NTT", i, deps=deps + ([read] if read is not None else []),
+            ntt = sb.transform("NTT", i, deps=deps + [*read],
                                priority=(pri0, 1, j, t, 2), phase="modup", digit=j,
                                limb=t, mas=len(digit) + 2 + (2 if j else 0))
             mac_ntts[i].append(ntt)
@@ -306,8 +303,7 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, k: int,
 
 
 def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
-                              strategy: str = "ALTERNATE",
-                              with_timeline: bool = False) -> CycleReport:
+                              strategy: str = "ALTERNATE") -> CycleReport:
     _check_at_least(l, 0, "l")
     _check_at_least(k, 1, "k")
     digit_count = len(digit_ranges(l, k))
@@ -319,7 +315,7 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
     build_keyswitch_digits(sb, l, k, strategy=strategy)
     meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,
             "strategy": strategy, "warnings": cfg.bound_warnings(l)}
-    report = Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
+    report = Engine(cfg).run(sb, meta=meta)
     transforms = report.op_counts.get("INTT", 0) + report.op_counts.get("NTT", 0)
     stall = sum(c["stall"] for c in report.per_chiplet)
     report.meta["ntt_equiv_avg"] = Fraction(transforms, cfg.r) + Fraction(
@@ -376,8 +372,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
         raise ValueError(f"unknown strawman technique {technique!r}")
 
 
-def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
-                      with_timeline: bool = False) -> CycleReport:
+def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport:
     _check_at_least(l, 0, "l")
     technique = technique.upper()
     if technique == "OURS":
@@ -386,7 +381,7 @@ def schedule_strawman(cfg: ChipletConfig, l: int, technique: str,
     sb = ScheduleBuilder(run_cfg)
     build_strawman(sb, l, technique)
     meta = {"routine": f"strawman_{technique}", "l": l}
-    return Engine(run_cfg).run(sb, meta=meta, with_timeline=with_timeline)
+    return Engine(run_cfg).run(sb, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -416,39 +411,27 @@ def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
 
 
 def run_workload(cfg: ChipletConfig, program: Sequence[dict],
-                 assignment: Assignment = "INTERLEAVED", levels: int | None = None,
-                 with_timeline: bool = False) -> CycleReport:
-    """Execute a macro-op list; each macro starts after the previous one.
+                 assignment: Assignment = "INTERLEAVED",
+                 levels: int | None = None) -> CycleReport:
+    """Execute parse_program's steps of a program, each after the previous one.
 
-    Program entries: {"op": HADD|HMULT|KEYSWITCH|ROTATE|RESCALE|MODDOWN,
-    "l": level, maybe "k"}.  BOOTSTRAP_SCHED entries carry a nested
-    "schedule" list of the same shape.  k, the special base size K (default
-    1), picks the key switch as CkksContext does: KEYSWITCH and ROTATE (AUT
-    ops, then the same switch) run the ring at K = 1 and the digit flow over
-    digit_ranges(l, K) otherwise, at every level.  MODDOWN models K = 1 only.
+    A step's k, the special base size K, picks the key switch as CkksContext
+    does: KEYSWITCH and ROTATE (AUT ops, then the same switch) run the ring
+    at K = 1 and the digit flow over digit_ranges(l, K) otherwise, at every
+    level.  MODDOWN models K = 1 only.
 
     The assignment places only the pointwise (HADD, HMULT), rescale and AUT
     ops; key switches, including a ROTATE's, and ModDown always place limb t
     on chiplet t mod r, so SEQUENTIAL and DIGITWISE leave them unchanged.
     """
-    flat = list(flatten(program))
-    if not flat:
-        raise ProgramError("the program has no macro ops")
+    steps, levels = parse_program(program, levels)
     if assignment not in ASSIGNMENTS:
         raise ProgramError(f"unknown assignment {assignment!r}")
-    if levels is None:
-        levels = max(int(step.get("l", 0)) for step in flat)
-    _check_int(levels, "levels")
-    for step in flat:
-        _check_step(step, levels)
     sb = ScheduleBuilder(cfg)
     after: Tuple[int, ...] = ()
     pri = 0
     steps_meta = []
-    for step in flat:
-        op = step["op"].upper()
-        l = int(step.get("l", levels))
-        k = int(step.get("k", 1))
+    for op, l, k, nbytes in steps:
         owner = (lambda t, _k=k: limb_owner(assignment, t, cfg.r, levels, k=_k))
         first_op = len(sb)
         if op == "HADD":
@@ -474,7 +457,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         elif op == "HOST_LOAD":
             # initial data load over the host link; steady-state routines
             # assume operands already resident in HBM
-            nbytes = int(step.get("bytes", sb.poly_bytes * (l + 1) * 2))
+            nbytes = sb.poly_bytes * (l + 1) * 2 if nbytes is None else nbytes
             cycles = math.ceil(nbytes / (cfg.ingress_gbps * 1e9 / (cfg.f_ghz * 1e9)))
             sb.add("HOST_RD", "host", cycles, deps=after, priority=(pri,),
                    phase="load", nbytes=nbytes)
@@ -490,39 +473,65 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
         pri += 4
     meta = {"routine": "workload", "assignment": assignment, "steps": steps_meta,
             "warnings": cfg.bound_warnings(levels)}
-    return Engine(cfg).run(sb, meta=meta, with_timeline=with_timeline)
+    return Engine(cfg).run(sb, meta=meta)
 
 
-def _check_int(value, what: str) -> None:
-    """ProgramError unless value is an integer; a bool is not one."""
+def _check_int(value, what: str) -> int:
+    """value as an int; ProgramError if it is no integer, as a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ProgramError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _check_step(step: dict, levels: int) -> None:
-    op = step["op"].upper()
-    if op not in _MACRO_OPS:
-        raise ProgramError(f"unknown macro op {op!r}")
-    l = int(step.get("l", levels))
-    # a rescale drops the top limb, so level 0 has none left to drop
-    _check_at_least(l, 1 if op == "RESCALE" else 0, f"{op} level")
-    if "dnum" in step:
-        raise ProgramError(f"{op} gives dnum; a step gives k, the special base "
-                           "size, and its digit count follows from k")
-    k = int(step.get("k", 1))
-    _check_at_least(k, 1, "k")
-    if op == "MODDOWN" and k != 1:
-        raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
-    if "bytes" in step:
-        _check_at_least(int(step["bytes"]), 1, f"{op} bytes")
+class Step(NamedTuple):
+    """A checked macro op; bytes is None for a HOST_LOAD of both components."""
+    op: str
+    l: Optional[int] = None     # None only until parse_program applies the depth
+    k: int = 1
+    bytes: Optional[int] = None
+
+
+def parse_program(program: Sequence[dict],
+                  levels: int | None = None) -> Tuple[List[Step], int]:
+    """The checked macro ops of a program, BOOTSTRAP_SCHED schedules inlined,
+    and its depth: `levels`, or else the highest "l" given.  A step holds an
+    "op" and maybe an "l" (default: the depth, which no step may exceed), a
+    "k" (default 1) and "bytes", each an integer; a bool is not one."""
+    given = []
+    for step in flatten(program):
+        op = step["op"].upper()
+        if op not in _MACRO_OPS:
+            raise ProgramError(f"unknown macro op {op!r}")
+        if "dnum" in step:
+            raise ProgramError(f"{op} gives dnum; a step gives k, the special base "
+                               "size, and its digit count follows from k")
+        if set(step) - set(Step._fields):
+            raise ProgramError(f"a {op} step holds only the keys {list(Step._fields)}, "
+                               f"got {sorted(step)}")
+        given.append(Step(op, **{key: _check_int(value, f"{op} {key}")
+                                 for key, value in step.items() if key != "op"}))
+    if not given:
+        raise ProgramError("the program has no macro ops")
+    levels = _check_int(max(step.l or 0 for step in given) if levels is None else levels,
+                        "levels")
+    steps = [step._replace(l=levels) if step.l is None else step for step in given]
+    for op, l, k, nbytes in steps:
+        # a rescale drops the top limb, so level 0 has none left to drop
+        _check_at_least(l, 1 if op == "RESCALE" else 0, f"{op} level")
+        if l > levels:
+            raise ProgramError(f"{op} level {l} is above the program's levels {levels}")
+        _check_at_least(k, 1, "k")
+        if op == "MODDOWN" and k != 1:
+            raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
+        if nbytes is not None:
+            _check_at_least(nbytes, 1, f"{op} bytes")
+    return steps, levels
 
 
 def flatten(program: Sequence[dict]):
-    """The macro ops of a program, nested BOOTSTRAP_SCHED schedules inlined.
-
-    ProgramError for a program or schedule that is not a list, a step that
-    is not an object with an "op" name, a BOOTSTRAP_SCHED without a
-    "schedule", or an "l", "k" or "bytes" that is not an integer."""
+    """The steps of a program as given, BOOTSTRAP_SCHED schedules inlined.
+    ProgramError for a program or schedule that is not a list, a step that is
+    not an object with an "op" name, or a BOOTSTRAP_SCHED with other keys."""
     if not isinstance(program, (list, tuple)):
         raise ProgramError(f"a program or schedule must be a list of steps, "
                            f"got {type(program).__name__}")
@@ -530,13 +539,11 @@ def flatten(program: Sequence[dict]):
         if not isinstance(step, dict) or not isinstance(step.get("op"), str):
             raise ProgramError(f'a step must be an object with an "op" name, got {step!r}')
         if step["op"].upper() == "BOOTSTRAP_SCHED":
-            if "schedule" not in step:
-                raise ProgramError('a BOOTSTRAP_SCHED step must give its "schedule"')
+            if set(step) != {"op", "schedule"}:
+                raise ProgramError('a BOOTSTRAP_SCHED step holds only "op" and its '
+                                   f'"schedule", got keys {sorted(step)}')
             yield from flatten(step["schedule"])
         else:
-            for key in ("l", "k", "bytes"):
-                if key in step:
-                    _check_int(step[key], f"{step['op']} {key}")
             yield step
 
 
@@ -565,6 +572,7 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> Li
             "amortized_ns_per_limb": wall_ns / (l + 1),
             "ntt_utilization": rep.ntt_utilization,
         })
+        del rep     # a report holds its run's columns; free them before the next run
     base = rows[0]["amortized_ns_per_limb"]
     for row in rows:
         row["ratio_to_first"] = row["amortized_ns_per_limb"] / base

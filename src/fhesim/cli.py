@@ -15,12 +15,16 @@ from importlib import resources
 from pathlib import Path
 
 from . import analytic, opcount
-from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError, flatten,
-                         run_workload, schedule_keyswitch_ring, sweep_chiplets)
+from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError,
+                         parse_program, run_workload, schedule_keyswitch_ring,
+                         sweep_chiplets)
 from .verify import FAULTS, run_verify
 
 # Inputs the model or a formula refuses: one line on stderr, exit status 2.
 _INPUT_ERRORS = (ConfigError, ProgramError, analytic.InvalidArgument)
+# A program document's keys; as in a config, a free-text "comment" is the
+# one key the model does not read, so a misspelt key is an error.
+_PROGRAM_DOC_KEYS = ("program", "levels", "comment")
 
 
 def load_preset(name: str) -> dict:
@@ -84,18 +88,19 @@ def cmd_simulate(args) -> int:
         doc = load_preset(args.workload)
     if not isinstance(doc, dict) or "program" not in doc:
         raise ProgramError('a program document must be an object with a "program" list')
-    program = doc["program"]
-    levels = doc.get("levels")
-    report = run_workload(cfg, program, assignment=args.assignment, levels=levels,
-                          with_timeline=bool(args.timeline))
+    unknown = sorted(set(doc) - set(_PROGRAM_DOC_KEYS))
+    if unknown:
+        raise ProgramError(f"unknown program document keys {unknown}; "
+                           f"expected {sorted(_PROGRAM_DOC_KEYS)}")
+    program, levels = doc["program"], doc.get("levels")
+    report = run_workload(cfg, program, assignment=args.assignment, levels=levels)
     rc = 0
     if args.cross_check:
         problems = []
         # every ring key switch of the program, a ROTATE's and nested ones too
-        ring_levels = sorted({meta["l"] for step, meta in zip(flatten(program),
-                                                              report.meta["steps"])
-                              if meta["op"] in ("KEYSWITCH", "ROTATE")
-                              and step.get("k", 1) == 1})
+        steps, _ = parse_program(program, levels)
+        ring_levels = sorted({step.l for step in steps
+                              if step.op in ("KEYSWITCH", "ROTATE") and step.k == 1})
         for l in ring_levels:
             single = schedule_keyswitch_ring(cfg, l)
             want = analytic.comm_polynomials("OURS", l, r=cfg.r)

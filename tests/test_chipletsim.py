@@ -6,6 +6,7 @@ import subprocess
 import sys
 import types
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,11 @@ import fhesim
 from fhesim import analytic, opcount
 from fhesim.chipletsim import (ChipletConfig, ConfigError, DeadlockDetected, Engine,
                                ProgramError, ScheduleBuilder, build_keyswitch_ring,
-                               run_workload, schedule_keyswitch_digits,
+                               parse_program, run_workload, schedule_keyswitch_digits,
                                schedule_keyswitch_ring, schedule_moddown_ring,
                                schedule_strawman, sweep_chiplets)
 from fhesim.chipletsim.engine import _CAPACITY
-from fhesim.cli import load_preset
+from fhesim.cli import _PROGRAM_DOC_KEYS, load_preset
 
 EXACT = ChipletConfig(n1=1024, n2=64, r=4, exact=True)
 REF = ChipletConfig(n1=1024, n2=64, r=4, f_ghz=1.5, hbm_gbps=1200.0,
@@ -208,7 +209,7 @@ def test_engine_deadlock_guard():
 
 
 def test_report_json_and_timeline():
-    rep = schedule_keyswitch_ring(REF, 8, with_timeline=True)
+    rep = schedule_keyswitch_ring(REF, 8)
     doc = json.loads(rep.to_json())
     assert doc["schema"] == 1
     assert doc["total_cycles"] == rep.total_cycles
@@ -216,6 +217,48 @@ def test_report_json_and_timeline():
     lines = csv.strip().splitlines()
     assert lines[0].startswith("op,chiplet,resource")
     assert len(lines) == len(rep.timeline) + 1
+
+
+def _built_dag(cfg):
+    sb = ScheduleBuilder(cfg)
+    build_keyswitch_ring(sb, 4)
+    return sb
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: Engine(REF).run(_built_dag(REF)),
+    lambda: schedule_keyswitch_ring(REF, 8),
+    lambda: schedule_moddown_ring(REF, 8, fused_rescale=True),
+    lambda: schedule_keyswitch_digits(REF, 8, 3, 3, "DIGITWISE"),
+    lambda: schedule_strawman(EXACT, 6, "B"),
+    lambda: run_workload(REF, [{"op": "HOST_LOAD", "l": 2}, {"op": "ROTATE", "k": 2},
+                               {"op": "RESCALE", "l": 3}], levels=3),
+], ids=["engine", "ring", "moddown", "digits", "strawman", "workload"])
+def test_every_report_serves_its_timeline(entry, monkeypatch):
+    # the timeline was built only when a with_timeline flag asked for it;
+    # every other report held None
+    sizes = []
+    run = Engine.run
+
+    def counting(engine, dag, *args, **kwargs):
+        sizes.append(len(dag))
+        return run(engine, dag, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run", counting)
+    rep = entry()
+    doc = rep.to_json()
+    timeline = rep.timeline
+    assert len(timeline) == sizes[-1] > 0
+    assert sorted(t["uid"] for t in timeline) == list(range(sizes[-1]))
+    assert [t["start"] for t in timeline] == sorted(t["start"] for t in timeline)
+    assert rep.timeline == timeline and rep.to_json() == doc
+
+
+def test_hbm_read_gives_the_deps_to_splice():
+    # exact mode models no HBM transfer, so a key read adds no dep
+    assert ScheduleBuilder(EXACT).hbm_read(0) == ()
+    sb = ScheduleBuilder(REF)
+    assert sb.hbm_read(1, phase="modup") == (0,) and sb.kinds == ["HBM_RD"]
 
 
 def test_exact_mode_transfer_is_matched_beat():
@@ -229,7 +272,7 @@ def test_strawman_send_lasts_twice_the_beat():
     # mode keeps the matched beat.
     for tech in ("A", "B", "C"):
         for cfg, beats in ((REF, 2), (replace(REF, c2c_gbps=81.0), 2), (EXACT, 1)):
-            rep = schedule_strawman(cfg, 6, tech, with_timeline=True)
+            rep = schedule_strawman(cfg, 6, tech)
             sends = {t["end"] - t["start"] for t in rep.timeline if t["kind"] == "SEND"}
             assert sends == {beats * cfg.beat_cycles()}, (tech, cfg)
     assert replace(REF, c2c_gbps=81.0).c2c_cycles() > 2 * REF.beat_cycles()
@@ -375,9 +418,9 @@ def test_golden_matrix_reports():
     got["sweep"] = _digest(json.dumps(sweep_chiplets(p1, [1, 4, 32], l=14),
                                       sort_keys=True))
     got["timeline-ring"] = _digest(
-        schedule_keyswitch_ring(p1, 8, with_timeline=True).timeline_csv())
+        schedule_keyswitch_ring(p1, 8).timeline_csv())
     got["timeline-digits"] = _digest(
-        schedule_keyswitch_digits(p1, 8, 3, 3, with_timeline=True).timeline_csv())
+        schedule_keyswitch_digits(p1, 8, 3, 3).timeline_csv())
     assert got == GOLDEN
 
 
@@ -538,6 +581,9 @@ def test_host_load_of_no_bytes_rejected(monkeypatch):
     [{"op": "KEYSWITCH", "l": 3, "k": True}],                # used to run as k = 1
     [{"op": "HOST_LOAD", "l": 2, "bytes": "4096"}],
     [{"op": "BOOTSTRAP_SCHED", "schedule": [{"op": "HADD", "l": 2.0}]}],
+    [{"op": "KEYSWITCH", "level": 5}],                      # a typo ran at the depth
+    [{"op": "HADD", "l": 3, "comment": "x"}],
+    [{"op": "BOOTSTRAP_SCHED", "l": 3, "schedule": [{"op": "HADD", "l": 3}]}],
 ])
 def test_malformed_program_rejected(program, monkeypatch):
     from fhesim.chipletsim import schedules
@@ -552,6 +598,39 @@ def test_non_integer_levels_rejected(monkeypatch):
     for levels in (3.0, "3", True):
         with pytest.raises(ProgramError):
             run_workload(REF, [{"op": "HADD", "l": 2}], levels=levels)
+
+
+@pytest.mark.parametrize("l, levels", [(3, -1), (40, 3), (None, -1)])
+def test_levels_below_a_step_level_rejected(l, levels, monkeypatch):
+    # under SEQUENTIAL, levels -1 used to raise a bare ZeroDivisionError in
+    # limb_owner, and levels 3 put 38 of an l=40 step's 41 limbs on chiplet 3
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    step = {"op": "HADD"} if l is None else {"op": "HADD", "l": l}
+    with pytest.raises(ProgramError, match="level"):
+        run_workload(REF, [step], assignment="SEQUENTIAL", levels=levels)
+
+
+def test_parse_program_applies_the_defaults():
+    steps, levels = parse_program([
+        {"op": "hadd"}, {"op": "BOOTSTRAP_SCHED", "schedule": [
+            {"op": "ROTATE", "l": 5, "k": 2}, {"op": "HOST_LOAD", "l": 1, "bytes": 64}]}])
+    assert levels == 5
+    assert [tuple(s) for s in steps] == [("HADD", 5, 1, None), ("ROTATE", 5, 2, None),
+                                         ("HOST_LOAD", 1, 1, 64)]
+    assert parse_program([{"op": "HADD"}])[1] == 0
+
+
+def test_every_bundled_program_preset_parses():
+    presets = resources.files("fhesim.presets")
+    programs = {}
+    for path in presets.iterdir():
+        doc = json.loads(path.read_text()) if path.name.endswith(".json") else {}
+        if "program" in doc:
+            assert set(doc) <= set(_PROGRAM_DOC_KEYS), path.name
+            programs[path.name] = parse_program(doc["program"], doc.get("levels"))
+    assert {"keyswitch_l30.json", "bootstrap_example.json"} <= set(programs)
+    assert all(steps for steps, _ in programs.values())
 
 
 def test_digits_dnum_above_limb_count_rejected():
@@ -594,8 +673,7 @@ def test_keyswitch_dnum_without_k_rejected(monkeypatch):
 def test_digitwise_sends_wait_for_their_intt():
     # at K=1 digit 0's INTT is uid 0, which used to read as "no INTT yet",
     # so its sends started at cycle 0
-    rep = schedule_keyswitch_digits(ChipletConfig(r=4), 3, 4, 1, "DIGITWISE",
-                                    with_timeline=True)
+    rep = schedule_keyswitch_digits(ChipletConfig(r=4), 3, 4, 1, "DIGITWISE")
     assert rep.total_cycles == 7168
     ops = [t for t in rep.timeline if t["digit"] == 0 and t["phase"] == "modup"]
     intt_end = max(t["end"] for t in ops if t["kind"] == "INTT")
@@ -681,7 +759,7 @@ def _random_dags(draw):
 def test_engine_invariants_on_random_dags(dag):
     cfg, sb = dag
     ops = list(sb)
-    rep = Engine(cfg).run(sb, with_timeline=True)
+    rep = Engine(cfg).run(sb)
     start = {t["uid"]: t["start"] for t in rep.timeline}
     end = {t["uid"]: t["end"] for t in rep.timeline}
     for op in ops:
@@ -709,5 +787,5 @@ def test_engine_invariants_on_random_dags(dag):
         assert c["busy"] + c["stall"] + c["idle"] == rep.total_cycles
     sends = sum(v["sends"] for v in rep.links.values())
     assert sum(v["bytes"] for v in rep.links.values()) == sends * cfg.poly_bytes
-    again = Engine(cfg).run(sb, with_timeline=True)
+    again = Engine(cfg).run(sb)
     assert again.to_json() == rep.to_json() and again.timeline == rep.timeline

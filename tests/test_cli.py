@@ -198,8 +198,18 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     ('{"program": [{"op": "HADD", "l": "x"}]}', "integer"),     # was a bare ValueError
     ('{"program": [{"op": "BOOTSTRAP_SCHED"}]}', "schedule"),   # was a bare KeyError
     ('{"program": [{"op": "HADD", "l": 3}]', "not JSON"),       # was a JSONDecodeError
+    # a misspelt key was ignored: the step ran at l=8, the program at levels 3
+    ('{"program": [{"op": "KEYSWITCH", "level": 5}], "levels": 8}', "level"),
+    ('{"program": [{"op": "HADD", "l": 3}], "level": 30}', "level"),
+    ('{"program": [{"op": "BOOTSTRAP_SCHED", "l": 3, "schedule": []}]}', "BOOTSTRAP_SCHED"),
+    ('{"program": [{"op": "KEYSWITCH", "l": 8, "dnum": 3}]}', "follows from k"),
+    # ran, or under SEQUENTIAL raised a bare ZeroDivisionError (levels -1) or
+    # put 38 of the step's 41 limbs on chiplet 3 (levels 3)
+    ('{"program": [{"op": "HADD", "l": 3}], "levels": -1}', "levels -1"),
+    ('{"program": [{"op": "HADD", "l": 40}], "levels": 3}', "levels 3"),
 ], ids=["no-program", "a-list", "program-not-list", "float-l", "string-l",
-        "no-schedule", "not-json"])
+        "no-schedule", "not-json", "step-key", "document-key", "bootstrap-key", "dnum",
+        "levels-negative", "levels-below-step"])
 def test_malformed_program_file_is_one_line_and_status_2(text, named, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(text)
