@@ -375,6 +375,9 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
 def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport:
     _check_at_least(l, 0, "l")
     technique = technique.upper()
+    if technique not in ("OURS", "A", "B", "C"):
+        raise ProgramError(f"unknown strawman technique {technique!r}; "
+                           "one of OURS, A, B, C")
     if technique == "OURS":
         return schedule_keyswitch_ring(cfg, l)
     run_cfg = replace(cfg, r=l + 2) if technique in ("B", "C") else cfg
@@ -496,7 +499,8 @@ def parse_program(program: Sequence[dict],
     """The checked macro ops of a program, BOOTSTRAP_SCHED schedules inlined,
     and its depth: `levels`, or else the highest "l" given.  A step holds an
     "op" and maybe an "l" (default: the depth, which no step may exceed), a
-    "k" (default 1) and "bytes", each an integer; a bool is not one."""
+    "k" (default 1) and, on a HOST_LOAD only, "bytes", each an integer; a bool
+    is not one."""
     given = []
     for step in flatten(program):
         op = step["op"].upper()
@@ -524,6 +528,8 @@ def parse_program(program: Sequence[dict],
         if op == "MODDOWN" and k != 1:
             raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
         if nbytes is not None:
+            if op != "HOST_LOAD":
+                raise ProgramError(f"{op} gives bytes; only a HOST_LOAD step moves bytes")
             _check_at_least(nbytes, 1, f"{op} bytes")
     return steps, levels
 

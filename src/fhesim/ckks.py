@@ -21,20 +21,22 @@ one (keys, digits, bases, N) ksk0 array, the single keystream draw of all
 their a limbs.  keygen returns the relin key expanded, its ksk1 a kept copy
 of its part of that draw, since every relinearization reads all of it; the
 rotation keys leave seeded, as a server that holds many of them would keep
-them, and expand on first use.  At the public API the limbs of
-ciphertexts, plaintexts and secret keys are Polys, each one uint64 row; a
-limb a routine builds holds a read-only view of its result (_unstack).  A
-routine checks that each input component holds one limb per base of its
-level and stacks their rows into one fresh array, each residue checked to
-lie in [0, q) (_rows, _stack), so no kernel writes to a limb and an edited
-copy of a limb is checked like any input.
+them, and expand on first use.  So are the secret key's s, one read-only
+(PQ_L bases, N) stack, and mult's (d0, d1, d2), one read-only (3, rows, N)
+stack; moddown and bconv_routine take and return (..., rows, N) stacks.
+Ciphertext and plaintext limbs are Polys, each one uint64 row; a limb a
+routine builds holds a read-only view of its result (_unstack).  An input
+must hold one limb or row per base of its level, each residue in [0, q):
+limbs are stacked into one fresh array (_rows, _stack), stacks are checked in
+place (_checked), so no kernel writes to a limb and an edited copy of a limb
+is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
 evaluations (automorphism_ntt_rows), for ciphertexts as for the target
 secret of a rotation key.  rotate runs array-native from the input
 ciphertext through that gather into the key switch.  Both key switches are
-one body, _keyswitch, on a (d0, d1, d2) stack of (3, rows, N) (rotate hands
+one body, _keyswitch, on an ExtCiphertext's (d0, d1, d2) stack (rotate hands
 it the permuted (c0, 0, c1)); they differ only in the ModUp it streams into
 the key products one digit at a time: at K = 1 the digit's one limb reduced
 into every live base and NTT-transformed, otherwise base conversion.
@@ -60,10 +62,10 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _canonical, _element_ratios,
-                         _frozen, _mulmod_signed, _stack, _unstack, automorphism_ntt_rows,
-                         intt_rows, mas_rows, modulus_columns, ntt_rows, poly_to_bytes,
-                         row_to_bytes, rows_from_bytes)
+from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _canonical, _checked_rows,
+                         _element_ratios, _frozen, _mulmod_signed, _stack, _unstack,
+                         automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns, ntt_rows,
+                         poly_to_bytes, row_to_bytes, rows_from_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -279,8 +281,7 @@ def derive_seed(master: int, *path: int) -> int:
 
 @dataclass
 class RnsPoly:
-    """One ring element as residue limbs: the q bases of its level, or those
-    plus the p bases where a routine (moddown) takes the extended form."""
+    """One ring element as residue limbs, one per q base of its level."""
 
     limbs: List[Poly]
     level: int
@@ -302,13 +303,11 @@ class Ciphertext:
     scale: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtCiphertext:
     """Three-component ciphertext produced by Mult, consumed by KeySwitch."""
 
-    d0: RnsPoly
-    d1: RnsPoly
-    d2: RnsPoly
+    rows: np.ndarray            # (3, level+1, N) uint64 stack of (d0, d1, d2), NTT domain
     level: int
     scale: float
 
@@ -326,10 +325,10 @@ class KeySwitchKey:
     dnum: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SecretKey:
     coeffs: List[int]                     # ternary, length N
-    ntt_limbs: List[Poly]                 # over all PQ_L bases, NTT domain
+    s: np.ndarray                         # read-only (PQ_L bases, N) uint64, NTT domain
 
 
 @dataclass
@@ -369,16 +368,35 @@ class CkksContext:
 
     # -- limbs in and out at the public API ----------------------------------
 
-    def _rows(self, level: int, extended: bool = False, **comps: RnsPoly) -> np.ndarray:
+    def _rows(self, level: int, **comps: RnsPoly) -> np.ndarray:
         """NTT-domain components of one level as a (components, rows, N) array;
-        each holds one limb per q base of the level, then per p base if extended."""
-        bases = self._q_bases(level) + (tuple(self.basis.p_list) if extended else ())
+        each holds one limb per q base of the level."""
+        bases = self._q_bases(level)
         for name, c in comps.items():
             if tuple(p.modulus for p in c.limbs) != bases:
                 raise LengthMismatch(f"{name} holds {len(c.limbs)} limbs, not the "
                                      f"{len(bases)} bases of level {level} in order")
         x = _stack([p for c in comps.values() for p in c.limbs], Domain.NTT)
         return x.reshape(len(comps), -1, self.n)
+
+    def _checked(self, x: np.ndarray, name: str, bases: Tuple[PrimeModulus, ...],
+                 of: str) -> np.ndarray:
+        """x, a (..., rows, N) stack, checked in place to hold one row of N
+        residues per base, each in [0, q) of its row: LengthMismatch or
+        ResidueOutOfRange."""
+        shape = np.shape(x)
+        if shape[-2:-1] != (len(bases),):
+            raise LengthMismatch(f"{name} holds {shape[-2] if len(shape) > 1 else 'no'} "
+                                 f"limbs, not the {len(bases)} {of}")
+        if shape[-1] != self.n:
+            raise LengthMismatch(f"{name} holds rows of {shape[-1]} residues, not N = {self.n}")
+        return _checked_rows(x, modulus_columns(bases)[0], copy=False)
+
+    def _ext_rows(self, d: ExtCiphertext) -> np.ndarray:
+        """d's (3, rows, N) stack, checked in place against its level."""
+        if np.ndim(d.rows) != 3 or len(d.rows) != 3:
+            raise LengthMismatch(f"d holds a stack of shape {np.shape(d.rows)}, not (3, rows, N)")
+        return self._checked(d.rows, "d", self._q_bases(d.level), f"bases of level {d.level}")
 
     def _ciphertext(self, x: np.ndarray, level: int, scale: float) -> Ciphertext:
         moduli = self._q_bases(level)
@@ -449,31 +467,19 @@ class CkksContext:
 
     # -- key generation -----------------------------------------------------
 
-    def make_keyswitch_key(self, sk: SecretKey, target_ntt: List[Poly],
-                           master_seed: int, rng: np.random.Generator) -> KeySwitchKey:
-        """Key switching from `target` to sk: digits of (ksk0, seed-expandable ksk1).
+    def make_keyswitch_keys(self, s: np.ndarray, master_seeds: Sequence[int],
+                            targets: Iterable[np.ndarray], rng: np.random.Generator,
+                            expanded: int = 0) -> List[KeySwitchKey]:
+        """One switching key to s per master seed, from the matching target s',
+        each a (PQ_L bases, N) NTT-domain stack: digits of (ksk0, ksk1).
 
-        target_ntt holds the switched-from secret s' over all PQ_L bases.
-        Per digit j and base t: ksk0 = -a*s + e + gadget_j*s' with a drawn
-        from the keystream seeded by (master_seed, j, t).  This is a one-key
-        call of the builder keygen runs on all its keys at once, so it gives
-        the key keygen builds from the same rng state.
-        """
-        key, = self._make_keyswitch_keys(_stack(sk.ntt_limbs, Domain.NTT), [master_seed],
-                                         [_stack(target_ntt, Domain.NTT)], rng)
-        return key
-
-    def _make_keyswitch_keys(self, s: np.ndarray, master_seeds: Sequence[int],
-                             targets: Iterable[np.ndarray], rng: np.random.Generator,
-                             expanded: int = 0) -> List[KeySwitchKey]:
-        """One switching key to s per master seed, from the matching target s'.
-
-        The a limbs of every key, digit and base come from one LaneSampler
-        draw, whose (keys, digits, bases, N) array becomes the keys' ksk0
-        storage: each digit then turns its a into e + g_j*s' - a*s in place.
-        The errors are drawn from rng key by key, digit by digit, and each
-        key's are NTT-transformed in one call.  targets is read one key at a
-        time.
+        The a limbs of every key, digit j and base t come from one LaneSampler
+        draw, seeded by (master_seed, j, t), whose (keys, digits, bases, N)
+        array becomes the keys' ksk0 storage: each digit then turns its a into
+        e + g_j*s' - a*s in place.  The errors are drawn from rng key by key,
+        digit by digit, and each key's are NTT-transformed in one call, so one
+        call per key from the same rng builds the same keys.  targets is read
+        one key at a time.
 
         The first `expanded` keys leave expanded: before ksk0 is formed, they
         keep a frozen copy of the a rows drawn for them as their ksk1, which
@@ -481,6 +487,8 @@ class CkksContext:
         seeded, ksk1 None until first use (_fill_ksk1).
         """
         bases = tuple(self.all_bases())
+        of = f"bases of level {self.basis.l_max}"
+        s = self._checked(s, "s", bases, of)
         q, qinv = modulus_columns(bases)
         q = q.view(np.int64)
         n_digits = len(opcount.digit_ranges(self.basis.l_max, self.basis.k))
@@ -492,6 +500,7 @@ class CkksContext:
         kept, = _frozen(ksk0[:expanded].copy())
         keys = []
         for i, (s_target, key_rows, key_seeds) in enumerate(zip(targets, ksk0, seeds)):
+            s_target = self._checked(s_target, "target", bases, of)
             e = self._small_ntt([self._gaussian_ints(rng) for _ in key_rows], bases)
             for j, a in enumerate(key_rows):
                 g_s = _canonical(_mulmod_signed(s_target.view(np.int64),
@@ -539,14 +548,14 @@ class CkksContext:
         rng = np.random.default_rng(seed)
         s_ints = rng.integers(-1, 2, self.n)
         bases = tuple(self.all_bases())
-        s = self._small_ntt(s_ints, bases)
-        sk = SecretKey(coeffs=s_ints.tolist(), ntt_limbs=_unstack(s, bases, Domain.NTT))
+        s, = _frozen(self._small_ntt(s_ints, bases))
+        sk = SecretKey(coeffs=s_ints.tolist(), s=s)
         rotations = list(rotations)
         masters = [derive_seed(seed, 0xE)] + [derive_seed(seed, 0xA, rot) for rot in rotations]
         targets = itertools.chain([mas_rows(MasOp.MUL, s, s, bases)],
                                   (automorphism_ntt_rows(s, self._galois(rot))
                                    for rot in rotations))
-        relin, *rot_keys = self._make_keyswitch_keys(s, masters, targets, rng, expanded=1)
+        relin, *rot_keys = self.make_keyswitch_keys(s, masters, targets, rng, expanded=1)
         return sk, KeySet(relin=relin, rotation=dict(zip(rotations, rot_keys)))
 
     # -- encryption ---------------------------------------------------------
@@ -556,23 +565,21 @@ class CkksContext:
         moduli = self._q_bases(level)
         e = self._small_ntt(self._gaussian_ints(rng), moduli)
         a = np.array([rng.integers(0, m.q, self.n) for m in moduli], dtype=np.uint64)
-        s = _stack(sk.ntt_limbs[: level + 1], Domain.NTT)
         c0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, self._rows(level, pt=pt)[0], e, moduli),
-                      mas_rows(MasOp.MUL, a, s, moduli), moduli)
+                      mas_rows(MasOp.MUL, a, sk.s[: level + 1], moduli), moduli)
         return self._ciphertext(np.stack([c0, a]), level, pt.scale or self.delta)
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> RnsPoly:
         moduli = self._q_bases(ct.level)
         c0, c1 = self._rows(ct.level, c0=ct.c0, c1=ct.c1)
-        s = _stack(sk.ntt_limbs[: ct.level + 1], Domain.NTT)
-        m = mas_rows(MasOp.MAC, c1, s, moduli, c0)
+        m = mas_rows(MasOp.MAC, c1, sk.s[: ct.level + 1], moduli, c0)
         return RnsPoly(_unstack(m, moduli, Domain.NTT), ct.level)
 
     def decrypt_triple(self, d: ExtCiphertext, sk: SecretKey) -> RnsPoly:
         """Decrypt (d0, d1, d2) with (1, s, s^2) for pre-relinearization checks."""
         moduli = self._q_bases(d.level)
-        d0, d1, d2 = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
-        s = _stack(sk.ntt_limbs[: d.level + 1], Domain.NTT)
+        d0, d1, d2 = self._ext_rows(d)
+        s = sk.s[: d.level + 1]
         s2 = mas_rows(MasOp.MUL, s, s, moduli)
         m = mas_rows(MasOp.MAC, d2, s2, moduli, mas_rows(MasOp.MAC, d1, s, moduli, d0))
         return RnsPoly(_unstack(m, moduli, Domain.NTT), d.level)
@@ -594,11 +601,9 @@ class CkksContext:
         lvl = a.level
         moduli = self._q_bases(lvl)
         x, y = self._rows(lvl, c0=a.c0, c1=a.c1), self._rows(lvl, c0=b.c0, c1=b.c1)
-        d02 = _mas(MasOp.MUL, x, y, moduli)          # (a0*b0, a1*b1)
-        d1 = _mas(MasOp.MAC, x[1], y[0], moduli, _mas(MasOp.MUL, x[0], y[1], moduli))
-        d0, d1, d2 = (RnsPoly(_unstack(z, moduli, Domain.NTT), lvl)
-                      for z in (d02[0], d1, d02[1]))
-        return ExtCiphertext(d0, d1, d2, lvl, a.scale * b.scale)
+        d = _mas(MasOp.MUL, x[[0, 0, 1]], y[[0, 1, 1]], moduli)   # (a0*b0, a0*b1, a1*b1)
+        d[1] = _mas(MasOp.MAC, x[1], y[0], moduli, d[1])          # + a1*b0
+        return ExtCiphertext(_frozen(d)[0], lvl, a.scale * b.scale)
 
     def rotate_perm(self, ct: Ciphertext, rot: int) -> Ciphertext:
         """Apply the Galois map X -> X^(5^rot) to both components, in the NTT
@@ -612,26 +617,20 @@ class CkksContext:
 
     # -- base conversion ----------------------------------------------------
 
-    def bconv_routine(self, limbs: List[Poly], targets: List[PrimeModulus]) -> List[Poly]:
-        """Fast base conversion of coefficient-domain limbs into target bases.
-
-        Returns one NTT-domain limb per target.  The result represents the
-        source value plus a small multiple of the source-base product (the
-        usual approximate-conversion slack).
-        """
-        out = self._bconv(_stack(limbs, Domain.COEFF), tuple(p.modulus for p in limbs),
-                          tuple(targets))
-        return _unstack(out, targets, Domain.NTT)
-
-    def _bconv(self, x: np.ndarray, sources: Tuple[PrimeModulus, ...],
-               targets: Tuple[PrimeModulus, ...]) -> np.ndarray:
-        """bconv_routine on a (..., sources, N) stack, returning (..., targets, N).
+    def bconv_routine(self, x: np.ndarray, sources: Sequence[PrimeModulus],
+                      targets: Sequence[PrimeModulus]) -> np.ndarray:
+        """Fast base conversion of a (..., sources, N) coefficient-domain stack
+        into the target bases: a (..., targets, N) NTT-domain stack.  The
+        result represents the source value plus a small multiple of the
+        source-base product (the usual approximate-conversion slack).
 
         All rows go through the signed product at once: the source residues
         times hat_inv mod q_s, brought into [0, q_s) by the canonical end, then
         those (each below its own q_s, which may exceed q_t) times hat mod q_t,
         summed over the sources in int64 and reduced once per target.
         """
+        sources, targets = tuple(sources), tuple(targets)
+        x = self._checked(x, "x", sources, "sources")
         to_sources, to_targets = _bconv_plan(sources, targets)
         (q_s, qinv_s), (q_t, qinv_t) = modulus_columns(sources), modulus_columns(targets)
         q_s, q_t = q_s.view(np.int64), q_t.view(np.int64)
@@ -680,22 +679,18 @@ class CkksContext:
         """Alg-style dnum = L+1 key switch: per-limb NTT fan-out plus MACs."""
         if self.basis.k != 1:
             raise KeyLevelTooLow("full-dnum key switch requires K == 1")
-        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
-        return self._ciphertext(self._keyswitch(x, ksk, d.level, self._modup_limb),
-                                d.level, d.scale)
+        return self._keyswitch(d, ksk, self._modup_limb)
 
     def keyswitch_generic(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
         """Arbitrary-dnum key switch: digit ModUp via base conversion."""
-        x = self._rows(d.level, d0=d.d0, d1=d.d1, d2=d.d2)
-        return self._ciphertext(self._keyswitch(x, ksk, d.level, self._modup_digit),
-                                d.level, d.scale)
+        return self._keyswitch(d, ksk, self._modup_digit)
 
-    def _keyswitch(self, x: np.ndarray, ksk: KeySwitchKey, level: int,
-                   modup: Callable[..., np.ndarray]) -> np.ndarray:
-        """Key switch of a (3, rows, N) stack (d0, d1, d2) to the switched
-        (2, rows, N) stack: d2 leaves the NTT domain once, each digit's
-        modup(d2, d2c, digit, level) feeds the key products as it is made, and
-        ModDown of both sums is added to (d0, d1)."""
+    def _keyswitch(self, d: ExtCiphertext, ksk: KeySwitchKey,
+                   modup: Callable[..., np.ndarray]) -> Ciphertext:
+        """Key switch of d's (d0, d1, d2) to a ciphertext: d2 leaves the NTT
+        domain once, each digit's modup(d2, d2c, digit, level) feeds the key
+        products as it is made, and ModDown of both sums is added to (d0, d1)."""
+        x, level = self._ext_rows(d), d.level
         digits = opcount.digit_ranges(level, self.basis.k)
         if len(digits) > len(ksk.digits):
             raise KeyLevelTooLow("key has too few digits for this level")
@@ -703,7 +698,8 @@ class CkksContext:
         d2c = _intt(x[2], q_bases)
         ys = (modup(x[2], d2c, digit, level) for digit in digits)
         acc = self._key_products(ys, len(digits), ksk, level)
-        return _mas(MasOp.ADD, x[:2], self._moddown(acc, level), q_bases)
+        out = _mas(MasOp.ADD, x[:2], self.moddown(acc, level), q_bases)
+        return self._ciphertext(out, level, d.scale)
 
     def _modup_limb(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
                     level: int) -> np.ndarray:
@@ -724,23 +720,19 @@ class CkksContext:
             _tick("MAS", 2 * len(live))
         y = np.empty((len(live), self.n), dtype=np.uint64)
         y[own] = d2[own]
-        y[other] = self._bconv(d2c[own], tuple(live[i] for i in own),
-                               tuple(live[t] for t in other))
+        y[other] = self.bconv_routine(d2c[own], [live[i] for i in own],
+                                      [live[t] for t in other])
         return y
 
     # -- modulus maintenance -------------------------------------------------
 
-    def moddown(self, ext: RnsPoly) -> RnsPoly:
-        """Drop the special bases: (x - BConv_P->Ql([x]_P)) * P^-1."""
-        level = ext.level
-        out = self._moddown(self._rows(level, extended=True, ext=ext)[0], level)
-        return RnsPoly(_unstack(out, self._q_bases(level), Domain.NTT), level)
-
-    def _moddown(self, x: np.ndarray, level: int) -> np.ndarray:
-        """moddown on a (..., live bases, N) stack."""
+    def moddown(self, x: np.ndarray, level: int) -> np.ndarray:
+        """Drop the special bases of a (..., live bases, N) NTT-domain stack at
+        level: (x - BConv_P->Ql([x]_P)) * P^-1, a (..., level+1, N) stack."""
         q_bases = self._q_bases(level)
         p_bases = tuple(self.basis.p_list)
-        r = self._bconv(_intt(x[..., level + 1:, :], p_bases), p_bases, q_bases)
+        x = self._checked(x, "x", q_bases + p_bases, f"bases of level {level}")
+        r = self.bconv_routine(_intt(x[..., level + 1:, :], p_bases), p_bases, q_bases)
         p_inv = [pow(self.basis.p_product, -1, m.q) for m in q_bases]
         return _submul(x[..., : level + 1, :], r, p_inv, q_bases)
 
@@ -772,8 +764,7 @@ class CkksContext:
         x = np.zeros((3, level + 1, self.n), dtype=np.uint64)
         x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), self._galois(rot))
         modup = self._modup_limb if self.basis.k == 1 else self._modup_digit
-        return self._ciphertext(self._keyswitch(x, keys.rotation[rot], level, modup),
-                                level, ct.scale)
+        return self._keyswitch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot], modup)
 
 
 # ---------------------------------------------------------------------------

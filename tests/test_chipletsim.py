@@ -584,6 +584,7 @@ def test_host_load_of_no_bytes_rejected(monkeypatch):
     [{"op": "KEYSWITCH", "level": 5}],                      # a typo ran at the depth
     [{"op": "HADD", "l": 3, "comment": "x"}],
     [{"op": "BOOTSTRAP_SCHED", "l": 3, "schedule": [{"op": "HADD", "l": 3}]}],
+    [{"op": "HADD", "l": 3, "bytes": 7}],                   # ran as if it gave none
 ])
 def test_malformed_program_rejected(program, monkeypatch):
     from fhesim.chipletsim import schedules
@@ -609,6 +610,14 @@ def test_levels_below_a_step_level_rejected(l, levels, monkeypatch):
     step = {"op": "HADD"} if l is None else {"op": "HADD", "l": l}
     with pytest.raises(ProgramError, match="level"):
         run_workload(REF, [step], assignment="SEQUENTIAL", levels=levels)
+
+
+def test_unknown_strawman_technique_rejected_before_any_dag(monkeypatch):
+    # used to raise a bare ValueError from inside the DAG builder
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    with pytest.raises(ProgramError, match="technique"):
+        schedule_strawman(ChipletConfig(), 6, "D")
 
 
 def test_parse_program_applies_the_defaults():

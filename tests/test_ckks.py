@@ -196,7 +196,7 @@ def test_add_level_and_scale_checks(ctx, keyed):
 
 @pytest.mark.parametrize("residue", ["q", "negative"])
 def test_public_routines_reject_out_of_range_residues(ctx, keyed, residue):
-    sk, _ = keyed
+    sk, keys = keyed
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
     limb = ct.c0.limbs[1]
     coeffs = limb.coeffs.tolist()
@@ -212,6 +212,19 @@ def test_public_routines_reject_out_of_range_residues(ctx, keyed, residue):
         ctx.mult(ct, ct)
     with pytest.raises(ResidueOutOfRange):
         ctx.decrypt(ct, sk)
+    # stacks are checked in place where they enter, in rows no kernel reads first
+    word = coeffs[3] if residue == "q" else (1 << 64) - 1
+    level, q1 = BASIS.l_max, (BASIS.q_list[1],)
+    ext = np.zeros((3, level + 1, ctx.n), dtype=np.uint64)
+    ext[0, 1, 3] = word
+    with pytest.raises(ResidueOutOfRange):
+        ctx.keyswitch_full_dnum(ExtCiphertext(ext, level, ctx.delta), keys.relin)
+    live = np.zeros((len(ctx.live_bases(level)), ctx.n), dtype=np.uint64)
+    live[1, 3] = word
+    with pytest.raises(ResidueOutOfRange):
+        ctx.moddown(live, level)
+    with pytest.raises(ResidueOutOfRange):
+        ctx.bconv_routine(live[1:2], q1, BASIS.p_list)
 
 
 def test_mult_cross_term_symmetry_and_zero(ctx, keyed):
@@ -221,7 +234,7 @@ def test_mult_cross_term_symmetry_and_zero(ctx, keyed):
     b = ctx.encrypt(ctx.encode(slots_vec(ctx, "b"), BASIS.l_max), sk, rng())
     d_ab = ctx.mult(a, b)
     d_ba = ctx.mult(b, a)
-    assert d_ab.d1.limbs == d_ba.d1.limbs
+    assert np.array_equal(d_ab.rows[1], d_ba.rows[1])
     # enc(0) * ct decrypts (with 1, s, s^2) to about zero
     zero = ctx.encrypt(ctx.encode(np.zeros(ctx.slots), BASIS.l_max), sk, rng())
     d = ctx.mult(zero, a)
@@ -330,21 +343,21 @@ def test_keygen_follows_the_digit_partition_when_dnum_does_not_divide():
 
 @pytest.mark.parametrize("basis", [BASIS, BASIS3, DNUM4], ids=["dnum5", "dnum2", "dnum4"])
 def test_keygen_batch_equals_keys_built_one_at_a_time(basis):
-    # keygen draws every key's a limbs in one batch; make_keyswitch_key builds
-    # one key, so the same rng sequence must give the same keys one by one
+    # keygen draws every key's a limbs in one batch; make_keyswitch_keys here
+    # builds one key per call, so the same rng sequence must give the same keys
     ctx_b = CkksContext(basis)
     seed, rotations = 77, (3, 1, 3)
     sk, keys = ctx_b.keygen(seed, rotations)
     gen = np.random.default_rng(seed)
     assert gen.integers(-1, 2, ctx_b.n).tolist() == sk.coeffs
     bases = tuple(ctx_b.all_bases())
-    s = np.array([p.coeffs for p in sk.ntt_limbs], dtype=np.uint64)
-    square = [Poly([v * v % m.q for v in row], m, Domain.NTT)
-              for row, m in zip(s.tolist(), bases)]
-    want = {"relin": ctx_b.make_keyswitch_key(sk, square, derive_seed(seed, 0xE), gen)}
+    s = sk.s
+    square = np.array([[v * v % m.q for v in row] for row, m in zip(s.tolist(), bases)],
+                      dtype=np.uint64)
+    want = {"relin": ctx_b.make_keyswitch_keys(s, [derive_seed(seed, 0xE)], [square], gen)[0]}
     for rot in rotations:
-        rotated = _unstack(automorphism_ntt_rows(s, pow(5, rot, 2 * ctx_b.n)), bases, Domain.NTT)
-        want[rot] = ctx_b.make_keyswitch_key(sk, rotated, derive_seed(seed, 0xA, rot), gen)
+        rotated = automorphism_ntt_rows(s, pow(5, rot, 2 * ctx_b.n))
+        want[rot], = ctx_b.make_keyswitch_keys(s, [derive_seed(seed, 0xA, rot)], [rotated], gen)
     got = {"relin": keys.relin, **keys.rotation}
     assert got.keys() == want.keys()
     for name, key in got.items():
@@ -407,8 +420,8 @@ def test_rotate_census_matches_simulator(ctx, keyed, level):
 def _random_ext(ctx, level, seed):
     """A random NTT-domain polynomial over the live PQ_level bases."""
     rs = np.random.default_rng(seed)
-    return RnsPoly([Poly([int(v) for v in rs.integers(0, m.q, ctx.n)], m, Domain.NTT)
-                    for m in ctx.live_bases(level)], level)
+    return np.array([rs.integers(0, m.q, ctx.n) for m in ctx.live_bases(level)],
+                    dtype=np.uint64)
 
 
 def _functional_census(op, ctx, sk, keys, level):
@@ -429,10 +442,10 @@ def _functional_census(op, ctx, sk, keys, level):
         elif op == "ROTATE":
             ctx.rotate(a, 1, keys)
         elif op == "MODDOWN":
-            ctx.moddown(ext[0])
+            ctx.moddown(ext[0], level)
         else:   # FUSED_RESCALE: ModDown both components, then rescale them
-            down = [ctx.moddown(x) for x in ext]
-            ctx.rescale(Ciphertext(down[0], down[1], level, ctx.delta))
+            down = [ctx.moddown(x, level) for x in ext]
+            ctx.rescale(ctx._ciphertext(np.stack(down), level, ctx.delta))
     return census
 
 
@@ -490,11 +503,10 @@ def test_identity_keyswitch_preserves_plaintext(ctx, keyed):
     sk, _ = keyed
     v = slots_vec(ctx)
     ct = ctx.encrypt(ctx.encode(v, BASIS.l_max), sk, rng())
-    ident = ctx.make_keyswitch_key(sk, sk.ntt_limbs, derive_seed(9, 9),
-                                   np.random.default_rng(5))
-    zero = RnsPoly([Poly([0] * ctx.n, p.modulus, Domain.NTT)
-                    for p in ct.c1.limbs], ct.level)
-    d = ExtCiphertext(ct.c0, zero, ct.c1, ct.level, ct.scale)
+    ident, = ctx.make_keyswitch_keys(sk.s, [derive_seed(9, 9)], [sk.s],
+                                     np.random.default_rng(5))
+    c0, c1 = ([p.coeffs for p in c.limbs] for c in (ct.c0, ct.c1))
+    d = ExtCiphertext(np.array([c0, np.zeros_like(c0), c1]), ct.level, ct.scale)
     out_ct = ctx.keyswitch_full_dnum(d, ident)
     out = ctx.decode(ctx.decrypt(out_ct, sk), out_ct.scale)
     assert rel_err(out, v) < 1e-4
@@ -504,8 +516,7 @@ def test_keygen_verification_identity(ctx, keyed):
     # ksk0 + ksk1*s - gadget*s' must be the same small error in every base
     sk, keys = keyed
     key = keys.relin
-    s2 = [Poly([a * a % p.modulus.q for a in p.coeffs.tolist()], p.modulus, Domain.NTT)
-          for p in sk.ntt_limbs]
+    s2 = [[a * a % m.q for a in row] for row, m in zip(sk.s.tolist(), ctx.all_bases())]
     for j in (0, len(key.digits) - 1):
         gadget = _gadget(BASIS, j)[0][:, 0].tolist()
         err_polys = []
@@ -515,7 +526,7 @@ def test_keygen_verification_identity(ctx, keyed):
             coeffs = [
                 (k0 + av * sv - g * pv) % q
                 for k0, av, sv, pv in zip(key.digits[j].ksk0[t].tolist(), a.coeffs.tolist(),
-                                          sk.ntt_limbs[t].coeffs.tolist(), s2[t].coeffs.tolist())
+                                          sk.s[t].tolist(), s2[t])
                 for g in (gadget[t],)
             ]
             e = intt_reference(Poly(coeffs, m, Domain.NTT))
@@ -583,10 +594,10 @@ def test_moddown_exact_on_divisible_input(ctx):
     live = ctx.live_bases(level)
     p_prod = BASIS.p_product
     vals = [v * p_prod for v in range(ctx.n)]
-    limbs = [ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF))
-             for m in live]
-    down = ctx.moddown(RnsPoly(limbs, level))
-    out = intt_reference(down.limbs[0])
+    x = np.array([ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF)).coeffs
+                  for m in live])
+    down = ctx.moddown(x, level)
+    out = intt_reference(Poly(down[0], live[0], Domain.NTT))
     q0 = BASIS.q_list[0].q
     assert out.coeffs.tolist() == [v % q0 for v in range(ctx.n)]
 
@@ -597,10 +608,9 @@ def test_moddown_crt_oracle(ctx):
     p_prod = BASIS.p_product
     rs = np.random.default_rng(3)
     vals = [int(x) for x in rs.integers(0, 1 << 62, ctx.n)]
-    limbs = [ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF))
-             for m in live]
-    down = ctx.moddown(RnsPoly(limbs, level))
-    out = [intt_reference(p).coeffs.tolist() for p in down.limbs]
+    x = np.array([ntt_reference(Poly([v % m.q for v in vals], m, Domain.COEFF)).coeffs
+                  for m in live])
+    out = intt_rows(ctx.moddown(x, level), live[: level + 1]).tolist()
     mods = [m.q for m in BASIS.q_list[: level + 1]]
     big_q = reduce(lambda a, b: a * b, mods)
     recon = [(big_q // m) * pow(big_q // m, -1, m) for m in mods]
@@ -612,16 +622,21 @@ def test_moddown_crt_oracle(ctx):
         assert abs(got - want) <= BASIS.k
 
 
+def _bconv(ctx, rows, sources, targets) -> list:
+    """bconv_routine of coefficient-domain rows, its output brought back to
+    the coefficient domain, as lists."""
+    x = np.array(rows, dtype=np.uint64)
+    return intt_rows(ctx.bconv_routine(x, sources, targets), targets).tolist()
+
+
 def test_bconv_zero_and_exact_small(ctx):
     src = [BASIS.p_list[0]]
     targets = list(BASIS.q_list[:2])
-    zero = [Poly([0] * ctx.n, src[0], Domain.COEFF)]
-    out = [intt_reference(p) for p in ctx.bconv_routine(zero, targets)]
-    assert all(c == 0 for p in out for c in p.coeffs.tolist())
-    small = [Poly([i % 1000 for i in range(ctx.n)], src[0], Domain.COEFF)]
-    out = [intt_reference(p) for p in ctx.bconv_routine(small, targets)]
-    for p in out:
-        assert p.coeffs.tolist() == [i % 1000 % p.modulus.q for i in range(ctx.n)]
+    out = _bconv(ctx, [[0] * ctx.n], src, targets)
+    assert all(c == 0 for row in out for c in row)
+    out = _bconv(ctx, [[i % 1000 for i in range(ctx.n)]], src, targets)
+    for row, m in zip(out, targets):
+        assert row == [i % 1000 % m.q for i in range(ctx.n)]
 
 
 def test_bconv_slack_is_multiple_of_source_product(ctx3):
@@ -633,8 +648,7 @@ def test_bconv_slack_is_multiple_of_source_product(ctx3):
     p_prod = basis.p_product
     targets = list(basis.q_list)
     vals = [rngl.randrange(p_prod) for _ in range(ctx3.n)]
-    limbs = [Poly([v % m.q for v in vals], m, Domain.COEFF) for m in src]
-    out = [intt_reference(p).coeffs.tolist() for p in ctx3.bconv_routine(limbs, targets)]
+    out = _bconv(ctx3, [[v % m.q for v in vals] for m in src], src, targets)
     mods = [m.q for m in targets]
     big_q = reduce(lambda a, b: a * b, mods)
     recon = [(big_q // m) * pow(big_q // m, -1, m) for m in mods]
@@ -668,17 +682,17 @@ def test_bconv_cross_modulus_matches_wide_integers():
     rngl = random.Random(11)
     wide, narrow = [basis.q_list[0]] + list(basis.p_list), list(basis.q_list[1:])
     for sources, targets in ((wide, narrow), (narrow, wide)):
-        limbs = [Poly([m.q - 1 - i % 3 if i < 8 else rngl.randrange(m.q)
-                       for i in range(ctx.n)], m, Domain.COEFF) for m in sources]
-        out = [intt_reference(p) for p in ctx.bconv_routine(limbs, targets)]
+        limbs = [[m.q - 1 - i % 3 if i < 8 else rngl.randrange(m.q)
+                  for i in range(ctx.n)] for m in sources]
+        out = _bconv(ctx, limbs, sources, targets)
         mods = [m.q for m in sources]
         d = reduce(lambda a, b: a * b, mods)
         hat = [d // q for q in mods]
         for tm, got in zip(targets, out):
-            want = [sum(p.coeffs.tolist()[i] * pow(h, -1, q) % q * h
+            want = [sum(p[i] * pow(h, -1, q) % q * h
                         for p, h, q in zip(limbs, hat, mods)) % tm.q
                     for i in range(ctx.n)]
-            assert got.coeffs.tolist() == want
+            assert got == want
 
 
 def test_submul_one_row_matches_integers():
@@ -728,10 +742,8 @@ def _frozen_row(p: Poly) -> bool:
 
 
 def _limbs(*objs) -> list:
-    """Every limb of RnsPolys and two- or three-component ciphertexts, in order."""
-    comps = [c for x in objs for c in ((x,) if isinstance(x, RnsPoly) else
-                                       (x.c0, x.c1) if isinstance(x, Ciphertext) else
-                                       (x.d0, x.d1, x.d2))]
+    """Every limb of RnsPolys and ciphertexts, in order."""
+    comps = [c for x in objs for c in ((x,) if isinstance(x, RnsPoly) else (x.c0, x.c1))]
     return [p for c in comps for p in c.limbs]
 
 
@@ -864,10 +876,13 @@ def test_routine_outputs_keep_their_rows(ctx, keyed):
     rot = ctx.rotate(rs, 1, keys)
     m = ctx.decrypt(rot, sk)
     assert rel_err(ctx.decode(m, rot.scale), np.roll(a * b, -1)) < 1e-4
-    limbs = _limbs(*pts, *cts, d, rl, rs, rot, m)
-    # plaintexts, ciphertexts, (d0, d1, d2), relin, rescale, rotate, message
-    assert len(limbs) == 2 * 5 + 2 * 10 + 15 + 10 + 8 + 8 + 4
+    limbs = _limbs(*pts, *cts, rl, rs, rot, m)
+    # plaintexts, ciphertexts, relin, rescale, rotate, message
+    assert len(limbs) == 2 * 5 + 2 * 10 + 10 + 8 + 8 + 4
     assert all(_frozen_row(p) for p in limbs)
+    # mult's (d0, d1, d2) and the secret over the PQ_L bases are one stack each
+    for x, shape in ((d.rows, (3, 5, ctx.n)), (sk.s, (len(ctx.all_bases()), ctx.n))):
+        assert x.shape == shape and x.dtype == np.uint64 and not x.flags.writeable
 
 
 def test_an_edited_copy_reaches_the_next_routine(ctx, keyed):
@@ -912,16 +927,31 @@ def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
     short = Ciphertext(RnsPoly(ct.c0.limbs[:3], level), RnsPoly(ct.c1.limbs[:3], level),
                        level, ct.scale)
-    ext = RnsPoly(ct.c0.limbs[:3] + ctx.bconv_routine(
-        [intt_reference(p) for p in ct.c1.limbs], list(BASIS.p_list)), level)
+    c1 = intt_rows([p.coeffs for p in ct.c1.limbs], BASIS.q_list)
+    ext = np.concatenate([[p.coeffs for p in ct.c0.limbs[:3]],
+                          ctx.bconv_routine(c1, BASIS.q_list, BASIS.p_list)])
     call = {"add": lambda: ctx.add(ct, short), "mult": lambda: ctx.mult(short, ct),
             "decrypt": lambda: ctx.decrypt(short, sk), "rescale": lambda: ctx.rescale(short),
             "rotate": lambda: ctx.rotate(short, 1, keys),
             "relinearize": lambda: ctx.relinearize(ctx.mult(short, short), keys),
-            "moddown": lambda: ctx.moddown(ext)}[routine]
+            "moddown": lambda: ctx.moddown(ext, level)}[routine]
     named = rf"holds [34] limbs, not the \d+ bases of level {level}"
     with pytest.raises(LengthMismatch, match=named):
         call()
+
+
+def test_stacks_of_the_wrong_shape_are_refused(ctx, keyed):
+    # rows of N/2 residues ran through moddown into a result of N/2 columns,
+    # and a (d0, d1) stack would fail inside the key switch with an IndexError
+    _, keys = keyed
+    level = BASIS.l_max
+    half = np.zeros((len(ctx.live_bases(level)), ctx.n // 2), dtype=np.uint64)
+    pair = ExtCiphertext(np.zeros((2, level + 1, ctx.n), dtype=np.uint64), level, ctx.delta)
+    for call in (lambda: ctx.moddown(half, level),
+                 lambda: ctx.bconv_routine(half[:1], BASIS.q_list[:1], BASIS.p_list),
+                 lambda: ctx.keyswitch_full_dnum(pair, keys.relin)):
+        with pytest.raises(LengthMismatch, match="N = 1024|not \\(3, rows, N\\)"):
+            call()
 
 
 BCONV_BASIS = make_basis(n=256, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -942,8 +972,7 @@ def test_bconv_slack_property(data):
     x = data.draw(arrays(np.uint64, (s, ctx.n))) % q
     if data.draw(st.booleans()):
         x = q - 1 - x
-    out = ctx.bconv_routine(_unstack(x, sources, Domain.COEFF), targets)
-    got = intt_rows([p.coeffs for p in out], targets)
+    got = intt_rows(ctx.bconv_routine(x, sources, targets), targets)
     mods = [m.q for m in sources]
     p_prod = reduce(lambda u, v: u * v, mods)
     recon = [(p_prod // m) * pow(p_prod // m, -1, m) for m in mods]

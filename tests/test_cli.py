@@ -207,9 +207,11 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     # put 38 of the step's 41 limbs on chiplet 3 (levels 3)
     ('{"program": [{"op": "HADD", "l": 3}], "levels": -1}', "levels -1"),
     ('{"program": [{"op": "HADD", "l": 40}], "levels": 3}', "levels 3"),
+    # ran as if the step gave no bytes
+    ('{"program": [{"op": "HADD", "l": 3, "bytes": 7}]}', "HOST_LOAD"),
 ], ids=["no-program", "a-list", "program-not-list", "float-l", "string-l",
         "no-schedule", "not-json", "step-key", "document-key", "bootstrap-key", "dnum",
-        "levels-negative", "levels-below-step"])
+        "levels-negative", "levels-below-step", "bytes-not-host-load"])
 def test_malformed_program_file_is_one_line_and_status_2(text, named, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(text)
