@@ -22,9 +22,9 @@ DAG storage.  A ScheduleBuilder is the DAG it builds: one list per op
 field, indexed by uid.  Every entry is a string, an int, None or a tuple
 of ints, which the cyclic garbage collector stops tracking once it has
 seen it, so a built DAG holds the same few tracked objects at any size.
-The engine and the report keep their state in per-DAG lists too (children
-in compressed rows, queue heaps of the ops' priority tuples, an event heap
-of ints) and make no object per op.
+The engine keeps its state in per-DAG lists too (children in compressed
+rows, queue heaps of the ops' priority tuples, an event heap of ints) and
+makes no object per op.
 
 Event loop.  Resources get dense ids in the order of their first enqueued
 op.  At each event time the engine runs passes until no op can start.  A
@@ -37,6 +37,16 @@ next finish time, frees the finished ops' slots and enqueues the
 dependents they release.  DAG building, event loop and report are each
 linear in the number of ops and deps, apart from heap and sort
 logarithms; with no object per op, the collector's share stays flat too.
+
+Report.  Engine._report computes only the summary every caller reads:
+cycles, wall time, polynomials transferred, NTT utilization and op counts,
+each from passes over the DAG columns that run in C (map, compress,
+list.count).  The report keeps references to the run's start, finish and
+ready-time lists and to the DAG columns, and every other field is a view
+of that state, computed on first read and then kept: per_chiplet with
+stall_by_phase, links with phase_cycles.  The timeline is built on each
+read.  A chiplet sweep, which reads the summary only, never runs the
+stall, link or phase passes.
 
 Same-time priority inversion: an op that becomes ready later at the same
 time, after a pass releases it or a BARRIER retires, cannot take a slot
@@ -52,13 +62,16 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from itertools import accumulate, chain, compress, count
-from operator import add
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, islice
+from operator import add, ne, or_
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS as COMPUTE_KINDS
 
 LINK_KINDS = ("SEND", "HBM_RD", "HBM_WR", "HOST_RD")
+_COMPUTE = frozenset(COMPUTE_KINDS)
+_LINKS = frozenset(LINK_KINDS)
 
 
 class DeadlockDetected(Exception):
@@ -279,36 +292,85 @@ class ScheduleBuilder:
                              (), priority, chiplet, phase, None, None, self.poly_bytes, 0),)
 
 
+class _Run(NamedTuple):
+    """What a report keeps of its run: the chiplet count; per uid, the start,
+    finish and ready times; then references to the DAG columns its views
+    read.  The builder may grow after the run, so a view reads only the
+    first len(start) ops."""
+    r: int
+    start: List[int]
+    finish: List[int]
+    ready_at: List[int]
+    chiplet: List[Optional[int]]
+    resource: List[str]
+    kind: List[str]
+    phase: List[str]
+    limb: List[Optional[int]]
+    digit: List[Optional[int]]
+    deps: List[Tuple[int, ...]]
+    stream_deps: List[Tuple[int, ...]]
+    nbytes: List[int]
+    mas: List[int]
+
+
 @dataclass
 class CycleReport:
+    """A run's summary, computed with the run, and its views, each computed
+    from the run state on first read: per_chiplet with stall_by_phase,
+    links with phase_cycles, and timeline."""
     total_cycles: int
     wall_time_ms: float
-    per_chiplet: List[Dict[str, int]]
-    stall_by_phase: Dict[str, int]
-    links: Dict[str, Dict[str, int]]
     polynomials_transferred: int
     ntt_utilization: float
     op_counts: Dict[str, int]
-    phase_cycles: Dict[str, int]
+    _run: _Run = field(repr=False)
     meta: dict = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
-    # references to the run's start and finish lists, then to the DAG
-    # columns of _TIMELINE_KEYS, which the timeline reads on demand
-    _run: tuple = field(default=((), ()), repr=False)
+    _JSON_KEYS = ("total_cycles", "wall_time_ms", "per_chiplet", "stall_by_phase", "links",
+                  "polynomials_transferred", "ntt_utilization", "op_counts", "phase_cycles",
+                  "meta", "warnings")
     _TIMELINE_KEYS = ("chiplet", "resource", "kind", "phase", "limb", "digit")
 
     def to_json_dict(self) -> dict:
-        """Every field but the run state, whose view timeline_csv writes."""
-        return {"schema": 1, **{f.name: getattr(self, f.name) for f in fields(self)
-                                if f.name != "_run"}}
+        """The summary and the stall, link and phase views; timeline_csv
+        writes the timeline."""
+        return {"schema": 1, **{key: getattr(self, key) for key in self._JSON_KEYS}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, default=str)
 
+    @cached_property
+    def _stalls(self) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
+        return _stall_view(self._run, self.total_cycles)
+
+    @property
+    def per_chiplet(self) -> List[Dict[str, int]]:
+        """Busy, stall and idle cycles of each chiplet's NTT unit."""
+        return self._stalls[0]
+
+    @property
+    def stall_by_phase(self) -> Dict[str, int]:
+        return self._stalls[1]
+
+    @cached_property
+    def _links_and_phases(self) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
+        return _link_phase_view(self._run)
+
+    @property
+    def links(self) -> Dict[str, Dict[str, int]]:
+        """Bytes, busy cycles and transfers of each link, by first use."""
+        return self._links_and_phases[0]
+
+    @property
+    def phase_cycles(self) -> Dict[str, int]:
+        return self._links_and_phases[1]
+
     @property
     def timeline(self) -> List[dict]:
         """One row per op of the run, by start time, ties by uid (a stable sort)."""
-        start, finish, *columns = self._run
+        run = self._run
+        start, finish = run.start, run.finish
+        columns = [getattr(run, key) for key in self._TIMELINE_KEYS]
         return [{"uid": uid, **{key: "" if col[uid] is None else col[uid]
                                 for key, col in zip(self._TIMELINE_KEYS, columns)},
                  "start": start[uid], "end": finish[uid]}
@@ -320,6 +382,74 @@ class CycleReport:
             rows.append("{uid},{chiplet},{resource},{kind},{phase},{limb},{digit},"
                         "{start},{end}".format(**t))
         return "\n".join(rows) + "\n"
+
+
+def _stall_view(run: _Run, makespan: int) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
+    """per_chiplet and stall_by_phase.  A gap before an op on an NTT unit is
+    a link stall only if some link dep of the op finished inside it while
+    having been ready to transfer before the unit went idle; waits for data
+    that did not yet exist are latency, not stalls."""
+    start, finish, ready_at, kinds = run.start, run.finish, run.ready_at, run.kind
+    units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(run.r)}
+    resources = run.resource
+    for uid in compress(range(len(start)), map(units.__contains__, resources)):
+        units[resources[uid]].append(uid)
+
+    def blocking_link_dep(uid: int, gap_start: int) -> bool:
+        for d in run.deps[uid] + run.stream_deps[uid]:
+            if kinds[d] in _LINKS and finish[d] > gap_start \
+                    and ready_at[d] <= gap_start:
+                return True
+        return False
+
+    per_chiplet = []
+    stall_by_phase: Dict[str, int] = {}
+    for unit_ops in units.values():
+        unit_ops.sort(key=start.__getitem__)
+        busy = stall = prev_end = 0
+        for u in unit_ops:
+            first, end = start[u], finish[u]
+            busy += end - first
+            if first > prev_end and blocking_link_dep(u, prev_end):
+                stall += first - prev_end
+                phase = run.phase[u] or "other"
+                stall_by_phase[phase] = stall_by_phase.get(phase, 0) + first - prev_end
+            if end > prev_end:
+                prev_end = end
+        per_chiplet.append({"busy": busy, "stall": stall, "idle": makespan - busy - stall})
+    return per_chiplet, stall_by_phase
+
+
+def _link_phase_view(run: _Run) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
+    """links, by first use, and phase_cycles: each phase's span from the
+    first start of its compute ops to their last finish, phases by first
+    appearance."""
+    links: Dict[str, Dict[str, int]] = {}
+    phase_span: Dict[str, List[int]] = {}   # first start, last finish
+    for kind, resource, phase, mas, nbytes, first, end in zip(
+            run.kind, run.resource, run.phase, run.mas, run.nbytes, run.start, run.finish):
+        if kind in _LINKS:
+            entry = links.get(resource)
+            if entry is None:
+                entry = links[resource] = {"bytes": 0, "busy_cycles": 0, "sends": 0}
+            entry["bytes"] += nbytes
+            entry["busy_cycles"] += end - first
+            entry["sends"] += 1
+        if not phase:
+            continue
+        if kind not in _COMPUTE:
+            if not mas:
+                continue
+            first = end     # a shadowed MAS burst retires with its carrier, even a SEND
+        span = phase_span.get(phase)
+        if span is None:
+            phase_span[phase] = [first, end]
+        else:
+            if first < span[0]:
+                span[0] = first
+            if end > span[1]:
+                span[1] = end
+    return links, {phase: last - first for phase, (first, last) in phase_span.items()}
 
 
 _CAPACITY = {"ntt": 1, "mas": 2, "aut": 2, "c2c": 1, "hbm": 1, "host": 1, "barrier": 1 << 30}
@@ -441,95 +571,43 @@ class Engine:
 
     def _report(self, dag, start, finish, ready_at, dep_first, stream_first,
                 meta) -> CycleReport:
+        """The summary, from passes over the DAG columns that run in C; the
+        report's views compute the rest from its run state when read."""
         cfg = self.cfg
-        kinds, resources, phases = dag.kinds, dag.resources, dag.phases
-        units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(cfg.r)}
-        makespan = 0
-        links: Dict[str, Dict[str, int]] = {}
-        polys = 0
-        op_counts: Dict[str, int] = {}
-        phase_span: Dict[str, List[int]] = {}   # first start, last finish
-        for uid, kind, resource, phase, mas, nbytes in zip(count(), kinds, resources,
-                                                           phases, dag.mas, dag.nbytes):
-            end = finish[uid]
-            # wall time ends when the last op someone consumes (or any compute
-            # op) retires; closing ring hops may drain the links afterwards.
-            if end > makespan and (dep_first[uid] < dep_first[uid + 1]
-                                   or stream_first[uid] < stream_first[uid + 1]):
-                makespan = end
-            compute = kind in COMPUTE_KINDS
-            if compute or mas:
-                # a shadowed MAS burst retires with its carrier, even a SEND
-                first = start[uid] if compute else end
-                if end > makespan:
-                    makespan = end
-                if compute:
-                    op_counts[kind] = op_counts.get(kind, 0) + 1
-                if mas:
-                    op_counts["MAS"] = op_counts.get("MAS", 0) + mas
-                if phase:
-                    span = phase_span.get(phase)
-                    if span is None:
-                        phase_span[phase] = [first, end]
-                    else:
-                        span[0] = min(span[0], first)
-                        span[1] = max(span[1], end)
-            if kind in LINK_KINDS:
-                entry = links.get(resource)
-                if entry is None:
-                    entry = links[resource] = {"bytes": 0, "busy_cycles": 0, "sends": 0}
-                entry["bytes"] += nbytes
-                entry["busy_cycles"] += end - start[uid]
-                entry["sends"] += 1
-                if kind == "SEND":
-                    polys += 1
-            unit = units.get(resource)
-            if unit is not None:
-                unit.append(uid)
-
-        def blocking_link_dep(uid: int, gap_start: int) -> bool:
-            # A gap is a link stall only if some link dep finished inside it
-            # while having been ready to transfer before the unit went idle;
-            # waits for data that did not yet exist are latency, not stalls.
-            for d in dag.deps[uid] + dag.stream_deps[uid]:
-                if kinds[d] in LINK_KINDS and finish[d] > gap_start \
-                        and ready_at[d] <= gap_start:
-                    return True
-            return False
-
-        per_chiplet = []
-        stall_by_phase: Dict[str, int] = {}
-        total_busy_ntt = 0
-        for unit_ops in units.values():
-            unit_ops.sort(key=start.__getitem__)
-            busy = sum(finish[u] - start[u] for u in unit_ops)
-            stall = 0
-            prev_end = 0
-            for u in unit_ops:
-                gap = start[u] - prev_end
-                if gap > 0 and blocking_link_dep(u, prev_end):
-                    stall += gap
-                    ph = phases[u] or "other"
-                    stall_by_phase[ph] = stall_by_phase.get(ph, 0) + gap
-                prev_end = max(prev_end, finish[u])
-            idle = makespan - busy - stall
-            per_chiplet.append({"busy": busy, "stall": stall, "idle": idle})
-            total_busy_ntt += busy
-
-        phase_cycles = {ph: last - first for ph, (first, last) in phase_span.items()}
-        util = total_busy_ntt / (cfg.r * makespan) if makespan else 0.0
+        kinds, mas = dag.kinds, dag.mas
+        # wall time ends when the last op someone consumes, any compute op or
+        # a shadowed MAS burst's carrier retires; closing ring hops may drain
+        # the links afterwards
+        consumed = map(or_, map(ne, dep_first, islice(dep_first, 1, None)),
+                       map(ne, stream_first, islice(stream_first, 1, None)))
+        compute = map(_COMPUTE.__contains__, kinds)
+        makespan = max(compress(finish, map(or_, map(or_, consumed, compute), mas)),
+                       default=0)
+        units = frozenset(f"ntt:{ci}" for ci in range(cfg.r))
+        on_ntt = list(map(units.__contains__, dag.resources))
+        busy_ntt = sum(compress(finish, on_ntt)) - sum(compress(start, on_ntt))
         return CycleReport(
             total_cycles=makespan,
             wall_time_ms=makespan / (cfg.f_ghz * 1e9) * 1e3,
-            per_chiplet=per_chiplet,
-            stall_by_phase=stall_by_phase,
-            links=links,
-            polynomials_transferred=polys,
-            ntt_utilization=util,
-            op_counts=op_counts,
-            phase_cycles=phase_cycles,
+            polynomials_transferred=kinds.count("SEND"),
+            ntt_utilization=busy_ntt / (cfg.r * makespan) if makespan else 0.0,
+            op_counts=_op_counts(kinds, mas),
             meta=meta,
             warnings=list(meta.get("warnings", ())),
-            _run=(start, finish, dag.chiplets, resources, kinds, phases, dag.limbs,
-                  dag.digits),
+            _run=_Run(cfg.r, start, finish, ready_at, dag.chiplets, dag.resources, kinds,
+                      dag.phases, dag.limbs, dag.digits, dag.deps, dag.stream_deps,
+                      dag.nbytes, mas),
         )
+
+
+def _op_counts(kinds: List[str], mas: List[int]) -> Dict[str, int]:
+    """Compute ops by kind, plus the shadowed MAS bursts under "MAS", keyed in
+    order of first appearance; an op's own kind comes before its burst."""
+    counts = {kind: kinds.count(kind) for kind in COMPUTE_KINDS}
+    first = {kind: kinds.index(kind) for kind in COMPUTE_KINDS if counts[kind]}
+    carrier = next(compress(count(), mas), None)
+    if carrier is not None:
+        counts["MAS"] += sum(mas)
+        first["MAS"] = min(first.get("MAS", carrier), carrier)
+    return {kind: counts[kind]
+            for kind in sorted(first, key=lambda kind: (first[kind], kind == "MAS"))}

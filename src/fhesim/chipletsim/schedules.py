@@ -34,9 +34,19 @@ class ProgramError(ValueError):
     """A program or schedule argument the model cannot run."""
 
 
-def _check_at_least(value: int, lowest: int, what: str) -> None:
+def _check_int(value, what: str) -> int:
+    """value as an int; ProgramError if it is no integer, as a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProgramError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_at_least(value, lowest: int, what: str) -> int:
+    """value as an int of at least `lowest`; ProgramError otherwise."""
+    value = _check_int(value, what)
     if value < lowest:
         raise ProgramError(f"{what} must be at least {lowest}, got {value}")
+    return value
 
 
 def _check_strategy(strategy: str) -> None:
@@ -175,7 +185,7 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
                             include_moddown: bool = True) -> CycleReport:
-    _check_at_least(l, 0, "l")
+    l = _check_at_least(l, 0, "l")
     sb = ScheduleBuilder(cfg)
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
@@ -186,7 +196,8 @@ def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
 def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
                           fused_rescale: bool = False) -> CycleReport:
     # a fused rescale drops one more base, so it needs a level to drop to
-    _check_at_least(l, 1 if fused_rescale else 0, "l")
+    l = _check_at_least(l, 1 if fused_rescale else 0, "l")
+    components = _check_at_least(components, 1, "components")
     sb = ScheduleBuilder(cfg)
     build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components)
     if fused_rescale:
@@ -304,8 +315,9 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, k: int,
 
 def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
                               strategy: str = "ALTERNATE") -> CycleReport:
-    _check_at_least(l, 0, "l")
-    _check_at_least(k, 1, "k")
+    l = _check_at_least(l, 0, "l")
+    k = _check_at_least(k, 1, "k")
+    dnum = _check_int(dnum, "dnum")
     digit_count = len(digit_ranges(l, k))
     if dnum != digit_count:
         raise ProgramError(f"dnum must be the digit count of l={l}, k={k}, which is "
@@ -373,7 +385,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
 
 
 def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport:
-    _check_at_least(l, 0, "l")
+    l = _check_at_least(l, 0, "l")
     technique = technique.upper()
     if technique not in ("OURS", "A", "B", "C"):
         raise ProgramError(f"unknown strawman technique {technique!r}; "
@@ -479,13 +491,6 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     return Engine(cfg).run(sb, meta=meta)
 
 
-def _check_int(value, what: str) -> int:
-    """value as an int; ProgramError if it is no integer, as a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ProgramError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 class Step(NamedTuple):
     """A checked macro op; bytes is None for a HOST_LOAD of both components."""
     op: str
@@ -566,7 +571,7 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> Li
     """
     if not r_list:
         raise ProgramError("the sweep needs at least one chiplet count")
-    _check_at_least(l, 0, "l")
+    l = _check_at_least(l, 0, "l")
     run_cfgs = [replace(cfg, r=r) for r in r_list]   # ConfigError before any DAG
     rows = []
     for run_cfg in run_cfgs:

@@ -370,12 +370,16 @@ class CkksContext:
 
     def _rows(self, level: int, **comps: RnsPoly) -> np.ndarray:
         """NTT-domain components of one level as a (components, rows, N) array;
-        each holds one limb per q base of the level."""
+        each holds one limb of N residues per q base of the level."""
         bases = self._q_bases(level)
         for name, c in comps.items():
             if tuple(p.modulus for p in c.limbs) != bases:
                 raise LengthMismatch(f"{name} holds {len(c.limbs)} limbs, not the "
                                      f"{len(bases)} bases of level {level} in order")
+            for i, p in enumerate(c.limbs):
+                if len(p.coeffs) != self.n:
+                    raise LengthMismatch(f"{name} limb {i} holds {len(p.coeffs)} "
+                                         f"residues, not N = {self.n}")
         x = _stack([p for c in comps.values() for p in c.limbs], Domain.NTT)
         return x.reshape(len(comps), -1, self.n)
 

@@ -254,6 +254,54 @@ def test_every_report_serves_its_timeline(entry, monkeypatch):
     assert rep.timeline == timeline and rep.to_json() == doc
 
 
+def _counted_views(monkeypatch) -> list:
+    """The names of the report views computed from now on, in call order."""
+    from fhesim.chipletsim import engine
+    calls = []
+    for name in ("_stall_view", "_link_phase_view"):
+        def counted(*args, _view=getattr(engine, name), _name=name):
+            calls.append(_name)
+            return _view(*args)
+        monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+def test_sweep_computes_no_report_view(monkeypatch):
+    # a sweep reads the summary only, so the stall, link and phase passes
+    # never run
+    calls = _counted_views(monkeypatch)
+    rows = sweep_chiplets(REF, [4, 32], l=30)
+    assert [row["r"] for row in rows] == [4, 32] and calls == []
+
+
+def test_report_views_run_at_most_once(monkeypatch):
+    calls = _counted_views(monkeypatch)
+    rep = schedule_keyswitch_ring(REF, 8)
+    assert calls == []
+    for _ in range(2):
+        rep.per_chiplet, rep.stall_by_phase, rep.links, rep.phase_cycles, rep.to_json()
+    assert calls == ["_stall_view", "_link_phase_view"]
+
+
+def test_report_views_ignore_ops_added_after_the_run():
+    sb = _built_dag(REF)
+    rep = Engine(REF).run(sb)
+    build_keyswitch_ring(sb, 2)
+    assert rep.to_json() == Engine(REF).run(_built_dag(REF)).to_json()
+    assert len(rep.timeline) == len(_built_dag(REF)) < len(sb)
+
+
+@pytest.mark.parametrize("view", ["per_chiplet", "links", "timeline"])
+def test_reading_a_view_first_keeps_the_json_bytes(view):
+    for entry in (lambda: schedule_keyswitch_ring(REF, 8),
+                  lambda: schedule_keyswitch_digits(REF, 8, 3, 3),
+                  lambda: run_workload(REF, [{"op": "HOST_LOAD", "l": 2},
+                                             {"op": "ROTATE", "k": 2}], levels=3)):
+        rep = entry()
+        getattr(rep, view)
+        assert rep.to_json() == entry().to_json()
+
+
 def test_hbm_read_gives_the_deps_to_splice():
     # exact mode models no HBM transfer, so a key read adds no dep
     assert ScheduleBuilder(EXACT).hbm_read(0) == ()
@@ -281,7 +329,9 @@ def test_strawman_send_lasts_twice_the_beat():
 # ---------------------------------------------------------------------------
 # Golden matrix: SHA-256 of the canonical (sort_keys) CycleReport JSON, and
 # of two timelines, pinned before the event loop and the report were
-# rewritten.  Any change to a modeled number shows up here.
+# rewritten.  Any change to a modeled number shows up here.  "unsorted" is
+# one SHA-256 over every case's to_json() bytes in case order, so it also
+# sees the key order of op_counts, links, stall_by_phase and phase_cycles.
 
 GOLDEN = {
     "ring-l2-sh1-md1":
@@ -370,6 +420,8 @@ GOLDEN = {
         "d383522dc0a3b68d76e2730e4ad28543066b55212354e747a2599a1dc03176bd",
     "timeline-digits":
         "95ad1240fe45e8ec787868637429bf124d38c14630723e933381556a97c29f0b",
+    "unsorted":
+        "5d8edfad375c6035ada0de968bf4a69f8e0a90d0eefb18c248a8c3cf87862306",
 }
 
 
@@ -411,9 +463,12 @@ def _digest(text):
 
 def test_golden_matrix_reports():
     got = {}
+    unsorted = hashlib.sha256()
     for name, (fn, cfg, arg, kwargs) in _golden_cases().items():
         rep = fn(cfg, arg, **kwargs)
         got[name] = _digest(json.dumps(rep.to_json_dict(), sort_keys=True, default=str))
+        unsorted.update(rep.to_json().encode())
+    got["unsorted"] = unsorted.hexdigest()
     p1 = ChipletConfig.from_json_dict(load_preset("chiplet_1024x64"))
     got["sweep"] = _digest(json.dumps(sweep_chiplets(p1, [1, 4, 32], l=14),
                                       sort_keys=True))
@@ -708,6 +763,26 @@ def test_empty_sweep_rejected(monkeypatch):
         sweep_chiplets(REF, [])
     with pytest.raises(ConfigError):
         sweep_chiplets(REF, [4, 0])
+
+
+def test_schedule_arguments_must_be_integers(monkeypatch):
+    # l=True used to run as l=1 (8372 cycles), l=2.0 and l=2.5 raised a bare
+    # TypeError, and components 0 or -1 gave a 0-cycle ModDown
+    from fhesim.chipletsim import schedules
+    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
+    for bad in (True, 2.0, 2.5, "2"):
+        for call in (lambda: schedule_keyswitch_ring(REF, bad),
+                     lambda: schedule_moddown_ring(REF, bad),
+                     lambda: schedule_keyswitch_digits(REF, bad, 3, 3),
+                     lambda: schedule_keyswitch_digits(REF, 8, bad, 3),
+                     lambda: schedule_keyswitch_digits(REF, 8, 3, bad),
+                     lambda: schedule_strawman(REF, bad, "A"),
+                     lambda: sweep_chiplets(REF, [4], l=bad)):
+            with pytest.raises(ProgramError, match="must be an integer"):
+                call()
+    for components in (0, -1, 1.0):
+        with pytest.raises(ProgramError, match="components"):
+            schedule_moddown_ring(REF, 3, components=components)
 
 
 def _tracked_objects(root) -> int:

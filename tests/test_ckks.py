@@ -940,6 +940,32 @@ def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
         call()
 
 
+@pytest.mark.parametrize("routine", ["add", "mult", "decrypt", "rescale", "rotate_perm",
+                                     "rotate"])
+def test_routines_refuse_limbs_shorter_than_n(ctx, keyed, routine):
+    # limbs of N/2 residues used to fail with a NumPy broadcast or shape
+    # error, a misleading stack shape, or pass rotate_perm unnoticed
+    sk, keys = keyed
+    level = BASIS.l_max
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+
+    def halved(c):
+        return RnsPoly([Poly(p.coeffs[: ctx.n // 2], p.modulus, p.domain)
+                        for p in c.limbs], level)
+
+    # one short component, then both, whose stack still reshapes into rows of N
+    for short, named in ((Ciphertext(ct.c0, halved(ct.c1), level, ct.scale), "c1"),
+                         (Ciphertext(halved(ct.c0), halved(ct.c1), level, ct.scale), "c0")):
+        call = {"add": lambda: ctx.add(ct, short), "mult": lambda: ctx.mult(ct, short),
+                "decrypt": lambda: ctx.decrypt(short, sk),
+                "rescale": lambda: ctx.rescale(short),
+                "rotate_perm": lambda: ctx.rotate_perm(short, 1),
+                "rotate": lambda: ctx.rotate(short, 1, keys)}[routine]
+        with pytest.raises(LengthMismatch, match=rf"{named} limb 0 holds {ctx.n // 2} "
+                                                 rf"residues, not N = {ctx.n}"):
+            call()
+
+
 def test_stacks_of_the_wrong_shape_are_refused(ctx, keyed):
     # rows of N/2 residues ran through moddown into a result of N/2 columns,
     # and a (d0, d1) stack would fail inside the key switch with an IndexError
