@@ -22,31 +22,31 @@ DAG storage.  A ScheduleBuilder is the DAG it builds: one list per op
 field, indexed by uid.  Every entry is a string, an int, None or a tuple
 of ints, which the cyclic garbage collector stops tracking once it has
 seen it, so a built DAG holds the same few tracked objects at any size.
-The engine keeps its state in per-DAG lists too (children in compressed
-rows, queue heaps of the ops' priority tuples, an event heap of ints) and
-makes no object per op.
+A run keeps its state in per-DAG lists too (start, finish and ready times,
+queue heaps of the ops' priority tuples, an event heap of ints); the only
+objects it makes per op are two lists of child uids, by deps and by
+stream deps, which it drops when it returns.
 
 Event loop.  Resources get dense ids in the order of their first enqueued
 op.  At each event time the engine runs passes until no op can start.  A
 pass visits, in id order, only the resources that have a queued op and a
 free slot, and starts on each the highest-priority queued ops its free
-slots allow.  The stream dependents of the ops a pass started are
-released after the pass, latest-started first, so an op they make ready
-starts in the next pass at the same time.  Then the engine advances to the
-next finish time, frees the finished ops' slots and enqueues the
-dependents they release.  DAG building, event loop and report are each
-linear in the number of ops and deps, apart from heap and sort
-logarithms; with no object per op, the collector's share stays flat too.
+slots allow.  The stream children of the ops a pass started are released
+after the pass, latest-started first, so an op they make ready starts in
+the next pass at the same time.  Then the engine advances to the next
+finish time, frees the finished ops' slots and enqueues the dep children
+they release.  DAG building, event loop and report are each linear in the
+number of ops and deps, apart from heap and sort logarithms.
 
 Report.  Engine._report computes only the summary every caller reads:
 cycles, wall time, polynomials transferred, NTT utilization and op counts,
 each from passes over the DAG columns that run in C (map, compress,
-list.count).  The report keeps references to the run's start, finish and
-ready-time lists and to the DAG columns, and every other field is a view
-of that state, computed on first read and then kept: per_chiplet with
-stall_by_phase, links with phase_cycles.  The timeline is built on each
-read.  A chiplet sweep, which reads the summary only, never runs the
-stall, link or phase passes.
+list.count).  The report keeps the DAG it ran, the chiplet count and the
+run's start, finish and ready-time lists; every other field is a view that
+reads the DAG's columns, computed on first read and then kept:
+per_chiplet with stall_by_phase, links with phase_cycles.  The timeline is
+built on each read.  A chiplet sweep, which reads the summary only, never
+runs the stall, link or phase passes.
 
 Same-time priority inversion: an op that becomes ready later at the same
 time, after a pass releases it or a BARRIER retires, cannot take a slot
@@ -63,8 +63,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice
-from operator import add, ne, or_
+from itertools import compress, count
+from operator import add, or_, truth
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS as COMPUTE_KINDS
@@ -111,8 +111,8 @@ class ChipletConfig:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         for name in ("f_ghz", "hbm_gbps", "c2c_gbps", "ingress_gbps", "word_bits"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         for name in ("n1", "n2"):
             value = getattr(self, name)
             if value < 1 or value & (value - 1):
@@ -292,44 +292,29 @@ class ScheduleBuilder:
                              (), priority, chiplet, phase, None, None, self.poly_bytes, 0),)
 
 
-class _Run(NamedTuple):
-    """What a report keeps of its run: the chiplet count; per uid, the start,
-    finish and ready times; then references to the DAG columns its views
-    read.  The builder may grow after the run, so a view reads only the
-    first len(start) ops."""
-    r: int
-    start: List[int]
-    finish: List[int]
-    ready_at: List[int]
-    chiplet: List[Optional[int]]
-    resource: List[str]
-    kind: List[str]
-    phase: List[str]
-    limb: List[Optional[int]]
-    digit: List[Optional[int]]
-    deps: List[Tuple[int, ...]]
-    stream_deps: List[Tuple[int, ...]]
-    nbytes: List[int]
-    mas: List[int]
-
-
 @dataclass
 class CycleReport:
     """A run's summary, computed with the run, and its views, each computed
     from the run state on first read: per_chiplet with stall_by_phase,
-    links with phase_cycles, and timeline."""
+    links with phase_cycles, and timeline.  The run state is the DAG that
+    ran, the chiplet count and, per uid, the start, finish and ready times;
+    the DAG may grow after the run, so a view reads only the first
+    len(start) ops."""
     total_cycles: int
     wall_time_ms: float
     polynomials_transferred: int
     ntt_utilization: float
     op_counts: Dict[str, int]
-    _run: _Run = field(repr=False)
+    _dag: ScheduleBuilder = field(repr=False, compare=False)
+    _r: int = field(repr=False)
+    _start: List[int] = field(repr=False)
+    _finish: List[int] = field(repr=False)
+    _ready_at: List[int] = field(repr=False)
     meta: dict = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
     _JSON_KEYS = ("total_cycles", "wall_time_ms", "per_chiplet", "stall_by_phase", "links",
                   "polynomials_transferred", "ntt_utilization", "op_counts", "phase_cycles",
                   "meta", "warnings")
-    _TIMELINE_KEYS = ("chiplet", "resource", "kind", "phase", "limb", "digit")
 
     def to_json_dict(self) -> dict:
         """The summary and the stall, link and phase views; timeline_csv
@@ -341,7 +326,8 @@ class CycleReport:
 
     @cached_property
     def _stalls(self) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
-        return _stall_view(self._run, self.total_cycles)
+        return _stall_view(self._dag, self._r, self._start, self._finish, self._ready_at,
+                           self.total_cycles)
 
     @property
     def per_chiplet(self) -> List[Dict[str, int]]:
@@ -354,7 +340,7 @@ class CycleReport:
 
     @cached_property
     def _links_and_phases(self) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
-        return _link_phase_view(self._run)
+        return _link_phase_view(self._dag, self._start, self._finish)
 
     @property
     def links(self) -> Dict[str, Dict[str, int]]:
@@ -368,11 +354,11 @@ class CycleReport:
     @property
     def timeline(self) -> List[dict]:
         """One row per op of the run, by start time, ties by uid (a stable sort)."""
-        run = self._run
-        start, finish = run.start, run.finish
-        columns = [getattr(run, key) for key in self._TIMELINE_KEYS]
+        dag, start, finish = self._dag, self._start, self._finish
+        columns = {"chiplet": dag.chiplets, "resource": dag.resources, "kind": dag.kinds,
+                   "phase": dag.phases, "limb": dag.limbs, "digit": dag.digits}
         return [{"uid": uid, **{key: "" if col[uid] is None else col[uid]
-                                for key, col in zip(self._TIMELINE_KEYS, columns)},
+                                for key, col in columns.items()},
                  "start": start[uid], "end": finish[uid]}
                 for uid in sorted(range(len(start)), key=start.__getitem__)]
 
@@ -384,19 +370,20 @@ class CycleReport:
         return "\n".join(rows) + "\n"
 
 
-def _stall_view(run: _Run, makespan: int) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
+def _stall_view(dag: ScheduleBuilder, r: int, start: List[int], finish: List[int],
+                ready_at: List[int], makespan: int
+                ) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
     """per_chiplet and stall_by_phase.  A gap before an op on an NTT unit is
     a link stall only if some link dep of the op finished inside it while
     having been ready to transfer before the unit went idle; waits for data
     that did not yet exist are latency, not stalls."""
-    start, finish, ready_at, kinds = run.start, run.finish, run.ready_at, run.kind
-    units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(run.r)}
-    resources = run.resource
+    kinds, resources, deps, stream_deps = dag.kinds, dag.resources, dag.deps, dag.stream_deps
+    units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(r)}
     for uid in compress(range(len(start)), map(units.__contains__, resources)):
         units[resources[uid]].append(uid)
 
     def blocking_link_dep(uid: int, gap_start: int) -> bool:
-        for d in run.deps[uid] + run.stream_deps[uid]:
+        for d in deps[uid] + stream_deps[uid]:
             if kinds[d] in _LINKS and finish[d] > gap_start \
                     and ready_at[d] <= gap_start:
                 return True
@@ -412,7 +399,7 @@ def _stall_view(run: _Run, makespan: int) -> Tuple[List[Dict[str, int]], Dict[st
             busy += end - first
             if first > prev_end and blocking_link_dep(u, prev_end):
                 stall += first - prev_end
-                phase = run.phase[u] or "other"
+                phase = dag.phases[u] or "other"
                 stall_by_phase[phase] = stall_by_phase.get(phase, 0) + first - prev_end
             if end > prev_end:
                 prev_end = end
@@ -420,14 +407,15 @@ def _stall_view(run: _Run, makespan: int) -> Tuple[List[Dict[str, int]], Dict[st
     return per_chiplet, stall_by_phase
 
 
-def _link_phase_view(run: _Run) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
+def _link_phase_view(dag: ScheduleBuilder, start: List[int], finish: List[int]
+                     ) -> Tuple[Dict[str, Dict[str, int]], Dict[str, int]]:
     """links, by first use, and phase_cycles: each phase's span from the
     first start of its compute ops to their last finish, phases by first
     appearance."""
     links: Dict[str, Dict[str, int]] = {}
     phase_span: Dict[str, List[int]] = {}   # first start, last finish
     for kind, resource, phase, mas, nbytes, first, end in zip(
-            run.kind, run.resource, run.phase, run.mas, run.nbytes, run.start, run.finish):
+            dag.kinds, dag.resources, dag.phases, dag.mas, dag.nbytes, start, finish):
         if kind in _LINKS:
             entry = links.get(resource)
             if entry is None:
@@ -455,21 +443,13 @@ def _link_phase_view(run: _Run) -> Tuple[Dict[str, Dict[str, int]], Dict[str, in
 _CAPACITY = {"ntt": 1, "mas": 2, "aut": 2, "c2c": 1, "hbm": 1, "host": 1, "barrier": 1 << 30}
 
 
-def _children(parents: Sequence[Tuple[int, ...]]) -> Tuple[List[int], List[int]]:
-    """Each op's children in compressed rows: those of op u are
-    children[first[u]:first[u + 1]], in uid order."""
-    n_ops = len(parents)
-    first = [0] * (n_ops + 1)
-    for d in chain.from_iterable(parents):
-        first[d + 1] += 1
-    first = list(accumulate(first))
-    fill = first[:]
-    children = [0] * first[-1]
-    for uid in compress(range(n_ops), parents):    # the ops with parents
+def _children(parents: Sequence[Tuple[int, ...]]) -> List[List[int]]:
+    """Each op's children, one list per op, in uid order."""
+    children: List[List[int]] = [[] for _ in parents]
+    for uid in compress(range(len(parents)), parents):    # the ops with parents
         for d in parents[uid]:
-            children[fill[d]] = uid
-            fill[d] += 1
-    return first, children
+            children[d].append(uid)
+    return children
 
 
 class Engine:
@@ -485,8 +465,8 @@ class Engine:
         finish = [-1] * n_ops
         ready_at = [-1] * n_ops
         waiting_deps = list(map(add, map(len, dag.deps), map(len, stream_deps)))
-        dep_first, dep_children = _children(dag.deps)
-        stream_first, stream_children = _children(stream_deps)
+        dep_children = _children(dag.deps)
+        stream_children = _children(stream_deps)
 
         # Resources get dense ids in first-enqueue order.
         res_id: Dict[str, int] = {}
@@ -541,7 +521,7 @@ class Engine:
                 ready.clear()
                 # notify stream dependents that their producer has started
                 for uid in reversed(started[first_started:]):
-                    for child in stream_children[stream_first[uid]:stream_first[uid + 1]]:
+                    for child in stream_children[uid]:
                         waiting_deps[child] -= 1
                         if waiting_deps[child] == 0:
                             enqueue(child, now)
@@ -559,17 +539,17 @@ class Engine:
                 free[rid] += 1
                 if queues[rid]:
                     ready.add(rid)
-                for child in dep_children[dep_first[uid]:dep_first[uid + 1]]:
+                for child in dep_children[uid]:
                     waiting_deps[child] -= 1
                     if waiting_deps[child] == 0:
                         enqueue(child, now)
 
-        return self._report(dag, start, finish, ready_at, dep_first, stream_first,
+        return self._report(dag, start, finish, ready_at, dep_children, stream_children,
                             meta or {})
 
     # ------------------------------------------------------------------
 
-    def _report(self, dag, start, finish, ready_at, dep_first, stream_first,
+    def _report(self, dag, start, finish, ready_at, dep_children, stream_children,
                 meta) -> CycleReport:
         """The summary, from passes over the DAG columns that run in C; the
         report's views compute the rest from its run state when read."""
@@ -578,8 +558,7 @@ class Engine:
         # wall time ends when the last op someone consumes, any compute op or
         # a shadowed MAS burst's carrier retires; closing ring hops may drain
         # the links afterwards
-        consumed = map(or_, map(ne, dep_first, islice(dep_first, 1, None)),
-                       map(ne, stream_first, islice(stream_first, 1, None)))
+        consumed = map(or_, map(truth, dep_children), map(truth, stream_children))
         compute = map(_COMPUTE.__contains__, kinds)
         makespan = max(compress(finish, map(or_, map(or_, consumed, compute), mas)),
                        default=0)
@@ -594,9 +573,7 @@ class Engine:
             op_counts=_op_counts(kinds, mas),
             meta=meta,
             warnings=list(meta.get("warnings", ())),
-            _run=_Run(cfg.r, start, finish, ready_at, dag.chiplets, dag.resources, kinds,
-                      dag.phases, dag.limbs, dag.digits, dag.deps, dag.stream_deps,
-                      dag.nbytes, mas),
+            _dag=dag, _r=cfg.r, _start=start, _finish=finish, _ready_at=ready_at,
         )
 
 

@@ -583,7 +583,7 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> Li
             "amortized_ns_per_limb": wall_ns / (l + 1),
             "ntt_utilization": rep.ntt_utilization,
         })
-        del rep     # a report holds its run's columns; free them before the next run
+        del rep     # a report holds the DAG it ran; free it before the next run
     base = rows[0]["amortized_ns_per_limb"]
     for row in rows:
         row["ratio_to_first"] = row["amortized_ns_per_limb"] / base

@@ -27,8 +27,8 @@ stack; moddown and bconv_routine take and return (..., rows, N) stacks.
 Ciphertext and plaintext limbs are Polys, each one uint64 row; a limb a
 routine builds holds a read-only view of its result (_unstack).  An input
 must hold one limb or row per base of its level, each residue in [0, q):
-limbs are stacked into one fresh array (_rows, _stack), stacks are checked in
-place (_checked), so no kernel writes to a limb and an edited copy of a limb
+limbs are stacked into one fresh array (_rows), stacks are checked in place
+(_checked), so no kernel writes to a limb and an edited copy of a limb
 is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -62,8 +63,8 @@ import numpy as np
 
 from . import opcount
 from .modarith import PrimeModulus, RnsBasis
-from .polykernel import (Domain, LengthMismatch, MasOp, Poly, _canonical, _checked_rows,
-                         _element_ratios, _frozen, _mulmod_signed, _stack, _unstack,
+from .polykernel import (Domain, DomainError, LengthMismatch, MasOp, Poly, _canonical,
+                         _checked_rows, _element_ratios, _frozen, _mulmod_signed, _unstack,
                          automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns, ntt_rows,
                          poly_to_bytes, row_to_bytes, rows_from_bytes)
 # The one-limb kernels stay importable from this module for callers and
@@ -91,7 +92,12 @@ class LevelOutOfRange(ValueError):
 
 
 class EncodeOverflow(ValueError):
-    """A rounded plaintext coefficient reaches Q_l/2 in magnitude."""
+    """A rounded plaintext coefficient reaches Q_l/2 in magnitude or is not a
+    finite number."""
+
+
+class InvalidScale(ValueError):
+    """A scale or delta that is not a positive finite number."""
 
 
 class KeyLevelTooLow(Exception):
@@ -257,6 +263,13 @@ def _rounded_residues(coeffs: np.ndarray, moduli: Tuple[PrimeModulus, ...]) -> n
     return np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
 
 
+def _scale(value, name: str):
+    """value, a scale or delta, if it is a positive finite number."""
+    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise InvalidScale(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Seed derivation (splitmix64) for the per-limb keystream seeds
 
@@ -346,7 +359,7 @@ class CkksContext:
 
     def __init__(self, basis: RnsBasis, delta: float = float(2 ** 40)):
         self.basis = basis
-        self.delta = delta
+        self.delta = _scale(delta, "delta")
         self.n = basis.n
         self.slots = basis.n // 2
         self._theta = [pow(5, j, 2 * self.n) for j in range(self.slots)]
@@ -368,9 +381,10 @@ class CkksContext:
 
     # -- limbs in and out at the public API ----------------------------------
 
-    def _rows(self, level: int, **comps: RnsPoly) -> np.ndarray:
-        """NTT-domain components of one level as a (components, rows, N) array;
-        each holds one limb of N residues per q base of the level."""
+    def _rows(self, level: int, domain: Domain = Domain.NTT, **comps: RnsPoly) -> np.ndarray:
+        """Components of one level as a fresh (components, rows, N) array,
+        checked (_checked); each holds one limb of N residues in `domain` per q
+        base of the level."""
         bases = self._q_bases(level)
         for name, c in comps.items():
             if tuple(p.modulus for p in c.limbs) != bases:
@@ -380,8 +394,12 @@ class CkksContext:
                 if len(p.coeffs) != self.n:
                     raise LengthMismatch(f"{name} limb {i} holds {len(p.coeffs)} "
                                          f"residues, not N = {self.n}")
-        x = _stack([p for c in comps.values() for p in c.limbs], Domain.NTT)
-        return x.reshape(len(comps), -1, self.n)
+                if p.domain != domain:
+                    raise DomainError(f"{name} limb {i} is in the {p.domain.name} domain, "
+                                      f"not {domain.name}")
+        x = np.stack([p.coeffs for c in comps.values() for p in c.limbs])
+        return self._checked(x.reshape(len(comps), -1, self.n), "/".join(comps), bases,
+                             f"bases of level {level}")
 
     def _checked(self, x: np.ndarray, name: str, bases: Tuple[PrimeModulus, ...],
                  of: str) -> np.ndarray:
@@ -415,23 +433,30 @@ class CkksContext:
         """Canonical-embedding encode of up to N/2 complex slots.
 
         Raises EncodeOverflow when a rounded coefficient reaches Q_l/2 in
-        magnitude, where it would wrap modulo Q_l.
+        magnitude, where it would wrap modulo Q_l, or is not finite, and
+        InvalidScale when scale is not a positive finite number; None means
+        delta.
         """
         if len(values) > self.slots:
             raise SlotOverflow(f"at most {self.slots} slots, got {len(values)}")
         if not 0 <= level <= self.basis.l_max:
             raise LevelOutOfRange(f"level {level} is outside [0, {self.basis.l_max}]")
-        scale = scale or self.delta
+        scale = self.delta if scale is None else _scale(scale, "scale")
         n, two_n = self.n, 2 * self.n
         u = np.zeros(two_n, dtype=complex)
         vals = np.asarray(list(values) + [0] * (self.slots - len(values)), dtype=complex)
         idx = np.array(self._theta)
         u[idx] = vals
         u[two_n - idx] = np.conj(vals)
-        coeffs = np.fft.fft(u).real[:n] / n * scale
+        with np.errstate(invalid="ignore", over="ignore"):     # refused just below
+            coeffs = np.fft.fft(u).real[:n] / n * scale
         q_l = self.basis.q_product(level)
         # Rounded half to even, as by round(); int() of that float is exact.
-        if 2 * int(np.max(np.abs(np.rint(coeffs)))) >= q_l:
+        peak = np.max(np.abs(np.rint(coeffs)))
+        if not np.isfinite(peak):
+            raise EncodeOverflow("a coefficient is not a finite number; encode finite "
+                                 "values at a scale that keeps them finite")
+        if 2 * int(peak) >= q_l:
             raise EncodeOverflow(f"a coefficient reaches Q_{level}/2 = {q_l / 2:.3e}; "
                                  f"lower the scale or the values")
         moduli = self._q_bases(level)
@@ -440,8 +465,8 @@ class CkksContext:
 
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
         """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain)."""
-        moduli = [p.modulus for p in pt.limbs]
-        x = _stack(pt.limbs, pt.domain)
+        moduli = self._q_bases(pt.level)
+        x = self._rows(pt.level, pt.domain, pt=pt)[0]
         if pt.domain == Domain.NTT:
             x = intt_rows(x, moduli)
         mods = [m.q for m in moduli]

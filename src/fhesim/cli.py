@@ -127,65 +127,52 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    name = args.formula
-    rows = []
+    name, l = args.formula, args.l
     if name == "throughput":
         f_hz = args.f * 1e9
-        rows.append({"formula": "keyswitch_throughput_ops",
-                     "L": args.L, "n1": args.n1,
-                     "shadowed": analytic.keyswitch_throughput(args.L, args.n1, f_hz),
-                     "naive": analytic.keyswitch_throughput(args.L, args.n1, f_hz,
-                                                            shadowed=False),
-                     "improvement_pct":
-                         100 * analytic.shadowing_improvement(args.L)})
+        row = {"formula": "keyswitch_throughput_ops", "L": l, "n1": args.n1,
+               "shadowed": analytic.keyswitch_throughput(l, args.n1, f_hz),
+               "naive": analytic.keyswitch_throughput(l, args.n1, f_hz, shadowed=False),
+               "improvement_pct": 100 * analytic.shadowing_improvement(l)}
     elif name == "comm":
-        rows.append({"formula": "comm_polynomials", "technique": args.tech,
-                     "l": args.l,
-                     "count": str(analytic.comm_polynomials(
-                         args.tech, args.l, dnum=args.dnum, k=args.k, r=args.r))})
+        row = {"formula": "comm_polynomials", "technique": args.tech, "l": l,
+               "count": str(analytic.comm_polynomials(args.tech, l, dnum=args.dnum,
+                                                      k=args.k, r=args.r))}
     elif name == "bound":
         if not args.c2c > 0:
             raise analytic.InvalidArgument(f"--c2c must be positive, got {args.c2c}")
-        rows.append({"formula": "chiplet_bound", "L": args.L,
-                     "k_ratio": args.hbm / args.c2c,
-                     "max_r": analytic.chiplet_bound(args.L, args.hbm / args.c2c,
-                                                     u=args.u)})
+        row = {"formula": "chiplet_bound", "L": l, "k_ratio": args.hbm / args.c2c,
+               "max_r": analytic.chiplet_bound(l, args.hbm / args.c2c, u=args.u)}
     elif name == "storage":
-        rows.append({"formula": "key_storage", "L": args.L, "dnum": args.dnum,
-                     "bytes_expanded": analytic.key_storage(args.L, args.dnum,
-                                                            args.n, args.w),
-                     "bytes_seeded": analytic.key_storage(args.L, args.dnum, args.n,
-                                                          args.w, seeded=True),
-                     "bytes_per_digit_limb":
-                         analytic.key_storage_per_digit_limb(args.n, args.w)})
+        row = {"formula": "key_storage", "L": l, "dnum": args.dnum,
+               "bytes_expanded": analytic.key_storage(l, args.dnum, args.n, args.w),
+               "bytes_seeded": analytic.key_storage(l, args.dnum, args.n, args.w,
+                                                    seeded=True),
+               "bytes_per_digit_limb": analytic.key_storage_per_digit_limb(args.n, args.w)}
     elif name == "twiddle":
-        rows.append({"formula": "twiddle_tradeoff", "n1": args.n1, "n2": args.n2,
-                     **analytic.twiddle_tradeoff(args.n1, args.n2, tfg=not args.no_tfg)})
-    elif name == "census":
+        row = {"formula": "twiddle_tradeoff", "n1": args.n1, "n2": args.n2,
+               **analytic.twiddle_tradeoff(args.n1, args.n2, tfg=not args.no_tfg)}
+    else:   # census, the last formula the parser accepts
         # K alone picks the switch, as in CkksContext; the digit count follows
         k = 1 if args.k is None else args.k
-        if args.l < 0 or k < 1:
+        if l < 0 or k < 1:
             raise analytic.InvalidArgument(
                 f"a census needs --l of at least 0 and --k (the special base "
-                f"size) of at least 1, got --l {args.l}, --k {args.k}")
-        dnum = len(opcount.digit_ranges(args.l, k))
+                f"size) of at least 1, got --l {l}, --k {args.k}")
+        dnum = len(opcount.digit_ranges(l, k))
         if args.dnum is not None and args.dnum != dnum:
             raise analytic.InvalidArgument(
                 f"--dnum {args.dnum} disagrees with --k {k}: their digit count "
-                f"at l={args.l} is {dnum}")
+                f"at l={l} is {dnum}")
         if k == 1:
-            c = opcount.keyswitch_full(args.l)
+            c = opcount.keyswitch_full(l)
         else:
-            c = opcount.keyswitch_generic(args.l, dnum, k)
-            c["ntt_equivalents_per_chiplet"] = str(
-                analytic.digits_census(args.l, dnum, k, args.r))
-        rows.append({"formula": "census", "l": args.l, **c})
-    else:
-        print(f"unknown formula {name!r}", file=sys.stderr)
-        return 2
+            c = opcount.keyswitch_generic(l, dnum, k)
+            c["ntt_equivalents_per_chiplet"] = str(analytic.digits_census(l, dnum, k, args.r))
+        row = {"formula": "census", "l": l, **c}
     if args.csv:
-        _write_csv(args.csv, rows, sorted({k for row in rows for k in row}))
-    _write_json(None, rows[0] if len(rows) == 1 else {"rows": rows})
+        _write_csv(args.csv, [row], sorted(row))
+    _write_json(None, row)
     return 0
 
 
@@ -206,6 +193,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _int_list(text: str) -> list:
     try:
         return [int(x) for x in text.split(",")]
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the oracle-differential suites")
     v.add_argument("--scope", choices=("kernels", "ckks", "all"), default="all")
     v.add_argument("--size", choices=("toy", "small"), default="toy")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     v.add_argument("--json-out", default=None)
     v.add_argument("--dump-census", default=None,
                    help="write per-routine micro-op counts as JSON")
@@ -247,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="closed-form formulas")
     a.add_argument("formula", choices=("throughput", "comm", "bound", "storage",
                                        "twiddle", "census"))
-    a.add_argument("--L", type=int, default=30)
-    a.add_argument("--l", type=int, default=30)
+    a.add_argument("--L", "--l", dest="l", type=int, default=30,
+                   help="level, under either spelling")
     a.add_argument("--n1", type=int, default=1024)
     a.add_argument("--n2", type=int, default=64)
     a.add_argument("--n", type=int, default=65536)

@@ -19,7 +19,7 @@ which read p.coeffs.tolist() and so compute in Python ints.
 A Poly holds its limb in one form, a 1-D uint64 row: a kernel result keeps a
 read-only view of its frozen result stack, and anything else is copied into
 a writable row of the limb's own, so the kernels check [0, q) where they
-read a limb (_stack), not where it is built.
+read a limb (_checked_rows), not where it is built.
 
 Layout convention shared with the AUT unit: memory j holds the contiguous
 chunk [j*N1, (j+1)*N1) of a ring element, so reading one address across all
@@ -375,16 +375,6 @@ def _refused_dtype(x):
     if dtype.kind == "f" and isinstance(x, (list, tuple)) and all(type(v) is int for v in x):
         return None
     return None if dtype.kind in "iuO" else dtype
-
-
-def _stack(limbs: Sequence[Poly], domain: Domain | None = None) -> np.ndarray:
-    """The rows of limbs as one fresh (rows, N) uint64 array, each checked to
-    lie in [0, q) of its limb (_checked_rows): a limb's row may be a writable
-    copy, edited since it was built."""
-    if domain is not None and any(p.domain != domain for p in limbs):
-        raise DomainError(f"expected {domain.name}-domain limbs")
-    q, _ = modulus_columns(tuple(p.modulus for p in limbs))
-    return _checked_rows([p.coeffs for p in limbs], q)
 
 
 # _canonical shifts (-2q, 2q) by 2q, then folds [0, 4q) into [0, q) by these.
@@ -778,14 +768,16 @@ def mas(op: MasOp, a: Poly, b: Poly, acc: Poly | None = None) -> Poly:
         raise DomainMismatch("operands live in different domains")
     if a.n != b.n or (acc is not None and acc.n != a.n):
         raise LengthMismatch("MAS operands must have equal lengths")
+    q, _ = modulus_columns((a.modulus,))
     z = None
     if op == MasOp.MAC and acc is not None:
         if acc.modulus.q != a.modulus.q:
             raise ModulusMismatch("accumulator uses a different modulus")
         if acc.domain != a.domain:
             raise DomainMismatch("accumulator lives in a different domain")
-        z = _stack([acc])
-    out = mas_rows(op, _stack([a]), _stack([b]), (a.modulus,), z)
+        z = _checked_rows([acc.coeffs], q)
+    out = mas_rows(op, _checked_rows([a.coeffs], q), _checked_rows([b.coeffs], q),
+                   (a.modulus,), z)
     return _unstack(out, (a.modulus,), a.domain)[0]
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,8 @@ def test_determinism():
     ra = schedule_keyswitch_digits(REF, 22, 3, 8).to_json()
     rb = schedule_keyswitch_digits(REF, 22, 3, 8).to_json()
     assert ra == rb
+    # reports of two builds of one DAG compare equal, though each keeps its own
+    assert schedule_keyswitch_ring(REF, 8) == schedule_keyswitch_ring(REF, 8)
 
 
 def test_conservation_and_accounting():
@@ -544,7 +547,11 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
     # wrong types: "false" used to switch exactness on, 2.5 and 1024.0 to
     # fail inside a builder, 0.5 to give float cycles, True to read as 1
     ("exact", "false"), ("r", 2.5), ("n1", 1024.0), ("fill_cycles", 0.5), ("r", True),
-    ("c2c_gbps", "630")])
+    ("c2c_gbps", "630"),
+    # an infinite clock or bandwidth gives 0 bytes per cycle, and every run
+    # used to end in a ZeroDivisionError
+    ("f_ghz", math.inf), ("hbm_gbps", math.inf), ("c2c_gbps", math.inf),
+    ("ingress_gbps", math.inf)])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(ConfigError):
         ChipletConfig(**{field: value})

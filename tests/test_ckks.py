@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 from fhesim import ckks, opcount
 from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
-                         KeySwitchKey, LazySumOverflow, LevelExhausted, LevelMismatch,
-                         LevelOutOfRange, MissingRotationKey, RnsPoly, ScaleMismatch,
-                         SlotOverflow, _bconv_plan, _gadget, _lazy_terms,
+                         InvalidScale, KeySwitchKey, LazySumOverflow, LevelExhausted,
+                         LevelMismatch, LevelOutOfRange, MissingRotationKey, RnsPoly,
+                         ScaleMismatch, SlotOverflow, _bconv_plan, _gadget, _lazy_terms,
                          _rounded_residues, _submul,
                          ciphertext_from_bytes, ciphertext_to_bytes, count_ops, derive_seed,
                          ksk_from_bytes, ksk_to_bytes)
@@ -127,6 +127,26 @@ def test_encode_coefficient_overflow(ctx):
     assert intt_reference(pt.limbs[0]).coeffs[0] == q0 // 2 - 1
     pt = ctx.encode([1.0] * ctx.slots, level=1, scale=float(q0))
     assert intt_reference(pt.limbs[0]).coeffs[0] == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300, complex(0, math.nan)])
+def test_encode_refuses_values_that_give_no_finite_coefficient(ctx, value):
+    # NaN and infinite slots used to raise a bare ValueError, 1e300 (whose
+    # coefficients overflow to inf at the scale) a bare OverflowError
+    with pytest.raises(EncodeOverflow, match="not a finite number"):
+        ctx.encode([value], level=1)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, "2"])
+def test_encode_and_context_refuse_a_scale_that_is_not_positive_and_finite(ctx, scale):
+    # scale=0.0 used to encode at delta through `scale or self.delta`, and a
+    # negative or NaN delta was accepted
+    with pytest.raises(InvalidScale, match="positive finite number"):
+        ctx.encode([1.0], level=1, scale=scale)
+    with pytest.raises(InvalidScale, match="delta must be a positive finite number"):
+        CkksContext(BASIS, delta=scale)
+    assert issubclass(InvalidScale, ValueError)
+    assert ctx.encode([1.0], level=1, scale=None).scale == ctx.delta
 
 
 def _python_residues(coeffs, moduli) -> np.ndarray:
@@ -918,13 +938,16 @@ def test_decode_refuses_limbs_of_mixed_domains(ctx):
 
 
 @pytest.mark.parametrize("routine", ["add", "mult", "decrypt", "rescale", "rotate",
-                                     "relinearize", "moddown"])
+                                     "relinearize", "moddown", "encrypt", "decode"])
 def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
     # a level-4 ciphertext holding 3 limbs per component used to fail with a
-    # NumPy broadcast error, a misleading stack shape or a bare assert
+    # NumPy broadcast error, a misleading stack shape or a bare assert; a
+    # level-4 plaintext holding 3 limbs decoded as level 2
     sk, keys = keyed
     level = BASIS.l_max
-    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
+    pt = ctx.encode(slots_vec(ctx), level)
+    short_pt = RnsPoly(pt.limbs[:3], level, pt.scale)
+    ct = ctx.encrypt(pt, sk, rng())
     short = Ciphertext(RnsPoly(ct.c0.limbs[:3], level), RnsPoly(ct.c1.limbs[:3], level),
                        level, ct.scale)
     c1 = intt_rows([p.coeffs for p in ct.c1.limbs], BASIS.q_list)
@@ -934,7 +957,9 @@ def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
             "decrypt": lambda: ctx.decrypt(short, sk), "rescale": lambda: ctx.rescale(short),
             "rotate": lambda: ctx.rotate(short, 1, keys),
             "relinearize": lambda: ctx.relinearize(ctx.mult(short, short), keys),
-            "moddown": lambda: ctx.moddown(ext, level)}[routine]
+            "moddown": lambda: ctx.moddown(ext, level),
+            "encrypt": lambda: ctx.encrypt(short_pt, sk, rng()),
+            "decode": lambda: ctx.decode(short_pt, pt.scale)}[routine]
     named = rf"holds [34] limbs, not the \d+ bases of level {level}"
     with pytest.raises(LengthMismatch, match=named):
         call()

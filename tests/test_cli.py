@@ -181,7 +181,11 @@ def test_refused_config_or_program_is_one_line_and_status_2(tmp_path, capsys):
     # a string "false" used to turn exactness mode on
     not_bool = tmp_path / "not_bool.json"
     not_bool.write_text(json.dumps({**load_preset("chiplet_1024x64"), "exact": "false"}))
+    # json.loads reads Infinity; the run then raised a bare ZeroDivisionError
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text(json.dumps({**load_preset("chiplet_1024x64"), "f_ghz": float("inf")}))
     for argv, named in ((["simulate", "--config", str(bad)], "c2c_gpbs"),
+                        (["simulate", "--config", str(infinite)], "f_ghz"),
                         (["sweep", "--config", str(not_bool)], "exact"),
                         (["sweep", "--r-list", "0"], "r must be at least 1"),
                         (["sweep", "--l", "-1"], "l must be at least 0")):
@@ -309,3 +313,22 @@ def test_cross_check_covers_nested_key_switches(tmp_path, monkeypatch):
     monkeypatch.setattr(analytic, "comm_polynomials",
                         lambda tech, l, **kw: comm(tech, l, **kw) + (l == 29))
     assert main(args) == 1
+
+
+def test_analyze_level_flag_has_one_setting_under_both_spellings(capsys):
+    # --L and --l were two settings: throughput read --L, so --l 8 printed L=30
+    docs = []
+    for flag in ("--l", "--L"):
+        assert main(["analyze", "throughput", flag, "8"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[0] == docs[1] and docs[0]["L"] == 8
+    assert docs[0]["shadowed"] == analytic.keyswitch_throughput(8, 1024, 1.5e9)
+
+
+def test_verify_refuses_a_negative_seed(capsys):
+    # the seed reached numpy's default_rng, which raised a bare ValueError
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--scope", "kernels", "--seed", "-1"])
+    assert exit_.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--seed" in out.err
