@@ -170,6 +170,12 @@ class ChipletConfig:
         return cls(**{k: doc[k] for k in doc if k != "comment"})
 
 
+def _chiplet(resource: str) -> Optional[int]:
+    """The i of a resource named "<unit>:<i>"; None for "host" and "barrier"."""
+    _, _, i = resource.partition(":")
+    return int(i) if i else None
+
+
 class MicroOp(NamedTuple):
     """One op of a DAG, as iterating a ScheduleBuilder yields it: a
     read-only row of the builder's columns."""
@@ -180,21 +186,25 @@ class MicroOp(NamedTuple):
     deps: Tuple[int, ...]
     stream_deps: Tuple[int, ...]
     priority: Tuple[int, ...]   # as given, then the uid
-    chiplet: Optional[int]
     phase: str
     limb: Optional[int]
     digit: Optional[int]
     nbytes: int
     mas: int    # zero-time MAS ops in this op's shadow, finishing with it
 
+    @property
+    def chiplet(self) -> Optional[int]:
+        return _chiplet(self.resource)
+
 
 class ScheduleBuilder:
     """Accumulates micro-ops into the DAG that Engine.run takes.
 
     The DAG is stored by column: op uid's kind is kinds[uid], and likewise
-    for resources, durations, deps, stream_deps, priorities, chiplets,
-    phases, limbs, digits, nbytes and mas.  Resource names: "ntt:<i>",
-    "mas:<i>", "aut:<i>", "c2c:<i>" (egress of chiplet i), "hbm:<i>", "host".
+    for resources, durations, deps, stream_deps, priorities, phases, limbs,
+    digits, nbytes and mas.  Resource names: "ntt:<i>", "mas:<i>", "aut:<i>",
+    "c2c:<i>" (egress of chiplet i), "hbm:<i>", "host" and "barrier"; an op's
+    chiplet is the i of its resource, none for "host" and "barrier".
     """
 
     def __init__(self, cfg: ChipletConfig):
@@ -205,7 +215,6 @@ class ScheduleBuilder:
         self.deps: List[Tuple[int, ...]] = []
         self.stream_deps: List[Tuple[int, ...]] = []
         self.priorities: List[Tuple[int, ...]] = []
-        self.chiplets: List[Optional[int]] = []
         self.phases: List[str] = []
         self.limbs: List[Optional[int]] = []
         self.digits: List[Optional[int]] = []
@@ -226,13 +235,12 @@ class ScheduleBuilder:
 
     def __iter__(self) -> Iterator[MicroOp]:
         return map(MicroOp, count(), self.kinds, self.resources, self.durations,
-                   self.deps, self.stream_deps, self.priorities, self.chiplets,
-                   self.phases, self.limbs, self.digits, self.nbytes, self.mas)
+                   self.deps, self.stream_deps, self.priorities, self.phases, self.limbs,
+                   self.digits, self.nbytes, self.mas)
 
     def _append(self, kind: str, resource: str, duration: int, deps: Tuple[int, ...],
-                stream_deps: Tuple[int, ...], priority: Tuple, chiplet: int | None,
-                phase: str, limb: int | None, digit: int | None, nbytes: int,
-                mas: int) -> int:
+                stream_deps: Tuple[int, ...], priority: Tuple, phase: str,
+                limb: int | None, digit: int | None, nbytes: int, mas: int) -> int:
         uid = len(self.kinds)
         self.kinds.append(kind)
         self.resources.append(resource)
@@ -240,7 +248,6 @@ class ScheduleBuilder:
         self.deps.append(deps)
         self.stream_deps.append(stream_deps)
         self.priorities.append((*priority, uid))
-        self.chiplets.append(chiplet)
         self.phases.append(phase)
         self.limbs.append(limb)
         self.digits.append(digit)
@@ -256,14 +263,14 @@ class ScheduleBuilder:
         return deps if prev is None or prev in deps else deps + (prev,)
 
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
-            stream_deps: Sequence[int] = (), priority: Tuple = (), chiplet: int | None = None,
-            phase: str = "", limb: int | None = None, digit: int | None = None,
-            nbytes: int = 0, mas: int = 0) -> int:
+            stream_deps: Sequence[int] = (), priority: Tuple = (), phase: str = "",
+            limb: int | None = None, digit: int | None = None, nbytes: int = 0,
+            mas: int = 0) -> int:
         deps = tuple(deps)
         if resource.startswith("ntt:"):
             deps = self._chain(resource, deps)
         return self._append(kind, resource, duration, deps, tuple(stream_deps),
-                            priority, chiplet, phase, limb, digit, nbytes, mas)
+                            priority, phase, limb, digit, nbytes, mas)
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
         return self._prev_ntt.get(self._ntt[chiplet])
@@ -273,14 +280,14 @@ class ScheduleBuilder:
                   digit: int | None = None, mas: int = 0) -> int:
         resource = self._ntt[chiplet]
         return self._append(kind, resource, self.transform_cycles,
-                            self._chain(resource, tuple(deps)), (), priority, chiplet,
-                            phase, limb, digit, 0, mas)
+                            self._chain(resource, tuple(deps)), (), priority, phase,
+                            limb, digit, 0, mas)
 
     def send(self, src: int, deps: Sequence[int] = (), stream_deps: Sequence[int] = (),
              priority: Tuple = (), phase: str = "", limb: int | None = None,
              digit: int | None = None) -> int:
         return self._append("SEND", self._c2c[src], self.c2c_cycles, tuple(deps),
-                            tuple(stream_deps), priority, src, phase, limb, digit,
+                            tuple(stream_deps), priority, phase, limb, digit,
                             self.poly_bytes, 0)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
@@ -289,7 +296,7 @@ class ScheduleBuilder:
         if self.cfg.exact:
             return ()
         return (self._append("HBM_RD", self._hbm[chiplet], self.hbm_cycles, tuple(deps),
-                             (), priority, chiplet, phase, None, None, self.poly_bytes, 0),)
+                             (), priority, phase, None, None, self.poly_bytes, 0),)
 
 
 @dataclass
@@ -355,8 +362,8 @@ class CycleReport:
     def timeline(self) -> List[dict]:
         """One row per op of the run, by start time, ties by uid (a stable sort)."""
         dag, start, finish = self._dag, self._start, self._finish
-        columns = {"chiplet": dag.chiplets, "resource": dag.resources, "kind": dag.kinds,
-                   "phase": dag.phases, "limb": dag.limbs, "digit": dag.digits}
+        columns = {"chiplet": list(map(_chiplet, dag.resources)), "resource": dag.resources,
+                   "kind": dag.kinds, "phase": dag.phases, "limb": dag.limbs, "digit": dag.digits}
         return [{"uid": uid, **{key: "" if col[uid] is None else col[uid]
                                 for key, col in columns.items()},
                  "start": start[uid], "end": finish[uid]}

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS, digit_ranges
-from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder
+from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder, _chiplet
 
 Assignment = str  # one of ASSIGNMENTS
 ASSIGNMENTS = ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE")
@@ -151,7 +151,7 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                         for w in range(2):
                             mop = sb.add("MAS", f"ntt:{i}", sb.transform_cycles,
                                          deps=[ntt], priority=(pri0, j, m, 2, t, 1 + w),
-                                         chiplet=i, phase="modup", limb=x, digit=t)
+                                         phase="modup", limb=x, digit=t)
                             buf_ops[t].append(mop)
 
     if include_moddown:
@@ -352,8 +352,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
     comm = cfg.beat_cycles() * (1 if cfg.exact else 2)
 
     def send(src: int, **kwargs) -> int:
-        return sb.add("SEND", f"c2c:{src}", comm, chiplet=src, nbytes=sb.poly_bytes,
-                      **kwargs)
+        return sb.add("SEND", f"c2c:{src}", comm, nbytes=sb.poly_bytes, **kwargs)
 
     if technique == "A":
         # four function-partitioned chiplets; chiplet 0 owns NTT/INTT,
@@ -409,7 +408,7 @@ def _macro_pointwise(sb: ScheduleBuilder, l: int, per_limb: int,
     for t in range(l + 1):
         for w in range(per_limb):
             sb.add("MAS", f"mas:{owner(t)}", sb.transform_cycles, deps=after,
-                   priority=(pri0, t, w), chiplet=owner(t), phase=phase, limb=t)
+                   priority=(pri0, t, w), phase=phase, limb=t)
 
 
 def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
@@ -458,8 +457,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
                 for comp in range(2):
                     for t in range(l + 1):
                         sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles,
-                               deps=after, priority=(pri, comp, t), chiplet=owner(t),
-                               phase="rotate", limb=t)
+                               deps=after, priority=(pri, comp, t), phase="rotate", limb=t)
             ks_pri = pri + (op == "ROTATE")
             if k == 1:
                 build_keyswitch_ring(sb, l, after=after, pri0=ks_pri)
@@ -477,10 +475,10 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             sb.add("HOST_RD", "host", cycles, deps=after, priority=(pri,),
                    phase="load", nbytes=nbytes)
         active: Dict[int, set] = {}
-        for kind, chiplet, limb in zip(sb.kinds[first_op:], sb.chiplets[first_op:],
-                                       sb.limbs[first_op:]):
-            if chiplet is not None and kind in KINDS and limb is not None:
-                active.setdefault(chiplet, set()).add(limb)
+        for kind, resource, limb in zip(sb.kinds[first_op:], sb.resources[first_op:],
+                                        sb.limbs[first_op:]):
+            if kind in KINDS and limb is not None:      # compute ops sit on "<unit>:<i>"
+                active.setdefault(_chiplet(resource), set()).add(limb)
         steps_meta.append({"op": op, "l": l,
                            "active_limbs": {c: len(s) for c, s in active.items()}})
         after = (sb.add("BARRIER", "barrier", 0, deps=range(first_op, len(sb)),

@@ -25,11 +25,13 @@ them, and expand on first use.  So are the secret key's s, one read-only
 (PQ_L bases, N) stack, and mult's (d0, d1, d2), one read-only (3, rows, N)
 stack; moddown and bconv_routine take and return (..., rows, N) stacks.
 Ciphertext and plaintext limbs are Polys, each one uint64 row; a limb a
-routine builds holds a read-only view of its result (_unstack).  An input
-must hold one limb or row per base of its level, each residue in [0, q):
-limbs are stacked into one fresh array (_rows), stacks are checked in place
-(_checked), so no kernel writes to a limb and an edited copy of a limb
-is checked like any input.
+routine builds holds a read-only view of its result (_unstack).  Every
+routine reads its level's bases from the tuples the context builds once,
+through one check (_bases): a level that is a bool or not an int in
+[0, l_max] raises LevelOutOfRange.  An input must hold one limb or row per
+base of its level, each residue in [0, q): limbs are stacked into one fresh
+array (_rows), stacks are checked in place (_checked), so no kernel writes
+to a limb and an edited copy of a limb is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
@@ -301,8 +303,8 @@ class RnsPoly:
     scale: float = 0.0          # set on encoded plaintexts
 
     @property
-    def domain(self) -> Domain:
-        return self.limbs[0].domain
+    def domain(self) -> Optional[Domain]:
+        return self.limbs[0].domain if self.limbs else None    # no limbs, no domain
 
     def copy(self) -> "RnsPoly":
         return RnsPoly([p.copy() for p in self.limbs], self.level, self.scale)
@@ -340,7 +342,8 @@ class KeySwitchKey:
 
 @dataclass(eq=False)
 class SecretKey:
-    coeffs: List[int]                     # ternary, length N
+    """The secret s; its ternary coefficients are the centred INTT of row 0."""
+
     s: np.ndarray                         # read-only (PQ_L bases, N) uint64, NTT domain
 
 
@@ -363,17 +366,27 @@ class CkksContext:
         self.n = basis.n
         self.slots = basis.n // 2
         self._theta = [pow(5, j, 2 * self.n) for j in range(self.slots)]
+        q, p = tuple(basis.q_list), tuple(basis.p_list)
+        self._level_bases = [(q[: lv + 1], q[: lv + 1] + p) for lv in range(len(q))]
 
     # -- base bookkeeping ---------------------------------------------------
 
-    def all_bases(self) -> List[PrimeModulus]:
-        return list(self.basis.q_list) + list(self.basis.p_list)
+    def _bases(self, level: int) -> Tuple[Tuple[PrimeModulus, ...], Tuple[PrimeModulus, ...]]:
+        """(Q_l, PQ_l) of a level: the one level check of every routine.
+        LevelOutOfRange unless level is an int, not a bool, in [0, l_max]."""
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral) \
+                or not 0 <= level <= self.basis.l_max:
+            raise LevelOutOfRange(f"level {level!r} is not an int in [0, {self.basis.l_max}]")
+        return self._level_bases[level]
 
-    def live_bases(self, level: int) -> List[PrimeModulus]:
-        return list(self.basis.q_list[: level + 1]) + list(self.basis.p_list)
+    def all_bases(self) -> Tuple[PrimeModulus, ...]:
+        return self._level_bases[-1][1]
+
+    def live_bases(self, level: int) -> Tuple[PrimeModulus, ...]:
+        return self._bases(level)[1]
 
     def _q_bases(self, level: int) -> Tuple[PrimeModulus, ...]:
-        return tuple(self.basis.q_list[: level + 1])
+        return self._bases(level)[0]
 
     def _galois(self, rot: int) -> int:
         """The Galois element 5^rot mod 2N of a rotation by rot slots."""
@@ -437,10 +450,9 @@ class CkksContext:
         InvalidScale when scale is not a positive finite number; None means
         delta.
         """
+        moduli = self._q_bases(level)
         if len(values) > self.slots:
             raise SlotOverflow(f"at most {self.slots} slots, got {len(values)}")
-        if not 0 <= level <= self.basis.l_max:
-            raise LevelOutOfRange(f"level {level} is outside [0, {self.basis.l_max}]")
         scale = self.delta if scale is None else _scale(scale, "scale")
         n, two_n = self.n, 2 * self.n
         u = np.zeros(two_n, dtype=complex)
@@ -459,13 +471,14 @@ class CkksContext:
         if 2 * int(peak) >= q_l:
             raise EncodeOverflow(f"a coefficient reaches Q_{level}/2 = {q_l / 2:.3e}; "
                                  f"lower the scale or the values")
-        moduli = self._q_bases(level)
         x = _rounded_residues(coeffs, moduli)
         return RnsPoly(_unstack(ntt_rows(x, moduli), moduli, Domain.NTT), level, scale=scale)
 
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
-        """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain)."""
+        """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain);
+        InvalidScale when scale is not a positive finite number."""
         moduli = self._q_bases(pt.level)
+        scale = _scale(scale, "scale")
         x = self._rows(pt.level, pt.domain, pt=pt)[0]
         if pt.domain == Domain.NTT:
             x = intt_rows(x, moduli)
@@ -515,7 +528,7 @@ class CkksContext:
         is what their first switch would draw again.  The others leave
         seeded, ksk1 None until first use (_fill_ksk1).
         """
-        bases = tuple(self.all_bases())
+        bases = self.all_bases()
         of = f"bases of level {self.basis.l_max}"
         s = self._checked(s, "s", bases, of)
         q, qinv = modulus_columns(bases)
@@ -575,10 +588,9 @@ class CkksContext:
         dozens of them, each holding as much again in ksk1 (0.52 GB at
         N = 2^16, L = 30), and a server may hold them seeded throughout."""
         rng = np.random.default_rng(seed)
-        s_ints = rng.integers(-1, 2, self.n)
-        bases = tuple(self.all_bases())
-        s, = _frozen(self._small_ntt(s_ints, bases))
-        sk = SecretKey(coeffs=s_ints.tolist(), s=s)
+        bases = self.all_bases()
+        s, = _frozen(self._small_ntt(rng.integers(-1, 2, self.n), bases))
+        sk = SecretKey(s)
         rotations = list(rotations)
         masters = [derive_seed(seed, 0xE)] + [derive_seed(seed, 0xA, rot) for rot in rotations]
         targets = itertools.chain([mas_rows(MasOp.MUL, s, s, bases)],
@@ -689,7 +701,7 @@ class CkksContext:
         than _lazy_terms allows raise LazySumOverflow.  A digit ticks one MAS
         (a MAC) per live base and component.
         """
-        live = tuple(self.live_bases(level))
+        live = self.live_bases(level)
         if digits > _lazy_terms(live):
             raise LazySumOverflow(f"a key product over {digits} digits can wrap its int64 sum")
         self._fill_ksk1(ksk, range(digits))
@@ -734,7 +746,7 @@ class CkksContext:
                     level: int) -> np.ndarray:
         """The ModUp of a one-limb digit (K = 1): its coefficient-domain limb
         reduced into every live base and NTT-transformed."""
-        return _reduce_ntt(d2c[digit], tuple(self.live_bases(level)))
+        return _reduce_ntt(d2c[digit], self.live_bases(level))
 
     def _modup_digit(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
                      level: int) -> np.ndarray:
@@ -742,7 +754,7 @@ class CkksContext:
         others converted from its coefficient-domain limbs.  The digit-wise
         census adds each later digit's key products into the running sum as
         MAS ops of their own (opcount.keyswitch_generic), ticked here."""
-        live = tuple(self.live_bases(level))
+        live = self.live_bases(level)
         own = list(digit)
         other = [t for t in range(len(live)) if t not in own]
         if digit.start:
@@ -758,19 +770,19 @@ class CkksContext:
     def moddown(self, x: np.ndarray, level: int) -> np.ndarray:
         """Drop the special bases of a (..., live bases, N) NTT-domain stack at
         level: (x - BConv_P->Ql([x]_P)) * P^-1, a (..., level+1, N) stack."""
-        q_bases = self._q_bases(level)
-        p_bases = tuple(self.basis.p_list)
-        x = self._checked(x, "x", q_bases + p_bases, f"bases of level {level}")
+        q_bases, live = self._bases(level)
+        p_bases = live[level + 1:]
+        x = self._checked(x, "x", live, f"bases of level {level}")
         r = self.bconv_routine(_intt(x[..., level + 1:, :], p_bases), p_bases, q_bases)
         p_inv = [pow(self.basis.p_product, -1, m.q) for m in q_bases]
         return _submul(x[..., : level + 1, :], r, p_inv, q_bases)
 
     def rescale(self, ct: Ciphertext) -> Ciphertext:
         """Drop base q_level and divide the scale by it."""
-        if ct.level == 0:
-            raise LevelExhausted("no bases left to drop")
         level = ct.level
-        q_top = self.basis.q_list[level]
+        q_top = self._q_bases(level)[-1]
+        if level == 0:
+            raise LevelExhausted("no bases left to drop")
         lower = self._q_bases(level - 1)
         x = self._rows(level, c0=ct.c0, c1=ct.c1)
         t = _reduce_ntt(_intt(x[:, level:], (q_top,)), lower)
@@ -790,7 +802,7 @@ class CkksContext:
         if rot not in keys.rotation:
             raise MissingRotationKey(f"no key for rotation {rot}")
         level = ct.level
-        x = np.zeros((3, level + 1, self.n), dtype=np.uint64)
+        x = np.zeros((3, len(self._q_bases(level)), self.n), dtype=np.uint64)
         x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), self._galois(rot))
         modup = self._modup_limb if self.basis.k == 1 else self._modup_digit
         return self._keyswitch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot], modup)

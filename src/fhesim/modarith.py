@@ -10,7 +10,7 @@ stays within its proven bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import List
 
@@ -65,37 +65,21 @@ def bit_reverse(value: int, width: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime q with a verified primitive 2N-th root of unity.
-
-    Immutable after construction; safe to share across workers.
-    """
+    """A prime q with a verified primitive 2N-th root of unity psi; 1/N and
+    the Barrett constants are derived from q where they are used.  Immutable
+    after construction; safe to share across workers."""
 
     q: int
     two_n: int
     psi: int
-    psi_inv: int
-    n_inv: int
-    # Barrett constants: mu = floor(2^(2k) / q) with k = bitlen(q).
-    barrett_k: int = field(repr=False, default=0)
-    barrett_mu: int = field(repr=False, default=0)
 
     @classmethod
     def create(cls, q: int, two_n: int, psi: int) -> "PrimeModulus":
         if q.bit_length() > MAX_WORD_BITS:
             raise WordSizeExceeded(f"modulus {q} exceeds the {MAX_WORD_BITS}-bit word size")
-        n = two_n // 2
-        if pow(psi, two_n, q) != 1 or pow(psi, n, q) != q - 1:
+        if pow(psi, two_n, q) != 1 or pow(psi, two_n // 2, q) != q - 1:
             raise ValueError(f"psi={psi} is not a primitive {two_n}-th root mod {q}")
-        k = q.bit_length()
-        return cls(
-            q=q,
-            two_n=two_n,
-            psi=psi,
-            psi_inv=pow(psi, -1, q),
-            n_inv=pow(n, -1, q),
-            barrett_k=k,
-            barrett_mu=(1 << (2 * k)) // q,
-        )
+        return cls(q=q, two_n=two_n, psi=psi)
 
     @property
     def n(self) -> int:
@@ -103,15 +87,15 @@ class PrimeModulus:
 
 
 def mod_mul(a: int, b: int, m: PrimeModulus) -> int:
-    """a*b mod q via Barrett reduction: one 2w-bit product, fixed corrections.
+    """a*b mod q via Barrett reduction, k = bitlen(q) and mu = 2^(2k) // q:
+    one 2w-bit product, fixed corrections.
 
     Operands must already be reduced. The quotient estimate is off by at
     most two, so two conditional subtractions always suffice.
     """
-    q = m.q
-    t = a * b
-    k = m.barrett_k
-    qhat = ((t >> (k - 1)) * m.barrett_mu) >> (k + 1)
+    q, t = m.q, a * b
+    k = q.bit_length()
+    qhat = ((t >> (k - 1)) * ((1 << (2 * k)) // q)) >> (k + 1)
     r = t - qhat * q
     if r >= q:
         r -= q

@@ -269,9 +269,8 @@ def intt_oracle(p: Poly) -> Poly:
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse=True).tolist()
     x = p.coeffs.tolist()
     _gs_inverse(x, n, table, m.q)
-    n_inv = m.n_inv if n == m.n else pow(n, -1, m.q)
-    q = m.q
-    return Poly([c * n_inv % q for c in x], m, Domain.COEFF)
+    q, inv_n = m.q, pow(n, -1, m.q)
+    return Poly([c * inv_n % q for c in x], m, Domain.COEFF)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +312,10 @@ def _twiddle_arrays(m: PrimeModulus, n: int, inverse: bool) -> Tuple[np.ndarray,
     q = m.q
     table = _psi_table_bitrev(m, n, _ring_stride(m, n), inverse)
     if inverse:
-        n_inv = m.n_inv if n == m.n else pow(n, -1, q)
-        table = table.copy()
-        table[0] = n_inv
+        table, inv_n = table.copy(), pow(n, -1, q)
+        table[0] = inv_n
         if n > 1:
-            table[1] = int(table[1]) * n_inv % q
+            table[1] = int(table[1]) * inv_n % q
     return _frozen(table, _shoup_ratios(table, q))
 
 

@@ -839,7 +839,7 @@ def _random_dags(draw):
         sb.add(kind, f"{_RESOURCE[kind]}:{chiplet}", draw(st.integers(0, 5)),
                deps=draw(earlier),
                stream_deps=draw(earlier) if kind == "SEND" else (),
-               priority=(draw(st.integers(0, 3)),), chiplet=chiplet,
+               priority=(draw(st.integers(0, 3)),),
                nbytes=sb.poly_bytes if kind in ("SEND", "HBM_RD") else 0,
                mas=draw(st.integers(0, 2)))
     return cfg, sb

@@ -182,6 +182,50 @@ def test_encode_rejects_level_outside_basis(ctx, level):
         ctx.encode([1.0], level)
 
 
+@pytest.mark.parametrize("level", [BASIS.l_max + 1, 7, -1, True])
+@pytest.mark.parametrize("routine", ["encode", "decode", "encrypt", "decrypt", "decrypt_triple",
+                                     "add", "mult", "rotate_perm", "rotate", "rescale",
+                                     "relinearize", "keyswitch_full_dnum",
+                                     "keyswitch_generic", "moddown"])
+def test_every_routine_refuses_a_level_outside_the_basis(ctx, keyed, routine, level):
+    # each input holds the limbs that slicing q_list at its level gives, so
+    # only the level check can refuse it: add of such a level-7 ciphertext
+    # returned a level-7 ciphertext, decrypt and rotate raised NumPy errors,
+    # rescale and moddown(-1) an IndexError, relinearize KeyLevelTooLow, and
+    # encode took level=True
+    sk, keys = keyed
+    held = 1 if level is True else BASIS.l_max
+    pt = ctx.encode(slots_vec(ctx), held)
+    ct = ctx.encrypt(pt, sk, rng())
+    bad_pt = RnsPoly(pt.limbs, level, pt.scale)
+    bad = Ciphertext(RnsPoly(ct.c0.limbs, level), RnsPoly(ct.c1.limbs, level), level, ct.scale)
+    ext = ExtCiphertext(ctx.mult(ct, ct).rows, level, ct.scale ** 2)
+    live = np.zeros((len(ctx.live_bases(held)), ctx.n), dtype=np.uint64)
+    call = {"encode": lambda: ctx.encode(slots_vec(ctx), level),
+            "decode": lambda: ctx.decode(bad_pt, pt.scale),
+            "encrypt": lambda: ctx.encrypt(bad_pt, sk, rng()),
+            "decrypt": lambda: ctx.decrypt(bad, sk),
+            "decrypt_triple": lambda: ctx.decrypt_triple(ext, sk),
+            "add": lambda: ctx.add(bad, bad), "mult": lambda: ctx.mult(bad, bad),
+            "rotate_perm": lambda: ctx.rotate_perm(bad, 1),
+            "rotate": lambda: ctx.rotate(bad, 1, keys), "rescale": lambda: ctx.rescale(bad),
+            "relinearize": lambda: ctx.relinearize(ext, keys),
+            "keyswitch_full_dnum": lambda: ctx.keyswitch_full_dnum(ext, keys.relin),
+            "keyswitch_generic": lambda: ctx.keyswitch_generic(ext, keys.relin),
+            "moddown": lambda: ctx.moddown(live, level)}[routine]
+    named = rf"level {level!r} is not an int in \[0, {BASIS.l_max}\]"
+    with pytest.raises(LevelOutOfRange, match=named):
+        call()
+
+
+@pytest.mark.parametrize("scale", [0.0, "-delta", math.nan, math.inf])
+def test_decode_refuses_a_scale_that_is_not_positive_and_finite(ctx, scale):
+    # a zero scale decoded to inf slots, a negative one to negated slots
+    pt = ctx.encode(slots_vec(ctx), 1)
+    with pytest.raises(InvalidScale, match="scale must be a positive finite number"):
+        ctx.decode(pt, -ctx.delta if scale == "-delta" else scale)
+
+
 def test_encrypt_decrypt(ctx, keyed):
     sk, _ = keyed
     v = slots_vec(ctx)
@@ -369,8 +413,9 @@ def test_keygen_batch_equals_keys_built_one_at_a_time(basis):
     seed, rotations = 77, (3, 1, 3)
     sk, keys = ctx_b.keygen(seed, rotations)
     gen = np.random.default_rng(seed)
-    assert gen.integers(-1, 2, ctx_b.n).tolist() == sk.coeffs
     bases = tuple(ctx_b.all_bases())
+    q = np.array([m.q for m in bases], dtype=np.int64)[:, None]
+    assert np.array_equal(sk.s, ntt_rows(gen.integers(-1, 2, ctx_b.n) % q, bases))
     s = sk.s
     square = np.array([[v * v % m.q for v in row] for row, m in zip(s.tolist(), bases)],
                       dtype=np.uint64)
@@ -963,6 +1008,13 @@ def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
     named = rf"holds [34] limbs, not the \d+ bases of level {level}"
     with pytest.raises(LengthMismatch, match=named):
         call()
+    if routine in ("encrypt", "decode"):
+        # a plaintext with no limbs made decode fail on its domain with an IndexError
+        empty = RnsPoly([], level, pt.scale)
+        call = {"encrypt": lambda: ctx.encrypt(empty, sk, rng()),
+                "decode": lambda: ctx.decode(empty, pt.scale)}[routine]
+        with pytest.raises(LengthMismatch, match=rf"holds 0 limbs, not the \d+ bases"):
+            call()
 
 
 @pytest.mark.parametrize("routine", ["add", "mult", "decrypt", "rescale", "rotate_perm",

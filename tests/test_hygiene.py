@@ -51,6 +51,32 @@ def _orphaned_helpers(texts) -> list:
     return sorted(defined - used)
 
 
+def _is_dataclass(decorator) -> bool:
+    """@dataclass, @dataclass(...) or either spelt dataclasses.dataclass."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+    return name == "dataclass"
+
+
+def _write_only_fields(texts) -> list:
+    """Annotated fields of the @dataclass classes in the sources that no
+    source reads, as "Class.field", sorted.  A read is an attribute load or
+    a string constant (as getattr and _JSON_KEYS take), anywhere in any of
+    the sources.  NamedTuple rows are read by unpacking, so they are not
+    scanned."""
+    fields = []
+    read = set()
+    for node in (n for text in texts for n in ast.walk(ast.parse(text))):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            fields += [(node.name, stmt.target.id) for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
 # The pure-int oracles may assert the property they model; anywhere else a
 # check must raise, since python -O strips an assert.
 PURE_INT_ORACLES = {"ntt_oracle", "intt_oracle", "automorphism_oracle", "automorphism_shuffle"}
@@ -97,6 +123,27 @@ def test_scan_finds_orphaned_helpers():
              "    def _by_name(self):\n        pass\n\n"
              "    def run(self):\n        return self._by_attr, getattr(self, '_by_name')\n")
     assert _orphaned_helpers(texts) == ["_method", "_orphan"]
+
+
+def test_no_write_only_dataclass_fields():
+    # Tests do not count, as for the helpers.  The scan matches by name, so a
+    # field is taken as read wherever any attribute of its name is:
+    # SecretKey.coeffs, a list that nothing read, escaped it because
+    # Poly.coeffs is read, and only a review finds such a field.
+    assert _write_only_fields(path.read_text() for path in sorted(SRC.rglob("*.py"))) == []
+
+
+def test_scan_finds_write_only_fields():
+    texts = ("import dataclasses\nfrom dataclasses import dataclass\n"
+             "from typing import NamedTuple\n\n\n"
+             "@dataclass(frozen=True)\nclass A:\n    read: int\n    orphan: int\n"
+             "    by_name: int = 0\n    KEYS = ('by_name',)\n\n\n"
+             "@dataclasses.dataclass\nclass B:\n    stored: int\n\n"
+             "    def set(self):\n        self.stored = 1\n\n\n"
+             "class Row(NamedTuple):\n    unpacked: int\n\n\n"
+             "class Plain:\n    note: int\n",
+             "def use(a):\n    return a.read\n")
+    assert _write_only_fields(texts) == ["A.orphan", "B.stored"]
 
 
 def test_no_bare_asserts_outside_the_oracles():
