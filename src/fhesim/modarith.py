@@ -130,29 +130,34 @@ def _find_primitive_root(q: int, two_n: int) -> int:
 
 
 def find_ntt_prime(bits: int, two_n: int, skip: int = 0) -> PrimeModulus:
-    """(skip+1)-th prime of the given bit length with q == 1 (mod two_n)."""
+    """(skip+1)-th largest prime of the given bit length with q == 1 (mod two_n)."""
     return find_ntt_primes(bits, two_n, 1, skip)[0]
 
 
 def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[PrimeModulus]:
     """count primes of the given bit length with q == 1 (mod two_n), in
-    ascending order after skipping the first skip; one scan of the candidates."""
+    descending order from the largest below 2^bits after skipping the first
+    skip; one scan of the candidates.
+
+    Primes just below 2^bits make a masked keystream word a residue almost
+    always (trivium.LaneSampler), as Microsoft SEAL's CoeffModulus::Create
+    picks them."""
     if bits > MAX_WORD_BITS:
         raise WordSizeExceeded(f"bit length {bits} exceeds word size {MAX_WORD_BITS}")
     if two_n & (two_n - 1) != 0:
         raise ValueError("two_n must be a power of two")
     lo, hi = 1 << (bits - 1), 1 << bits
-    # Smallest candidate of this bit length congruent to 1 mod two_n.
-    q = lo + 1 if lo % two_n == 0 else lo + (two_n - lo % two_n) + 1
+    # Largest candidate of this bit length congruent to 1 mod two_n.
+    q = hi - 1 - (hi - 2) % two_n
     found: List[PrimeModulus] = []
     remaining = skip
-    while q < hi and len(found) < count:
+    while q >= lo and len(found) < count:
         if is_prime(q):
             if remaining == 0:
                 found.append(PrimeModulus.create(q, two_n, _find_primitive_root(q, two_n)))
             else:
                 remaining -= 1
-        q += two_n
+        q -= two_n
     if len(found) < count:
         raise NoPrimeFound(f"only {len(found)} of {count} {bits}-bit primes == 1 mod {two_n}"
                            f" after skipping {skip}")

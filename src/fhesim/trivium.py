@@ -164,9 +164,10 @@ class LaneSampler:
     word-by-word rejection loop over the same keystream returns; for a
     w-bit modulus the masked candidate is below 2q and at most every second
     word is wasted.  A draw steps each group of lanes a chunk at a time:
-    each chunk is the expected number of rounds the group's neediest lane
-    still takes, plus a margin, capped at the stream's chunk_rounds.  The
-    residues a lane has beyond the draw wait for the next one.
+    each chunk is the most rounds any lane of the group still takes, its
+    expected rounds plus one standard deviation, plus one round, capped at
+    the stream's chunk_rounds.  The residues a lane has beyond the draw
+    wait for the next one.
     """
 
     def __init__(self, seeds: Sequence[int], moduli: Sequence[int]):
@@ -180,15 +181,15 @@ class LaneSampler:
             raise ValueError("moduli must lie in [2, 2^64)")
         q = np.array(moduli, dtype=np.uint64)[:, None]
         mask = np.array([(1 << m.bit_length()) - 1 for m in moduli], dtype=np.uint64)[:, None]
-        # Expected words per accepted residue, per lane.
-        cost = [(1 << m.bit_length()) / m for m in moduli]
+        # The share of words each lane accepts.
+        accept = [m / (1 << m.bit_length()) for m in moduli]
         # The fewest groups of at most _GROUP_LANES lanes, of near-equal size
         # (a small group costs more per word); per group its stream, first
-        # lane, q and mask columns and costs.
+        # lane, q and mask columns and acceptances.
         groups = -(-len(seeds) // _GROUP_LANES)
         size = -(-len(seeds) // groups)
         self._groups = [(TriviumLanes(seeds[lo:lo + size]), lo, q[lo:lo + size],
-                         mask[lo:lo + size], cost[lo:lo + size])
+                         mask[lo:lo + size], accept[lo:lo + size])
                         for lo in range(0, len(seeds), size)]
         self._pending = [np.empty(0, dtype=np.uint64) for _ in moduli]
 
@@ -196,7 +197,7 @@ class LaneSampler:
         """The next n residues of every lane, as a (lanes, n) uint64 array."""
         n = _count(n, "residues")
         out = np.empty((len(self._pending), n), dtype=np.uint64)
-        for stream, lo, q, mask, cost in self._groups:
+        for stream, lo, q, mask, accept in self._groups:
             rows = list(out[lo:lo + stream.lanes])
             # need[j]: residues lane lo+j still lacks; kept[j]: its slices past n.
             need, kept = [], []
@@ -204,13 +205,11 @@ class LaneSampler:
                 row[:len(p)] = p[:n]
                 need.append(max(n - len(p), 0))
                 kept.append([p[n:]] if len(p) > n else [])
-            while True:
-                expected = max(k * c for k, c in zip(need, cost))
-                if expected <= 0:
-                    break
-                # The margin is about one standard deviation of the rounds a
-                # lane needs when half its words are rejected.
-                rounds = math.ceil(expected) + math.isqrt(math.ceil(expected)) + 1
+            while any(need):
+                # k residues at acceptance p take k/p rounds, with a standard
+                # deviation of sqrt(k(1-p))/p (negative binomial).
+                rounds = math.ceil(max((k + math.sqrt(k * (1 - p))) / p
+                                       for k, p in zip(need, accept))) + 1
                 words = np.bitwise_and(stream.words(min(rounds, stream.chunk_rounds)).T,
                                        mask, order="C")
                 keep = words < q

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import opcount, polykernel, trivium
 from .ckks import CkksContext, count_ops, ksk_to_bytes
-from .modarith import (PrimeModulus, TwiddleSource, bit_reverse, find_ntt_prime,
-                       make_basis)
+from .modarith import (NoPrimeFound, PrimeModulus, TwiddleSource, _find_primitive_root,
+                       bit_reverse, find_ntt_prime, is_prime, make_basis)
 from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
                          intt_oracle, intt_reference, intt_rows, mas, mas_rows,
@@ -404,11 +404,26 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     return res
 
 
+def lowest_ntt_prime(bits: int, two_n: int) -> PrimeModulus:
+    """The smallest prime of the given bit length with q == 1 (mod two_n):
+    the other end of the width from find_ntt_prime, which takes the largest."""
+    lo, hi = 1 << (bits - 1), 1 << bits
+    q = lo + 1 if lo % two_n == 0 else lo + (two_n - lo % two_n) + 1
+    while q < hi:
+        if is_prime(q):
+            return PrimeModulus.create(q, two_n, _find_primitive_root(q, two_n))
+        q += two_n
+    raise NoPrimeFound(f"no {bits}-bit prime == 1 mod {two_n}")
+
+
 def _mixed_moduli(n: int) -> tuple:
-    """One stack of moduli for ring degree n: the suite prime and 40-, 45-
-    and 54-bit primes, so one call mixes small and full-width words."""
+    """One stack of moduli for ring degree n: the suite prime, 40- and
+    45-bit primes, and both ends of the 54-bit width (q just above 2^53,
+    past float64's mantissa, and just below 2^54), so one call mixes small
+    and full-width words."""
     return tuple([find_ntt_prime(_suite_prime_bits(n), 2 * n)]
-                 + [find_ntt_prime(bits, 2 * n) for bits in (40, 45, 54)])
+                 + [find_ntt_prime(bits, 2 * n) for bits in (40, 45, 54)]
+                 + [lowest_ntt_prime(54, 2 * n)])
 
 
 def _suite_prime_bits(n: int) -> int:

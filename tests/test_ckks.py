@@ -19,10 +19,11 @@ from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          _rounded_residues, _submul,
                          ciphertext_from_bytes, ciphertext_to_bytes, count_ops, derive_seed,
                          ksk_from_bytes, ksk_to_bytes)
-from fhesim.modarith import find_ntt_prime, find_ntt_primes, make_basis
+from fhesim.modarith import RnsBasis, find_ntt_prime, find_ntt_primes, make_basis
 from fhesim.polykernel import (Domain, DomainError, LengthMismatch, Poly, ResidueOutOfRange,
                                _unstack, automorphism_ntt_rows, intt_reference, intt_rows,
                                ntt_reference, ntt_rows)
+from fhesim.trivium import LaneSampler, TriviumLanes
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -654,6 +655,65 @@ def test_rescale_of_product_aligns_scale(ctx, keyed):
     assert rel_err(out, v) < 1e-4
 
 
+def test_a_depth_chain_keeps_its_scale():
+    # Each rescale divides the scale by a prime just below 2^40 = delta, so
+    # the scale stays at delta down to level 0.
+    basis = make_basis(n=1024, levels=8, dnum=3, bits=40, first_bits=45, p_bits=45)
+    ctx = CkksContext(basis)
+    sk, keys = ctx.keygen(seed=8)
+    gen = np.random.default_rng(8)
+    want = gen.uniform(0.5, 1.5, ctx.slots)
+    ct = ctx.encrypt(ctx.encode(want, basis.l_max), sk, gen)
+    for level in range(basis.l_max, 0, -1):
+        values = gen.uniform(0.5, 1.5, ctx.slots)
+        fresh = ctx.encrypt(ctx.encode(values, level), sk, gen)
+        ct = ctx.rescale(ctx.relinearize(ctx.mult(ct, fresh), keys))
+        want = want * values
+        assert ct.level == level - 1
+        assert math.isclose(ct.scale, ctx.delta, rel_tol=1e-6), (level, math.log2(ct.scale))
+        got = ctx.decode(ctx.decrypt(ct, sk), ct.scale)
+        assert np.max(np.abs(got - want)) < 1e-4, level
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """The keystream words (rounds times lanes) each TriviumLanes.words call
+    steps from here on."""
+    counts = []
+    words = TriviumLanes.words
+
+    def counting(self, rounds):
+        counts.append(rounds * self.lanes)
+        return words(self, rounds)
+
+    monkeypatch.setattr(TriviumLanes, "words", counting)
+    return counts
+
+
+@pytest.mark.parametrize("basis", [BASIS, BASIS3], ids=["dnum5", "dnum2"])
+def test_one_ksk1_expansion_steps_few_keystream_words_per_residue(basis, stepped):
+    ctx = CkksContext(basis)
+    _, keys = ctx.keygen(seed=5, rotations=(1,))
+    key = keys.rotation[1]
+    assert key.digits[0]._ksk1 is None
+    stepped.clear()
+    ctx.ksk1_limb(key, 0, 0)
+    residues = len(ctx.all_bases()) * ctx.n
+    # 1.002 here; 2.09-2.15 with primes just above 2^b, and 1.033 with a
+    # margin of sqrt(expected rounds), sized for half the words rejected.
+    assert sum(stepped) <= 1.02 * residues
+
+
+def test_params_main_moduli_accept_almost_every_keystream_word(stepped):
+    basis = make_basis(n=2 ** 16, levels=30, dnum=31, bits=54)
+    moduli = basis.q_list + basis.p_list
+    # 31 digits of 54-bit products sum in int64 before one reduction
+    assert _lazy_terms(moduli) >= basis.dnum
+    n = 4096
+    LaneSampler(range(len(moduli)), [m.q for m in moduli]).draw(n)
+    assert sum(stepped) <= 1.1 * len(moduli) * n
+
+
 def test_moddown_exact_on_divisible_input(ctx):
     level = BASIS.l_max
     live = ctx.live_bases(level)
@@ -774,18 +834,40 @@ def test_submul_one_row_matches_integers():
 
 # SHA-256 of keys and ciphertexts made by the pure-int keystream and base
 # conversion, before both were batched: the batched paths are byte-identical.
+# They were pinned over the primes just above 2^44 and 2^39 that
+# make_basis(n=256, levels=2, dnum=2, bits=40, first_bits=45, p_bits=45)
+# gave while find_ntt_primes scanned upward; that basis is frozen here.
 PINNED_SHA256 = {
     "relin": "e68cbb4a06ae5ed7271d79ae1e2c8413ec20f4fc4611be9c957d5049a3ef7d23",
     "rotation": "1e0ba453331b12f71ca2a9778fca3606d3e723b24485d853b2a6eab97477e18a",
     "rotated": "502e38728fcf2bf313e4920e2a8f1e8bec0a144fe3d69343de3402bc9f7ae046",
     "relinearized": "4a9f46f144227a67411ca40f80e019fce639fe90b4121a07c8fc6557a905f9a7",
 }
+PINNED_BASIS_ABOVE = RnsBasis.from_json_dict({
+    "n": 256, "dnum": 2,
+    "q": ["17592186045953", "549755829761", "549755838977"],
+    "p": ["17592186047489", "17592186048001"],
+    "psi_q": ["14569661073997", "262226440938", "388422791247"],
+    "psi_p": ["1792409676692", "11585370009838"],
+})
+# The same objects over the primes that call gives now, the largest below
+# 2^45 and 2^40.
+PINNED_SHA256_BELOW = {
+    "relin": "3e057d1216ed54d59dc013c9e9d927c6a9c8ddd5ca4f94552048029eadf4f09e",
+    "rotation": "27ca6c2e1023a74603dd351614bd9c2ffe68b762c7efda03a4840b502c496366",
+    "rotated": "5cd17e0311b37e1f579d8ed4922e36a3de033b672f8064d07d594d4323279c4f",
+    "relinearized": "ab8940586c00a50e64f7fc4bb1fbfda96c5cbb007023d58978a3eb29136b3947",
+}
+PINNED = (
+    (PINNED_BASIS_ABOVE, PINNED_SHA256),
+    (make_basis(n=256, levels=2, dnum=2, bits=40, first_bits=45, p_bits=45),
+     PINNED_SHA256_BELOW),
+)
 
 
-def _pinned_objects():
+def _pinned_objects(basis):
     """The context, and by name the keys (ksk1 expanded) and the ciphertexts
-    behind PINNED_SHA256."""
-    basis = make_basis(n=256, levels=2, dnum=2, bits=40, first_bits=45, p_bits=45)
+    pinned for basis."""
     ctx = CkksContext(basis)
     sk, keys = ctx.keygen(seed=2024, rotations=(1,))
     objects = {"relin": keys.relin, "rotation": keys.rotation[1]}
@@ -824,24 +906,26 @@ def _to_bytes(ctx, obj) -> bytes:
 
 
 def test_keys_and_ciphertexts_match_pinned_digests():
-    ctx, objects = _pinned_objects()
-    digest = {name: hashlib.sha256(_to_bytes(ctx, obj)).hexdigest()
-              for name, obj in objects.items()}
-    assert digest == PINNED_SHA256
+    for basis, pinned in PINNED:
+        ctx, objects = _pinned_objects(basis)
+        digest = {name: hashlib.sha256(_to_bytes(ctx, obj)).hexdigest()
+                  for name, obj in objects.items()}
+        assert digest == pinned
 
 
 def test_pinned_objects_round_trip_through_bytes():
-    ctx, objects = _pinned_objects()
-    for name, obj in objects.items():
-        blob = _to_bytes(ctx, obj)
-        read = ksk_from_bytes if isinstance(obj, KeySwitchKey) else ciphertext_from_bytes
-        assert _to_bytes(ctx, read(blob, ctx.basis)) == blob, name
-    # the seeded image of a key regenerates the same ksk1 halves
-    for name in ("relin", "rotation"):
-        key = ksk_from_bytes(ksk_to_bytes(objects[name], seeded=True), ctx.basis)
-        assert all(d._ksk1 is None for d in key.digits)
-        _expand_ksk1(ctx, key)
-        assert hashlib.sha256(_to_bytes(ctx, key)).hexdigest() == PINNED_SHA256[name]
+    for basis, pinned in PINNED:
+        ctx, objects = _pinned_objects(basis)
+        for name, obj in objects.items():
+            blob = _to_bytes(ctx, obj)
+            read = ksk_from_bytes if isinstance(obj, KeySwitchKey) else ciphertext_from_bytes
+            assert _to_bytes(ctx, read(blob, ctx.basis)) == blob, name
+        # the seeded image of a key regenerates the same ksk1 halves
+        for name in ("relin", "rotation"):
+            key = ksk_from_bytes(ksk_to_bytes(objects[name], seeded=True), ctx.basis)
+            assert all(d._ksk1 is None for d in key.digits)
+            _expand_ksk1(ctx, key)
+            assert hashlib.sha256(_to_bytes(ctx, key)).hexdigest() == pinned[name]
 
 
 def test_ciphertext_from_bytes_gives_checked_row_backed_limbs(ctx, keyed):

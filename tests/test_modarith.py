@@ -32,11 +32,12 @@ def test_mod_mul_matches_wide_integer_oracle():
 
 def test_find_ntt_prime_examples():
     assert find_ntt_prime(5, 16).q == 17
-    assert find_ntt_prime(7, 16).q == 97
-    # skip picks the next one up
+    assert find_ntt_prime(7, 16).q == 113     # the largest below 2^7
+    assert find_ntt_prime(7, 16, skip=1).q == 97
+    # skip picks the next one down
     q0 = find_ntt_prime(14, 256).q
     q1 = find_ntt_prime(14, 256, skip=1).q
-    assert q1 > q0 and q1 % 256 == 1 and is_prime(q1)
+    assert q0 > q1 >= 1 << 13 and q1 % 256 == 1 and is_prime(q1)
 
 
 def test_psi_has_exact_order_two_n():
@@ -84,7 +85,9 @@ def test_find_ntt_primes_batch_unique():
     primes = find_ntt_primes(20, 256, 5)
     values = [m.q for m in primes]
     assert len(set(values)) == 5
-    assert values == sorted(values)
+    assert values == sorted(values, reverse=True)
+    # no prime == 1 (mod 256) lies between 2^20 and the first one found
+    assert not any(is_prime(q) for q in range(values[0] + 256, 1 << 20, 256))
 
 
 def test_make_basis_and_json_roundtrip():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from fhesim.polykernel import (Domain, DomainError, InvalidGalois,
                                intt_reference, intt_rows, mas, mas_rows, modulus_columns,
                                ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows,
                                poly_from_bytes, poly_to_bytes)
-from fhesim.verify import schoolbook_negacyclic
+from fhesim.verify import lowest_ntt_prime, schoolbook_negacyclic
 
 RNG = random.Random(7)
 
@@ -416,22 +415,18 @@ def test_poly_serialization_roundtrip():
 # uint64 kernel vs pure-int oracle
 
 
-@functools.lru_cache(maxsize=None)
-def largest_ntt_prime(bits, two_n):
-    """The largest prime below 2^bits with q == 1 (mod two_n)."""
-    q = (1 << bits) - two_n + 1
-    while not is_prime(q):
-        q -= two_n
-    return PrimeModulus.create(q, two_n, _find_primitive_root(q, two_n))
-
-
 def smallest_ntt_prime(min_bits, two_n):
     for bits in range(min_bits, 55):
         try:
-            return find_ntt_prime(bits, two_n)
+            return lowest_ntt_prime(bits, two_n)
         except NoPrimeFound:
             continue
     raise NoPrimeFound(two_n)
+
+
+def ntt_prime_at(bits, two_n, pick):
+    """pick >= 0: the (pick+1)-th largest prime of the width; -1: the smallest."""
+    return lowest_ntt_prime(bits, two_n) if pick < 0 else find_ntt_prime(bits, two_n, pick)
 
 
 def kernel_primes(n):
@@ -441,8 +436,7 @@ def kernel_primes(n):
     if 96 % two_n == 0:
         primes.append(PrimeModulus.create(97, two_n, _find_primitive_root(97, two_n)))
     primes.append(smallest_ntt_prime(14, two_n))
-    primes += [find_ntt_prime(40, two_n), find_ntt_prime(45, two_n)]
-    primes += [largest_ntt_prime(54, two_n)]
+    primes += [find_ntt_prime(bits, two_n) for bits in (40, 45, 54)]
     return primes
 
 
@@ -466,7 +460,7 @@ def test_kernel_equals_oracle_every_size(logn):
 
 def test_kernel_equals_oracle_n65536():
     n = 1 << 16
-    m = largest_ntt_prime(54, 2 * n)
+    m = find_ntt_prime(54, 2 * n)
     p = rand_poly(m, n)
     out = ntt_reference(p)
     assert out == ntt_oracle(p)
@@ -513,7 +507,7 @@ def test_lazy_schedule_keeps_every_bound():
     for bits in (40, 45):
         assert not any(_lazy_schedule(find_ntt_prime(bits, 2048).q, 1024, False))
         assert not any(_lazy_schedule(find_ntt_prime(bits, 2048).q, 1024, True))
-    assert any(_lazy_schedule(largest_ntt_prime(54, 2048).q, 1024, False))
+    assert any(_lazy_schedule(find_ntt_prime(54, 2048).q, 1024, False))
 
 
 def test_signed_product_and_reduction_at_extreme_operands():
@@ -523,7 +517,7 @@ def test_signed_product_and_reduction_at_extreme_operands():
     # largest whose product bound stays below 2^63 (at most 2^62).
     rng = random.Random(5)
     for bits in (14, 40, 45, 53, 54):
-        q = largest_ntt_prime(bits, 8).q
+        q = find_ntt_prime(bits, 8).q
         top = min(1 << 62, ((1 << 63) // q - 1) * (1 << 54) // 5)
         ops = ([q - 1 - i for i in range(16)] + [(1 << 53) + d for d in range(-2, 3)]
                + [0, q - 1] * 8 + [top - i for i in range(8)]
@@ -545,12 +539,12 @@ def test_signed_product_and_reduction_at_extreme_operands():
 
 
 @settings(max_examples=60, deadline=None)
-@given(logn=st.integers(1, 6), bits=st.integers(10, 54), skip=st.integers(0, 3),
+@given(logn=st.integers(1, 6), bits=st.integers(10, 54), pick=st.integers(-1, 3),
        data=st.data())
-def test_kernel_properties_random_rings(logn, bits, skip, data):
+def test_kernel_properties_random_rings(logn, bits, pick, data):
     n = 1 << logn
     try:
-        m = find_ntt_prime(bits, 2 * n, skip)
+        m = ntt_prime_at(bits, 2 * n, pick)
     except NoPrimeFound:
         assume(False)
     residues = st.lists(st.integers(0, m.q - 1), min_size=n, max_size=n)
@@ -722,7 +716,7 @@ def test_lazy_sum_limit_and_one_past_it():
     # _lazy_terms is the largest m whose integer bound m*P fits what
     # _canonical takes, and at that m the proven bound, 5.01u, fits too.
     for bits in (10, 14, 30, 45, 53, 54):
-        mod = largest_ntt_prime(bits, 8)
+        mod = find_ntt_prime(bits, 8)
         q = mod.q
         for a_max in (q, (1 << 54) - 1):
             m = _lazy_terms((mod,), a_max)
@@ -731,7 +725,7 @@ def test_lazy_sum_limit_and_one_past_it():
             assert m * p <= room < (m + 1) * p, (bits, a_max)
             assert m * (q + Fraction(501, 100) * U * a_max * q) < room, (bits, a_max)
     # the full-dnum key switch of a paper-size basis sums 31 digits
-    assert _lazy_terms((largest_ntt_prime(54, 8),)) >= 31
+    assert _lazy_terms((find_ntt_prime(54, 8),)) >= 31
 
 
 def mixed_stack(n):
@@ -863,14 +857,14 @@ def test_rows_kernels_stack_their_twiddles_once_per_moduli_tuple():
 @settings(max_examples=60, deadline=None)
 @given(logn=st.integers(1, 12), lead=st.lists(st.integers(1, 2), max_size=2),
        bits=st.lists(st.integers(10, 54), min_size=1, max_size=4),
-       skip=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
-def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
+       pick=st.integers(-1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_rows_kernels_equal_oracles(logn, lead, bits, pick, seed):
     # N = 2 and 4 split degenerately, odd log2 N unevenly; every leading
     # batch dimension crosses the transpose, and small and 54-bit rows share
     # the reductions of the transposed stages.
     n = 1 << logn
     try:
-        moduli = [find_ntt_prime(max(b, logn + 8), 2 * n, skip) for b in bits]
+        moduli = [ntt_prime_at(max(b, logn + 8), 2 * n, pick) for b in bits]
     except NoPrimeFound:
         assume(False)
     q = np.array([m.q for m in moduli], dtype=np.uint64)[:, None]
@@ -886,14 +880,14 @@ def test_split_rows_kernels_equal_oracles(logn, lead, bits, skip, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(logn=st.integers(1, 16), bits=st.integers(10, 54), skip=st.integers(0, 2))
-def test_numpy_twiddle_tables_equal_the_pure_int_construction(logn, bits, skip):
+@given(logn=st.integers(1, 16), bits=st.integers(10, 54), pick=st.integers(-1, 2))
+def test_numpy_twiddle_tables_equal_the_pure_int_construction(logn, bits, pick):
     # The psi powers by _mulmod_signed doubling and the w/q ratios by the corrected
     # float quotient are bit-identical to Python-int products and Python's
     # correctly rounded division, for every table the transforms read.
     two_n = 2 << logn
     try:
-        m = find_ntt_prime(max(bits, two_n.bit_length() + 1), two_n, skip)
+        m = ntt_prime_at(max(bits, two_n.bit_length() + 1), two_n, pick)
     except NoPrimeFound:
         assume(False)
     for table in TWIDDLE_TABLES:
@@ -912,7 +906,7 @@ def test_numpy_twiddle_tables_are_exact_at_full_word_width(bits):
     # The largest and smallest such primes at N = 2^16, every table entry,
     # plus edge operands: 0, 1, q-1, 2^53 +- d, powers of two and 2^k - 1.
     two_n = 1 << 17
-    for m in (largest_ntt_prime(bits, two_n), find_ntt_prime(bits, two_n)):
+    for m in (find_ntt_prime(bits, two_n), lowest_ntt_prime(bits, two_n)):
         for table in TWIDDLE_TABLES:
             table.cache_clear()
         stored = TwiddleSource(m).table()
