@@ -464,6 +464,9 @@ class Engine:
         self.cfg = cfg
 
     def run(self, dag: ScheduleBuilder, meta: dict | None = None) -> CycleReport:
+        if dag.cfg != self.cfg:
+            raise ConfigError(f"the DAG was built for {dag.cfg}, not for this engine's "
+                              f"{self.cfg}")
         heappush, heappop = heapq.heappush, heapq.heappop
         resources, durations = dag.resources, dag.durations
         priorities, stream_deps = dag.priorities, dag.stream_deps

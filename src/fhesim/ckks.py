@@ -72,7 +72,7 @@ from .polykernel import (Domain, DomainError, LengthMismatch, MasOp, Poly, _cano
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
-from .trivium import LaneSampler
+from .trivium import uniform_residues
 
 NOISE_SIGMA = 3.2
 
@@ -100,6 +100,11 @@ class EncodeOverflow(ValueError):
 
 class InvalidScale(ValueError):
     """A scale or delta that is not a positive finite number."""
+
+
+class InvalidInteger(ValueError):
+    """A keygen seed or rotation index that is not an integer (a bool is not
+    one), or a negative seed."""
 
 
 class KeyLevelTooLow(Exception):
@@ -272,6 +277,16 @@ def _scale(value, name: str):
     return value
 
 
+def _integer(value, name: str, minimum: Optional[int] = None) -> int:
+    """value as a Python int, if it is a Python or NumPy integer, no bool, and
+    at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" of at least {minimum}"
+        raise InvalidInteger(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Seed derivation (splitmix64) for the per-limb keystream seeds
 
@@ -389,8 +404,9 @@ class CkksContext:
         return self._bases(level)[0]
 
     def _galois(self, rot: int) -> int:
-        """The Galois element 5^rot mod 2N of a rotation by rot slots."""
-        return pow(5, rot, 2 * self.n)
+        """The Galois element 5^rot mod 2N of a rotation by rot slots;
+        InvalidInteger unless rot is an integer."""
+        return pow(5, _integer(rot, "the rotation"), 2 * self.n)
 
     # -- limbs in and out at the public API ----------------------------------
 
@@ -515,13 +531,13 @@ class CkksContext:
         """One switching key to s per master seed, from the matching target s',
         each a (PQ_L bases, N) NTT-domain stack: digits of (ksk0, ksk1).
 
-        The a limbs of every key, digit j and base t come from one LaneSampler
-        draw, seeded by (master_seed, j, t), whose (keys, digits, bases, N)
-        array becomes the keys' ksk0 storage: each digit then turns its a into
-        e + g_j*s' - a*s in place.  The errors are drawn from rng key by key,
-        digit by digit, and each key's are NTT-transformed in one call, so one
-        call per key from the same rng builds the same keys.  targets is read
-        one key at a time.
+        The a limbs of every key, digit j and base t come from one
+        uniform_residues draw, seeded by (master_seed, j, t), whose (keys,
+        digits, bases, N) array becomes the keys' ksk0 storage: each digit
+        then turns its a into e + g_j*s' - a*s in place.  The errors are
+        drawn from rng key by key, digit by digit, and each key's are
+        NTT-transformed in one call, so one call per key from the same rng
+        builds the same keys.  targets is read one key at a time.
 
         The first `expanded` keys leave expanded: before ksk0 is formed, they
         keep a frozen copy of the a rows drawn for them as their ksk1, which
@@ -558,7 +574,7 @@ class CkksContext:
     def _expand_ksk1(self, seeds: List[int], bases: Sequence[PrimeModulus]) -> np.ndarray:
         """Regenerate seed-expandable key limbs, all seeds stepped together,
         as one (len(seeds), N) array."""
-        return LaneSampler(seeds, [m.q for m in bases]).draw(self.n)
+        return uniform_residues(seeds, [m.q for m in bases], self.n)
 
     def expand_ksk1_limb(self, seed: int, m: PrimeModulus) -> Poly:
         """Regenerate one seed-expandable key limb (NTT domain by convention)."""
@@ -586,12 +602,15 @@ class CkksContext:
         for it, kept, since every relinearization reads all of it.  Rotation
         keys leave seeded, ksk1 expanded on first use: bootstrapping needs
         dozens of them, each holding as much again in ksk1 (0.52 GB at
-        N = 2^16, L = 30), and a server may hold them seeded throughout."""
+        N = 2^16, L = 30), and a server may hold them seeded throughout.
+        InvalidInteger unless seed is a non-negative integer and every
+        rotation an integer."""
+        seed = _integer(seed, "the seed", minimum=0)
+        rotations = [_integer(rot, "a rotation") for rot in rotations]
         rng = np.random.default_rng(seed)
         bases = self.all_bases()
         s, = _frozen(self._small_ntt(rng.integers(-1, 2, self.n), bases))
         sk = SecretKey(s)
-        rotations = list(rotations)
         masters = [derive_seed(seed, 0xE)] + [derive_seed(seed, 0xA, rot) for rot in rotations]
         targets = itertools.chain([mas_rows(MasOp.MUL, s, s, bases)],
                                   (automorphism_ntt_rows(s, self._galois(rot))
@@ -799,11 +818,12 @@ class CkksContext:
     def rotate(self, ct: Ciphertext, rot: int, keys: KeySet) -> Ciphertext:
         """Rotate the slots by rot: the rotate_perm gather, then a key switch
         of the permuted (c0, 0, c1) back to the secret, on one array stack."""
+        g = self._galois(rot)
         if rot not in keys.rotation:
             raise MissingRotationKey(f"no key for rotation {rot}")
         level = ct.level
         x = np.zeros((3, len(self._q_bases(level)), self.n), dtype=np.uint64)
-        x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), self._galois(rot))
+        x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), g)
         modup = self._modup_limb if self.basis.k == 1 else self._modup_digit
         return self._keyswitch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot], modup)
 
@@ -816,8 +836,9 @@ _CT_HEAD = struct.Struct("<IiId")
 _KSK_HEAD = struct.Struct("<II")
 
 
-def ciphertext_to_bytes(ct: Ciphertext, n: int, dnum: int) -> bytes:
-    head = _CT_HEAD.pack(n, ct.level, dnum, ct.scale)
+def ciphertext_to_bytes(ct: Ciphertext, dnum: int) -> bytes:
+    """Ciphertext image; its header takes N from the limbs."""
+    head = _CT_HEAD.pack(ct.c0.limbs[0].n, ct.level, dnum, ct.scale)
     return b"".join([head] + [poly_to_bytes(p, t) for comp in (ct.c0, ct.c1)
                               for t, p in enumerate(comp.limbs)])
 

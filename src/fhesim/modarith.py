@@ -140,7 +140,7 @@ def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[Pr
     skip; one scan of the candidates.
 
     Primes just below 2^bits make a masked keystream word a residue almost
-    always (trivium.LaneSampler), as Microsoft SEAL's CoeffModulus::Create
+    always (trivium.uniform_residues), as Microsoft SEAL's CoeffModulus::Create
     picks them."""
     if bits > MAX_WORD_BITS:
         raise WordSizeExceeded(f"bit length {bits} exceeds word size {MAX_WORD_BITS}")

@@ -30,16 +30,16 @@ bits, and words reads only each lane's low word, through a strided view of
 the packed bytes (14 per lane).  A one-lane generator is the single-seed
 Trivium, as in trivium_stream.
 
-Streaming: LaneSampler steps its lanes in groups of at most _GROUP_LANES,
-one TriviumLanes each, and each group in chunks of at most _CHUNK_WORDS
-words (rounds times lanes), so every chunk has at least
+Streaming: uniform_residues steps its lanes in groups of at most
+_GROUP_LANES, one TriviumLanes each, and each group in chunks of at most
+_CHUNK_WORDS words (rounds times lanes), so every chunk has at least
 _CHUNK_WORDS/_GROUP_LANES rounds and its working memory does not grow with
 the lane count.  Per chunk it masks and compares the words once, compresses
-the accepted ones lane by lane, and then per lane copies one slice into its
-output and keeps the slice beyond the request for the next draw.
+the accepted ones lane by lane, and copies into each lane's output the
+slice it still lacks; what a lane accepts beyond n is dropped.
 TriviumLanes.words converts its packed rounds to uint64 in chunks of the
 same bound.  Keygen draws the a limbs of all its switching keys, every
-digit and base of each, in one such draw.
+digit and base of each, in one such call.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ WORD_BITS = 64
 LANE_BITS = 112
 # Words (rounds times lanes) stepped, converted and accepted at a time.
 _CHUNK_WORDS = 1 << 15
-# Lanes a sampler steps together, in one TriviumLanes.
+# Lanes uniform_residues steps together, in one TriviumLanes.
 _GROUP_LANES = 256
 
 
@@ -149,82 +149,56 @@ def trivium_stream(seed: int, count: int) -> List[int]:
     return TriviumLanes([seed]).words(count)[:, 0].tolist()
 
 
-def _carried(pieces: List[np.ndarray]) -> np.ndarray:
-    """The residues a lane keeps for its next draw: its slices beyond the
-    request, in keystream order, joined into one array of their own (so no
-    chunk outlives the draw)."""
-    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint64)
+def _word_mask(q: int) -> int:
+    """The low bitlen(q) bits: a word so masked is below 2q."""
+    return (1 << q.bit_length()) - 1
 
 
-class LaneSampler:
-    """Uniform residues mod q_i from the keystream of seed i, for all lanes at once.
+def uniform_residues(seeds: Sequence[int], moduli: Sequence[int], n: int) -> np.ndarray:
+    """The first n uniform residues mod q_i from the keystream of seed i, for
+    all lanes at once, as a (lanes, n) uint64 array.
 
-    Lane i masks each keystream word down to bitlen(q_i) bits and rejects
-    values >= q_i, so its residues are exactly uniform and are the ones a
-    word-by-word rejection loop over the same keystream returns; for a
-    w-bit modulus the masked candidate is below 2q and at most every second
-    word is wasted.  A draw steps each group of lanes a chunk at a time:
-    each chunk is the most rounds any lane of the group still takes, its
-    expected rounds plus one standard deviation, plus one round, capped at
-    the stream's chunk_rounds.  The residues a lane has beyond the draw
-    wait for the next one.
+    Lane i masks each word (_word_mask) and rejects values >= q_i: its
+    residues are exactly uniform, the ones word-by-word rejection over the
+    same keystream returns.  Each group of lanes steps a chunk at a time:
+    the most rounds any lane still takes, its expected rounds plus one
+    standard deviation, plus one, capped at the stream's chunk_rounds.
     """
-
-    def __init__(self, seeds: Sequence[int], moduli: Sequence[int]):
-        seeds = list(seeds)
-        moduli = [_integer(q, "a modulus") for q in moduli]
-        if not seeds:
-            raise ValueError("at least one seed is needed")
-        if len(seeds) != len(moduli):
-            raise ValueError("one modulus per seed is needed")
-        if any(not 2 <= q < 1 << 64 for q in moduli):
-            raise ValueError("moduli must lie in [2, 2^64)")
-        q = np.array(moduli, dtype=np.uint64)[:, None]
-        mask = np.array([(1 << m.bit_length()) - 1 for m in moduli], dtype=np.uint64)[:, None]
-        # The share of words each lane accepts.
-        accept = [m / (1 << m.bit_length()) for m in moduli]
-        # The fewest groups of at most _GROUP_LANES lanes, of near-equal size
-        # (a small group costs more per word); per group its stream, first
-        # lane, q and mask columns and acceptances.
-        groups = -(-len(seeds) // _GROUP_LANES)
-        size = -(-len(seeds) // groups)
-        self._groups = [(TriviumLanes(seeds[lo:lo + size]), lo, q[lo:lo + size],
-                         mask[lo:lo + size], accept[lo:lo + size])
-                        for lo in range(0, len(seeds), size)]
-        self._pending = [np.empty(0, dtype=np.uint64) for _ in moduli]
-
-    def draw(self, n: int) -> np.ndarray:
-        """The next n residues of every lane, as a (lanes, n) uint64 array."""
-        n = _count(n, "residues")
-        out = np.empty((len(self._pending), n), dtype=np.uint64)
-        for stream, lo, q, mask, accept in self._groups:
-            rows = list(out[lo:lo + stream.lanes])
-            # need[j]: residues lane lo+j still lacks; kept[j]: its slices past n.
-            need, kept = [], []
-            for row, p in zip(rows, self._pending[lo:lo + stream.lanes]):
-                row[:len(p)] = p[:n]
-                need.append(max(n - len(p), 0))
-                kept.append([p[n:]] if len(p) > n else [])
-            while any(need):
-                # k residues at acceptance p take k/p rounds, with a standard
-                # deviation of sqrt(k(1-p))/p (negative binomial).
-                rounds = math.ceil(max((k + math.sqrt(k * (1 - p))) / p
-                                       for k, p in zip(need, accept))) + 1
-                words = np.bitwise_and(stream.words(min(rounds, stream.chunk_rounds)).T,
-                                       mask, order="C")
-                keep = words < q
-                # lane by lane, each in keystream order
-                accepted = np.compress(keep.reshape(-1), words.reshape(-1))
-                start = 0
-                for j, end in enumerate(np.cumsum(np.count_nonzero(keep, axis=1)).tolist()):
-                    k = need[j]
-                    if k:
-                        stop = end if end - start < k else start + k
-                        rows[j][n - k:n - k + stop - start] = accepted[start:stop]
-                        need[j] = k - stop + start
-                        start = stop
-                    if start < end:
-                        kept[j].append(accepted[start:end])
-                    start = end
-            self._pending[lo:lo + stream.lanes] = map(_carried, kept)
-        return out
+    seeds = list(seeds)
+    moduli = [_integer(q, "a modulus") for q in moduli]
+    if not seeds:
+        raise ValueError("at least one seed is needed")
+    if len(seeds) != len(moduli):
+        raise ValueError("one modulus per seed is needed")
+    if any(not 2 <= q < 1 << 64 for q in moduli):
+        raise ValueError("moduli must lie in [2, 2^64)")
+    n = _count(n, "residues")
+    q = np.array(moduli, dtype=np.uint64)[:, None]
+    mask = np.array([_word_mask(m) for m in moduli], dtype=np.uint64)[:, None]
+    accept = [m / (1 << m.bit_length()) for m in moduli]    # share of words kept
+    # The fewest groups of at most _GROUP_LANES lanes, of near-equal size (a
+    # small group costs more per word), each with its own stream.
+    groups = -(-len(seeds) // _GROUP_LANES)
+    size = -(-len(seeds) // groups)
+    streams = [(lo, TriviumLanes(seeds[lo:lo + size])) for lo in range(0, len(seeds), size)]
+    out = np.empty((len(moduli), n), dtype=np.uint64)
+    for lo, stream in streams:
+        hi = lo + stream.lanes
+        need = [n] * stream.lanes     # residues lane lo+j still lacks
+        while any(need):
+            # k residues at acceptance p take k/p rounds, with a standard
+            # deviation of sqrt(k(1-p))/p (negative binomial).
+            rounds = math.ceil(max((k + math.sqrt(k * (1 - p))) / p
+                                   for k, p in zip(need, accept[lo:hi]))) + 1
+            words = np.bitwise_and(stream.words(min(rounds, stream.chunk_rounds)).T,
+                                   mask[lo:hi], order="C")
+            keep = words < q[lo:hi]
+            # lane by lane, each in keystream order
+            accepted = np.compress(keep.reshape(-1), words.reshape(-1))
+            start = 0
+            for j, end in enumerate(np.cumsum(np.count_nonzero(keep, axis=1)).tolist()):
+                k = min(need[j], end - start)
+                out[lo + j, n - need[j]:n - need[j] + k] = accepted[start:start + k]
+                need[j] -= k
+                start = end
+    return out

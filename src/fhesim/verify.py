@@ -8,9 +8,9 @@ elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
 fold from the uint64 NTT kernel or from the two-operand MAS product, skew
 one doubling step of the psi-power table, drop one lane's masks from the
-lane-packed keystream, or drop the residues a sampler lane draws beyond its
-request, so the harness itself can be shown to catch regressions.  The
-ckks suite checks that an edited copy of a limb reaches the next routine.
+lane-packed keystream, or narrow the sampler's word mask by one bit, so the
+harness itself can be shown to catch regressions.  The ckks suite checks
+that an edited copy of a limb reaches the next routine.
 
 Every transform reads the stored twiddle table of its modulus, built in
 NumPy.  TwiddleSource.power, the model of the hardware's on-the-fly twiddle
@@ -37,7 +37,7 @@ from .polykernel import (Domain, MasOp, NttPlan, Poly, ResidueOutOfRange,
                          automorphism_ntt_rows, automorphism_oracle, automorphism_shuffle,
                          intt_oracle, intt_reference, intt_rows, mas, mas_rows,
                          ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows)
-from .trivium import LaneSampler, TriviumLanes, trivium_stream
+from .trivium import TriviumLanes, trivium_stream, uniform_residues
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +126,11 @@ def _drop_lane_mask(original):
     return faulty
 
 
-def _drop_carry(original):
-    """A sampler lane's residues beyond its request dropped, not kept for its
-    next draw."""
-    def faulty(pieces):
-        return original([])
+def _narrow_word_mask(original):
+    """The sampler's word mask one bit too narrow: every masked word is below
+    q, so none is rejected and the top bit of each residue is lost."""
+    def faulty(q):
+        return original(q) >> 1
     return faulty
 
 
@@ -171,7 +171,7 @@ FAULTS = {
     "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
     "mas-ratio": ("kernels", polykernel, "_element_ratios", _single_precision_ratios),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
-    "sampler-carry": ("kernels", trivium, "_carried", _drop_carry),
+    "sampler-mask": ("kernels", trivium, "_word_mask", _narrow_word_mask),
 }
 
 
@@ -384,23 +384,19 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     for i, sd in enumerate(seeds):
         res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
                   lanes[:, i].tolist() == streams[sd], comparisons=words)
-    # sampler bookkeeping vs word-by-word rejection over the bit-serial stream:
-    # moduli just above a power of two reject about half the words, those just
-    # below almost none; the second draw opens with what the first one drew
-    # beyond its request; one lane more than a group makes two groups
-    counts = (24, 16)   # at least every second word is kept: 5 words a residue spare
+    # sampler vs word-by-word rejection over the bit-serial stream: moduli
+    # just above a power of two reject about half the words, those just below
+    # almost none; one lane more than a group makes two groups
+    count = 40   # at least every second word is kept: 5 words a residue spare
     seeds = list(streams)
     moduli = [(1 << 44) + 1, (1 << 45) - 1, 97, (1 << 63) + 1, (1 << 64) - 1]
     lanes = trivium._GROUP_LANES + 1
     pairs = [(seeds[i % len(seeds)], moduli[i % len(moduli)]) for i in range(lanes)]
-    sampler = LaneSampler(*zip(*pairs))
-    draws = [sampler.draw(k) for k in counts]
+    got = uniform_residues(*zip(*pairs), count)
     for i, (sd, q) in enumerate(pairs):
-        want = rejection_sampled(streams[sd], q)
-        for d, (k, got) in enumerate(zip(counts, draws), 1):
-            res.check(f"trivium lane {i} of {lanes} residues q={q:#x} draw {d}",
-                      got[i].tolist() == want[:k], comparisons=k)
-            want = want[k:]
+        res.check(f"trivium lane {i} of {lanes} residues q={q:#x}",
+                  got[i].tolist() == rejection_sampled(streams[sd], q)[:count],
+                  comparisons=count)
     return res
 
 

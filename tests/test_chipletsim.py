@@ -228,6 +228,17 @@ def _built_dag(cfg):
     return sb
 
 
+def test_engine_refuses_a_dag_built_for_another_config():
+    # an r=32 DAG run at r=4 would report four chiplets' rows of its 32
+    with pytest.raises(ConfigError, match="built for"):
+        Engine(REF).run(_built_dag(replace(REF, r=32)))
+    with pytest.raises(ConfigError):
+        Engine(replace(REF, exact=True)).run(_built_dag(REF))
+    # an equal config built apart is the same config
+    assert Engine(replace(REF)).run(_built_dag(REF)).to_json() == \
+        Engine(REF).run(_built_dag(REF)).to_json()
+
+
 @pytest.mark.parametrize("entry", [
     lambda: Engine(REF).run(_built_dag(REF)),
     lambda: schedule_keyswitch_ring(REF, 8),

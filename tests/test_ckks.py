@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import struct
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis.extra.numpy import arrays
 from fhesim import ckks, opcount
 from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
-                         InvalidScale, KeySwitchKey, LazySumOverflow, LevelExhausted,
-                         LevelMismatch, LevelOutOfRange, MissingRotationKey, RnsPoly,
-                         ScaleMismatch, SlotOverflow, _bconv_plan, _gadget, _lazy_terms,
+                         InvalidInteger, InvalidScale, KeySwitchKey, LazySumOverflow,
+                         LevelExhausted, LevelMismatch, LevelOutOfRange, MissingRotationKey,
+                         RnsPoly, ScaleMismatch, SlotOverflow, _bconv_plan, _gadget, _lazy_terms,
                          _rounded_residues, _submul,
                          ciphertext_from_bytes, ciphertext_to_bytes, count_ops, derive_seed,
                          ksk_from_bytes, ksk_to_bytes)
@@ -23,7 +24,7 @@ from fhesim.modarith import RnsBasis, find_ntt_prime, find_ntt_primes, make_basi
 from fhesim.polykernel import (Domain, DomainError, LengthMismatch, Poly, ResidueOutOfRange,
                                _unstack, automorphism_ntt_rows, intt_reference, intt_rows,
                                ntt_reference, ntt_rows)
-from fhesim.trivium import LaneSampler, TriviumLanes
+from fhesim.trivium import TriviumLanes, uniform_residues
 
 BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
@@ -564,6 +565,47 @@ def test_missing_rotation_key(ctx, keyed):
         ctx.rotate(ct, 5, keys)
 
 
+def test_keygen_and_rotate_take_numpy_integers(ctx, keyed):
+    small = CkksContext(make_basis(n=64, levels=2, dnum=3, bits=30))
+    _, keys = small.keygen(seed=3, rotations=[3])
+    _, np_keys = small.keygen(seed=np.int64(3), rotations=[np.int64(3)])
+    assert list(np_keys.rotation) == [3] and type(next(iter(np_keys.rotation))) is int
+    for a, b in ((keys.relin, np_keys.relin), (keys.rotation[3], np_keys.rotation[3])):
+        assert ksk_to_bytes(a) == ksk_to_bytes(b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, wide = small.keygen(seed=np.uint64((1 << 64) - 1), rotations=[np.uint8(3)])
+    _, keys = small.keygen(seed=(1 << 64) - 1, rotations=[3])
+    assert ksk_to_bytes(wide.rotation[3]) == ksk_to_bytes(keys.rotation[3])
+    sk, keys = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    assert ctx.rotate(ct, np.int64(1), keys) == ctx.rotate(ct, 1, keys)
+    assert ctx.rotate_perm(ct, np.int32(2)) == ctx.rotate_perm(ct, 2)
+
+
+@pytest.mark.parametrize("seed, rotations", [
+    (True, ()), (1.0, ()), ("3", ()), (None, ()), (-1, ()), (np.int64(-1), ()),
+    (3, [True]), (3, [1.0]), (3, ["1"]), (3, [None]), (3, [np.bool_(True)])],
+    ids=["bool-seed", "float-seed", "str-seed", "none-seed", "negative-seed",
+         "np-negative-seed", "bool-rotation", "float-rotation", "str-rotation",
+         "none-rotation", "np-bool-rotation"])
+def test_keygen_refuses_seeds_and_rotations_that_are_not_integers(seed, rotations):
+    small = CkksContext(make_basis(n=64, levels=2, dnum=3, bits=30))
+    with pytest.raises(InvalidInteger, match="must be an integer"):
+        small.keygen(seed=seed, rotations=rotations)
+    assert issubclass(InvalidInteger, ValueError)
+
+
+@pytest.mark.parametrize("rot", [True, 1.0, "1", None])
+def test_rotate_refuses_a_rotation_that_is_not_an_integer(ctx, keyed, rot):
+    sk, keys = keyed
+    ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
+    with pytest.raises(InvalidInteger, match="must be an integer"):
+        ctx.rotate(ct, rot, keys)
+    with pytest.raises(InvalidInteger, match="must be an integer"):
+        ctx.rotate_perm(ct, rot)
+
+
 def test_identity_keyswitch_preserves_plaintext(ctx, keyed):
     # switching from s to s with a key for s itself
     sk, _ = keyed
@@ -710,7 +752,7 @@ def test_params_main_moduli_accept_almost_every_keystream_word(stepped):
     # 31 digits of 54-bit products sum in int64 before one reduction
     assert _lazy_terms(moduli) >= basis.dnum
     n = 4096
-    LaneSampler(range(len(moduli)), [m.q for m in moduli]).draw(n)
+    uniform_residues(range(len(moduli)), [m.q for m in moduli], n)
     assert sum(stepped) <= 1.1 * len(moduli) * n
 
 
@@ -902,7 +944,7 @@ def _expand_ksk1(ctx, key):
 def _to_bytes(ctx, obj) -> bytes:
     if isinstance(obj, KeySwitchKey):
         return ksk_to_bytes(obj, seeded=False)
-    return ciphertext_to_bytes(obj, ctx.n, ctx.basis.dnum)
+    return ciphertext_to_bytes(obj, ctx.basis.dnum)
 
 
 def test_keys_and_ciphertexts_match_pinned_digests():
@@ -932,7 +974,7 @@ def test_ciphertext_from_bytes_gives_checked_row_backed_limbs(ctx, keyed):
     sk, _ = keyed
     for level in (0, BASIS.l_max):
         ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
-        blob = ciphertext_to_bytes(ct, ctx.n, BASIS.dnum)
+        blob = ciphertext_to_bytes(ct, BASIS.dnum)
         back = ciphertext_from_bytes(blob, BASIS)
         assert all(_frozen_row(p) for p in _limbs(back))
         assert (back.level, back.scale) == (level, ct.scale)
@@ -943,7 +985,7 @@ def test_from_bytes_rejects_bad_buffers(ctx, keyed):
     sk, keys = keyed
     level, n = 2, ctx.n
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
-    blob = ciphertext_to_bytes(ct, n, BASIS.dnum)
+    blob = ciphertext_to_bytes(ct, BASIS.dnum)
     heads = [(2 * n, level, BASIS.dnum), (n, BASIS.l_max + 1, BASIS.dnum),
              (n, -1, BASIS.dnum), (n, level, BASIS.dnum + 1)]
     bad = [blob[:10], blob[:-1], blob + b"\0"]
@@ -990,9 +1032,11 @@ def test_unseeded_key_image_switches_like_its_source(ctx, keyed):
 def test_ciphertext_serialization_shape(ctx, keyed):
     sk, _ = keyed
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), 2), sk, rng())
-    blob = ciphertext_to_bytes(ct, ctx.n, BASIS.dnum)
+    blob = ciphertext_to_bytes(ct, BASIS.dnum)
     # header + 2 components x 3 limbs x (9-byte poly header + residues)
     assert len(blob) == 20 + 2 * 3 * (9 + 8 * ctx.n)
+    # N comes from the limbs
+    assert struct.unpack_from("<I", blob)[0] == ctx.n
 
 
 def test_census_context_nesting(ctx, keyed):

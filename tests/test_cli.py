@@ -54,10 +54,11 @@ def test_verify_trivium_lane_fault_fails(tmp_path):
     assert failures and all("trivium lane" in f for f in failures)
 
 
-def test_verify_sampler_carry_fault_fails(tmp_path):
-    failures = _fault_failures(tmp_path, "sampler-carry")
-    # the first draw is whole: only the draw that opens with the carry differs
-    assert failures and all("residues" in f and f.endswith("draw 2") for f in failures)
+def test_verify_sampler_mask_fault_fails(tmp_path):
+    failures = _fault_failures(tmp_path, "sampler-mask")
+    # only the residue checks see the mask, in both lane groups
+    assert all("residues" in f for f in failures)
+    assert any(" 0 of " in f for f in failures) and any(" 256 of " in f for f in failures)
 
 
 def test_verify_ntt_fold_fault_fails(tmp_path):
@@ -95,7 +96,7 @@ def test_verify_aut_ntt_index_fault_fails(tmp_path):
 
 def test_every_fault_breaks_the_kernels_suite():
     # each fault above is one of these; a new fault needs a test of its own
-    assert sorted(FAULTS) == sorted(["shuffle-offby1", "trivium-lane", "sampler-carry",
+    assert sorted(FAULTS) == sorted(["shuffle-offby1", "trivium-lane", "sampler-mask",
                                      "ntt-fold", "ntt-split", "twiddle-table", "mas-ratio",
                                      "aut-ntt-index"])
     assert {suite for suite, *_ in FAULTS.values()} == {"kernels"}

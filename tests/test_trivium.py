@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fhesim import trivium
 from fhesim.modarith import is_prime
-from fhesim.trivium import LaneSampler, TriviumLanes, trivium_stream
+from fhesim.trivium import TriviumLanes, trivium_stream, uniform_residues
 from fhesim.verify import rejection_sampled, trivium_bit_serial
 
 
@@ -44,20 +44,18 @@ def test_state_emits_one_word_per_round():
 
 def test_residue_sampler_uniform_range():
     q = (1 << 45) - 55  # arbitrary 45-bit odd modulus for range checks
-    sampler = LaneSampler([11], [q])
-    vals = sampler.draw(4000)[0].tolist()
+    vals = uniform_residues([11], [q], 4000)[0].tolist()
     assert all(0 <= v < q for v in vals)
     mean = sum(vals) / len(vals)
     assert abs(mean / q - 0.5) < 0.05
     # deterministic given the seed
-    assert LaneSampler([11], [q]).draw(100).tolist() == \
-        LaneSampler([11], [q]).draw(100).tolist()
+    assert uniform_residues([11], [q], 100).tolist() == \
+        uniform_residues([11], [q], 100).tolist()
 
 
 def test_residue_sampler_rejection_small_modulus():
     # bitlen mask keeps acceptance >= 1/2, values still exact-uniform range
-    sampler = LaneSampler([3], [97])
-    vals = sampler.draw(2000)[0].tolist()
+    vals = uniform_residues([3], [97], 2000)[0].tolist()
     assert all(0 <= v < 97 for v in vals)
     assert len(set(vals)) > 90
 
@@ -120,7 +118,7 @@ def test_single_seed_entry_points_reject_out_of_range(seed):
     with pytest.raises(ValueError):
         trivium_stream(seed, 1)
     with pytest.raises(ValueError):
-        LaneSampler([seed], [97])
+        uniform_residues([seed], [97], 1)
 
 
 def _prime_above(x: int) -> int:
@@ -154,7 +152,7 @@ MODULI = ([_prime_above(1 << (b - 1)) for b in (20, 40, 45, 54)]
 def test_batched_sampler_matches_scalar_rejection():
     seeds = [0, ONES, 1] + [random.Random(4).getrandbits(64) for _ in MODULI[3:]]
     n = 48
-    got = LaneSampler(seeds, MODULI).draw(n)
+    got = uniform_residues(seeds, MODULI, n)
     assert got.shape == (len(MODULI), n) and got.dtype == np.uint64
     for i, (seed, q) in enumerate(zip(seeds, MODULI)):
         assert got[i].tolist() == _scalar_rejection(seed, q, n), f"q={q}"
@@ -171,37 +169,21 @@ def test_batched_sampler_extends_from_saved_state(monkeypatch):
     monkeypatch.setattr(TriviumLanes, "words", counting)
     # Seed 88 at q = 97 falls short of 64 residues after the first batch.
     seeds, moduli, n = [88, ONES, 0], [97, 97, MODULI[0]], 64
-    got = LaneSampler(seeds, moduli).draw(n)
+    got = uniform_residues(seeds, moduli, n)
     assert len(batches) >= 2, "seed 88 at q=97 must need a second batch"
     for i, (seed, q) in enumerate(zip(seeds, moduli)):
         assert got[i].tolist() == _scalar_rejection(seed, q, n)
 
 
-def test_sampler_draws_continue_the_stream():
-    # Residues left over from one draw open the next one.
-    sampler = LaneSampler([88, 3], [97, MODULI[4]])
-    parts = [sampler.draw(k) for k in (1, 20, 70)]
-    joined = np.concatenate(parts, axis=1)
-    assert joined[0].tolist() == _scalar_rejection(88, 97, 91)
-    assert joined[1].tolist() == _scalar_rejection(3, MODULI[4], 91)
-    one = LaneSampler([88], [97])
-    assert [int(one.draw(1)[0, 0]) for _ in range(5)] + one.draw(30)[0].tolist() == \
-        _scalar_rejection(88, 97, 35)
-
-
 @pytest.mark.parametrize("moduli", [[1], [0], [1 << 64], [97, 97]])
 def test_sampler_rejects_bad_moduli(moduli):
     with pytest.raises(ValueError):
-        LaneSampler([5], moduli)
+        uniform_residues([5], moduli, 1)
 
 
 def test_sampler_rejects_a_negative_count():
-    sampler = LaneSampler([88, 3], [97, MODULI[4]])
-    sampler.draw(5)
     with pytest.raises(ValueError, match="cannot draw -1"):
-        sampler.draw(-1)
-    # the refused draw took nothing from the stream
-    assert sampler.draw(10)[0].tolist() == _scalar_rejection(88, 97, 15)[5:]
+        uniform_residues([88, 3], [97, MODULI[4]], -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,11 +200,9 @@ def test_many_lane_draws_equal_single_seed_draws(data, chunk_words):
         # one round yields at most one residue per lane: n residues need n rounds
         n = data.draw(st.integers(3 * chunk, 3 * chunk + 60), label="n")
         m = data.draw(st.integers(0, 40), label="m")
-        many = LaneSampler(seeds, moduli)
-        got = np.concatenate((many.draw(n), many.draw(m)), axis=1)
+        got = uniform_residues(seeds, moduli, n + m)
         for i, (seed, q) in enumerate(zip(seeds, moduli)):
-            one = LaneSampler([seed], [q])
-            want = np.concatenate((one.draw(n), one.draw(m)), axis=1)
+            want = uniform_residues([seed], [q], n + m)
             assert got[i].tolist() == want[0].tolist(), f"lane {i}, q={q}"
 
 
@@ -238,16 +218,16 @@ def test_wide_draw_steps_at_most_one_chunk_at_a_time(monkeypatch):
     rng = random.Random(1000)
     seeds = [rng.getrandbits(64) for _ in range(1000)]
     moduli = [MODULI[i % len(MODULI)] for i in range(1000)]
-    got = LaneSampler(seeds, moduli).draw(100)
+    got = uniform_residues(seeds, moduli, 100)
     assert len(asked) >= 3 and max(asked) <= trivium._CHUNK_WORDS
     for i in (0, 7, 8, 999):
-        assert got[i].tolist() == LaneSampler([seeds[i]], [moduli[i]]).draw(100)[0].tolist()
+        assert got[i].tolist() == uniform_residues([seeds[i]], [moduli[i]], 100)[0].tolist()
 
 
 @pytest.mark.parametrize("call", [
     lambda: TriviumLanes([1]).words(-3), lambda: trivium_stream(5, -1),
-    lambda: LaneSampler([5], [97]).draw(-1), lambda: TriviumLanes([1]).words(2.0),
-    lambda: trivium_stream(5, True), lambda: LaneSampler([5], [97]).draw(1.5)],
+    lambda: uniform_residues([5], [97], -1), lambda: TriviumLanes([1]).words(2.0),
+    lambda: trivium_stream(5, True), lambda: uniform_residues([5], [97], 1.5)],
     ids=["words-negative", "stream-negative", "draw-negative", "words-float",
          "stream-bool", "draw-float"])
 def test_counts_must_be_non_negative_integers(call):
@@ -258,9 +238,9 @@ def test_counts_must_be_non_negative_integers(call):
 @pytest.mark.parametrize("call", [
     lambda: TriviumLanes([True]), lambda: TriviumLanes([1.0]),
     lambda: TriviumLanes([np.True_]), lambda: trivium_stream(2.0, 3),
-    lambda: LaneSampler([1.0], [97]), lambda: LaneSampler([False], [97]),
-    lambda: LaneSampler([1], [97.0]), lambda: LaneSampler([1], [True]),
-    lambda: LaneSampler([1], [np.float64(97)])],
+    lambda: uniform_residues([1.0], [97], 1), lambda: uniform_residues([False], [97], 1),
+    lambda: uniform_residues([1], [97.0], 1), lambda: uniform_residues([1], [True], 1),
+    lambda: uniform_residues([1], [np.float64(97)], 1)],
     ids=["lanes-bool", "lanes-float", "lanes-np-bool", "stream-float", "sampler-float-seed",
          "sampler-bool-seed", "sampler-float-modulus", "sampler-bool-modulus",
          "sampler-np-float-modulus"])
@@ -273,35 +253,34 @@ def test_bool_and_float_seeds_and_moduli_are_refused(call):
 def test_numpy_integer_seeds_and_moduli_are_taken():
     assert TriviumLanes([np.uint64(ONES)]).words(5)[:, 0].tolist() == trivium_stream(ONES, 5)
     assert trivium_stream(np.int64(7), 5) == trivium_stream(7, 5)
-    got = LaneSampler([np.uint64(88), np.int32(3)], [np.uint64(97), np.int64(MODULI[4])])
-    assert got.draw(30).tolist() == LaneSampler([88, 3], [97, MODULI[4]]).draw(30).tolist()
+    got = uniform_residues([np.uint64(88), np.int32(3)], [np.uint64(97), np.int64(MODULI[4])], 30)
+    assert got.tolist() == uniform_residues([88, 3], [97, MODULI[4]], 30).tolist()
 
 
 def test_an_empty_sampler_is_refused():
     with pytest.raises(ValueError, match="at least one seed"):
-        LaneSampler([], [])
+        uniform_residues([], [], 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), group=st.integers(1, 5), chunk_words=st.integers(1, 64))
 def test_grouped_draws_equal_scalar_draws(data, group, chunk_words):
     # Small groups and chunks make a few lanes span several groups and a short
-    # draw several chunks; a draw of 0 and the carry between draws are included.
+    # draw several chunks; a draw of 0 is included.
     lanes = data.draw(st.integers(1, 14), label="lanes")
     seeds = data.draw(st.lists(st.sampled_from([0, ONES, 1, 88, 12345]), min_size=lanes,
                                max_size=lanes), label="seeds")
     moduli = data.draw(st.lists(st.sampled_from(MODULI), min_size=lanes, max_size=lanes),
                        label="moduli")
-    counts = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=4), label="counts")
-    counts.insert(data.draw(st.integers(0, len(counts)), label="zero at"), 0)
+    n = data.draw(st.one_of(st.just(0), st.integers(1, 120)), label="n")
     with mock.patch.object(trivium, "_GROUP_LANES", group), \
             mock.patch.object(trivium, "_CHUNK_WORDS", chunk_words):
-        sampler = LaneSampler(seeds, moduli)
-        assert len(sampler._groups) == -(-lanes // group)
-        got = np.concatenate([sampler.draw(k) for k in counts], axis=1)
-    assert got.shape == (lanes, sum(counts))
+        with mock.patch.object(trivium, "TriviumLanes", wraps=TriviumLanes) as streams:
+            got = uniform_residues(seeds, moduli, n)
+        assert streams.call_count == -(-lanes // group)
+    assert got.shape == (lanes, n)
     for i, (seed, q) in enumerate(zip(seeds, moduli)):
-        want = _scalar_rejection(seed, q, sum(counts), stream=trivium_stream)
+        want = _scalar_rejection(seed, q, n, stream=trivium_stream)
         assert got[i].tolist() == want, f"lane {i}"
 
 
