@@ -57,12 +57,13 @@ def shadowing_improvement(levels: int) -> float:
     return 1.0 - (levels + 3) / (1 + 3 * (levels + 2))
 
 
-def comm_polynomials(technique: str, l: int, dnum: int | None = None,
-                     k: int | None = None, r: int | None = None) -> Fraction:
+def comm_polynomials(technique: str, l: int, k: int | None = None,
+                     r: int | None = None) -> Fraction:
     """Polynomials in communication for one KeySwitch.
 
     A/B/C/OURS are whole-package counts for the four distribution
-    techniques; the digit-wise and limb-wise forms are per chiplet."""
+    techniques; the digit-wise and limb-wise forms are per chiplet, over
+    the dnum digits of opcount.digit_ranges(l, K)."""
     _at_least(0, l=l)
     technique = technique.upper()
     if technique == "A":
@@ -76,9 +77,10 @@ def comm_polynomials(technique: str, l: int, dnum: int | None = None,
         return Fraction(0) if r == 1 else Fraction(r * (l + 3))
     if technique not in _DIGIT_TECHNIQUES:
         raise InvalidArgument(f"unknown technique {technique!r}")
-    if dnum is None or k is None or dnum < 1 or k < 1:
-        raise InvalidArgument(f"{technique} needs dnum >= 1 and K >= 1, "
-                              f"got dnum={dnum}, K={k}")
+    if k is None or k < 1:
+        raise InvalidArgument(f"{technique} needs K >= 1, which fixes its digit count "
+                              f"dnum, got K={k}")
+    dnum = len(digit_ranges(l, k))
     if technique == "DIGITWISE":
         # ModDown handled inside each chiplet by duplicating the key-mult
         # results: a one-time exchange of the ciphertext limbs plus the base
@@ -174,9 +176,11 @@ def twiddle_tradeoff(n1: int, n2: int, tfg: bool) -> dict:
     }
 
 
-def digits_census(l: int, dnum: int, k: int, r: int) -> Fraction:
+def digits_census(l: int, k: int, r: int) -> Fraction:
     """Per-chiplet NTT-equivalent runtime of the dnum<L+1 key switch:
-    (2(l+1+K) + (dnum+1)(l+1) + (r-3)K)/r."""
+    (2(l+1+K) + (dnum+1)(l+1) + (r-3)K)/r, dnum the digit count of
+    opcount.digit_ranges(l, K)."""
     _at_least(0, l=l)
-    _at_least(1, dnum=dnum, K=k, r=r)
+    _at_least(1, K=k, r=r)
+    dnum = len(digit_ranges(l, k))
     return Fraction(2 * (l + 1 + k) + (dnum + 1) * (l + 1) + (r - 3) * k, r)

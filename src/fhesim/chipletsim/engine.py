@@ -304,16 +304,15 @@ class CycleReport:
     """A run's summary, computed with the run, and its views, each computed
     from the run state on first read: per_chiplet with stall_by_phase,
     links with phase_cycles, and timeline.  The run state is the DAG that
-    ran, the chiplet count and, per uid, the start, finish and ready times;
-    the DAG may grow after the run, so a view reads only the first
-    len(start) ops."""
+    ran, whose config gives the chiplet count, and, per uid, the start,
+    finish and ready times; the DAG may grow after the run, so a view reads
+    only the first len(start) ops."""
     total_cycles: int
     wall_time_ms: float
     polynomials_transferred: int
     ntt_utilization: float
     op_counts: Dict[str, int]
     _dag: ScheduleBuilder = field(repr=False, compare=False)
-    _r: int = field(repr=False)
     _start: List[int] = field(repr=False)
     _finish: List[int] = field(repr=False)
     _ready_at: List[int] = field(repr=False)
@@ -333,7 +332,7 @@ class CycleReport:
 
     @cached_property
     def _stalls(self) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
-        return _stall_view(self._dag, self._r, self._start, self._finish, self._ready_at,
+        return _stall_view(self._dag, self._start, self._finish, self._ready_at,
                            self.total_cycles)
 
     @property
@@ -377,7 +376,7 @@ class CycleReport:
         return "\n".join(rows) + "\n"
 
 
-def _stall_view(dag: ScheduleBuilder, r: int, start: List[int], finish: List[int],
+def _stall_view(dag: ScheduleBuilder, start: List[int], finish: List[int],
                 ready_at: List[int], makespan: int
                 ) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
     """per_chiplet and stall_by_phase.  A gap before an op on an NTT unit is
@@ -385,7 +384,7 @@ def _stall_view(dag: ScheduleBuilder, r: int, start: List[int], finish: List[int
     having been ready to transfer before the unit went idle; waits for data
     that did not yet exist are latency, not stalls."""
     kinds, resources, deps, stream_deps = dag.kinds, dag.resources, dag.deps, dag.stream_deps
-    units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(r)}
+    units: Dict[str, List[int]] = {f"ntt:{ci}": [] for ci in range(dag.cfg.r)}
     for uid in compress(range(len(start)), map(units.__contains__, resources)):
         units[resources[uid]].append(uid)
 
@@ -583,7 +582,7 @@ class Engine:
             op_counts=_op_counts(kinds, mas),
             meta=meta,
             warnings=list(meta.get("warnings", ())),
-            _dag=dag, _r=cfg.r, _start=start, _finish=finish, _ready_at=ready_at,
+            _dag=dag, _start=start, _finish=finish, _ready_at=ready_at,
         )
 
 

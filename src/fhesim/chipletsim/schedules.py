@@ -313,19 +313,16 @@ def build_keyswitch_digitwise(sb: ScheduleBuilder, l: int, k: int,
                          phase="moddown", mas=k + 2)
 
 
-def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, dnum: int, k: int,
+def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, k: int,
                               strategy: str = "ALTERNATE") -> CycleReport:
+    """The digit key switch at level l over k special bases; meta["dnum"] is
+    the digit count that l and k give."""
     l = _check_at_least(l, 0, "l")
     k = _check_at_least(k, 1, "k")
-    dnum = _check_int(dnum, "dnum")
-    digit_count = len(digit_ranges(l, k))
-    if dnum != digit_count:
-        raise ProgramError(f"dnum must be the digit count of l={l}, k={k}, which is "
-                           f"{digit_count}, got {dnum}")
     _check_strategy(strategy)
     sb = ScheduleBuilder(cfg)
     build_keyswitch_digits(sb, l, k, strategy=strategy)
-    meta = {"routine": "keyswitch_digits", "l": l, "dnum": dnum, "k": k,
+    meta = {"routine": "keyswitch_digits", "l": l, "dnum": len(digit_ranges(l, k)), "k": k,
             "strategy": strategy, "warnings": cfg.bound_warnings(l)}
     report = Engine(cfg).run(sb, meta=meta)
     transforms = report.op_counts.get("INTT", 0) + report.op_counts.get("NTT", 0)

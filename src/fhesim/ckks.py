@@ -37,11 +37,13 @@ Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
 evaluations (automorphism_ntt_rows), for ciphertexts as for the target
 secret of a rotation key.  rotate runs array-native from the input
-ciphertext through that gather into the key switch.  Both key switches are
-one body, _keyswitch, on an ExtCiphertext's (d0, d1, d2) stack (rotate hands
-it the permuted (c0, 0, c1)); they differ only in the ModUp it streams into
-the key products one digit at a time: at K = 1 the digit's one limb reduced
-into every live base and NTT-transformed, otherwise base conversion.
+ciphertext through that gather into the key switch.  rotate and relinearize
+pick the switch in one place (_switch): keyswitch_full_dnum at K = 1,
+keyswitch_generic otherwise.  Both key switches are one body, _keyswitch,
+on an ExtCiphertext's (d0, d1, d2) stack (rotate hands it the permuted
+(c0, 0, c1)); they differ only in the ModUp it streams into the key
+products one digit at a time: at K = 1 the digit's one limb reduced into
+every live base and NTT-transformed, otherwise base conversion.
 
 Every kernel invocation is routed through small wrappers so a census of
 micro-ops (INTT/NTT/MAS/AUT) can be recorded and compared against the
@@ -103,8 +105,8 @@ class InvalidScale(ValueError):
 
 
 class InvalidInteger(ValueError):
-    """A keygen seed or rotation index that is not an integer (a bool is not
-    one), or a negative seed."""
+    """A seed, seed path step or rotation index that is not an integer (a bool
+    is not one), or a negative keygen seed."""
 
 
 class KeyLevelTooLow(Exception):
@@ -299,9 +301,11 @@ def _splitmix64(x: int) -> int:
 
 
 def derive_seed(master: int, *path: int) -> int:
-    s = master & (1 << 64) - 1
+    """The 64-bit seed at path below master; InvalidInteger unless master and
+    every step are integers."""
+    s = _integer(master, "the master seed") & (1 << 64) - 1
     for step in path:
-        s = _splitmix64(s ^ step)
+        s = _splitmix64(s ^ _integer(step, "a seed path step"))
     return s
 
 
@@ -549,7 +553,7 @@ class CkksContext:
         s = self._checked(s, "s", bases, of)
         q, qinv = modulus_columns(bases)
         q = q.view(np.int64)
-        n_digits = len(opcount.digit_ranges(self.basis.l_max, self.basis.k))
+        n_digits = self.basis.dnum
         seeds = [[[derive_seed(master, j, t) for t in range(len(bases))]
                   for j in range(n_digits)] for master in master_seeds]
         flat = [seed for key in seeds for digit in key for seed in digit]
@@ -810,10 +814,14 @@ class CkksContext:
 
     # -- convenience pipelines ----------------------------------------------
 
-    def relinearize(self, d: ExtCiphertext, keys: KeySet) -> Ciphertext:
+    def _switch(self, d: ExtCiphertext, ksk: KeySwitchKey) -> Ciphertext:
+        """The key switch K picks: the full-dnum one at K = 1, else the generic one."""
         if self.basis.k == 1:
-            return self.keyswitch_full_dnum(d, keys.relin)
-        return self.keyswitch_generic(d, keys.relin)
+            return self.keyswitch_full_dnum(d, ksk)
+        return self.keyswitch_generic(d, ksk)
+
+    def relinearize(self, d: ExtCiphertext, keys: KeySet) -> Ciphertext:
+        return self._switch(d, keys.relin)
 
     def rotate(self, ct: Ciphertext, rot: int, keys: KeySet) -> Ciphertext:
         """Rotate the slots by rot: the rotate_perm gather, then a key switch
@@ -824,8 +832,7 @@ class CkksContext:
         level = ct.level
         x = np.zeros((3, len(self._q_bases(level)), self.n), dtype=np.uint64)
         x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), g)
-        modup = self._modup_limb if self.basis.k == 1 else self._modup_digit
-        return self._keyswitch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot], modup)
+        return self._switch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot])
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +843,20 @@ _CT_HEAD = struct.Struct("<IiId")
 _KSK_HEAD = struct.Struct("<II")
 
 
-def ciphertext_to_bytes(ct: Ciphertext, dnum: int) -> bytes:
-    """Ciphertext image; its header takes N from the limbs."""
-    head = _CT_HEAD.pack(ct.c0.limbs[0].n, ct.level, dnum, ct.scale)
+def ciphertext_to_bytes(ct: Ciphertext, basis: RnsBasis) -> bytes:
+    """Image of a ciphertext over basis, whose N and dnum its header carries.
+
+    LengthMismatch unless each component holds one limb of N residues per
+    base of the ciphertext's level, in order, so ciphertext_from_bytes
+    reads the image back over the same basis.
+    """
+    fits = 0 <= ct.level <= basis.l_max and all(
+        tuple(p.modulus for p in comp.limbs) == basis.q_list[: ct.level + 1]
+        and all(len(p.coeffs) == basis.n for p in comp.limbs) for comp in (ct.c0, ct.c1))
+    if not fits:
+        raise LengthMismatch(f"the ciphertext at level {ct.level} does not hold one limb of "
+                             f"N={basis.n} residues per base of its level in the basis")
+    head = _CT_HEAD.pack(basis.n, ct.level, basis.dnum, ct.scale)
     return b"".join([head] + [poly_to_bytes(p, t) for comp in (ct.c0, ct.c1)
                               for t, p in enumerate(comp.limbs)])
 
@@ -889,10 +907,9 @@ def ksk_from_bytes(data: bytes, basis: RnsBasis) -> KeySwitchKey:
     if len(data) < _KSK_HEAD.size:
         raise LengthMismatch(f"{len(data)}-byte buffer is shorter than the header")
     count, seeded = _KSK_HEAD.unpack_from(data)
-    want = len(opcount.digit_ranges(basis.l_max, basis.k))
-    if count != want or seeded not in (0, 1):
+    if count != basis.dnum or seeded not in (0, 1):
         raise LengthMismatch(f"header ({count} digits, seeded flag {seeded}) does not "
-                             f"fit the basis ({want} digits)")
+                             f"fit the basis ({basis.dnum} digits)")
     bases = basis.q_list + basis.p_list
     seed_block = struct.Struct(f"<{len(bases)}Q")
     offset = _KSK_HEAD.size

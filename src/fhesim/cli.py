@@ -136,8 +136,8 @@ def cmd_analyze(args) -> int:
                "improvement_pct": 100 * analytic.shadowing_improvement(l)}
     elif name == "comm":
         row = {"formula": "comm_polynomials", "technique": args.tech, "l": l,
-               "count": str(analytic.comm_polynomials(args.tech, l, dnum=args.dnum,
-                                                      k=args.k, r=args.r))}
+               "count": str(analytic.comm_polynomials(args.tech, l, k=_digit_k(args),
+                                                      r=args.r))}
     elif name == "bound":
         if not args.c2c > 0:
             raise analytic.InvalidArgument(f"--c2c must be positive, got {args.c2c}")
@@ -154,26 +154,35 @@ def cmd_analyze(args) -> int:
                **analytic.twiddle_tradeoff(args.n1, args.n2, tfg=not args.no_tfg)}
     else:   # census, the last formula the parser accepts
         # K alone picks the switch, as in CkksContext; the digit count follows
-        k = 1 if args.k is None else args.k
+        k = _digit_k(args, default=1)
         if l < 0 or k < 1:
             raise analytic.InvalidArgument(
                 f"a census needs --l of at least 0 and --k (the special base "
                 f"size) of at least 1, got --l {l}, --k {args.k}")
-        dnum = len(opcount.digit_ranges(l, k))
-        if args.dnum is not None and args.dnum != dnum:
-            raise analytic.InvalidArgument(
-                f"--dnum {args.dnum} disagrees with --k {k}: their digit count "
-                f"at l={l} is {dnum}")
         if k == 1:
             c = opcount.keyswitch_full(l)
         else:
-            c = opcount.keyswitch_generic(l, dnum, k)
-            c["ntt_equivalents_per_chiplet"] = str(analytic.digits_census(l, dnum, k, args.r))
+            c = opcount.keyswitch_generic(l, len(opcount.digit_ranges(l, k)), k)
+            c["ntt_equivalents_per_chiplet"] = str(analytic.digits_census(l, k, args.r))
         row = {"formula": "census", "l": l, **c}
     if args.csv:
         _write_csv(args.csv, [row], sorted(row))
     _write_json(None, row)
     return 0
+
+
+def _digit_k(args, default: int | None = None) -> int | None:
+    """--k (default when not given), the special base size that fixes the
+    key-switching digits; a --dnum given beside it must be their count at
+    --l.  A --k or --l out of range is left to the formula to refuse."""
+    k = default if args.k is None else args.k
+    if args.dnum is not None and k is not None and args.l >= 0 and k >= 1:
+        dnum = len(opcount.digit_ranges(args.l, k))
+        if args.dnum != dnum:
+            raise analytic.InvalidArgument(
+                f"--dnum {args.dnum} disagrees with --k {k}: their digit count "
+                f"at l={args.l} is {dnum}")
+    return k
 
 
 def cmd_sweep(args) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import List
 
-from .opcount import digit_size
+from .opcount import digit_ranges, digit_size
 
 MAX_WORD_BITS = 54
 
@@ -209,24 +209,28 @@ class TwiddleSource:
 class RnsBasis:
     """RNS bases for the ciphertext chain (q_i) and the special primes (p_i).
 
-    K = ceil((L+1)/dnum) special primes back the key-switching digits; the
-    base-conversion constants (hats) are derived lazily by the CKKS layer.
+    The K special primes fix the key-switching digits,
+    opcount.digit_ranges(L, K), so the digit count dnum is read from the
+    primes, as the ring degree N is; the base-conversion constants (hats)
+    are derived lazily by the CKKS layer.
     """
 
     q_list: tuple
     p_list: tuple
-    n: int
-    dnum: int
 
     def __post_init__(self):
+        if not self.q_list or not self.p_list:
+            raise ValueError("an RNS basis needs at least one q prime and one p prime")
         moduli = [m.q for m in self.q_list + self.p_list]
         if len(set(moduli)) != len(moduli):
             raise ValueError("RNS moduli must be pairwise distinct primes")
-        if self.k * self.dnum < self.l_max + 1:
-            raise ValueError("dnum * K must cover the full modulus chain")
         for m in self.q_list + self.p_list:
             if m.two_n != 2 * self.n:
                 raise ValueError("all moduli must support the ring degree")
+
+    @property
+    def n(self) -> int:
+        return self.q_list[0].n
 
     @property
     def l_max(self) -> int:
@@ -235,6 +239,11 @@ class RnsBasis:
     @property
     def k(self) -> int:
         return len(self.p_list)
+
+    @property
+    def dnum(self) -> int:
+        """The key-switching digit count at the top level."""
+        return len(digit_ranges(self.l_max, self.k))
 
     @property
     def p_product(self) -> int:
@@ -255,21 +264,30 @@ class RnsBasis:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RnsBasis":
+        """The basis a to_json_dict document describes; ValueError when a
+        prime list and its psi list differ in length, or when its dnum is not
+        the digit count its primes give."""
         n = int(doc["n"])
         q_list = tuple(
             PrimeModulus.create(int(q), 2 * n, int(psi))
-            for q, psi in zip(doc["q"], doc["psi_q"])
+            for q, psi in zip(doc["q"], doc["psi_q"], strict=True)
         )
         p_list = tuple(
             PrimeModulus.create(int(q), 2 * n, int(psi))
-            for q, psi in zip(doc["p"], doc["psi_p"])
+            for q, psi in zip(doc["p"], doc["psi_p"], strict=True)
         )
-        return cls(q_list=q_list, p_list=p_list, n=n, dnum=int(doc["dnum"]))
+        basis = cls(q_list=q_list, p_list=p_list)
+        if int(doc["dnum"]) != basis.dnum:
+            raise ValueError(f"dnum {doc['dnum']} is not the digit count of L={basis.l_max}, "
+                             f"K={basis.k}, which is {basis.dnum}")
+        return basis
 
 
 def make_basis(n: int, levels: int, dnum: int, bits: int, first_bits: int | None = None,
                p_bits: int | None = None) -> RnsBasis:
-    """Generate an RNS basis: L+1 ciphertext primes plus K special primes.
+    """Generate an RNS basis: L+1 ciphertext primes plus K = ceil((L+1)/dnum)
+    special primes.  The basis reports the digit count that K gives, which
+    can be below the dnum asked for (L=4, dnum=4: K=2, three digits).
 
     Parameter sets produced here are for functional verification; nothing
     about the sizes chosen claims cryptographic security.
@@ -285,4 +303,4 @@ def make_basis(n: int, levels: int, dnum: int, bits: int, first_bits: int | None
     # Special primes must not collide with the chain primes of equal size.
     skip = sum(1 for m in q_primes if m.q.bit_length() == p_bits)
     p_primes = find_ntt_primes(p_bits, 2 * n, k, skip=skip)
-    return RnsBasis(q_list=tuple(q_primes), p_list=tuple(p_primes), n=n, dnum=dnum)
+    return RnsBasis(q_list=tuple(q_primes), p_list=tuple(p_primes))

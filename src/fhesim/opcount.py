@@ -8,8 +8,8 @@ This module is also the one home of the vocabulary both halves share: the
 census kinds (KINDS), which the CKKS census and the simulator's compute
 ops use, the digit size K = ceil((L+1)/dnum) (digit_size), which the basis
 and the key-storage formula use, and the key-switching digit partition
-(digit_ranges), which keygen, both CKKS key switches and both simulator
-digit flows use.
+(digit_ranges), which the basis's digit count, keygen, both CKKS key
+switches and both simulator digit flows use.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ def test_criterion_09_nonblocking_property():
 
 
 def test_criterion_10_dnum3_utilization():
-    rep = schedule_keyswitch_digits(CFG_1024, 22, 3, 8)
+    rep = schedule_keyswitch_digits(CFG_1024, 22, 8)
     util = rep.ntt_utilization
     comm = rep.meta["comm_overhead"]
     report(10, 0.90 <= util <= 1.0 and comm <= 0.08,
@@ -238,9 +238,9 @@ def test_criterion_11_census_formula():
             (47, 3, 16), (63, 4, 16), (79, 5, 16)]
     results = []
     for l, dnum, k in grid:
-        rep = schedule_keyswitch_digits(EXACT, l, dnum, k)
-        want = analytic.digits_census(l, dnum, k, EXACT.r)
-        results.append(rep.meta["ntt_equiv_avg"] == want)
+        rep = schedule_keyswitch_digits(EXACT, l, k)
+        want = analytic.digits_census(l, k, EXACT.r)
+        results.append(rep.meta["dnum"] == dnum and rep.meta["ntt_equiv_avg"] == want)
     report(11, all(results),
            "per-chiplet NTT-equivalents == (2(l+1+K)+(dnum+1)(l+1)+(r-3)K)/r "
            f"exactly on a 3x3 (l, dnum) grid at K in {{4, 8, 16}}")

@@ -35,15 +35,15 @@ def test_comm_polynomials_table():
 
 def test_comm_polynomials_digitwise():
     # 2*2*23/3 + 16 per chiplet at dnum=3, K=8, l=22 (about 46.7)
-    got = analytic.comm_polynomials("DIGITWISE", 22, dnum=3, k=8)
+    got = analytic.comm_polynomials("DIGITWISE", 22, k=8)
     assert got == Fraction(2 * 2 * 23, 3) + 16
     assert abs(float(got) - 46.67) < 0.01
-    exch = analytic.comm_polynomials("DIGITWISE_EXCH", 22, dnum=3, k=8)
+    exch = analytic.comm_polynomials("DIGITWISE_EXCH", 22, k=8)
     assert exch == Fraction(2 * 2 * 31, 3) + 16
-    early = analytic.comm_polynomials("LIMBWISE_EARLY", 22, dnum=3, k=8)
+    early = analytic.comm_polynomials("LIMBWISE_EARLY", 22, k=8)
     assert early == 2 * 31
-    assert analytic.comm_polynomials("LIMBWISE", 22, dnum=3, k=8) == 4 * 31
-    assert analytic.comm_polynomials("COEFFWISE", 22, dnum=3, k=8) == 5 * 31
+    assert analytic.comm_polynomials("LIMBWISE", 22, k=8) == 4 * 31
+    assert analytic.comm_polynomials("COEFFWISE", 22, k=8) == 5 * 31
 
 
 def test_chiplet_bound():
@@ -87,7 +87,7 @@ def test_twiddle_tradeoff_table():
 
 def test_digits_census_formula():
     # (2*31 + 4*23 + 8)/4 = 40.5 at l=22, K=8, dnum=3, r=4
-    assert analytic.digits_census(22, 3, 8, 4) == Fraction(81, 2)
+    assert analytic.digits_census(22, 8, 4) == Fraction(81, 2)
 
 
 # The checks that test_cli.py's test_analyze_rejects_bad_arguments does not
@@ -95,11 +95,11 @@ def test_digits_census_formula():
 # check refuses the argument first.
 @pytest.mark.parametrize("call", [
     lambda: analytic.shadowing_improvement(-1),
-    lambda: analytic.comm_polynomials("LIMBWISE", 22, dnum=3, k=0),
+    lambda: analytic.comm_polynomials("LIMBWISE", 22, k=0),
     lambda: analytic.chiplet_bound(-1, 1.0),
     lambda: analytic.key_storage(-1, 3, 1 << 16, 54),
     lambda: analytic.key_storage_per_digit_limb(0, 54),
-    lambda: analytic.digits_census(-1, 3, 8, 4),
+    lambda: analytic.digits_census(-1, 8, 4),
 ])
 def test_formulas_refuse_arguments_outside_their_range(call):
     with pytest.raises(analytic.InvalidArgument):

@@ -45,19 +45,25 @@ def _counted(monkeypatch, owner, attr, counts):
     monkeypatch.setattr(owner, attr, counting)
 
 
+_SWITCHES = ("keyswitch_full_dnum", "keyswitch_generic")
+
+
 @pytest.mark.parametrize("dnum, switch, want", [
-    (5, "relinearize", {"moddown": 1, "bconv_routine": 1}),     # K = 1
-    (2, "rotate", {"moddown": 1, "bconv_routine": 3}),          # K = 3: two digits
+    (5, "relinearize", {"moddown": 1, "bconv_routine": 1,       # K = 1
+                        "keyswitch_full_dnum": 1}),
+    (2, "rotate", {"moddown": 1, "bconv_routine": 3,            # K = 3: two digits
+                   "keyswitch_generic": 1}),
 ])
 def test_key_switch_reaches_the_wrapped_names(dnum, switch, want, monkeypatch):
-    # The spans ckks.moddown and ckks.bconv time these names; a key switch
-    # that went round them would leave both spans at 0.
+    # The spans ckks.moddown, ckks.bconv and ckks.keyswitch time these names;
+    # a key switch that went round them would leave those spans at 0.  Both
+    # switch names are counted, so a call of the other one shows too.
     ctx = CkksContext(make_basis(n=256, levels=4, dnum=dnum, bits=40, first_bits=45,
                                  p_bits=45))
     sk, keys = ctx.keygen(seed=5, rotations=(1,))
     ct = ctx.encrypt(ctx.encode(np.ones(ctx.slots), 4), sk, np.random.default_rng(1))
     counts = Counter()
-    for attr in want:
+    for attr in set(want) | set(_SWITCHES):
         _counted(monkeypatch, CkksContext, attr, counts)
     if switch == "relinearize":
         ctx.relinearize(ctx.mult(ct, ct), keys)

@@ -57,7 +57,8 @@ def test_ring_census_matches_functional_closed_form():
 
 def test_digits_census_matches_functional_closed_form():
     for l, d, k in ((8, 3, 3), (22, 3, 8), (23, 6, 4)):
-        rep = schedule_keyswitch_digits(EXACT, l, d, k)
+        rep = schedule_keyswitch_digits(EXACT, l, k)
+        assert rep.meta["dnum"] == d
         want = opcount.keyswitch_generic(l, d, k)
         for kind in ("INTT", "NTT", "MAS"):
             assert rep.op_counts.get(kind, 0) == want[kind], (l, d, k, kind)
@@ -65,8 +66,9 @@ def test_digits_census_matches_functional_closed_form():
 
 def test_digits_runtime_formula_exact_mode():
     for l, d, k in ((23, 3, 8), (31, 4, 8), (15, 4, 4), (47, 3, 16)):
-        rep = schedule_keyswitch_digits(EXACT, l, d, k)
-        assert rep.meta["ntt_equiv_avg"] == analytic.digits_census(l, d, k, 4)
+        rep = schedule_keyswitch_digits(EXACT, l, k)
+        assert rep.meta["dnum"] == d
+        assert rep.meta["ntt_equiv_avg"] == analytic.digits_census(l, k, 4)
 
 
 def test_moddown_census_and_hop_overhead():
@@ -119,8 +121,8 @@ def test_determinism():
     a = schedule_keyswitch_ring(REF, 30).to_json()
     b = schedule_keyswitch_ring(REF, 30).to_json()
     assert a == b
-    ra = schedule_keyswitch_digits(REF, 22, 3, 8).to_json()
-    rb = schedule_keyswitch_digits(REF, 22, 3, 8).to_json()
+    ra = schedule_keyswitch_digits(REF, 22, 8).to_json()
+    rb = schedule_keyswitch_digits(REF, 22, 8).to_json()
     assert ra == rb
     # reports of two builds of one DAG compare equal, though each keeps its own
     assert schedule_keyswitch_ring(REF, 8) == schedule_keyswitch_ring(REF, 8)
@@ -243,7 +245,7 @@ def test_engine_refuses_a_dag_built_for_another_config():
     lambda: Engine(REF).run(_built_dag(REF)),
     lambda: schedule_keyswitch_ring(REF, 8),
     lambda: schedule_moddown_ring(REF, 8, fused_rescale=True),
-    lambda: schedule_keyswitch_digits(REF, 8, 3, 3, "DIGITWISE"),
+    lambda: schedule_keyswitch_digits(REF, 8, 3, "DIGITWISE"),
     lambda: schedule_strawman(EXACT, 6, "B"),
     lambda: run_workload(REF, [{"op": "HOST_LOAD", "l": 2}, {"op": "ROTATE", "k": 2},
                                {"op": "RESCALE", "l": 3}], levels=3),
@@ -308,7 +310,7 @@ def test_report_views_ignore_ops_added_after_the_run():
 @pytest.mark.parametrize("view", ["per_chiplet", "links", "timeline"])
 def test_reading_a_view_first_keeps_the_json_bytes(view):
     for entry in (lambda: schedule_keyswitch_ring(REF, 8),
-                  lambda: schedule_keyswitch_digits(REF, 8, 3, 3),
+                  lambda: schedule_keyswitch_digits(REF, 8, 3),
                   lambda: run_workload(REF, [{"op": "HOST_LOAD", "l": 2},
                                              {"op": "ROTATE", "k": 2}], levels=3)):
         rep = entry()
@@ -455,7 +457,7 @@ def _golden_cases():
     for l, d, k in ((8, 3, 3), (22, 3, 8), (23, 6, 4)):
         for strat in ("ALTERNATE", "DIGITWISE"):
             cases[f"digits-{l},{d},{k}-{strat}"] = (
-                schedule_keyswitch_digits, p1, l, dict(dnum=d, k=k, strategy=strat))
+                schedule_keyswitch_digits, p1, l, dict(k=k, strategy=strat))
     for name in ("keyswitch_l30", "bootstrap_example"):
         doc = load_preset(name)
         for asg in ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE"):
@@ -466,8 +468,7 @@ def _golden_cases():
     for cname, cfg in (("r1", replace(p1, r=1)), ("r32", replace(p1, r=32)),
                        ("512x128", p2), ("exact", ex), ("exact-r32", replace(ex, r=32))):
         cases[f"ring-l30-{cname}"] = (schedule_keyswitch_ring, cfg, 30, {})
-        cases[f"digits-22,3,8-{cname}"] = (schedule_keyswitch_digits, cfg, 22,
-                                           dict(dnum=3, k=8))
+        cases[f"digits-22,3,8-{cname}"] = (schedule_keyswitch_digits, cfg, 22, dict(k=8))
     return cases
 
 
@@ -489,7 +490,7 @@ def test_golden_matrix_reports():
     got["timeline-ring"] = _digest(
         schedule_keyswitch_ring(p1, 8).timeline_csv())
     got["timeline-digits"] = _digest(
-        schedule_keyswitch_digits(p1, 8, 3, 3).timeline_csv())
+        schedule_keyswitch_digits(p1, 8, 3).timeline_csv())
     assert got == GOLDEN
 
 
@@ -512,7 +513,7 @@ def test_report_json_bytes_do_not_depend_on_hash_seed():
 def test_report_key_order_is_first_appearance():
     # the golden digests sort keys, so they cannot see the order to_json() keeps
     assert list(schedule_keyswitch_ring(REF, 8).op_counts) == ["INTT", "NTT", "MAS"]
-    digits = schedule_keyswitch_digits(REF, 8, 3, 3)
+    digits = schedule_keyswitch_digits(REF, 8, 3)
     assert list(digits.op_counts) == ["INTT", "MAS", "NTT"]
     assert list(digits.phase_cycles) == ["modup", "moddown"]
 
@@ -535,7 +536,7 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
         for fused in (False, True):
             schedule_moddown_ring(cfg, 8, fused_rescale=fused)
         for strategy in ("ALTERNATE", "DIGITWISE"):
-            schedule_keyswitch_digits(cfg, 8, 3, 3, strategy)
+            schedule_keyswitch_digits(cfg, 8, 3, strategy)
         for tech in ("A", "B", "C"):
             schedule_strawman(cfg, 6, tech)
         for name in ("keyswitch_l30", "bootstrap_example"):
@@ -716,22 +717,24 @@ def test_every_bundled_program_preset_parses():
 
 
 def test_digits_dnum_above_limb_count_rejected():
-    with pytest.raises(ProgramError):
-        schedule_keyswitch_digits(REF, 4, 9, 1)
-    with pytest.raises(ProgramError):
-        schedule_keyswitch_digits(REF, 4, 0, 1)
-    assert schedule_keyswitch_digits(REF, 4, 5, 1).total_cycles > 0
+    # the digit count follows from k, so a K below 1, which would make more
+    # digits than limbs, is what is refused
+    for k in (0, -1):
+        with pytest.raises(ProgramError):
+            schedule_keyswitch_digits(REF, 4, k)
+    rep = schedule_keyswitch_digits(REF, 4, 1)
+    assert rep.total_cycles > 0 and rep.meta["dnum"] == 5
 
 
 def test_unknown_keyswitch_strategy_rejected(monkeypatch):
     # "digitwise" used to run ALTERNATE silently (20690 cycles at l=8,
     # dnum=3, K=3, where DIGITWISE gives 18432)
     from fhesim.chipletsim import schedules
-    assert schedule_keyswitch_digits(REF, 8, 3, 3, "DIGITWISE").total_cycles == 18432
+    assert schedule_keyswitch_digits(REF, 8, 3, "DIGITWISE").total_cycles == 18432
     monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
     for strategy in ("digitwise", "SEQUENTIAL", ""):
         with pytest.raises(ProgramError):
-            schedule_keyswitch_digits(REF, 8, 3, 3, strategy)
+            schedule_keyswitch_digits(REF, 8, 3, strategy)
         with pytest.raises(ProgramError):
             schedules.build_keyswitch_digits(None, 8, 3, strategy)
 
@@ -755,23 +758,12 @@ def test_keyswitch_dnum_without_k_rejected(monkeypatch):
 def test_digitwise_sends_wait_for_their_intt():
     # at K=1 digit 0's INTT is uid 0, which used to read as "no INTT yet",
     # so its sends started at cycle 0
-    rep = schedule_keyswitch_digits(ChipletConfig(r=4), 3, 4, 1, "DIGITWISE")
+    rep = schedule_keyswitch_digits(ChipletConfig(r=4), 3, 1, "DIGITWISE")
     assert rep.total_cycles == 7168
     ops = [t for t in rep.timeline if t["digit"] == 0 and t["phase"] == "modup"]
     intt_end = max(t["end"] for t in ops if t["kind"] == "INTT")
     sends = [t["start"] for t in ops if t["kind"] == "SEND"]
     assert sends and min(sends) >= intt_end == 1024
-
-
-def test_digits_dnum_must_be_the_digit_count(monkeypatch):
-    # l=8, k=3 gives 3 digits; DIGITWISE used to report 18, 45 and 66
-    # polynomials transferred for dnum 1, 2 and 9, all at 18432 cycles
-    from fhesim.chipletsim import schedules
-    monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
-    for dnum in (1, 2, 9):
-        for strategy in ("ALTERNATE", "DIGITWISE"):
-            with pytest.raises(ProgramError, match="digit count"):
-                schedule_keyswitch_digits(REF, 8, dnum, 3, strategy)
 
 
 def test_empty_sweep_rejected(monkeypatch):
@@ -791,9 +783,8 @@ def test_schedule_arguments_must_be_integers(monkeypatch):
     for bad in (True, 2.0, 2.5, "2"):
         for call in (lambda: schedule_keyswitch_ring(REF, bad),
                      lambda: schedule_moddown_ring(REF, bad),
-                     lambda: schedule_keyswitch_digits(REF, bad, 3, 3),
-                     lambda: schedule_keyswitch_digits(REF, 8, bad, 3),
-                     lambda: schedule_keyswitch_digits(REF, 8, 3, bad),
+                     lambda: schedule_keyswitch_digits(REF, bad, 3),
+                     lambda: schedule_keyswitch_digits(REF, 8, bad),
                      lambda: schedule_strawman(REF, bad, "A"),
                      lambda: sweep_chiplets(REF, [4], l=bad)):
             with pytest.raises(ProgramError, match="must be an integer"):

@@ -400,11 +400,16 @@ def test_keygen_follows_the_digit_partition_when_dnum_does_not_divide():
     sk, keys = ctx4.keygen(seed=11)
     assert [len(d) for d in opcount.digit_ranges(4, basis.k)] == [2, 2, 1]
     assert keys.relin.dnum == len(keys.relin.digits) == 3
+    # the basis reports the digit count of its primes, not the dnum asked for,
+    # and so do the ciphertext header word and the key image's digit count
+    assert basis.dnum == 3
+    assert struct.unpack_from("<II", ksk_to_bytes(keys.relin))[0] == 3
     a, b = slots_vec(ctx4), slots_vec(ctx4, "b")
     ca = ctx4.encrypt(ctx4.encode(a, 4), sk, rng())
     cb = ctx4.encrypt(ctx4.encode(b, 4), sk, rng())
     out_ct = ctx4.rescale(ctx4.relinearize(ctx4.mult(ca, cb), keys))
     assert rel_err(ctx4.decode(ctx4.decrypt(out_ct, sk), out_ct.scale), a * b) < 1e-4
+    assert struct.unpack_from("<IiId", ciphertext_to_bytes(out_ct, basis))[2] == 3
 
 
 @pytest.mark.parametrize("basis", [BASIS, BASIS3, DNUM4], ids=["dnum5", "dnum2", "dnum4"])
@@ -594,6 +599,23 @@ def test_keygen_refuses_seeds_and_rotations_that_are_not_integers(seed, rotation
     with pytest.raises(InvalidInteger, match="must be an integer"):
         small.keygen(seed=seed, rotations=rotations)
     assert issubclass(InvalidInteger, ValueError)
+
+
+def test_derive_seed_and_make_keyswitch_keys_take_numpy_integers():
+    # a NumPy master seed used to raise OverflowError in derive_seed's mask
+    assert derive_seed(np.int64(3), 1) == derive_seed(3, 1)
+    assert derive_seed(np.uint64((1 << 64) - 1), np.int32(-1)) == derive_seed((1 << 64) - 1, -1)
+    small = CkksContext(make_basis(n=64, levels=2, dnum=3, bits=30))
+    sk, _ = small.keygen(seed=3)
+    plain, wide = (small.make_keyswitch_keys(sk.s, [master], [sk.s], np.random.default_rng(1))[0]
+                   for master in (3, np.int64(3)))
+    assert ksk_to_bytes(plain) == ksk_to_bytes(wide)
+    assert type(wide.digits[0].ksk1_seeds[0]) is int
+    for bad in ((True,), (3, True), (3.0,), (3, np.bool_(True)), (None, 1)):
+        with pytest.raises(InvalidInteger, match="must be an integer"):
+            derive_seed(*bad)
+    with pytest.raises(InvalidInteger, match="must be an integer"):
+        small.make_keyswitch_keys(sk.s, [True], [sk.s], np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("rot", [True, 1.0, "1", None])
@@ -944,7 +966,7 @@ def _expand_ksk1(ctx, key):
 def _to_bytes(ctx, obj) -> bytes:
     if isinstance(obj, KeySwitchKey):
         return ksk_to_bytes(obj, seeded=False)
-    return ciphertext_to_bytes(obj, ctx.basis.dnum)
+    return ciphertext_to_bytes(obj, ctx.basis)
 
 
 def test_keys_and_ciphertexts_match_pinned_digests():
@@ -974,7 +996,7 @@ def test_ciphertext_from_bytes_gives_checked_row_backed_limbs(ctx, keyed):
     sk, _ = keyed
     for level in (0, BASIS.l_max):
         ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
-        blob = ciphertext_to_bytes(ct, BASIS.dnum)
+        blob = ciphertext_to_bytes(ct, BASIS)
         back = ciphertext_from_bytes(blob, BASIS)
         assert all(_frozen_row(p) for p in _limbs(back))
         assert (back.level, back.scale) == (level, ct.scale)
@@ -985,7 +1007,7 @@ def test_from_bytes_rejects_bad_buffers(ctx, keyed):
     sk, keys = keyed
     level, n = 2, ctx.n
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
-    blob = ciphertext_to_bytes(ct, BASIS.dnum)
+    blob = ciphertext_to_bytes(ct, BASIS)
     heads = [(2 * n, level, BASIS.dnum), (n, BASIS.l_max + 1, BASIS.dnum),
              (n, -1, BASIS.dnum), (n, level, BASIS.dnum + 1)]
     bad = [blob[:10], blob[:-1], blob + b"\0"]
@@ -1032,11 +1054,32 @@ def test_unseeded_key_image_switches_like_its_source(ctx, keyed):
 def test_ciphertext_serialization_shape(ctx, keyed):
     sk, _ = keyed
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), 2), sk, rng())
-    blob = ciphertext_to_bytes(ct, BASIS.dnum)
+    blob = ciphertext_to_bytes(ct, BASIS)
     # header + 2 components x 3 limbs x (9-byte poly header + residues)
     assert len(blob) == 20 + 2 * 3 * (9 + 8 * ctx.n)
-    # N comes from the limbs
-    assert struct.unpack_from("<I", blob)[0] == ctx.n
+    # N and dnum come from the basis
+    assert struct.unpack_from("<IiI", blob) == (ctx.n, 2, BASIS.dnum)
+
+
+def test_ciphertext_to_bytes_refuses_a_basis_or_level_it_does_not_fit():
+    # with dnum passed in, a ciphertext at N=64, L=2 (three digits) written
+    # with dnum 2 gave a buffer its own basis refused; now every header word
+    # comes from the basis, and a ciphertext that does not fit it is refused
+    basis = make_basis(n=64, levels=2, dnum=3, bits=30)
+    small = CkksContext(basis)
+    sk, _ = small.keygen(seed=3)
+    ct = small.encrypt(small.encode(slots_vec(small), 2), sk, rng())
+    assert ciphertext_from_bytes(ciphertext_to_bytes(ct, basis), basis) == ct
+    short = Ciphertext(RnsPoly([Poly(p.coeffs[:32], p.modulus, p.domain) for p in ct.c0.limbs],
+                               2), ct.c1, 2, ct.scale)
+    for other, bad in ((make_basis(n=64, levels=2, dnum=3, bits=31), ct),
+                       (make_basis(n=128, levels=2, dnum=3, bits=30), ct),
+                       (make_basis(n=64, levels=1, dnum=2, bits=30), ct),
+                       (basis, Ciphertext(ct.c0, ct.c1, 1, ct.scale)),
+                       (basis, Ciphertext(ct.c0, ct.c1, 3, ct.scale)),
+                       (basis, short)):
+        with pytest.raises(LengthMismatch, match="does not hold"):
+            ciphertext_to_bytes(bad, other)
 
 
 def test_census_context_nesting(ctx, keyed):

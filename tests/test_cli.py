@@ -297,7 +297,7 @@ def test_analyze_census_picks_the_switch_by_k(capsys):
         assert main(["analyze", "census", "--l", "1", "--k", "3", *extra]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["INTT"], doc["NTT"], doc["MAS"]) == (8, 7, 44)
-        assert doc["ntt_equivalents_per_chiplet"] == str(analytic.digits_census(1, 1, 3, 4))
+        assert doc["ntt_equivalents_per_chiplet"] == str(analytic.digits_census(1, 3, 4))
     for extra in ([], ["--k", "1"], ["--dnum", "9"]):
         assert main(["analyze", "census", "--l", "8", *extra]) == 0
         doc = json.loads(capsys.readouterr().out)

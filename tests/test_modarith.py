@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import fields
+from importlib import resources
 
 import pytest
 
@@ -6,6 +9,7 @@ from fhesim.modarith import (NoPrimeFound, PrimeModulus, RnsBasis, TwiddleSource
                              WordSizeExceeded, _find_primitive_root, bit_reverse,
                              find_ntt_prime, find_ntt_primes, is_prime, make_basis, mod_mul,
                              mod_pow)
+from fhesim.opcount import digit_ranges, digit_size
 
 
 def test_mod_mul_small_cases():
@@ -101,6 +105,40 @@ def test_make_basis_and_json_roundtrip():
     back = RnsBasis.from_json_dict(doc)
     assert [m.q for m in back.q_list] == [m.q for m in basis.q_list]
     assert [m.psi for m in back.p_list] == [m.psi for m in basis.p_list]
+    assert back == basis and back.to_json_dict() == doc
+
+
+def test_basis_keeps_only_its_primes_and_reads_dnum_from_them():
+    assert [f.name for f in fields(RnsBasis)] == ["q_list", "p_list"]
+    # L+1 = 5 limbs at dnum 4 need K = 2, which makes three digits
+    basis = make_basis(n=64, levels=4, dnum=4, bits=30)
+    assert (basis.n, basis.k, basis.dnum) == (64, 2, 3)
+    assert basis.to_json_dict()["dnum"] == 3
+
+
+def test_basis_json_refuses_a_dnum_its_primes_do_not_give_and_empty_lists():
+    doc = make_basis(n=64, levels=4, dnum=4, bits=30).to_json_dict()
+    for dnum in (4, 2, 0):
+        with pytest.raises(ValueError, match="digit count"):
+            RnsBasis.from_json_dict({**doc, "dnum": dnum})
+    for side in ("p", "q"):
+        with pytest.raises(ValueError, match="at least one q prime and one p prime"):
+            RnsBasis.from_json_dict({**doc, side: [], f"psi_{side}": []})
+        # a short psi list used to cut the prime list to its length silently
+        with pytest.raises(ValueError):
+            RnsBasis.from_json_dict({**doc, f"psi_{side}": doc[f"psi_{side}"][:1]})
+
+
+def test_bundled_parameter_presets_give_the_dnum_their_basis_reports():
+    # make_basis takes K = digit_size(levels, dnum) special primes, and the
+    # basis reports the digit count of that K; no prime is searched here
+    presets = [path for path in resources.files("fhesim.presets").iterdir()
+               if path.name.startswith("params_") and path.name.endswith(".json")]
+    assert {path.name for path in presets} >= {"params_main.json", "params_toy.json"}
+    for path in presets:
+        doc = json.loads(path.read_text())
+        levels, dnum = doc["levels"], doc["dnum"]
+        assert dnum == len(digit_ranges(levels, digit_size(levels, dnum))), path.name
 
 
 def _ntt_prime_above(lo, two_n):
