@@ -536,7 +536,8 @@ class CkksContext:
         each a (PQ_L bases, N) NTT-domain stack: digits of (ksk0, ksk1).
 
         The a limbs of every key, digit j and base t come from one
-        uniform_residues draw, seeded by (master_seed, j, t), whose (keys,
+        uniform_residues draw, seeded by (master_seed, j, t) and cut into
+        bitlen(q_t)-bit candidates of 4096-bit keystream blocks, whose (keys,
         digits, bases, N) array becomes the keys' ksk0 storage: each digit
         then turns its a into e + g_j*s' - a*s in place.  The errors are
         drawn from rng key by key, digit by digit, and each key's are

@@ -144,8 +144,12 @@ def cmd_analyze(args) -> int:
         row = {"formula": "chiplet_bound", "L": l, "k_ratio": args.hbm / args.c2c,
                "max_r": analytic.chiplet_bound(l, args.hbm / args.c2c, u=args.u)}
     elif name == "storage":
-        row = {"formula": "key_storage", "L": l, "dnum": args.dnum,
-               "bytes_expanded": analytic.key_storage(l, args.dnum, args.n, args.w),
+        # key_storage refuses a bad --dnum; the row gives the K and the digit
+        # count it sized (--L 4 --dnum 4 sizes 3 digits of K = 2)
+        expanded = analytic.key_storage(l, args.dnum, args.n, args.w)
+        k = opcount.digit_size(l, args.dnum)
+        row = {"formula": "key_storage", "L": l, "dnum": len(opcount.digit_ranges(l, k)),
+               "k": k, "bytes_expanded": expanded,
                "bytes_seeded": analytic.key_storage(l, args.dnum, args.n, args.w,
                                                     seeded=True),
                "bytes_per_digit_limb": analytic.key_storage_per_digit_limb(args.n, args.w)}

@@ -139,9 +139,9 @@ def find_ntt_primes(bits: int, two_n: int, count: int, skip: int = 0) -> List[Pr
     descending order from the largest below 2^bits after skipping the first
     skip; one scan of the candidates.
 
-    Primes just below 2^bits make a masked keystream word a residue almost
-    always (trivium.uniform_residues), as Microsoft SEAL's CoeffModulus::Create
-    picks them."""
+    Primes just below 2^bits make a bits-bit keystream candidate a residue
+    almost always (trivium.uniform_residues), as Microsoft SEAL's
+    CoeffModulus::Create picks them."""
     if bits > MAX_WORD_BITS:
         raise WordSizeExceeded(f"bit length {bits} exceeds word size {MAX_WORD_BITS}")
     if two_n & (two_n - 1) != 0:

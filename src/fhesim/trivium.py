@@ -30,20 +30,25 @@ bits, and words reads only each lane's low word, through a strided view of
 the packed bytes (14 per lane).  A one-lane generator is the single-seed
 Trivium, as in trivium_stream.
 
-Streaming: uniform_residues steps its lanes in groups of at most
-_GROUP_LANES, one TriviumLanes each, and each group in chunks of at most
-_CHUNK_WORDS words (rounds times lanes), so every chunk has at least
-_CHUNK_WORDS/_GROUP_LANES rounds and its working memory does not grow with
-the lane count.  Per chunk it masks and compares the words once, compresses
-the accepted ones lane by lane, and copies into each lane's output the
-slice it still lacks; what a lane accepts beyond n is dropped.
-TriviumLanes.words converts its packed rounds to uint64 in chunks of the
-same bound.  Keygen draws the a limbs of all its switching keys, every
-digit and base of each, in one such call.
+Streaming: uniform_residues reads each lane's keystream as a bitstream,
+BLOCK_WORDS words (4096 bits) at a time.  A modulus q of b = bitlen(q)
+bits takes floor(4096/b) candidates of b bits from each block, read
+little-endian from bit 0, and keeps those below q; no candidate straddles
+two blocks, so a 45-bit residue costs 45 keystream bits, not a whole word.
+It steps its lanes in groups of at most _GROUP_LANES, one TriviumLanes
+each, and each group in chunks of whole blocks, at most _CHUNK_WORDS words
+(rounds times lanes) each, so the working memory does not grow with the
+lane count.  Per chunk it cuts the words of all lanes of one width into
+candidates at once, compares them, compresses the accepted ones lane by
+lane, and copies into each lane's output the slice it still lacks; what a
+lane accepts beyond n is dropped.  TriviumLanes.words converts its packed
+rounds to uint64 in chunks of the same bound.  Keygen draws the a limbs of
+all its switching keys, every digit and base of each, in one such call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Sequence
 
@@ -54,8 +59,12 @@ WORD_BITS = 64
 LANE_BITS = 112
 # Words (rounds times lanes) stepped, converted and accepted at a time.
 _CHUNK_WORDS = 1 << 15
-# Lanes uniform_residues steps together, in one TriviumLanes.
+# Lanes uniform_residues steps together, in one TriviumLanes.  With
+# _GROUP_LANES * BLOCK_WORDS <= _CHUNK_WORDS every chunk holds a whole block.
 _GROUP_LANES = 256
+# Words of one lane that uniform_residues cuts into candidates together.
+BLOCK_WORDS = 64
+_BLOCK_BITS = BLOCK_WORDS * WORD_BITS
 
 
 def _lane_mask(lanes: int, bits: int) -> int:
@@ -149,20 +158,48 @@ def trivium_stream(seed: int, count: int) -> List[int]:
     return TriviumLanes([seed]).words(count)[:, 0].tolist()
 
 
-def _word_mask(q: int) -> int:
-    """The low bitlen(q) bits: a word so masked is below 2q."""
+def _candidate_mask(q: int) -> int:
+    """The low bitlen(q) bits: a candidate so masked is below 2q."""
     return (1 << q.bit_length()) - 1
+
+
+@functools.cache
+def _candidate_slots(bits: int) -> tuple:
+    """Where each `bits`-bit candidate of a block lies: the word holding its
+    low bits, the next word (the last word again at the block's end), the
+    right shift of the first, and the left shift of the second less one."""
+    start = np.arange(_BLOCK_BITS // bits) * bits
+    word, shift = start // WORD_BITS, start % WORD_BITS
+    slots = (word, np.minimum(word + 1, BLOCK_WORDS - 1),
+             shift.astype(np.uint64), (WORD_BITS - 1 - shift).astype(np.uint64))
+    for a in slots:
+        a.setflags(write=False)
+    return slots
+
+
+def _candidates(blocks: np.ndarray, bits: int, mask: np.ndarray) -> np.ndarray:
+    """The `bits`-bit candidates of (lanes, blocks, BLOCK_WORDS) words, each
+    block's in bit order, as a (lanes, candidates) array masked by mask."""
+    word, after, right, left = _candidate_slots(bits)
+    # a candidate's bits past its first word come from the next one: shifted
+    # left 1 + left, they start at bit 64 - right, and none stay when right = 0
+    out = (blocks[..., word] >> right | blocks[..., after] << np.uint64(1) << left
+           ).reshape(len(blocks), -1)
+    out &= mask
+    return out
 
 
 def uniform_residues(seeds: Sequence[int], moduli: Sequence[int], n: int) -> np.ndarray:
     """The first n uniform residues mod q_i from the keystream of seed i, for
     all lanes at once, as a (lanes, n) uint64 array.
 
-    Lane i masks each word (_word_mask) and rejects values >= q_i: its
-    residues are exactly uniform, the ones word-by-word rejection over the
-    same keystream returns.  Each group of lanes steps a chunk at a time:
-    the most rounds any lane still takes, its expected rounds plus one
-    standard deviation, plus one, capped at the stream's chunk_rounds.
+    Lane i cuts each block of its keystream into bitlen(q_i)-bit candidates
+    (_candidate_slots, masked by _candidate_mask) and rejects those >= q_i:
+    its residues are exactly uniform, and depend only on its seed and
+    modulus.  Each group of lanes steps a chunk at a time: the most blocks
+    any lane still takes, its expected candidates plus one standard
+    deviation, plus one, capped at the whole blocks of the stream's
+    chunk_rounds.
     """
     seeds = list(seeds)
     moduli = [_integer(q, "a modulus") for q in moduli]
@@ -174,8 +211,10 @@ def uniform_residues(seeds: Sequence[int], moduli: Sequence[int], n: int) -> np.
         raise ValueError("moduli must lie in [2, 2^64)")
     n = _count(n, "residues")
     q = np.array(moduli, dtype=np.uint64)[:, None]
-    mask = np.array([_word_mask(m) for m in moduli], dtype=np.uint64)[:, None]
-    accept = [m / (1 << m.bit_length()) for m in moduli]    # share of words kept
+    mask = np.array([_candidate_mask(m) for m in moduli], dtype=np.uint64)[:, None]
+    bits = [m.bit_length() for m in moduli]
+    accept = [m / (1 << b) for m, b in zip(moduli, bits)]    # share of candidates kept
+    per_block = [_BLOCK_BITS // b for b in bits]
     # The fewest groups of at most _GROUP_LANES lanes, of near-equal size (a
     # small group costs more per word), each with its own stream.
     groups = -(-len(seeds) // _GROUP_LANES)
@@ -184,21 +223,30 @@ def uniform_residues(seeds: Sequence[int], moduli: Sequence[int], n: int) -> np.
     out = np.empty((len(moduli), n), dtype=np.uint64)
     for lo, stream in streams:
         hi = lo + stream.lanes
+        widths = {}     # bit width -> the group's lanes of that width
+        for j, b in enumerate(bits[lo:hi]):
+            widths.setdefault(b, []).append(j)
+        widths = {b: np.array(lanes) for b, lanes in widths.items()}
+        chunk_blocks = max(1, stream.chunk_rounds // BLOCK_WORDS)
         need = [n] * stream.lanes     # residues lane lo+j still lacks
         while any(need):
-            # k residues at acceptance p take k/p rounds, with a standard
+            # k residues at acceptance p take k/p candidates, with a standard
             # deviation of sqrt(k(1-p))/p (negative binomial).
-            rounds = math.ceil(max((k + math.sqrt(k * (1 - p))) / p
-                                   for k, p in zip(need, accept[lo:hi]))) + 1
-            words = np.bitwise_and(stream.words(min(rounds, stream.chunk_rounds)).T,
-                                   mask[lo:hi], order="C")
-            keep = words < q[lo:hi]
-            # lane by lane, each in keystream order
-            accepted = np.compress(keep.reshape(-1), words.reshape(-1))
-            start = 0
-            for j, end in enumerate(np.cumsum(np.count_nonzero(keep, axis=1)).tolist()):
-                k = min(need[j], end - start)
-                out[lo + j, n - need[j]:n - need[j] + k] = accepted[start:start + k]
-                need[j] -= k
-                start = end
+            blocks = min(chunk_blocks, max(
+                math.ceil(((k + math.sqrt(k * (1 - p))) / p + 1) / c)
+                for k, p, c in zip(need, accept[lo:hi], per_block[lo:hi])))
+            words = stream.words(blocks * BLOCK_WORDS).T
+            for b, lanes in widths.items():
+                cand = _candidates(words[lanes].reshape(len(lanes), blocks, BLOCK_WORDS), b,
+                                   mask[lo + lanes])
+                keep = cand < q[lo + lanes]
+                # lane by lane, each in keystream order
+                accepted = np.compress(keep.reshape(-1), cand.reshape(-1))
+                start = 0
+                for j, end in zip(lanes.tolist(),
+                                  np.cumsum(np.count_nonzero(keep, axis=1)).tolist()):
+                    k = min(need[j], end - start)
+                    out[lo + j, n - need[j]:n - need[j] + k] = accepted[start:start + k]
+                    need[j] -= k
+                    start = end
     return out

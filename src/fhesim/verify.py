@@ -8,8 +8,8 @@ elementwise comparisons made.  Deliberate-fault modes perturb the shuffle
 addressing or the NTT-domain automorphism's index map, drop a correction
 fold from the uint64 NTT kernel or from the two-operand MAS product, skew
 one doubling step of the psi-power table, drop one lane's masks from the
-lane-packed keystream, or narrow the sampler's word mask by one bit, so the
-harness itself can be shown to catch regressions.  The ckks suite checks
+lane-packed keystream, or narrow the sampler's candidate mask by one bit, so
+the harness itself can be shown to catch regressions.  The ckks suite checks
 that an edited copy of a limb reaches the next routine.
 
 Every transform reads the stored twiddle table of its modulus, built in
@@ -94,11 +94,17 @@ def trivium_bit_serial(seed: int, count: int) -> List[int]:
     return words
 
 
-def rejection_sampled(stream: List[int], q: int) -> List[int]:
-    """Residues mod q from a keystream, word by word: each word cut to
-    bitlen(q) bits and kept when it is below q."""
-    mask = (1 << q.bit_length()) - 1
-    return [w & mask for w in stream if w & mask < q]
+def block_sampled(stream: List[int], q: int) -> List[int]:
+    """Residues mod q from a keystream, 64 words at a time: each whole block
+    of 64 words read as one 4096-bit int, cut from bit 0 into b-bit slices
+    (b = bitlen(q)), the floor(4096/b) slices kept when they are below q."""
+    b = q.bit_length()
+    mask = (1 << b) - 1
+    out = []
+    for start in range(0, len(stream) - 63, 64):
+        block = sum(w << 64 * i for i, w in enumerate(stream[start:start + 64]))
+        out += [c for c in (block >> b * j & mask for j in range(4096 // b)) if c < q]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +132,9 @@ def _drop_lane_mask(original):
     return faulty
 
 
-def _narrow_word_mask(original):
-    """The sampler's word mask one bit too narrow: every masked word is below
-    q, so none is rejected and the top bit of each residue is lost."""
+def _narrow_candidate_mask(original):
+    """The sampler's candidate mask one bit too narrow: every masked candidate
+    is below q, so none is rejected and the top bit of each residue is lost."""
     def faulty(q):
         return original(q) >> 1
     return faulty
@@ -171,7 +177,7 @@ FAULTS = {
     "twiddle-table": ("kernels", polykernel, "_psi_powers", _skewed_doubling),
     "mas-ratio": ("kernels", polykernel, "_element_ratios", _single_precision_ratios),
     "trivium-lane": ("kernels", trivium, "_lane_mask", _drop_lane_mask),
-    "sampler-mask": ("kernels", trivium, "_word_mask", _narrow_word_mask),
+    "sampler-mask": ("kernels", trivium, "_candidate_mask", _narrow_candidate_mask),
 }
 
 
@@ -384,10 +390,10 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     for i, sd in enumerate(seeds):
         res.check(f"trivium lane {i} of {len(seeds)} seed={sd:#x}",
                   lanes[:, i].tolist() == streams[sd], comparisons=words)
-    # sampler vs word-by-word rejection over the bit-serial stream: moduli
-    # just above a power of two reject about half the words, those just below
-    # almost none; one lane more than a group makes two groups
-    count = 40   # at least every second word is kept: 5 words a residue spare
+    # sampler vs block-by-block rejection over the bit-serial stream: moduli
+    # just above a power of two reject about half the candidates, those just
+    # below almost none; one lane more than a group makes two groups
+    count = 40   # 3 whole blocks of 200 words keep about 96 residues at worst
     seeds = list(streams)
     moduli = [(1 << 44) + 1, (1 << 45) - 1, 97, (1 << 63) + 1, (1 << 64) - 1]
     lanes = trivium._GROUP_LANES + 1
@@ -395,7 +401,7 @@ def suite_kernels(size: str = "toy", seed: int = 0) -> SuiteResult:
     got = uniform_residues(*zip(*pairs), count)
     for i, (sd, q) in enumerate(pairs):
         res.check(f"trivium lane {i} of {lanes} residues q={q:#x}",
-                  got[i].tolist() == rejection_sampled(streams[sd], q)[:count],
+                  got[i].tolist() == block_sampled(streams[sd], q)[:count],
                   comparisons=count)
     return res
 

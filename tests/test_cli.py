@@ -291,6 +291,15 @@ def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert out.out == "" and out.err.count("\n") == 1 and named in out.err
 
 
+@pytest.mark.parametrize("l, dnum, k, digits", [(4, 4, 2, 3), (30, 64, 1, 31), (30, 31, 1, 31)])
+def test_analyze_storage_prints_the_digit_count_it_sizes(l, dnum, k, digits, capsys):
+    # --L 4 --dnum 4 printed dnum 4 beside bytes for 3 digits of K = 2
+    assert main(["analyze", "storage", "--L", str(l), "--dnum", str(dnum)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["dnum"], doc["k"]) == (digits, k)
+    assert doc["bytes_expanded"] == digits * (l + k + 1) * doc["bytes_per_digit_limb"]
+
+
 def test_analyze_census_picks_the_switch_by_k(capsys):
     # a K=3 census at l=1 used to print the ring's INTT 4 / NTT 10 / MAS 26
     for extra in ([], ["--dnum", "1"]):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fhesim import trivium
 from fhesim.modarith import is_prime
 from fhesim.trivium import TriviumLanes, trivium_stream, uniform_residues
-from fhesim.verify import rejection_sampled, trivium_bit_serial
+from fhesim.verify import block_sampled, trivium_bit_serial
 
 
 def test_deterministic():
@@ -136,15 +136,15 @@ def _prime_below(x: int) -> int:
 
 
 def _scalar_rejection(seed: int, q: int, n: int, stream=_bit_serial) -> list:
-    """First n residues of word-by-word rejection over the bit-serial stream."""
-    count = 4 * n + 64
-    while len(out := rejection_sampled(stream(seed, count), q)) < n:
+    """First n residues of block-by-block rejection over the bit-serial stream."""
+    count = 64
+    while len(out := block_sampled(stream(seed, count), q)) < n:
         count *= 2
     return out[:n]
 
 
-# Primes just above 2^(b-1) reject about half the words, those just below 2^b
-# almost none, and q = 97 (bitlen 7) about a quarter.
+# Primes just above 2^(b-1) reject about half the candidates, those just below
+# 2^b almost none, and q = 97 (bitlen 7) about a quarter.
 MODULI = ([_prime_above(1 << (b - 1)) for b in (20, 40, 45, 54)]
           + [_prime_below(1 << b) for b in (20, 40, 54, 64)] + [97])
 
@@ -167,10 +167,11 @@ def test_batched_sampler_extends_from_saved_state(monkeypatch):
         return words(self, rounds)
 
     monkeypatch.setattr(TriviumLanes, "words", counting)
-    # Seed 88 at q = 97 falls short of 64 residues after the first batch.
-    seeds, moduli, n = [88, ONES, 0], [97, 97, MODULI[0]], 64
+    # Seed 0 keeps 91 of the first block's 204 candidates at MODULI[0] (20
+    # bits, about half rejected), so it falls short of 92 after one batch.
+    seeds, moduli, n = [0, ONES, 88], [MODULI[0], 97, MODULI[0]], 92
     got = uniform_residues(seeds, moduli, n)
-    assert len(batches) >= 2, "seed 88 at q=97 must need a second batch"
+    assert len(batches) >= 2, "seed 0 at MODULI[0] must need a second batch"
     for i, (seed, q) in enumerate(zip(seeds, moduli)):
         assert got[i].tolist() == _scalar_rejection(seed, q, n)
 
@@ -196,9 +197,11 @@ def test_many_lane_draws_equal_single_seed_draws(data, chunk_words):
     moduli = data.draw(st.lists(st.sampled_from(MODULI), min_size=lanes, max_size=lanes),
                        label="moduli")
     with mock.patch.object(trivium, "_CHUNK_WORDS", chunk_words):
-        chunk = TriviumLanes(seeds).chunk_rounds
-        # one round yields at most one residue per lane: n residues need n rounds
-        n = data.draw(st.integers(3 * chunk, 3 * chunk + 60), label="n")
+        chunk = max(1, TriviumLanes(seeds).chunk_rounds // trivium.BLOCK_WORDS)   # blocks
+        # a block yields at most 4096 // bitlen(q) residues of a lane, so n
+        # takes every lane at least three chunks
+        most = 3 * chunk * max(4096 // q.bit_length() for q in moduli)
+        n = data.draw(st.integers(most, most + 60), label="n")
         m = data.draw(st.integers(0, 40), label="m")
         got = uniform_residues(seeds, moduli, n + m)
         for i, (seed, q) in enumerate(zip(seeds, moduli)):
@@ -220,6 +223,8 @@ def test_wide_draw_steps_at_most_one_chunk_at_a_time(monkeypatch):
     moduli = [MODULI[i % len(MODULI)] for i in range(1000)]
     got = uniform_residues(seeds, moduli, 100)
     assert len(asked) >= 3 and max(asked) <= trivium._CHUNK_WORDS
+    # a chunk is whole blocks: a full group's block must fit in one
+    assert trivium._GROUP_LANES * trivium.BLOCK_WORDS <= trivium._CHUNK_WORDS
     for i in (0, 7, 8, 999):
         assert got[i].tolist() == uniform_residues([seeds[i]], [moduli[i]], 100)[0].tolist()
 
@@ -282,6 +287,27 @@ def test_grouped_draws_equal_scalar_draws(data, group, chunk_words):
     for i, (seed, q) in enumerate(zip(seeds, moduli)):
         want = _scalar_rejection(seed, q, n, stream=trivium_stream)
         assert got[i].tolist() == want, f"lane {i}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), group=st.integers(1, 4), chunk_words=st.integers(1, 1024))
+def test_draws_at_any_width_equal_the_block_oracle(data, group, chunk_words):
+    # every width from 2 to 64 bits, q anywhere in it; the oracle reads the
+    # word-parallel stream, which other tests check against the bit-serial one
+    lanes = data.draw(st.integers(1, 6), label="lanes")
+    bits = data.draw(st.lists(st.integers(2, 64), min_size=lanes, max_size=lanes),
+                     label="bits")
+    moduli = [data.draw(st.integers(1 << b - 1, (1 << b) - 1), label=f"q{i}")
+              for i, b in enumerate(bits)]
+    seeds = data.draw(st.lists(st.integers(0, ONES), min_size=lanes, max_size=lanes),
+                      label="seeds")
+    n = data.draw(st.integers(0, 300), label="n")
+    with mock.patch.object(trivium, "_GROUP_LANES", group), \
+            mock.patch.object(trivium, "_CHUNK_WORDS", chunk_words):
+        got = uniform_residues(seeds, moduli, n)
+    for i, (seed, q) in enumerate(zip(seeds, moduli)):
+        assert got[i].tolist() == _scalar_rejection(seed, q, n, stream=trivium_stream), \
+            f"lane {i}, q={q}"
 
 
 # s1..s93, s94..s177 and s178..s288: each register's length in bits
