@@ -7,21 +7,15 @@ per-chiplet averages are returned as rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .opcount import digit_ranges, digit_size
+from .opcount import check_integer, check_positive_finite, digit_ranges, digit_size
 
 
 class InvalidArgument(ValueError):
     """A formula argument outside the range its closed form covers."""
-
-
-def _at_least(low: int, **values) -> None:
-    """InvalidArgument naming the first of the values below low (or NaN)."""
-    for name, value in values.items():
-        if not value >= low:
-            raise InvalidArgument(f"{name} must be at least {low}, got {value}")
 
 
 def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
@@ -31,8 +25,8 @@ def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
     (L+1) INTTs and (L+1)(L+2) NTTs; unshadowed adds 2(L+1)(L+2) serial
     MAS passes.
     """
-    _at_least(0, L=levels)
-    _at_least(1, n1=n1)
+    levels = check_integer(levels, "L", InvalidArgument, 0)
+    n1 = check_integer(n1, "n1", InvalidArgument, 1)
     l1 = levels + 1
     if shadowed:
         return l1 * (levels + 3) * n1
@@ -42,8 +36,7 @@ def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:
 def keyswitch_throughput(levels: int, n1: int, f_hz: float,
                          shadowed: bool = True) -> float:
     """Key switches per second at clock f for the monolithic (r=1) flow."""
-    if not f_hz > 0:
-        raise InvalidArgument(f"the clock must be positive, got {f_hz} Hz")
+    f_hz = check_positive_finite(f_hz, "the clock in Hz", InvalidArgument)
     return f_hz / keyswitch_cycles(levels, n1, shadowed)
 
 
@@ -53,7 +46,7 @@ def shadowing_improvement(levels: int) -> float:
     Approaches 2/3 for large L (the headline ~66.7%); at L=30 the exact
     value is 64/97 = 65.98%, i.e. 66.0% to one decimal.
     """
-    _at_least(0, L=levels)
+    levels = check_integer(levels, "L", InvalidArgument, 0)
     return 1.0 - (levels + 3) / (1 + 3 * (levels + 2))
 
 
@@ -64,7 +57,7 @@ def comm_polynomials(technique: str, l: int, k: int | None = None,
     A/B/C/OURS are whole-package counts for the four distribution
     techniques; the digit-wise and limb-wise forms are per chiplet, over
     the dnum digits of opcount.digit_ranges(l, K)."""
-    _at_least(0, l=l)
+    l = check_integer(l, "l", InvalidArgument, 0)
     technique = technique.upper()
     if technique == "A":
         return Fraction((l + 2) * (l + 3))
@@ -73,13 +66,13 @@ def comm_polynomials(technique: str, l: int, k: int | None = None,
     if technique == "OURS":
         if r is None:
             raise InvalidArgument("OURS needs the chiplet count r")
-        _at_least(1, r=r)
+        r = check_integer(r, "r", InvalidArgument, 1)
         return Fraction(0) if r == 1 else Fraction(r * (l + 3))
     if technique not in _DIGIT_TECHNIQUES:
         raise InvalidArgument(f"unknown technique {technique!r}")
-    if k is None or k < 1:
-        raise InvalidArgument(f"{technique} needs K >= 1, which fixes its digit count "
-                              f"dnum, got K={k}")
+    if k is None:
+        raise InvalidArgument(f"{technique} needs K, which fixes its digit count dnum")
+    k = check_integer(k, "K", InvalidArgument, 1)
     dnum = len(digit_ranges(l, k))
     if technique == "DIGITWISE":
         # ModDown handled inside each chiplet by duplicating the key-mult
@@ -107,9 +100,10 @@ def chiplet_bound(levels: int, k_ratio: float, u: float = 4.0) -> int:
     u defaults to 4 (the utilization headroom chosen for the design);
     the count never exceeds L+2 regardless of how fast the links get.
     """
-    if not u > 0:
-        raise InvalidArgument(f"the headroom u must be positive, got {u}")
-    _at_least(0, L=levels, k_ratio=k_ratio)
+    check_positive_finite(u, "the headroom u", InvalidArgument)
+    levels = check_integer(levels, "L", InvalidArgument, 0)
+    if not 0 <= k_ratio < math.inf:
+        raise InvalidArgument(f"k_ratio must be at least 0 and finite, got {k_ratio}")
     if k_ratio == 0:
         return levels + 2
     return min(int((levels + 2) / (u * k_ratio)), levels + 2)
@@ -122,9 +116,8 @@ def key_storage(levels: int, dnum: int, n: int, w: int, seeded: bool = False) ->
     Seeded storage drops the expandable half to one 8-byte seed per limb,
     halving the footprint up to the seed overhead.
     """
-    if dnum is None or dnum < 1:
-        raise InvalidArgument(f"key storage needs dnum >= 1, got dnum={dnum}")
-    _at_least(0, L=levels)
+    dnum = check_integer(dnum, "dnum", InvalidArgument, 1)
+    levels = check_integer(levels, "L", InvalidArgument, 0)
     poly_bytes = _poly_bytes(n, w)
     k = digit_size(levels, dnum)
     limbs = len(digit_ranges(levels, k)) * (levels + k + 1)
@@ -144,7 +137,8 @@ def key_storage_per_digit_limb(n: int, w: int) -> int:
 
 def _poly_bytes(n: int, w: int) -> int:
     """Bytes of one limb polynomial: n words of w bits, packed."""
-    _at_least(1, n=n, w=w)
+    n = check_integer(n, "n", InvalidArgument, 1)
+    w = check_integer(w, "w", InvalidArgument, 1)
     return -(-n * w // 8)
 
 
@@ -163,6 +157,8 @@ _TWIDDLE_TABLE: Dict[Tuple[int, int], Tuple[int, int, int, int, int, int]] = {
 def twiddle_tradeoff(n1: int, n2: int, tfg: bool) -> dict:
     """Multiplier and twiddle-memory cost of a configuration, with or
     without on-the-fly twiddle factor generation."""
+    n1 = check_integer(n1, "n1", InvalidArgument)
+    n2 = check_integer(n2, "n2", InvalidArgument)
     if (n1, n2) not in _TWIDDLE_TABLE:
         raise InvalidArgument(f"no twiddle table entry for n1={n1}, n2={n2}; the table "
                               f"covers {', '.join(f'{a}x{b}' for a, b in _TWIDDLE_TABLE)}")
@@ -180,7 +176,8 @@ def digits_census(l: int, k: int, r: int) -> Fraction:
     """Per-chiplet NTT-equivalent runtime of the dnum<L+1 key switch:
     (2(l+1+K) + (dnum+1)(l+1) + (r-3)K)/r, dnum the digit count of
     opcount.digit_ranges(l, K)."""
-    _at_least(0, l=l)
-    _at_least(1, K=k, r=r)
+    l = check_integer(l, "l", InvalidArgument, 0)
+    k = check_integer(k, "K", InvalidArgument, 1)
+    r = check_integer(r, "r", InvalidArgument, 1)
     dnum = len(digit_ranges(l, k))
     return Fraction(2 * (l + 1 + k) + (dnum + 1) * (l + 1) + (r - 3) * k, r)

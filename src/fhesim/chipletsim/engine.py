@@ -317,7 +317,6 @@ class CycleReport:
     _finish: List[int] = field(repr=False)
     _ready_at: List[int] = field(repr=False)
     meta: dict = field(default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
     _JSON_KEYS = ("total_cycles", "wall_time_ms", "per_chiplet", "stall_by_phase", "links",
                   "polynomials_transferred", "ntt_utilization", "op_counts", "phase_cycles",
                   "meta", "warnings")
@@ -329,6 +328,11 @@ class CycleReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, default=str)
+
+    @property
+    def warnings(self) -> List[str]:
+        """The bound warnings the schedule gave in meta."""
+        return self.meta.get("warnings", [])
 
     @cached_property
     def _stalls(self) -> Tuple[List[Dict[str, int]], Dict[str, int]]:
@@ -581,7 +585,6 @@ class Engine:
             ntt_utilization=busy_ntt / (cfg.r * makespan) if makespan else 0.0,
             op_counts=_op_counts(kinds, mas),
             meta=meta,
-            warnings=list(meta.get("warnings", ())),
             _dag=dag, _start=start, _finish=finish, _ready_at=ready_at,
         )
 

@@ -16,12 +16,11 @@ AUT pairs and the links are free-running resources.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..opcount import KINDS, digit_ranges
+from ..opcount import KINDS, check_integer, digit_ranges
 from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder, _chiplet
 
 Assignment = str  # one of ASSIGNMENTS
@@ -32,21 +31,6 @@ _MACRO_OPS = ("HADD", "HMULT", "KEYSWITCH", "ROTATE", "RESCALE", "MODDOWN", "HOS
 
 class ProgramError(ValueError):
     """A program or schedule argument the model cannot run."""
-
-
-def _check_int(value, what: str) -> int:
-    """value as an int; ProgramError if it is no integer, as a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ProgramError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_at_least(value, lowest: int, what: str) -> int:
-    """value as an int of at least `lowest`; ProgramError otherwise."""
-    value = _check_int(value, what)
-    if value < lowest:
-        raise ProgramError(f"{what} must be at least {lowest}, got {value}")
-    return value
 
 
 def _check_strategy(strategy: str) -> None:
@@ -185,7 +169,7 @@ def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int,
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
                             include_moddown: bool = True) -> CycleReport:
-    l = _check_at_least(l, 0, "l")
+    l = check_integer(l, "l", ProgramError, 0)
     sb = ScheduleBuilder(cfg)
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
@@ -196,8 +180,8 @@ def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
 def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
                           fused_rescale: bool = False) -> CycleReport:
     # a fused rescale drops one more base, so it needs a level to drop to
-    l = _check_at_least(l, 1 if fused_rescale else 0, "l")
-    components = _check_at_least(components, 1, "components")
+    l = check_integer(l, "l", ProgramError, 1 if fused_rescale else 0)
+    components = check_integer(components, "components", ProgramError, 1)
     sb = ScheduleBuilder(cfg)
     build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components)
     if fused_rescale:
@@ -317,8 +301,8 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, k: int,
                               strategy: str = "ALTERNATE") -> CycleReport:
     """The digit key switch at level l over k special bases; meta["dnum"] is
     the digit count that l and k give."""
-    l = _check_at_least(l, 0, "l")
-    k = _check_at_least(k, 1, "k")
+    l = check_integer(l, "l", ProgramError, 0)
+    k = check_integer(k, "k", ProgramError, 1)
     _check_strategy(strategy)
     sb = ScheduleBuilder(cfg)
     build_keyswitch_digits(sb, l, k, strategy=strategy)
@@ -381,7 +365,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
 
 
 def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport:
-    l = _check_at_least(l, 0, "l")
+    l = check_integer(l, "l", ProgramError, 0)
     technique = technique.upper()
     if technique not in ("OURS", "A", "B", "C"):
         raise ProgramError(f"unknown strawman technique {technique!r}; "
@@ -512,25 +496,25 @@ def parse_program(program: Sequence[dict],
         if set(step) - set(Step._fields):
             raise ProgramError(f"a {op} step holds only the keys {list(Step._fields)}, "
                                f"got {sorted(step)}")
-        given.append(Step(op, **{key: _check_int(value, f"{op} {key}")
+        given.append(Step(op, **{key: check_integer(value, f"{op} {key}", ProgramError)
                                  for key, value in step.items() if key != "op"}))
     if not given:
         raise ProgramError("the program has no macro ops")
-    levels = _check_int(max(step.l or 0 for step in given) if levels is None else levels,
-                        "levels")
+    levels = check_integer(max(step.l or 0 for step in given) if levels is None else levels,
+                           "levels", ProgramError)
     steps = [step._replace(l=levels) if step.l is None else step for step in given]
     for op, l, k, nbytes in steps:
         # a rescale drops the top limb, so level 0 has none left to drop
-        _check_at_least(l, 1 if op == "RESCALE" else 0, f"{op} level")
+        check_integer(l, f"{op} level", ProgramError, 1 if op == "RESCALE" else 0)
         if l > levels:
             raise ProgramError(f"{op} level {l} is above the program's levels {levels}")
-        _check_at_least(k, 1, "k")
+        check_integer(k, "k", ProgramError, 1)
         if op == "MODDOWN" and k != 1:
             raise ProgramError(f"MODDOWN models one special base (k = 1), got k = {k}")
         if nbytes is not None:
             if op != "HOST_LOAD":
                 raise ProgramError(f"{op} gives bytes; only a HOST_LOAD step moves bytes")
-            _check_at_least(nbytes, 1, f"{op} bytes")
+            check_integer(nbytes, f"{op} bytes", ProgramError, 1)
     return steps, levels
 
 
@@ -566,7 +550,7 @@ def sweep_chiplets(cfg: ChipletConfig, r_list: Sequence[int], l: int = 30) -> Li
     """
     if not r_list:
         raise ProgramError("the sweep needs at least one chiplet count")
-    l = _check_at_least(l, 0, "l")
+    l = check_integer(l, "l", ProgramError, 0)
     run_cfgs = [replace(cfg, r=r) for r in r_list]   # ConfigError before any DAG
     rows = []
     for run_cfg in run_cfgs:

@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -70,7 +69,7 @@ from .modarith import PrimeModulus, RnsBasis
 from .polykernel import (Domain, DomainError, LengthMismatch, MasOp, Poly, _canonical,
                          _checked_rows, _element_ratios, _frozen, _mulmod_signed, _unstack,
                          automorphism_ntt_rows, intt_rows, mas_rows, modulus_columns, ntt_rows,
-                         poly_to_bytes, row_to_bytes, rows_from_bytes)
+                         row_to_bytes, rows_from_bytes)
 # The one-limb kernels stay importable from this module for callers and
 # tracers that look them up here; the routines below use the rows kernels.
 from .polykernel import automorphism_oracle, intt_reference, mas, ntt_reference  # noqa: F401
@@ -272,23 +271,6 @@ def _rounded_residues(coeffs: np.ndarray, moduli: Tuple[PrimeModulus, ...]) -> n
     return np.array([[c % m.q for c in ints] for m in moduli], dtype=np.uint64)
 
 
-def _scale(value, name: str):
-    """value, a scale or delta, if it is a positive finite number."""
-    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise InvalidScale(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
-def _integer(value, name: str, minimum: Optional[int] = None) -> int:
-    """value as a Python int, if it is a Python or NumPy integer, no bool, and
-    at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or minimum is not None and value < minimum:
-        bound = "" if minimum is None else f" of at least {minimum}"
-        raise InvalidInteger(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Seed derivation (splitmix64) for the per-limb keystream seeds
 
@@ -303,9 +285,9 @@ def _splitmix64(x: int) -> int:
 def derive_seed(master: int, *path: int) -> int:
     """The 64-bit seed at path below master; InvalidInteger unless master and
     every step are integers."""
-    s = _integer(master, "the master seed") & (1 << 64) - 1
+    s = opcount.check_integer(master, "the master seed", InvalidInteger) & (1 << 64) - 1
     for step in path:
-        s = _splitmix64(s ^ _integer(step, "a seed path step"))
+        s = _splitmix64(s ^ opcount.check_integer(step, "a seed path step", InvalidInteger))
     return s
 
 
@@ -381,7 +363,7 @@ class CkksContext:
 
     def __init__(self, basis: RnsBasis, delta: float = float(2 ** 40)):
         self.basis = basis
-        self.delta = _scale(delta, "delta")
+        self.delta = opcount.check_positive_finite(delta, "delta", InvalidScale)
         self.n = basis.n
         self.slots = basis.n // 2
         self._theta = [pow(5, j, 2 * self.n) for j in range(self.slots)]
@@ -393,10 +375,8 @@ class CkksContext:
     def _bases(self, level: int) -> Tuple[Tuple[PrimeModulus, ...], Tuple[PrimeModulus, ...]]:
         """(Q_l, PQ_l) of a level: the one level check of every routine.
         LevelOutOfRange unless level is an int, not a bool, in [0, l_max]."""
-        if isinstance(level, bool) or not isinstance(level, numbers.Integral) \
-                or not 0 <= level <= self.basis.l_max:
-            raise LevelOutOfRange(f"level {level!r} is not an int in [0, {self.basis.l_max}]")
-        return self._level_bases[level]
+        return self._level_bases[opcount.check_integer(level, "level", LevelOutOfRange,
+                                                        0, self.basis.l_max)]
 
     def all_bases(self) -> Tuple[PrimeModulus, ...]:
         return self._level_bases[-1][1]
@@ -410,7 +390,7 @@ class CkksContext:
     def _galois(self, rot: int) -> int:
         """The Galois element 5^rot mod 2N of a rotation by rot slots;
         InvalidInteger unless rot is an integer."""
-        return pow(5, _integer(rot, "the rotation"), 2 * self.n)
+        return pow(5, opcount.check_integer(rot, "the rotation", InvalidInteger), 2 * self.n)
 
     # -- limbs in and out at the public API ----------------------------------
 
@@ -473,7 +453,8 @@ class CkksContext:
         moduli = self._q_bases(level)
         if len(values) > self.slots:
             raise SlotOverflow(f"at most {self.slots} slots, got {len(values)}")
-        scale = self.delta if scale is None else _scale(scale, "scale")
+        scale = (self.delta if scale is None
+                 else opcount.check_positive_finite(scale, "scale", InvalidScale))
         n, two_n = self.n, 2 * self.n
         u = np.zeros(two_n, dtype=complex)
         vals = np.asarray(list(values) + [0] * (self.slots - len(values)), dtype=complex)
@@ -498,7 +479,7 @@ class CkksContext:
         """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain);
         InvalidScale when scale is not a positive finite number."""
         moduli = self._q_bases(pt.level)
-        scale = _scale(scale, "scale")
+        scale = opcount.check_positive_finite(scale, "scale", InvalidScale)
         x = self._rows(pt.level, pt.domain, pt=pt)[0]
         if pt.domain == Domain.NTT:
             x = intt_rows(x, moduli)
@@ -610,8 +591,8 @@ class CkksContext:
         N = 2^16, L = 30), and a server may hold them seeded throughout.
         InvalidInteger unless seed is a non-negative integer and every
         rotation an integer."""
-        seed = _integer(seed, "the seed", minimum=0)
-        rotations = [_integer(rot, "a rotation") for rot in rotations]
+        seed = opcount.check_integer(seed, "the seed", InvalidInteger, low=0)
+        rotations = [opcount.check_integer(rot, "a rotation", InvalidInteger) for rot in rotations]
         rng = np.random.default_rng(seed)
         bases = self.all_bases()
         s, = _frozen(self._small_ntt(rng.integers(-1, 2, self.n), bases))
@@ -858,7 +839,7 @@ def ciphertext_to_bytes(ct: Ciphertext, basis: RnsBasis) -> bytes:
         raise LengthMismatch(f"the ciphertext at level {ct.level} does not hold one limb of "
                              f"N={basis.n} residues per base of its level in the basis")
     head = _CT_HEAD.pack(basis.n, ct.level, basis.dnum, ct.scale)
-    return b"".join([head] + [poly_to_bytes(p, t) for comp in (ct.c0, ct.c1)
+    return b"".join([head] + [row_to_bytes(p.coeffs, t, p.domain) for comp in (ct.c0, ct.c1)
                               for t, p in enumerate(comp.limbs)])
 
 

@@ -9,17 +9,45 @@ census kinds (KINDS), which the CKKS census and the simulator's compute
 ops use, the digit size K = ceil((L+1)/dnum) (digit_size), which the basis
 and the key-storage formula use, and the key-switching digit partition
 (digit_ranges), which the basis's digit count, keygen, both CKKS key
-switches and both simulator digit flows use.
+switches and both simulator digit flows use.  It also holds the one integer
+check (check_integer) of every entry point of both halves that takes a
+level, digit size, chiplet count, seed, rotation or modulus, and the one
+check of a positive finite real (check_positive_finite): a scale, a clock
+or a headroom.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+import numbers
+from typing import Dict, List, Optional, Type
 
 Census = Dict[str, int]
 
 # The micro-op kinds a census counts: the compute ops of both halves.
 KINDS = ("INTT", "NTT", "MAS", "AUT")
+
+
+def check_integer(value, what: str, error: Type[Exception], low: Optional[int] = None,
+                  high: Optional[int] = None) -> int:
+    """value as a Python int, if it is a Python or NumPy integer (a bool is
+    not one) in [low, high]; otherwise error, with a message naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = (f"at most {high}" if low is None else f"at least {low}" if high is None
+                 else f"in [{low}, {high}]")
+        raise error(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def check_positive_finite(value, what: str, error: Type[Exception]):
+    """value, a real number such as a scale or a clock, if it is positive and
+    finite; otherwise error, with a message naming what."""
+    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise error(f"{what} must be a positive finite number, got {value!r}")
+    return value
 
 
 def empty_census() -> Census:

@@ -787,22 +787,9 @@ _HEADER = struct.Struct("<IIB")
 
 
 def row_to_bytes(row, modulus_id: int, domain: Domain) -> bytes:
-    """One limb, a uint64 row or a list of residues, in the poly_to_bytes format."""
+    """One limb, a uint64 row or a list of residues, as its header and words."""
     row = np.asarray(row, dtype="<u8")
     return _HEADER.pack(row.size, modulus_id, domain.value) + row.tobytes()
-
-
-def poly_to_bytes(p: Poly, modulus_id: int) -> bytes:
-    return row_to_bytes(p.coeffs, modulus_id, p.domain)
-
-
-def poly_from_bytes(data: bytes, modulus: PrimeModulus) -> Tuple[Poly, int]:
-    """One limb of the poly_to_bytes format and its modulus id."""
-    row, modulus_id, domain, end = _limb_from_bytes(data, 0)
-    if end != len(data):
-        raise LengthMismatch(f"{len(data)}-byte buffer does not hold the header "
-                             f"plus {row.size} words")
-    return Poly(row, modulus, domain), modulus_id
 
 
 def rows_from_bytes(data: bytes, offset: int, moduli: Sequence[PrimeModulus], n: int,

@@ -54,8 +54,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .opcount import check_integer
+
 INIT_ROUNDS = 18
 WORD_BITS = 64
+_WORD_MAX = (1 << 64) - 1
 LANE_BITS = 112
 # Words (rounds times lanes) stepped, converted and accepted at a time.
 _CHUNK_WORDS = 1 << 15
@@ -78,31 +81,13 @@ def _reversed64(seed: int) -> int:
     return int(f"{seed:064b}"[::-1], 2)
 
 
-def _integer(x, what: str) -> int:
-    """x as a Python int, when it is a Python or NumPy integer and no bool."""
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {type(x).__name__} {x!r}")
-    return int(x)
-
-
-def _count(n, what: str) -> int:
-    """n as a Python int, when it is a non-negative integer."""
-    n = _integer(n, f"the number of {what}")
-    if n < 0:
-        raise ValueError(f"cannot draw {n} {what}")
-    return n
-
-
 class TriviumLanes:
     """One 288-bit Trivium per seed, all stepped 64 clocks at a time."""
 
     def __init__(self, seeds: Sequence[int]):
-        seeds = [_integer(seed, "a seed") for seed in seeds]
+        seeds = [check_integer(seed, "a seed", ValueError, 0, _WORD_MAX) for seed in seeds]
         if not seeds:
             raise ValueError("at least one seed is needed")
-        for seed in seeds:
-            if not 0 <= seed < 1 << 64:
-                raise ValueError(f"seed {seed} is not a 64-bit value")
         self.lanes = len(seeds)
         # Rounds of all lanes that make at most _CHUNK_WORDS words (at least one).
         self.chunk_rounds = max(1, _CHUNK_WORDS // self.lanes)
@@ -141,7 +126,7 @@ class TriviumLanes:
 
     def words(self, rounds: int) -> np.ndarray:
         """The next `rounds` output words as a (rounds, lanes) uint64 array."""
-        rounds = _count(rounds, "rounds")
+        rounds = check_integer(rounds, "the number of rounds", ValueError, 0)
         lane_bytes = LANE_BITS // 8
         out = np.empty((rounds, self.lanes), dtype=np.uint64)
         for start in range(0, rounds, self.chunk_rounds):
@@ -154,7 +139,6 @@ class TriviumLanes:
 
 def trivium_stream(seed: int, count: int) -> List[int]:
     """First `count` 64-bit keystream words for the given seed."""
-    count = _count(count, "words")
     return TriviumLanes([seed]).words(count)[:, 0].tolist()
 
 
@@ -202,14 +186,12 @@ def uniform_residues(seeds: Sequence[int], moduli: Sequence[int], n: int) -> np.
     chunk_rounds.
     """
     seeds = list(seeds)
-    moduli = [_integer(q, "a modulus") for q in moduli]
+    moduli = [check_integer(q, "a modulus", ValueError, 2, _WORD_MAX) for q in moduli]
     if not seeds:
         raise ValueError("at least one seed is needed")
     if len(seeds) != len(moduli):
         raise ValueError("one modulus per seed is needed")
-    if any(not 2 <= q < 1 << 64 for q in moduli):
-        raise ValueError("moduli must lie in [2, 2^64)")
-    n = _count(n, "residues")
+    n = check_integer(n, "the number of residues", ValueError, 0)
     q = np.array(moduli, dtype=np.uint64)[:, None]
     mask = np.array([_candidate_mask(m) for m in moduli], dtype=np.uint64)[:, None]
     bits = [m.bit_length() for m in moduli]

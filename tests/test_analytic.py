@@ -1,8 +1,16 @@
+import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fhesim import analytic
+from fhesim.chipletsim import ChipletConfig, ProgramError
+from fhesim.chipletsim.schedules import parse_program, schedule_keyswitch_digits
+from fhesim.ckks import (CkksContext, InvalidInteger, LevelOutOfRange, ciphertext_to_bytes,
+                         derive_seed, ksk_to_bytes)
+from fhesim.modarith import make_basis
+from fhesim.trivium import TriviumLanes, uniform_residues
 
 
 def test_keyswitch_throughput_values():
@@ -104,3 +112,83 @@ def test_digits_census_formula():
 def test_formulas_refuse_arguments_outside_their_range(call):
     with pytest.raises(analytic.InvalidArgument):
         call()
+
+
+@functools.cache
+def _keyed():
+    """A small context, its keys (one rotation key, by 1) and a ciphertext."""
+    ctx = CkksContext(make_basis(n=64, levels=2, dnum=3, bits=30))
+    sk, keys = ctx.keygen(seed=3, rotations=[1])
+    ct = ctx.encrypt(ctx.encode([0.5] * ctx.slots, 2), sk, np.random.default_rng(1))
+    return ctx, keys, ct
+
+
+def _rotated(rot):
+    ctx, keys, ct = _keyed()
+    return ciphertext_to_bytes(ctx.rotate(ct, rot, keys), ctx.basis)
+
+
+_CFG = ChipletConfig(n1=1024, n2=64, r=4)
+# entry point -> (its named error, an integer it takes, the call on a value)
+_INTEGER_ENTRY_POINTS = {
+    "keygen-seed": (InvalidInteger, 3,
+                    lambda x: ksk_to_bytes(_keyed()[0].keygen(seed=x)[1].relin)),
+    "keygen-rotation": (InvalidInteger, 1, lambda x: {
+        rot: ksk_to_bytes(key) for rot, key in _keyed()[0].keygen(3, [x])[1].rotation.items()}),
+    "derive_seed-master": (InvalidInteger, 5, lambda x: derive_seed(x, 1)),
+    "derive_seed-step": (InvalidInteger, 1, lambda x: derive_seed(5, x)),
+    "rotate": (InvalidInteger, 1, _rotated),
+    "level": (LevelOutOfRange, 1,
+              lambda x: [p.coeffs.tolist() for p in _keyed()[0].encode([0.5], x).limbs]),
+    "uniform_residues-seed": (ValueError, 5, lambda x: uniform_residues([x], [97], 8).tolist()),
+    "uniform_residues-modulus": (ValueError, 97,
+                                 lambda x: uniform_residues([5], [x], 8).tolist()),
+    "uniform_residues-n": (ValueError, 8, lambda x: uniform_residues([5], [97], x).tolist()),
+    "TriviumLanes-seed": (ValueError, 5, lambda x: TriviumLanes([x]).words(4).tolist()),
+    "TriviumLanes-rounds": (ValueError, 4, lambda x: TriviumLanes([5]).words(x).tolist()),
+    "schedule_keyswitch_digits-l": (ProgramError, 8,
+                                    lambda x: schedule_keyswitch_digits(_CFG, x, 3).to_json()),
+    "schedule_keyswitch_digits-k": (ProgramError, 3,
+                                    lambda x: schedule_keyswitch_digits(_CFG, 8, x).to_json()),
+    "parse_program": (ProgramError, 3, lambda x: parse_program([{"op": "HADD", "l": x}])),
+    "keyswitch_cycles-L": (analytic.InvalidArgument, 30,
+                           lambda x: analytic.keyswitch_cycles(x, 1024)),
+    "keyswitch_cycles-n1": (analytic.InvalidArgument, 1024,
+                            lambda x: analytic.keyswitch_cycles(30, x)),
+    "shadowing_improvement": (analytic.InvalidArgument, 30, analytic.shadowing_improvement),
+    "comm_polynomials-l": (analytic.InvalidArgument, 30,
+                           lambda x: analytic.comm_polynomials("A", x)),
+    "comm_polynomials-r": (analytic.InvalidArgument, 4,
+                           lambda x: analytic.comm_polynomials("OURS", 4, r=x)),
+    "comm_polynomials-k": (analytic.InvalidArgument, 3,
+                           lambda x: analytic.comm_polynomials("DIGITWISE", 8, k=x)),
+    "digits_census-l": (analytic.InvalidArgument, 22, lambda x: analytic.digits_census(x, 8, 4)),
+    "digits_census-k": (analytic.InvalidArgument, 8, lambda x: analytic.digits_census(22, x, 4)),
+    "digits_census-r": (analytic.InvalidArgument, 4, lambda x: analytic.digits_census(22, 8, x)),
+    "key_storage-L": (analytic.InvalidArgument, 4,
+                      lambda x: analytic.key_storage(x, 2, 1024, 54)),
+    "key_storage-dnum": (analytic.InvalidArgument, 2,
+                         lambda x: analytic.key_storage(4, x, 1024, 54)),
+    "key_storage-n": (analytic.InvalidArgument, 1024,
+                      lambda x: analytic.key_storage(4, 2, x, 54)),
+    "key_storage-w": (analytic.InvalidArgument, 54,
+                      lambda x: analytic.key_storage(4, 2, 1024, x)),
+    "twiddle_tradeoff-n1": (analytic.InvalidArgument, 1024,
+                            lambda x: analytic.twiddle_tradeoff(x, 64, tfg=True)),
+    "twiddle_tradeoff-n2": (analytic.InvalidArgument, 64,
+                            lambda x: analytic.twiddle_tradeoff(1024, x, tfg=True)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRY_POINTS))
+def test_entry_points_take_integers_and_only_integers(entry):
+    # keyswitch_cycles(2.5, 1024) returned 19712.0 and (True, 1024) 8192, and
+    # comm_polynomials("A", 2.5) returned 99/4; digits_census(2.5, 2, 4) and
+    # key_storage(4, 2.5, 1024, 54) raised a bare TypeError
+    error, good, call = _INTEGER_ENTRY_POINTS[entry]
+    for bad in (True, 2.5):
+        with pytest.raises(error, match="must be an integer, got"):
+            call(bad)
+    want = call(good)
+    got = call(np.int64(good))
+    assert got == want and type(got) is type(want)

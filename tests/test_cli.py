@@ -284,6 +284,9 @@ def test_analyze_returns_0_or_2_for_any_small_integer_flags(formula, values):
     (["census", "--l", "5", "--k", "2", "--r", "0"],
      "r must be at least 1"),                                # a ZeroDivisionError
     (["twiddle", "--n1", "0"], "n1=0"),                      # a traceback, exit 1
+    (["throughput", "--f", "inf"], "clock"),                 # printed Infinity, not JSON
+    (["bound", "--u", "inf"], "headroom u"),                 # printed max_r 0
+    (["bound", "--hbm", "inf"], "k_ratio must be at least 0 and finite"),  # "k_ratio": Infinity
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2

@@ -97,6 +97,36 @@ def _bare_asserts(text: str, allowed=frozenset()) -> list:
     return sorted(lines)
 
 
+# The type names (int, numbers.Integral, np.integer) an integer check tests
+# against beside bool.
+_INTEGER_TYPES = {"int", "Integral", "integer"}
+
+
+def _integer_checks(texts) -> list:
+    """Functions and methods whose own isinstance calls (not those of a
+    function nested in them) name both bool and an integer type, sorted."""
+    found = []
+
+    def visit(node, named):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = set()
+                visit(child, inner)
+                if "bool" in inner and inner & _INTEGER_TYPES:
+                    found.append(child.name)
+                continue
+            if (named is not None and isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name) and child.func.id == "isinstance"
+                    and len(child.args) == 2):
+                named.update(n.id if isinstance(n, ast.Name) else n.attr
+                             for n in ast.walk(child.args[1])
+                             if isinstance(n, (ast.Name, ast.Attribute)))
+            visit(child, named)
+    for text in texts:
+        visit(ast.parse(text), None)
+    return sorted(found)
+
+
 def test_no_unused_imports():
     unused = {str(path.relative_to(SRC)): names for path in sorted(SRC.rglob("*.py"))
               if (names := _unused_imports(path.read_text()))}
@@ -160,3 +190,27 @@ def test_scan_finds_bare_asserts():
             "    def method(self):\n        assert 5\n")
     assert _bare_asserts(text) == [1, 3, 5, 7, 10, 12]
     assert _bare_asserts(text, {"oracle"}) == [1, 7, 12]
+
+
+def test_one_integer_check():
+    # ckks, trivium, schedules and analytic each kept their own copy of this
+    # check; ChipletConfig.__post_init__ (a JSON field's annotated type) and
+    # polykernel._refused_dtype (a residue row's dtype) test other things
+    assert _integer_checks(path.read_text() for path in sorted(SRC.rglob("*.py"))) \
+        == ["check_integer"]
+
+
+def test_scan_finds_integer_checks():
+    texts = ("import numbers\nimport numpy as np\n\n\n"
+             "def integral(x):\n"
+             "    return not isinstance(x, bool) and isinstance(x, numbers.Integral)\n\n\n"
+             "def tupled(x):\n    return isinstance(x, (bool, np.bool_, int, np.integer))\n\n\n"
+             "def only_bool(x):\n    return isinstance(x, bool)\n\n\n"
+             "def by_type(xs):\n"
+             "    return any(isinstance(x, bool) for x in xs) or type(xs[0]) is int\n",
+             "class C:\n    def method(self, x):\n"
+             "        return isinstance(x, (bool, float)) or isinstance(x, np.integer)\n\n"
+             "    def outer(self, x):\n        def nested(y):\n"
+             "            return isinstance(y, bool) or isinstance(y, int)\n"
+             "        return isinstance(x, bool), nested\n")
+    assert _integer_checks(texts) == ["integral", "method", "nested", "tupled"]

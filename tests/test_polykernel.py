@@ -23,7 +23,7 @@ from fhesim.polykernel import (Domain, DomainError, InvalidGalois,
                                automorphism_oracle, automorphism_shuffle, intt_oracle,
                                intt_reference, intt_rows, mas, mas_rows, modulus_columns,
                                ntt_hybrid, ntt_oracle, ntt_reference, ntt_rows,
-                               poly_from_bytes, poly_to_bytes)
+                               row_to_bytes, rows_from_bytes)
 from fhesim.verify import lowest_ntt_prime, schoolbook_negacyclic
 
 RNG = random.Random(7)
@@ -343,7 +343,8 @@ def test_row_backed_poly_keeps_the_dataclass_shape():
     assert f.n == 256 and twin.coeffs.flags.writeable
     assert not np.shares_memory(twin.coeffs, row)
     mas(MasOp.ADD, f, twin)
-    back, _ = poly_from_bytes(poly_to_bytes(f, 0), m)
+    back = Poly(rows_from_bytes(row_to_bytes(row, 0, f.domain), 0, [m], 256, f.domain)[0][0],
+                m, Domain.NTT)
     listed = Poly(row.tolist(), m, Domain.NTT)
     assert repr(twin) == repr(listed) and back == listed
     assert dataclasses.replace(f, domain=Domain.COEFF) == Poly(row.tolist(), m)
@@ -374,8 +375,10 @@ def test_poly_holds_one_uint64_row(logn, bits, skip, domain, data):
     assert row.coeffs is frozen and listed.coeffs.dtype == np.uint64
     assert listed.coeffs.flags.writeable and listed.coeffs.tolist() == residues
     assert listed == row and row == listed
-    blob = poly_to_bytes(listed, 7)
-    assert blob == poly_to_bytes(row, 7) and poly_from_bytes(blob, m) == (row, 7)
+    blob = row_to_bytes(listed.coeffs, 0, domain)
+    back, end = rows_from_bytes(blob, 0, [m], n, domain)
+    assert blob == row_to_bytes(row.coeffs, 0, domain) and end == len(blob)
+    assert Poly(back[0], m, domain) == row
     # a copy is independent of its source, and its source of it
     twin, other = row.copy(), listed.copy()
     at = data.draw(st.integers(0, n - 1))
@@ -383,11 +386,10 @@ def test_poly_holds_one_uint64_row(logn, bits, skip, domain, data):
     listed.coeffs[at] = (residues[at] + 2) % m.q
     assert row.coeffs.tolist() == residues and twin != row
     assert twin == other and other.coeffs[at] != listed.coeffs[at]
-    # an output limb, and a limb read from bytes, refuse writes
+    # an output limb refuses writes
     out = mas(MasOp.ADD, row, row)
-    for limb in (out, poly_from_bytes(blob, m)[0]):
-        with pytest.raises(ValueError):
-            limb.coeffs[at] = 0
+    with pytest.raises(ValueError):
+        out.coeffs[at] = 0
     # a word from 2^63 up beside small ones is kept (NumPy alone makes them float64);
     # floats, bools, negatives and values from 2^64 up are refused at once
     word = residues[:at] + [(1 << 64) - 1 - at] + residues[at + 1:]
@@ -403,12 +405,15 @@ def test_poly_holds_one_uint64_row(logn, bits, skip, domain, data):
 def test_poly_serialization_roundtrip():
     m = find_ntt_prime(14, 512)
     p = rand_poly(m, 256)
-    blob = poly_to_bytes(p, modulus_id=3)
-    back, mid = poly_from_bytes(blob, m)
-    assert mid == 3
-    assert back == p
-    assert back.domain == p.domain
+    blob = row_to_bytes(p.coeffs, 0, p.domain)
+    rows, end = rows_from_bytes(blob, 0, [m], 256, p.domain)
+    assert end == len(blob)
+    assert Poly(rows[0], m, p.domain) == p
     assert len(blob) == 9 + 8 * 256  # header + 8-byte residues
+    # the header's modulus id and domain must be the reader's
+    for bad in (row_to_bytes(p.coeffs, 3, p.domain), row_to_bytes(p.coeffs, 0, Domain.NTT)):
+        with pytest.raises(LengthMismatch):
+            rows_from_bytes(bad, 0, [m], 256, p.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +585,25 @@ def test_mas_rejects_length_mismatch():
         mas(MasOp.MAC, a, a, short)
 
 
-def test_poly_from_bytes_checks_length():
+def test_rows_from_bytes_checks_length():
     m = find_ntt_prime(14, 512)
-    blob = poly_to_bytes(rand_poly(m, 256), modulus_id=0)
-    for bad in (blob[:5], blob[:-1], blob + b"\0"):
+    blob = row_to_bytes(rand_poly(m, 256).coeffs, 0, Domain.COEFF)
+    for bad in (blob[:5], blob[:-1]):
         with pytest.raises(LengthMismatch):
-            poly_from_bytes(bad, m)
+            rows_from_bytes(bad, 0, [m], 256, Domain.COEFF)
+    # a byte past the limb is the caller's to refuse: the returned offset stops short
+    assert rows_from_bytes(blob + b"\0", 0, [m], 256, Domain.COEFF)[1] == len(blob)
+
+
+def test_rows_from_bytes_refuses_a_residue_from_q_up():
+    # the removed one-limb reader kept a read-only view of such a blob, so q + 5
+    # came back as a residue
+    m = find_ntt_prime(14, 512)
+    for bad in (m.q, m.q + 5, (1 << 64) - 1):
+        residues = rand_poly(m, 256).coeffs.tolist()
+        residues[17] = bad
+        with pytest.raises(ResidueOutOfRange):
+            rows_from_bytes(row_to_bytes(residues, 0, Domain.COEFF), 0, [m], 256, Domain.COEFF)
 
 
 # ---------------------------------------------------------------------------

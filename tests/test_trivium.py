@@ -183,7 +183,7 @@ def test_sampler_rejects_bad_moduli(moduli):
 
 
 def test_sampler_rejects_a_negative_count():
-    with pytest.raises(ValueError, match="cannot draw -1"):
+    with pytest.raises(ValueError, match="the number of residues must be at least 0, got -1"):
         uniform_residues([88, 3], [97, MODULI[4]], -1)
 
 
@@ -236,7 +236,7 @@ def test_wide_draw_steps_at_most_one_chunk_at_a_time(monkeypatch):
     ids=["words-negative", "stream-negative", "draw-negative", "words-float",
          "stream-bool", "draw-float"])
 def test_counts_must_be_non_negative_integers(call):
-    with pytest.raises(ValueError, match="cannot draw|must be an integer"):
+    with pytest.raises(ValueError, match="must be at least 0|must be an integer"):
         call()
 
 
