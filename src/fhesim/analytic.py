@@ -11,11 +11,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .opcount import check_integer, check_positive_finite, digit_ranges, digit_size
-
-
-class InvalidArgument(ValueError):
-    """A formula argument outside the range its closed form covers."""
+from .opcount import (InvalidArgument, check_integer, check_positive_finite, digit_ranges,
+                      digit_size)
 
 
 def keyswitch_cycles(levels: int, n1: int, shadowed: bool = True) -> int:

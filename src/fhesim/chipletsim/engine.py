@@ -3,9 +3,8 @@
 Micro-ops occupy one resource each: a compute unit (one NTT/INTT pipeline,
 a pair of MAS units, a pair of AUT units per chiplet) or a link (one C2C
 egress per chiplet in a unidirectional ring, one HBM port per chiplet, one
-host link).  Transform durations are N1 cycles plus a configurable
-pipeline-fill constant; transfers are quantized by the link's bytes per
-cycle, or to N/N2 beats in exactness mode.
+host link).  A transform takes N1 cycles; transfers are quantized by the
+link's bytes per cycle, or to N/N2 beats in exactness mode.
 
 Two transfer semantics exist because the dataflows differ:
   * registered sends (the ModUp ring) start only after their data dep
@@ -67,7 +66,7 @@ from itertools import compress, count
 from operator import add, or_, truth
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..opcount import KINDS as COMPUTE_KINDS
+from ..opcount import KINDS as COMPUTE_KINDS, check_positive_finite
 
 LINK_KINDS = ("SEND", "HBM_RD", "HBM_WR", "HOST_RD")
 _COMPUTE = frozenset(COMPUTE_KINDS)
@@ -95,8 +94,7 @@ class ChipletConfig:
     c2c_gbps: float = 630.0       # per ring link
     ingress_gbps: float = 128.0   # host link, initial loads only
     word_bits: int = 54
-    fill_cycles: int = 0          # extra pipeline-fill per transform
-    exact: bool = False           # zero fill, matched-beat transfers
+    exact: bool = False           # matched-beat transfers, no HBM time
 
     def __post_init__(self) -> None:
         # JSON gives "false" or 2.5 as readily as false or 2: check each
@@ -110,15 +108,11 @@ class ChipletConfig:
         if self.r < 1:
             raise ConfigError(f"r must be at least 1, got {self.r}")
         for name in ("f_ghz", "hbm_gbps", "c2c_gbps", "ingress_gbps", "word_bits"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+            check_positive_finite(getattr(self, name), name, ConfigError)
         for name in ("n1", "n2"):
             value = getattr(self, name)
             if value < 1 or value & (value - 1):
                 raise ConfigError(f"{name} must be a power of two, got {value!r}")
-        if self.fill_cycles < 0:
-            raise ConfigError(f"fill_cycles must be non-negative, got {self.fill_cycles}")
 
     @property
     def n(self) -> int:
@@ -130,9 +124,6 @@ class ChipletConfig:
 
     def _bytes_per_cycle(self, gbps: float) -> float:
         return gbps * 1e9 / (self.f_ghz * 1e9)
-
-    def transform_cycles(self) -> int:
-        return self.n1 + (0 if self.exact else self.fill_cycles)
 
     def beat_cycles(self) -> int:
         """One polynomial at matched on-chip throughput: N2 coefficients of
@@ -225,7 +216,7 @@ class ScheduleBuilder:
         self._c2c = [f"c2c:{i}" for i in range(cfg.r)]
         self._hbm = [f"hbm:{i}" for i in range(cfg.r)]
         # durations and sizes depend only on the config: derive them once
-        self.transform_cycles = cfg.transform_cycles()
+        self.transform_cycles = cfg.n1
         self.c2c_cycles = cfg.c2c_cycles()
         self.hbm_cycles = cfg.hbm_cycles()
         self.poly_bytes = cfg.poly_bytes

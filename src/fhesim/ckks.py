@@ -24,14 +24,16 @@ rotation keys leave seeded, as a server that holds many of them would keep
 them, and expand on first use.  So are the secret key's s, one read-only
 (PQ_L bases, N) stack, and mult's (d0, d1, d2), one read-only (3, rows, N)
 stack; moddown and bconv_routine take and return (..., rows, N) stacks.
-Ciphertext and plaintext limbs are Polys, each one uint64 row; a limb a
-routine builds holds a read-only view of its result (_unstack).  Every
-routine reads its level's bases from the tuples the context builds once,
-through one check (_bases): a level that is a bool or not an int in
-[0, l_max] raises LevelOutOfRange.  An input must hold one limb or row per
-base of its level, each residue in [0, q): limbs are stacked into one fresh
-array (_rows), stacks are checked in place (_checked), so no kernel writes
-to a limb and an edited copy of a limb is checked like any input.
+Ciphertext and plaintext limbs are NTT-domain Polys, each one uint64 row; a
+limb a routine builds holds a read-only view of its result (_unstack).  No
+type stores a level: an element's level is its limb count minus one, and
+mult's stack's its row count minus one.  Every routine reads its level's
+bases from the tuples the context builds once, through one check (_bases):
+a level outside [0, l_max], that is no limbs or more than the basis has,
+raises LevelOutOfRange.  An input must hold one limb or row per base of its
+level, each residue in [0, q): limbs are stacked into one fresh array
+(_rows), stacks are checked in place (_checked), so no kernel writes to a
+limb and an edited copy of a limb is checked like any input.
 
 Rotation never leaves the NTT domain: X -> X^g only permutes the
 evaluation points, so the Galois map is one gather of the bit-reversed
@@ -297,26 +299,28 @@ def derive_seed(master: int, *path: int) -> int:
 
 @dataclass
 class RnsPoly:
-    """One ring element as residue limbs, one per q base of its level."""
+    """One ring element as NTT-domain residue limbs, one per q base of its level."""
 
     limbs: List[Poly]
-    level: int
-    scale: float = 0.0          # set on encoded plaintexts
+    scale: float = field(default=0.0, kw_only=True)    # set on encoded plaintexts
 
     @property
-    def domain(self) -> Optional[Domain]:
-        return self.limbs[0].domain if self.limbs else None    # no limbs, no domain
+    def level(self) -> int:
+        return len(self.limbs) - 1
 
     def copy(self) -> "RnsPoly":
-        return RnsPoly([p.copy() for p in self.limbs], self.level, self.scale)
+        return RnsPoly([p.copy() for p in self.limbs], scale=self.scale)
 
 
 @dataclass
 class Ciphertext:
     c0: RnsPoly
     c1: RnsPoly
-    level: int
-    scale: float
+    scale: float = field(kw_only=True)
+
+    @property
+    def level(self) -> int:
+        return self.c0.level
 
 
 @dataclass(eq=False)
@@ -324,8 +328,11 @@ class ExtCiphertext:
     """Three-component ciphertext produced by Mult, consumed by KeySwitch."""
 
     rows: np.ndarray            # (3, level+1, N) uint64 stack of (d0, d1, d2), NTT domain
-    level: int
-    scale: float
+    scale: float = field(kw_only=True)
+
+    @property
+    def level(self) -> int:
+        return len(self.rows[0]) - 1
 
 
 @dataclass(eq=False)
@@ -394,9 +401,9 @@ class CkksContext:
 
     # -- limbs in and out at the public API ----------------------------------
 
-    def _rows(self, level: int, domain: Domain = Domain.NTT, **comps: RnsPoly) -> np.ndarray:
+    def _rows(self, level: int, **comps: RnsPoly) -> np.ndarray:
         """Components of one level as a fresh (components, rows, N) array,
-        checked (_checked); each holds one limb of N residues in `domain` per q
+        checked (_checked); each holds one NTT-domain limb of N residues per q
         base of the level."""
         bases = self._q_bases(level)
         for name, c in comps.items():
@@ -407,9 +414,8 @@ class CkksContext:
                 if len(p.coeffs) != self.n:
                     raise LengthMismatch(f"{name} limb {i} holds {len(p.coeffs)} "
                                          f"residues, not N = {self.n}")
-                if p.domain != domain:
-                    raise DomainError(f"{name} limb {i} is in the {p.domain.name} domain, "
-                                      f"not {domain.name}")
+                if p.domain != Domain.NTT:
+                    raise DomainError(f"{name} limb {i} is in the {p.domain.name} domain, not NTT")
         x = np.stack([p.coeffs for c in comps.values() for p in c.limbs])
         return self._checked(x.reshape(len(comps), -1, self.n), "/".join(comps), bases,
                              f"bases of level {level}")
@@ -428,16 +434,16 @@ class CkksContext:
         return _checked_rows(x, modulus_columns(bases)[0], copy=False)
 
     def _ext_rows(self, d: ExtCiphertext) -> np.ndarray:
-        """d's (3, rows, N) stack, checked in place against its level."""
+        """d's (3, rows, N) stack, checked in place against the level its rows give."""
         if np.ndim(d.rows) != 3 or len(d.rows) != 3:
             raise LengthMismatch(f"d holds a stack of shape {np.shape(d.rows)}, not (3, rows, N)")
         return self._checked(d.rows, "d", self._q_bases(d.level), f"bases of level {d.level}")
 
-    def _ciphertext(self, x: np.ndarray, level: int, scale: float) -> Ciphertext:
-        moduli = self._q_bases(level)
-        return Ciphertext(RnsPoly(_unstack(x[0], moduli, Domain.NTT), level),
-                          RnsPoly(_unstack(x[1], moduli, Domain.NTT), level),
-                          level, scale)
+    def _ciphertext(self, x: np.ndarray, scale: float) -> Ciphertext:
+        """A (2, rows, N) NTT-domain stack as a ciphertext at level rows - 1."""
+        moduli = self._q_bases(len(x[0]) - 1)
+        return Ciphertext(RnsPoly(_unstack(x[0], moduli, Domain.NTT)),
+                          RnsPoly(_unstack(x[1], moduli, Domain.NTT)), scale=scale)
 
     # -- encoding -----------------------------------------------------------
 
@@ -473,16 +479,15 @@ class CkksContext:
             raise EncodeOverflow(f"a coefficient reaches Q_{level}/2 = {q_l / 2:.3e}; "
                                  f"lower the scale or the values")
         x = _rounded_residues(coeffs, moduli)
-        return RnsPoly(_unstack(ntt_rows(x, moduli), moduli, Domain.NTT), level, scale=scale)
+        return RnsPoly(_unstack(ntt_rows(x, moduli), moduli, Domain.NTT), scale=scale)
 
     def decode(self, pt: RnsPoly, scale: float) -> np.ndarray:
-        """Inverse of encode on a plaintext RnsPoly (NTT or coeff domain);
-        InvalidScale when scale is not a positive finite number."""
+        """Inverse of encode on a plaintext RnsPoly; DomainError for a limb
+        not in the NTT domain, InvalidScale when scale is not a positive
+        finite number."""
         moduli = self._q_bases(pt.level)
         scale = opcount.check_positive_finite(scale, "scale", InvalidScale)
-        x = self._rows(pt.level, pt.domain, pt=pt)[0]
-        if pt.domain == Domain.NTT:
-            x = intt_rows(x, moduli)
+        x = intt_rows(self._rows(pt.level, pt=pt)[0], moduli)
         mods = [m.q for m in moduli]
         big_q = reduce(lambda a, b: a * b, mods)
         # exact CRT: one object-array product, then centred into (-Q/2, Q/2]
@@ -613,22 +618,22 @@ class CkksContext:
         a = np.array([rng.integers(0, m.q, self.n) for m in moduli], dtype=np.uint64)
         c0 = mas_rows(MasOp.SUB, mas_rows(MasOp.ADD, self._rows(level, pt=pt)[0], e, moduli),
                       mas_rows(MasOp.MUL, a, sk.s[: level + 1], moduli), moduli)
-        return self._ciphertext(np.stack([c0, a]), level, pt.scale or self.delta)
+        return self._ciphertext(np.stack([c0, a]), pt.scale or self.delta)
 
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> RnsPoly:
         moduli = self._q_bases(ct.level)
         c0, c1 = self._rows(ct.level, c0=ct.c0, c1=ct.c1)
         m = mas_rows(MasOp.MAC, c1, sk.s[: ct.level + 1], moduli, c0)
-        return RnsPoly(_unstack(m, moduli, Domain.NTT), ct.level)
+        return RnsPoly(_unstack(m, moduli, Domain.NTT))
 
     def decrypt_triple(self, d: ExtCiphertext, sk: SecretKey) -> RnsPoly:
         """Decrypt (d0, d1, d2) with (1, s, s^2) for pre-relinearization checks."""
-        moduli = self._q_bases(d.level)
         d0, d1, d2 = self._ext_rows(d)
+        moduli = self._q_bases(d.level)
         s = sk.s[: d.level + 1]
         s2 = mas_rows(MasOp.MUL, s, s, moduli)
         m = mas_rows(MasOp.MAC, d2, s2, moduli, mas_rows(MasOp.MAC, d1, s, moduli, d0))
-        return RnsPoly(_unstack(m, moduli, Domain.NTT), d.level)
+        return RnsPoly(_unstack(m, moduli, Domain.NTT))
 
     # -- linear ops ---------------------------------------------------------
 
@@ -639,7 +644,7 @@ class CkksContext:
             raise ScaleMismatch(f"scales {a.scale} != {b.scale}")
         out = _mas(MasOp.ADD, self._rows(a.level, c0=a.c0, c1=a.c1),
                    self._rows(b.level, c0=b.c0, c1=b.c1), self._q_bases(a.level))
-        return self._ciphertext(out, a.level, a.scale)
+        return self._ciphertext(out, a.scale)
 
     def mult(self, a: Ciphertext, b: Ciphertext) -> ExtCiphertext:
         if a.level != b.level:
@@ -649,7 +654,7 @@ class CkksContext:
         x, y = self._rows(lvl, c0=a.c0, c1=a.c1), self._rows(lvl, c0=b.c0, c1=b.c1)
         d = _mas(MasOp.MUL, x[[0, 0, 1]], y[[0, 1, 1]], moduli)   # (a0*b0, a0*b1, a1*b1)
         d[1] = _mas(MasOp.MAC, x[1], y[0], moduli, d[1])          # + a1*b0
-        return ExtCiphertext(_frozen(d)[0], lvl, a.scale * b.scale)
+        return ExtCiphertext(_frozen(d)[0], scale=a.scale * b.scale)
 
     def rotate_perm(self, ct: Ciphertext, rot: int) -> Ciphertext:
         """Apply the Galois map X -> X^(5^rot) to both components, in the NTT
@@ -659,7 +664,7 @@ class CkksContext:
         key; until then the result decrypts under the rotated secret.
         """
         x = _aut(self._rows(ct.level, c0=ct.c0, c1=ct.c1), self._galois(rot))
-        return self._ciphertext(x, ct.level, ct.scale)
+        return self._ciphertext(x, ct.scale)
 
     # -- base conversion ----------------------------------------------------
 
@@ -745,7 +750,7 @@ class CkksContext:
         ys = (modup(x[2], d2c, digit, level) for digit in digits)
         acc = self._key_products(ys, len(digits), ksk, level)
         out = _mas(MasOp.ADD, x[:2], self.moddown(acc, level), q_bases)
-        return self._ciphertext(out, level, d.scale)
+        return self._ciphertext(out, d.scale)
 
     def _modup_limb(self, d2: np.ndarray, d2c: np.ndarray, digit: range,
                     level: int) -> np.ndarray:
@@ -792,7 +797,7 @@ class CkksContext:
         x = self._rows(level, c0=ct.c0, c1=ct.c1)
         t = _reduce_ntt(_intt(x[:, level:], (q_top,)), lower)
         out = _submul(x[:, :level], t, [pow(q_top.q, -1, m.q) for m in lower], lower)
-        return self._ciphertext(out, level - 1, ct.scale / q_top.q)
+        return self._ciphertext(out, ct.scale / q_top.q)
 
     # -- convenience pipelines ----------------------------------------------
 
@@ -814,7 +819,7 @@ class CkksContext:
         level = ct.level
         x = np.zeros((3, len(self._q_bases(level)), self.n), dtype=np.uint64)
         x[[0, 2]] = _aut(self._rows(level, c0=ct.c0, c1=ct.c1), g)
-        return self._switch(ExtCiphertext(x, level, ct.scale), keys.rotation[rot])
+        return self._switch(ExtCiphertext(x, scale=ct.scale), keys.rotation[rot])
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +864,8 @@ def ciphertext_from_bytes(data: bytes, basis: RnsBasis) -> Ciphertext:
     c0, offset = rows_from_bytes(data, _CT_HEAD.size, moduli, n, Domain.NTT)
     c1, offset = rows_from_bytes(data, offset, moduli, n, Domain.NTT)
     _expect_end(data, offset)
-    return Ciphertext(RnsPoly(_unstack(c0, moduli, Domain.NTT), level),
-                      RnsPoly(_unstack(c1, moduli, Domain.NTT), level), level, scale)
+    return Ciphertext(RnsPoly(_unstack(c0, moduli, Domain.NTT)),
+                      RnsPoly(_unstack(c1, moduli, Domain.NTT)), scale=scale)
 
 
 def ksk_to_bytes(key: KeySwitchKey, seeded: bool = True) -> bytes:

@@ -18,10 +18,10 @@ from . import analytic, opcount
 from .chipletsim import (ASSIGNMENTS, ChipletConfig, ConfigError, ProgramError,
                          parse_program, run_workload, schedule_keyswitch_ring,
                          sweep_chiplets)
-from .verify import FAULTS, run_verify
+from .verify import FAULTS, FaultNotRun, run_verify
 
-# Inputs the model or a formula refuses: one line on stderr, exit status 2.
-_INPUT_ERRORS = (ConfigError, ProgramError, analytic.InvalidArgument)
+# Inputs the model, a formula or verify refuses: one line on stderr, exit status 2.
+_INPUT_ERRORS = (ConfigError, ProgramError, analytic.InvalidArgument, FaultNotRun)
 # A program document's keys; as in a config, a free-text "comment" is the
 # one key the model does not read, so a misspelt key is an error.
 _PROGRAM_DOC_KEYS = ("program", "levels", "comment")
@@ -159,10 +159,6 @@ def cmd_analyze(args) -> int:
     else:   # census, the last formula the parser accepts
         # K alone picks the switch, as in CkksContext; the digit count follows
         k = _digit_k(args, default=1)
-        if l < 0 or k < 1:
-            raise analytic.InvalidArgument(
-                f"a census needs --l of at least 0 and --k (the special base "
-                f"size) of at least 1, got --l {l}, --k {args.k}")
         if k == 1:
             c = opcount.keyswitch_full(l)
         else:
@@ -178,9 +174,9 @@ def cmd_analyze(args) -> int:
 def _digit_k(args, default: int | None = None) -> int | None:
     """--k (default when not given), the special base size that fixes the
     key-switching digits; a --dnum given beside it must be their count at
-    --l.  A --k or --l out of range is left to the formula to refuse."""
+    --l.  A --k or --l out of range is refused by digit_ranges or the formula."""
     k = default if args.k is None else args.k
-    if args.dnum is not None and k is not None and args.l >= 0 and k >= 1:
+    if args.dnum is not None and k is not None:
         dnum = len(opcount.digit_ranges(args.l, k))
         if args.dnum != dnum:
             raise analytic.InvalidArgument(

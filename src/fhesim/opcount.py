@@ -13,7 +13,8 @@ switches and both simulator digit flows use.  It also holds the one integer
 check (check_integer) of every entry point of both halves that takes a
 level, digit size, chiplet count, seed, rotation or modulus, and the one
 check of a positive finite real (check_positive_finite): a scale, a clock
-or a headroom.
+or a headroom.  Every closed form here passes its level, K and dnum through
+check_integer, and refuses one outside its range as InvalidArgument.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ Census = Dict[str, int]
 
 # The micro-op kinds a census counts: the compute ops of both halves.
 KINDS = ("INTT", "NTT", "MAS", "AUT")
+
+
+class InvalidArgument(ValueError):
+    """A formula argument outside the range its closed form covers."""
 
 
 def check_integer(value, what: str, error: Type[Exception], low: Optional[int] = None,
@@ -43,9 +48,10 @@ def check_integer(value, what: str, error: Type[Exception], low: Optional[int] =
 
 
 def check_positive_finite(value, what: str, error: Type[Exception]):
-    """value, a real number such as a scale or a clock, if it is positive and
-    finite; otherwise error, with a message naming what."""
-    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    """value, a real number (a bool is not one) such as a scale or a clock,
+    if it is positive and finite; otherwise error, with a message naming what."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0 < value < math.inf:
         raise error(f"{what} must be a positive finite number, got {value!r}")
     return value
 
@@ -57,17 +63,22 @@ def empty_census() -> Census:
 def digit_size(levels: int, dnum: int) -> int:
     """K = ceil((L+1)/dnum): the limbs of a full key-switching digit, which is
     also the number of special bases."""
-    return -(-(levels + 1) // dnum)
+    levels = check_integer(levels, "L", InvalidArgument, 0)
+    return -(-(levels + 1) // check_integer(dnum, "dnum", InvalidArgument, 1))
 
 
 def digit_ranges(level: int, k: int) -> List[range]:
     """The limbs of each key-switching digit at the given level: runs of k
     consecutive limbs of q_0..q_level, the last one possibly shorter."""
+    level = check_integer(level, "level", InvalidArgument, 0)
+    k = check_integer(k, "K", InvalidArgument, 1)
     return [range(i, min(i + k, level + 1)) for i in range(0, level + 1, k)]
 
 
 def moddown(level: int, k: int) -> Census:
     """One component dropped from PQ_l to Q_l."""
+    level = check_integer(level, "level", InvalidArgument, 0)
+    k = check_integer(k, "K", InvalidArgument, 1)
     c = empty_census()
     c["INTT"] = k
     c["NTT"] = level + 1
@@ -78,7 +89,7 @@ def moddown(level: int, k: int) -> Census:
 
 def keyswitch_full(level: int) -> Census:
     """dnum = L+1 (K = 1) key switch including both ModDowns."""
-    l1 = level + 1
+    l1 = check_integer(level, "level", InvalidArgument, 0) + 1
     c = empty_census()
     c["INTT"] = l1 + 2
     c["NTT"] = l1 * (l1 + 1) + 2 * l1
@@ -90,6 +101,8 @@ def keyswitch_full(level: int) -> Census:
 def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
     """Arbitrary-dnum key switch (digit ModUp via base conversion).  The digits
     are digit_ranges(level, k); dnum is not read."""
+    level = check_integer(level, "level", InvalidArgument, 0)
+    k = check_integer(k, "K", InvalidArgument, 1)
     sizes = [len(d) for d in digit_ranges(level, k)]
     nb = level + 1 + k  # live bases of PQ_l
     c = empty_census()
@@ -108,6 +121,7 @@ def keyswitch_generic(level: int, dnum: int, k: int) -> Census:
 
 def rescale(level: int) -> Census:
     """Both ciphertext components, dropping base q_level."""
+    level = check_integer(level, "level", InvalidArgument, 1)
     c = empty_census()
     c["INTT"] = 2
     c["NTT"] = 2 * level
@@ -116,12 +130,14 @@ def rescale(level: int) -> Census:
 
 
 def hadd(level: int) -> Census:
+    level = check_integer(level, "level", InvalidArgument, 0)
     c = empty_census()
     c["MAS"] = 2 * (level + 1)
     return c
 
 
 def hmult(level: int) -> Census:
+    level = check_integer(level, "level", InvalidArgument, 0)
     c = empty_census()
     c["MAS"] = 4 * (level + 1)
     return c
@@ -131,6 +147,7 @@ def rotate_perm(level: int) -> Census:
     """The Galois map of a rotation, both components: one AUT per limb, applied
     to the NTT-domain limbs in place of INTT -> AUT -> NTT (the simulator's
     ROTATE charges the same)."""
+    level = check_integer(level, "level", InvalidArgument, 0)
     c = empty_census()
     c["AUT"] = 2 * (level + 1)
     return c

@@ -181,6 +181,10 @@ FAULTS = {
 }
 
 
+class FaultNotRun(ValueError):
+    """An injected fault that breaks a suite the chosen scope does not run."""
+
+
 @contextmanager
 def inject_fault(name: Optional[str], suite: str):
     """Fault `name` in place for the length of the block, when it is one that
@@ -537,11 +541,18 @@ def suite_ckks(size: str = "toy", seed: int = 0) -> SuiteResult:
 
 def run_verify(scope: str = "all", size: str = "toy", seed: int = 0,
                fault: Optional[str] = None) -> Dict:
+    """Run the suites of scope, fault injected into the one it breaks.
+    FaultNotRun, before any suite runs, when scope does not run that suite:
+    the run could only report the fault as a clean pass."""
+    run = {name: suite for name, suite in (("kernels", suite_kernels), ("ckks", suite_ckks))
+           if scope in (name, "all")}
+    if fault in FAULTS and FAULTS[fault][0] not in run:
+        raise FaultNotRun(f"fault {fault!r} breaks the {FAULTS[fault][0]} suite, which "
+                          f"scope {scope!r} does not run")
     suites: List[SuiteResult] = []
-    for name, suite in (("kernels", suite_kernels), ("ckks", suite_ckks)):
-        if scope in (name, "all"):
-            with inject_fault(fault, name):
-                suites.append(suite(size, seed))
+    for name, suite in run.items():
+        with inject_fault(fault, name):
+            suites.append(suite(size, seed))
     return {
         "scope": scope,
         "size": size,

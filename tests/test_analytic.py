@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fhesim import analytic
+from fhesim import analytic, opcount
 from fhesim.chipletsim import ChipletConfig, ProgramError
 from fhesim.chipletsim.schedules import parse_program, schedule_keyswitch_digits
 from fhesim.ckks import (CkksContext, InvalidInteger, LevelOutOfRange, ciphertext_to_bytes,
@@ -108,9 +108,33 @@ def test_digits_census_formula():
     lambda: analytic.key_storage(-1, 3, 1 << 16, 54),
     lambda: analytic.key_storage_per_digit_limb(0, 54),
     lambda: analytic.digits_census(-1, 8, 4),
+    lambda: analytic.chiplet_bound(30, 1.0, u=True),    # returned 32: True is no headroom
 ])
 def test_formulas_refuse_arguments_outside_their_range(call):
     with pytest.raises(analytic.InvalidArgument):
+        call()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: opcount.keyswitch_full(-3), "level must be at least 0"),   # negative counts
+    (lambda: opcount.keyswitch_generic(-1, 2, 3), "level must be at least 0"),
+    (lambda: opcount.keyswitch_generic(8, 3, 0), "K must be at least 1"),
+    (lambda: opcount.moddown(-1, 1), "level must be at least 0"),
+    (lambda: opcount.moddown(8, 0), "K must be at least 1"),
+    (lambda: opcount.rescale(0), "level must be at least 1"),    # a census of nothing to drop
+    (lambda: opcount.hadd(-1), "level must be at least 0"),
+    (lambda: opcount.hmult(-2), "level must be at least 0"),
+    (lambda: opcount.rotate_perm(-1), "level must be at least 0"),
+    (lambda: opcount.digit_size(-2, 3), "L must be at least 0"),
+    (lambda: opcount.digit_size(4, 0), "dnum must be at least 1"),     # a ZeroDivisionError
+    (lambda: opcount.digit_ranges(-1, 1), "level must be at least 0"),
+    (lambda: opcount.digit_ranges(4, 0), "K must be at least 1"),      # a bare ValueError
+])
+def test_closed_forms_refuse_a_level_k_or_dnum_below_their_range(call, named):
+    # the census forms counted any level: keyswitch_full(-3) gave negative
+    # counts and rescale(0) a census of a rescale with no base to drop
+    assert opcount.InvalidArgument is analytic.InvalidArgument
+    with pytest.raises(opcount.InvalidArgument, match=named):
         call()
 
 
@@ -177,6 +201,22 @@ _INTEGER_ENTRY_POINTS = {
                             lambda x: analytic.twiddle_tradeoff(x, 64, tfg=True)),
     "twiddle_tradeoff-n2": (analytic.InvalidArgument, 64,
                             lambda x: analytic.twiddle_tradeoff(1024, x, tfg=True)),
+    # keyswitch_full(2.5) returned fractional counts, rescale(True) a level-1 census
+    "keyswitch_full": (opcount.InvalidArgument, 8, opcount.keyswitch_full),
+    "keyswitch_generic-level": (opcount.InvalidArgument, 8,
+                                lambda x: opcount.keyswitch_generic(x, 3, 3)),
+    "keyswitch_generic-k": (opcount.InvalidArgument, 3,
+                            lambda x: opcount.keyswitch_generic(8, 3, x)),
+    "moddown-level": (opcount.InvalidArgument, 8, lambda x: opcount.moddown(x, 3)),
+    "moddown-k": (opcount.InvalidArgument, 3, lambda x: opcount.moddown(8, x)),
+    "rescale": (opcount.InvalidArgument, 8, opcount.rescale),
+    "hadd": (opcount.InvalidArgument, 8, opcount.hadd),
+    "hmult": (opcount.InvalidArgument, 8, opcount.hmult),
+    "rotate_perm": (opcount.InvalidArgument, 8, opcount.rotate_perm),
+    "digit_size-L": (opcount.InvalidArgument, 30, lambda x: opcount.digit_size(x, 4)),
+    "digit_size-dnum": (opcount.InvalidArgument, 4, lambda x: opcount.digit_size(30, x)),
+    "digit_ranges-level": (opcount.InvalidArgument, 8, lambda x: opcount.digit_ranges(x, 3)),
+    "digit_ranges-k": (opcount.InvalidArgument, 3, lambda x: opcount.digit_ranges(8, x)),
 }
 
 

@@ -555,10 +555,9 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("r", 0), ("f_ghz", 0.0), ("hbm_gbps", -1.0), ("c2c_gbps", 0.0),
     ("ingress_gbps", float("nan")), ("word_bits", 0), ("n1", 1000), ("n2", 0),
-    ("fill_cycles", -1),
     # wrong types: "false" used to switch exactness on, 2.5 and 1024.0 to
-    # fail inside a builder, 0.5 to give float cycles, True to read as 1
-    ("exact", "false"), ("r", 2.5), ("n1", 1024.0), ("fill_cycles", 0.5), ("r", True),
+    # fail inside a builder, True to read as 1
+    ("exact", "false"), ("r", 2.5), ("n1", 1024.0), ("r", True),
     ("c2c_gbps", "630"),
     # an infinite clock or bandwidth gives 0 bytes per cycle, and every run
     # used to end in a ZeroDivisionError
@@ -585,6 +584,9 @@ def test_config_rejects_unknown_key():
         ChipletConfig.from_json_dict(doc)
     with pytest.raises(ConfigError, match="c2c_gpbs"):
         ChipletConfig.from_json_dict({"c2c_gpbs": 1.0})
+    # a transform takes N1 cycles: there is no pipeline fill to set
+    with pytest.raises(ConfigError, match=r"unknown config keys \['fill_cycles'\]"):
+        ChipletConfig.from_json_dict({**load_preset("chiplet_1024x64"), "fill_cycles": 0})
     assert ChipletConfig.from_json_dict({"comment": "free text", "r": 2}) == \
         ChipletConfig(r=2)
     assert ChipletConfig.from_json_dict(REF.to_json_dict()) == REF

@@ -31,6 +31,8 @@ BASIS = make_basis(n=1024, levels=4, dnum=5, bits=40, first_bits=45, p_bits=45)
 BASIS3 = make_basis(n=1024, levels=4, dnum=2, bits=40, first_bits=45, p_bits=45)
 # dnum does not divide L+1 = 5: K = 2 and digits of 2, 2 and 1 limbs
 DNUM4 = make_basis(n=1024, levels=4, dnum=4, bits=40, first_bits=45, p_bits=45)
+# its first five q bases are BASIS's
+BIG = make_basis(n=1024, levels=7, dnum=8, bits=40, first_bits=45, p_bits=45)
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +103,8 @@ def test_decode_is_the_centred_exact_crt(ctx):
                 centred.append(float(c - big_q if c > big_q // 2 else c))
             ev = np.fft.ifft(np.array(centred + [0.0] * ctx.n)) * (2 * ctx.n)
             want = ev[np.array(ctx._theta)] / ctx.delta
-            for domain, limbs in ((Domain.COEFF, rows), (Domain.NTT, ntt_rows(rows, moduli))):
-                pt = RnsPoly(_unstack(limbs.copy(), moduli, domain), level, ctx.delta)
-                assert np.array_equal(ctx.decode(pt, ctx.delta), want), (level, domain)
+            pt = RnsPoly(_unstack(ntt_rows(rows, moduli), moduli, Domain.NTT), scale=ctx.delta)
+            assert np.array_equal(ctx.decode(pt, ctx.delta), want), level
 
 
 def test_encode_zero_vector_is_zero_polynomial(ctx):
@@ -140,10 +141,11 @@ def test_encode_refuses_values_that_give_no_finite_coefficient(ctx, value):
         ctx.encode([value], level=1)
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, "2"])
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, "2", True])
 def test_encode_and_context_refuse_a_scale_that_is_not_positive_and_finite(ctx, scale):
-    # scale=0.0 used to encode at delta through `scale or self.delta`, and a
-    # negative or NaN delta was accepted
+    # scale=0.0 used to encode at delta through `scale or self.delta`, a
+    # negative or NaN delta was accepted, and a delta of True was kept, as
+    # was a scale of True, whose slots decoded to 0j
     with pytest.raises(InvalidScale, match="positive finite number"):
         ctx.encode([1.0], level=1, scale=scale)
     with pytest.raises(InvalidScale, match="delta must be a positive finite number"):
@@ -191,19 +193,35 @@ def test_encode_rejects_level_outside_basis(ctx, level):
                                      "relinearize", "keyswitch_full_dnum",
                                      "keyswitch_generic", "moddown"])
 def test_every_routine_refuses_a_level_outside_the_basis(ctx, keyed, routine, level):
-    # each input holds the limbs that slicing q_list at its level gives, so
-    # only the level check can refuse it: add of such a level-7 ciphertext
-    # returned a level-7 ciphertext, decrypt and rotate raised NumPy errors,
-    # rescale and moddown(-1) an IndexError, relinearize KeyLevelTooLow, and
-    # encode took level=True
+    # a level is read from the limbs: at levels 5 and 7 each input holds a
+    # level-4 ciphertext's limbs and the next bases of a larger basis, at -1
+    # none, so only the level check can refuse it.  When the level was
+    # stored beside the limbs, add of a level-7 ciphertext returned a level-7
+    # ciphertext, decrypt and rotate raised NumPy errors, rescale and
+    # moddown(-1) an IndexError, relinearize KeyLevelTooLow, and encode took
+    # level=True
     sk, keys = keyed
     held = 1 if level is True else BASIS.l_max
     pt = ctx.encode(slots_vec(ctx), held)
     ct = ctx.encrypt(pt, sk, rng())
-    bad_pt = RnsPoly(pt.limbs, level, pt.scale)
-    bad = Ciphertext(RnsPoly(ct.c0.limbs, level), RnsPoly(ct.c1.limbs, level), level, ct.scale)
-    ext = ExtCiphertext(ctx.mult(ct, ct).rows, level, ct.scale ** 2)
     live = np.zeros((len(ctx.live_bases(held)), ctx.n), dtype=np.uint64)
+    if level is True and routine not in ("encode", "moddown"):
+        # only encode and moddown take a level; the stamped input the others
+        # were handed no longer builds, rather than taking True as its scale
+        with pytest.raises(TypeError):
+            if routine in ("decode", "encrypt"):
+                RnsPoly(pt.limbs, True, pt.scale)
+            elif routine in ("add", "mult", "decrypt", "rotate_perm", "rotate", "rescale"):
+                Ciphertext(ct.c0, ct.c1, True, ct.scale)
+            else:
+                ExtCiphertext(ctx.mult(ct, ct).rows, True, ct.scale)
+        return
+    extra = [Poly(np.zeros(ctx.n, dtype=np.uint64), m, Domain.NTT)
+             for m in BIG.q_list[BASIS.l_max + 1: level + 1]]
+    bad_pt = RnsPoly(pt.limbs + extra if level >= 0 else [], scale=pt.scale)
+    bad = Ciphertext(*(RnsPoly(c.limbs + extra if level >= 0 else []) for c in (ct.c0, ct.c1)),
+                     scale=ct.scale)
+    ext = ExtCiphertext(np.zeros((3, level + 1, ctx.n), dtype=np.uint64), scale=ct.scale ** 2)
     call = {"encode": lambda: ctx.encode(slots_vec(ctx), level),
             "decode": lambda: ctx.decode(bad_pt, pt.scale),
             "encrypt": lambda: ctx.encrypt(bad_pt, sk, rng()),
@@ -285,7 +303,7 @@ def test_public_routines_reject_out_of_range_residues(ctx, keyed, residue):
     ext = np.zeros((3, level + 1, ctx.n), dtype=np.uint64)
     ext[0, 1, 3] = word
     with pytest.raises(ResidueOutOfRange):
-        ctx.keyswitch_full_dnum(ExtCiphertext(ext, level, ctx.delta), keys.relin)
+        ctx.keyswitch_full_dnum(ExtCiphertext(ext, scale=ctx.delta), keys.relin)
     live = np.zeros((len(ctx.live_bases(level)), ctx.n), dtype=np.uint64)
     live[1, 3] = word
     with pytest.raises(ResidueOutOfRange):
@@ -518,7 +536,7 @@ def _functional_census(op, ctx, sk, keys, level):
             ctx.moddown(ext[0], level)
         else:   # FUSED_RESCALE: ModDown both components, then rescale them
             down = [ctx.moddown(x, level) for x in ext]
-            ctx.rescale(ctx._ciphertext(np.stack(down), level, ctx.delta))
+            ctx.rescale(ctx._ciphertext(np.stack(down), ctx.delta))
     return census
 
 
@@ -637,7 +655,7 @@ def test_identity_keyswitch_preserves_plaintext(ctx, keyed):
     ident, = ctx.make_keyswitch_keys(sk.s, [derive_seed(9, 9)], [sk.s],
                                      np.random.default_rng(5))
     c0, c1 = ([p.coeffs for p in c.limbs] for c in (ct.c0, ct.c1))
-    d = ExtCiphertext(np.array([c0, np.zeros_like(c0), c1]), ct.level, ct.scale)
+    d = ExtCiphertext(np.array([c0, np.zeros_like(c0), c1]), scale=ct.scale)
     out_ct = ctx.keyswitch_full_dnum(d, ident)
     out = ctx.decode(ctx.decrypt(out_ct, sk), out_ct.scale)
     assert rel_err(out, v) < 1e-4
@@ -1088,13 +1106,11 @@ def test_ciphertext_to_bytes_refuses_a_basis_or_level_it_does_not_fit():
     sk, _ = small.keygen(seed=3)
     ct = small.encrypt(small.encode(slots_vec(small), 2), sk, rng())
     assert ciphertext_from_bytes(ciphertext_to_bytes(ct, basis), basis) == ct
-    short = Ciphertext(RnsPoly([Poly(p.coeffs[:32], p.modulus, p.domain) for p in ct.c0.limbs],
-                               2), ct.c1, 2, ct.scale)
+    short = Ciphertext(RnsPoly([Poly(p.coeffs[:32], p.modulus, p.domain)
+                                for p in ct.c0.limbs]), ct.c1, scale=ct.scale)
     for other, bad in ((make_basis(n=64, levels=2, dnum=3, bits=31), ct),
                        (make_basis(n=128, levels=2, dnum=3, bits=30), ct),
                        (make_basis(n=64, levels=1, dnum=2, bits=30), ct),
-                       (basis, Ciphertext(ct.c0, ct.c1, 1, ct.scale)),
-                       (basis, Ciphertext(ct.c0, ct.c1, 3, ct.scale)),
                        (basis, short)):
         with pytest.raises(LengthMismatch, match="does not hold"):
             ciphertext_to_bytes(bad, other)
@@ -1164,46 +1180,52 @@ def test_row_and_list_limbs_with_equal_residues_compare_equal(ctx, keyed):
 
 def test_decode_refuses_limbs_of_mixed_domains(ctx):
     # decode picked INTT or not by limb 0 alone: limb 1 in COEFF decoded to
-    # slot errors near 1e26
+    # slot errors near 1e26.  decode takes NTT limbs like every routine, so
+    # a plaintext of COEFF limbs, which it used to decode, is refused too
     pt = ctx.encode(slots_vec(ctx), 2)
-    mixed = RnsPoly([pt.limbs[0], intt_reference(pt.limbs[1]), pt.limbs[2]], 2, pt.scale)
-    with pytest.raises(DomainError):
-        ctx.decode(mixed, pt.scale)
+    mixed = RnsPoly([pt.limbs[0], intt_reference(pt.limbs[1]), pt.limbs[2]], scale=pt.scale)
+    coeff = RnsPoly([intt_reference(p) for p in pt.limbs], scale=pt.scale)
+    for bad, limb in ((mixed, 1), (coeff, 0)):
+        with pytest.raises(DomainError, match=f"pt limb {limb} is in the COEFF domain, not NTT"):
+            ctx.decode(bad, pt.scale)
 
 
 @pytest.mark.parametrize("routine", ["add", "mult", "decrypt", "rescale", "rotate",
                                      "relinearize", "moddown", "encrypt", "decode"])
 def test_routines_refuse_limbs_that_do_not_match_the_level(ctx, keyed, routine):
-    # a level-4 ciphertext holding 3 limbs per component used to fail with a
-    # NumPy broadcast error, a misleading stack shape or a bare assert; a
-    # level-4 plaintext holding 3 limbs decoded as level 2
+    # a level-4 ciphertext holding 3 limbs per component used to fail with
+    # a NumPy broadcast error, a misleading stack shape or a bare assert.
+    # Now c0's limbs give the level, so a c1 shorter than c0 is what can
+    # still contradict it; a plaintext's limbs give its level, so 3 of them
+    # are a level-2 plaintext
     sk, keys = keyed
     level = BASIS.l_max
-    pt = ctx.encode(slots_vec(ctx), level)
-    short_pt = RnsPoly(pt.limbs[:3], level, pt.scale)
+    v = slots_vec(ctx)
+    pt = ctx.encode(v, level)
     ct = ctx.encrypt(pt, sk, rng())
-    short = Ciphertext(RnsPoly(ct.c0.limbs[:3], level), RnsPoly(ct.c1.limbs[:3], level),
-                       level, ct.scale)
+    short = Ciphertext(ct.c0, RnsPoly(ct.c1.limbs[:3]), scale=ct.scale)
     c1 = intt_rows([p.coeffs for p in ct.c1.limbs], BASIS.q_list)
     ext = np.concatenate([[p.coeffs for p in ct.c0.limbs[:3]],
                           ctx.bconv_routine(c1, BASIS.q_list, BASIS.p_list)])
+    if routine in ("encrypt", "decode"):
+        three = RnsPoly(pt.limbs[:3], scale=pt.scale)
+        assert three.level == 2 and three == ctx.encode(v, 2)
+        # a plaintext with no limbs made decode fail on its domain with an
+        # IndexError, then was refused as LengthMismatch; it is at level -1
+        empty = RnsPoly([], scale=pt.scale)
+        call = {"encrypt": lambda: ctx.encrypt(empty, sk, rng()),
+                "decode": lambda: ctx.decode(empty, pt.scale)}[routine]
+        with pytest.raises(LevelOutOfRange, match=rf"level must be in \[0, {level}\], got -1"):
+            call()
+        return
     call = {"add": lambda: ctx.add(ct, short), "mult": lambda: ctx.mult(short, ct),
             "decrypt": lambda: ctx.decrypt(short, sk), "rescale": lambda: ctx.rescale(short),
             "rotate": lambda: ctx.rotate(short, 1, keys),
             "relinearize": lambda: ctx.relinearize(ctx.mult(short, short), keys),
-            "moddown": lambda: ctx.moddown(ext, level),
-            "encrypt": lambda: ctx.encrypt(short_pt, sk, rng()),
-            "decode": lambda: ctx.decode(short_pt, pt.scale)}[routine]
+            "moddown": lambda: ctx.moddown(ext, level)}[routine]
     named = rf"holds [34] limbs, not the \d+ bases of level {level}"
     with pytest.raises(LengthMismatch, match=named):
         call()
-    if routine in ("encrypt", "decode"):
-        # a plaintext with no limbs made decode fail on its domain with an IndexError
-        empty = RnsPoly([], level, pt.scale)
-        call = {"encrypt": lambda: ctx.encrypt(empty, sk, rng()),
-                "decode": lambda: ctx.decode(empty, pt.scale)}[routine]
-        with pytest.raises(LengthMismatch, match=rf"holds 0 limbs, not the \d+ bases"):
-            call()
 
 
 @pytest.mark.parametrize("routine", ["add", "mult", "decrypt", "rescale", "rotate_perm",
@@ -1216,12 +1238,11 @@ def test_routines_refuse_limbs_shorter_than_n(ctx, keyed, routine):
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
 
     def halved(c):
-        return RnsPoly([Poly(p.coeffs[: ctx.n // 2], p.modulus, p.domain)
-                        for p in c.limbs], level)
+        return RnsPoly([Poly(p.coeffs[: ctx.n // 2], p.modulus, p.domain) for p in c.limbs])
 
     # one short component, then both, whose stack still reshapes into rows of N
-    for short, named in ((Ciphertext(ct.c0, halved(ct.c1), level, ct.scale), "c1"),
-                         (Ciphertext(halved(ct.c0), halved(ct.c1), level, ct.scale), "c0")):
+    for short, named in ((Ciphertext(ct.c0, halved(ct.c1), scale=ct.scale), "c1"),
+                         (Ciphertext(halved(ct.c0), halved(ct.c1), scale=ct.scale), "c0")):
         call = {"add": lambda: ctx.add(ct, short), "mult": lambda: ctx.mult(ct, short),
                 "decrypt": lambda: ctx.decrypt(short, sk),
                 "rescale": lambda: ctx.rescale(short),
@@ -1238,7 +1259,7 @@ def test_stacks_of_the_wrong_shape_are_refused(ctx, keyed):
     _, keys = keyed
     level = BASIS.l_max
     half = np.zeros((len(ctx.live_bases(level)), ctx.n // 2), dtype=np.uint64)
-    pair = ExtCiphertext(np.zeros((2, level + 1, ctx.n), dtype=np.uint64), level, ctx.delta)
+    pair = ExtCiphertext(np.zeros((2, level + 1, ctx.n), dtype=np.uint64), scale=ctx.delta)
     for call in (lambda: ctx.moddown(half, level),
                  lambda: ctx.bconv_routine(half[:1], BASIS.q_list[:1], BASIS.p_list),
                  lambda: ctx.keyswitch_full_dnum(pair, keys.relin)):

@@ -102,6 +102,18 @@ def test_every_fault_breaks_the_kernels_suite():
     assert {suite for suite, *_ in FAULTS.values()} == {"kernels"}
 
 
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_verify_refuses_a_fault_its_scope_does_not_run(fault, tmp_path, capsys):
+    # --scope ckks ran no kernels suite, so every fault exited 0 with a JSON
+    # report of no failures: a fault never injected read as a clean pass
+    out = tmp_path / "v.json"
+    assert main(["verify", "--scope", "ckks", "--inject-fault", fault,
+                 "--json-out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err and "kernels suite" in err
+    assert not out.exists()     # refused before any suite ran
+
+
 def test_verify_dump_census(tmp_path):
     census = tmp_path / "census.json"
     rc = main(["verify", "--scope", "kernels", "--size", "toy",
