@@ -23,19 +23,23 @@ of ints, which the cyclic garbage collector stops tracking once it has
 seen it, so a built DAG holds the same few tracked objects at any size.
 A run keeps its state in per-DAG lists too (start, finish and ready times,
 queue heaps of the ops' priority tuples, an event heap of ints); the only
-objects it makes per op are two lists of child uids, by deps and by
-stream deps, which it drops when it returns.
+objects it makes per op are its list of dep children, plus a list of
+stream children for each op that a stream waits on, all dropped when it
+returns.
 
-Event loop.  Resources get dense ids in the order of their first enqueued
-op.  At each event time the engine runs passes until no op can start.  A
-pass visits, in id order, only the resources that have a queued op and a
-free slot, and starts on each the highest-priority queued ops its free
+Event loop.  Resources get dense ids in the order of their first
+appearance in the DAG.  At each event time the engine runs passes until no
+op can start.  A pass visits only the resources that have a queued op and
+a free slot, and starts on each the highest-priority queued ops its free
 slots allow.  The stream children of the ops a pass started are released
-after the pass, latest-started first, so an op they make ready starts in
-the next pass at the same time.  Then the engine advances to the next
-finish time, frees the finished ops' slots and enqueues the dep children
-they release.  DAG building, event loop and report are each linear in the
-number of ops and deps, apart from heap and sort logarithms.
+after the pass, so an op they make ready starts in the next pass at the
+same time.  Then the engine advances to the next finish time, frees the
+finished ops' slots and enqueues the dep children they release.  A
+resource's choice depends only on its own queue and free slots, and a
+release only pushes onto a queue ordered by (priority, uid), so the order
+in which resources, releases and same-time finishes are visited moves no
+start or finish.  DAG building, event loop and report are each linear in
+the number of ops and deps, apart from heap and sort logarithms.
 
 Report.  Engine._report computes only the summary every caller reads:
 cycles, wall time, polynomials transferred, NTT utilization and op counts,
@@ -63,7 +67,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import compress, count
-from operator import add, or_, truth
+from operator import add, not_, or_, truth
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS as COMPUTE_KINDS, check_positive_finite
@@ -462,52 +466,41 @@ class Engine:
             raise ConfigError(f"the DAG was built for {dag.cfg}, not for this engine's "
                               f"{self.cfg}")
         heappush, heappop = heapq.heappush, heapq.heappop
-        resources, durations = dag.resources, dag.durations
-        priorities, stream_deps = dag.priorities, dag.stream_deps
+        durations, priorities, stream_deps = dag.durations, dag.priorities, dag.stream_deps
         n_ops = len(dag)
         start = [-1] * n_ops
         finish = [-1] * n_ops
         ready_at = [-1] * n_ops
         waiting_deps = list(map(add, map(len, dag.deps), map(len, stream_deps)))
         dep_children = _children(dag.deps)
-        stream_children = _children(stream_deps)
+        stream_children: Dict[int, List[int]] = {}     # only the ops a stream waits on
+        for uid in compress(range(n_ops), stream_deps):
+            for d in stream_deps[uid]:
+                stream_children.setdefault(d, []).append(uid)
 
-        # Resources get dense ids in first-enqueue order.
-        res_id: Dict[str, int] = {}
-        queues: List[list] = []        # per resource: heap of priorities (uid last)
-        free: List[int] = []           # per resource: idle slots
-        op_res = [-1] * n_ops          # resource id of each enqueued op
+        # Resources get dense ids in order of first appearance in the DAG.
+        res_id = dict(zip(dict.fromkeys(dag.resources), count()))
+        op_res = list(map(res_id.__getitem__, dag.resources))
+        queues: List[list] = [[] for _ in res_id]    # per resource: heap of priorities
+        free = [_CAPACITY[resource.split(":")[0]] for resource in res_id]   # idle slots
         ready: set = set()             # resources with a queued op and a free slot
-        # An event is finish * stride + seq, where started[seq] is the seq-th
-        # op to start: finish time first, then start order.
+        # An event is finish * stride + uid: finish time first, then uid.
         stride = n_ops + 1
         events: List[int] = []
-        started: List[int] = []
+        streaming: List[int] = []      # ops a pass started that a stream waits on
 
-        def enqueue(uid: int, now: int) -> None:
-            resource = resources[uid]
-            rid = res_id.get(resource)
-            if rid is None:
-                rid = res_id[resource] = len(queues)
-                queues.append([])
-                free.append(_CAPACITY[resource.split(":")[0]])
-            op_res[uid] = rid
-            ready_at[uid] = now
+        for uid in compress(range(n_ops), map(not_, waiting_deps)):
+            rid = op_res[uid]
+            ready_at[uid] = 0
             heappush(queues[rid], priorities[uid])
-            if free[rid]:
-                ready.add(rid)
-
-        for uid in range(n_ops):
-            if waiting_deps[uid] == 0:
-                enqueue(uid, 0)
+            ready.add(rid)
 
         done = 0
         now = 0
         while True:
             # passes at the current time, until no resource can start an op
             while ready:
-                first_started = len(started)
-                for rid in sorted(ready):
+                for rid in ready:
                     q = queues[rid]
                     slots = free[rid]
                     while q and slots:
@@ -519,25 +512,32 @@ class Engine:
                             if finish[sd] > end:
                                 end = finish[sd]
                         finish[uid] = end
-                        heappush(events, end * stride + len(started))
-                        started.append(uid)
+                        heappush(events, end * stride + uid)
+                        if uid in stream_children:
+                            streaming.append(uid)
                     free[rid] = slots
                 ready.clear()
-                # notify stream dependents that their producer has started
-                for uid in reversed(started[first_started:]):
+                # release the stream children of the producers that started
+                for uid in streaming:
                     for child in stream_children[uid]:
                         waiting_deps[child] -= 1
-                        if waiting_deps[child] == 0:
-                            enqueue(child, now)
+                        if not waiting_deps[child]:
+                            rid = op_res[child]
+                            ready_at[child] = now
+                            heappush(queues[rid], priorities[child])
+                            if free[rid]:
+                                ready.add(rid)
+                streaming.clear()
             if done == n_ops:
                 break
             if not events:
                 raise DeadlockDetected(
                     f"{n_ops - done} ops unscheduled with no pending events")
             now = events[0] // stride
-            later = (now + 1) * stride
+            base = now * stride
+            later = base + stride
             while events and events[0] < later:
-                uid = started[heappop(events) % stride]
+                uid = heappop(events) - base
                 done += 1
                 rid = op_res[uid]
                 free[rid] += 1
@@ -545,8 +545,12 @@ class Engine:
                     ready.add(rid)
                 for child in dep_children[uid]:
                     waiting_deps[child] -= 1
-                    if waiting_deps[child] == 0:
-                        enqueue(child, now)
+                    if not waiting_deps[child]:
+                        rid = op_res[child]
+                        ready_at[child] = now
+                        heappush(queues[rid], priorities[child])
+                        if free[rid]:
+                            ready.add(rid)
 
         return self._report(dag, start, finish, ready_at, dep_children, stream_children,
                             meta or {})
@@ -562,10 +566,10 @@ class Engine:
         # wall time ends when the last op someone consumes, any compute op or
         # a shadowed MAS burst's carrier retires; closing ring hops may drain
         # the links afterwards
-        consumed = map(or_, map(truth, dep_children), map(truth, stream_children))
         compute = map(_COMPUTE.__contains__, kinds)
-        makespan = max(compress(finish, map(or_, map(or_, consumed, compute), mas)),
-                       default=0)
+        makespan = max(max(compress(finish, map(or_, map(or_, map(truth, dep_children),
+                                                          compute), mas)), default=0),
+                       max(map(finish.__getitem__, stream_children), default=0))
         units = frozenset(f"ntt:{ci}" for ci in range(cfg.r))
         on_ntt = list(map(units.__contains__, dag.resources))
         busy_ntt = sum(compress(finish, on_ntt)) - sum(compress(start, on_ntt))

@@ -98,26 +98,26 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
     mac_ntts: Dict[int, List[int]] = {i: [] for i in range(r)}
 
     for j in range(rounds):
-        intt_of: Dict[int, int] = {}
+        # limb x's latest copy: its INTT, then each relay hop in turn
+        relay: Dict[int, int] = {}
         for i in range(r):
             x = j * r + i
             if x <= l:
-                intt_of[x] = sb.transform(
+                relay[x] = sb.transform(
                     "INTT", i, deps=after, priority=(pri0, j, 0), phase="modup",
                     limb=x)
-        hop_of: Dict[Tuple[int, int], int] = {}
         for m in range(r):
             for i in range(r):
                 x = j * r + (i + m) % r
                 if x > l:
                     continue
-                data = intt_of[x] if m == 0 else hop_of[(x, m)]
+                data = relay[x]
                 last = sb.last_ntt(i)
                 gate = (data, last) if last is not None else (data, *after)
                 # relay the limb to the ring predecessor while processing it
                 if r > 1:
                     closing = m + 1 == r
-                    hop_of[(x, m + 1)] = sb.send(
+                    relay[x] = sb.send(
                         i, deps=gate,
                         priority=(_DRAIN, j, m) if closing else (pri0, j, m, 0),
                         phase="modup", limb=x)

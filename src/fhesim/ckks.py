@@ -361,6 +361,25 @@ class KeySet:
     rotation: Dict[int, KeySwitchKey]
 
 
+def _level_rows(bases: Tuple[PrimeModulus, ...], n: int, comps: Dict[str, RnsPoly]
+                ) -> np.ndarray:
+    """Components of the level of `bases` as a fresh (components, rows, N)
+    array.  Each holds one NTT-domain limb of N residues per base, in order
+    (LengthMismatch, DomainError), each residue in [0, q) (ResidueOutOfRange)."""
+    for name, c in comps.items():
+        if tuple(p.modulus for p in c.limbs) != bases:
+            raise LengthMismatch(f"{name} holds {len(c.limbs)} limbs, not the "
+                                 f"{len(bases)} bases of level {len(bases) - 1} in order")
+        for i, p in enumerate(c.limbs):
+            if len(p.coeffs) != n:
+                raise LengthMismatch(f"{name} limb {i} holds {len(p.coeffs)} "
+                                     f"residues, not N = {n}")
+            if p.domain != Domain.NTT:
+                raise DomainError(f"{name} limb {i} is in the {p.domain.name} domain, not NTT")
+    x = np.stack([p.coeffs for c in comps.values() for p in c.limbs])
+    return _checked_rows(x.reshape(len(comps), -1, n), modulus_columns(bases)[0], copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Context
 
@@ -402,23 +421,9 @@ class CkksContext:
     # -- limbs in and out at the public API ----------------------------------
 
     def _rows(self, level: int, **comps: RnsPoly) -> np.ndarray:
-        """Components of one level as a fresh (components, rows, N) array,
-        checked (_checked); each holds one NTT-domain limb of N residues per q
-        base of the level."""
-        bases = self._q_bases(level)
-        for name, c in comps.items():
-            if tuple(p.modulus for p in c.limbs) != bases:
-                raise LengthMismatch(f"{name} holds {len(c.limbs)} limbs, not the "
-                                     f"{len(bases)} bases of level {level} in order")
-            for i, p in enumerate(c.limbs):
-                if len(p.coeffs) != self.n:
-                    raise LengthMismatch(f"{name} limb {i} holds {len(p.coeffs)} "
-                                         f"residues, not N = {self.n}")
-                if p.domain != Domain.NTT:
-                    raise DomainError(f"{name} limb {i} is in the {p.domain.name} domain, not NTT")
-        x = np.stack([p.coeffs for c in comps.values() for p in c.limbs])
-        return self._checked(x.reshape(len(comps), -1, self.n), "/".join(comps), bases,
-                             f"bases of level {level}")
+        """Components of one level as a fresh (components, rows, N) array
+        (_level_rows)."""
+        return _level_rows(self._q_bases(level), self.n, comps)
 
     def _checked(self, x: np.ndarray, name: str, bases: Tuple[PrimeModulus, ...],
                  of: str) -> np.ndarray:
@@ -834,8 +839,10 @@ def ciphertext_to_bytes(ct: Ciphertext, basis: RnsBasis) -> bytes:
     """Image of a ciphertext over basis, whose N and dnum its header carries.
 
     LengthMismatch unless each component holds one limb of N residues per
-    base of the ciphertext's level, in order, so ciphertext_from_bytes
-    reads the image back over the same basis.
+    base of the ciphertext's level, in order; DomainError for a limb not in
+    the NTT domain and ResidueOutOfRange for a residue outside [0, q), as
+    every routine refuses them.  So ciphertext_from_bytes reads the image
+    back over the same basis.
     """
     fits = 0 <= ct.level <= basis.l_max and all(
         tuple(p.modulus for p in comp.limbs) == basis.q_list[: ct.level + 1]
@@ -843,9 +850,10 @@ def ciphertext_to_bytes(ct: Ciphertext, basis: RnsBasis) -> bytes:
     if not fits:
         raise LengthMismatch(f"the ciphertext at level {ct.level} does not hold one limb of "
                              f"N={basis.n} residues per base of its level in the basis")
+    rows = _level_rows(basis.q_list[: ct.level + 1], basis.n, {"c0": ct.c0, "c1": ct.c1})
     head = _CT_HEAD.pack(basis.n, ct.level, basis.dnum, ct.scale)
-    return b"".join([head] + [row_to_bytes(p.coeffs, t, p.domain) for comp in (ct.c0, ct.c1)
-                              for t, p in enumerate(comp.limbs)])
+    return b"".join([head] + [row_to_bytes(row, t, Domain.NTT) for comp in rows
+                              for t, row in enumerate(comp)])
 
 
 def ciphertext_from_bytes(data: bytes, basis: RnsBasis) -> Ciphertext:

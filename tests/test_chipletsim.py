@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import json
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import fhesim
 from fhesim import analytic, opcount
 from fhesim.chipletsim import (ChipletConfig, ConfigError, DeadlockDetected, Engine,
-                               ProgramError, ScheduleBuilder, build_keyswitch_ring,
-                               parse_program, run_workload, schedule_keyswitch_digits,
+                               ProgramError, ScheduleBuilder, build_keyswitch_digits,
+                               build_keyswitch_ring, parse_program, run_workload, schedule_keyswitch_digits,
                                schedule_keyswitch_ring, schedule_moddown_ring,
                                schedule_strawman, sweep_chiplets)
 from fhesim.chipletsim.engine import _CAPACITY
@@ -884,3 +885,48 @@ def test_engine_invariants_on_random_dags(dag):
     assert sum(v["bytes"] for v in rep.links.values()) == sends * cfg.poly_bytes
     again = Engine(cfg).run(sb)
     assert again.to_json() == rep.to_json() and again.timeline == rep.timeline
+
+
+def _relabelled(sb):
+    """sb with chiplet i renamed r - 1 - i in every resource name: the same
+    DAG, whose resources first appear in another order."""
+    out = copy.copy(sb)
+    out.resources = []
+    for name in sb.resources:
+        unit, _, i = name.partition(":")
+        out.resources.append(f"{unit}:{sb.cfg.r - 1 - int(i)}" if i else name)
+    return out
+
+
+def _times(cfg, sb):
+    return [(t["uid"], t["start"], t["end"]) for t in Engine(cfg).run(sb).timeline]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag=_random_dags())
+def test_relabelling_chiplets_moves_no_start_or_finish(dag):
+    # the order resources first appear in, which numbers them and so orders
+    # a pass's visits, must not move an op
+    cfg, sb = dag
+    assert _times(cfg, _relabelled(sb)) == _times(cfg, sb)
+
+
+_GOLDEN_FLOWS = {
+    **{f"ring-l{l}-sh{int(sh)}-md{int(md)}": (build_keyswitch_ring, l,
+                                              dict(shadowed=sh, include_moddown=md))
+       for l in (2, 14, 30) for sh in (True, False) for md in (True, False)},
+    **{f"digits-{l},{k}-ALTERNATE": (build_keyswitch_digits, l, dict(k=k))
+       for l, k in ((8, 3), (22, 8), (23, 4))},
+}
+
+
+@pytest.mark.parametrize("flow", sorted(_GOLDEN_FLOWS))
+def test_relabelling_chiplets_moves_no_golden_op(flow):
+    build, l, kwargs = _GOLDEN_FLOWS[flow]
+    cfg = ChipletConfig.from_json_dict(load_preset("chiplet_1024x64"))
+    assert cfg.r == 4
+    sb = ScheduleBuilder(cfg)
+    build(sb, l, **kwargs)
+    relabelled = _relabelled(sb)
+    assert relabelled.resources != sb.resources
+    assert _times(cfg, relabelled) == _times(cfg, sb)

@@ -1116,6 +1116,30 @@ def test_ciphertext_to_bytes_refuses_a_basis_or_level_it_does_not_fit():
             ciphertext_to_bytes(bad, other)
 
 
+@pytest.mark.parametrize("fault", ["residue", "domain"])
+def test_ciphertext_to_bytes_refuses_a_limb_its_reader_refuses(fault):
+    # such a limb was written, and ciphertext_from_bytes then refused the
+    # image (a residue of q + 5, or a COEFF header where NTT is expected);
+    # the writer now refuses it as every routine does
+    basis = make_basis(n=64, levels=2, dnum=3, bits=30)
+    small = CkksContext(basis)
+    sk, _ = small.keygen(seed=3)
+    ct = small.encrypt(small.encode(slots_vec(small), 2), sk, rng())
+    limb = ct.c0.limbs[1]
+    if fault == "residue":
+        coeffs = np.array(limb.coeffs, dtype=np.uint64)
+        coeffs[7] = limb.modulus.q + 5
+        bad = Poly(coeffs, limb.modulus, limb.domain)
+        error, match = ResidueOutOfRange, r"must lie in \[0, q\)"
+    else:
+        bad = intt_reference(limb)
+        error, match = DomainError, "c0 limb 1 is in the COEFF domain, not NTT"
+    limbs = list(ct.c0.limbs)
+    limbs[1] = bad
+    with pytest.raises(error, match=match):
+        ciphertext_to_bytes(Ciphertext(RnsPoly(limbs), ct.c1, scale=ct.scale), basis)
+
+
 def test_census_context_nesting(ctx, keyed):
     sk, keys = keyed
     ct = ctx.encrypt(ctx.encode(slots_vec(ctx), BASIS.l_max), sk, rng())
