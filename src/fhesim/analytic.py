@@ -55,6 +55,8 @@ def comm_polynomials(technique: str, l: int, k: int | None = None,
     techniques; the digit-wise and limb-wise forms are per chiplet, over
     the dnum digits of opcount.digit_ranges(l, K)."""
     l = check_integer(l, "l", InvalidArgument, 0)
+    if not isinstance(technique, str):
+        raise InvalidArgument(f"technique must be a name, got {technique!r}")
     technique = technique.upper()
     if technique == "A":
         return Fraction((l + 2) * (l + 3))

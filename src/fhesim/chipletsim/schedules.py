@@ -6,7 +6,9 @@ ring follows the non-blocking schedule: each chiplet transforms its own
 limb, relays one limb per pass to its ring predecessor, and overlaps the
 (l+2)/r key-multiplication transforms of the current pass with the next
 receive.  ModDown and the digit (dnum < L+1) flow broadcast INTT results
-feed-forward with streamed relays.
+feed-forward with streamed relays.  A K = 1 ModDown and a rescale are one
+dataflow, built by _drop_limb: the ring key switch's ModDown, the MODDOWN
+step and the RESCALE step differ only in the data they pass it.
 
 The NTT/INTT unit of each chiplet executes its ops strictly in issue
 order (static microcode), which the builder enforces by chaining; MAS and
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS, check_integer, digit_ranges
 from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder, _chiplet
@@ -39,15 +41,13 @@ def _check_strategy(strategy: str) -> None:
                            f"expected one of {STRATEGIES}")
 
 
-def limb_owner(assignment: Assignment, t: int, r: int, levels: int, k: int = 1) -> int:
+def _limb_owner(assignment: Assignment, t: int, r: int, levels: int, k: int) -> int:
     if assignment == "INTERLEAVED":
         return t % r
     if assignment == "SEQUENTIAL":
         chunk = -(-(levels + 1) // r)
         return min(t // chunk, r - 1)
-    if assignment == "DIGITWISE":
-        return (t // k) % r
-    raise ValueError(f"unknown assignment {assignment!r}")
+    return (t // k) % r     # DIGITWISE
 
 
 _DRAIN = 1 << 18   # priority class for closing hops: transferred, never waited on
@@ -139,32 +139,31 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
                             buf_ops[t].append(mop)
 
     if include_moddown:
-        build_moddown_flow(sb, l, buf_deps=buf_ops, pri0=pri0 + 1, after=after)
+        # the key products' last op on each base gates its ModDown transform
+        _drop_limb(sb, l + 1, [t % r for t in range(l + 2)], pri0 + 1, "moddown",
+                   buf_ops[l + 1], [buf_ops[t][-1:] for t in range(l + 1)], (1, 3))
 
 
-def build_moddown_flow(sb: ScheduleBuilder, l: int, buf_deps: Optional[Dict[int, List[int]]],
-                       pri0: int, after: Sequence[int] = (), components: int = 2) -> None:
-    """Feed-forward ModDown of `components` over one special base (K = 1).
+def _drop_limb(sb: ScheduleBuilder, dropped: int, owner: Sequence[int], pri0: int,
+               phase: str, intt_deps: Sequence[int], ntt_deps: Sequence[Sequence[int]],
+               mas: Tuple[int, int]) -> None:
+    """Divide both components by the base of limb `dropped` (K = 1): a ModDown
+    drops the special base p, a rescale the top limb q_l.
 
-    One INTT on the owner of the dropped base, a streamed ring broadcast,
-    then per-chiplet NTTs with the subtract-and-scale fused in.  The
-    second component's broadcast rides behind the first, hiding its
-    latency under the first component's compute.
+    Per component, one INTT on owner[dropped] after intt_deps, a streamed ring
+    broadcast, then an NTT of each kept limb t < dropped on owner[t], with the
+    subtract-and-scale fused in, after its arrival and ntt_deps[t].  mas is
+    the (INTT, NTT) MAS count.  The second component's broadcast rides behind
+    the first, hiding its latency under the first component's compute.
     """
-    cfg = sb.cfg
-    r = cfg.r
-    owner = (l + 1) % r
-    for comp in range(components):
-        deps = (buf_deps[l + 1] if buf_deps else after) or after
-        intt = sb.transform("INTT", owner, deps=deps, priority=(pri0, comp, 0),
-                            phase="moddown", limb=l + 1, mas=1)
-        arrival = _ring_broadcast(sb, intt, owner, (pri0, comp, 1), "moddown",
-                                  limb=l + 1)
-        for t in range(l + 1):
-            i = t % r
-            deps = [arrival[i], *(buf_deps[t][-1:] if buf_deps else after)]
-            sb.transform("NTT", i, deps=deps, priority=(pri0, comp, 2, t),
-                         phase="moddown", limb=t, mas=3 if buf_deps else 2)
+    src = owner[dropped]
+    for comp in range(2):
+        intt = sb.transform("INTT", src, deps=intt_deps, priority=(pri0, comp, 0),
+                            phase=phase, limb=dropped, mas=mas[0])
+        arrival = _ring_broadcast(sb, intt, src, (pri0, comp, 1), phase, limb=dropped)
+        for t in range(dropped):
+            sb.transform("NTT", owner[t], deps=(arrival[owner[t]], *ntt_deps[t]),
+                         priority=(pri0, comp, 2, t), phase=phase, limb=t, mas=mas[1])
 
 
 def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
@@ -173,22 +172,6 @@ def schedule_keyswitch_ring(cfg: ChipletConfig, l: int, shadowed: bool = True,
     sb = ScheduleBuilder(cfg)
     build_keyswitch_ring(sb, l, shadowed=shadowed, include_moddown=include_moddown)
     meta = {"routine": "keyswitch_ring", "l": l, "shadowed": shadowed,
-            "warnings": cfg.bound_warnings(l)}
-    return Engine(cfg).run(sb, meta=meta)
-
-
-def schedule_moddown_ring(cfg: ChipletConfig, l: int, components: int = 2,
-                          fused_rescale: bool = False) -> CycleReport:
-    # a fused rescale drops one more base, so it needs a level to drop to
-    l = check_integer(l, "l", ProgramError, 1 if fused_rescale else 0)
-    components = check_integer(components, "components", ProgramError, 1)
-    sb = ScheduleBuilder(cfg)
-    build_moddown_flow(sb, l, buf_deps=None, pri0=0, components=components)
-    if fused_rescale:
-        # the RESCALE macro shares the wait: its INTT broadcast rides during
-        # the ModDown NTT phase, dropping q_l as well
-        _macro_rescale(sb, l, lambda t: t % cfg.r, (), pri0=1)
-    meta = {"routine": "moddown_ring", "l": l, "components": components,
             "warnings": cfg.bound_warnings(l)}
     return Engine(cfg).run(sb, meta=meta)
 
@@ -321,7 +304,7 @@ def schedule_keyswitch_digits(cfg: ChipletConfig, l: int, k: int,
 # Strawman techniques (function-split and one-chiplet-per-limb baselines)
 
 
-def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
+def _build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
     """Closed-form replays of the baseline distributions.
 
     Per-chiplet op and transfer counts follow the comparison table.  The
@@ -347,7 +330,7 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
                 send(0, deps=[ntt], priority=(1, w, 1), phase="modup", mas=2)
         for w in range(2 * (l + 2)):   # ModDown component moves
             send(1, priority=(2, w), phase="moddown")
-    elif technique in ("B", "C"):
+    else:   # B or C
         intt_per = 2 if technique == "B" else l + 3
         for i in range(cfg.r):
             for w in range(intt_per):
@@ -360,21 +343,19 @@ def build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
                 send(x % cfg.r, priority=(2, x, c), phase="modup", limb=x)
         for c in range(2 * (l + 1)):
             send(c % cfg.r, priority=(3, c), phase="moddown")
-    else:
-        raise ValueError(f"unknown strawman technique {technique!r}")
 
 
 def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport:
     l = check_integer(l, "l", ProgramError, 0)
-    technique = technique.upper()
-    if technique not in ("OURS", "A", "B", "C"):
+    if not isinstance(technique, str) or technique.upper() not in ("OURS", "A", "B", "C"):
         raise ProgramError(f"unknown strawman technique {technique!r}; "
                            "one of OURS, A, B, C")
+    technique = technique.upper()
     if technique == "OURS":
         return schedule_keyswitch_ring(cfg, l)
     run_cfg = replace(cfg, r=l + 2) if technique in ("B", "C") else cfg
     sb = ScheduleBuilder(run_cfg)
-    build_strawman(sb, l, technique)
+    _build_strawman(sb, l, technique)
     meta = {"routine": f"strawman_{technique}", "l": l}
     return Engine(run_cfg).run(sb, meta=meta)
 
@@ -383,26 +364,12 @@ def schedule_strawman(cfg: ChipletConfig, l: int, technique: str) -> CycleReport
 # Workload programs (macro-op lists)
 
 
-def _macro_pointwise(sb: ScheduleBuilder, l: int, per_limb: int,
-                     owner: Callable[[int], int], after: Sequence[int],
-                     pri0: int, phase: str) -> None:
+def _macro_pointwise(sb: ScheduleBuilder, l: int, per_limb: int, owner: Sequence[int],
+                     after: Sequence[int], pri0: int, phase: str) -> None:
     for t in range(l + 1):
         for w in range(per_limb):
-            sb.add("MAS", f"mas:{owner(t)}", sb.transform_cycles, deps=after,
+            sb.add("MAS", f"mas:{owner[t]}", sb.transform_cycles, deps=after,
                    priority=(pri0, t, w), phase=phase, limb=t)
-
-
-def _macro_rescale(sb: ScheduleBuilder, l: int, owner: Callable[[int], int],
-                   after: Sequence[int], pri0: int) -> None:
-    src = owner(l)
-    for comp in range(2):
-        intt = sb.transform("INTT", src, deps=after, priority=(pri0, comp, 0),
-                            phase="rescale", limb=l)
-        arrival = _ring_broadcast(sb, intt, src, (pri0, comp, 1), "rescale", limb=l)
-        for t in range(l):
-            i = owner(t)
-            sb.transform("NTT", i, deps=[arrival.get(i, intt)],
-                         priority=(pri0, comp, 2, t), phase="rescale", limb=t, mas=1)
 
 
 def run_workload(cfg: ChipletConfig, program: Sequence[dict],
@@ -427,7 +394,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
     pri = 0
     steps_meta = []
     for op, l, k, nbytes in steps:
-        owner = (lambda t, _k=k: limb_owner(assignment, t, cfg.r, levels, k=_k))
+        owner = [_limb_owner(assignment, t, cfg.r, levels, k) for t in range(l + 1)]
         first_op = len(sb)
         if op == "HADD":
             _macro_pointwise(sb, l, 2, owner, after, pri, "hadd")
@@ -437,7 +404,7 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             if op == "ROTATE":
                 for comp in range(2):
                     for t in range(l + 1):
-                        sb.add("AUT", f"aut:{owner(t)}", sb.transform_cycles,
+                        sb.add("AUT", f"aut:{owner[t]}", sb.transform_cycles,
                                deps=after, priority=(pri, comp, t), phase="rotate", limb=t)
             ks_pri = pri + (op == "ROTATE")
             if k == 1:
@@ -445,9 +412,10 @@ def run_workload(cfg: ChipletConfig, program: Sequence[dict],
             else:
                 build_keyswitch_digits(sb, l, k, after=after, pri0=ks_pri)
         elif op == "RESCALE":
-            _macro_rescale(sb, l, owner, after, pri)
+            _drop_limb(sb, l, owner, pri, "rescale", after, [()] * l, (0, 1))
         elif op == "MODDOWN":
-            build_moddown_flow(sb, l, buf_deps=None, pri0=pri, after=after)
+            _drop_limb(sb, l + 1, [t % cfg.r for t in range(l + 2)], pri, "moddown",
+                       after, [after] * (l + 1), (1, 2))
         elif op == "HOST_LOAD":
             # initial data load over the host link; steady-state routines
             # assume operands already resident in HBM
@@ -486,7 +454,7 @@ def parse_program(program: Sequence[dict],
     "k" (default 1) and, on a HOST_LOAD only, "bytes", each an integer; a bool
     is not one."""
     given = []
-    for step in flatten(program):
+    for step in _flatten(program):
         op = step["op"].upper()
         if op not in _MACRO_OPS:
             raise ProgramError(f"unknown macro op {op!r}")
@@ -518,7 +486,7 @@ def parse_program(program: Sequence[dict],
     return steps, levels
 
 
-def flatten(program: Sequence[dict]):
+def _flatten(program: Sequence[dict]):
     """The steps of a program as given, BOOTSTRAP_SCHED schedules inlined.
     ProgramError for a program or schedule that is not a list, a step that is
     not an object with an "op" name, or a BOOTSTRAP_SCHED with other keys."""
@@ -532,7 +500,7 @@ def flatten(program: Sequence[dict]):
             if set(step) != {"op", "schedule"}:
                 raise ProgramError('a BOOTSTRAP_SCHED step holds only "op" and its '
                                    f'"schedule", got keys {sorted(step)}')
-            yield from flatten(step["schedule"])
+            yield from _flatten(step["schedule"])
         else:
             yield step
 

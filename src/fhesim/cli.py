@@ -139,10 +139,11 @@ def cmd_analyze(args) -> int:
                "count": str(analytic.comm_polynomials(args.tech, l, k=_digit_k(args),
                                                       r=args.r))}
     elif name == "bound":
-        if not args.c2c > 0:
-            raise analytic.InvalidArgument(f"--c2c must be positive, got {args.c2c}")
-        row = {"formula": "chiplet_bound", "L": l, "k_ratio": args.hbm / args.c2c,
-               "max_r": analytic.chiplet_bound(l, args.hbm / args.c2c, u=args.u)}
+        # both links are finite and nonzero, as ChipletConfig requires
+        k_ratio = (opcount.check_positive_finite(args.hbm, "--hbm", analytic.InvalidArgument)
+                   / opcount.check_positive_finite(args.c2c, "--c2c", analytic.InvalidArgument))
+        row = {"formula": "chiplet_bound", "L": l, "k_ratio": k_ratio,
+               "max_r": analytic.chiplet_bound(l, k_ratio, u=args.u)}
     elif name == "storage":
         # key_storage refuses a bad --dnum; the row gives the K and the digit
         # count it sized (--L 4 --dnum 4 sizes 3 digits of K = 2)

@@ -109,6 +109,7 @@ def test_digits_census_formula():
     lambda: analytic.key_storage_per_digit_limb(0, 54),
     lambda: analytic.digits_census(-1, 8, 4),
     lambda: analytic.chiplet_bound(30, 1.0, u=True),    # returned 32: True is no headroom
+    lambda: analytic.comm_polynomials(None, 14),        # a bare AttributeError
 ])
 def test_formulas_refuse_arguments_outside_their_range(call):
     with pytest.raises(analytic.InvalidArgument):

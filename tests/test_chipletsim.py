@@ -20,8 +20,7 @@ from fhesim import analytic, opcount
 from fhesim.chipletsim import (ChipletConfig, ConfigError, DeadlockDetected, Engine,
                                ProgramError, ScheduleBuilder, build_keyswitch_digits,
                                build_keyswitch_ring, parse_program, run_workload, schedule_keyswitch_digits,
-                               schedule_keyswitch_ring, schedule_moddown_ring,
-                               schedule_strawman, sweep_chiplets)
+                               schedule_keyswitch_ring, schedule_strawman, sweep_chiplets)
 from fhesim.chipletsim.engine import _CAPACITY
 from fhesim.cli import _PROGRAM_DOC_KEYS, load_preset
 
@@ -73,20 +72,20 @@ def test_digits_runtime_formula_exact_mode():
 
 
 def test_moddown_census_and_hop_overhead():
-    rep = schedule_moddown_ring(EXACT, 30, components=2)
-    want = opcount.moddown(30, 1)
-    for kind in ("INTT", "NTT", "MAS"):
-        assert rep.op_counts.get(kind, 0) == 2 * want[kind]
-    # component one pays the feed-forward latency; component two hides it:
-    # doubling the components costs compute only, not an extra wait
-    one = schedule_moddown_ring(EXACT, 30, components=1)
-    per_chiplet_ntt = -(-31 // 4) * EXACT.n1
-    assert rep.total_cycles <= one.total_cycles + per_chiplet_ntt + EXACT.n1
+    for l, total in ((8, 7168), (14, 9216), (30, 17408)):
+        rep = run_workload(EXACT, [{"op": "MODDOWN", "l": l}])
+        want = opcount.moddown(l, 1)
+        for kind in ("INTT", "NTT", "MAS"):
+            assert rep.op_counts.get(kind, 0) == 2 * want[kind]
+        # component one pays the feed-forward latency; component two hides
+        # it: after the first NTT starts, each chiplet runs its NTTs back to back
+        first = min(t["start"] for t in rep.timeline if t["kind"] == "NTT")
+        assert rep.total_cycles == first + 2 * -(-(l + 1) // 4) * EXACT.n1 == total
 
 
 def test_moddown_r1_zero_transfers():
     cfg = replace(EXACT, r=1)
-    rep = schedule_moddown_ring(cfg, 14)
+    rep = run_workload(cfg, [{"op": "MODDOWN", "l": 14}])
     assert rep.polynomials_transferred == 0
     assert not rep.links
 
@@ -245,7 +244,7 @@ def test_engine_refuses_a_dag_built_for_another_config():
 @pytest.mark.parametrize("entry", [
     lambda: Engine(REF).run(_built_dag(REF)),
     lambda: schedule_keyswitch_ring(REF, 8),
-    lambda: schedule_moddown_ring(REF, 8, fused_rescale=True),
+    lambda: run_workload(REF, [{"op": "MODDOWN", "l": 8}, {"op": "RESCALE", "l": 8}]),
     lambda: schedule_keyswitch_digits(REF, 8, 3, "DIGITWISE"),
     lambda: schedule_strawman(EXACT, 6, "B"),
     lambda: run_workload(REF, [{"op": "HOST_LOAD", "l": 2}, {"op": "ROTATE", "k": 2},
@@ -375,10 +374,8 @@ GOLDEN = {
         "6aba11b086d5f870b3131dfb97903b157040503b19248a5dc6a90d5a097a7fa8",
     "ring-l30-sh0-md0":
         "e495432608b65c19f7a9606da777610861b621b3867e31b51afa34c983dd6d79",
-    "moddown-l14-fused0":
-        "03583f424d106ff497f6e89615273bfe25412caf32f539aab30767bae43b1785",
-    "moddown-l14-fused1":
-        "26db247ce3282a6d3241d9d3fb73bb6cfcfac16ac51e2d759403a92b5ff03732",
+    "moddown-l14":
+        "29154801933ab636a826c4f0fdc48ea6d6f537c9fdd25a746d6fc899dcf0da39",
     "digits-8,3,3-ALTERNATE":
         "613c7a49471dd7c0617066e5b0d077ae2ec046b1e1d218900ae7376a90cb70fa",
     "digits-8,3,3-DIGITWISE":
@@ -438,7 +435,7 @@ GOLDEN = {
     "timeline-digits":
         "95ad1240fe45e8ec787868637429bf124d38c14630723e933381556a97c29f0b",
     "unsorted":
-        "5d8edfad375c6035ada0de968bf4a69f8e0a90d0eefb18c248a8c3cf87862306",
+        "d7b0576a9c932192d4c9b2c35a0dcbfbe720b62ad9d6b6b78c6254105162ed35",
 }
 
 
@@ -452,9 +449,7 @@ def _golden_cases():
             for md in (True, False):
                 cases[f"ring-l{l}-sh{int(sh)}-md{int(md)}"] = (
                     schedule_keyswitch_ring, p1, l, dict(shadowed=sh, include_moddown=md))
-    for fused in (False, True):
-        cases[f"moddown-l14-fused{int(fused)}"] = (
-            schedule_moddown_ring, p1, 14, dict(fused_rescale=fused))
+    cases["moddown-l14"] = (run_workload, p1, [{"op": "MODDOWN", "l": 14}], {})
     for l, d, k in ((8, 3, 3), (22, 3, 8), (23, 6, 4)):
         for strat in ("ALTERNATE", "DIGITWISE"):
             cases[f"digits-{l},{d},{k}-{strat}"] = (
@@ -493,6 +488,96 @@ def test_golden_matrix_reports():
     got["timeline-digits"] = _digest(
         schedule_keyswitch_digits(p1, 8, 3).timeline_csv())
     assert got == GOLDEN
+
+
+# SHA-256 of every ScheduleBuilder column of a DAG, pinned before the ModDown
+# and rescale builders became one.  A report digest cannot see a dep or a
+# priority that moves no cycle; these see every column.
+
+_DAG_COLUMNS = ("kinds", "resources", "durations", "deps", "stream_deps", "priorities",
+                "phases", "limbs", "digits", "nbytes", "mas")
+
+DAG_GOLDEN = {
+    "ring-l2-r1":
+        "1004b9a2cd02902715e140c2eedf1a423e4c78871da403f34eb139efdf0eb766",
+    "ring-l2-r4":
+        "98647c8189ed0c5d6687cf9e29e6c62abbe33f901441a31c8fe081355205e2db",
+    "ring-l2-r32":
+        "193a831840b7460bbaac11d8dc02e9a6c71752b20a13ca61284022f24b2b02e7",
+    "ring-l14-r1":
+        "4151bac568c53d4b399d3e9725d6461a48a2885de9d7614bdf666c4b51d745a6",
+    "ring-l14-r4":
+        "e34426aa12d3ec753a77777f55db5f2316b8a52cd57af32c77072379b05b296a",
+    "ring-l14-r32":
+        "cafb62c250eaa9723b619fce1dc051009f3bf8eda721b2df09d6e71ca4a82423",
+    "ring-l30-r1":
+        "4eb4bac7b4a04d28dffaac59f808bd02acd78c972af75e709619c9bde317a091",
+    "ring-l30-r4":
+        "ab68ac1739f0c02e73e6d0ccdc9cc0b13cfeb9b85049556622f6a380d33f25f3",
+    "ring-l30-r32":
+        "8cd5104c1ff00783ad324643e5c730c264575b47569229c70119f5a69f9f2a19",
+    "digits-8,3-ALTERNATE":
+        "b401580f877a0ef94fbac59eabd86652f2e2e236fc819702580bf8966f452554",
+    "moddown-l14-INTERLEAVED":
+        "3f6aaac083fcac2fe9db90b5dbdb8a262106310ede2bcfece4e819249018bd08",
+    "moddown-l14-SEQUENTIAL":
+        "3f6aaac083fcac2fe9db90b5dbdb8a262106310ede2bcfece4e819249018bd08",
+    "moddown-l14-DIGITWISE":
+        "3f6aaac083fcac2fe9db90b5dbdb8a262106310ede2bcfece4e819249018bd08",
+    "hmult-keyswitch-rescale-l14-INTERLEAVED":
+        "0ddd97dd01cabca8d0b97ff486856628264d63092c8654e2f304506526695a4b",
+    "hmult-keyswitch-rescale-l14-SEQUENTIAL":
+        "b7e1181f4ba124cda7c79832a2cfb7265e5cb7bba9381630ed217460873c1e7b",
+    "hmult-keyswitch-rescale-l14-DIGITWISE":
+        "0ddd97dd01cabca8d0b97ff486856628264d63092c8654e2f304506526695a4b",
+    "keyswitch_l30-INTERLEAVED":
+        "2d68a36e3d48287d6ae0aca47edab5c065fd1796bbde7514671fd1687b381776",
+    "keyswitch_l30-SEQUENTIAL":
+        "2d68a36e3d48287d6ae0aca47edab5c065fd1796bbde7514671fd1687b381776",
+    "keyswitch_l30-DIGITWISE":
+        "2d68a36e3d48287d6ae0aca47edab5c065fd1796bbde7514671fd1687b381776",
+    "bootstrap_example-INTERLEAVED":
+        "f17fd8d3145817f5c25be293f614de76298da52b5aa54bb76b288d18796a2800",
+    "bootstrap_example-SEQUENTIAL":
+        "a8e97b553ab3988831cd0294603a1064c91e45a0f017c2e7f1b107ce56b3793d",
+    "bootstrap_example-DIGITWISE":
+        "f17fd8d3145817f5c25be293f614de76298da52b5aa54bb76b288d18796a2800",
+}
+
+
+def _dag_cases():
+    p1 = ChipletConfig.from_json_dict(load_preset("chiplet_1024x64"))
+    cases = {}
+    for l in (2, 14, 30):
+        for r in (1, 4, 32):
+            cases[f"ring-l{l}-r{r}"] = (replace(p1, r=r), build_keyswitch_ring, l, {})
+    cases["digits-8,3-ALTERNATE"] = (p1, build_keyswitch_digits, 8, dict(k=3))
+    programs = {
+        "moddown-l14": ([{"op": "MODDOWN", "l": 14}], None),
+        "hmult-keyswitch-rescale-l14": ([{"op": "HMULT", "l": 14}, {"op": "KEYSWITCH", "l": 14},
+                                         {"op": "RESCALE", "l": 14}], None),
+        **{name: (load_preset(name)["program"], load_preset(name)["levels"])
+           for name in ("keyswitch_l30", "bootstrap_example")},
+    }
+    for name, (program, levels) in programs.items():
+        for asg in ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE"):
+            cases[f"{name}-{asg}"] = (p1, run_workload, program,
+                                      dict(assignment=asg, levels=levels))
+    return cases
+
+
+def test_golden_dags(monkeypatch):
+    # a program's DAG is the one its Engine.run is handed
+    monkeypatch.setattr(Engine, "run", lambda engine, dag, **kwargs: dag)
+    got = {}
+    for name, (cfg, build, arg, kwargs) in _dag_cases().items():
+        if build is run_workload:
+            sb = run_workload(cfg, arg, **kwargs)
+        else:
+            sb = ScheduleBuilder(cfg)
+            build(sb, arg, **kwargs)
+        got[name] = _digest(json.dumps([getattr(sb, col) for col in _DAG_COLUMNS]))
+    assert got == DAG_GOLDEN
 
 
 def test_report_json_bytes_do_not_depend_on_hash_seed():
@@ -534,8 +619,7 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
         for sh in (True, False):
             for md in (True, False):
                 schedule_keyswitch_ring(cfg, 8, shadowed=sh, include_moddown=md)
-        for fused in (False, True):
-            schedule_moddown_ring(cfg, 8, fused_rescale=fused)
+        run_workload(cfg, [{"op": "MODDOWN", "l": 8}, {"op": "RESCALE", "l": 8}])
         for strategy in ("ALTERNATE", "DIGITWISE"):
             schedule_keyswitch_digits(cfg, 8, 3, strategy)
         for tech in ("A", "B", "C"):
@@ -543,7 +627,7 @@ def test_barrier_is_the_only_zero_duration_op(monkeypatch):
         for name in ("keyswitch_l30", "bootstrap_example"):
             doc = load_preset(name)
             run_workload(cfg, doc["program"], levels=doc["levels"])
-    assert len(dags) == 2 * 13
+    assert len(dags) == 2 * 12
     for dag in dags:
         assert {kind for kind, duration in zip(dag.kinds, dag.durations)
                 if duration == 0} <= {"BARRIER"}
@@ -629,8 +713,6 @@ def test_rescale_at_level_zero_rejected(monkeypatch):
     monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
     with pytest.raises(ProgramError):
         run_workload(REF, [{"op": "HMULT", "l": 2}, {"op": "RESCALE", "l": 0}])
-    with pytest.raises(ProgramError):
-        schedule_moddown_ring(REF, 0, fused_rescale=True)
 
 
 def test_host_load_of_no_bytes_rejected(monkeypatch):
@@ -695,6 +777,10 @@ def test_unknown_strawman_technique_rejected_before_any_dag(monkeypatch):
     monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
     with pytest.raises(ProgramError, match="technique"):
         schedule_strawman(ChipletConfig(), 6, "D")
+    # a technique that is no name raised a bare AttributeError from upper()
+    for technique in (None, 1, ["A"]):
+        with pytest.raises(ProgramError, match="technique"):
+            schedule_strawman(ChipletConfig(), 14, technique)
 
 
 def test_parse_program_applies_the_defaults():
@@ -780,21 +866,17 @@ def test_empty_sweep_rejected(monkeypatch):
 
 def test_schedule_arguments_must_be_integers(monkeypatch):
     # l=True used to run as l=1 (8372 cycles), l=2.0 and l=2.5 raised a bare
-    # TypeError, and components 0 or -1 gave a 0-cycle ModDown
+    # TypeError
     from fhesim.chipletsim import schedules
     monkeypatch.setattr(schedules, "ScheduleBuilder", _no_builder)
     for bad in (True, 2.0, 2.5, "2"):
         for call in (lambda: schedule_keyswitch_ring(REF, bad),
-                     lambda: schedule_moddown_ring(REF, bad),
                      lambda: schedule_keyswitch_digits(REF, bad, 3),
                      lambda: schedule_keyswitch_digits(REF, 8, bad),
                      lambda: schedule_strawman(REF, bad, "A"),
                      lambda: sweep_chiplets(REF, [4], l=bad)):
             with pytest.raises(ProgramError, match="must be an integer"):
                 call()
-    for components in (0, -1, 1.0):
-        with pytest.raises(ProgramError, match="components"):
-            schedule_moddown_ring(REF, 3, components=components)
 
 
 def _tracked_objects(root) -> int:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fhesim import ckks, opcount
-from fhesim.chipletsim import ChipletConfig, run_workload, schedule_moddown_ring
+from fhesim.chipletsim import ChipletConfig, run_workload
 from fhesim.ckks import (Ciphertext, CkksContext, EncodeOverflow, ExtCiphertext,
                          InvalidInteger, InvalidScale, KeySwitchKey, LazySumOverflow,
                          LevelExhausted, LevelMismatch, LevelOutOfRange, MissingRotationKey,
@@ -520,7 +520,6 @@ def _functional_census(op, ctx, sk, keys, level):
     a = ctx.encrypt(ctx.encode(slots_vec(ctx), level), sk, rng())
     b = ctx.encrypt(ctx.encode(slots_vec(ctx, "b"), level), sk, rng())
     d = ctx.mult(a, b) if op == "KEYSWITCH" else None
-    ext = (_random_ext(ctx, level, 1), _random_ext(ctx, level, 2))
     with count_ops() as census:
         if op == "HADD":
             ctx.add(a, b)
@@ -532,18 +531,15 @@ def _functional_census(op, ctx, sk, keys, level):
             ctx.relinearize(d, keys)
         elif op == "ROTATE":
             ctx.rotate(a, 1, keys)
-        elif op == "MODDOWN":
-            ctx.moddown(ext[0], level)
-        else:   # FUSED_RESCALE: ModDown both components, then rescale them
-            down = [ctx.moddown(x, level) for x in ext]
-            ctx.rescale(ctx._ciphertext(np.stack(down), ctx.delta))
+        else:   # MODDOWN
+            ctx.moddown(_random_ext(ctx, level, 1), level)
     return census
 
 
 @pytest.mark.parametrize("op, k", [
     *((op, k) for op in ("HADD", "HMULT", "RESCALE", "KEYSWITCH", "ROTATE")
       for k in (1, 3)),
-    ("MODDOWN", 1), ("FUSED_RESCALE", 1),    # the ModDown flow models K = 1
+    ("MODDOWN", 1),    # the ModDown flow models K = 1
 ])
 def test_census_matches_simulator(op, k, request):
     # Both halves pick the key switch by K alone, so the functional census of
@@ -554,19 +550,13 @@ def test_census_matches_simulator(op, k, request):
     assert basis.k == k
     ctx = request.getfixturevalue("ctx" if k == 1 else "ctx3")
     sk, keys = request.getfixturevalue("keyed" if k == 1 else "keyed3")
-    lowest = 1 if op in ("RESCALE", "FUSED_RESCALE") else 0
+    lowest = 1 if op == "RESCALE" else 0
     for level in range(lowest, basis.l_max + 1):
         census = _functional_census(op, ctx, sk, keys, level)
         want = {kind: (2 if op == "MODDOWN" else 1) * n for kind, n in census.items()}
-        if op == "FUSED_RESCALE":
-            assert census == {kind: 2 * opcount.moddown(level, 1)[kind]
-                              + opcount.rescale(level)[kind] for kind in census}
         for r in (1, 4):
             cfg = ChipletConfig(exact=True, r=r)
-            if op == "FUSED_RESCALE":
-                rep = schedule_moddown_ring(cfg, level, fused_rescale=True)
-            else:
-                rep = run_workload(cfg, [{"op": op, "l": level, "k": k}])
+            rep = run_workload(cfg, [{"op": op, "l": level, "k": k}])
             got = {kind: rep.op_counts.get(kind, 0) for kind in opcount.KINDS}
             assert got == want, (op, k, level, r)
 

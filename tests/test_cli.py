@@ -286,8 +286,8 @@ def test_analyze_returns_0_or_2_for_any_small_integer_flags(formula, values):
     (["throughput", "--n1", "0"], "n1 must be at least 1"),  # a ZeroDivisionError
     (["throughput", "--L", "-3"], "L must be at least 0"),   # 0 cycles: the same
     (["throughput", "--f", "0"], "clock"),                   # printed 0 switches/s
-    (["bound", "--hbm", "-1"], "k_ratio must be at least 0"),  # printed max_r 32
-    (["bound", "--hbm", "nan"], "k_ratio must be at least 0"),  # a ValueError
+    (["bound", "--hbm", "-1"], "--hbm"),             # printed max_r 32
+    (["bound", "--hbm", "nan"], "--hbm"),            # a ValueError
     (["storage", "--dnum", "3", "--n", "0", "--w", "-3"],
      "n must be at least 1"),                                # printed 0 bytes
     (["comm", "--tech", "OURS", "--l", "-5", "--r", "4"],
@@ -298,7 +298,10 @@ def test_analyze_returns_0_or_2_for_any_small_integer_flags(formula, values):
     (["twiddle", "--n1", "0"], "n1=0"),                      # a traceback, exit 1
     (["throughput", "--f", "inf"], "clock"),                 # printed Infinity, not JSON
     (["bound", "--u", "inf"], "headroom u"),                 # printed max_r 0
-    (["bound", "--hbm", "inf"], "k_ratio must be at least 0 and finite"),  # "k_ratio": Infinity
+    (["bound", "--hbm", "inf"], "--hbm"),            # "k_ratio": Infinity
+    # ChipletConfig refuses both links; bound printed k_ratio 0.0, max_r 32
+    (["bound", "--c2c", "inf"], "--c2c must be a positive finite number"),
+    (["bound", "--hbm", "0"], "--hbm must be a positive finite number"),
 ])
 def test_analyze_rejects_bad_arguments(argv, named, capsys):
     assert main(["analyze", *argv]) == 2
