@@ -7,8 +7,8 @@ DAGs following the ring/feed-forward dataflows.
 """
 
 from .engine import (ChipletConfig, ConfigError, CycleReport, DeadlockDetected,
-                     Engine, MicroOp, ScheduleBuilder)
-from .schedules import (ASSIGNMENTS, ProgramError, build_keyswitch_digits,
+                     Engine, MicroOp, ProgramError, ScheduleBuilder)
+from .schedules import (ASSIGNMENTS, build_keyswitch_digits,
                         build_keyswitch_ring, parse_program, run_workload,
                         schedule_keyswitch_digits, schedule_keyswitch_ring,
                         schedule_strawman, sweep_chiplets)

@@ -22,10 +22,10 @@ field, indexed by uid.  Every entry is a string, an int, None or a tuple
 of ints, which the cyclic garbage collector stops tracking once it has
 seen it, so a built DAG holds the same few tracked objects at any size.
 A run keeps its state in per-DAG lists too (start, finish and ready times,
-queue heaps of the ops' priority tuples, an event heap of ints); the only
+queue heaps of the ops' priority tuples, a heap of finish times); the only
 objects it makes per op are its list of dep children, plus a list of
-stream children for each op that a stream waits on, all dropped when it
-returns.
+stream children for each op that a stream waits on and one list per
+distinct finish time, all dropped when it returns.
 
 Event loop.  Resources get dense ids in the order of their first
 appearance in the DAG.  At each event time the engine runs passes until no
@@ -33,13 +33,16 @@ op can start.  A pass visits only the resources that have a queued op and
 a free slot, and starts on each the highest-priority queued ops its free
 slots allow.  The stream children of the ops a pass started are released
 after the pass, so an op they make ready starts in the next pass at the
-same time.  Then the engine advances to the next finish time, frees the
-finished ops' slots and enqueues the dep children they release.  A
-resource's choice depends only on its own queue and free slots, and a
-release only pushes onto a queue ordered by (priority, uid), so the order
-in which resources, releases and same-time finishes are visited moves no
-start or finish.  DAG building, event loop and report are each linear in
-the number of ops and deps, apart from heap and sort logarithms.
+same time.  Pending finishes are kept once per time, as in a calendar
+queue: a heap of the distinct finish times, and for each the ops that
+finish then, in start order.  The engine pops the next time, frees those
+ops' slots and enqueues the dep children they release; a zero-duration op
+that finishes at the current time reopens it.  A resource's choice
+depends only on its own queue and free slots, and a release only pushes
+onto a queue ordered by (priority, uid), so the order in which resources,
+releases and same-time finishes are visited moves no start or finish.
+DAG building, event loop and report are each linear in the number of ops
+and deps, apart from heap and sort logarithms.
 
 Report.  Engine._report computes only the summary every caller reads:
 cycles, wall time, polynomials transferred, NTT utilization and op counts,
@@ -70,11 +73,12 @@ from itertools import compress, count
 from operator import add, not_, or_, truth
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..opcount import KINDS as COMPUTE_KINDS, check_positive_finite
+from ..opcount import KINDS as COMPUTE_KINDS, check_integer, check_positive_finite
 
 LINK_KINDS = ("SEND", "HBM_RD", "HBM_WR", "HOST_RD")
 _COMPUTE = frozenset(COMPUTE_KINDS)
 _LINKS = frozenset(LINK_KINDS)
+_KINDS = _COMPUTE | _LINKS | {"BARRIER"}
 
 
 class DeadlockDetected(Exception):
@@ -83,6 +87,10 @@ class DeadlockDetected(Exception):
 
 class ConfigError(ValueError):
     """A ChipletConfig field is outside the range the model can simulate."""
+
+
+class ProgramError(ValueError):
+    """A program or schedule argument the model cannot run."""
 
 
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
@@ -215,10 +223,12 @@ class ScheduleBuilder:
         self.digits: List[Optional[int]] = []
         self.nbytes: List[int] = []
         self.mas: List[int] = []
-        self._prev_ntt: Dict[str, int] = {}
+        self._last_ntt: List[Optional[int]] = [None] * cfg.r    # per chiplet
         self._ntt = [f"ntt:{i}" for i in range(cfg.r)]
         self._c2c = [f"c2c:{i}" for i in range(cfg.r)]
         self._hbm = [f"hbm:{i}" for i in range(cfg.r)]
+        self._resources = frozenset([f"{unit}:{i}" for unit in _CAPACITY for i in range(cfg.r)
+                                     if unit not in ("host", "barrier")] + ["host", "barrier"])
         # durations and sizes depend only on the config: derive them once
         self.transform_cycles = cfg.n1
         self.c2c_cycles = cfg.c2c_cycles()
@@ -250,44 +260,58 @@ class ScheduleBuilder:
         self.mas.append(mas)
         return uid
 
-    def _chain(self, resource: str, deps: Tuple[int, ...]) -> Tuple[int, ...]:
-        """deps and the previous op on NTT/INTT pipeline `resource`, which
-        executes its static microcode in order."""
-        prev = self._prev_ntt.get(resource)
-        self._prev_ntt[resource] = len(self.kinds)
-        return deps if prev is None or prev in deps else deps + (prev,)
-
     def add(self, kind: str, resource: str, duration: int, deps: Sequence[int] = (),
             stream_deps: Sequence[int] = (), priority: Tuple = (), phase: str = "",
             limb: int | None = None, digit: int | None = None, nbytes: int = 0,
             mas: int = 0) -> int:
-        deps = tuple(deps)
+        """Append an op, after the previous op of its unit if that is an NTT
+        unit, which executes its static microcode in order.  ProgramError for
+        a kind or resource the engine does not model, a duration that is not
+        a non-negative integer, or a dep or stream dep that is not an earlier
+        uid."""
+        uid = len(self.kinds)
+        deps, stream_deps = tuple(deps), tuple(stream_deps)
+        if kind not in _KINDS or resource not in self._resources:
+            raise ProgramError(f"no {kind!r} op on resource {resource!r} at r={self.cfg.r}")
+        duration = check_integer(duration, "duration", ProgramError, 0)
+        if not all(type(d) is int and 0 <= d < uid for d in deps + stream_deps):
+            raise ProgramError(f"op {uid}'s deps {deps} and stream deps {stream_deps} "
+                               "must be earlier uids")
         if resource.startswith("ntt:"):
-            deps = self._chain(resource, deps)
-        return self._append(kind, resource, duration, deps, tuple(stream_deps),
-                            priority, phase, limb, digit, nbytes, mas)
+            chiplet = _chiplet(resource)
+            prev, self._last_ntt[chiplet] = self._last_ntt[chiplet], uid
+            if prev is not None and prev not in deps:
+                deps += (prev,)
+        return self._append(kind, resource, duration, deps, stream_deps, priority, phase,
+                            limb, digit, nbytes, mas)
 
     def last_ntt(self, chiplet: int) -> Optional[int]:
-        return self._prev_ntt.get(self._ntt[chiplet])
+        return self._last_ntt[chiplet]
 
     def transform(self, kind: str, chiplet: int, deps: Sequence[int] = (),
                   priority: Tuple = (), phase: str = "", limb: int | None = None,
                   digit: int | None = None, mas: int = 0) -> int:
-        resource = self._ntt[chiplet]
-        return self._append(kind, resource, self.transform_cycles,
-                            self._chain(resource, tuple(deps)), (), priority, phase,
-                            limb, digit, 0, mas)
+        """An op on chiplet's NTT unit, after deps and the unit's previous op.
+        Unchecked, as send and hbm_read are: only the builders call them."""
+        deps = tuple(deps)
+        prev, self._last_ntt[chiplet] = self._last_ntt[chiplet], len(self.kinds)
+        if prev is not None and prev not in deps:
+            deps += (prev,)
+        return self._append(kind, self._ntt[chiplet], self.transform_cycles, deps, (),
+                            priority, phase, limb, digit, 0, mas)
 
     def send(self, src: int, deps: Sequence[int] = (), stream_deps: Sequence[int] = (),
              priority: Tuple = (), phase: str = "", limb: int | None = None,
              digit: int | None = None) -> int:
+        """A hop on chiplet src's ring egress; unchecked, as transform is."""
         return self._append("SEND", self._c2c[src], self.c2c_cycles, tuple(deps),
                             tuple(stream_deps), priority, phase, limb, digit,
                             self.poly_bytes, 0)
 
     def hbm_read(self, chiplet: int, deps: Sequence[int] = (), priority: Tuple = (),
                  phase: str = "") -> Tuple[int, ...]:
-        """A consumer's deps on one HBM read; none in exact mode."""
+        """A consumer's deps on one HBM read, none in exact mode; unchecked,
+        as transform is."""
         if self.cfg.exact:
             return ()
         return (self._append("HBM_RD", self._hbm[chiplet], self.hbm_cycles, tuple(deps),
@@ -484,9 +508,8 @@ class Engine:
         queues: List[list] = [[] for _ in res_id]    # per resource: heap of priorities
         free = [_CAPACITY[resource.split(":")[0]] for resource in res_id]   # idle slots
         ready: set = set()             # resources with a queued op and a free slot
-        # An event is finish * stride + uid: finish time first, then uid.
-        stride = n_ops + 1
-        events: List[int] = []
+        times: List[int] = []          # heap of the distinct pending finish times
+        finishing: Dict[int, List[int]] = {}   # time -> the ops finishing then
         streaming: List[int] = []      # ops a pass started that a stream waits on
 
         for uid in compress(range(n_ops), map(not_, waiting_deps)):
@@ -512,7 +535,12 @@ class Engine:
                             if finish[sd] > end:
                                 end = finish[sd]
                         finish[uid] = end
-                        heappush(events, end * stride + uid)
+                        bucket = finishing.get(end)
+                        if bucket is None:
+                            finishing[end] = [uid]
+                            heappush(times, end)
+                        else:
+                            bucket.append(uid)
                         if uid in stream_children:
                             streaming.append(uid)
                     free[rid] = slots
@@ -530,15 +558,13 @@ class Engine:
                 streaming.clear()
             if done == n_ops:
                 break
-            if not events:
+            if not times:
                 raise DeadlockDetected(
                     f"{n_ops - done} ops unscheduled with no pending events")
-            now = events[0] // stride
-            base = now * stride
-            later = base + stride
-            while events and events[0] < later:
-                uid = heappop(events) - base
-                done += 1
+            now = heappop(times)
+            finished = finishing.pop(now)
+            done += len(finished)
+            for uid in finished:
                 rid = op_res[uid]
                 free[rid] += 1
                 if queues[rid]:

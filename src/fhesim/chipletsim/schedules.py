@@ -23,16 +23,12 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..opcount import KINDS, check_integer, digit_ranges
-from .engine import ChipletConfig, CycleReport, Engine, ScheduleBuilder, _chiplet
+from .engine import ChipletConfig, CycleReport, Engine, ProgramError, ScheduleBuilder, _chiplet
 
 Assignment = str  # one of ASSIGNMENTS
 ASSIGNMENTS = ("INTERLEAVED", "SEQUENTIAL", "DIGITWISE")
 STRATEGIES = ("ALTERNATE", "DIGITWISE")    # digit key-switch orderings
 _MACRO_OPS = ("HADD", "HMULT", "KEYSWITCH", "ROTATE", "RESCALE", "MODDOWN", "HOST_LOAD")
-
-
-class ProgramError(ValueError):
-    """A program or schedule argument the model cannot run."""
 
 
 def _check_strategy(strategy: str) -> None:
@@ -88,11 +84,15 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
     """dnum = L+1 key switch on the non-blocking ring.  In this and every
     builder, ops that would otherwise start at once wait for the ops in
     `after` (in a program, the previous step)."""
-    cfg = sb.cfg
-    r = cfg.r
+    for name, flag in (("shadowed", shadowed), ("include_moddown", include_moddown)):
+        if not isinstance(flag, bool):
+            raise ProgramError(f"{name} must be a bool, got {flag!r}")
+    r = sb.cfg.r
     n_targets = l + 2                       # q_0..q_l plus the special base
     own_targets = {i: [t for t in range(n_targets) if t % r == i] for i in range(r)}
     rounds = -(-(l + 1) // r)
+    mas = 2 if shadowed else 0
+    transform, send, hbm_read, last_ntt = sb.transform, sb.send, sb.hbm_read, sb.last_ntt
 
     buf_ops: Dict[int, List[int]] = {t: [] for t in range(n_targets)}
     mac_ntts: Dict[int, List[int]] = {i: [] for i in range(r)}
@@ -103,31 +103,24 @@ def build_keyswitch_ring(sb: ScheduleBuilder, l: int, shadowed: bool = True,
         for i in range(r):
             x = j * r + i
             if x <= l:
-                relay[x] = sb.transform(
-                    "INTT", i, deps=after, priority=(pri0, j, 0), phase="modup",
-                    limb=x)
+                relay[x] = transform("INTT", i, after, (pri0, j, 0), "modup", x)
         for m in range(r):
             for i in range(r):
                 x = j * r + (i + m) % r
                 if x > l:
                     continue
                 data = relay[x]
-                last = sb.last_ntt(i)
+                last = last_ntt(i)
                 gate = (data, last) if last is not None else (data, *after)
                 # relay the limb to the ring predecessor while processing it
                 if r > 1:
-                    closing = m + 1 == r
-                    relay[x] = sb.send(
-                        i, deps=gate,
-                        priority=(_DRAIN, j, m) if closing else (pri0, j, m, 0),
-                        phase="modup", limb=x)
+                    relay[x] = send(i, gate, (), (_DRAIN, j, m) if m + 1 == r
+                                    else (pri0, j, m, 0), "modup", x)
                 for t in own_targets[i]:
-                    read = sb.hbm_read(i, deps=(
-                        (mac_ntts[i][-2],) if len(mac_ntts[i]) >= 2 else after),
-                        priority=(pri0, j, m, 1, t), phase="modup")
-                    ntt = sb.transform("NTT", i, deps=(data,) + read,
-                                       priority=(pri0, j, m, 2, t), phase="modup",
-                                       limb=x, digit=t, mas=2 if shadowed else 0)
+                    read = hbm_read(i, (mac_ntts[i][-2],) if len(mac_ntts[i]) >= 2
+                                    else after, (pri0, j, m, 1, t), "modup")
+                    ntt = transform("NTT", i, (data,) + read, (pri0, j, m, 2, t), "modup",
+                                    x, t, mas)
                     mac_ntts[i].append(ntt)
                     if shadowed:
                         buf_ops[t].append(ntt)
@@ -315,8 +308,11 @@ def _build_strawman(sb: ScheduleBuilder, l: int, technique: str) -> None:
     cfg = sb.cfg
     comm = cfg.beat_cycles() * (1 if cfg.exact else 2)
 
-    def send(src: int, **kwargs) -> int:
-        return sb.add("SEND", f"c2c:{src}", comm, nbytes=sb.poly_bytes, **kwargs)
+    def send(src: int, deps=(), priority=(), phase="", limb=None, mas=0) -> int:
+        # unchecked, as ScheduleBuilder.send: at r = 1, technique A still
+        # moves its ModDown components over chiplet 1's link, which add refuses
+        return sb._append("SEND", f"c2c:{src}", comm, tuple(deps), (), priority, phase,
+                          limb, None, sb.poly_bytes, mas)
 
     if technique == "A":
         # four function-partitioned chiplets; chiplet 0 owns NTT/INTT,

@@ -206,9 +206,11 @@ def test_sweep_shape_and_low_depth_utilization():
 
 
 def test_engine_deadlock_guard():
+    # add refuses a dep on a later uid, so only an edited column makes a cycle
     sb = ScheduleBuilder(EXACT)
-    sb.add("NTT", "ntt:0", 4, deps=[1], priority=(0,))
+    sb.add("NTT", "ntt:0", 4, priority=(0,))
     sb.add("NTT", "ntt:0", 4, deps=[0], priority=(0,))
+    sb.deps[0] = (1,)
     with pytest.raises(DeadlockDetected):
         Engine(EXACT).run(sb)
 
@@ -323,6 +325,77 @@ def test_hbm_read_gives_the_deps_to_splice():
     assert ScheduleBuilder(EXACT).hbm_read(0) == ()
     sb = ScheduleBuilder(REF)
     assert sb.hbm_read(1, phase="modup") == (0,) and sb.kinds == ["HBM_RD"]
+
+
+def test_ntt_chain_holds_across_add_and_transform():
+    # each NTT unit runs its ops in issue order, whichever entry point
+    # issued them: add then transform and transform then add
+    sb = ScheduleBuilder(REF)
+    chain = {0: [], 1: []}
+    for step in range(8):
+        for i in (0, 1):
+            given = chain[i][-1:] if step % 3 == 0 else ()    # the chain dep, given
+            if (step + i) % 2:
+                uid = sb.add("MAS", f"ntt:{i}", 7, deps=given, limb=step)
+            else:
+                uid = sb.transform("NTT", i, deps=given, limb=step)
+            sb.add("MAS", f"mas:{i}", 3)      # another unit: not in the chain
+            chain[i].append(uid)
+            assert sb.last_ntt(i) == uid
+    for i, uids in chain.items():
+        assert sb.deps[uids[0]] == ()
+        for prev, uid in zip(uids, uids[1:]):
+            assert sb.deps[uid] == (prev,)     # given or not, held once
+    assert sb.last_ntt(2) is None
+
+
+def test_add_takes_every_modelled_resource():
+    sb = ScheduleBuilder(REF)
+    for unit, kind in (("ntt", "NTT"), ("mas", "MAS"), ("aut", "AUT"), ("c2c", "SEND"),
+                       ("hbm", "HBM_RD")):
+        for i in range(REF.r):
+            sb.add(kind, f"{unit}:{i}", 2, nbytes=sb.poly_bytes if unit in ("c2c", "hbm") else 0)
+    sb.add("HOST_RD", "host", 5, nbytes=64)
+    sb.add("BARRIER", "barrier", 0, deps=range(len(sb)))
+    assert Engine(REF).run(sb).total_cycles == 5
+
+
+_REFUSED_ADDS = {
+    "kind": dict(kind="FOO"),
+    "unit": dict(resource="foo:1"),          # a bare KeyError in Engine.run
+    "chiplet": dict(resource="ntt:7"),       # ran, with every chiplet idle
+    "chiplet-on-host": dict(kind="HOST_RD", resource="host:0"),
+    "negative-duration": dict(duration=-5),  # gave total_cycles 0
+    "float-duration": dict(duration=2.5),
+    "bool-duration": dict(duration=True),
+    "later-dep": dict(deps=[3]),              # a bare IndexError in Engine.run
+    "negative-dep": dict(deps=[-1]),
+    "own-stream-dep": dict(kind="SEND", resource="c2c:0", stream_deps=[0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_ADDS))
+def test_add_refuses_an_op_the_engine_cannot_run(case):
+    sb = ScheduleBuilder(REF)
+    with pytest.raises(ProgramError):
+        sb.add(**{"kind": "NTT", "resource": "ntt:1", "duration": 4, **_REFUSED_ADDS[case]})
+    assert len(sb) == 0 and sb.last_ntt(1) is None
+
+
+def test_program_error_is_one_class():
+    from fhesim.chipletsim import engine, schedules
+    assert ProgramError is engine.ProgramError is schedules.ProgramError
+
+
+@pytest.mark.parametrize("flags", [dict(shadowed="false"), dict(include_moddown="false"),
+                                   dict(shadowed=1), dict(include_moddown=None)])
+def test_ring_flags_must_be_bools(flags):
+    # "false" is truthy: shadowed="false" ran the shadowed flow, 41,080
+    # cycles at r=4, l=8, where False gives 96,376
+    with pytest.raises(ProgramError, match="must be a bool"):
+        schedule_keyswitch_ring(ChipletConfig(r=4), 8, **flags)
+    with pytest.raises(ProgramError, match="must be a bool"):
+        build_keyswitch_ring(ScheduleBuilder(ChipletConfig(r=4)), 8, **flags)
 
 
 def test_exact_mode_transfer_is_matched_beat():

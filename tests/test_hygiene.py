@@ -77,6 +77,24 @@ def _write_only_fields(texts) -> list:
     return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
 
 
+def _write_only_attributes(texts) -> list:
+    """Names that the sources store as self.<name> but no source reads,
+    sorted.  A read is an attribute load or a string constant (as getattr
+    takes), anywhere in any of the sources; an augmented assignment is a
+    store only."""
+    stored = set()
+    read = set()
+    for node in (n for text in texts for n in ast.walk(ast.parse(text))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                and isinstance(node.value, ast.Name) and node.value.id == "self":
+            stored.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return sorted(stored - read)
+
+
 # The pure-int oracles may assert the property they model; anywhere else a
 # check must raise, since python -O strips an assert.
 PURE_INT_ORACLES = {"ntt_oracle", "intt_oracle", "automorphism_oracle", "automorphism_shuffle"}
@@ -174,6 +192,23 @@ def test_scan_finds_write_only_fields():
              "class Plain:\n    note: int\n",
              "def use(a):\n    return a.read\n")
     assert _write_only_fields(texts) == ["A.orphan", "B.stored"]
+
+
+def test_no_write_only_instance_attributes():
+    # Tests do not count, and the scan matches by name, as for the fields: a
+    # per-resource dict the builder kept after its chain moved to a list
+    # would be caught
+    assert _write_only_attributes(path.read_text() for path in sorted(SRC.rglob("*.py"))) == []
+
+
+def test_scan_finds_write_only_attributes():
+    texts = ("class A:\n    def __init__(self, other):\n        self.read = 1\n"
+             "        self.orphan = 2\n        self.by_name = 3\n        self.count = 0\n"
+             "        other.elsewhere = 4\n\n"
+             "    def bump(self):\n        self.count += 1\n"
+             "        return getattr(self, 'by_name')\n",
+             "def use(a):\n    return a.read\n")
+    assert _write_only_attributes(texts) == ["count", "orphan"]
 
 
 def test_no_bare_asserts_outside_the_oracles():
